@@ -18,15 +18,19 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Time the sharded candidate enumeration at 1/2/4/8 workers, verify the
-# streams are byte-identical to the sequential one, check that enabling
-# the obs counters stays within noise of the nil-sink path, and record
-# the result (with the runner's core count) in BENCH_enumerate.json.
+# Time the partitioned candidate walk at 1/2/4/8 workers and verify the
+# shard streams concatenate to the sequential stream; time the whole
+# verdict (sim.Simulate under compiled cat Power, walk and check split
+# across the workers) at the same counts and verify every outcome equals
+# the one-worker outcome; check that enabling the obs counters stays
+# within noise of the nil-sink path; hold the check, enumeration and
+# one-worker Simulate allocation ceilings; and record the result (with
+# the runner's core count) in BENCH_enumerate.json.
 # GOMAXPROCS is pinned to the machine's core count explicitly: the
 # original record was taken with an inherited GOMAXPROCS=1, which
 # serialised the 2/4/8-worker timings and flattened the scaling curve.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling' -count=1 -v .
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling' -count=1 -v .
 
 # The fleet acceptance tests under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

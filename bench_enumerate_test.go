@@ -1,6 +1,7 @@
 package herdcats_bench
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,11 +15,13 @@ import (
 
 	"herdcats/internal/cat"
 	"herdcats/internal/core"
+	"herdcats/internal/diy"
 	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
 	"herdcats/internal/obs"
+	"herdcats/internal/sim"
 )
 
 // coHeavySrc is the parallel-enumeration workload: four threads of three
@@ -26,8 +29,8 @@ import (
 // plus its initial one, so the candidate count is the pure coherence
 // product 4!³ = 13824 — no reads, so rf contributes nothing and pruning
 // never fires. The shard tree is wide at the top (the co positions of the
-// first thread's writes), which is exactly the shape the sharded
-// Program.Search splits across workers.
+// first thread's writes), which is exactly the shape exec.SearchShards
+// splits across workers.
 const coHeavySrc = `PPC coheavy
 { 0:r1=x; 0:r2=y; 0:r3=z;
   1:r1=x; 1:r2=y; 1:r3=z;
@@ -40,23 +43,50 @@ const coHeavySrc = `PPC coheavy
  stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) ;
 exists (x=1 /\ y=2 /\ z=3)`
 
-// enumerateHash drives one full enumeration and folds every candidate into
-// a SHA-256 of the stream, so equal hashes mean byte-identical streams.
+// enumerateHash drives one full partitioned enumeration and folds every
+// candidate of the shard streams, concatenated in shard order, into a
+// SHA-256, so equal hashes mean byte-identical streams.
 func enumerateHash(tb testing.TB, workers int) (string, int) {
 	tb.Helper()
 	p := compileBench(tb, coHeavySrc)
-	h := sha256.New()
-	n := 0
-	err := p.Search(context.Background(), exec.Request{Workers: workers},
-		func(c *exec.Candidate) bool {
-			n++
-			fmt.Fprintf(h, "%s|%v|%v\n", c.State.Key(nil), c.X.RF.Pairs(), c.X.CO.Pairs())
-			return true
+	parts, err := exec.SearchShards(context.Background(), p, exec.Request{Workers: workers},
+		func() func(exec.Walk) *bytes.Buffer {
+			return func(walk exec.Walk) *bytes.Buffer {
+				var b bytes.Buffer
+				walk(func(c *exec.Candidate) bool {
+					fmt.Fprintf(&b, "%s|%v|%v\n", c.State.Key(nil), c.X.RF.Pairs(), c.X.CO.Pairs())
+					return true
+				})
+				return &b
+			}
 		})
 	if err != nil {
 		tb.Fatalf("workers=%d: %v", workers, err)
 	}
+	h := sha256.New()
+	n := 0
+	for _, b := range parts {
+		n += bytes.Count(b.Bytes(), []byte{'\n'})
+		h.Write(b.Bytes())
+	}
 	return hex.EncodeToString(h.Sum(nil)), n
+}
+
+// countShards walks the partitioned search with a no-op consumer that only
+// counts, returning the folded candidate count: the walk's own cost.
+func countShards(p *exec.Program, req exec.Request) (int, error) {
+	parts, err := exec.SearchShards(context.Background(), p, req, func() func(exec.Walk) int {
+		return func(walk exec.Walk) int {
+			n := 0
+			walk(func(*exec.Candidate) bool { n++; return true })
+			return n
+		}
+	})
+	n := 0
+	for _, c := range parts {
+		n += c
+	}
+	return n, err
 }
 
 func compileBench(tb testing.TB, src string) *exec.Program {
@@ -68,14 +98,13 @@ func compileBench(tb testing.TB, src string) *exec.Program {
 	return p
 }
 
-// timedSearch runs one full co-heavy enumeration with the given sink and
-// returns the wall clock. A nil sink is the instrumentation-disabled path.
+// timedSearch runs one full co-heavy partitioned enumeration with a no-op
+// consumer and the given sink and returns the wall clock. A nil sink is the
+// instrumentation-disabled path.
 func timedSearch(tb testing.TB, p *exec.Program, workers int, sink *obs.EnumStats) time.Duration {
 	tb.Helper()
 	start := time.Now()
-	n := 0
-	err := p.Search(context.Background(), exec.Request{Workers: workers, Obs: sink},
-		func(*exec.Candidate) bool { n++; return true })
+	n, err := countShards(p, exec.Request{Workers: workers, Obs: sink})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -85,11 +114,12 @@ func timedSearch(tb testing.TB, p *exec.Program, workers int, sink *obs.EnumStat
 	return time.Since(start)
 }
 
-// BenchmarkEnumerateParallel measures the sharded enumeration of the
-// co-heavy workload at increasing worker counts, with instrumentation off
-// (obs=0, a nil sink — the default) and on (obs=1, a live EnumStats). The
-// candidate stream is identical at every width (TestBenchEnumerateJSON
-// verifies the hash), so the sub-benchmarks are directly comparable.
+// BenchmarkEnumerateParallel measures the partitioned enumeration of the
+// co-heavy workload at increasing worker counts, with a no-op consumer and
+// instrumentation off (obs=0, a nil sink — the default) and on (obs=1, a
+// live EnumStats). The concatenated shard streams are the sequential
+// stream at every width (TestBenchEnumerateJSON verifies the hash), so the
+// sub-benchmarks are directly comparable.
 func BenchmarkEnumerateParallel(b *testing.B) {
 	p := compileBench(b, coHeavySrc)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -102,10 +132,7 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 					sink = &obs.EnumStats{}
 				}
 				for i := 0; i < b.N; i++ {
-					n := 0
-					err := p.Search(context.Background(),
-						exec.Request{Workers: workers, Obs: sink},
-						func(*exec.Candidate) bool { n++; return true })
+					n, err := countShards(p, exec.Request{Workers: workers, Obs: sink})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -155,11 +182,14 @@ func unpinProcs(tb testing.TB) int {
 }
 
 // TestBenchEnumerateJSON, gated on BENCH_ENUM_OUT, times the co-heavy
-// enumeration at 1/2/4/8 workers, verifies every stream is byte-identical
-// to the sequential one, measures the overhead of enabled instrumentation
-// against the nil-sink path, and writes the machine-readable record the CI
-// bench step commits as BENCH_enumerate.json. Speedups are honest for the
-// recorded core count: on a single-core runner they hover around 1x.
+// partitioned walk (a no-op consumer) at 1/2/4/8 workers and verifies the
+// shard streams concatenate to the sequential stream; times the whole
+// verdict — sim.Simulate under compiled cat Power — at the same worker
+// counts and fails if any outcome differs from workers=1; measures the
+// overhead of enabled instrumentation against the nil-sink path; and
+// writes the machine-readable record the CI bench step commits as
+// BENCH_enumerate.json. Speedups are honest for the recorded core count:
+// on a single-core runner they hover around 1x.
 func TestBenchEnumerateJSON(t *testing.T) {
 	out := os.Getenv("BENCH_ENUM_OUT")
 	if out == "" {
@@ -224,26 +254,31 @@ func TestBenchEnumerateJSON(t *testing.T) {
 	// The checking layer itself: the allocation-storm before/after.
 	checkRows, catSpeedup, catAllocRatio := checkBenchRows(t, p)
 
+	// The whole verdict: walk and check, both split across the workers.
+	simRows := simulateBenchRows(t, p, procs)
+
 	record := struct {
-		Test           string     `json:"test"`
-		Candidates     int        `json:"candidates"`
-		Cores          int        `json:"cores"`
-		GoMaxProcs     int        `json:"gomaxprocs"`
-		Rows           []benchRow `json:"rows"`
-		EnumRows       []enumRow  `json:"enum_rows"`
-		CheckRows      []checkRow `json:"check_rows"`
-		CatSpeedup     float64    `json:"cat_check_speedup"`
-		CatAllocRatio  float64    `json:"cat_check_alloc_ratio"`
-		ObsOffNsPerOp  int64      `json:"obs_off_ns_per_op"`
-		ObsOnNsPerOp   int64      `json:"obs_on_ns_per_op"`
-		ObsOverhead    float64    `json:"obs_overhead"`
-		ObsOverheadRaw float64    `json:"obs_overhead_raw"`
+		Test           string        `json:"test"`
+		Candidates     int           `json:"candidates"`
+		Cores          int           `json:"cores"`
+		GoMaxProcs     int           `json:"gomaxprocs"`
+		Rows           []benchRow    `json:"rows"`
+		SimulateRows   []simulateRow `json:"simulate_rows"`
+		EnumRows       []enumRow     `json:"enum_rows"`
+		CheckRows      []checkRow    `json:"check_rows"`
+		CatSpeedup     float64       `json:"cat_check_speedup"`
+		CatAllocRatio  float64       `json:"cat_check_alloc_ratio"`
+		ObsOffNsPerOp  int64         `json:"obs_off_ns_per_op"`
+		ObsOnNsPerOp   int64         `json:"obs_on_ns_per_op"`
+		ObsOverhead    float64       `json:"obs_overhead"`
+		ObsOverheadRaw float64       `json:"obs_overhead_raw"`
 	}{
 		Test:           "coheavy (4 threads x 3 writes, 4!^3 candidates)",
 		Candidates:     wantN,
 		Cores:          runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		Rows:           rows,
+		SimulateRows:   simRows,
 		EnumRows:       enumRows,
 		CheckRows:      checkRows,
 		CatSpeedup:     catSpeedup,
@@ -261,8 +296,13 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s (cores=%d, gomaxprocs=%d)", out, record.Cores, record.GoMaxProcs)
-	t.Log("scaling curve (workers: ns/op, speedup vs 1 worker, efficiency vs schedulable procs):")
+	t.Log("walk scaling curve (workers: ns/op, speedup vs 1 worker, efficiency vs schedulable procs):")
 	for _, r := range rows {
+		t.Logf("  workers=%d procs=%d: %v/op, speedup %.2fx, efficiency %.0f%%",
+			r.Workers, r.Procs, time.Duration(r.NsPerOp), r.Speedup, r.Efficiency*100)
+	}
+	t.Log("whole-verdict scaling curve (sim.Simulate, compiled cat Power):")
+	for _, r := range simRows {
 		t.Logf("  workers=%d procs=%d: %v/op, speedup %.2fx, efficiency %.0f%%",
 			r.Workers, r.Procs, time.Duration(r.NsPerOp), r.Speedup, r.Efficiency*100)
 	}
@@ -309,6 +349,113 @@ func TestCheckAllocsCeiling(t *testing.T) {
 	}
 }
 
+// simulateRow is one whole-verdict measurement of BENCH_enumerate.json:
+// sim.Simulate of the co-heavy workload under compiled cat Power — the
+// walk and the check, both split across the workers — at one worker count.
+type simulateRow struct {
+	Workers    int     `json:"workers"`
+	Procs      int     `json:"procs"` // schedulable parallelism: min(workers, GOMAXPROCS)
+	NsPerOp    int64   `json:"ns_per_op"`
+	Speedup    float64 `json:"speedup"`
+	Efficiency float64 `json:"efficiency"` // speedup / procs; 1.0 = perfect scaling
+	Valid      int     `json:"valid"`
+	OutcomeOK  bool    `json:"outcome_identical"` // OutcomeJSON hash equals workers=1's
+}
+
+// simulateBenchRows times sim.Simulate of the co-heavy workload at 1/2/4/8
+// workers, median of 3 after a warm-up that lowers the cat model once, and
+// fails the test if any run's OutcomeJSON differs from workers=1's. The
+// repetitions go round-robin over the worker counts, so a burst of
+// interference on a shared runner lands on every count alike instead of
+// on one count's whole block.
+func simulateBenchRows(t *testing.T, p *exec.Program, procs int) []simulateRow {
+	t.Helper()
+	m, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (time.Duration, string, int) {
+		start := time.Now()
+		out, err := sim.Simulate(context.Background(), sim.Request{
+			Program: p, Checker: m, Options: sim.Options{Workers: workers},
+		})
+		el := time.Since(start)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if out.Candidates != 13824 {
+			t.Fatalf("workers=%d: simulated %d candidates, want 13824", workers, out.Candidates)
+		}
+		data, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return el, hex.EncodeToString(sum[:]), out.Valid
+	}
+	_, wantHash, _ := run(1) // warm-up and reference
+	rows := make([]simulateRow, 4)
+	reps := make([][]int64, len(rows))
+	for i, workers := range []int{1, 2, 4, 8} {
+		rows[i] = simulateRow{Workers: workers, OutcomeOK: true}
+	}
+	for r := 0; r < 3; r++ {
+		for i := range rows {
+			el, hash, valid := run(rows[i].Workers)
+			reps[i] = append(reps[i], el.Nanoseconds())
+			rows[i].Valid = valid
+			if hash != wantHash {
+				rows[i].OutcomeOK = false
+				t.Errorf("workers=%d: outcome hash %s differs from workers=1 %s", rows[i].Workers, hash, wantHash)
+			}
+		}
+	}
+	for i := range rows {
+		sort.Slice(reps[i], func(a, b int) bool { return reps[i][a] < reps[i][b] })
+		rows[i].NsPerOp = reps[i][1]
+		rows[i].Procs = min(rows[i].Workers, procs)
+		rows[i].Speedup = float64(rows[0].NsPerOp) / float64(rows[i].NsPerOp)
+		rows[i].Efficiency = rows[i].Speedup / float64(rows[i].Procs)
+	}
+	return rows
+}
+
+// TestSimulateAllocsCeiling is the CI bench-smoke guard that the single
+// code path of sim.Simulate costs a light verdict nothing extra: on one
+// worker it is one shard walked on the calling goroutine, and a
+// diy-shaped PPC test (MP+sync+addr, four candidates) under compiled cat
+// Power must allocate no more per Simulate than the ordered-merge
+// Simulate it replaced measured on the same input (819 allocs/op, go1.24).
+// Gated on BENCH_ENUM_OUT like the other bench asserts.
+func TestSimulateAllocsCeiling(t *testing.T) {
+	if os.Getenv("BENCH_ENUM_OUT") == "" {
+		t.Skip("set BENCH_ENUM_OUT to run the Simulate allocation ceiling check")
+	}
+	cycle, err := diy.ParseCycle("SyncdWW Rfe DpAddrdR Fre")
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := diy.Generate(litmus.PPC, cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := compileBench(t, test.String())
+	m, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := sim.Request{Program: p, Checker: m}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sim.Simulate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 819
+	if allocs > ceiling {
+		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
+	}
+}
+
 // enumRow is one enumeration-cost measurement of BENCH_enumerate.json:
 // the bare walk (candidates fully derived, consumed in place, discarded),
 // with the allocator and GC accounted per candidate. This is the cost the
@@ -337,9 +484,7 @@ func enumBench(tb testing.TB, p *exec.Program, workers int) enumRow {
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
-		n := 0
-		err := p.Search(context.Background(), exec.Request{Workers: workers},
-			func(*exec.Candidate) bool { n++; return true })
+		n, err := countShards(p, exec.Request{Workers: workers})
 		el := time.Since(t0).Nanoseconds()
 		runtime.ReadMemStats(&ms1)
 		if err != nil {

@@ -48,7 +48,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-test wall-clock budget (0 = none); exceeding it yields an Incomplete partial result")
 	maxCand := flag.Int("max-candidates", 0, "per-test candidate-execution budget (0 = unlimited)")
 	workers := flag.Int("j", 1, "tests simulated in parallel (0 = GOMAXPROCS)")
-	enumWorkers := flag.Int("enum-workers", 1, "workers per candidate enumeration (0 = GOMAXPROCS, 1 = sequential); never changes verdicts")
+	enumWorkers := flag.Int("enum-workers", 1, "workers per verdict, each walking and checking its own shards (0 = GOMAXPROCS, 1 = sequential); never changes verdicts")
 	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	contOnErr := flag.Bool("continue-on-error", true, "keep simulating remaining tests after a test errors or panics")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable campaign report on stdout")

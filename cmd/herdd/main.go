@@ -42,7 +42,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 4096, "entries kept per cache layer (verdicts, compiled tests, compiled models)")
 	timeout := flag.Duration("timeout", 30*time.Second, "hard wall-clock cap on one simulation (0 = uncapped)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
-	enumWorkers := flag.Int("enum-workers", 1, "workers per candidate enumeration (0 = GOMAXPROCS, 1 = sequential); never changes verdicts or cache keys")
+	enumWorkers := flag.Int("enum-workers", 1, "workers per verdict, each walking and checking its own shards (0 = GOMAXPROCS, 1 = sequential); never changes verdicts or cache keys")
 	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simulations admitted at once across all requests (0 = 2x GOMAXPROCS, floor 4); cache hits bypass admission")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for an admission slot before shedding with 429 (0 = 64)")

@@ -62,8 +62,8 @@ type Job struct {
 
 	// EnumWorkers overrides Config.EnumWorkers for this job when > 0: a
 	// known-huge test can fan its enumeration out wider than the rest of
-	// the campaign. The candidate stream is identical for every worker
-	// count, so this is purely a scheduling knob.
+	// the campaign. The outcome is identical for every worker count, so
+	// this is purely a scheduling knob.
 	EnumWorkers int
 }
 
@@ -87,8 +87,9 @@ type Config struct {
 	// default — the fault-tolerant mode — keeps going.
 	StopOnError bool
 
-	// EnumWorkers parallelises each job's candidate enumeration
-	// (exec.EnumerateParallelCtx); <= 1 keeps it sequential. Unlike
+	// EnumWorkers splits each job's verdict — walk and check — across
+	// that many goroutines (sim.Options.Workers); <= 1 keeps it on the
+	// job's own goroutine. Unlike
 	// Workers (how many jobs run at once), this widens one job, without
 	// changing its outcome. Job.EnumWorkers overrides it per job.
 	EnumWorkers int

@@ -609,8 +609,10 @@ func (lw *lowerer) owned(e expr) (operand, error) {
 // the static program's results per skeleton (the Base pointer candidates
 // of one expansion share) and reuses one register file of relation buffers
 // across every candidate, so steady-state checking allocates nothing. Not
-// safe for concurrent use — sim.Simulate holds one per search, on the
-// single goroutine that consumes the ordered candidate stream.
+// safe for concurrent use — sim.Simulate holds one per search worker and
+// checks only that worker's shards with it, on the worker's goroutine;
+// sibling evaluators read the same skeletons concurrently but write only
+// their own buffers.
 type Evaluator struct {
 	c      *Compiled
 	n      int

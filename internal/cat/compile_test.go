@@ -261,12 +261,16 @@ func TestNonConvergenceIsError(t *testing.T) {
 		t.Fatal("no candidate triggered the divergence")
 	}
 
-	// End to end: Simulate aborts the search and returns the error.
-	if _, serr := sim.Simulate(context.Background(), sim.Request{
-		Program: p,
-		Checker: m,
-	}); serr == nil || !strings.Contains(serr.Error(), "did not converge") {
-		t.Fatalf("Simulate: want convergence error, got %v", serr)
+	// End to end: Simulate aborts the search and returns the error — also
+	// when the divergence is met inside a shard on a worker goroutine.
+	for _, workers := range []int{1, 4} {
+		if _, serr := sim.Simulate(context.Background(), sim.Request{
+			Program: p,
+			Checker: m,
+			Options: sim.Options{Workers: workers},
+		}); serr == nil || !strings.Contains(serr.Error(), "did not converge") {
+			t.Fatalf("Simulate workers=%d: want convergence error, got %v", workers, serr)
+		}
 	}
 }
 

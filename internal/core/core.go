@@ -51,12 +51,16 @@ type Checker interface {
 }
 
 // EvaluatorProvider is implemented by checkers that can supply a stateful
-// per-search evaluator — typically one owning an arena of pooled relation
-// buffers, so steady-state checking allocates nothing. sim.Simulate asks
-// for one evaluator per search and calls its Check from a single
-// goroutine; the provider itself must stay safe for concurrent use (it is
-// shared through caches), and each evaluator must be independent. A nil
-// evaluator tells the caller to fall back to the provider's own Check.
+// evaluator — typically one owning an arena of pooled relation buffers, so
+// steady-state checking allocates nothing. sim.Simulate asks for one
+// evaluator per search worker and calls each evaluator's Check only from
+// that worker's goroutine; with several workers, evaluators of one
+// provider run concurrently on different goroutines, over candidates that
+// share read-only skeletons. So the provider itself must stay safe for
+// concurrent use (it is also shared through caches), each evaluator must
+// be independent of its siblings, and Check must not write to anything a
+// candidate shares with others. A nil evaluator tells the caller to fall
+// back to the provider's own Check.
 type EvaluatorProvider interface {
 	NewEvaluator() Checker
 }

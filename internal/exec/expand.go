@@ -12,9 +12,9 @@ import (
 // first an rf choice per memory read (decRF), then, location by location,
 // the coherence order as a sequence of choose-the-next-write decisions
 // (decCO). Decisions are addressed by a flat level index with a static
-// width per level, which is what lets EnumerateParallelCtx shard the tree
-// by decision prefix while keeping the depth-first visit order — and hence
-// the candidate stream — identical to the sequential walk.
+// width per level, which is what lets SearchShards partition the tree by
+// decision prefix while keeping the depth-first visit order — and hence
+// the concatenated shard streams — identical to the sequential walk.
 
 type decisionKind uint8
 
@@ -74,7 +74,11 @@ type expansion struct {
 // same-value write to read from).
 func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, error) {
 	// Initial writes first: one per location, value from MemInit.
-	var evs []events.Event
+	size := len(p.locs)
+	for tid := range p.Threads {
+		size += len(allTraces[tid][choice[tid]].Events)
+	}
+	evs := make([]events.Event, 0, size)
 	for _, loc := range p.locs {
 		v, err := p.encode(p.Test.MemInit[loc])
 		if err != nil {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,20 +9,18 @@ import (
 	"herdcats/internal/obs"
 )
 
-// Request gathers every knob of one enumeration — the single entry point
-// replacing the Enumerate/EnumerateCtx/EnumerateParallelCtx/
-// EnumerateOptsCtx family (kept as deprecated wrappers). The zero value
-// enumerates sequentially, unpruned, unbudgeted and uninstrumented.
+// Request gathers every knob of one enumeration, for Search and
+// SearchShards alike. The zero value enumerates sequentially, unpruned,
+// unbudgeted and uninstrumented.
 type Request struct {
 	// Budget bounds the search (see Budget); the zero value is unlimited.
 	Budget Budget
 
-	// Workers is the number of goroutines sharding the rf/co decision
-	// tree (<= 1 enumerates sequentially on the calling goroutine). The
-	// candidate stream is identical — same candidates, same order, same
-	// deterministic truncation point — for every worker count, so Workers
-	// is a pure throughput knob: it never changes a verdict, and caches
-	// (internal/memo) deliberately exclude it from their keys.
+	// Workers is the number of goroutines SearchShards splits the rf/co
+	// decision tree across; Search ignores it and always walks
+	// sequentially. The shard streams concatenate to the sequential one,
+	// truncation point included, so Workers never changes a verdict, and
+	// caches (internal/memo) deliberately exclude it from their keys.
 	Workers int
 
 	// Prune sets the early SC-per-location pruning level. Only enable a
@@ -55,54 +52,21 @@ type Request struct {
 // yield call. Consume it in place, or take Candidate.Clone to retain it;
 // a retained original reports Expired once the slot moves on.
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
-	if req.Workers > 1 {
-		return p.enumerateParallel(ctx, req, yield)
-	}
 	s := newSearch(ctx, req.Budget, yield)
 	defer s.flush(req.Obs, req.PruneStats)
 	if !s.alive(true) { // already canceled or expired before the search starts
 		return s.err
 	}
 	allTraces, truncated, err := p.allTraces(s)
-	if err != nil {
+	if err == nil && s.err == nil {
+		err = p.walkCombos(s, req.Prune, allTraces, 0, comboCount(allTraces))
+	}
+	switch {
+	case err != nil:
 		return err
-	}
-	if s.err != nil {
+	case s.err != nil:
 		return s.err
-	}
-
-	// Cartesian product over per-thread traces, thread 0 outermost.
-	choice := make([]int, len(p.Threads))
-	var product func(tid int) error
-	product = func(tid int) error {
-		if !s.alive(false) {
-			return nil
-		}
-		if tid == len(p.Threads) {
-			e, err := p.newExpansion(allTraces, choice)
-			if err != nil {
-				return err
-			}
-			if e != nil {
-				newWalker(e, s, req.Prune).walk(0)
-			}
-			return nil
-		}
-		for i := range allTraces[tid] {
-			choice[tid] = i
-			if err := product(tid + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := product(0); err != nil {
-		return err
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if truncated {
+	case truncated:
 		return &LimitError{Limit: "traces", Max: req.Budget.MaxTracesPerThread, Candidates: s.cands}
 	}
 	return nil
@@ -128,29 +92,14 @@ func (p *Program) allTraces(s *search) (traces [][]Trace, truncated bool, err er
 	return traces, truncated, nil
 }
 
-// --- sharding --------------------------------------------------------------
-
-const (
-	// shardsPerWorker oversubscribes the shard count so uneven subtrees
-	// balance across the pool.
-	shardsPerWorker = 4
-	// maxShardsPerCombo caps the by-prefix split of one trace combination.
-	maxShardsPerCombo = 1024
-	// maxCombos guards the combo-indexing arithmetic; a candidate space
-	// this size is unenumerable anyway, so past it we stay sequential.
-	maxCombos = 1 << 40
-)
-
-// shard is one unit of parallel work: either a contiguous range of trace
-// combinations (exp == nil), or a decision-prefix subtree of one pre-built
-// expansion. Workers fill out and set err before closing out; the merger
-// drains shards strictly in slice order.
-type shard struct {
-	lo, hi int        // combo range [lo, hi), when exp == nil
-	exp    *expansion // shared, read-only
-	prefix []int      // decision choices fixed for this shard
-	out    chan *Candidate
-	err    error // terminal status; published by close(out)
+// comboCount is the number of trace combinations, saturating at MaxInt —
+// a space no walk can finish anyway.
+func comboCount(allTraces [][]Trace) int {
+	nc := 1
+	for _, ts := range allTraces {
+		nc = satMul(nc, len(ts))
+	}
+	return nc
 }
 
 // comboChoice decodes combo index ci (thread 0 most significant) into the
@@ -163,118 +112,198 @@ func comboChoice(allTraces [][]Trace, ci int, choice []int) {
 	}
 }
 
-// enumerateParallel runs the sharded enumeration with a deterministic
-// ordered merge. The merger (the calling goroutine) owns the real budget;
-// workers run with per-worker search state bounded by the same candidate
-// cap, which no shard can exceed usefully.
-func (p *Program) enumerateParallel(ctx context.Context, req Request, yield func(*Candidate) bool) error {
-	ms := newSearch(ctx, req.Budget, yield) // the merger's search: budget + yield
-	defer ms.flush(req.Obs, req.PruneStats)
+// walkCombos walks the trace combinations [lo, hi) in index order — the
+// sequential visit order — each through its own decision tree.
+func (p *Program) walkCombos(s *search, prune Prune, allTraces [][]Trace, lo, hi int) error {
+	choice := make([]int, len(p.Threads))
+	for ci := lo; ci < hi && s.alive(false); ci++ {
+		comboChoice(allTraces, ci, choice)
+		e, err := p.newExpansion(allTraces, choice)
+		if err != nil {
+			return err
+		}
+		if e != nil {
+			newWalker(e, s, prune).walk(0)
+		}
+	}
+	return nil
+}
+
+// --- sharding --------------------------------------------------------------
+
+const (
+	// shardsPerWorker oversubscribes the shard count so uneven subtrees
+	// balance across the pool.
+	shardsPerWorker = 4
+	// maxShardsPerCombo caps the by-prefix split of one trace combination.
+	maxShardsPerCombo = 1024
+)
+
+// Walk runs one shard's search, handing each candidate to yield zero-copy,
+// as Search does, on the calling goroutine; yield returns false to stop.
+type Walk func(yield func(*Candidate) bool)
+
+// SearchShards is the partitioned search. It splits the decision forest
+// into canonically ordered shards, walks them on req.Workers goroutines,
+// and returns the consumers' partial results for the shards the sequential
+// Search would visit, in shard order, with the error Search would return.
+//
+// newWorker is called on the calling goroutine, once per worker before
+// any walk (and once more if a shard is walked again). Its function
+// consumes one shard: it calls its Walk once and returns the partial. One
+// worker's shards run one at a time on one goroutine, so per-worker state
+// (an evaluator) needs no locking. A consumer's stop ends the search after
+// its shard. The shard a MaxCandidates cap falls strictly inside is walked
+// again up to the remaining count, discarding what it saw past the cap.
+// With req.Workers <= 1 the search is one shard on the calling goroutine.
+func SearchShards[P any](ctx context.Context, p *Program, req Request, newWorker func() func(Walk) P) ([]P, error) {
+	if req.Workers > 1 {
+		return searchSharded(ctx, p, req, newWorker)
+	}
+	var err error
+	part := newWorker()(func(yield func(*Candidate) bool) { err = p.Search(ctx, req, yield) })
+	return []P{part}, err
+}
+
+// shard is one unit of partitioned work: a range of trace combinations
+// (exp == nil), or a decision-prefix subtree of one pre-built expansion.
+// Its walker records how the walk ended and closes done; the merger (the
+// calling goroutine) settles shards strictly in slice order.
+type shard struct {
+	lo, hi int        // combo range [lo, hi), when exp == nil
+	exp    *expansion // shared, read-only
+	prefix []int      // decision choices fixed for this shard
+
+	done     chan struct{}
+	cands    int   // candidates yielded
+	stopped  bool  // the consumer's yield returned false on the last one
+	err      error // timeout, cancellation or a hard error
+	panicked any   // the consumer's panic, re-raised by the merger
+}
+
+// searchSharded is SearchShards across goroutines.
+func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorker func() func(Walk) P) ([]P, error) {
+	ms := newSearch(ctx, req.Budget, nil) // traces and the shared deadline
 	if !ms.alive(true) {
-		return ms.err
+		return nil, ms.err
 	}
 	allTraces, truncated, err := p.allTraces(ms)
+	if err == nil {
+		err = ms.err
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if ms.err != nil {
-		return ms.err
-	}
-
-	nc := 1
-	for _, ts := range allTraces {
-		if nc > maxCombos/len(ts) {
-			nc = -1
-			break
-		}
-		nc *= len(ts)
-	}
-	if nc < 0 {
-		// Astronomically many trace combinations: indexing them is not
-		// worth hardening, and the trace product dominates anyway.
-		seq := req
-		seq.Workers = 1
-		seq.Obs = nil // this search's counters flush through ms
-		// seq keeps req.PruneStats: only the sequential search's walkers
-		// prune here (ms runs none), so there is no double count.
-		return p.Search(ctx, seq, yield)
-	}
-
-	shards, err := p.buildShards(allTraces, nc, req.Workers)
+	shards, err := p.buildShards(allTraces, comboCount(allTraces), req.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Obs.SetWorkers(req.Workers)
 	req.Obs.AddShardsBuilt(len(shards))
+	limit := req.Budget.MaxCandidates
+	walk := func(ctx context.Context, consume func(Walk) P, sh *shard, limit int) P {
+		return consume(func(yield func(*Candidate) bool) {
+			p.walkShard(ctx, ms.deadline, limit, req, allTraces, sh, yield)
+		})
+	}
 
-	// Workers claim shards via an atomic cursor and wind down when wctx is
-	// canceled — either the caller's cancellation or the merger tearing
-	// down after a stop. Every claimed shard has its channel closed, and
-	// the cursor always drains, so the merger can never block forever.
+	// Workers claim shards in order from an atomic cursor, so every shard
+	// before a claimed one is claimed too and the merger, waiting in
+	// order, never waits on a shard nobody walks. Canceling wctx winds
+	// the walks down.
+	parts := make([]P, len(shards))
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < req.Workers; i++ {
+	for range min(req.Workers, len(shards)) {
+		consume := newWorker()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
+			for i := int(cursor.Add(1)) - 1; i < len(shards); i = int(cursor.Add(1)) - 1 {
 				sh := &shards[i]
-				sh.err = p.runShard(wctx, ms.deadline, req, allTraces, sh)
-				close(sh.out)
+				if !sh.run(func() { parts[i] = walk(wctx, consume, sh, limit) }) {
+					return // the consumer's state is suspect after a panic
+				}
 			}
 		}()
 	}
 
-	var hardErr error
-drain:
+	n, folded, over := 0, len(shards), -1
+	var panicked any
 	for i := range shards {
 		sh := &shards[i]
-		for c := range sh.out {
-			if !ms.emit(c) {
-				break drain
-			}
+		<-sh.done
+		if panicked = sh.panicked; panicked != nil {
+			break
 		}
-		if sh.err == nil {
-			continue
+		before, stop, overshot := n, false, false
+		if n, stop, overshot, err = sh.settle(n, limit); overshot {
+			over, n = i, before
 		}
-		var lim *LimitError
-		if errors.As(sh.err, &lim) && lim.Limit == "candidates" {
-			// The per-shard cap equals the global MaxCandidates: if this
-			// shard filled it, the merger's own budget tripped while
-			// consuming it, so there is nothing left to report here.
-			continue
+		if stop {
+			folded = i + 1
+			break
 		}
-		// Timeout, cancellation or a hard error: stop, re-reporting the
-		// stop with the merged candidate count.
-		switch e := sh.err.(type) {
-		case *LimitError:
-			ms.halt(&LimitError{Limit: e.Limit, Max: e.Max, Candidates: ms.cands})
-		case *CancelError:
-			ms.halt(&CancelError{Cause: e.Cause, Candidates: ms.cands})
-		default:
-			hardErr = sh.err
-		}
-		break drain
 	}
 	wcancel()
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	if over >= 0 {
+		// Redo the overshooting shard up to the remaining count, with a
+		// fresh consumer: a worker's may be suspect after a panic past
+		// the prefix.
+		parts[over] = walk(ctx, newWorker(), &shards[over], limit-n)
+		n, _, _, err = shards[over].settle(n, limit)
+	}
+	req.Obs.AddCandidates(n)
+	if err == nil && truncated {
+		err = &LimitError{Limit: "traces", Max: req.Budget.MaxTracesPerThread, Candidates: n}
+	}
+	return parts[:folded], err
+}
 
-	if hardErr != nil {
-		return hardErr
+// run calls f and closes done, recording a panic in f for the merger to
+// re-raise on the caller's goroutine; it reports whether f returned.
+func (sh *shard) run(f func()) (ok bool) {
+	defer close(sh.done)
+	defer func() {
+		if !ok {
+			sh.panicked = recover()
+		}
+	}()
+	f()
+	return true
+}
+
+// settle reads the shard's walk after n sequential candidates, under the
+// cap limit (0 = none): the count after it, whether the sequential search
+// stops inside it and with which error, and whether the cap falls strictly
+// inside it, so that the walk overshot and must be redone.
+func (sh *shard) settle(n, limit int) (total int, stop, overshot bool, err error) {
+	total = n + sh.cands
+	switch rem := limit - n; {
+	case limit > 0 && sh.cands > rem:
+		return limit, true, true, &LimitError{Limit: "candidates", Max: limit, Candidates: limit}
+	case sh.stopped: // the consumer's stop precedes the cap check
+		return total, true, false, nil
+	case limit > 0 && sh.cands == rem:
+		return limit, true, false, &LimitError{Limit: "candidates", Max: limit, Candidates: limit}
+	case sh.err == nil:
+		return total, false, false, nil
 	}
-	if ms.err != nil {
-		return ms.err
+	switch e := sh.err.(type) { // re-report with the sequential count
+	case *LimitError:
+		err = &LimitError{Limit: e.Limit, Max: e.Max, Candidates: total}
+	case *CancelError:
+		err = &CancelError{Cause: e.Cause, Candidates: total}
+	default:
+		err = sh.err
 	}
-	if truncated {
-		return &LimitError{Limit: "traces", Max: req.Budget.MaxTracesPerThread, Candidates: ms.cands}
-	}
-	return nil
+	return total, true, false, err
 }
 
 // buildShards partitions the decision forest into canonically-ordered
@@ -287,11 +316,14 @@ func (p *Program) buildShards(allTraces [][]Trace, nc, workers int) ([]shard, er
 	target := workers * shardsPerWorker
 	var shards []shard
 	if nc >= target {
-		for i := 0; i < target; i++ {
-			lo, hi := i*nc/target, (i+1)*nc/target
-			if lo < hi {
-				shards = append(shards, shard{lo: lo, hi: hi})
+		q, r := nc/target, nc%target // sizes q or q+1: i*nc could overflow
+		for i, lo := 0, 0; i < target; i++ {
+			hi := lo + q
+			if i < r {
+				hi++
 			}
+			shards = append(shards, shard{lo: lo, hi: hi})
+			lo = hi
 		}
 	} else {
 		per := (target + nc - 1) / nc
@@ -327,7 +359,7 @@ func (p *Program) buildShards(allTraces [][]Trace, nc, workers int) ([]shard, er
 		}
 	}
 	for i := range shards {
-		shards[i].out = make(chan *Candidate, 32)
+		shards[i].done = make(chan struct{})
 	}
 	return shards, nil
 }
@@ -345,73 +377,33 @@ func prefixSplit(widths []int, want int) (k, count int) {
 	return k, count
 }
 
-// runShard walks one shard's subtrees with a fresh per-worker search,
-// pushing candidates into the shard's buffer. The per-shard candidate cap
-// mirrors the global one — a shard never needs to produce more than the
-// merger could consume — and the buffered channel applies backpressure so
-// workers cannot run unboundedly ahead of the merger. Prune rejections are
-// flushed to req.Obs per shard; candidate totals are owned by the merger,
-// so the worker search flushes only its prune counter.
-func (p *Program) runShard(ctx context.Context, deadline time.Time, req Request, allTraces [][]Trace, sh *shard) error {
-	ws := &search{
-		ctx:      ctx,
-		b:        Budget{MaxCandidates: req.Budget.MaxCandidates},
-		deadline: deadline,
-	}
-	ws.yield = func(c *Candidate) bool {
-		// The slot behind c is refilled the moment this yield returns, but
-		// the merger consumes from the buffered channel asynchronously:
-		// crossing the goroutine boundary requires a standalone copy. This
-		// is the one Clone on the parallel path; the merger then yields the
-		// clone zero-copy to the caller.
-		cc := c.Clone()
-		select {
-		case sh.out <- cc:
-			return true
-		case <-ctx.Done():
-			ws.halt(&CancelError{Cause: context.Cause(ctx), Candidates: ws.cands})
-			return false
-		}
-	}
+// walkShard walks one shard with a search of its own — its own candidate
+// slot, so candidates stay zero-copy — capped at limit candidates
+// (0 = none), and records how the walk ended in sh. Prune rejections are
+// flushed per walk; the candidate total is the merger's, which counts the
+// sequential prefix only.
+func (p *Program) walkShard(ctx context.Context, deadline time.Time, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
+	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield}
 	defer func() {
+		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err
 		req.Obs.AddShardsRun(1)
 		req.Obs.AddPruned(ws.pruned)
 		req.PruneStats.AddSubtrees(int64(ws.pruned))
 	}()
-	if !ws.alive(true) {
-		return ws.err
-	}
-	if sh.exp != nil {
+	switch {
+	case !ws.alive(true):
+	case sh.exp == nil:
+		if err := p.walkCombos(ws, req.Prune, allTraces, sh.lo, sh.hi); err != nil {
+			ws.halt(err)
+		}
+	default:
 		w := newWalker(sh.exp, ws, req.Prune)
-		admissible := true
 		for lvl, c := range sh.prefix {
 			if !w.apply(lvl, c) {
-				admissible = false // the whole shard is pruned
-				ws.pruned++
-				break
+				ws.pruned++ // the whole shard is pruned
+				return
 			}
 		}
-		if admissible {
-			w.walk(len(sh.prefix))
-		}
-		return ws.err
+		w.walk(len(sh.prefix))
 	}
-	choice := make([]int, len(p.Threads))
-	for ci := sh.lo; ci < sh.hi; ci++ {
-		if !ws.alive(false) {
-			break
-		}
-		comboChoice(allTraces, ci, choice)
-		e, err := p.newExpansion(allTraces, choice)
-		if err != nil {
-			return err
-		}
-		if e != nil {
-			newWalker(e, ws, req.Prune).walk(0)
-		}
-		if ws.stopped {
-			break
-		}
-	}
-	return ws.err
 }

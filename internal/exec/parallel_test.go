@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"herdcats/internal/core"
 	"herdcats/internal/exec"
+	"herdcats/internal/testleak"
 )
 
 // fingerprint renders a candidate deterministically: final state plus the
@@ -75,9 +77,50 @@ func smallPathologicalSrc(t *testing.T) string {
 exists (1:r3=1 /\ 1:r4=2)`
 }
 
-// TestParallelMatchesSequential is the determinism property of the issue:
-// for workers in {1, 2, 8} the parallel enumeration yields exactly the
-// sequential candidate sequence.
+// shardStreams runs the partitioned search and returns each folded
+// shard's fingerprint stream, in shard order. stop, when non-nil, is the
+// consumer's stop predicate: the yield returns false on a candidate it
+// matches.
+func shardStreams(t *testing.T, p *exec.Program, req exec.Request, stop func(fp string) bool) ([][]string, error) {
+	t.Helper()
+	return exec.SearchShards(context.Background(), p, req, func() func(exec.Walk) []string {
+		return func(walk exec.Walk) []string {
+			var out []string
+			walk(func(c *exec.Candidate) bool {
+				fp := fingerprint(c)
+				out = append(out, fp)
+				return stop == nil || !stop(fp)
+			})
+			return out
+		}
+	})
+}
+
+// concat joins per-shard streams in shard order.
+func concat(parts [][]string) []string {
+	var out []string
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// sameStream fails the test unless got is exactly want.
+func sameStream(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: candidate %d differs:\n got %s\nwant %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestParallelMatchesSequential is the partition property: for workers in
+// {1, 2, 8}, the per-shard candidate streams of SearchShards, concatenated
+// in shard order, are exactly the sequential candidate sequence.
 func TestParallelMatchesSequential(t *testing.T) {
 	for name, p := range propertyTests(t) {
 		t.Run(name, func(t *testing.T) {
@@ -89,104 +132,133 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal("sequential enumeration yielded no candidates")
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := stream(t, p, exec.Request{Workers: workers})
+				parts, err := shardStreams(t, p, exec.Request{Workers: workers}, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d candidates, want %d", workers, len(got), len(want))
+				if workers > 1 && len(parts) < 2 {
+					t.Fatalf("workers=%d: %d shard(s); the property needs a real partition", workers, len(parts))
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d: candidate %d differs:\n got %s\nwant %s",
-							workers, i, got[i], want[i])
-					}
-				}
+				sameStream(t, fmt.Sprintf("workers=%d", workers), concat(parts), want)
 			}
 		})
 	}
 }
 
 // TestParallelTruncationDeterministic: under a MaxCandidates budget the
-// parallel enumeration truncates at exactly the sequential point, with the
-// same structured error.
+// folded shard-order prefix truncates at exactly the sequential point,
+// with the same structured error, on every property program; a truncated
+// trace enumeration reports the same error too.
 func TestParallelTruncationDeterministic(t *testing.T) {
-	p := compile(t, smallPathologicalSrc(t))
-	for _, max := range []int{1, 7, 100} {
-		b := exec.Budget{MaxCandidates: max}
-		want, wantErr := stream(t, p, exec.Request{Budget: b})
-		if len(want) != max {
-			t.Fatalf("max=%d: sequential yielded %d candidates", max, len(want))
-		}
-		var wantLim *exec.LimitError
-		if !errors.As(wantErr, &wantLim) {
-			t.Fatalf("max=%d: sequential error = %v", max, wantErr)
-		}
-		for _, workers := range []int{2, 8} {
-			got, err := stream(t, p, exec.Request{Budget: b, Workers: workers})
-			var lim *exec.LimitError
-			if !errors.As(err, &lim) {
-				t.Fatalf("max=%d workers=%d: error = %v", max, workers, err)
-			}
-			if lim.Limit != wantLim.Limit || lim.Max != wantLim.Max || lim.Candidates != wantLim.Candidates {
-				t.Fatalf("max=%d workers=%d: limit error %+v, want %+v", max, workers, lim, wantLim)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("max=%d workers=%d: %d candidates, want %d", max, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("max=%d workers=%d: candidate %d differs", max, workers, i)
+	budgets := []exec.Budget{
+		{MaxCandidates: 1}, {MaxCandidates: 7}, {MaxCandidates: 100},
+		{MaxTracesPerThread: 1}, {MaxTracesPerThread: 1, MaxCandidates: 3},
+	}
+	for name, p := range propertyTests(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, b := range budgets {
+				want, wantErr := stream(t, p, exec.Request{Budget: b})
+				var wantLim *exec.LimitError
+				if wantErr != nil && !errors.As(wantErr, &wantLim) {
+					t.Fatalf("%+v: sequential error = %v", b, wantErr)
+				}
+				for _, workers := range []int{2, 8} {
+					what := fmt.Sprintf("%+v workers=%d", b, workers)
+					parts, err := shardStreams(t, p, exec.Request{Budget: b, Workers: workers}, nil)
+					var lim *exec.LimitError
+					switch {
+					case wantLim == nil && err != nil:
+						t.Fatalf("%s: error = %v, want nil", what, err)
+					case wantLim != nil && !errors.As(err, &lim):
+						t.Fatalf("%s: error = %v, want %v", what, err, wantLim)
+					case wantLim != nil && *lim != *wantLim:
+						t.Fatalf("%s: limit error %+v, want %+v", what, lim, wantLim)
+					}
+					sameStream(t, what, concat(parts), want)
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestParallelEarlyStop: a yield returning false stops the parallel search
-// cleanly (nil error) after the same prefix as the sequential one.
+// TestParallelEarlyStop: a consumer stopping at a candidate ends the
+// partitioned search there, with a nil error: the folded shards
+// concatenate to exactly the sequential prefix up to and including it. A
+// stop past a MaxCandidates cap is outside the sequential prefix and
+// ignored; a stop exactly at the cap wins over the cap, as in Search.
 func TestParallelEarlyStop(t *testing.T) {
 	p := compile(t, smallPathologicalSrc(t))
-	first := func(req exec.Request, n int) ([]string, error) {
-		var out []string
-		err := p.Search(context.Background(), req, func(c *exec.Candidate) bool {
-			out = append(out, fingerprint(c))
-			return len(out) < n
-		})
-		return out, err
+	all, err := stream(t, p, exec.Request{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := first(exec.Request{}, 5)
-	if err != nil || len(want) != 5 {
-		t.Fatalf("sequential: %d candidates, err %v", len(want), err)
-	}
+	at := func(i int) func(string) bool { return func(fp string) bool { return fp == all[i] } }
 	for _, workers := range []int{2, 8} {
-		got, err := first(exec.Request{Workers: workers}, 5)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: candidate %d differs", workers, i)
+		for _, k := range []int{1, 5, len(all) / 2, len(all)} {
+			what := fmt.Sprintf("workers=%d stop=%d", workers, k)
+			parts, err := shardStreams(t, p, exec.Request{Workers: workers}, at(k-1))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
+			sameStream(t, what, concat(parts), all[:k])
 		}
+
+		parts, err := shardStreams(t, p, exec.Request{Workers: workers, Budget: exec.Budget{MaxCandidates: 7}}, at(9))
+		if !errors.Is(err, exec.ErrBudgetExceeded) {
+			t.Fatalf("workers=%d, stop past the cap: error = %v, want the cap", workers, err)
+		}
+		sameStream(t, fmt.Sprintf("workers=%d stop past cap", workers), concat(parts), all[:7])
+
+		parts, err = shardStreams(t, p, exec.Request{Workers: workers, Budget: exec.Budget{MaxCandidates: 7}}, at(6))
+		if err != nil {
+			t.Fatalf("workers=%d, stop at the cap: error = %v, want nil", workers, err)
+		}
+		sameStream(t, fmt.Sprintf("workers=%d stop at cap", workers), concat(parts), all[:7])
 	}
 }
 
-// TestParallelCancel: canceling the context stops the sharded search and
-// reports ErrCanceled, with no goroutine deadlock.
+// TestParallelCancel: canceling the context stops the partitioned search
+// and reports ErrCanceled, with no goroutine deadlock or leak.
 func TestParallelCancel(t *testing.T) {
+	defer testleak.Baseline()(t)
 	p := compile(t, smallPathologicalSrc(t))
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	err := p.Search(ctx, exec.Request{Workers: 4}, func(*exec.Candidate) bool {
-		if n++; n == 3 {
-			cancel()
+	defer cancel()
+	var seen atomic.Int64
+	_, err := exec.SearchShards(ctx, p, exec.Request{Workers: 4}, func() func(exec.Walk) int {
+		return func(walk exec.Walk) int {
+			walk(func(*exec.Candidate) bool {
+				if seen.Add(1) == 3 {
+					cancel()
+				}
+				return true
+			})
+			return 0
 		}
-		return true
 	})
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("error = %v, want ErrCanceled", err)
 	}
+}
+
+// TestParallelPanicReraised: a consumer panicking on a worker goroutine
+// does not kill the process; the panic resurfaces from SearchShards on the
+// caller's goroutine, where the caller can recover it.
+func TestParallelPanicReraised(t *testing.T) {
+	defer testleak.Baseline()(t)
+	p := compile(t, smallPathologicalSrc(t))
+	defer func() {
+		if r := recover(); r != "consumer bug" {
+			t.Fatalf("recovered %v, want the consumer's panic", r)
+		}
+	}()
+	exec.SearchShards(context.Background(), p, exec.Request{Workers: 4}, func() func(exec.Walk) int {
+		return func(walk exec.Walk) int {
+			walk(func(*exec.Candidate) bool { panic("consumer bug") })
+			return 0
+		}
+	})
+	t.Fatal("SearchShards returned normally")
 }
 
 // TestPruneSoundAndExact: the pruned enumeration yields exactly the
@@ -206,18 +278,11 @@ func TestPruneSoundAndExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				got, err := stream(t, p, exec.Request{Workers: workers, Prune: exec.PruneSCPerLoc})
+				parts, err := shardStreams(t, p, exec.Request{Workers: workers, Prune: exec.PruneSCPerLoc}, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if len(got) != len(kept) {
-					t.Fatalf("workers=%d: pruned stream has %d candidates, want %d", workers, len(got), len(kept))
-				}
-				for i := range kept {
-					if got[i] != kept[i] {
-						t.Fatalf("workers=%d: candidate %d differs", workers, i)
-					}
-				}
+				sameStream(t, fmt.Sprintf("workers=%d pruned", workers), concat(parts), kept)
 			}
 		})
 	}
@@ -287,18 +352,12 @@ func TestParallelSameSetUnordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream(t, p, exec.Request{Workers: 3})
+	parts, err := shardStreams(t, p, exec.Request{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := concat(parts)
 	sort.Strings(want)
 	sort.Strings(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d candidates, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("multiset differs at %d", i)
-		}
-	}
+	sameStream(t, "multiset", got, want)
 }

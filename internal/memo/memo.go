@@ -137,7 +137,7 @@ type Cache struct {
 // for the lifetime of the cache and are NOT part of the verdict keys:
 //
 //   - Workers cannot be keyed because it does not need to be — the
-//     parallel candidate stream is byte-identical to the sequential one,
+//     sharded verdict folds to the byte-identical sequential outcome,
 //     so the outcome is a pure function of (test, model, budget) alone.
 //   - Prune does change the Candidates count and the FailedBy histogram
 //     (uniproc-violating candidates are never built), though never the

@@ -10,6 +10,11 @@ import (
 
 // The canonical phase names of one simulation run, in pipeline order.
 // Callers may record additional phases; Summary orders known phases first.
+// The phases are exclusive: enumerate is the candidate walk alone and
+// check the model checker alone, so on one worker the phases add up to
+// the run's wall clock. A verdict split across workers records enumerate
+// and check as busy time summed over its shards — CPU time, which can
+// exceed the wall clock by up to the worker count.
 const (
 	PhaseParse     = "parse"
 	PhaseCompile   = "compile"

@@ -57,10 +57,11 @@ type Config struct {
 	// (<= 0 selects 256).
 	MaxBatchTests int
 
-	// EnumWorkers parallelises the candidate enumeration inside each
-	// simulation (<= 1 keeps it sequential). Deliberately absent from
-	// cache keys: the parallel candidate stream is identical to the
-	// sequential one, so verdicts are worker-count independent.
+	// EnumWorkers splits each simulation's verdict — walk and check —
+	// across that many goroutines (<= 1 keeps it sequential).
+	// Deliberately absent from cache keys: the sharded outcome is
+	// identical to the sequential one, so verdicts are worker-count
+	// independent.
 	EnumWorkers int
 
 	// Prune enables early SC-per-location pruning for models that

@@ -48,10 +48,12 @@ func PruneLevelFor(model Checker) exec.Prune {
 // Options tunes how the candidate space is enumerated. The zero value is
 // sequential and unpruned.
 type Options struct {
-	// Workers parallelises the enumeration (exec.Request.Workers). The
-	// candidate stream is identical for every worker count, so the
-	// outcome — counters, states, verdict and even a deterministic
-	// truncation point — does not depend on it.
+	// Workers parallelises the whole verdict (exec.Request.Workers): each
+	// of Workers goroutines walks shards of the candidate space and checks
+	// their candidates with an evaluator of its own, and the per-shard
+	// partial outcomes fold in shard order. The folded prefix is exactly
+	// the sequential one, so the outcome — counters, states, verdict and
+	// even a deterministic truncation point — does not depend on it.
 	Workers int
 
 	// Prune enables early SC-per-location pruning at the level the
@@ -90,10 +92,12 @@ type Request struct {
 	// Options tunes the enumeration (parallel workers, pruning).
 	Options Options
 
-	// Obs, when non-nil, records the run's phase trace (compile →
-	// enumerate → axiom-check → verdict; the enumerate span includes the
-	// checker time, which the check span accounts separately) and the
-	// enumeration counters. A nil trace costs one branch per candidate.
+	// Obs, when non-nil, records the run's phase trace and the
+	// enumeration counters. The phases are exclusive: compile, enumerate
+	// (the walk alone), check (the checker alone) and verdict (folding
+	// the outcome). With Workers > 1, enumerate and check are busy times
+	// summed over the folded shards — CPU time, which may exceed the wall
+	// clock. A nil trace costs one branch per candidate.
 	Obs *obs.Trace
 }
 
@@ -127,98 +131,59 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	if req.Options.Prune {
 		er.Prune = PruneLevelFor(req.Checker)
 	}
-	out := &Outcome{
-		Test: p.Test, Model: req.Checker.Name(),
-		States: map[string]int{}, FailedBy: map[string]int{},
-	}
-
-	// Upgrade the checker to a per-search evaluator when it offers one
-	// (compiled cat models, the built-in zoo): the evaluator owns pooled
-	// relation buffers reused across candidates, so the steady-state check
-	// allocates nothing. Search delivers candidates on this goroutine in a
-	// deterministic order regardless of worker count, so one evaluator per
-	// Simulate is exactly right. Name, pruning and the outcome still come
-	// from the original checker.
-	check := req.Checker.Check
-	if prov, ok := req.Checker.(core.EvaluatorProvider); ok {
-		if ev := prov.NewEvaluator(); ev != nil {
-			check = ev.Check
-		}
-	}
-
-	traced := req.Obs != nil
-	var checkNS int64
-	var evalErr error
-
-	// Final-state histogram scratch. With a condition present the variable
-	// layout is fixed, so a StateKeyer renders each key into one reusable
-	// buffer; counts go through *int cells so a warm hit costs zero
-	// allocations (the string([]byte) map lookup does not materialise the
-	// string, and the cell is updated through the pointer instead of a
-	// rewrite of the map entry). Folded into out.States after the search.
-	// A nil condition means the variable set depends on the state itself
-	// (registers differ across trace choices), so no fixed layout exists
-	// and State.Key stays the fallback.
-	var keyer *litmus.StateKeyer
-	if p.Test.Cond != nil {
-		keyer = litmus.NewStateKeyer(p.Test.Cond)
-	}
-	stateCount := map[string]*int{}
-
-	stopEnum := req.Obs.Phase(obs.PhaseEnumerate)
-	err := p.Search(ctx, er, func(c *exec.Candidate) bool {
-		out.Candidates++
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		res := check(c.X)
-		if traced {
-			checkNS += time.Since(t0).Nanoseconds()
-		}
-		if res.Err != nil {
-			// The model itself failed to evaluate (e.g. a divergent let
-			// rec). No verdict can be trusted; abort the search and
-			// surface the error instead of tallying garbage.
-			evalErr = res.Err
-			return false
-		}
-		if !res.Valid {
-			for _, name := range res.FailedChecks {
-				out.FailedBy[name]++
+	// Each search goroutine gets one worker: the checker upgraded to a
+	// per-worker evaluator when it offers one (compiled cat models, the
+	// built-in zoo), whose pooled relation buffers make the steady-state
+	// check allocation-free, plus one state keyer. Name, pruning and the
+	// outcome still come from the original checker.
+	prov, _ := req.Checker.(core.EvaluatorProvider)
+	newWorker := func() func(exec.Walk) *partial {
+		w := &worker{check: req.Checker.Check, cond: p.Test.Cond, traced: req.Obs != nil}
+		if prov != nil {
+			if ev := prov.NewEvaluator(); ev != nil {
+				w.check = ev.Check
 			}
-			return true
 		}
-		out.Valid++
-		if keyer != nil {
-			k := keyer.AppendKey(c.State)
-			if cell, ok := stateCount[string(k)]; ok {
-				*cell++
-			} else {
-				cell = new(int)
-				*cell = 1
-				stateCount[string(k)] = cell
-			}
-		} else {
-			out.States[c.State.Key(nil)]++
+		if w.cond != nil {
+			w.keyer = litmus.NewStateKeyer(w.cond)
 		}
-		sat := p.Test.Cond == nil || p.Test.Cond.Eval(c.State)
-		if sat {
-			out.CondObserved = true
-		} else {
-			out.violations++
-		}
-		return true
-	})
-	stopEnum()
-	for k, cell := range stateCount {
-		out.States[k] = *cell
+		return w.shard
 	}
-	if traced {
-		req.Obs.Observe(obs.PhaseCheck, time.Duration(checkNS))
-	}
+	parts, err := exec.SearchShards(ctx, p, er, newWorker)
+
 	defer req.Obs.Phase(obs.PhaseVerdict)()
+	out := &Outcome{Test: p.Test, Model: req.Checker.Name(), States: map[string]int{}}
+	var busy, checkT time.Duration
+	var evalErr error
+	for i, pt := range parts {
+		out.Candidates += pt.cands
+		out.Valid += pt.valid
+		out.violations += pt.violations
+		out.CondObserved = out.CondObserved || pt.condObserved
+		if i == 0 {
+			out.FailedBy = pt.failedBy // adopted: one shard needs no second map
+		} else {
+			for k, n := range pt.failedBy {
+				out.FailedBy[k] += n
+			}
+		}
+		for k, cell := range pt.states {
+			out.States[k] += *cell
+		}
+		busy += pt.busy
+		checkT += pt.checking
+		if pt.err != nil {
+			evalErr = pt.err
+		}
+	}
+	if out.FailedBy == nil {
+		out.FailedBy = map[string]int{}
+	}
+	req.Obs.Observe(obs.PhaseEnumerate, busy-checkT)
+	req.Obs.Observe(obs.PhaseCheck, checkT)
 	if evalErr != nil {
+		// The model itself failed to evaluate (e.g. a divergent let rec)
+		// inside the sequential prefix: no verdict can be trusted.
 		return nil, evalErr
 	}
 	if err != nil {
@@ -230,6 +195,103 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// worker is the checking state of one search goroutine, reused across
+// every shard it walks: the evaluator and the state keyer are not safe for
+// concurrent use, and a worker's shards run one at a time on its
+// goroutine.
+type worker struct {
+	check  func(*events.Execution) core.Result
+	cond   litmus.Cond
+	keyer  *litmus.StateKeyer // nil without a condition
+	traced bool
+}
+
+// partial is one shard's share of an Outcome. Shards fold in shard order;
+// the counters and histograms add up, so the folded outcome is the one a
+// single consumer of the sequential stream would build.
+type partial struct {
+	cands, valid, violations int
+	condObserved             bool
+	failedBy                 map[string]int
+
+	// states counts final states through *int cells: with a fixed key
+	// layout, a warm hit looks the rendered key up without materialising
+	// the string (string([]byte) in a map index does not allocate) and
+	// bumps the cell without rewriting the entry, so it allocates nothing.
+	states map[string]*int
+
+	err error // the model failed to evaluate; the shard stopped there
+
+	// busy is the shard's walk wall time and checking the part of it spent
+	// in the checker (traced runs only).
+	busy, checking time.Duration
+}
+
+// shard consumes one shard's candidates into a fresh partial.
+func (w *worker) shard(walk exec.Walk) *partial {
+	pt := &partial{failedBy: map[string]int{}, states: map[string]*int{}}
+	var t0 time.Time
+	if w.traced {
+		t0 = time.Now()
+	}
+	walk(func(c *exec.Candidate) bool { return w.visit(pt, c) })
+	if w.traced {
+		pt.busy = time.Since(t0)
+	}
+	return pt
+}
+
+// visit checks one candidate and tallies it into pt; it returns false,
+// stopping the shard, when the model fails to evaluate.
+func (w *worker) visit(pt *partial, c *exec.Candidate) bool {
+	pt.cands++
+	var t0 time.Time
+	if w.traced {
+		t0 = time.Now()
+	}
+	res := w.check(c.X)
+	if w.traced {
+		pt.checking += time.Since(t0)
+	}
+	if res.Err != nil {
+		pt.err = res.Err
+		return false
+	}
+	if !res.Valid {
+		for _, name := range res.FailedChecks {
+			pt.failedBy[name]++
+		}
+		return true
+	}
+	pt.valid++
+	// With a condition the variable layout is fixed, so the keyer renders
+	// each key into one reusable buffer. A nil condition means the
+	// variable set depends on the state itself (registers differ across
+	// trace choices): no fixed layout exists and State.Key is the
+	// fallback.
+	var cell *int
+	if w.keyer != nil {
+		k := w.keyer.AppendKey(c.State)
+		if cell = pt.states[string(k)]; cell == nil {
+			cell = new(int)
+			pt.states[string(k)] = cell
+		}
+	} else {
+		k := c.State.Key(nil)
+		if cell = pt.states[k]; cell == nil {
+			cell = new(int)
+			pt.states[k] = cell
+		}
+	}
+	*cell++
+	if w.cond == nil || w.cond.Eval(c.State) {
+		pt.condObserved = true
+	} else {
+		pt.violations++
+	}
+	return true
 }
 
 // Outcome summarises a simulation run of one test under one model.
