@@ -1,19 +1,21 @@
 // Command herd-gw is the fleet gateway: it fronts N herdd backends,
 // routes each verdict key to its home backend by rendezvous hashing (so
 // repeated queries hit a warm verdict cache), health-checks the fleet,
-// ejects failing backends behind per-backend circuit breakers, fails
-// requests over along each key's deterministic backend ranking, and
-// coalesces duplicate in-flight keys gateway-side.
+// ejects failing backends behind per-backend circuit breakers, and fails
+// requests over along each key's deterministic backend ranking.
+// Duplicate keys share a home backend, whose single-flight cache joins
+// them.
 //
 // Usage:
 //
 //	herd-gw -backends http://h1:8787,http://h2:8787 [-addr :8786]
 //	        [-probe-interval 1s] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	        [-hedge-after 0] [-attempts 3] [-batch-workers 16] [-heartbeat 10s]
+//	        [-attempts 3] [-timeout 60s] [-heartbeat 10s] [-drain 15s]
 //
 // Endpoints mirror herdd's wire format: POST /v1/run, POST /v1/batch
-// (buffered JSON, or an NDJSON stream under Accept: application/x-ndjson,
-// fanned out per home backend and merged), GET /healthz, GET /metrics,
+// (fanned out per home backend as upstream NDJSON streams, and answered
+// as an NDJSON stream under Accept: application/x-ndjson or as one
+// buffered JSON document otherwise), GET /healthz, GET /metrics,
 // plus GET /gw/backends for the fleet view. Error envelopes and 429
 // Retry-After headers pass through from the backends byte-for-byte.
 package main
@@ -39,10 +41,8 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", time.Second, "spacing of per-backend /healthz probes")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that eject a backend")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "ejection time before a half-open trial")
-	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a still-unanswered backend request after this long (0 = off)")
 	attempts := flag.Int("attempts", 3, "tries per backend request, the first included")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-attempt wall clock for one backend request")
-	batchWorkers := flag.Int("batch-workers", 16, "concurrent upstream requests per /v1/batch")
 	heartbeat := flag.Duration("heartbeat", 0, "idle interval between heartbeat frames on NDJSON batch streams (0 = 10s)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	flag.Parse()
@@ -61,13 +61,11 @@ func main() {
 		Backends: urls,
 		Policy: fleet.Policy{
 			MaxAttempts: *attempts,
-			HedgeAfter:  *hedgeAfter,
 			Timeout:     *timeout,
 		},
 		ProbeInterval:     *probeInterval,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,
-		BatchWorkers:      *batchWorkers,
 		HeartbeatInterval: *heartbeat,
 	})
 	if err != nil {

@@ -62,7 +62,7 @@ func TestBenchFleetJSON(t *testing.T) {
 	var rows []row
 	ctx := context.Background()
 	for _, nodes := range []int{1, 3} {
-		gw, _ := newFleet(t, nodes, GatewayConfig{BatchWorkers: 16})
+		gw, _ := newFleet(t, nodes, GatewayConfig{})
 		front := httptest.NewServer(gw.Handler())
 		client := NewClient(front.URL, Policy{Timeout: 5 * time.Minute}, nil)
 

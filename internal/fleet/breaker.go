@@ -1,9 +1,9 @@
-// Package fleet is the resilience layer between campaigns and a herdd
-// fleet: a retrying, hedging HTTP client (Client), a per-backend circuit
-// breaker (Breaker), and a consistent-hashing gateway (Gateway, served by
-// cmd/herd-gw) that routes verdict keys across backends, ejects unhealthy
-// ones, and coalesces duplicate in-flight keys. The fault-injection
-// harness that proves the layer's invariants lives in fleet/faultproxy.
+// Package fleet is the resilience layer in front of a herdd fleet: a
+// retrying HTTP client (Client), a per-backend circuit breaker (Breaker),
+// and a consistent-hashing gateway (Gateway, served by cmd/herd-gw) that
+// routes verdict keys across backends and ejects unhealthy ones. The
+// fault-injection harness that proves the layer's invariants lives in
+// fleet/faultproxy.
 package fleet
 
 import (

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -42,168 +43,160 @@ func chaosTests(n int) (tests []string, wantOK []bool) {
 	return tests, wantOK
 }
 
-// TestChaosBatchSurvivesFaults is the fleet's acceptance test: a
-// 500-test batch through the gateway while, on a seeded fault schedule,
-// one backend runs +500ms slow with a 5% 5xx burst and another is killed
-// outright mid-batch. The batch must still return every verdict exactly
-// once, each one correct, with zero gateway-level errors — and tearing
-// everything down must leak no goroutines.
-func TestChaosBatchSurvivesFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos batch takes tens of seconds")
+// checkChaosRows holds a batch's rows to the chaos bar: every verdict,
+// exactly once, in request order, correct.
+func checkChaosRows(t *testing.T, rows []*campaign.JobResult, wantOK []bool) {
+	t.Helper()
+	if len(rows) != len(wantOK) {
+		t.Fatalf("batch returned %d rows for a %d-test batch", len(rows), len(wantOK))
 	}
-	leakCheck := testleak.Baseline()
-
-	// Three real herdd backends, each behind its own fault proxy. The
-	// gateway only ever sees the proxied addresses.
-	const nBackends = 3
-	var completed atomic.Int64 // upstream /v1/run responses served fleet-wide
-	proxies := make([]*faultproxy.Proxy, nBackends)
-	backendURLs := make([]string, nBackends)
-	var servers []*httptest.Server
-	transport := &http.Transport{}
-	defer transport.CloseIdleConnections()
-	for i := 0; i < nBackends; i++ {
-		srv := serve.New(serve.Config{})
-		counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			srv.Handler().ServeHTTP(w, r)
-			if r.URL.Path == "/v1/run" {
-				completed.Add(1)
-			}
-		})
-		up := httptest.NewServer(counted)
-		defer up.Close() // idempotent; the leak check closes it first
-		p, err := faultproxy.New(up.URL, uint64(1000+i))
-		if err != nil {
-			t.Fatal(err)
+	for i, row := range rows {
+		if row == nil {
+			t.Errorf("row %d never came back", i)
+			continue
 		}
-		proxies[i] = p
-		front := httptest.NewServer(p)
-		defer front.Close()
-		servers = append(servers, up, front)
-		backendURLs[i] = front.URL
-	}
-
-	gw, err := NewGateway(GatewayConfig{
-		Backends:         backendURLs,
-		Policy:           Policy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Timeout: 15 * time.Second},
-		ProbeInterval:    250 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  300 * time.Millisecond,
-		BatchWorkers:     16,
-		HTTPClient:       &http.Client{Transport: transport},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
-	// The seeded fault schedule: backend 1 degrades immediately (+500ms
-	// on every request, 5% of them answered 503); backend 2 is killed
-	// once the fleet has finished ~100 verdicts, with the batch still in
-	// full flight.
-	proxies[1].SetLatency(500 * time.Millisecond)
-	proxies[1].SetErrorRate(0.05)
-
-	const nTests = 500
-	tests, wantOK := chaosTests(nTests)
-
-	done := make(chan *serve.BatchResponse, 1)
-	go func() {
-		done <- gw.RunBatch(context.Background(), serve.BatchRequest{
-			Tests: tests,
-			Model: serve.ModelSpec{Name: "tso"},
-		})
-	}()
-
-	killDeadline := time.After(2 * time.Minute)
-	var resp *serve.BatchResponse
-	killed := false
-	for resp == nil {
-		select {
-		case resp = <-done:
-		case <-killDeadline:
-			t.Fatal("chaos batch did not finish within 2 minutes")
-		case <-time.After(5 * time.Millisecond):
-			if !killed && completed.Load() >= 100 {
-				proxies[2].Kill()
-				killed = true
-			}
-		}
-	}
-	if !killed {
-		t.Fatal("batch finished before the mid-batch kill fired — the kill path was never exercised")
-	}
-
-	// Every verdict, exactly once, in request order, correct, no errors.
-	if got := len(resp.Report.Jobs); got != nTests {
-		t.Fatalf("report has %d rows for a %d-test batch", got, nTests)
-	}
-	for i, job := range resp.Report.Jobs {
-		wantName := fmt.Sprintf("chaos%04d", i)
-		if job.Name != wantName {
-			t.Fatalf("row %d is %q, want %q — rows lost or reordered", i, job.Name, wantName)
+		if wantName := fmt.Sprintf("chaos%04d", i); row.Name != wantName {
+			t.Fatalf("row %d is %q, want %q — rows lost or reordered", i, row.Name, wantName)
 		}
 		want := campaign.StatusForbidden
 		if wantOK[i] {
 			want = campaign.StatusOK
 		}
-		if job.Status != want {
-			t.Errorf("row %d (%s): status %s (reason %q), want %s", i, job.Name, job.Status, job.Reason, want)
+		if row.Status != want {
+			t.Errorf("row %d (%s): status %s (reason %q), want %s", i, row.Name, row.Status, row.Reason, want)
 		}
 	}
-	if errs := resp.Report.Counts[campaign.StatusError]; errs != 0 {
-		t.Errorf("%d rows errored at the gateway, want 0", errs)
-	}
-	if skipped := resp.Report.Counts[campaign.StatusSkipped]; skipped != 0 {
-		t.Errorf("%d rows skipped, want 0", skipped)
-	}
-	if injected := proxies[1].Injected(); injected == 0 {
-		t.Error("the degraded backend never injected a 503 — the 5xx burst path was not exercised")
-	} else {
-		t.Logf("degraded backend injected %d 503s; fleet completed %d upstream runs for %d tests",
-			injected, completed.Load(), nTests)
-	}
-
-	// Teardown must return the process to its pre-test goroutine count
-	// (allowing a little slack for the test server machinery winding
-	// down). Everything is closed explicitly here — the deferred closes
-	// are idempotent backstops for early-failure paths — including the
-	// default transport's idle pool, which the fault proxies' reverse
-	// proxies dial through.
-	gw.Close()
-	for _, s := range servers {
-		s.Close()
-	}
-	transport.CloseIdleConnections()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	leakCheck(t)
 }
 
-// TestChaosStreamingBatchSurvivesFaults is the streaming analogue: the
-// same fault schedule — one backend degraded with +500ms latency and a
-// 5% 5xx burst, another killed mid-batch — but the batch travels the
-// NDJSON wire through the gateway's stream fan-out. Every index must
-// receive exactly one frame with the correct verdict, no error or
-// skipped rows, a single terminal summary, and teardown must leak no
-// goroutines. (`make chaos-smoke` picks this up via -run 'TestChaos'.)
-func TestChaosStreamingBatchSurvivesFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streaming chaos batch takes tens of seconds")
+// servedCounter wraps a backend handler and counts the verdicts it has
+// served: one per /v1/run response, one per NDJSON line on /v1/batch.
+// It is the chaos test's kill trigger, which a buffered caller cannot
+// drive from its own progress.
+func servedCounter(h http.Handler, served *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/batch":
+			h.ServeHTTP(lineCounter{w, served}, r)
+		case "/v1/run":
+			h.ServeHTTP(w, r)
+			served.Add(1)
+		default:
+			h.ServeHTTP(w, r)
+		}
+	})
+}
+
+// lineCounter counts the newlines written through it, keeping the
+// per-frame flush of a streamed batch.
+type lineCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w lineCounter) Write(p []byte) (int, error) {
+	w.n.Add(int64(bytes.Count(p, []byte{'\n'})))
+	return w.ResponseWriter.Write(p)
+}
+
+func (w lineCounter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// chaosBatch sends one batch through the gateway and returns its rows in
+// request order, nil where a row never came back.
+type chaosBatch func(t *testing.T, ctx context.Context, c *Client, req wire.BatchRequest) []*campaign.JobResult
+
+// bufferedChaosBatch reads the batch as one JSON document.
+func bufferedChaosBatch(t *testing.T, ctx context.Context, c *Client, req wire.BatchRequest) []*campaign.JobResult {
+	resp, err := c.Batch(ctx, req)
+	if err != nil {
+		t.Errorf("buffered batch failed: %v", err)
+		return nil
 	}
+	rows := make([]*campaign.JobResult, len(resp.Report.Jobs))
+	for i := range resp.Report.Jobs {
+		rows[i] = &resp.Report.Jobs[i]
+	}
+	if n := resp.Report.Counts[campaign.StatusError] + resp.Report.Counts[campaign.StatusSkipped]; n != 0 {
+		t.Errorf("report counts %d errored/skipped rows, want 0", n)
+	}
+	return rows
+}
+
+// streamedChaosBatch reads the batch as NDJSON frames: one frame per
+// index and a single terminal summary.
+func streamedChaosBatch(t *testing.T, ctx context.Context, c *Client, req wire.BatchRequest) []*campaign.JobResult {
+	rows := make([]*campaign.JobResult, len(req.Tests))
+	summaries := 0
+	err := c.BatchStream(ctx, req, func(frame any) error {
+		switch f := frame.(type) {
+		case *wire.ResultFrame:
+			if f.Index < 0 || f.Index >= len(rows) {
+				t.Errorf("result frame for out-of-range index %d", f.Index)
+			} else if rows[f.Index] != nil {
+				t.Errorf("index %d delivered twice", f.Index)
+			} else {
+				r := f.Result
+				rows[f.Index] = &r
+			}
+		case *wire.ErrorFrame:
+			t.Errorf("error frame for index %d under chaos: %+v", f.Index, f.Error)
+		case *wire.SummaryFrame:
+			summaries++
+			if f.Tests != len(rows) {
+				t.Errorf("summary covers %d tests, want %d", f.Tests, len(rows))
+			}
+			if n := f.Counts[campaign.StatusError] + f.Counts[campaign.StatusSkipped]; n != 0 {
+				t.Errorf("summary counts %d errored/skipped rows, want 0", n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Errorf("streamed batch failed: %v", err)
+	}
+	if summaries != 1 {
+		t.Errorf("stream carried %d summary frames, want exactly 1", summaries)
+	}
+	return rows
+}
+
+// TestChaosBatchSurvivesFaults is the fleet's acceptance test, over both
+// batch wire formats: a 500-test batch through the gateway while, on a
+// seeded fault schedule, one backend runs +500ms slow with a 25% 5xx
+// rate and another is killed outright mid-batch. The batch must still
+// return every verdict exactly once, each one correct, with no error or
+// skipped rows — and tearing everything down must leak no goroutines.
+// (`make chaos-smoke` runs both subtests via -run 'TestChaos'.)
+func TestChaosBatchSurvivesFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos batch takes tens of seconds")
+	}
+	for _, tc := range []struct {
+		name  string
+		batch chaosBatch
+	}{
+		{"buffered", bufferedChaosBatch},
+		{"streamed", streamedChaosBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runChaos(t, tc.batch) })
+	}
+}
+
+func runChaos(t *testing.T, batch chaosBatch) {
 	leakCheck := testleak.Baseline()
 
+	// Three real herdd backends, each behind its own fault proxy. The
+	// gateway only ever sees the proxied addresses.
 	const nBackends = 3
+	var served atomic.Int64 // verdicts the backends have handed out
 	proxies := make([]*faultproxy.Proxy, nBackends)
 	backendURLs := make([]string, nBackends)
 	var servers []*httptest.Server
 	transport := &http.Transport{}
 	defer transport.CloseIdleConnections()
 	for i := 0; i < nBackends; i++ {
-		srv := serve.New(serve.Config{})
-		up := httptest.NewServer(srv.Handler())
-		defer up.Close()
-		p, err := faultproxy.New(up.URL, uint64(2000+i))
+		up := httptest.NewServer(servedCounter(serve.New(serve.Config{}).Handler(), &served))
+		defer up.Close() // idempotent; the leak check closes it first
+		p, err := faultproxy.New(up.URL, uint64(1000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +213,6 @@ func TestChaosStreamingBatchSurvivesFaults(t *testing.T) {
 		ProbeInterval:     250 * time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   300 * time.Millisecond,
-		BatchWorkers:      16,
 		HeartbeatInterval: time.Second,
 		HTTPClient:        &http.Client{Transport: transport},
 	})
@@ -230,85 +222,57 @@ func TestChaosStreamingBatchSurvivesFaults(t *testing.T) {
 	defer gw.Close()
 	gwFront := httptest.NewServer(gw.Handler())
 	defer gwFront.Close()
-	client := NewClient(gwFront.URL, Policy{MaxAttempts: 1}, &http.Client{Transport: transport})
+	client := NewClient(gwFront.URL, Policy{MaxAttempts: 1, Timeout: 2 * time.Minute}, &http.Client{Transport: transport})
 
-	// Streaming collapses a whole group onto one request, so the error
-	// rate is higher than the buffered chaos test's 5% — otherwise the
-	// handful of stream POSTs and fallback runs would rarely draw a 503.
+	// The seeded fault schedule: backend 1 degrades immediately (+500ms
+	// on every request, a quarter of them answered 503 — a whole home
+	// group travels as one upstream stream, so a lower rate would
+	// rarely draw a fault); backend 2 is killed once the fleet has
+	// served 100 verdicts, with the batch still in full flight.
 	proxies[1].SetLatency(500 * time.Millisecond)
 	proxies[1].SetErrorRate(0.25)
 
-	const nTests = 240
+	const nTests = 500
 	tests, wantOK := chaosTests(nTests)
 
-	// The kill fires from inside the frame callback — by construction the
-	// batch is still in flight when a quarter of the verdicts are home.
-	results := make([]*campaign.JobResult, nTests)
-	var summaries int
-	var delivered int
-	killed := false
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	err = client.BatchStream(ctx, wire.BatchRequest{
-		Tests: tests,
-		Model: wire.ModelSpec{Name: "tso"},
-	}, func(frame any) error {
-		switch f := frame.(type) {
-		case *wire.ResultFrame:
-			if f.Index < 0 || f.Index >= nTests {
-				t.Errorf("result frame for out-of-range index %d", f.Index)
-				return nil
-			}
-			if results[f.Index] != nil {
-				t.Errorf("index %d delivered twice", f.Index)
-				return nil
-			}
-			r := f.Result
-			results[f.Index] = &r
-			delivered++
-			if !killed && delivered >= nTests/4 {
+	done := make(chan []*campaign.JobResult, 1)
+	go func() {
+		done <- batch(t, ctx, client, wire.BatchRequest{Tests: tests, Model: wire.ModelSpec{Name: "tso"}})
+	}()
+
+	var rows []*campaign.JobResult
+	killed := false
+	for finished := false; !finished; {
+		select {
+		case rows = <-done:
+			finished = true
+		case <-time.After(5 * time.Millisecond):
+			if !killed && served.Load() >= 100 {
 				proxies[2].Kill()
 				killed = true
 			}
-		case *wire.ErrorFrame:
-			t.Errorf("error frame for index %d under chaos: %+v", f.Index, f.Error)
-		case *wire.SummaryFrame:
-			summaries++
-			if f.Tests != nTests {
-				t.Errorf("summary covers %d tests, want %d", f.Tests, nTests)
-			}
-			if n := f.Counts[campaign.StatusError] + f.Counts[campaign.StatusSkipped]; n != 0 {
-				t.Errorf("summary reports %d errored/skipped rows, want 0", n)
-			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("streaming batch failed: %v", err)
 	}
 	if !killed {
-		t.Fatal("stream finished before the mid-batch kill fired — the kill path was never exercised")
-	}
-	if summaries != 1 {
-		t.Fatalf("stream carried %d summary frames, want exactly 1", summaries)
-	}
-	for i, r := range results {
-		if r == nil {
-			t.Errorf("index %d never received a frame", i)
-			continue
-		}
-		want := campaign.StatusForbidden
-		if wantOK[i] {
-			want = campaign.StatusOK
-		}
-		if r.Status != want {
-			t.Errorf("row %d (%s): status %s (reason %q), want %s", i, r.Name, r.Status, r.Reason, want)
-		}
-	}
-	if injected := proxies[1].Injected(); injected == 0 {
-		t.Error("the degraded backend never injected a 503 — the 5xx burst path was not exercised")
+		t.Fatal("batch finished before the mid-batch kill fired — the kill path was never exercised")
 	}
 
+	checkChaosRows(t, rows, wantOK)
+	if injected := proxies[1].Injected(); injected == 0 {
+		t.Error("the degraded backend never injected a 503 — the 5xx burst path was not exercised")
+	} else {
+		t.Logf("degraded backend injected %d 503s; the fleet served %d verdicts for %d tests",
+			injected, served.Load(), nTests)
+	}
+
+	// Teardown must return the process to its pre-test goroutine count
+	// (allowing a little slack for the test server machinery winding
+	// down). Everything is closed explicitly here — the deferred closes
+	// are idempotent backstops for early-failure paths — including the
+	// default transport's idle pool, which the fault proxies' reverse
+	// proxies dial through.
 	gw.Close()
 	gwFront.Close()
 	for _, s := range servers {

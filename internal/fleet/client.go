@@ -18,7 +18,7 @@ import (
 )
 
 // Policy tunes the client's resilience behaviour. The zero value retries
-// transient failures three times with full-jitter backoff and no hedging.
+// transient failures three times with full-jitter backoff.
 type Policy struct {
 	// MaxAttempts bounds the tries per request, the first included
 	// (<= 0 selects 3).
@@ -30,12 +30,6 @@ type Policy struct {
 
 	// MaxBackoff caps the backoff window (<= 0 selects 2s).
 	MaxBackoff time.Duration
-
-	// HedgeAfter launches a duplicate of a still-unanswered request
-	// after this long, racing the original — the standard tail-latency
-	// cut. herdd's single-flight layer makes the duplicate nearly free
-	// when both land on one backend. 0 disables hedging.
-	HedgeAfter time.Duration
 
 	// Timeout bounds one attempt's wall clock (<= 0 selects 30s). The
 	// caller's context deadline still wins when tighter.
@@ -142,17 +136,15 @@ func classify(status int, code, msg string, cause error) *Error {
 
 // Stats counts the client's resilience events (monotonic; atomic reads).
 type Stats struct {
-	Attempts atomic.Uint64 // HTTP exchanges started, hedges included
+	Attempts atomic.Uint64 // HTTP exchanges started
 	Retries  atomic.Uint64 // extra attempts after a retryable failure
-	Hedges   atomic.Uint64 // duplicate requests launched by HedgeAfter
 	Failures atomic.Uint64 // requests that exhausted every attempt
 }
 
 // Client is a resilient client for one herdd backend: per-attempt
-// timeouts, deadline-budget propagation (X-Deadline), retry with full-
-// jitter backoff on transient failures, and optional tail-latency
-// hedging. One Client maps to one backend; the Gateway owns the
-// cross-backend routing.
+// timeouts, deadline-budget propagation (X-Deadline), and retry with
+// full-jitter backoff on transient failures. One Client maps to one
+// backend; the Gateway owns the cross-backend routing.
 type Client struct {
 	base  string // http://host:port, no trailing slash
 	hc    *http.Client
@@ -223,7 +215,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// do drives one logical request through attempts, hedging and backoff.
+// do drives one logical request through attempts and backoff.
 func (c *Client) do(ctx context.Context, path string, body []byte, out any) error {
 	var last error
 	for attempt := 0; attempt < c.pol.maxAttempts(); attempt++ {
@@ -237,7 +229,7 @@ func (c *Client) do(ctx context.Context, path string, body []byte, out any) erro
 				return classify(0, "", ctx.Err().Error(), ctx.Err())
 			}
 		}
-		err := c.hedged(ctx, path, body, out)
+		err := c.attempt(ctx, path, body, out)
 		if err == nil {
 			return nil
 		}
@@ -248,54 +240,6 @@ func (c *Client) do(ctx context.Context, path string, body []byte, out any) erro
 	}
 	c.stats.Failures.Add(1)
 	return last
-}
-
-// hedged runs one attempt, duplicating it after HedgeAfter if it has not
-// answered: the first success wins, a duplicate's failure is ignored
-// unless both fail.
-func (c *Client) hedged(ctx context.Context, path string, body []byte, out any) error {
-	if c.pol.HedgeAfter <= 0 {
-		return c.attempt(ctx, path, body, out)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser is abandoned as soon as a winner returns
-	type result struct {
-		err     error
-		payload json.RawMessage
-	}
-	results := make(chan result, 2)
-	launch := func() {
-		var raw json.RawMessage
-		err := c.attempt(ctx, path, body, &raw)
-		results <- result{err: err, payload: raw}
-	}
-	go launch()
-	hedge := time.NewTimer(c.pol.HedgeAfter)
-	defer hedge.Stop()
-	launched := 1
-	var firstErr error
-	for got := 0; got < launched; {
-		select {
-		case <-hedge.C:
-			if launched == 1 {
-				launched = 2
-				c.stats.Hedges.Add(1)
-				go launch()
-			}
-		case r := <-results:
-			got++
-			if r.err == nil {
-				if out != nil {
-					return json.Unmarshal(r.payload, out)
-				}
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		}
-	}
-	return firstErr
 }
 
 // attempt performs exactly one HTTP exchange, propagating the remaining

@@ -119,41 +119,6 @@ func TestClientConnectErrorRetryable(t *testing.T) {
 	}
 }
 
-// TestClientHedging: a slow first attempt is raced by a hedge; the fast
-// duplicate's answer wins well before the slow one finishes.
-func TestClientHedging(t *testing.T) {
-	var calls atomic.Int32
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select { // first request hangs until the test ends
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		writeOK(w)
-	}))
-	defer srv.Close()
-	defer close(release)
-
-	c := NewClient(srv.URL, Policy{HedgeAfter: 30 * time.Millisecond}, nil)
-	start := time.Now()
-	resp, err := c.Run(context.Background(), serve.RunRequest{Litmus: sbSrc, Model: serve.ModelSpec{Name: "tso"}})
-	if err != nil {
-		t.Fatalf("hedged run: %v", err)
-	}
-	if resp.Verdict != "Allowed" {
-		t.Errorf("verdict %q, want Allowed", resp.Verdict)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("hedged run took %v — the hedge never raced the stuck attempt", d)
-	}
-	if got := c.Stats().Hedges.Load(); got != 1 {
-		t.Errorf("hedges = %d, want 1", got)
-	}
-}
-
 // TestClientDeadlinePropagation: a context deadline is forwarded as the
 // X-Deadline budget header, in (decreasing) milliseconds.
 func TestClientDeadlinePropagation(t *testing.T) {

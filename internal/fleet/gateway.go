@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"herdcats/internal/campaign"
 	"herdcats/internal/cat"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
@@ -37,10 +36,6 @@ type GatewayConfig struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// BatchWorkers bounds the concurrent upstream requests one
-	// /v1/batch fans out (<= 0 selects 16).
-	BatchWorkers int
-
 	// MaxRequestBytes bounds a request body (<= 0 selects 4 MiB).
 	MaxRequestBytes int64
 
@@ -59,13 +54,6 @@ func (c GatewayConfig) probeInterval() time.Duration {
 		return time.Second
 	}
 	return c.ProbeInterval
-}
-
-func (c GatewayConfig) batchWorkers() int {
-	if c.BatchWorkers <= 0 {
-		return 16
-	}
-	return c.BatchWorkers
 }
 
 func (c GatewayConfig) maxRequestBytes() int64 {
@@ -90,21 +78,13 @@ type gwBackend struct {
 	breaker *Breaker
 }
 
-// gwCall is one in-flight verdict computation; duplicates of its key
-// join it instead of hitting the fleet again.
-type gwCall struct {
-	done chan struct{}
-	resp *wire.RunResponse
-	err  error
-}
-
 // Gateway routes litmus verdicts across a herdd fleet. Every request's
 // verdict key (the same memo.Key the backends cache under) picks its
 // home backend by rendezvous hashing, so repeated requests for one test
 // land on one backend's warm cache; an unhealthy or ejected home fails
-// over along the key's deterministic backend ranking. Duplicate
-// in-flight keys coalesce gateway-side, and a /healthz probe loop feeds
-// each backend's circuit breaker out-of-band.
+// over along the key's deterministic backend ranking. Duplicate keys
+// share a home backend, whose memo single-flight joins them, and a
+// /healthz probe loop feeds each backend's circuit breaker out-of-band.
 type Gateway struct {
 	cfg      GatewayConfig
 	backends map[string]*gwBackend
@@ -112,9 +92,6 @@ type Gateway struct {
 	models   *memo.Cache // compiles inline cat sources, content-addressed
 	mux      *http.ServeMux
 	reg      *obs.Registry
-
-	mu       sync.Mutex
-	inflight map[string]*gwCall
 
 	probeCancel context.CancelFunc
 	probes      sync.WaitGroup
@@ -131,7 +108,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		backends: make(map[string]*gwBackend, len(cfg.Backends)),
 		models:   memo.New(0),
 		reg:      obs.NewRegistry(),
-		inflight: map[string]*gwCall{},
 	}
 	for _, raw := range cfg.Backends {
 		c := NewClient(raw, cfg.Policy, cfg.HTTPClient)
@@ -190,13 +166,7 @@ func (g *Gateway) registerMetrics() {
 			return 0
 		})
 	}
-	g.reg.Counter("gw_coalesced_total")
 	g.reg.Counter("gw_reroutes_total")
-	g.reg.GaugeFunc("gw_inflight_keys", func() int64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return int64(len(g.inflight))
-	})
 }
 
 // probeLoop health-checks one backend until the gateway closes, feeding
@@ -230,8 +200,7 @@ func (g *Gateway) probeLoop(ctx context.Context, b *gwBackend) {
 // verdictKey computes the request's routing key: the same content
 // address the backends cache under, except that the budget is taken
 // as-sent (the gateway cannot know each backend's clamp). Used only for
-// placement and coalescing — the authoritative key comes back in the
-// response.
+// placement — the authoritative key comes back in the response.
 func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
 	test, err := litmus.Parse(req.Litmus)
 	if err != nil {
@@ -264,36 +233,14 @@ func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
 	return memo.Key(memo.CanonicalTest(test), modelID, b), nil
 }
 
-// Run computes one verdict through the fleet: coalesce on the key, then
-// route along the key's rendezvous ranking with breaker-aware failover.
+// Run computes one verdict through the fleet, routed along its key's
+// rendezvous ranking with breaker-aware failover.
 func (g *Gateway) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
 	key, cerr := g.verdictKey(req)
 	if cerr != nil {
 		return nil, cerr
 	}
-	g.mu.Lock()
-	if call, ok := g.inflight[key]; ok {
-		g.mu.Unlock()
-		g.reg.Counter("gw_coalesced_total").Inc()
-		select {
-		case <-call.done:
-			return call.resp, call.err
-		case <-ctx.Done():
-			return nil, classify(0, "", ctx.Err().Error(), ctx.Err())
-		}
-	}
-	call := &gwCall{done: make(chan struct{})}
-	g.inflight[key] = call
-	g.mu.Unlock()
-
-	resp, err := g.route(ctx, key, req)
-
-	g.mu.Lock()
-	delete(g.inflight, key)
-	g.mu.Unlock()
-	call.resp, call.err = resp, err
-	close(call.done)
-	return resp, err
+	return g.route(ctx, key, req)
 }
 
 // route tries the key's backends in rendezvous order: the home backend
@@ -382,8 +329,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		g.streamBatch(ctx, w, req)
 		return
 	}
-	resp := g.RunBatch(ctx, req)
-	writeGatewayJSON(w, resp)
+	writeGatewayJSON(w, g.collectBatch(ctx, req))
 }
 
 // hopContext threads the per-hop request metadata into the context the
@@ -392,46 +338,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // not the gateway.
 func hopContext(r *http.Request) context.Context {
 	return wire.WithTenant(r.Context(), r.Header.Get(wire.TenantHeader))
-}
-
-// RunBatch fans a batch out across the fleet, one upstream /v1/run per
-// test, each routed and failed over independently by its own key. The
-// report mirrors serve's batch semantics: a failed row costs that row,
-// never the batch.
-func (g *Gateway) RunBatch(ctx context.Context, req wire.BatchRequest) *wire.BatchResponse {
-	n := len(req.Tests)
-	results := make([]campaign.JobResult, n)
-	cached := make([]bool, n)
-	keys := make([]string, n)
-	_ = campaign.ForEach(ctx, g.cfg.batchWorkers(), n, func(ctx context.Context, i int) error {
-		run := wire.RunRequest{
-			Litmus:     req.Tests[i],
-			Model:      req.Model,
-			Budget:     req.Budget,
-			DeadlineMS: req.DeadlineMS,
-		}
-		resp, err := g.Run(ctx, run)
-		if err != nil {
-			results[i] = errorJobResult(fmt.Sprintf("tests[%d]", i), err)
-			return nil
-		}
-		cached[i] = resp.Cached
-		keys[i] = resp.Key
-		results[i] = jobResultFromRun(resp)
-		return nil
-	})
-	rep := &campaign.Report{Counts: map[campaign.Status]int{}}
-	for i := range results {
-		if results[i].Status == "" {
-			results[i] = campaign.JobResult{
-				Name:   fmt.Sprintf("tests[%d]", i),
-				Status: campaign.StatusSkipped,
-				Reason: "batch stopped before this test ran",
-			}
-		}
-		rep.Add(results[i])
-	}
-	return &wire.BatchResponse{Report: rep, Cached: cached, Keys: keys}
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -135,10 +135,12 @@ func gwMetrics(t *testing.T, gw *Gateway) (*httptest.ResponseRecorder, string) {
 	return rec, rec.Body.String()
 }
 
-// TestGatewayCoalescing: concurrent duplicate requests collapse to one
-// upstream computation — the backends together simulate once, and the
-// gateway's coalesced counter records the joins.
-func TestGatewayCoalescing(t *testing.T) {
+// TestGatewayDuplicatesSimulateOnce: concurrent duplicate requests cost
+// one simulation fleet-wide. The gateway does no deduplication of its
+// own: equal keys share a home backend, and that backend's memo
+// single-flight joins them, so the home node answers the other seven as
+// hits or waits.
+func TestGatewayDuplicatesSimulateOnce(t *testing.T) {
 	gw, servers := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour})
 	req := serve.RunRequest{Litmus: sbSrc, Model: serve.ModelSpec{Name: "tso"}}
 
@@ -160,7 +162,11 @@ func TestGatewayCoalescing(t *testing.T) {
 	}
 	var misses uint64
 	for _, s := range servers {
-		misses += s.Cache().Stats().Misses
+		st := s.Cache().Stats()
+		misses += st.Misses
+		if st.Misses == 1 && st.Hits+st.Waits != n-1 {
+			t.Errorf("home node: hits %d + waits %d, want %d", st.Hits, st.Waits, n-1)
+		}
 	}
 	if misses != 1 {
 		t.Errorf("fleet-wide misses = %d for %d duplicate requests, want 1", misses, n)
@@ -170,7 +176,7 @@ func TestGatewayCoalescing(t *testing.T) {
 // TestGatewayBatch: a batch fans out across backends and reassembles in
 // request order, parse failures costing only their row.
 func TestGatewayBatch(t *testing.T) {
-	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour, BatchWorkers: 4})
+	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour})
 	tests := []string{sbVariant(0), "not litmus at all", sbVariant(1)}
 
 	body, _ := json.Marshal(serve.BatchRequest{Tests: tests, Model: serve.ModelSpec{Name: "tso"}})
@@ -299,28 +305,6 @@ func TestGatewayBackendsEndpoint(t *testing.T) {
 	for _, b := range out {
 		if b.Breaker != "closed" {
 			t.Errorf("backend %s breaker %q, want closed", b.Name, b.Breaker)
-		}
-	}
-}
-
-// TestCampaignOverFleet: internal/campaign pointed at the fleet client —
-// the Jobs bridge — sweeps tests remotely with campaign-side
-// classification intact.
-func TestCampaignOverFleet(t *testing.T) {
-	gw, _ := newFleet(t, 2, GatewayConfig{ProbeInterval: time.Hour})
-	tests := []string{sbVariant(10), sbVariant(11), "garbage"}
-	jobs := Jobs(gw, tests, serve.ModelSpec{Name: "tso"}, serve.BudgetSpec{})
-	rep := campaign.Run(context.Background(), campaign.Config{Retries: 2, Backoff: time.Millisecond}, jobs)
-	if rep.Counts[campaign.StatusOK] != 2 {
-		t.Errorf("OK rows = %d, want 2: %+v", rep.Counts[campaign.StatusOK], rep.Counts)
-	}
-	if rep.Counts[campaign.StatusError] != 1 {
-		t.Errorf("Error rows = %d, want 1", rep.Counts[campaign.StatusError])
-	}
-	// The garbage row is a permanent (parse) error: exactly one attempt.
-	for _, j := range rep.Jobs {
-		if j.Status == campaign.StatusError && j.Attempts != 1 {
-			t.Errorf("permanent error row ran %d attempts, want 1", j.Attempts)
 		}
 	}
 }

@@ -13,190 +13,61 @@ import (
 	"herdcats/internal/wire"
 )
 
-// streamBatch answers POST /v1/batch in the NDJSON wire format by fanning
-// the tests out across the fleet as whole streaming sub-batches: each
-// test's verdict key picks its home backend (rendezvous order, skipping
-// backends whose breaker is not closed), rows sharing a home travel as
-// one upstream stream, and the gateway merges the returned frames —
-// remapped to the caller's request indices — onto a single downstream
-// encoder. Upstream heartbeats are absorbed (the gateway heartbeats the
-// merged stream's own idleness); upstream summaries fold into the single
-// terminal summary. Rows an upstream stream never delivered fall back to
-// buffered per-row Run along their failover ranking, so a lost backend
-// costs latency, not verdicts.
-func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
-	start := time.Now()
-	n := len(req.Tests)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// stoppedReason is reported for a row the fan-out never settled,
+// mirroring the backend's never-started classification.
+const stoppedReason = "batch stopped before this test ran"
 
-	// Route every row before the first byte is written: parse/model
-	// failures surface as error frames, everything else joins its home
-	// backend's group.
-	rowErrs := make([]*Error, n)
+// fanOut answers a batch across the fleet as whole streaming sub-batches:
+// each test's verdict key picks its home backend (rendezvous order,
+// skipping backends whose breaker is not closed), and rows sharing a home
+// travel as upstream streams of at most wire.MaxBatchTests rows, one
+// stream at a time per backend. Rows an
+// upstream stream never delivered fall back to per-row routing along
+// their failover ranking, so a lost backend costs latency, not verdicts.
+//
+// sink receives, from concurrent goroutines, at most one
+// *wire.ResultFrame or *wire.ErrorFrame per row — indexed in the
+// caller's request — plus every upstream *wire.SummaryFrame. A row whose
+// context died before it settled gets no frame; the edge reports it.
+func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, sink func(frame any)) {
+	// Parse/model failures settle as error frames at once; everything
+	// else joins its home backend's group.
+	keys := make([]string, len(req.Tests))
 	groups := map[string][]int{}
 	for i := range req.Tests {
 		key, cerr := g.verdictKey(rowRunRequest(req, i))
 		if cerr != nil {
-			rowErrs[i] = cerr
+			sink(rowError(i, errorBodyOf(cerr)))
 			continue
 		}
+		keys[i] = key
 		home := g.homeBackend(key)
 		groups[home] = append(groups[home], i)
-	}
-
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	enc := wire.NewEncoder(w)
-	st := &gwStream{
-		merge:   wire.NewMerge(enc, req.Ordered),
-		cancel:  cancel,
-		emitted: make([]bool, n),
-		status:  make([]campaign.Status, n),
-		cached:  make([]bool, n),
-	}
-	stopHeartbeat := wire.Heartbeat(ctx, enc, g.cfg.heartbeatInterval(), start)
-	defer stopHeartbeat()
-
-	for i, cerr := range rowErrs {
-		if cerr != nil {
-			st.emitFleetError(i, cerr)
-		}
 	}
 
 	var wg sync.WaitGroup
 	for name, rows := range groups {
 		wg.Add(1)
-		go func(name string, rows []int) {
+		go func() {
 			defer wg.Done()
-			g.streamGroup(ctx, name, rows, req, st)
-		}(name, rows)
+			// The backend's campaign pool already runs a chunk's rows
+			// in parallel; concurrent chunks would only queue there.
+			for len(rows) > 0 && ctx.Err() == nil {
+				chunk := rows[:min(len(rows), wire.MaxBatchTests)]
+				rows = rows[len(chunk):]
+				g.streamChunk(ctx, name, chunk, keys, req, sink)
+			}
+		}()
 	}
 	wg.Wait()
-
-	// Rows nothing delivered (the stream was cancelled first) still owe
-	// their frame, mirroring the backend's never-started classification.
-	for i := range st.emitted {
-		if !st.emitted[i] {
-			st.status[i] = campaign.StatusSkipped
-			st.emit(i, wire.NewError(i, fmt.Sprintf("tests[%d]", i),
-				wire.ErrorCode(http.StatusServiceUnavailable), "batch stopped before this test ran"))
-		}
-	}
-	stopHeartbeat()
-
-	sum := wire.NewSummary(n)
-	for i := range st.status {
-		sum.Counts[st.status[i]]++
-		if st.cached[i] {
-			sum.CacheHits++
-		}
-	}
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	sum.PhaseTotalsUS = st.phases
-	sum.Enum = st.enum
-	_ = enc.Encode(sum)
 }
 
-// homeBackend picks the first backend along key's rendezvous ranking
-// whose breaker is closed — the same placement route walks, but read via
-// State() so grouping never consumes a half-open trial. When no breaker
-// is closed the top-ranked backend is chosen anyway: failing open beats
-// failing instantly when the whole fleet looks down.
-func (g *Gateway) homeBackend(key string) string {
-	ranked := rendezvous(key, g.names)
-	for _, name := range ranked {
-		if g.backends[name].breaker.State() == BreakerClosed {
-			return name
-		}
-	}
-	return ranked[0]
-}
-
-// rowRunRequest projects one batch row onto the single-run wire shape
-// (the unit both routing and the buffered fallback work in).
-func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
-	return wire.RunRequest{
-		Litmus:     req.Tests[i],
-		Model:      req.Model,
-		Budget:     req.Budget,
-		DeadlineMS: req.DeadlineMS,
-	}
-}
-
-// gwStream is the shared downstream state of one merged batch stream.
-// The per-row slices are written exactly once, each by the row's owning
-// goroutine (its group, or the pre/post loops which run with no groups in
-// flight), so they need no lock; the fold fields do.
-type gwStream struct {
-	merge   *wire.Merge
-	cancel  context.CancelFunc
-	emitted []bool
-	status  []campaign.Status
-	cached  []bool
-
-	mu     sync.Mutex
-	phases map[string]int64
-	enum   *obs.EnumSnapshot
-}
-
-// emit writes row i's single frame; a write failure means the client is
-// gone, so the whole fan-out winds down.
-func (s *gwStream) emit(i int, frame any) {
-	s.emitted[i] = true
-	if s.merge.Emit(i, frame) != nil {
-		s.cancel()
-	}
-}
-
-func (s *gwStream) emitResult(i int, key string, cached bool, res campaign.JobResult) {
-	s.status[i] = res.Status
-	s.cached[i] = cached
-	s.emit(i, wire.NewResult(i, key, cached, res))
-}
-
-func (s *gwStream) emitErrorBody(i int, body wire.ErrorBody) {
-	s.status[i] = campaign.StatusError
-	s.emit(i, &wire.ErrorFrame{
-		Type:  wire.FrameError,
-		Index: i,
-		Name:  fmt.Sprintf("tests[%d]", i),
-		Error: body,
-	})
-}
-
-// emitFleetError renders a routing or fallback failure as the row's
-// error frame, carrying the upstream envelope code when the error has
-// one.
-func (s *gwStream) emitFleetError(i int, err error) {
-	s.emitErrorBody(i, errorBodyOf(err))
-}
-
-// foldSummary accumulates one upstream summary's trace aggregates.
-func (s *gwStream) foldSummary(f *wire.SummaryFrame) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ph, us := range f.PhaseTotalsUS {
-		if s.phases == nil {
-			s.phases = map[string]int64{}
-		}
-		s.phases[ph] += us
-	}
-	if f.Enum != nil {
-		if s.enum == nil {
-			s.enum = &obs.EnumSnapshot{}
-		}
-		s.enum.Add(*f.Enum)
-	}
-}
-
-// streamGroup runs one home backend's rows as a single upstream stream,
-// remapping its group-local frame indices onto the caller's, then
-// sweeps up anything the stream did not deliver via buffered per-row
-// Run — which routes along each key's own failover ranking, so the rows
-// of a dead home backend land elsewhere.
-func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, req wire.BatchRequest, st *gwStream) {
+// streamChunk runs one chunk of a home backend's rows as a single
+// upstream stream, remapping its chunk-local frame indices onto the
+// caller's, then sweeps up anything the stream did not deliver via
+// per-row route — which walks each key's own failover ranking, so the
+// rows of a dead home backend land elsewhere.
+func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, sink func(any)) {
 	b := g.backends[backend]
 	sub := wire.BatchRequest{
 		Model:      req.Model,
@@ -208,28 +79,33 @@ func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, r
 		sub.Tests[gi] = req.Tests[i]
 	}
 	done := make([]bool, len(rows))
+	claim := func(gi int) error {
+		if gi < 0 || gi >= len(rows) || done[gi] {
+			return fmt.Errorf("gateway: backend %s: bogus frame index %d", backend, gi)
+		}
+		done[gi] = true
+		return nil
+	}
 	g.reg.Counter(`gw_backend_requests_total{backend="` + backend + `"}`).Inc()
 	err := b.client.BatchStream(ctx, sub, func(frame any) error {
 		switch f := frame.(type) {
 		case *wire.ResultFrame:
-			if f.Index < 0 || f.Index >= len(rows) || done[f.Index] {
-				return fmt.Errorf("gateway: backend %s: bogus frame index %d", backend, f.Index)
+			if err := claim(f.Index); err != nil {
+				return err
 			}
-			done[f.Index] = true
-			st.emitResult(rows[f.Index], f.Key, f.Cached, f.Result)
+			sink(wire.NewResult(rows[f.Index], f.Key, f.Cached, f.Result))
 		case *wire.ErrorFrame:
 			if f.Index < 0 {
 				// The whole upstream batch died mid-flight; abort the
 				// stream and let the fallback sweep cover what is left.
 				return fmt.Errorf("gateway: backend %s: stream error: %s", backend, f.Error.Message)
 			}
-			if f.Index >= len(rows) || done[f.Index] {
-				return fmt.Errorf("gateway: backend %s: bogus frame index %d", backend, f.Index)
+			if err := claim(f.Index); err != nil {
+				return err
 			}
-			done[f.Index] = true
-			st.emitErrorBody(rows[f.Index], f.Error)
+			sink(rowError(rows[f.Index], f.Error))
 		case *wire.SummaryFrame:
-			st.foldSummary(f)
+			sink(f)
 		case *wire.HeartbeatFrame:
 			// Absorbed: the gateway heartbeats the merged stream itself,
 			// and forwarding per-backend pulses would just be noise.
@@ -249,18 +125,149 @@ func (g *Gateway) streamGroup(ctx context.Context, backend string, rows []int, r
 			continue
 		}
 		if ctx.Err() != nil {
-			return // the post-sweep in streamBatch owes these their frame
+			return // the edge owes these their skipped row
 		}
 		if err != nil {
 			g.reg.Counter("gw_reroutes_total").Inc()
 		}
-		resp, rerr := g.Run(ctx, rowRunRequest(req, i))
+		resp, rerr := g.route(ctx, keys[i], rowRunRequest(req, i))
 		if rerr != nil {
-			st.emitFleetError(i, rerr)
+			sink(rowError(i, errorBodyOf(rerr)))
 			continue
 		}
-		st.emitResult(i, resp.Key, resp.Cached, jobResultFromRun(resp))
+		sink(wire.NewResult(i, resp.Key, resp.Cached, jobResultFromRun(resp)))
 	}
+}
+
+// streamBatch is the NDJSON edge of the fan-out: it merges the frames
+// onto one downstream encoder (in request order when the request is
+// ordered), heartbeats the merged stream's own idleness, and folds the
+// upstream summaries into the single terminal summary.
+func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
+	start := time.Now()
+	n := len(req.Tests)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	w.WriteHeader(http.StatusOK)
+	enc := wire.NewEncoder(w)
+	merge := wire.NewMerge(enc, req.Ordered)
+	stopHeartbeat := wire.Heartbeat(ctx, enc, g.cfg.heartbeatInterval(), start)
+	defer stopHeartbeat()
+
+	emit := func(i int, frame any) {
+		if merge.Emit(i, frame) != nil {
+			cancel() // the client is gone: wind the whole fan-out down
+		}
+	}
+	// Each row's status and cached flag are written once, by the
+	// goroutine settling it; only the summary fold is shared.
+	status := make([]campaign.Status, n)
+	cached := make([]bool, n)
+	sum := wire.NewSummary(n)
+	var mu sync.Mutex
+	g.fanOut(ctx, req, func(frame any) {
+		switch f := frame.(type) {
+		case *wire.ResultFrame:
+			status[f.Index], cached[f.Index] = f.Result.Status, f.Cached
+			emit(f.Index, f)
+		case *wire.ErrorFrame:
+			status[f.Index] = campaign.StatusError
+			emit(f.Index, f)
+		case *wire.SummaryFrame:
+			mu.Lock()
+			defer mu.Unlock()
+			for ph, us := range f.PhaseTotalsUS {
+				if sum.PhaseTotalsUS == nil {
+					sum.PhaseTotalsUS = map[string]int64{}
+				}
+				sum.PhaseTotalsUS[ph] += us
+			}
+			if f.Enum != nil {
+				if sum.Enum == nil {
+					sum.Enum = &obs.EnumSnapshot{}
+				}
+				sum.Enum.Add(*f.Enum)
+			}
+		}
+	})
+
+	for i := range status {
+		if status[i] == "" {
+			status[i] = campaign.StatusSkipped
+			emit(i, wire.NewError(i, rowName(i), wire.ErrorCode(http.StatusServiceUnavailable), stoppedReason))
+		}
+		sum.Counts[status[i]]++
+		if cached[i] {
+			sum.CacheHits++
+		}
+	}
+	stopHeartbeat()
+	sum.ElapsedMS = time.Since(start).Milliseconds()
+	_ = enc.Encode(sum)
+}
+
+// collectBatch is the buffered edge of the fan-out: it files each row's
+// frame into a request-ordered BatchResponse. A result frame keeps its
+// campaign row, key and cached flag; an error frame becomes an Error row
+// carrying the frame's message; a row never settled is Skipped.
+func (g *Gateway) collectBatch(ctx context.Context, req wire.BatchRequest) *wire.BatchResponse {
+	n := len(req.Tests)
+	jobs := make([]campaign.JobResult, n)
+	resp := &wire.BatchResponse{Cached: make([]bool, n), Keys: make([]string, n)}
+	g.fanOut(ctx, req, func(frame any) {
+		switch f := frame.(type) {
+		case *wire.ResultFrame:
+			jobs[f.Index], resp.Keys[f.Index], resp.Cached[f.Index] = f.Result, f.Key, f.Cached
+		case *wire.ErrorFrame:
+			jobs[f.Index] = campaign.JobResult{Name: f.Name, Status: campaign.StatusError, Reason: f.Error.Message, Attempts: 1}
+		}
+	})
+	resp.Report = &campaign.Report{Counts: map[campaign.Status]int{}}
+	for i, job := range jobs {
+		if job.Status == "" {
+			job = campaign.JobResult{Name: rowName(i), Status: campaign.StatusSkipped, Reason: stoppedReason}
+		}
+		resp.Report.Add(job)
+	}
+	return resp
+}
+
+// homeBackend picks the first backend along key's rendezvous ranking
+// whose breaker is closed — the same placement route walks, but read via
+// State() so grouping never consumes a half-open trial. When no breaker
+// is closed the top-ranked backend is chosen anyway: failing open beats
+// failing instantly when the whole fleet looks down.
+func (g *Gateway) homeBackend(key string) string {
+	ranked := rendezvous(key, g.names)
+	for _, name := range ranked {
+		if g.backends[name].breaker.State() == BreakerClosed {
+			return name
+		}
+	}
+	return ranked[0]
+}
+
+// rowRunRequest projects one batch row onto the single-run wire shape
+// (the unit both routing and the per-row fallback work in).
+func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
+	return wire.RunRequest{
+		Litmus:     req.Tests[i],
+		Model:      req.Model,
+		Budget:     req.Budget,
+		DeadlineMS: req.DeadlineMS,
+	}
+}
+
+// rowName names row i the way the backends name a row they could not
+// parse.
+func rowName(i int) string { return fmt.Sprintf("tests[%d]", i) }
+
+// rowError builds row i's error frame.
+func rowError(i int, body wire.ErrorBody) *wire.ErrorFrame {
+	return wire.NewError(i, rowName(i), body.Code, body.Message)
 }
 
 // errorBodyOf projects a fleet error onto the wire envelope body,
@@ -278,4 +285,33 @@ func errorBodyOf(err error) wire.ErrorBody {
 		}
 	}
 	return body
+}
+
+// jobResultFromRun folds one routed run into a campaign row, the shape
+// a backend's result frame carries.
+func jobResultFromRun(resp *wire.RunResponse) campaign.JobResult {
+	res := campaign.JobResult{
+		Name:       resp.Outcome.Test,
+		Model:      resp.Outcome.Model,
+		Candidates: resp.Outcome.Candidates,
+		Valid:      resp.Outcome.Valid,
+		Attempts:   1,
+		ElapsedMS:  resp.ElapsedMS,
+	}
+	if len(resp.Outcome.States) > 0 {
+		res.States = make(map[string]int, len(resp.Outcome.States))
+		for _, s := range resp.Outcome.States {
+			res.States[s.State] = s.Count
+		}
+	}
+	switch resp.Verdict {
+	case "Allowed":
+		res.Status = campaign.StatusOK
+	case "Forbidden":
+		res.Status = campaign.StatusForbidden
+	default:
+		res.Status = campaign.StatusIncomplete
+		res.Reason = resp.Outcome.Reason
+	}
+	return res
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +60,9 @@ func collectStream(t *testing.T, c *Client, req wire.BatchRequest) (map[int]*wir
 
 // matchBufferedStream is the order-insensitive differential both the
 // node-direct and through-gateway tests share: every buffered row must
-// have exactly one streamed frame with the same verdict.
+// have exactly one streamed frame with the same verdict — status,
+// candidate and valid counts, final-state histogram and key. Cached and
+// ElapsedMS are left out: the second run of a batch hits the cache.
 func matchBufferedStream(t *testing.T, buffered *wire.BatchResponse, results map[int]*wire.ResultFrame, errs map[int]*wire.ErrorFrame, sum *wire.SummaryFrame) {
 	t.Helper()
 	n := len(buffered.Report.Jobs)
@@ -77,8 +81,12 @@ func matchBufferedStream(t *testing.T, buffered *wire.BatchResponse, results map
 			t.Errorf("row %d (%s): buffered %s but streamed an error: %+v", i, row.Name, row.Status, errs[i])
 			continue
 		}
-		if rf.Result.Status != row.Status {
-			t.Errorf("row %d (%s): streamed %s, buffered %s", i, row.Name, rf.Result.Status, row.Status)
+		got := rf.Result
+		if got.Status != row.Status || got.Candidates != row.Candidates || got.Valid != row.Valid ||
+			!maps.Equal(got.States, row.States) || rf.Key != buffered.Keys[i] {
+			t.Errorf("row %d (%s): streamed %s %d/%d %v key %q, buffered %s %d/%d %v key %q", i, row.Name,
+				got.Status, got.Valid, got.Candidates, got.States, rf.Key,
+				row.Status, row.Valid, row.Candidates, row.States, buffered.Keys[i])
 		}
 	}
 	if sum.Tests != n {
@@ -152,14 +160,6 @@ func TestGatewayStreamingDifferential(t *testing.T) {
 			}
 			results, errs, sum := collectStream(t, c, req)
 			matchBufferedStream(t, buffered, results, errs, sum)
-
-			// The streamed keys must match the buffered keys row for row:
-			// same content address, same caching behaviour.
-			for i, key := range buffered.Keys {
-				if rf := results[i]; rf != nil && key != "" && rf.Key != key {
-					t.Errorf("row %d: streamed key %q, buffered %q", i, rf.Key, key)
-				}
-			}
 		})
 	}
 }
@@ -259,5 +259,56 @@ func TestGatewayStreamOrdered(t *testing.T) {
 	}
 	if next != n {
 		t.Fatalf("stream delivered %d of %d rows", next, n)
+	}
+}
+
+// TestGatewaySplitsOversizedGroups: a home group larger than herdd's
+// batch limit travels upstream as sub-batches of at most
+// wire.MaxBatchTests rows. 300 rows through a one-backend gateway cost
+// exactly two upstream streams — no 413, no per-row fallback, no
+// reroutes — over both wire formats.
+func TestGatewaySplitsOversizedGroups(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch chaosBatch
+	}{
+		{"buffered", bufferedChaosBatch},
+		{"streamed", streamedChaosBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var batches, runs atomic.Int64
+			s := serve.New(serve.Config{})
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/batch":
+					batches.Add(1)
+				case "/v1/run":
+					runs.Add(1)
+				}
+				s.Handler().ServeHTTP(w, r)
+			}))
+			defer backend.Close()
+			gw, err := NewGateway(GatewayConfig{Backends: []string{backend.URL}, ProbeInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			front := httptest.NewServer(gw.Handler())
+			defer front.Close()
+			c := NewClient(front.URL, Policy{MaxAttempts: 1}, nil)
+
+			tests, wantOK := chaosTests(300)
+			rows := tc.batch(t, context.Background(), c, wire.BatchRequest{Tests: tests, Model: wire.ModelSpec{Name: "tso"}})
+			checkChaosRows(t, rows, wantOK)
+			if got := batches.Load(); got != 2 {
+				t.Errorf("%d upstream /v1/batch requests, want 2", got)
+			}
+			if got := runs.Load(); got != 0 {
+				t.Errorf("%d upstream /v1/run requests, want 0", got)
+			}
+			if got := gw.Metrics().Counter("gw_reroutes_total").Value(); got != 0 {
+				t.Errorf("gw_reroutes_total = %d, want 0", got)
+			}
+		})
 	}
 }

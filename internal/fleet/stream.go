@@ -19,13 +19,12 @@ import (
 // on the frame type). onFrame returning an error aborts the stream and
 // closes the connection, which is how a consumer cancels mid-batch.
 //
-// The resilience policy is deliberately narrower than Run/Batch:
-// hedging is disabled — a duplicate stream would double-emit frames and
-// double-burn backend slots — and retries apply only while no frame has
-// been delivered, because a consumer that has already observed verdicts
-// cannot have them re-delivered without duplicates. Once the first frame
-// is through, a failure surfaces as an error alongside the frames already
-// delivered; the caller decides what to re-request.
+// The resilience policy is deliberately narrower than Run/Batch: retries
+// apply only while no frame has been delivered, because a consumer that
+// has already observed verdicts cannot have them re-delivered without
+// duplicates. Once the first frame is through, a failure surfaces as an
+// error alongside the frames already delivered; the caller decides what
+// to re-request.
 func (c *Client) BatchStream(ctx context.Context, req wire.BatchRequest, onFrame func(frame any) error) error {
 	body, err := json.Marshal(req)
 	if err != nil {

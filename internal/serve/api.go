@@ -257,10 +257,10 @@ func (s *Server) admit(ctx context.Context, tenant string) (release func(), err 
 	return s.adm.acquire(ctx)
 }
 
-// batchPlan is the shared front half of both /v1/batch wire formats: the
-// per-test jobs, keys and cache flags, identical whether the verdicts are
-// buffered into one response or streamed frame by frame — which is what
-// makes the two formats answer with the same verdict set by construction.
+// batchPlan is the front half of /v1/batch: the per-test jobs, keys and
+// cache flags. One plan feeds one campaign whichever wire format answers,
+// which is what makes the two formats carry the same verdict set by
+// construction.
 type batchPlan struct {
 	jobs   []campaign.Job
 	keys   []string
@@ -331,6 +331,10 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 	return p
 }
 
+// handleBatch answers POST /v1/batch with one plan and one campaign. The
+// wire format only picks the edge: the NDJSON edge writes each row's
+// frame as the pool settles it, then the skipped rows and the summary;
+// the buffered edge writes the returned report whole.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
@@ -341,9 +345,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Tests) > s.cfg.maxBatchTests() {
+	if len(req.Tests) > wire.MaxBatchTests {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"tests: %d exceeds the batch limit of %d", len(req.Tests), s.cfg.maxBatchTests())
+			"tests: %d exceeds the batch limit of %d", len(req.Tests), wire.MaxBatchTests)
 		return
 	}
 	deadline, derr := deadlineBudget(r, req.DeadlineMS)
@@ -370,17 +374,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	if wire.WantsStream(r) {
-		s.streamBatch(ctx, w, &req, checker, b, tenant)
-		return
-	}
-
-	p := s.buildBatch(&req, checker, b, tenant, false)
-	rep := campaign.Run(ctx, campaign.Config{
+	stream := wire.WantsStream(r)
+	p := s.buildBatch(&req, checker, b, tenant, stream)
+	cfg := campaign.Config{
 		Workers: s.cfg.Workers,
 		Budget:  b,
 		Retries: -1, // the client's budget is a hard bound, and keys must match
-	}, p.jobs)
+	}
+	var out *batchStream
+	if stream {
+		ctx, out = openBatchStream(ctx, w, p, req.Ordered, s.cfg.heartbeatInterval())
+		defer out.close()
+		cfg.OnResult = out.emit
+	}
+	rep := campaign.Run(ctx, cfg, p.jobs)
+	if out != nil {
+		out.finish(rep, s.effectiveOptions(b))
+		return
+	}
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Report: rep, Cached: p.cached, Keys: p.keys,
 		Options: s.effectiveOptions(b),

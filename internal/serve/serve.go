@@ -53,10 +53,6 @@ type Config struct {
 	// MaxRequestBytes bounds a request body (<= 0 selects 1 MiB).
 	MaxRequestBytes int64
 
-	// MaxBatchTests bounds the tests of one /v1/batch request
-	// (<= 0 selects 256).
-	MaxBatchTests int
-
 	// EnumWorkers splits each simulation's verdict — walk and check —
 	// across that many goroutines (<= 1 keeps it sequential).
 	// Deliberately absent from cache keys: the sharded outcome is
@@ -103,13 +99,6 @@ func (c Config) maxRequestBytes() int64 {
 		return 1 << 20
 	}
 	return c.MaxRequestBytes
-}
-
-func (c Config) maxBatchTests() int {
-	if c.MaxBatchTests <= 0 {
-		return 256
-	}
-	return c.MaxBatchTests
 }
 
 // Server is the herdd HTTP service.

@@ -15,6 +15,7 @@ import (
 
 	"herdcats/internal/campaign"
 	"herdcats/internal/catalog"
+	"herdcats/internal/wire"
 )
 
 const sbSrc = `X86 sb
@@ -228,12 +229,21 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchLimits: one test over wire.MaxBatchTests is refused whole,
+// before anything simulates.
 func TestBatchLimits(t *testing.T) {
-	s := New(Config{MaxBatchTests: 2})
-	req := BatchRequest{Tests: []string{sbSrc, sbSrc, sbSrc}, Model: ModelSpec{Name: "tso"}}
+	s := New(Config{})
+	tests := make([]string, wire.MaxBatchTests+1)
+	for i := range tests {
+		tests[i] = sbSrc
+	}
+	req := BatchRequest{Tests: tests, Model: ModelSpec{Name: "tso"}}
 	rec, body := postJSON(t, s.Handler(), "/v1/batch", req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d: %s", rec.Code, body)
+	}
+	if st := s.Cache().Stats(); st.Misses != 0 {
+		t.Errorf("an oversized batch simulated %d tests, want 0", st.Misses)
 	}
 }
 

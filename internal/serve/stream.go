@@ -7,15 +7,13 @@ import (
 	"time"
 
 	"herdcats/internal/campaign"
-	"herdcats/internal/exec"
 	"herdcats/internal/obs"
-	"herdcats/internal/sim"
 	"herdcats/internal/wire"
 )
 
-// streamBatch answers POST /v1/batch in the NDJSON wire format: one
-// result/v1 or error/v1 frame per test as the campaign pool completes it
-// (request order when req.Ordered, completion order otherwise), heartbeat
+// batchStream is the NDJSON edge of POST /v1/batch: one result/v1 or
+// error/v1 frame per test as the campaign pool settles it (request order
+// when the request is ordered, completion order otherwise), heartbeat
 // frames while every in-flight job is still grinding, and a terminal
 // summary/v1 with the batch totals — so a million-test campaign is
 // delivered incrementally instead of buffered whole on both sides.
@@ -24,70 +22,85 @@ import (
 // a frame-write failure (the disconnect signal once streaming has begun)
 // cancels the campaign explicitly — either way the in-flight simulations
 // wind down and their admission slots are released promptly.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, req *BatchRequest, checker sim.Checker, b exec.Budget, tenant string) {
-	start := time.Now()
-	p := s.buildBatch(req, checker, b, tenant, true)
-	n := len(p.jobs)
+type batchStream struct {
+	p             *batchPlan
+	enc           *wire.Encoder
+	merge         *wire.Merge
+	cancel        context.CancelFunc
+	stopHeartbeat func()
+	emitted       []bool
+	start         time.Time
+}
 
+// openBatchStream writes the NDJSON response header and starts the
+// heartbeat. The returned context is the campaign's: the stream cancels
+// it when the client goes away.
+func openBatchStream(ctx context.Context, w http.ResponseWriter, p *batchPlan, ordered bool, heartbeat time.Duration) (context.Context, *batchStream) {
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
 	enc := wire.NewEncoder(w)
-	merge := wire.NewMerge(enc, req.Ordered)
-	stopHeartbeat := wire.Heartbeat(ctx, enc, s.cfg.heartbeatInterval(), start)
-	defer stopHeartbeat()
-
-	// emit writes index i's single frame. Indices are distinct per call
-	// site, so the emitted bookkeeping is race-free; the merge serialises
-	// the actual writes.
-	emitted := make([]bool, n)
-	emit := func(i int, res campaign.JobResult) {
-		emitted[i] = true
-		var err error
-		if res.Failed() || res.Status == campaign.StatusSkipped {
-			err = merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(p, i, res), res.Reason))
-		} else {
-			err = merge.Emit(i, wire.NewResult(i, p.keys[i], p.cached[i], res))
-		}
-		if err != nil {
-			// The client is gone (or the pipe broke): stop the campaign
-			// now so simulations stop burning slots for nobody.
-			cancel()
-		}
+	st := &batchStream{
+		p:       p,
+		enc:     enc,
+		merge:   wire.NewMerge(enc, ordered),
+		cancel:  cancel,
+		emitted: make([]bool, len(p.jobs)),
+		start:   time.Now(),
 	}
+	st.stopHeartbeat = wire.Heartbeat(ctx, enc, heartbeat, st.start)
+	return ctx, st
+}
 
-	rep := campaign.Run(ctx, campaign.Config{
-		Workers:  s.cfg.Workers,
-		Budget:   b,
-		Retries:  -1, // the client's budget is a hard bound, and keys must match
-		OnResult: emit,
-	}, p.jobs)
+// close stops the heartbeat and cancels the campaign context; calling it
+// again is harmless.
+func (st *batchStream) close() {
+	st.stopHeartbeat()
+	st.cancel()
+}
 
-	// Rows the pool never started (the stream was cancelled first) still
-	// owe their frame; campaign.Run has already classified them Skipped.
+// emit writes index i's single frame; it is the campaign's OnResult hook.
+// Indices are distinct per call, so the emitted bookkeeping is race-free;
+// the merge serialises the actual writes.
+func (st *batchStream) emit(i int, res campaign.JobResult) {
+	st.emitted[i] = true
+	var err error
+	if res.Failed() || res.Status == campaign.StatusSkipped {
+		err = st.merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(st.p, i, res), res.Reason))
+	} else {
+		err = st.merge.Emit(i, wire.NewResult(i, st.p.keys[i], st.p.cached[i], res))
+	}
+	if err != nil {
+		// The client is gone (or the pipe broke): stop the campaign
+		// now so simulations stop burning slots for nobody.
+		st.cancel()
+	}
+}
+
+// finish writes the frames of the rows the pool never started (the
+// stream was cancelled first; campaign.Run has already classified them
+// Skipped), then the terminal summary.
+func (st *batchStream) finish(rep *campaign.Report, opts EffectiveOptions) {
 	for i := range rep.Jobs {
-		if !emitted[i] {
-			emit(i, rep.Jobs[i])
+		if !st.emitted[i] {
+			st.emit(i, rep.Jobs[i])
 		}
 	}
-	stopHeartbeat()
+	st.stopHeartbeat()
 
-	sum := wire.NewSummary(n)
-	for st, c := range rep.Counts {
-		sum.Counts[st] = c
+	sum := wire.NewSummary(len(rep.Jobs))
+	for status, c := range rep.Counts {
+		sum.Counts[status] = c
 	}
-	for _, hit := range p.cached {
+	for _, hit := range st.p.cached {
 		if hit {
 			sum.CacheHits++
 		}
 	}
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	opts := s.effectiveOptions(b)
+	sum.ElapsedMS = time.Since(st.start).Milliseconds()
 	sum.Options = &opts
-	for _, tr := range p.traces {
+	for _, tr := range st.p.traces {
 		tj := tr.Summary()
 		if tj == nil {
 			continue
@@ -103,7 +116,7 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, req *Ba
 		}
 		sum.Enum.Add(tj.Enum)
 	}
-	_ = enc.Encode(sum)
+	_ = st.enc.Encode(sum)
 }
 
 // streamErrorCode names the envelope code of one failed row, mirroring

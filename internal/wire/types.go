@@ -115,8 +115,13 @@ type BatchRequest struct {
 	Ordered bool `json:"ordered,omitempty"`
 }
 
-// Validate checks the request's invariants, except the batch-size cap,
-// which is the server's to enforce.
+// MaxBatchTests bounds the tests of one upstream /v1/batch: herdd answers
+// a larger batch with 413, and herd-gw splits each home backend's rows
+// into sub-batches of at most this many.
+const MaxBatchTests = 256
+
+// Validate checks the request's invariants, except the batch-size cap
+// (MaxBatchTests), which is the server's to enforce.
 func (r *BatchRequest) Validate() error {
 	if len(r.Tests) == 0 {
 		return errors.New("tests: at least one litmus source is required")
