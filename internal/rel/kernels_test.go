@@ -1,94 +1,179 @@
 package rel
 
-// Differential tests for the destructive kernels against their allocating
-// counterparts, and unit tests for the Arena pool. The kernels exist so
-// per-candidate model checking allocates nothing; these tests pin their
-// semantics to the pure operations the rest of the suite already trusts.
+// Differential tests for the destructive kernels against the map-based
+// naiveRel reference of rel_test.go, and unit tests for the Arena pool.
+// The pure operators are thin wrappers over these kernels, so only an
+// independent reference can catch a kernel bug; the compiled cat
+// evaluator, the models zoo and the crosscheck deciders all run on them.
+// The sizes straddle the word boundaries, so both the one-word fast path
+// and the multi-word path are exercised.
 
 import (
 	"math/rand"
 	"testing"
 )
 
-func randRel(rng *rand.Rand, n int, density float64) Rel {
-	r := New(n)
+// wordBoundarySizes are the universe sizes every kernel differential runs
+// at: empty, tiny, either side of one and two 64-bit words.
+var wordBoundarySizes = []int{0, 1, 2, 33, 63, 64, 65, 127, 128, 129}
+
+// naiveOf is the reference relation {(i,j) ∈ n×n | keep(i,j)}.
+func naiveOf(n int, keep func(i, j int) bool) naiveRel {
+	out := naiveRel{}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if rng.Float64() < density {
-				r.Add(i, j)
+			if keep(i, j) {
+				out[[2]int{i, j}] = true
 			}
 		}
 	}
-	return r
+	return out
 }
 
-func TestKernelsMatchPure(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(20)
-		a := randRel(rng, n, 0.2)
-		b := randRel(rng, n, 0.2)
+// checkKernelsNaive runs every in-place kernel on copies of a and b and
+// compares the result with the naive reference.
+func checkKernelsNaive(t *testing.T, a, b Rel, src, dst Set) {
+	t.Helper()
+	n := a.N()
+	an, bn := a.toNaive(), b.toNaive()
+	check := func(name string, got Rel, want naiveRel) {
+		t.Helper()
+		if !equalNaive(got.toNaive(), want) {
+			t.Fatalf("n=%d: %s diverges from the naive reference", n, name)
+		}
+	}
+	inSrc, inDst := map[int]bool{}, map[int]bool{}
+	for _, e := range src.Elems() {
+		inSrc[e] = true
+	}
+	for _, e := range dst.Elems() {
+		inDst[e] = true
+	}
 
-		check := func(name string, got, want Rel) {
-			t.Helper()
-			if !got.Equal(want) {
-				t.Fatalf("trial %d n=%d: %s diverges from pure op", trial, n, name)
+	d := New(n)
+	d.CopyFrom(a)
+	check("CopyFrom", d, an)
+
+	d.Clear()
+	check("Clear", d, naiveRel{})
+
+	d.CopyFrom(a)
+	d.UnionInto(b)
+	check("UnionInto", d, naiveOf(n, func(i, j int) bool { return an[[2]int{i, j}] || bn[[2]int{i, j}] }))
+
+	d.CopyFrom(a)
+	d.InterInto(b)
+	check("InterInto", d, naiveOf(n, func(i, j int) bool { return an[[2]int{i, j}] && bn[[2]int{i, j}] }))
+
+	d.CopyFrom(a)
+	d.DiffInto(b)
+	check("DiffInto", d, naiveOf(n, func(i, j int) bool { return an[[2]int{i, j}] && !bn[[2]int{i, j}] }))
+
+	d.CopyFrom(b) // pre-dirty: SeqInto must fully overwrite
+	d.SeqInto(a, b)
+	check("SeqInto", d, naiveSeq(an, bn))
+
+	d.SeqInto(a, a)
+	check("SeqInto aliased operands", d, naiveSeq(an, an))
+
+	d.CopyFrom(b) // pre-dirty: InverseInto must fully overwrite
+	d.InverseInto(a)
+	check("InverseInto", d, naiveOf(n, func(i, j int) bool { return an[[2]int{j, i}] }))
+
+	plus := naivePlus(an)
+	d.CopyFrom(a)
+	d.PlusInPlace()
+	check("PlusInPlace", d, plus)
+
+	d.UnionIdentity()
+	check("PlusInPlace+UnionIdentity", d, naiveOf(n, func(i, j int) bool { return i == j || plus[[2]int{i, j}] }))
+
+	d.CopyFrom(a)
+	d.ComplementInPlace()
+	check("ComplementInPlace", d, naiveOf(n, func(i, j int) bool { return !an[[2]int{i, j}] }))
+
+	d.CopyFrom(a)
+	d.RestrictInPlace(src, dst)
+	check("RestrictInPlace", d, naiveOf(n, func(i, j int) bool { return an[[2]int{i, j}] && inSrc[i] && inDst[j] }))
+
+	reflexive := false
+	for p := range an {
+		reflexive = reflexive || p[0] == p[1]
+	}
+	if a.Irreflexive() == reflexive {
+		t.Fatalf("n=%d: Irreflexive = %v, naive reference has a self-loop: %v", n, a.Irreflexive(), reflexive)
+	}
+	cyclic := false
+	for p := range plus {
+		cyclic = cyclic || p[0] == p[1]
+	}
+	var sc DFSScratch
+	if a.AcyclicScratch(&sc) == cyclic {
+		t.Fatalf("n=%d: AcyclicScratch = %v, naive closure has a self-loop: %v", n, a.AcyclicScratch(&sc), cyclic)
+	}
+}
+
+// randSet returns a random subset of the universe, each element kept with
+// probability one half.
+func randSet(rng *rand.Rand, n int) Set {
+	s := NewSet(n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			s.Add(i)
+		}
+	}
+	return s
+}
+
+func TestKernelsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range wordBoundarySizes {
+		// Sparse (acyclic-ish), around the percolation threshold, and dense.
+		for _, density := range []float64{0.5 / float64(max(n, 1)), 2 / float64(max(n, 1)), 0.3} {
+			for trial := 0; trial < 2; trial++ {
+				a, b := randomRel(rng, n, density), randomRel(rng, n, density)
+				checkKernelsNaive(t, a, b, randSet(rng, n), randSet(rng, n))
 			}
 		}
+	}
+}
 
-		d := New(n)
-		d.CopyFrom(a)
-		d.UnionInto(b)
-		check("UnionInto", d, a.Union(b))
-
-		d.CopyFrom(a)
-		d.InterInto(b)
-		check("InterInto", d, a.Inter(b))
-
-		d.CopyFrom(a)
-		d.DiffInto(b)
-		check("DiffInto", d, a.Diff(b))
-
-		d.SeqInto(a, b)
-		check("SeqInto", d, a.Seq(b))
-
-		d.SeqInto(a, a)
-		check("SeqInto aliased operands", d, a.Seq(a))
-
-		d.CopyFrom(a)
-		d.PlusInPlace()
-		check("PlusInPlace", d, a.Plus())
-
-		d.CopyFrom(a)
-		d.PlusInPlace()
-		d.UnionIdentity()
-		check("PlusInPlace+UnionIdentity", d, a.Star())
-
-		d.CopyFrom(a)
-		d.ComplementInPlace()
-		check("ComplementInPlace", d, a.Complement())
-
+// FuzzKernelsMatchNaive feeds fuzzer-chosen relations and sets to the same
+// differential. The universe size is size mod 130, so the fuzzer reaches
+// the one-, two- and three-word paths; pa and pb are byte pairs (i, j) and
+// sets is a byte stream of (src, dst) membership choices.
+func FuzzKernelsMatchNaive(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range wordBoundarySizes {
+		pairs := func() []byte {
+			buf := make([]byte, 2*(n+rng.Intn(2*n+1)))
+			rng.Read(buf)
+			return buf
+		}
+		sets := make([]byte, n)
+		rng.Read(sets)
+		f.Add(uint8(n), pairs(), pairs(), sets)
+	}
+	f.Fuzz(func(t *testing.T, size uint8, pa, pb, sets []byte) {
+		n := int(size) % 130
+		decode := func(enc []byte) Rel {
+			r := New(n)
+			for k := 0; n > 0 && k+1 < len(enc); k += 2 {
+				r.Add(int(enc[k])%n, int(enc[k+1])%n)
+			}
+			return r
+		}
 		src, dst := NewSet(n), NewSet(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
+		for i := 0; i < n && i < len(sets); i++ {
+			if sets[i]&1 != 0 {
 				src.Add(i)
 			}
-			if rng.Intn(2) == 0 {
+			if sets[i]&2 != 0 {
 				dst.Add(i)
 			}
 		}
-		d.CopyFrom(a)
-		d.RestrictInPlace(src, dst)
-		check("RestrictInPlace", d, a.Restrict(src, dst))
-
-		d.CopyFrom(a)
-		d.Clear()
-		check("Clear", d, New(n))
-
-		d.CopyFrom(b) // pre-dirty: InverseInto must fully overwrite
-		d.InverseInto(a)
-		check("InverseInto", d, a.Inverse())
-	}
+		checkKernelsNaive(t, decode(pa), decode(pb), src, dst)
+	})
 }
 
 func TestInverseIntoAliasPanics(t *testing.T) {
@@ -177,7 +262,7 @@ func TestAcyclicScratchMatchesAcyclic(t *testing.T) {
 	var sc DFSScratch
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(16)
-		r := randRel(rng, n, 0.15)
+		r := randomRel(rng, n, 0.15)
 		if r.AcyclicScratch(&sc) != r.Acyclic() {
 			t.Fatalf("trial %d: AcyclicScratch diverges from Acyclic", trial)
 		}

@@ -181,6 +181,18 @@ func (r Rel) SeqInto(a, b Rel) {
 	if len(r.bits) > 0 && (&r.bits[0] == &a.bits[0] || &r.bits[0] == &b.bits[0]) {
 		panic("rel: SeqInto destination aliases an operand")
 	}
+	if r.words == 1 {
+		// One word per row (n ≤ 64, every litmus universe): row i of a ; b
+		// is the OR of b's rows over the set bits of a's row i.
+		for i, word := range a.bits {
+			var acc uint64
+			for ; word != 0; word &= word - 1 {
+				acc |= b.bits[bits.TrailingZeros64(word)]
+			}
+			r.bits[i] = acc
+		}
+		return
+	}
 	r.Clear()
 	for i := 0; i < r.n; i++ {
 		src := a.row(i)
@@ -220,6 +232,21 @@ func (r Rel) InverseInto(s Rel) {
 
 // PlusInPlace replaces r with its transitive closure r⁺ (Floyd–Warshall).
 func (r Rel) PlusInPlace() {
+	if r.words == 1 {
+		rows := r.bits
+		for k, krow := range rows {
+			if krow == 0 {
+				continue // an empty pivot row adds nothing
+			}
+			bit := uint64(1) << uint(k)
+			for i, irow := range rows {
+				if irow&bit != 0 {
+					rows[i] = irow | krow
+				}
+			}
+		}
+		return
+	}
 	for k := 0; k < r.n; k++ {
 		krow := r.row(k)
 		bit := uint64(1) << (uint(k) % wordBits)
@@ -246,6 +273,12 @@ func (r Rel) ComplementInPlace() {
 // UnionIdentity adds the full diagonal (i,i) for every universe element,
 // turning r⁺ into r* and r into r? in place.
 func (r Rel) UnionIdentity() {
+	if r.words == 1 {
+		for i := range r.bits {
+			r.bits[i] |= 1 << uint(i)
+		}
+		return
+	}
 	for i := 0; i < r.n; i++ {
 		r.row(i)[i/wordBits] |= 1 << (uint(i) % wordBits)
 	}
@@ -256,6 +289,17 @@ func (r Rel) UnionIdentity() {
 func (r Rel) RestrictInPlace(src, dst Set) {
 	r.checkSet(src)
 	r.checkSet(dst)
+	if r.words == 1 {
+		s, d := src.bits[0], dst.bits[0]
+		for i := range r.bits {
+			if s&(1<<uint(i)) == 0 {
+				r.bits[i] = 0
+			} else {
+				r.bits[i] &= d
+			}
+		}
+		return
+	}
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
 		if !src.Has(i) {
@@ -285,116 +329,84 @@ func (r Rel) ForEachPair(f func(i, j int)) {
 	}
 }
 
+// The pure operators below return a fresh relation and leave their
+// operands untouched; each is a copy (or an empty relation) plus the
+// matching in-place kernel, so every algorithm is written once.
+
 // Union returns r ∪ s.
 func (r Rel) Union(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] |= s.bits[i]
-	}
+	out.UnionInto(s)
 	return out
 }
 
 // Inter returns r ∩ s.
 func (r Rel) Inter(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] &= s.bits[i]
-	}
+	out.InterInto(s)
 	return out
 }
 
 // Diff returns r \ s.
 func (r Rel) Diff(s Rel) Rel {
-	r.sameUniverse(s)
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] &^= s.bits[i]
-	}
+	out.DiffInto(s)
 	return out
 }
 
 // Complement returns the complement of r (including diagonal pairs).
 func (r Rel) Complement() Rel {
 	out := r.Clone()
-	for i := range out.bits {
-		out.bits[i] = ^out.bits[i]
-	}
-	out.trim()
+	out.ComplementInPlace()
 	return out
 }
 
 // Inverse returns r⁻¹, i.e. {(j,i) | (i,j) ∈ r}.
 func (r Rel) Inverse() Rel {
 	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				out.Add(w*wordBits+b, i)
-			}
-		}
-	}
+	out.InverseInto(r)
 	return out
 }
 
 // Seq returns the relational composition r ; s,
 // i.e. {(i,k) | ∃j. (i,j) ∈ r ∧ (j,k) ∈ s}.
 func (r Rel) Seq(s Rel) Rel {
-	r.sameUniverse(s)
 	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		src := r.row(i)
-		dst := out.row(i)
-		for w, word := range src {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				j := w*wordBits + b
-				mid := s.row(j)
-				for k := range dst {
-					dst[k] |= mid[k]
-				}
-			}
-		}
-	}
+	out.SeqInto(r, s)
 	return out
 }
 
-// Plus returns the transitive closure r⁺ (Floyd–Warshall over bitsets).
+// Plus returns the transitive closure r⁺.
 func (r Rel) Plus() Rel {
 	out := r.Clone()
-	for k := 0; k < out.n; k++ {
-		krow := out.row(k)
-		bit := uint64(1) << (uint(k) % wordBits)
-		w := k / wordBits
-		for i := 0; i < out.n; i++ {
-			irow := out.row(i)
-			if irow[w]&bit != 0 {
-				for x := range irow {
-					irow[x] |= krow[x]
-				}
-			}
-		}
-	}
+	out.PlusInPlace()
 	return out
 }
 
 // Star returns the reflexive-transitive closure r*.
 func (r Rel) Star() Rel {
-	return r.Plus().Union(Identity(r.n))
+	out := r.Plus()
+	out.UnionIdentity()
+	return out
 }
 
 // Opt returns r ∪ id, the reflexive closure ("r?" in cat).
 func (r Rel) Opt() Rel {
-	return r.Union(Identity(r.n))
+	out := r.Clone()
+	out.UnionIdentity()
+	return out
 }
 
 // Irreflexive reports whether no element is related to itself.
 func (r Rel) Irreflexive() bool {
+	if r.words == 1 {
+		for i, row := range r.bits {
+			if row&(1<<uint(i)) != 0 {
+				return false
+			}
+		}
+		return true
+	}
 	for i := 0; i < r.n; i++ {
 		if r.row(i)[i/wordBits]&(1<<(uint(i)%wordBits)) != 0 {
 			return false
@@ -451,7 +463,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 			continue
 		}
 		colour[start] = grey
-		stack = append(stack[:0], dfsFrame{start, 0, r.row(start)[0]})
+		stack = append(stack[:0], dfsFrame{start, 0, r.bits[start*r.words]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.bits == 0 {
@@ -461,7 +473,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 					stack = stack[:len(stack)-1]
 					continue
 				}
-				f.bits = r.row(f.node)[f.word]
+				f.bits = r.bits[f.node*r.words+f.word]
 				continue
 			}
 			b := bits.TrailingZeros64(f.bits)
@@ -485,7 +497,7 @@ func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []i
 				return true, witness
 			case white:
 				colour[next] = grey
-				stack = append(stack, dfsFrame{next, 0, r.row(next)[0]})
+				stack = append(stack, dfsFrame{next, 0, r.bits[next*r.words]})
 			}
 		}
 	}
@@ -588,33 +600,20 @@ func (r Rel) Succ(i int) []int {
 
 // RestrictDomain keeps only pairs whose source is in keep.
 func (r Rel) RestrictDomain(keep Set) Rel {
-	r.checkSet(keep)
-	out := New(r.n)
-	for i := 0; i < r.n; i++ {
-		if keep.Has(i) {
-			copy(out.row(i), r.row(i))
-		}
-	}
-	return out
+	return r.Restrict(keep, FullSet(r.n))
 }
 
 // RestrictRange keeps only pairs whose target is in keep.
 func (r Rel) RestrictRange(keep Set) Rel {
-	r.checkSet(keep)
-	out := r.Clone()
-	for i := 0; i < r.n; i++ {
-		row := out.row(i)
-		for w := range row {
-			row[w] &= keep.bits[w]
-		}
-	}
-	return out
+	return r.Restrict(FullSet(r.n), keep)
 }
 
 // Restrict keeps only pairs with source in src and target in dst;
 // this implements cat's set-restriction forms such as WR(r) and RM(r).
 func (r Rel) Restrict(src, dst Set) Rel {
-	return r.RestrictDomain(src).RestrictRange(dst)
+	out := r.Clone()
+	out.RestrictInPlace(src, dst)
+	return out
 }
 
 func (r Rel) checkSet(s Set) {

@@ -420,30 +420,42 @@ func (r Rel) toNaive() naiveRel {
 	return n
 }
 
+// succs indexes a naive relation by source, so the references below stay
+// quick enough for universes past two words.
+func (r naiveRel) succs() map[int][]int {
+	out := map[int][]int{}
+	for p := range r {
+		out[p[0]] = append(out[p[0]], p[1])
+	}
+	return out
+}
+
 func naiveSeq(a, b naiveRel) naiveRel {
 	out := naiveRel{}
+	bs := b.succs()
 	for pa := range a {
-		for pb := range b {
-			if pa[1] == pb[0] {
-				out[[2]int{pa[0], pb[1]}] = true
-			}
+		for _, k := range bs[pa[1]] {
+			out[[2]int{pa[0], k}] = true
 		}
 	}
 	return out
 }
 
+// naivePlus relates i to every element reachable from i in one or more
+// steps, by a breadth-first search from each source.
 func naivePlus(a naiveRel) naiveRel {
 	out := naiveRel{}
-	for p := range a {
-		out[p] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for p := range naiveSeq(out, out) {
-			if !out[p] {
-				out[p] = true
-				changed = true
+	as := a.succs()
+	for i := range as {
+		queue := append([]int(nil), as[i]...)
+		for len(queue) > 0 {
+			j := queue[0]
+			queue = queue[1:]
+			if out[[2]int{i, j}] {
+				continue
 			}
+			out[[2]int{i, j}] = true
+			queue = append(queue, as[j]...)
 		}
 	}
 	return out

@@ -251,3 +251,73 @@ func TestShardedCheckerPanicReachesCaller(t *testing.T) {
 		t.Fatalf("recovered %v, want the checker's panic", got)
 	}
 }
+
+// padPastOneWord inserts rows of register-only instructions at the top of
+// every thread of a PPC litmus source until its executions have more than
+// 64 events, so every relation row spans two words and the memory events
+// of later threads sit in the second word. Register events add no memory
+// accesses, so the candidate space is unchanged.
+func padPastOneWord(t *testing.T, src string) *exec.Program {
+	t.Helper()
+	threads := len(litmus.MustParse(src).Threads)
+	row := " " + strings.Repeat("li r30,0 | ", threads-1) + "li r30,0 ;\n"
+	header := strings.Index(src, " P0 ")
+	header += strings.Index(src[header:], "\n") + 1
+	for pad := row; ; pad += row {
+		p, err := exec.Compile(litmus.MustParse(src[:header] + pad + src[header:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+			n = c.X.N()
+			return false
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 64 {
+			return p
+		}
+	}
+}
+
+// TestMultiWordVerdict: catalogue verdicts padded past 64 events run the
+// multi-word relation kernels end to end. Compiled cat Power, the cat
+// interpreter and the native zoo model must each produce, at one worker
+// and at four, their own OutcomeJSON for the unpadded test, byte for
+// byte, and the three must agree with each other (up to the case of the
+// zoo's check names). iriw+syncs adds a shape whose forbidden candidate
+// fails a check, so failed_by is compared too.
+func TestMultiWordVerdict(t *testing.T) {
+	power, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkers := []sim.Checker{power, power.Interpreted(), models.Power}
+	for _, name := range []string{"mp+lwsync+addr-bigdetour-addr", "iriw+syncs"} {
+		e, ok := catalog.ByName(name)
+		if !ok {
+			t.Fatalf("catalogue has no %s", name)
+		}
+		small, err := exec.Compile(e.Test())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := padPastOneWord(t, e.Source)
+		ref := outcomeBytes(t, sim.Request{Program: small, Checker: power})
+		for _, m := range checkers {
+			want := outcomeBytes(t, sim.Request{Program: small, Checker: m})
+			if !bytes.EqualFold(want, ref) {
+				t.Errorf("%s: %s disagrees with compiled cat Power\nwant %s\ngot  %s", name, m.Name(), ref, want)
+			}
+			for _, workers := range []int{1, 4} {
+				got := outcomeBytes(t, sim.Request{Program: p, Checker: m, Options: sim.Options{Workers: workers}})
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s padded, %s workers=%d: outcome diverges from the unpadded test\nwant %s\ngot  %s",
+						name, m.Name(), workers, want, got)
+				}
+			}
+		}
+	}
+}
