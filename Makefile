@@ -1,7 +1,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 
-.PHONY: build test vet race bench fleet-bench chaos-smoke mine-smoke fleet-demo ci serve
+.PHONY: build test vet race bench chaos-smoke mine-smoke fleet-demo ci serve
 
 build:
 	$(GO) build ./...
@@ -40,13 +40,6 @@ bench:
 # minutes.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -count=1 -v -timeout 150s ./internal/fleet/
-
-# Stream a mixed warm/cold corpus through herd-gw at 1 and 3 in-process
-# nodes and record verdicts/sec (with cache-hit counts) in
-# BENCH_fleet.json. The nodes share the runner's cores, so read the
-# scaling against the recorded core count. Bounded well under a minute.
-fleet-bench:
-	GOMAXPROCS=$(NPROC) BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test -run 'TestBenchFleetJSON' -count=1 -v -timeout 300s ./internal/fleet/
 
 # The differential-mining acceptance test under the race detector: a
 # fixed-seed campaign sweeping 500+ generated tests across the smoke pair

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"herdcats/internal/cat"
+	"herdcats/internal/catalog"
 	"herdcats/internal/core"
 	"herdcats/internal/diy"
 	"herdcats/internal/events"
@@ -590,7 +591,11 @@ func min(a, b int) int {
 // interpreter (the old per-candidate path) and through the compiled
 // evaluator, plus the hand-written Power model through its arena evaluator.
 // The interpreted/compiled pair is the before/after of the allocation-storm
-// fix; their ratios are recorded alongside the raw rows.
+// fix; their ratios are recorded alongside the raw rows. co-heavy writes
+// and never reads, so a last row times compiled Power on the candidates
+// of a read-bearing catalogue shape, mp+lwsync+addr-bigdetour-addr.
+const readBearing = "mp+lwsync+addr-bigdetour-addr"
+
 func checkBenchRows(tb testing.TB, p *exec.Program) (rows []checkRow, speedup, allocRatio float64) {
 	tb.Helper()
 	xs := collectExecutions(tb, p)
@@ -616,6 +621,12 @@ func checkBenchRows(tb testing.TB, p *exec.Program) (rows []checkRow, speedup, a
 		ns, allocs, pause := checkBench(tb, xs, c.check)
 		rows = append(rows, checkRow{Checker: c.name, NsPerOp: ns, AllocsPerOp: allocs, GCPauseTotalNs: pause})
 	}
+	rb, ok := catalog.ByName(readBearing)
+	if !ok {
+		tb.Fatalf("catalogue has no %s", readBearing)
+	}
+	ns, allocs, pause := checkBench(tb, collectExecutions(tb, compileBench(tb, rb.Source)), compiled.NewEvaluator().Check)
+	rows = append(rows, checkRow{Checker: "cat:power:compiled:" + readBearing, NsPerOp: ns, AllocsPerOp: allocs, GCPauseTotalNs: pause})
 	interp, comp := rows[0], rows[1]
 	speedup = float64(interp.NsPerOp) / float64(comp.NsPerOp)
 	den := comp.AllocsPerOp

@@ -66,7 +66,7 @@ func TestCLI(t *testing.T) {
 				t.Errorf("missing model %s in: %s", m, out)
 			}
 		}
-		out = run(t, tools["herd"], "-cat", "testdata/cats/tso.cat", "testdata/litmus/sb.litmus")
+		out = run(t, tools["herd"], "-cat", "internal/cat/catfiles/tso.cat", "testdata/litmus/sb.litmus")
 		if !strings.Contains(out, "Allowed") {
 			t.Errorf("sb should be TSO-allowed: %s", out)
 		}

@@ -4,26 +4,31 @@ package cat
 // compile step that kills the per-candidate allocation storm of the AST
 // interpreter.
 //
-// The key observation: a cat binding's value depends on the candidate
-// execution only through the builtins it (transitively) references. The
-// builtins split in two classes. Static builtins — po, po-loc, id, the
-// dependency relations, every fence — are determined by the event skeleton
-// alone and are invariant across all rf/co choices the enumerator makes
-// over it. Dynamic builtins — rf, co and everything downstream (fr, com,
-// sw, the e/i splits) — change with every candidate. Compilation
-// partitions the model's bindings by this dataflow: static bindings (and
-// static checks, and static subexpressions of dynamic right-hand sides,
-// which are hoisted) are evaluated once per skeleton by the reference
-// interpreter into a slot table; the dynamic slice is lowered to a flat
-// instruction sequence over a small register file of rel.Rel buffers,
-// executed per candidate with the destructive kernels of internal/rel —
-// zero steady-state allocation.
+// A cat binding's value depends on the candidate execution only through
+// the builtins it (transitively) references, and evaluation runs in three
+// tiers by how often those change:
+//
+//   - Model-static: po, po-loc, id, the dependency relations and every
+//     fence are fixed by the event skeleton. Static bindings and checks,
+//     and the static subexpressions hoisted out of dynamic right-hand
+//     sides, are evaluated once per skeleton by the reference interpreter
+//     into a slot table.
+//   - Skeleton-static: rf, co and everything downstream (fr, com, sw, the
+//     e/i splits) vary per candidate, but the skeleton's events bound
+//     them from below and above. After a few candidates of a skeleton, one
+//     abstract run of the dynamic program over those bounds folds what
+//     they decide into constants and checks, leaving a residual program.
+//   - Per candidate: the dynamic slice — generic or residual — runs as a
+//     flat instruction sequence over a small register file of rel.Rel
+//     buffers, with the destructive kernels of internal/rel and zero
+//     steady-state allocation.
 //
 // The AST interpreter (cat.go) remains the reference implementation; the
 // equivalence suite asserts byte-identical outcomes between the two.
 
 import (
 	"fmt"
+	"slices"
 
 	"herdcats/internal/core"
 	"herdcats/internal/events"
@@ -90,15 +95,16 @@ func dynRel(x *events.Execution, tag uint8) rel.Rel {
 // --- Compiled form -------------------------------------------------------
 
 // operand addresses one input of a dynamic instruction: a register of the
-// evaluator's scratch file, a static slot (computed once per skeleton), or
-// a dynamic builtin fetched straight off the candidate execution. Static
-// and dynamic sources are read-only; only registers are ever written.
+// evaluator's scratch file, a static slot (computed once per skeleton), a
+// dynamic builtin fetched straight off the candidate execution, or a
+// residual program's skeleton constant. Only registers are ever written.
 type opndKind uint8
 
 const (
 	oReg opndKind = iota
 	oStatic
 	oDyn
+	oConst
 )
 
 type operand struct {
@@ -137,9 +143,12 @@ type cinstr struct {
 
 // fixGroup is one let-rec binding group: the registers holding the current
 // values and the shadow registers the convergence test compares against.
+// Its code is prog[start:end+1]: a cZero per member, then cSnapshot, body
+// and cLoop.
 type fixGroup struct {
-	regs    []int
-	shadows []int
+	regs       []int
+	shadows    []int
+	start, end int
 }
 
 // staticStep is one step of the per-skeleton static program, run by the
@@ -433,7 +442,7 @@ func (lw *lowerer) lowerDynamicLet(st sLet) error {
 		}
 		return nil
 	}
-	g := fixGroup{}
+	g := fixGroup{start: len(lw.c.prog)}
 	for _, b := range st.binds {
 		reg := lw.alloc()
 		g.regs = append(g.regs, reg)
@@ -442,7 +451,6 @@ func (lw *lowerer) lowerDynamicLet(st sLet) error {
 		lw.names[b.name] = binding{dynamic: true, reg: reg}
 	}
 	gi := len(lw.c.fixGroups)
-	lw.c.fixGroups = append(lw.c.fixGroups, g)
 	loopStart := len(lw.c.prog)
 	lw.emit(cinstr{op: cSnapshot, aux: gi})
 	for i, b := range st.binds {
@@ -455,7 +463,9 @@ func (lw *lowerer) lowerDynamicLet(st sLet) error {
 			lw.release(a.idx)
 		}
 	}
+	g.end = len(lw.c.prog)
 	lw.emit(cinstr{op: cLoop, aux: gi, aux2: loopStart})
+	lw.c.fixGroups = append(lw.c.fixGroups, g)
 	return nil
 }
 
@@ -607,12 +617,12 @@ func (lw *lowerer) owned(e expr) (operand, error) {
 
 // Evaluator executes a Compiled model over candidate executions. It caches
 // the static program's results per skeleton (the Base pointer candidates
-// of one expansion share) and reuses one register file of relation buffers
-// across every candidate, so steady-state checking allocates nothing. Not
-// safe for concurrent use — sim.Simulate holds one per search worker and
-// checks only that worker's shards with it, on the worker's goroutine;
-// sibling evaluators read the same skeletons concurrently but write only
-// their own buffers.
+// of one expansion share), specialises the dynamic program to a skeleton
+// after a few of its candidates, and reuses its relation buffers, so
+// steady-state checking allocates nothing. Not safe for concurrent use —
+// sim.Simulate holds one per search worker and checks only that worker's
+// shards with it, on the worker's goroutine; sibling evaluators read the
+// same skeletons concurrently but write only their own buffers.
 type Evaluator struct {
 	c      *Compiled
 	n      int
@@ -623,6 +633,8 @@ type Evaluator struct {
 	dOK    []bool
 	iters  []int
 	dfs    rel.DFSScratch
+	seen   int       // candidates of the bound skeleton checked so far
+	sp     *residual // allocated by the first specialisation
 }
 
 // Name returns the model's declared name.
@@ -645,7 +657,23 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 	if ev.base != base || ev.n != x.N() {
 		ev.bind(base, x.N())
 	}
-	ev.run(x)
+	if ev.seen == specGate {
+		if ev.sp == nil {
+			ev.sp = &residual{}
+		}
+		ev.sp.on = ev.specialise()
+	}
+	ev.seen++
+	if sp := ev.sp; sp != nil && sp.on && sp.covers(x) {
+		ev.run(x, sp.prog)
+		for i, d := range sp.decided {
+			if d {
+				ev.dOK[i] = sp.fixedOK[i]
+			}
+		}
+	} else {
+		ev.run(x, ev.c.prog)
+	}
 
 	var failed []string
 	for _, cr := range ev.c.checks {
@@ -679,12 +707,12 @@ func (ev *Evaluator) bind(base *events.Execution, n int) {
 		}
 	}
 	if len(ev.regs) != c.nRegs || ev.n != n {
-		ev.regs = make([]rel.Rel, c.nRegs)
-		for i := range ev.regs {
-			ev.regs[i] = rel.New(n)
-		}
+		ev.regs = rel.NewN(n, c.nRegs)
 	}
 	ev.base, ev.n = base, n
+	if ev.seen = 0; ev.sp != nil {
+		ev.sp.on = false
+	}
 }
 
 func applyCheck(kind checkKind, r rel.Rel, dfs *rel.DFSScratch) bool {
@@ -702,13 +730,15 @@ func applyCheck(kind checkKind, r rel.Rel, dfs *rel.DFSScratch) bool {
 }
 
 // fetch resolves an operand against the register file, the static slot
-// table, or the candidate execution.
+// table, the skeleton constants, or the candidate execution.
 func (ev *Evaluator) fetch(x *events.Execution, o operand) rel.Rel {
 	switch o.kind {
 	case oReg:
 		return ev.regs[o.idx]
 	case oStatic:
 		return ev.static[o.idx]
+	case oConst:
+		return ev.sp.consts[o.idx]
 	default:
 		return dynRel(x, uint8(o.idx))
 	}
@@ -726,14 +756,14 @@ func (ev *Evaluator) dirSet(x *events.Execution, d byte) rel.Set {
 	panic(fmt.Sprintf("cat: bad direction %c", d))
 }
 
-// run executes the dynamic instruction sequence for one candidate.
-func (ev *Evaluator) run(x *events.Execution) {
+// run executes the generic or a residual program for one candidate.
+func (ev *Evaluator) run(x *events.Execution, prog []cinstr) {
 	c := ev.c
 	for i := range ev.iters {
 		ev.iters[i] = 0
 	}
-	for pc := 0; pc < len(c.prog); pc++ {
-		in := &c.prog[pc]
+	for pc := 0; pc < len(prog); pc++ {
+		in := &prog[pc]
 		switch in.op {
 		case cZero:
 			ev.regs[in.dst].Clear()
@@ -781,6 +811,316 @@ func (ev *Evaluator) run(x *events.Execution) {
 			ev.dOK[in.aux] = applyCheck(
 				c.dChecks[in.aux].kind, ev.fetch(x, in.a), &ev.dfs)
 		}
+	}
+}
+
+// --- Per-skeleton specialisation -----------------------------------------
+
+// specialiseAfter is how many candidates of a skeleton an evaluator checks
+// with the generic program before it specialises the skeleton. On Power,
+// specialising costs about seven generic checks with a fresh evaluator
+// (three with warm buffers), and a residual check saves at most about four
+// fifths of one. Like a skier renting for as long as buying would cost,
+// the evaluator specialises only after that many candidates, so a small
+// skeleton never loses more than the specialisation costs. The ratio is
+// Power's; the smaller sc, tso, c11 and cpp-ra programs shrink less and
+// break even later (DESIGN.md §12).
+const specialiseAfter = 8
+
+// specGate is the threshold in force; tests lower it.
+var specGate = specialiseAfter
+
+// residual is an evaluator's specialisation of the dynamic program to its
+// bound skeleton, the tier between the model-static program and the
+// per-candidate run. The skeleton's events bound every candidate's rf and
+// co from below and above; one abstract run of the program over both
+// bounds finds the values and checks they decide, and the residual program
+// computes only the rest. Its buffers are kept while n is unchanged.
+type residual struct {
+	on bool // the residual program is built for the bound skeleton
+	n  int
+
+	rfLo, rfHi, coLo, coHi rel.Rel
+	lox, hix               events.Execution // the bounds, derived
+	arena                  rel.Arena
+	lo, hi                 []rel.Rel // the abstract register files
+	consts                 []rel.Rel // skeleton constants; the first nConst are in use
+	nConst                 int
+	prog                   []cinstr
+	decided, fixedOK       []bool // per dynamic check: fixed by the bounds, and how
+
+	// Build scratch: per instruction the constant its result folds to (or
+	// -1), per register its constant as a folded group's member, per group
+	// whether its bounds meet, and liveness.
+	constAt, member        []int
+	fold                   []bool
+	live, written, exposed []bool
+}
+
+// covers is the per-candidate guard: a residual program is exact only for
+// executions inside the bounds it was built from. Enumerated candidates
+// always are; a hand-built one outside them runs the generic program.
+func (sp *residual) covers(x *events.Execution) bool {
+	rf := x.MemRF()
+	return sp.rfLo.SubsetOf(rf) && rf.SubsetOf(sp.rfHi) &&
+		sp.coLo.SubsetOf(x.CO) && x.CO.SubsetOf(sp.coHi)
+}
+
+// bounds derives rf and co's bounds from the skeleton's events, matching
+// exec's enumeration: a read takes its value from a same-location,
+// same-value write (rf's lower bound holds the reads with one such write),
+// and a location's coherence order starts at its initial write and orders
+// the others every way. Everything derived from rf and co is monotone in
+// them, so deriving both bounds bounds fr, com, sw and the e/i splits.
+func (sp *residual) bounds(base *events.Execution) {
+	evs := base.Events
+	for _, r := range []rel.Rel{sp.rfLo, sp.rfHi, sp.coLo, sp.coHi} {
+		r.Clear()
+	}
+	for _, e := range evs {
+		feeds, last := 0, -1
+		for _, w := range evs {
+			if w.Kind != events.MemWrite || w.Loc != e.Loc || w.ID == e.ID {
+				continue
+			}
+			if e.Kind == events.MemRead && w.Val == e.Val {
+				sp.rfHi.Add(w.ID, e.ID)
+				feeds, last = feeds+1, w.ID
+			}
+			if e.Kind == events.MemWrite && !e.IsInit() {
+				sp.coHi.Add(w.ID, e.ID)
+				if w.IsInit() {
+					sp.coLo.Add(w.ID, e.ID)
+				}
+			}
+		}
+		if feeds == 1 {
+			sp.rfLo.Add(last, e.ID)
+		}
+	}
+	sp.lox.Events, sp.lox.RF, sp.lox.CO = evs, sp.rfLo, sp.coLo
+	sp.hix.Events, sp.hix.RF, sp.hix.CO = evs, sp.rfHi, sp.coHi
+	for _, x := range []*events.Execution{&sp.lox, &sp.hix} {
+		x.AdoptStatic(base)
+		x.DeriveDynamicInto(&sp.arena)
+	}
+}
+
+// constant records r as a skeleton constant and returns its index.
+func (sp *residual) constant(r rel.Rel) int {
+	sp.consts[sp.nConst].CopyFrom(r)
+	sp.nConst++
+	return sp.nConst - 1
+}
+
+// bound resolves an operand of the generic program in the lower (hi
+// false) or the upper abstract register file.
+func (sp *residual) bound(ev *Evaluator, o operand, hi bool) rel.Rel {
+	x, regs := &sp.lox, sp.lo
+	if hi {
+		x, regs = &sp.hix, sp.hi
+	}
+	switch o.kind {
+	case oStatic:
+		return ev.static[o.idx]
+	case oDyn:
+		return dynRel(x, uint8(o.idx))
+	}
+	return regs[o.idx]
+}
+
+// specialise builds the residual program of the bound skeleton. It
+// reports false when some let rec's abstract iteration does not converge:
+// the skeleton then keeps the generic program, which reports the
+// divergence of every candidate that diverges.
+func (ev *Evaluator) specialise() bool {
+	sp, c, n := ev.sp, ev.c, ev.n
+	if sp.n != n || sp.hi == nil {
+		b := rel.NewN(n, 4)
+		sp.n, sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = n, b[0], b[1], b[2], b[3]
+		sp.hi, sp.prog = rel.NewN(n, c.nRegs), make([]cinstr, 0, len(c.prog))
+		sp.consts = rel.NewN(n, len(c.prog)+c.nRegs) // a result per instruction, a value per member
+		sp.constAt, sp.fold, sp.member = make([]int, len(c.prog)), make([]bool, len(c.fixGroups)), make([]int, c.nRegs)
+		sp.decided, sp.fixedOK = make([]bool, len(c.dChecks)), make([]bool, len(c.dChecks))
+		sp.live, sp.written, sp.exposed = make([]bool, c.nRegs), make([]bool, c.nRegs), make([]bool, c.nRegs)
+	}
+	sp.lo = ev.regs // scratch between candidates
+	sp.bounds(ev.base)
+	if !sp.abstract(ev) {
+		return false
+	}
+	sp.build(ev.c)
+	return true
+}
+
+// abstract runs the generic program once over interval-valued registers,
+// lo and hi bounding a register's value for every candidate inside the rf
+// and co bounds. Every operator is monotone in each argument except the
+// right of \ and ~, which swap the bounds. A let rec group iterates until
+// both bounds are stable: by induction over the rounds they then bound
+// every round of the concrete iteration from ∅. The run records the
+// results, groups and checks the bounds decide.
+func (sp *residual) abstract(ev *Evaluator) bool {
+	c := ev.c
+	sp.nConst = 0
+	gi, iters := 0, 0
+	for pc := 0; pc < len(c.prog); pc++ {
+		in := &c.prog[pc]
+		sp.constAt[pc] = -1
+		switch in.op {
+		case cSnapshot:
+			g := &c.fixGroups[in.aux]
+			for k, r := range g.regs {
+				sp.lo[g.shadows[k]].CopyFrom(sp.lo[r])
+				sp.hi[g.shadows[k]].CopyFrom(sp.hi[r])
+			}
+		case cLoop:
+			g := &c.fixGroups[in.aux]
+			stable, meet := true, true
+			for k, r := range g.regs {
+				stable = stable && sp.lo[r].Equal(sp.lo[g.shadows[k]]) && sp.hi[r].Equal(sp.hi[g.shadows[k]])
+				meet = meet && sp.lo[r].Equal(sp.hi[r])
+			}
+			if !stable {
+				if iters++; iters > maxFixpointIters {
+					return false
+				}
+				pc = in.aux2 - 1
+				continue
+			}
+			iters, gi, sp.fold[in.aux] = 0, gi+1, meet
+			for _, r := range g.regs {
+				if meet { // a folded group's members are skeleton constants
+					sp.member[r] = sp.constant(sp.lo[r])
+				}
+			}
+		case cCheck:
+			// Every check kind is monotone or antitone in its relation, so
+			// bounds that agree decide it.
+			kind := c.dChecks[in.aux].kind
+			sp.fixedOK[in.aux] = applyCheck(kind, sp.bound(ev, in.a, false), &ev.dfs)
+			sp.decided[in.aux] = sp.fixedOK[in.aux] == applyCheck(kind, sp.bound(ev, in.a, true), &ev.dfs)
+		case cDiff:
+			sp.lo[in.dst].DiffInto(sp.bound(ev, in.a, true))
+			sp.hi[in.dst].DiffInto(sp.bound(ev, in.a, false))
+		default: // the concrete step on each file; sp.lo is ev.regs
+			ev.regs = sp.hi
+			ev.run(&sp.hix, c.prog[pc:pc+1])
+			ev.regs = sp.lo
+			ev.run(&sp.lox, c.prog[pc:pc+1])
+			if in.op == cCompl {
+				sp.lo[in.dst], sp.hi[in.dst] = sp.hi[in.dst], sp.lo[in.dst]
+			}
+		}
+		if d := in.dst; in.op < cSnapshot {
+			inGroup := gi < len(c.fixGroups) && pc >= c.fixGroups[gi].start
+			if !inGroup && sp.lo[d].Equal(sp.hi[d]) {
+				sp.constAt[pc] = sp.constant(sp.hi[d])
+			}
+		}
+	}
+	return true
+}
+
+// build emits the residual program in one backward pass over the generic
+// one, keeping an instruction only if a kept one further on reads its
+// result. A decided result becomes a copy of its skeleton constant, and a
+// decided check or folded group drops out. An open group is kept whole,
+// starting from ∅ as in the generic program, so a divergent one still
+// diverges.
+func (sp *residual) build(c *Compiled) {
+	out := sp.prog[:0]
+	clear(sp.live)
+	for gi, pc := len(c.fixGroups)-1, len(c.prog)-1; pc >= 0; pc-- {
+		in := c.prog[pc]
+		if gi >= 0 && pc == c.fixGroups[gi].end {
+			g := &c.fixGroups[gi]
+			if !sp.fold[gi] {
+				for q := g.end; q >= g.start+len(g.regs); q-- {
+					out = append(out, c.prog[q])
+				}
+				sp.groupLive(c, c.prog[g.start+len(g.regs):g.end+1])
+			}
+			for k := len(g.regs) - 1; k >= 0; k-- {
+				r := g.regs[k]
+				if !sp.fold[gi] {
+					out = append(out, cinstr{op: cZero, dst: r})
+				} else if sp.live[r] {
+					out = append(out, cinstr{op: cCopy, dst: r, a: operand{kind: oConst, idx: sp.member[r]}})
+				}
+				sp.live[r] = false
+			}
+			pc, gi = g.start, gi-1
+			continue
+		}
+		if in.op == cCheck && sp.decided[in.aux] || in.op != cCheck && !sp.live[in.dst] {
+			continue
+		}
+		if k := sp.constAt[pc]; k >= 0 {
+			in = cinstr{op: cCopy, dst: in.dst, a: operand{kind: oConst, idx: k}}
+		}
+		ua, ub, ud := reads(in.op)
+		if in.op != cCheck {
+			sp.live[in.dst] = ud
+		}
+		if ua && in.a.kind == oReg {
+			sp.live[in.a.idx] = true
+		}
+		if ub && in.b.kind == oReg {
+			sp.live[in.b.idx] = true
+		}
+		out = append(out, in)
+	}
+	slices.Reverse(out)
+	for i := range out {
+		if out[i].op == cLoop { // re-point the loop at its group's snapshot
+			for out[i].aux2 = i; out[out[i].aux2].op != cSnapshot; out[i].aux2-- {
+			}
+		}
+	}
+	sp.prog = out
+}
+
+// reads reports which operands an instruction reads: a, b, and its own
+// destination (the in-place operators). It relies on the opcode order.
+func reads(op cop) (a, b, dst bool) {
+	return op >= cCopy && op <= cSeq || op == cCheck, op == cSeq,
+		op >= cUnion && op <= cDiff || op >= cPlus && op <= cRestrict
+}
+
+// groupLive carries liveness back over a group's snapshot, body and loop.
+// Each of them runs at least once, so a register they write is dead
+// before them unless they read it first.
+func (sp *residual) groupLive(c *Compiled, code []cinstr) {
+	clear(sp.written)
+	clear(sp.exposed)
+	use := func(r int) { sp.exposed[r] = sp.exposed[r] || !sp.written[r] }
+	for _, in := range code {
+		if in.op == cSnapshot || in.op == cLoop {
+			g := &c.fixGroups[in.aux]
+			for k, r := range g.regs {
+				use(r)
+				if in.op == cLoop {
+					use(g.shadows[k])
+				}
+				sp.written[g.shadows[k]] = true
+			}
+			continue
+		}
+		ua, ub, ud := reads(in.op)
+		if ua && in.a.kind == oReg {
+			use(in.a.idx)
+		}
+		if ub && in.b.kind == oReg {
+			use(in.b.idx)
+		}
+		if ud {
+			use(in.dst)
+		}
+		sp.written[in.dst] = true
+	}
+	for r := range sp.live {
+		sp.live[r] = sp.live[r] && !sp.written[r] || sp.exposed[r]
 	}
 }
 

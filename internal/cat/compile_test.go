@@ -5,11 +5,15 @@ package cat_test
 // be observationally identical — byte-identical simulation outcomes over
 // the litmus corpus for every embedded model, identical per-candidate
 // verdicts for randomly generated programs, and identical (error, not
-// panic) behaviour on models that fail to evaluate.
+// panic) behaviour on models that fail to evaluate. Each runs twice: at
+// the production specialisation threshold, and with every skeleton
+// specialised from its first candidate, so the residual programs are
+// pinned to the interpreter too.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,13 +27,19 @@ import (
 	"herdcats/internal/sim"
 )
 
-// corpusTests parses every litmus file in testdata/litmus.
+// corpusTests parses every litmus file in testdata/litmus, and the copies
+// in testdata/padded whose executions span two words.
 func corpusTests(t *testing.T) []*litmus.Test {
 	t.Helper()
 	paths, err := filepath.Glob("../../testdata/litmus/*.litmus")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no litmus corpus: %v", err)
 	}
+	padded, err := filepath.Glob("../../testdata/padded/*.litmus")
+	if err != nil || len(padded) == 0 {
+		t.Fatalf("no padded corpus: %v", err)
+	}
+	paths = append(paths, padded...)
 	var tests []*litmus.Test
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
@@ -40,9 +50,25 @@ func corpusTests(t *testing.T) []*litmus.Test {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
+		if filepath.Base(filepath.Dir(p)) == "padded" {
+			tst.Name += " (padded)"
+		}
 		tests = append(tests, tst)
 	}
 	return tests
+}
+
+// specGates are the two thresholds the differentials run at: production
+// (few skeletons are specialised) and eager (every skeleton is).
+var specGates = []struct {
+	name  string
+	after int
+}{{"production", cat.ProductionSpecialiseAfter}, {"eager", 0}}
+
+// atGate runs f with the specialisation threshold set to after.
+func atGate(after int, f func()) {
+	defer cat.SpecialiseAfter(after)()
+	f()
 }
 
 func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker, workers int) []byte {
@@ -65,7 +91,9 @@ func outcomeBytes(t *testing.T, p *exec.Program, checker sim.Checker, workers in
 // TestCompiledEquivalenceZoo: for every embedded cat model and every corpus
 // test, the compiled evaluator's simulation outcome is byte-identical to
 // the interpreter's, at 1 and 4 workers (the candidate stream itself is
-// worker-count-invariant, so this pins the whole pipeline).
+// worker-count-invariant, so this pins the whole pipeline), at both
+// specialisation thresholds. The padded copies run the multi-word
+// kernels through residual programs too.
 func TestCompiledEquivalenceZoo(t *testing.T) {
 	tests := corpusTests(t)
 	for _, name := range cat.BuiltinNames() {
@@ -83,12 +111,16 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 					t.Fatalf("%s: %v", tst.Name, err)
 				}
 				want := outcomeBytes(t, p, m.Interpreted(), 1)
-				for _, workers := range []int{1, 4} {
-					got := outcomeBytes(t, p, m, workers)
-					if string(got) != string(want) {
-						t.Errorf("%s @%d workers: compiled outcome diverges\n got %s\nwant %s",
-							tst.Name, workers, got, want)
-					}
+				for _, g := range specGates {
+					atGate(g.after, func() {
+						for _, workers := range []int{1, 4} {
+							got := outcomeBytes(t, p, m, workers)
+							if string(got) != string(want) {
+								t.Errorf("%s @%d workers, %s: compiled outcome diverges\n got %s\nwant %s",
+									tst.Name, workers, g.name, got, want)
+							}
+						}
+					})
 				}
 			}
 		})
@@ -99,6 +131,15 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 // static and dynamic bindings, recursive groups, shadowing, every operator,
 // hoistable static subexpressions, and checks of every kind.
 func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
+	t.Helper()
+	return randModelWith(t, rng, false)
+}
+
+// randModelWith is randModel; when rich, expressions also complement, and
+// recursive groups are more frequent and half of them place their members
+// under ~ or on the right of \, so they are not monotone and may not
+// converge.
+func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
 	t.Helper()
 	staticAtoms := []string{"po", "po-loc", "id", "addr", "data", "ctrl", "sync", "lwsync", "dmb", "0"}
 	dynAtoms := []string{"rf", "rfe", "rfi", "co", "coe", "fr", "fre", "com", "sw"}
@@ -119,7 +160,11 @@ func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
 		if depth <= 0 {
 			return atom()
 		}
-		switch rng.Intn(8) {
+		ops := 8
+		if rich {
+			ops = 9
+		}
+		switch rng.Intn(ops) {
 		case 0:
 			return "(" + genExpr(depth-1) + " | " + genExpr(depth-1) + ")"
 		case 1:
@@ -135,6 +180,8 @@ func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
 		case 6:
 			dirs := []string{"RR", "RW", "WR", "WW", "WM", "MM"}
 			return dirs[rng.Intn(len(dirs))] + "(" + genExpr(depth-1) + ")"
+		case 8:
+			return "~(" + genExpr(depth-1) + ")"
 		default:
 			return atom()
 		}
@@ -144,12 +191,17 @@ func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
 	nLets := 2 + rng.Intn(4)
 	for i := 0; i < nLets; i++ {
 		name := string(rune('a' + i))
-		if rng.Intn(4) == 0 {
-			// A recursive group; keep the bodies union-shaped so the
-			// fixpoint is monotone and converges.
+		if rng.Intn(4) == 0 || rich && rng.Intn(2) == 0 {
+			// A recursive group; unless rich, keep the bodies
+			// union-shaped so the fixpoint is monotone and converges.
 			peer := name + "x"
-			b.WriteString("let rec " + name + " = (" + genExpr(1) + " | (" + name + " ; " + name + ") | " + peer + ")")
-			b.WriteString(" and " + peer + " = (" + genExpr(1) + " | " + name + ")\n")
+			if rich && rng.Intn(2) == 0 {
+				b.WriteString("let rec " + name + " = ((" + genExpr(1) + " \\ " + peer + ") | (" + name + " ; " + name + "))")
+				b.WriteString(" and " + peer + " = ((" + genExpr(1) + " & ~" + name + ") | " + genExpr(1) + ")\n")
+			} else {
+				b.WriteString("let rec " + name + " = (" + genExpr(1) + " | (" + name + " ; " + name + ") | " + peer + ")")
+				b.WriteString(" and " + peer + " = (" + genExpr(1) + " | " + name + ")\n")
+			}
 			defined = append(defined, name, peer)
 		} else {
 			b.WriteString("let " + name + " = " + genExpr(2) + "\n")
@@ -188,27 +240,36 @@ func TestCompiledEquivalenceRandom(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		m := randModel(t, rng)
-		c, err := m.Compiled()
-		if err != nil {
-			t.Fatalf("program %d: compile: %v", i, err)
+		for _, g := range specGates {
+			atGate(g.after, func() { sameVerdicts(t, m, progs[i%len(progs)], fmt.Sprintf("program %d, %s", i, g.name)) })
 		}
-		ev := c.NewEvaluator()
-		p := progs[i%len(progs)]
-		err = p.Search(context.Background(), exec.Request{}, func(cd *exec.Candidate) bool {
-			want := m.Check(cd.X)
-			got := ev.Check(cd.X)
-			if (want.Err != nil) != (got.Err != nil) {
-				t.Fatalf("program %d: error divergence: interp=%v compiled=%v", i, want.Err, got.Err)
-			}
-			if want.Valid != got.Valid ||
-				strings.Join(want.FailedChecks, ",") != strings.Join(got.FailedChecks, ",") {
-				t.Fatalf("program %d: verdict divergence: interp=%+v compiled=%+v", i, want, got)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// sameVerdicts checks every candidate of p with the interpreter and with
+// one compiled evaluator, and fails on any difference in verdict, failed
+// checks or error-ness.
+func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
+	t.Helper()
+	c, err := m.Compiled()
+	if err != nil {
+		t.Fatalf("%s: compile: %v", what, err)
+	}
+	ev := c.NewEvaluator()
+	err = p.Search(context.Background(), exec.Request{}, func(cd *exec.Candidate) bool {
+		want := m.Check(cd.X)
+		got := ev.Check(cd.X)
+		if (want.Err != nil) != (got.Err != nil) {
+			t.Fatalf("%s: error divergence: interp=%v compiled=%v", what, want.Err, got.Err)
 		}
+		if want.Valid != got.Valid ||
+			strings.Join(want.FailedChecks, ",") != strings.Join(got.FailedChecks, ",") {
+			t.Fatalf("%s: verdict divergence: interp=%+v compiled=%+v", what, want, got)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -216,7 +277,8 @@ func TestCompiledEquivalenceRandom(t *testing.T) {
 // as an error from Check (interpreted and compiled) and from Simulate —
 // never as a panic escaping into the caller's goroutine. This is the
 // regression test for cat evaluation panics leaking into herdd request
-// handlers.
+// handlers. A specialising evaluator finds the group's abstract iteration
+// divergent too, and keeps the generic program.
 func TestNonConvergenceIsError(t *testing.T) {
 	// ~bad & rf oscillates between ∅ and rf on any candidate with a
 	// non-empty rf: complement is not monotone, so Kleene iteration never
@@ -225,6 +287,13 @@ func TestNonConvergenceIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, g := range specGates {
+		atGate(g.after, func() { nonConvergence(t, m) })
+	}
+}
+
+func nonConvergence(t *testing.T, m *cat.Model) {
+	t.Helper()
 	e, _ := catalog.ByName("mp")
 	p, err := exec.Compile(e.Test())
 	if err != nil {

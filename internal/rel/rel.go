@@ -40,6 +40,22 @@ func New(n int) Rel {
 	return Rel{n: n, words: w, bits: make([]uint64, n*w)}
 }
 
+// NewN returns k empty relations over n elements carved from one
+// allocation, for callers that size a whole register file at once.
+func NewN(n, k int) []Rel {
+	if n < 0 {
+		panic("rel: negative universe size")
+	}
+	w := max((n+wordBits-1)/wordBits, 1)
+	size := n * w
+	bits := make([]uint64, size*k)
+	rs := make([]Rel, k)
+	for i := range rs {
+		rs[i] = Rel{n: n, words: w, bits: bits[i*size : (i+1)*size : (i+1)*size]}
+	}
+	return rs
+}
+
 // FromPairs builds a relation over n elements containing the given pairs.
 func FromPairs(n int, pairs [][2]int) Rel {
 	r := New(n)

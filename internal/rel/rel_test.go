@@ -29,6 +29,27 @@ func TestAddHasRemove(t *testing.T) {
 	}
 }
 
+// TestNewNIndependent: the relations NewN carves from one allocation are
+// empty, sized, and share no bits — filling one leaves its neighbours
+// empty, at one word per row and at several.
+func TestNewNIndependent(t *testing.T) {
+	for _, n := range []int{0, 5, 64, 65} {
+		rs := NewN(n, 3)
+		if len(rs) != 3 {
+			t.Fatalf("n=%d: %d relations, want 3", n, len(rs))
+		}
+		for _, r := range rs {
+			if r.N() != n || !r.IsEmpty() {
+				t.Fatalf("n=%d: got universe %d, empty %v", n, r.N(), r.IsEmpty())
+			}
+		}
+		rs[1].CopyFrom(Full(n))
+		if !rs[0].IsEmpty() || !rs[2].IsEmpty() || !rs[1].Equal(Full(n)) {
+			t.Fatalf("n=%d: filling one relation changed its neighbours", n)
+		}
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

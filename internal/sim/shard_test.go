@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -252,34 +254,31 @@ func TestShardedCheckerPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// padPastOneWord inserts rows of register-only instructions at the top of
-// every thread of a PPC litmus source until its executions have more than
-// 64 events, so every relation row spans two words and the memory events
-// of later threads sit in the second word. Register events add no memory
-// accesses, so the candidate space is unchanged.
-func padPastOneWord(t *testing.T, src string) *exec.Program {
+// padded compiles testdata/padded's copy of a catalogue test, whose
+// register-only rows push its executions past 64 events, so every
+// relation row spans two words and the memory events of later threads sit
+// in the second word.
+func padded(t *testing.T, name string) *exec.Program {
 	t.Helper()
-	threads := len(litmus.MustParse(src).Threads)
-	row := " " + strings.Repeat("li r30,0 | ", threads-1) + "li r30,0 ;\n"
-	header := strings.Index(src, " P0 ")
-	header += strings.Index(src[header:], "\n") + 1
-	for pad := row; ; pad += row {
-		p, err := exec.Compile(litmus.MustParse(src[:header] + pad + src[header:]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-			n = c.X.N()
-			return false
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 64 {
-			return p
-		}
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "padded", name+".litmus"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	p, err := exec.Compile(litmus.MustParse(string(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+		n = c.X.N()
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n <= 64 {
+		t.Fatalf("%s padded: %d events, want more than 64", name, n)
+	}
+	return p
 }
 
 // TestMultiWordVerdict: catalogue verdicts padded past 64 events run the
@@ -304,7 +303,7 @@ func TestMultiWordVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := padPastOneWord(t, e.Source)
+		p := padded(t, name)
 		ref := outcomeBytes(t, sim.Request{Program: small, Checker: power})
 		for _, m := range checkers {
 			want := outcomeBytes(t, sim.Request{Program: small, Checker: m})
