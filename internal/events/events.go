@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"herdcats/internal/rel"
@@ -219,16 +220,18 @@ type Execution struct {
 	dynN int
 }
 
-// NewExecution returns an execution shell over n events with empty relations.
+// NewExecution returns an execution shell over n events with empty
+// relations, all seven carved from one allocation.
 func NewExecution(n int) *Execution {
+	r := rel.NewN(n, 7)
 	return &Execution{
-		PO:       rel.New(n),
-		IICO:     rel.New(n),
-		IICOAddr: rel.New(n),
-		IICOData: rel.New(n),
-		RFReg:    rel.New(n),
-		RF:       rel.New(n),
-		CO:       rel.New(n),
+		PO:       r[0],
+		IICO:     r[1],
+		IICOAddr: r[2],
+		IICOData: r[3],
+		RFReg:    r[4],
+		RF:       r[5],
+		CO:       r[6],
 	}
 }
 
@@ -258,90 +261,100 @@ func (x *Execution) Derive() {
 // It is invariant across every rf/co assignment over the same skeleton, so
 // the enumerator runs it once per skeleton and shares the result into each
 // candidate with AdoptStatic.
+//
+// Every set is carved from one allocation and every relation from another,
+// filled by the in-place rel kernels; intermediate relations come from a
+// third, dropped on return. The buffers belong to this execution alone.
 func (x *Execution) DeriveStatic() {
 	n := x.N()
-	x.All = rel.FullSet(n)
-	x.R = rel.NewSet(n)
-	x.W = rel.NewSet(n)
-	x.B = rel.NewSet(n)
-	x.RegEvents = rel.NewSet(n)
-	fenceEvents := map[FenceKind][]int{}
-	tidSets := map[int]rel.Set{}
+	// The threads (the init pseudo-thread included) and fence flavours
+	// present, so the set and relation counts are known up front.
+	tids := make([]int, 0, 8)
+	kinds := make([]FenceKind, 0, 4)
 	for _, e := range x.Events {
+		if !slices.Contains(tids, e.Tid) {
+			tids = append(tids, e.Tid)
+		}
+		if e.Kind == Fence && !slices.Contains(kinds, e.Fence) {
+			kinds = append(kinds, e.Fence)
+		}
+	}
+
+	sets := rel.NewSets(n, 6+len(tids)+len(kinds))
+	x.All, x.R, x.W, x.M, x.B, x.RegEvents = sets[0], sets[1], sets[2], sets[3], sets[4], sets[5]
+	tidSets, fenceSets := sets[6:6+len(tids)], sets[6+len(tids):]
+	for _, e := range x.Events {
+		x.All.Add(e.ID)
 		switch e.Kind {
 		case MemRead:
 			x.R.Add(e.ID)
+			x.M.Add(e.ID)
 		case MemWrite:
 			x.W.Add(e.ID)
+			x.M.Add(e.ID)
 		case RegRead, RegWrite:
 			x.RegEvents.Add(e.ID)
 		case Branch:
 			x.B.Add(e.ID)
 		case Fence:
-			fenceEvents[e.Fence] = append(fenceEvents[e.Fence], e.ID)
+			fenceSets[slices.Index(kinds, e.Fence)].Add(e.ID)
 		}
-		s, ok := tidSets[e.Tid]
-		if !ok {
-			s = rel.NewSet(n)
-			tidSets[e.Tid] = s
-		}
-		s.Add(e.ID)
+		tidSets[slices.Index(tids, e.Tid)].Add(e.ID)
 	}
-	x.M = x.R.Union(x.W)
+
+	rels := rel.NewN(n, 9+len(kinds))
+	x.POLoc, x.IntraThread, x.Addr, x.Data, x.Ctrl = rels[0], rels[1], rels[2], rels[3], rels[4]
+	x.CtrlCfence = map[FenceKind]rel.Rel{FenceIsync: rels[5], FenceISB: rels[6]}
+	x.emptyRel, x.hasEmptyRel = rels[7], true
+	x.ctrlCfenceAll = rels[8]
+	scratch := rel.NewN(n, 5)
 
 	// po-loc: same-location memory pairs in program order.
-	x.POLoc = rel.New(n)
-	for _, p := range x.PO.Restrict(x.M, x.M).Pairs() {
-		if x.Events[p[0]].Loc == x.Events[p[1]].Loc {
-			x.POLoc.Add(p[0], p[1])
+	for i, a := range x.Events {
+		if !a.IsMem() {
+			continue
+		}
+		for j, b := range x.Events {
+			if b.IsMem() && a.Loc == b.Loc && x.PO.Has(i, j) {
+				x.POLoc.Add(i, j)
+			}
 		}
 	}
 
 	// Same-thread pairs, one block per thread (the init pseudo-thread
 	// included): the mask DeriveDynamic splits rf/co/fr against, replacing
 	// a per-candidate walk over their pair lists.
-	x.IntraThread = rel.New(n)
 	for _, s := range tidSets {
-		x.IntraThread.UnionInto(rel.Cross(s, s))
+		x.IntraThread.UnionCross(s, s)
 	}
 
 	// Fence relations: memory pairs (e1,e2) with a fence of the given kind
-	// in between in program order.
-	x.FenceRel = map[FenceKind]rel.Rel{}
-	for kind, evs := range fenceEvents {
-		fr := rel.New(n)
-		for _, f := range evs {
-			before := rel.NewSet(n)
-			after := rel.NewSet(n)
-			for m := 0; m < n; m++ {
-				if !x.M.Has(m) {
-					continue
-				}
-				if x.PO.Has(m, f) {
-					before.Add(m)
-				}
-				if x.PO.Has(f, m) {
-					after.Add(m)
-				}
-			}
-			fr.UnionInto(rel.Cross(before, after))
-		}
+	// in between in program order, i.e. po|M×F ; po|F×M over that kind's
+	// fence events F.
+	x.FenceRel = make(map[FenceKind]rel.Rel, len(kinds))
+	for i, kind := range kinds {
+		fr := rels[9+i]
+		fr.SeqInto(poRestrict(scratch[0], x.PO, x.M, fenceSets[i]), poRestrict(scratch[1], x.PO, fenceSets[i], x.M))
 		x.FenceRel[kind] = fr
 	}
 
-	x.deriveDependencies()
+	x.deriveDependencies(scratch, kinds, fenceSets)
 
-	// Shared read-only singletons: the empty relation handed out by
-	// accessor misses, and the union of ctrl+cfence over all flavours.
-	// Both are static per skeleton, so hot per-candidate callers (model
-	// fence lookups) stop allocating on every miss.
-	x.emptyRel = rel.New(n)
-	x.hasEmptyRel = true
-	x.ctrlCfenceAll = rel.New(n)
+	// The union of ctrl+cfence over all flavours, cached for
+	// CtrlCfenceAll; like the shared empty relation behind Fences misses,
+	// it is static per skeleton, so hot per-candidate callers (model fence
+	// lookups) stop allocating.
 	for _, r := range x.CtrlCfence {
 		x.ctrlCfenceAll.UnionInto(r)
 	}
 	x.hasCtrlCfenceAll = true
+}
+
+// poRestrict overwrites dst with po restricted to src × tgt and returns it.
+func poRestrict(dst, po rel.Rel, src, tgt rel.Set) rel.Rel {
+	dst.CopyFrom(po)
+	dst.RestrictInPlace(src, tgt)
+	return dst
 }
 
 // AdoptStatic shares base's static derived state — sets, po-loc,
@@ -457,51 +470,49 @@ func (x *Execution) splitInto(external, internal, r rel.Rel) {
 // deriveDependencies computes addr, data, ctrl and ctrl+cfence per Fig. 22:
 // each is a register data-flow chain dd-reg = (rf-reg ∪ iico)+ starting at a
 // memory read, never passing through a memory access, and classified by the
-// port its last edge enters (address port, value port, or a branch).
-func (x *Execution) deriveDependencies() {
-	n := x.N()
-	g := x.RFReg.Union(x.IICO)
+// port its last edge enters (address port, value port, or a branch). The
+// outputs must already be allocated (DeriveStatic does); scratch holds
+// five relations to work in, and fenceSets[i] the fence events of flavour
+// kinds[i].
+func (x *Execution) deriveDependencies(scratch []rel.Rel, kinds []FenceKind, fenceSets []rel.Set) {
+	g, chains, intoBranch, t1, t2 := scratch[0], scratch[1], scratch[2], scratch[3], scratch[4]
+	g.CopyFrom(x.RFReg)
+	g.UnionInto(x.IICO)
 	// Chains whose intermediate nodes are register events: an edge may start
-	// anywhere but must end at a register event to be continued.
-	toReg := g.RestrictRange(x.RegEvents)
-	chains := toReg.Plus().Union(toReg) // paths a → reg-event
-	// dd-reg from a memory read r to a final edge target t:
-	// either a single edge r→t, or r →(chains)→ q →(g)→ t.
-	dd := g.Union(chains.Seq(g))
+	// anywhere but must end at a register event to be continued. The
+	// closure contains its one-step paths, so it is every path a → reg-event.
+	chains.CopyFrom(g)
+	chains.RestrictInPlace(x.All, x.RegEvents)
+	chains.PlusInPlace()
 
 	// addr/data are dd-reg chains whose final edge enters the target through
 	// the address (resp. value) port.
-	x.Addr = chains.Seq(x.IICOAddr).Restrict(x.R, x.M)
-	x.Data = chains.Seq(x.IICOData).Restrict(x.R, x.W)
+	x.Addr.SeqInto(chains, x.IICOAddr)
+	x.Addr.RestrictInPlace(x.R, x.M)
+	x.Data.SeqInto(chains, x.IICOData)
+	x.Data.RestrictInPlace(x.R, x.W)
 
-	// ctrl: dd-reg into a branch event, then po to a later memory event.
-	intoBranch := dd.Restrict(x.R, x.B)
-	x.Ctrl = intoBranch.Seq(x.PO).Restrict(x.R, x.M)
+	// dd-reg from a memory read r to a final edge target t: either a single
+	// edge r→t, or r →(chains)→ q →(g)→ t. ctrl: dd-reg into a branch
+	// event, then po to a later memory event.
+	intoBranch.SeqInto(chains, g)
+	intoBranch.UnionInto(g)
+	intoBranch.RestrictInPlace(x.R, x.B)
+	x.Ctrl.SeqInto(intoBranch, x.PO)
+	x.Ctrl.RestrictInPlace(x.R, x.M)
 
 	// ctrl+cfence: dd-reg into a branch b, a control fence f po-after b,
-	// memory events po-after f. Computed per control-fence flavour.
-	x.CtrlCfence = map[FenceKind]rel.Rel{}
-	for _, kind := range []FenceKind{FenceIsync, FenceISB} {
-		out := rel.New(n)
-		for _, e := range x.Events {
-			if e.Kind != Fence || e.Fence != kind {
-				continue
-			}
-			// branch → fence → memory access
-			branchBefore := rel.NewSet(n)
-			memAfter := rel.NewSet(n)
-			for m := 0; m < n; m++ {
-				if x.B.Has(m) && x.PO.Has(m, e.ID) {
-					branchBefore.Add(m)
-				}
-				if x.M.Has(m) && x.PO.Has(e.ID, m) {
-					memAfter.Add(m)
-				}
-			}
-			step := rel.Cross(branchBefore, memAfter)
-			out = out.Union(intoBranch.Seq(step))
+	// memory events po-after f. Computed per control-fence flavour, as
+	// dd-reg ; po|B×F ; po|F×M over that flavour's fence events F.
+	for kind, out := range x.CtrlCfence {
+		i := slices.Index(kinds, kind)
+		if i < 0 {
+			continue // no such fence: the relation stays empty
 		}
-		x.CtrlCfence[kind] = out.Restrict(x.R, x.M)
+		step := g // g is spent
+		step.SeqInto(poRestrict(t1, x.PO, x.B, fenceSets[i]), poRestrict(t2, x.PO, fenceSets[i], x.M))
+		out.SeqInto(intoBranch, step)
+		out.RestrictInPlace(x.R, x.M)
 	}
 }
 

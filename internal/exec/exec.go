@@ -14,6 +14,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"herdcats/internal/events"
@@ -79,6 +80,13 @@ type Program struct {
 	locs    []string       // sorted location names
 	locIdx  map[string]int // name -> index
 	domain  []int          // read-value domain
+
+	// initVals holds each location's encoded initial value, in locs
+	// order, encoded once here rather than once per trace combination.
+	// initErr is the first encoding failure; it surfaces from the search,
+	// where encoding the initial writes used to fail.
+	initVals []int
+	initErr  error
 }
 
 // Compile parses the threads of a test and prepares the value domain.
@@ -93,6 +101,15 @@ func Compile(t *litmus.Test) (*Program, error) {
 			return nil, fmt.Errorf("exec: thread %d: %v", tid, err)
 		}
 		p.Threads = append(p.Threads, instrs)
+	}
+	p.initVals = make([]int, len(p.locs))
+	for i, loc := range p.locs {
+		v, err := p.encode(t.MemInit[loc])
+		if err != nil {
+			p.initErr = err
+			break
+		}
+		p.initVals[i] = v
 	}
 	p.domain = p.valueDomain()
 	for _, v := range p.domain {
@@ -253,7 +270,8 @@ func keys(m map[int]bool) []int {
 // Trace is one control-flow semantics of a single thread (Sec. 3): its
 // events with thread-local IDs, the builder's edge lists, and the final
 // register file. Values are concrete; the enumeration over traces is the
-// enumeration over read-value assignments.
+// enumeration over read-value assignments. A trace owns its slices and
+// map: nothing else writes them once ThreadTraces returns.
 type Trace struct {
 	Events    []events.Event
 	IICO      [][2]int
@@ -261,6 +279,19 @@ type Trace struct {
 	IICOData  [][2]int
 	RFReg     [][2]int
 	FinalRegs map[string]int
+
+	mem  []access // memory events, in event order
+	open []access // reads that neither an initial write nor this trace's writes can feed
+}
+
+// access is one memory event of a trace, its location as an index into
+// Program.locs: what the feasibility pre-check and the skeleton's
+// per-location lists read instead of the event's location name.
+type access struct {
+	ev    int // trace-local event ID
+	loc   int
+	val   int
+	write bool
 }
 
 // ThreadTraces enumerates the traces of one thread over the value domain.
@@ -272,7 +303,8 @@ func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
 // threadTraces is ThreadTraces under a search: the recursion polls the
 // search's cancellation state, and MaxTracesPerThread truncates the result
 // (reported via the second return, not an error — the truncated trace set
-// still yields a sound partial candidate space).
+// still yields a sound partial candidate space). Every run of the thread
+// goes through one reused builder; a kept trace copies its parts out.
 func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 	regInit := map[string]int{}
 	for k, v := range p.Test.RegInit {
@@ -291,6 +323,20 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 	// vals is the read-value vector under construction; position i holds
 	// the value of the i-th dynamic read of the thread.
 	var vals []int
+	var b isa.Builder
+	idx, needMore := 0, false
+	env := isa.Env{
+		LocOf: p.locOf,
+		ReadVal: func(string) (int, bool) {
+			if idx < len(vals) {
+				v := vals[idx]
+				idx++
+				return v, true
+			}
+			needMore = true
+			return 0, false
+		},
+	}
 	var rec func() error
 	rec = func() error {
 		if !s.alive(false) {
@@ -300,31 +346,15 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 			truncated = true
 			return nil
 		}
-		b := &isa.Builder{}
-		idx := 0
-		needMore := false
-		env := isa.Env{
-			LocOf: p.locOf,
-			ReadVal: func(string) (int, bool) {
-				if idx < len(vals) {
-					v := vals[idx]
-					idx++
-					return v, true
-				}
-				needMore = true
-				return 0, false
-			},
-		}
-		final, err := isa.Run(b, tid, p.Threads[tid], regInit, env)
+		b.Reset()
+		idx, needMore = 0, false
+		final, err := isa.Run(&b, tid, p.Threads[tid], regInit, env)
 		if err == nil {
-			out = append(out, Trace{
-				Events:    b.Events,
-				IICO:      b.IICO,
-				IICOAddr:  b.IICOAddr,
-				IICOData:  b.IICOData,
-				RFReg:     b.RFReg,
-				FinalRegs: final,
-			})
+			tr, err := p.keepTrace(&b, final)
+			if err != nil {
+				return err
+			}
+			out = append(out, tr)
 			return nil
 		}
 		if err != isa.ErrInfeasible || !needMore {
@@ -344,6 +374,70 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 		return nil, false, err
 	}
 	return out, truncated, nil
+}
+
+// keepTrace copies a finished run out of the reused builder, each slice at
+// its exact size (the four edge lists share one allocation), and indexes
+// its memory events for the feasibility pre-check.
+func (p *Program) keepTrace(b *isa.Builder, final map[string]int) (Trace, error) {
+	tr := Trace{FinalRegs: maps.Clone(final)}
+	if len(b.Events) > 0 {
+		tr.Events = make([]events.Event, len(b.Events))
+		copy(tr.Events, b.Events)
+	}
+	edges := make([][2]int, len(b.IICO)+len(b.IICOAddr)+len(b.IICOData)+len(b.RFReg))
+	carve := func(src [][2]int) [][2]int {
+		if len(src) == 0 {
+			return nil
+		}
+		n := copy(edges, src)
+		out := edges[:n:n]
+		edges = edges[n:]
+		return out
+	}
+	tr.IICO, tr.IICOAddr, tr.IICOData, tr.RFReg = carve(b.IICO), carve(b.IICOAddr), carve(b.IICOData), carve(b.RFReg)
+
+	nMem := 0
+	for _, e := range tr.Events {
+		if e.IsMem() {
+			nMem++
+		}
+	}
+	if nMem == 0 {
+		return tr, nil
+	}
+	acc := make([]access, nMem, 2*nMem) // mem, then open in the spare half
+	k := 0
+	for _, e := range tr.Events {
+		if !e.IsMem() {
+			continue
+		}
+		loc, ok := p.locIdx[e.Loc]
+		if !ok {
+			return Trace{}, fmt.Errorf("exec: unknown location %q", e.Loc)
+		}
+		acc[k] = access{ev: e.ID, loc: loc, val: e.Val, write: e.Kind == events.MemWrite}
+		k++
+	}
+	tr.mem = acc
+	tr.open = acc[nMem:nMem]
+	for _, r := range tr.mem {
+		if !r.write && p.initVals[r.loc] != r.val && !writes(tr.mem, r) {
+			tr.open = append(tr.open, r)
+		}
+	}
+	return tr, nil
+}
+
+// writes reports whether mem holds a write that can feed read r: same
+// location, same value.
+func writes(mem []access, r access) bool {
+	for _, w := range mem {
+		if w.write && w.loc == r.loc && w.val == r.val {
+			return true
+		}
+	}
+	return false
 }
 
 // Candidates collects every candidate execution of a test (convenience).

@@ -26,7 +26,7 @@ const (
 type decision struct {
 	kind decisionKind
 	read int // index into expansion.reads (decRF)
-	loc  int // index into expansion.locNames (decCO)
+	loc  int // index into expansion.locs (decCO)
 	pos  int // 0-based position among the non-init writes (decCO)
 }
 
@@ -35,13 +35,19 @@ type decision struct {
 // decision tree over it. It is immutable once built — except for the
 // one-shot static derivation below — so any number of walkers, on any
 // number of goroutines, may share it.
+//
+// An expansion, and the *events.Execution skeleton inside it, is built per
+// trace combination and never recycled for another: compiled cat
+// evaluators key their per-skeleton state on the skeleton pointer
+// (Execution.Base), so a reused skeleton would hand one combination's
+// static values to another.
 type expansion struct {
 	p         *Program
 	evs       []events.Event
 	n         int
 	x         *events.Execution // skeleton: PO/IICO/RFReg set, RF/CO empty
 	finalRegs map[litmus.RegKey]litmus.Value
-	baseMem   map[string]litmus.Value // final memory of single-write locations
+	baseMem   []locValue // final memory of single-write locations
 
 	// staticOnce guards the skeleton's DeriveStatic: the static derived
 	// state (sets, po-loc, fences, dependencies) is identical for every
@@ -51,166 +57,252 @@ type expansion struct {
 	// skeleton fields it then reads.
 	staticOnce sync.Once
 
-	reads     []int   // memory-read event IDs, in event order
-	rfCands   [][]int // per read: feeding-write candidates (same loc+value)
-	readIdxOf []int   // event ID -> index into reads (-1 otherwise)
+	reads   []int   // memory-read event IDs, in event order
+	rfCands [][]int // per read: feeding-write candidates (same loc+value)
 
 	// Multi-write locations, in Program.locs order; their coherence order
 	// is a decision, and their po-loc∪com projection is the prune check.
-	locNames []string
-	locWrite [][]int    // per location: write event IDs, init first
-	locRead  [][]int    // per location: read event IDs
-	locLocal [][]int    // per location: event ID -> local node index (-1)
-	locSize  []int      // per location: node count (writes + reads)
-	locPO    [][][2]int // per location: po-loc edges, in local indices
-	locPORR  [][]bool   // parallel to locPO: both endpoints are reads
+	// local maps an event ID to its node index within its location (-1
+	// outside them): writes first, then reads.
+	locs  []coLoc
+	local []int
 
 	decisions []decision
 	widths    []int // static width of each decision level
 }
 
-// newExpansion assembles the skeleton for one trace combination. It
-// returns (nil, nil) when the combination is infeasible (some read has no
-// same-value write to read from).
-func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, error) {
-	// Initial writes first: one per location, value from MemInit.
-	size := len(p.locs)
-	for tid := range p.Threads {
-		size += len(allTraces[tid][choice[tid]].Events)
-	}
-	evs := make([]events.Event, 0, size)
-	for _, loc := range p.locs {
-		v, err := p.encode(p.Test.MemInit[loc])
-		if err != nil {
-			return nil, err
+// locValue is one location's final value.
+type locValue struct {
+	loc string
+	val litmus.Value
+}
+
+// coLoc is one multi-write location of an expansion.
+type coLoc struct {
+	name   string
+	writes []int    // write event IDs, init first
+	reads  []int    // indices into expansion.reads
+	po     []poEdge // po-loc edges, in local node indices
+}
+
+// poEdge is one po-loc edge of a location, rr when both ends are reads.
+type poEdge struct {
+	from, to int
+	rr       bool
+}
+
+// feasible is the pre-check run before a trace combination is assembled:
+// it reports whether every memory read has a same-location, same-value
+// write to read from — the initial write of its location, a write of its
+// own trace, or a write of another chosen trace. This is exactly the
+// condition under which every read of the assembled skeleton has an rf
+// candidate. The first two sources are settled once per trace
+// (Trace.open keeps the reads they leave), so only the open reads are
+// matched here, against the other chosen traces, and nothing is allocated.
+func feasible(allTraces [][]Trace, choice []int) bool {
+	for tid := range allTraces {
+	next:
+		for _, r := range allTraces[tid][choice[tid]].open {
+			for u := range allTraces {
+				if u != tid && writes(allTraces[u][choice[u]].mem, r) {
+					continue next
+				}
+			}
+			return false
 		}
+	}
+	return true
+}
+
+// assemble lays out the global event structure of one trace per thread:
+// the initial writes first, one per location, then each thread's events
+// with their IDs shifted, with po, iico and rf-reg set (rf and co empty,
+// nothing derived), and the chosen traces' final registers. The caller
+// has checked p.initErr.
+func (p *Program) assemble(allTraces [][]Trace, choice []int) (*events.Execution, map[litmus.RegKey]litmus.Value) {
+	n, nRegs := len(p.locs), 0
+	for tid := range p.Threads {
+		tr := &allTraces[tid][choice[tid]]
+		n += len(tr.Events)
+		nRegs += len(tr.FinalRegs)
+	}
+	evs := make([]events.Event, 0, n)
+	for i, loc := range p.locs {
 		evs = append(evs, events.Event{
-			ID: len(evs), Tid: events.InitTid, PC: -1,
-			Kind: events.MemWrite, Loc: loc, Val: v,
+			ID: i, Tid: events.InitTid, PC: -1,
+			Kind: events.MemWrite, Loc: loc, Val: p.initVals[i],
 		})
 	}
-
-	var iico, iicoAddr, iicoData, rfReg [][2]int
-	finalRegs := map[litmus.RegKey]litmus.Value{}
+	x := events.NewExecution(n)
+	finalRegs := make(map[litmus.RegKey]litmus.Value, nRegs)
 	for tid := range p.Threads {
-		tr := allTraces[tid][choice[tid]]
+		tr := &allTraces[tid][choice[tid]]
 		off := len(evs)
 		for _, e := range tr.Events {
 			e.ID += off
 			evs = append(evs, e)
 		}
-		shift := func(edges [][2]int, dst *[][2]int) {
-			for _, e := range edges {
-				*dst = append(*dst, [2]int{e[0] + off, e[1] + off})
+		addShifted(x.IICO, tr.IICO, off)
+		addShifted(x.IICOAddr, tr.IICOAddr, off)
+		addShifted(x.IICOData, tr.IICOData, off)
+		addShifted(x.RFReg, tr.RFReg, off)
+		// Program order: same thread, strictly increasing PC. A thread's
+		// events are one contiguous block, so only that block is scanned.
+		for i := off; i < len(evs); i++ {
+			for j := off; j < len(evs); j++ {
+				if evs[i].PC < evs[j].PC {
+					x.PO.Add(i, j)
+				}
 			}
 		}
-		shift(tr.IICO, &iico)
-		shift(tr.IICOAddr, &iicoAddr)
-		shift(tr.IICOData, &iicoData)
-		shift(tr.RFReg, &rfReg)
 		for r, v := range tr.FinalRegs {
 			finalRegs[litmus.RegKey{Tid: tid, Reg: r}] = p.Decode(v)
 		}
 	}
-
-	n := len(evs)
-	x := events.NewExecution(n)
 	x.Events = evs
-	for _, e := range iico {
-		x.IICO.Add(e[0], e[1])
+	return x, finalRegs
+}
+
+// addShifted adds the trace-local edges to dst, shifted by off.
+func addShifted(dst rel.Rel, edges [][2]int, off int) {
+	for _, e := range edges {
+		dst.Add(e[0]+off, e[1]+off)
 	}
-	for _, e := range iicoAddr {
-		x.IICOAddr.Add(e[0], e[1])
+}
+
+// newExpansion assembles the skeleton for one trace combination. It
+// returns (nil, nil) when the combination is infeasible (some read has no
+// same-value write to read from), having allocated nothing.
+func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, error) {
+	if p.initErr != nil {
+		return nil, p.initErr
 	}
-	for _, e := range iicoData {
-		x.IICOData.Add(e[0], e[1])
+	if !feasible(allTraces, choice) {
+		return nil, nil
 	}
-	for _, e := range rfReg {
-		x.RFReg.Add(e[0], e[1])
-	}
-	// Program order: same thread, strictly increasing PC.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if evs[i].Tid != events.InitTid && evs[i].Tid == evs[j].Tid && evs[i].PC < evs[j].PC {
-				x.PO.Add(i, j)
+	x, finalRegs := p.assemble(allTraces, choice)
+	evs, n, nLocs := x.Events, x.N(), len(p.locs)
+
+	// Per location: its write count (the initial write included), its read
+	// count, and cursors into the flat member array below.
+	cnt := make([]int, 4*nLocs)
+	nw, nr, wcur, rcur := cnt[:nLocs], cnt[nLocs:2*nLocs], cnt[2*nLocs:3*nLocs], cnt[3*nLocs:]
+	nMem, nReads := nLocs, 0
+	for tid := range p.Threads {
+		for _, a := range allTraces[tid][choice[tid]].mem {
+			nMem++
+			if a.write {
+				nw[a.loc]++
+			} else {
+				nr[a.loc]++
+				nReads++
 			}
 		}
 	}
-
-	// Gather reads and per-location accesses.
-	var reads []int
-	readIdxOf := make([]int, n)
-	for i := range readIdxOf {
-		readIdxOf[i] = -1
-	}
-	writesOf := map[string][]int{}
-	readsOf := map[string][]int{}
-	for _, e := range evs {
-		switch e.Kind {
-		case events.MemRead:
-			readIdxOf[e.ID] = len(reads)
-			reads = append(reads, e.ID)
-			readsOf[e.Loc] = append(readsOf[e.Loc], e.ID)
-		case events.MemWrite:
-			writesOf[e.Loc] = append(writesOf[e.Loc], e.ID)
+	rfBound, nDec, nCo := 0, nReads, 0
+	for l := range nw {
+		nw[l]++ // the initial write
+		rfBound += nr[l] * nw[l]
+		if nw[l] > 1 {
+			nDec += nw[l] - 1
+			nCo++
 		}
 	}
+
+	// Every int slice of the expansion is carved from one allocation.
+	ints := make([]int, n+nMem+nReads+rfBound+nDec)
+	take := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	local := take(n)
+	for i := range local {
+		local[i] = -1
+	}
+	// members holds location l's writes (event IDs, event order, so the
+	// initial write first) and then its reads (indices into reads).
+	members := take(nMem)
+	for l, b := 0, 0; l < nLocs; l++ {
+		wcur[l], rcur[l] = b, b+nw[l]
+		b += nw[l] + nr[l]
+		members[wcur[l]] = l // the initial write's event ID
+		wcur[l]++
+	}
+	reads := take(nReads)[:0]
+	off := nLocs
+	for tid := range p.Threads {
+		tr := &allTraces[tid][choice[tid]]
+		for _, a := range tr.mem {
+			if a.write {
+				members[wcur[a.loc]] = off + a.ev
+				wcur[a.loc]++
+			} else {
+				members[rcur[a.loc]] = len(reads)
+				rcur[a.loc]++
+				reads = append(reads, off+a.ev)
+			}
+		}
+		off += len(tr.Events)
+	}
+
 	// rf candidates per read: same location, same value.
-	rfCands := make([][]int, len(reads))
-	for i, r := range reads {
-		re := evs[r]
-		for _, w := range writesOf[re.Loc] {
-			if evs[w].Val == re.Val {
-				rfCands[i] = append(rfCands[i], w)
-			}
-		}
-		if len(rfCands[i]) == 0 {
-			return nil, nil // no write can feed this read: infeasible combination
-		}
-	}
-
+	rfFlat := take(rfBound)[:0]
+	rfCands := make([][]int, nReads)
 	e := &expansion{
 		p: p, evs: evs, n: n, x: x,
 		finalRegs: finalRegs,
-		baseMem:   map[string]litmus.Value{},
-		reads:     reads, rfCands: rfCands, readIdxOf: readIdxOf,
+		baseMem:   make([]locValue, 0, nLocs-nCo),
+		reads:     reads, rfCands: rfCands,
+		locs:      make([]coLoc, 0, nCo),
+		local:     local,
+		decisions: make([]decision, 0, nDec),
+		widths:    take(nDec)[:0],
 	}
-	for _, loc := range p.locs {
-		ws := writesOf[loc]
-		if len(ws) <= 1 { // just the init write: co is empty, order fixed
-			e.baseMem[loc] = p.Decode(evs[ws[len(ws)-1]].Val)
+	var po []poEdge
+	for l, b := 0, 0; l < nLocs; l++ {
+		ws := members[b : b+nw[l] : b+nw[l]]
+		rs := members[b+nw[l] : b+nw[l]+nr[l] : b+nw[l]+nr[l]]
+		b += nw[l] + nr[l]
+		for _, ri := range rs {
+			val, start := evs[reads[ri]].Val, len(rfFlat)
+			for _, w := range ws {
+				if evs[w].Val == val {
+					rfFlat = append(rfFlat, w)
+				}
+			}
+			if len(rfFlat) == start {
+				// feasible rules this out; should it ever let such a
+				// combination through, it still yields no skeleton.
+				return nil, nil
+			}
+			rfCands[ri] = rfFlat[start:len(rfFlat):len(rfFlat)]
+		}
+		if len(ws) == 1 { // just the init write: co is empty, order fixed
+			e.baseMem = append(e.baseMem, locValue{p.locs[l], p.Decode(evs[ws[0]].Val)})
 			continue
 		}
-		e.locNames = append(e.locNames, loc)
-		e.locWrite = append(e.locWrite, ws)
-		e.locRead = append(e.locRead, readsOf[loc])
-		local := make([]int, n)
-		for i := range local {
-			local[i] = -1
+		for k, id := range ws {
+			local[id] = k
 		}
-		var members []int
-		for _, id := range ws {
-			local[id] = len(members)
-			members = append(members, id)
+		for k, ri := range rs {
+			local[reads[ri]] = len(ws) + k
 		}
-		for _, id := range readsOf[loc] {
-			local[id] = len(members)
-			members = append(members, id)
+		start := len(po)
+		node := func(k int) int { // local node k's event ID
+			if k < len(ws) {
+				return ws[k]
+			}
+			return reads[rs[k-len(ws)]]
 		}
-		e.locLocal = append(e.locLocal, local)
-		e.locSize = append(e.locSize, len(members))
-		var po [][2]int
-		var rr []bool
-		for _, a := range members {
-			for _, b := range members {
-				if x.PO.Has(a, b) {
-					po = append(po, [2]int{local[a], local[b]})
-					rr = append(rr, evs[a].Kind == events.MemRead && evs[b].Kind == events.MemRead)
+		for i := 0; i < len(ws)+len(rs); i++ {
+			for j := 0; j < len(ws)+len(rs); j++ {
+				if x.PO.Has(node(i), node(j)) {
+					po = append(po, poEdge{from: i, to: j, rr: i >= len(ws) && j >= len(ws)})
 				}
 			}
 		}
-		e.locPO = append(e.locPO, po)
-		e.locPORR = append(e.locPORR, rr)
+		e.locs = append(e.locs, coLoc{name: p.locs[l], writes: ws, reads: rs, po: po[start:len(po):len(po)]})
 	}
 
 	// The decision tree: every rf level, then every co level.
@@ -218,8 +310,8 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 		e.decisions = append(e.decisions, decision{kind: decRF, read: ri})
 		e.widths = append(e.widths, len(rfCands[ri]))
 	}
-	for li := range e.locNames {
-		m := len(e.locWrite[li]) - 1 // non-init writes to place
+	for li := range e.locs {
+		m := len(e.locs[li].writes) - 1 // non-init writes to place
 		for pos := 0; pos < m; pos++ {
 			e.decisions = append(e.decisions, decision{kind: decCO, loc: li, pos: pos})
 			e.widths = append(e.widths, m-pos)
@@ -244,11 +336,11 @@ func newWalker(e *expansion, s *search, prune Prune) *walker {
 	w := &walker{
 		e: e, s: s, prune: prune,
 		rfPick: make([]int, len(e.reads)),
-		orders: make([][]int, len(e.locNames)),
-		used:   make([][]bool, len(e.locNames)),
+		orders: make([][]int, len(e.locs)),
+		used:   make([][]bool, len(e.locs)),
 	}
-	for li := range e.locNames {
-		ws := e.locWrite[li]
+	for li := range e.locs {
+		ws := e.locs[li].writes
 		order := make([]int, 1, len(ws))
 		order[0] = ws[0] // the initial write is first by convention
 		w.orders[li] = order
@@ -276,7 +368,7 @@ func (w *walker) apply(level, c int) bool {
 	// decCO: place the c-th not-yet-used non-init write next, counting in
 	// ascending event-ID order — the canonical (lexicographic) ordering
 	// that sharding relies on.
-	ws := w.e.locWrite[d.loc]
+	ws := w.e.locs[d.loc].writes
 	used := w.used[d.loc]
 	pick := -1
 	for i, cnt := 0, -1; i < len(used); i++ {
@@ -305,7 +397,7 @@ func (w *walker) undo(level int) {
 	order := w.orders[d.loc]
 	placed := order[len(order)-1]
 	w.orders[d.loc] = order[:len(order)-1]
-	ws := w.e.locWrite[d.loc]
+	ws := w.e.locs[d.loc].writes
 	for i := 1; i < len(ws); i++ {
 		if ws[i] == placed {
 			w.used[d.loc][i-1] = false
@@ -344,18 +436,18 @@ func (w *walker) walk(level int) {
 // exactly decides whether the final candidate would violate the axiom at
 // this location.
 func (w *walker) locAcyclic(li int) bool {
-	e := w.e
-	m := e.locSize[li]
-	local := e.locLocal[li]
+	cl := &w.e.locs[li]
+	m := len(cl.writes) + len(cl.reads)
+	local := w.e.local
 	order := w.orders[li]
 
 	adj := make([][]int, m)
 	add := func(a, b int) { adj[a] = append(adj[a], b) }
-	for i, edge := range e.locPO[li] {
-		if w.prune == PruneSCPerLocNoRR && e.locPORR[li][i] {
+	for _, edge := range cl.po {
+		if w.prune == PruneSCPerLocNoRR && edge.rr {
 			continue // load-load hazard allowed: read-read pairs exempt
 		}
-		add(edge[0], edge[1])
+		add(edge.from, edge.to)
 	}
 	// co: consecutive edges carry the same reachability as the full order.
 	pos := make([]int, m) // order position of each write, by local index
@@ -365,11 +457,11 @@ func (w *walker) locAcyclic(li int) bool {
 			add(local[order[i-1]], local[wr])
 		}
 	}
-	for _, r := range e.locRead[li] {
-		wr := w.rfPick[e.readIdxOf[r]]
-		add(local[wr], local[r]) // rf: w -> r
+	for k, ri := range cl.reads {
+		wr, r := w.rfPick[ri], len(cl.writes)+k // r: the read's local node
+		add(local[wr], r)                       // rf: w -> r
 		if p := pos[local[wr]]; p+1 < len(order) {
-			add(local[r], local[order[p+1]]) // fr: r -> first co-later write
+			add(r, local[order[p+1]]) // fr: r -> first co-later write
 		}
 	}
 
@@ -451,17 +543,17 @@ func (w *walker) emitCandidate() {
 	// Every location is either single-write (baseMem) or ordered below, so
 	// each emission overwrites the full key set — no clearing needed.
 	finalMem := sl.state.Mem
-	for loc, v := range e.baseMem {
-		finalMem[loc] = v
+	for _, m := range e.baseMem {
+		finalMem[m.loc] = m.val
 	}
-	for li, loc := range e.locNames {
+	for li := range e.locs {
 		order := w.orders[li]
 		for i := 0; i < len(order); i++ {
 			for j := i + 1; j < len(order); j++ {
 				cx.CO.Add(order[i], order[j])
 			}
 		}
-		finalMem[loc] = e.p.Decode(e.evs[order[len(order)-1]].Val)
+		finalMem[e.locs[li].name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
 	}
 	cx.AdoptStatic(e.x)
 	cx.DeriveDynamicInto(sl.arena)

@@ -26,64 +26,24 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 	if len(traces) != len(p.Threads) {
 		return nil, fmt.Errorf("exec: Assemble needs %d traces, got %d", len(p.Threads), len(traces))
 	}
-	var evs []events.Event
-	var threadOf, localIdx []int
-	for _, loc := range p.locs {
-		v, err := p.encode(p.Test.MemInit[loc])
-		if err != nil {
-			return nil, err
-		}
-		id := len(evs)
-		evs = append(evs, events.Event{
-			ID: id, Tid: events.InitTid, PC: -1,
-			Kind: events.MemWrite, Loc: loc, Val: v,
-		})
+	if p.initErr != nil {
+		return nil, p.initErr
+	}
+	wrapped := make([][]Trace, len(traces))
+	for i := range traces {
+		wrapped[i] = traces[i : i+1]
+	}
+	x, finalRegs := p.assemble(wrapped, make([]int, len(traces)))
+	threadOf := make([]int, 0, x.N())
+	localIdx := make([]int, 0, x.N())
+	for range p.locs {
 		threadOf = append(threadOf, events.InitTid)
 		localIdx = append(localIdx, -1)
 	}
-	var iico, iicoAddr, iicoData, rfReg [][2]int
-	finalRegs := map[litmus.RegKey]litmus.Value{}
 	for tid, tr := range traces {
-		off := len(evs)
-		for li, e := range tr.Events {
-			e.ID += off
-			evs = append(evs, e)
+		for li := range tr.Events {
 			threadOf = append(threadOf, tid)
 			localIdx = append(localIdx, li)
-		}
-		shift := func(edges [][2]int, dst *[][2]int) {
-			for _, e := range edges {
-				*dst = append(*dst, [2]int{e[0] + off, e[1] + off})
-			}
-		}
-		shift(tr.IICO, &iico)
-		shift(tr.IICOAddr, &iicoAddr)
-		shift(tr.IICOData, &iicoData)
-		shift(tr.RFReg, &rfReg)
-		for r, v := range tr.FinalRegs {
-			finalRegs[litmus.RegKey{Tid: tid, Reg: r}] = p.Decode(v)
-		}
-	}
-	n := len(evs)
-	x := events.NewExecution(n)
-	x.Events = evs
-	for _, e := range iico {
-		x.IICO.Add(e[0], e[1])
-	}
-	for _, e := range iicoAddr {
-		x.IICOAddr.Add(e[0], e[1])
-	}
-	for _, e := range iicoData {
-		x.IICOData.Add(e[0], e[1])
-	}
-	for _, e := range rfReg {
-		x.RFReg.Add(e[0], e[1])
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if evs[i].Tid != events.InitTid && evs[i].Tid == evs[j].Tid && evs[i].PC < evs[j].PC {
-				x.PO.Add(i, j)
-			}
 		}
 	}
 	x.Derive()

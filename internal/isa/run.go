@@ -11,15 +11,29 @@ import (
 // meaning this execution branch of the enumeration cannot happen.
 var ErrInfeasible = errors.New("isa: infeasible execution")
 
-// Builder accumulates the events of all threads of one candidate execution,
-// together with the edge lists that package exec turns into relations once
-// the total number of events is known.
+// Builder accumulates the events of one thread's run, together with the
+// edge lists that package exec turns into relations once the total number
+// of events is known. A builder may be reused: Reset empties it but keeps
+// its buffers, and Run keeps its register maps on the builder, so a warm
+// builder runs a thread without growing anything.
 type Builder struct {
 	Events   []events.Event
 	IICO     [][2]int
 	IICOAddr [][2]int // iico edges entering a memory access via its address port
 	IICOData [][2]int // iico edges entering a memory write via its value port
 	RFReg    [][2]int // register read-from
+
+	regs, lastRegWrite, labelAt map[string]int // Run's scratch, see Run
+}
+
+// Reset empties b for the next Run, keeping its buffers. Slices read from b
+// before a Reset are overwritten by the next Run: copy what must outlive it.
+func (b *Builder) Reset() {
+	b.Events = b.Events[:0]
+	b.IICO = b.IICO[:0]
+	b.IICOAddr = b.IICOAddr[:0]
+	b.IICOData = b.IICOData[:0]
+	b.RFReg = b.RFReg[:0]
 }
 
 // Emit appends an event and returns its ID.
@@ -45,12 +59,22 @@ type Env struct {
 //
 // Reads take their values from env.ReadVal: the enumeration over candidate
 // data-flows (Sec. 3) is a loop over the oracle's assignments.
+//
+// The returned register file is b's own map: the next Run on b overwrites
+// it, so a caller that reuses b copies what it keeps.
 func Run(b *Builder, tid int, instrs []Instr, regInit map[string]int, env Env) (map[string]int, error) {
-	regs := make(map[string]int, len(regInit)+4)
+	if b.regs == nil {
+		b.regs = make(map[string]int, len(regInit)+4)
+		b.lastRegWrite = map[string]int{}
+		b.labelAt = map[string]int{}
+	}
+	regs := b.regs
+	clear(regs)
 	for k, v := range regInit {
 		regs[k] = v
 	}
-	lastRegWrite := map[string]int{} // register -> event ID of latest write
+	lastRegWrite := b.lastRegWrite // register -> event ID of latest write
+	clear(lastRegWrite)
 
 	// readReg emits a register read event and links its rf-reg edge.
 	readReg := func(pc int, r string) int {
@@ -66,7 +90,8 @@ func Run(b *Builder, tid int, instrs []Instr, regInit map[string]int, env Env) (
 		lastRegWrite[r] = id
 		return id
 	}
-	labelAt := map[string]int{}
+	labelAt := b.labelAt
+	clear(labelAt)
 	for i, in := range instrs {
 		if in.Op == OpLabel {
 			labelAt[in.Label] = i

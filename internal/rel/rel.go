@@ -330,6 +330,20 @@ func (r Rel) RestrictInPlace(src, dst Set) {
 	}
 }
 
+// UnionCross adds every pair of src × dst to r (r ∪= src × dst).
+func (r Rel) UnionCross(src, dst Set) {
+	r.checkSet(src)
+	r.checkSet(dst)
+	for i := 0; i < r.n; i++ {
+		if src.Has(i) {
+			row := r.row(i)
+			for w := range row {
+				row[w] |= dst.bits[w]
+			}
+		}
+	}
+}
+
 // ForEachPair calls f for every pair in lexicographic order without
 // materialising the pair list.
 func (r Rel) ForEachPair(f func(i, j int)) {
@@ -641,14 +655,7 @@ func (r Rel) checkSet(s Set) {
 // Cross returns the full cartesian product src × dst.
 func Cross(src, dst Set) Rel {
 	out := New(src.n)
-	if dst.n != src.n {
-		panic("rel: Cross universe mismatch")
-	}
-	for i := 0; i < src.n; i++ {
-		if src.Has(i) {
-			copy(out.row(i), dst.bits)
-		}
-	}
+	out.UnionCross(src, dst)
 	return out
 }
 

@@ -26,6 +26,21 @@ func NewSet(n int) Set {
 	return Set{n: n, bits: make([]uint64, w)}
 }
 
+// NewSets returns k empty sets over n elements carved from one
+// allocation, the set counterpart of NewN.
+func NewSets(n, k int) []Set {
+	if n < 0 {
+		panic("rel: negative universe size")
+	}
+	w := max((n+wordBits-1)/wordBits, 1)
+	bits := make([]uint64, w*k)
+	ss := make([]Set, k)
+	for i := range ss {
+		ss[i] = Set{n: n, bits: bits[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return ss
+}
+
 // FullSet returns the set of all n elements.
 func FullSet(n int) Set {
 	s := NewSet(n)
