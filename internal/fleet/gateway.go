@@ -89,7 +89,7 @@ type Gateway struct {
 	cfg      GatewayConfig
 	backends map[string]*gwBackend
 	names    []string    // sorted, fixed at construction
-	models   *memo.Cache // compiles inline cat sources, content-addressed
+	models   *memo.Cache // inline cat sources and the raw-bytes key alias
 	mux      *http.ServeMux
 	reg      *obs.Registry
 
@@ -167,6 +167,8 @@ func (g *Gateway) registerMetrics() {
 		})
 	}
 	g.reg.Counter("gw_reroutes_total")
+	g.reg.CounterFunc("gw_alias_hits_total", func() uint64 { return g.models.Stats().AliasHits })
+	g.reg.CounterFunc("gw_alias_misses_total", func() uint64 { return g.models.Stats().AliasMisses })
 }
 
 // probeLoop health-checks one backend until the gateway closes, feeding
@@ -200,28 +202,18 @@ func (g *Gateway) probeLoop(ctx context.Context, b *gwBackend) {
 // verdictKey computes the request's routing key: the same content
 // address the backends cache under, except that the budget is taken
 // as-sent (the gateway cannot know each backend's clamp). Used only for
-// placement — the authoritative key comes back in the response.
+// placement — the authoritative key comes back in the response. The key
+// goes through the raw-bytes alias in g.models, so a repeated source is
+// parsed once; routing still uses the canonical key, so byte-different
+// but canonically equal tests meet on one home backend.
 func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
-	test, err := litmus.Parse(req.Litmus)
-	if err != nil {
-		return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("litmus: %v", err), err)
-	}
-	var modelID string
-	switch {
-	case req.Model.Name != "":
-		m, err := cat.Builtin(req.Model.Name)
-		if err != nil {
-			return "", classify(http.StatusNotFound, "not_found", fmt.Sprintf("model: %v", err), err)
+	modelID, merr := g.modelID(req.Model)
+	if merr != nil {
+		// A bad litmus test is reported before a bad model.
+		if _, err := litmus.Parse(req.Litmus); err != nil {
+			return "", litmusError(err)
 		}
-		modelID = memo.ModelID(m)
-	case req.Model.Cat != "":
-		m, err := g.models.Model(req.Model.Cat)
-		if err != nil {
-			return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("model: %v", err), err)
-		}
-		modelID = memo.ModelID(m)
-	default:
-		return "", classify(http.StatusBadRequest, "bad_request", "model: one of name or cat is required", nil)
+		return "", merr
 	}
 	b := exec.Budget{
 		MaxCandidates:      req.Budget.MaxCandidates,
@@ -230,7 +222,36 @@ func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
 	if req.Budget.TimeoutMS > 0 {
 		b.Timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
 	}
-	return memo.Key(memo.CanonicalTest(test), modelID, b), nil
+	keys, _, err := g.models.Resolve(req.Litmus, modelID, b)
+	if err != nil {
+		return "", litmusError(err)
+	}
+	return keys.Key, nil
+}
+
+// litmusError is the envelope for a request whose litmus source does not
+// parse: the same status, code and message herdd answers with.
+func litmusError(err error) *Error {
+	return classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("litmus: %v", err), err)
+}
+
+// modelID resolves a request's model to its cache identity.
+func (g *Gateway) modelID(spec wire.ModelSpec) (string, *Error) {
+	switch {
+	case spec.Name != "":
+		m, err := cat.Builtin(spec.Name)
+		if err != nil {
+			return "", classify(http.StatusNotFound, "not_found", fmt.Sprintf("model: %v", err), err)
+		}
+		return memo.ModelID(m), nil
+	case spec.Cat != "":
+		m, err := g.models.Model(spec.Cat)
+		if err != nil {
+			return "", classify(http.StatusBadRequest, "bad_request", fmt.Sprintf("model: %v", err), err)
+		}
+		return memo.ModelID(m), nil
+	}
+	return "", classify(http.StatusBadRequest, "bad_request", "model: one of name or cat is required", nil)
 }
 
 // Run computes one verdict through the fleet, routed along its key's

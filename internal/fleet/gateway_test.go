@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"herdcats/internal/campaign"
+	"herdcats/internal/obs"
 	"herdcats/internal/serve"
 )
 
@@ -170,6 +171,89 @@ func TestGatewayDuplicatesSimulateOnce(t *testing.T) {
 	}
 	if misses != 1 {
 		t.Errorf("fleet-wide misses = %d for %d duplicate requests, want 1", misses, n)
+	}
+}
+
+// TestGatewayCanonicalEqualityOneMiss: two batch rows that differ only in
+// comments, whitespace and init order are byte-different, so each misses
+// the gateway's raw-bytes alias once, but they canonicalise to one verdict
+// key — one home backend, one simulation fleet-wide. Sending the batch
+// again is answered from the alias, with the same keys.
+func TestGatewayCanonicalEqualityOneMiss(t *testing.T) {
+	gw, servers := newFleet(t, 3, GatewayConfig{ProbeInterval: time.Hour})
+	a := `X86 sb
+{ x=5; y=7; }
+ P0 | P1 ;
+ MOV [x],$1 | MOV [y],$1 ;
+ MOV EAX,[y] | MOV EAX,[x] ;
+exists (0:EAX=7 /\ 1:EAX=5)`
+	b := `X86 sb (* store buffering, reformatted *)
+{
+  y=7;
+  x=5;
+}
+ P0          | P1 ;
+ MOV [x],$1  | MOV [y],$1 ;
+ MOV EAX,[y] | MOV EAX,[x] ;
+exists (0:EAX=7 /\ 1:EAX=5)`
+	batch := func() serve.BatchResponse {
+		t.Helper()
+		body, _ := json.Marshal(serve.BatchRequest{Tests: []string{a, b}, Model: serve.ModelSpec{Name: "tso"}})
+		rec := httptest.NewRecorder()
+		gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(string(body))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp serve.BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		for i, job := range resp.Report.Jobs {
+			if job.Status != campaign.StatusOK {
+				t.Fatalf("row %d: %s (%s), want OK", i, job.Status, job.Reason)
+			}
+		}
+		return resp
+	}
+
+	first := batch()
+	if first.Keys[0] == "" || first.Keys[0] != first.Keys[1] {
+		t.Fatalf("keys %q, want one shared key", first.Keys)
+	}
+	var misses, homes uint64
+	for _, s := range servers {
+		st := s.Cache().Stats()
+		misses += st.Misses
+		if st.Entries > 0 {
+			homes++
+		}
+	}
+	if misses != 1 || homes != 1 {
+		t.Errorf("fleet-wide misses = %d on %d backends, want 1 on 1", misses, homes)
+	}
+	if st := gw.models.Stats(); st.AliasMisses != 2 || st.AliasHits != 0 {
+		t.Errorf("gateway alias hits/misses = %d/%d after the first batch, want 0/2", st.AliasHits, st.AliasMisses)
+	}
+
+	second := batch()
+	if second.Keys[0] != first.Keys[0] || second.Keys[1] != first.Keys[1] {
+		t.Errorf("keys changed on the alias hit: %q then %q", first.Keys, second.Keys)
+	}
+	rec := httptest.NewRecorder()
+	gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples, err := obs.ParseExposition(rec.Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := samples["gw_alias_hits_total"], samples["gw_alias_misses_total"]; h != 2 || m != 2 {
+		t.Errorf("gw_alias_hits_total/gw_alias_misses_total = %v/%v after the repeat, want 2/2", h, m)
+	}
+	misses = 0
+	for _, s := range servers {
+		misses += s.Cache().Stats().Misses
+	}
+	if misses != 1 {
+		t.Errorf("fleet-wide misses = %d after the repeat, want 1", misses)
 	}
 }
 

@@ -4,9 +4,11 @@
 // outcome can be addressed by the SHA-256 of a canonical rendering of those
 // inputs and computed exactly once.
 //
-// The cache has three layers, each LRU-bounded and instrumented:
+// The cache has four layers, each LRU-bounded and instrumented:
 //
 //   - verdicts: key → *sim.Outcome, the expensive product;
+//   - aliases: raw request bytes → Resolved, so a repeated litmus source
+//     is parsed and canonicalised once (see Resolve);
 //   - programs: canonical test → *exec.Program, so distinct models share
 //     one compiled test;
 //   - models: cat source → *cat.Model, so inline model sources are
@@ -95,6 +97,21 @@ func Key(canonicalTest, modelID string, b exec.Budget) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// keysOf derives a verdict's key and its timeout-free variant from one
+// canonical rendering. The timeout-free key addresses the same request
+// with the timeout zeroed: a complete outcome is independent of the
+// timeout it beat, so that is where complete outcomes live (see Key).
+// With no timeout the two keys coincide.
+func keysOf(canonicalTest, modelID string, b exec.Budget) (key, completeKey string) {
+	key = Key(canonicalTest, modelID, b)
+	if b.Timeout == 0 {
+		return key, key
+	}
+	tb := b
+	tb.Timeout = 0
+	return key, Key(canonicalTest, modelID, tb)
+}
+
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	// Verdict layer. Misses counts simulations actually started — the
@@ -116,8 +133,14 @@ type Stats struct {
 	ModelHits     uint64 `json:"model_hits"`
 	ModelMisses   uint64 `json:"model_misses"`
 
+	// Raw-bytes alias (Resolve). A miss parses and canonicalises the
+	// test; a hit does neither.
+	AliasHits   uint64 `json:"alias_hits"`
+	AliasMisses uint64 `json:"alias_misses"`
+
 	// Occupancy.
 	Entries  int `json:"entries"`  // verdicts resident
+	Aliases  int `json:"aliases"`  // raw-bytes aliases resident
 	Inflight int `json:"inflight"` // simulations running right now
 }
 
@@ -127,6 +150,7 @@ type Cache struct {
 	mu       sync.Mutex
 	opts     Options
 	verdicts *lruMap
+	aliases  *lruMap
 	programs *lruMap
 	models   *lruMap
 	inflight map[string]*call
@@ -184,6 +208,7 @@ func NewWithOptions(maxEntries int, o Options) *Cache {
 	return &Cache{
 		opts:     o,
 		verdicts: newLRUMap(maxEntries),
+		aliases:  newLRUMap(maxEntries),
 		programs: newLRUMap(maxEntries),
 		models:   newLRUMap(maxEntries),
 		inflight: map[string]*call{},
@@ -196,6 +221,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = c.verdicts.len()
+	s.Aliases = c.aliases.len()
 	s.Inflight = len(c.inflight)
 	return s
 }
@@ -209,8 +235,15 @@ type Request struct {
 	// Key(CanonicalTest(Test), ModelID(Model), Budget).
 	Key string
 
+	// CompleteKey optionally carries Key's timeout-free variant (see
+	// Resolved). With both keys supplied the request is never rendered,
+	// and Lookup needs no Test at all; with only Key supplied and a
+	// non-zero timeout, the variant is derived from Test.
+	CompleteKey string
+
 	// Test and Model identify the simulation; Budget bounds it. All
-	// three are cache-key material.
+	// three are cache-key material. Test may be nil for a Lookup that
+	// carries both keys.
 	Test   *litmus.Test
 	Model  sim.Checker
 	Budget exec.Budget
@@ -237,23 +270,26 @@ func (c *Cache) RunKeyed(ctx context.Context, key string, t *litmus.Test, model 
 	return c.Simulate(ctx, Request{Key: key, Test: t, Model: model, Budget: b})
 }
 
-// keys derives the request's content address and its timeout-free variant.
-// The completeKey addresses the same request with the timeout zeroed: a
-// complete outcome is independent of the timeout it beat, so that is where
-// complete outcomes live (see Key). With no timeout the two keys coincide
-// and the extra lookup disappears.
-func (req Request) keys() (key, completeKey string) {
-	key = req.Key
-	if key == "" {
-		key = Key(CanonicalTest(req.Test), ModelID(req.Model), req.Budget)
+// keys returns the request's content address and its timeout-free
+// variant, rendering the test at most once and only for a key the
+// request does not carry. canon is that rendering, or "" when none was
+// needed.
+func (req Request) keys() (key, completeKey, canon string) {
+	key, completeKey = req.Key, req.CompleteKey
+	if completeKey == "" && req.Budget.Timeout == 0 {
+		completeKey = key
 	}
-	completeKey = key
-	if req.Budget.Timeout != 0 {
-		tb := req.Budget
-		tb.Timeout = 0
-		completeKey = Key(CanonicalTest(req.Test), ModelID(req.Model), tb)
+	if key == "" || completeKey == "" {
+		canon = CanonicalTest(req.Test)
+		k, ck := keysOf(canon, ModelID(req.Model), req.Budget)
+		if key == "" {
+			key = k
+		}
+		if completeKey == "" {
+			completeKey = ck
+		}
 	}
-	return key, completeKey
+	return key, completeKey, canon
 }
 
 // lookupLocked consults the verdict layer under c.mu, counting a Hit on
@@ -282,7 +318,7 @@ func (c *Cache) lookupLocked(key, completeKey string) (*sim.Outcome, bool) {
 // warm traffic from here while it sheds the cold traffic that would need
 // an enumeration. A successful Lookup counts as a Hit.
 func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
-	key, completeKey := req.keys()
+	key, completeKey, _ := req.keys()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lookupLocked(key, completeKey)
@@ -291,7 +327,7 @@ func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
 // Simulate answers req through the cache (see Run for the semantics of
 // the boolean).
 func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, error) {
-	key, completeKey := req.keys()
+	key, completeKey, canon := req.keys()
 	c.mu.Lock()
 	if out, ok := c.lookupLocked(key, completeKey); ok {
 		c.mu.Unlock()
@@ -348,17 +384,18 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 			panic(r)
 		}
 	}()
-	out, err = c.simulate(ctx, req)
+	out, err = c.simulate(ctx, req, canon)
 	return out, false, err
 }
 
 // simulate runs the cold path, sharing the compiled program. The request's
 // trace gets the compile span (near-zero on a program-cache hit) and the
 // simulation phases; the enumeration counters also roll up into the
-// cache-wide aggregate when Options.Obs is set.
-func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error) {
+// cache-wide aggregate when Options.Obs is set. canon is the test's
+// canonical rendering when the caller already has it, "" otherwise.
+func (c *Cache) simulate(ctx context.Context, req Request, canon string) (*sim.Outcome, error) {
 	stop := req.Obs.Phase(obs.PhaseCompile)
-	p, err := c.Program(req.Test)
+	p, err := c.program(req.Test, canon)
 	stop()
 	if err != nil {
 		return nil, err
@@ -399,11 +436,80 @@ func cacheable(out *sim.Outcome) bool {
 	return false
 }
 
+// Resolved is what the raw-bytes alias remembers about one (litmus
+// source, model, budget) triple: everything a warm request needs from
+// its source without parsing it.
+type Resolved struct {
+	// Key is Key(CanonicalTest(test), modelID, budget).
+	Key string
+	// CompleteKey is Key's timeout-free variant, where complete
+	// outcomes are stored (equal to Key when the budget has no
+	// timeout).
+	CompleteKey string
+	// Name is the test's declared name.
+	Name string
+}
+
+// Resolve derives the verdict keys of the litmus source src under the
+// model identity modelID and budget b, through the raw-bytes alias: the
+// SHA-256 of the three maps to the keys derived the first time. Parsing
+// and canonicalisation are deterministic, so the alias is a function of
+// its key and cannot change a verdict; it only saves the work.
+//
+// On a hit the returned test is nil: a caller that must simulate parses
+// src itself. On a miss Resolve parses src, renders it canonically once
+// and returns the parsed test with its keys. A source that fails to
+// parse is never aliased, so its error reproduces on every call. The
+// alias layer is bounded like the others, by the cache's maxEntries.
+func (c *Cache) Resolve(src, modelID string, b exec.Budget) (Resolved, *litmus.Test, error) {
+	ak := aliasKey(src, modelID, b)
+	c.mu.Lock()
+	if v, ok := c.aliases.get(ak); ok {
+		c.stats.AliasHits++
+		c.mu.Unlock()
+		return *v.(*Resolved), nil, nil
+	}
+	c.stats.AliasMisses++
+	c.mu.Unlock()
+	t, err := litmus.Parse(src)
+	if err != nil {
+		return Resolved{}, nil, err
+	}
+	r := &Resolved{Name: t.Name}
+	r.Key, r.CompleteKey = keysOf(CanonicalTest(t), modelID, b)
+	c.mu.Lock()
+	c.aliases.add(ak, r)
+	c.mu.Unlock()
+	return *r, t, nil
+}
+
+// aliasKey is the raw-bytes alias address: the SHA-256 over the
+// length-prefixed source, model identity and budget key.
+func aliasKey(src, modelID string, b exec.Budget) string {
+	bk := b.Key()
+	buf := make([]byte, 0, 24+len(src)+len(modelID)+len(bk))
+	for _, field := range []string{src, modelID, bk} {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(field)))
+		buf = append(buf, field...)
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
+}
+
 // Program returns the compiled program for a test, memoised on the
 // canonical source so every model (and the dot/explain passes) shares one
 // compilation. Compile errors are not cached.
 func (c *Cache) Program(t *litmus.Test) (*exec.Program, error) {
-	key := sha256.Sum256([]byte(CanonicalTest(t)))
+	return c.program(t, "")
+}
+
+// program is Program for a caller that may already hold the canonical
+// rendering (canon != ""), which then is not rendered again.
+func (c *Cache) program(t *litmus.Test, canon string) (*exec.Program, error) {
+	if canon == "" {
+		canon = CanonicalTest(t)
+	}
+	key := sha256.Sum256([]byte(canon))
 	k := string(key[:])
 	c.mu.Lock()
 	if v, ok := c.programs.get(k); ok {

@@ -523,3 +523,66 @@ func TestOptionsPreserveOutcome(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveAlias: Resolve parses a source once per (bytes, model,
+// budget). A hit returns the keys and name the miss derived, without a
+// test; a parse failure is never aliased; and the resolved keys address
+// the same verdicts as keys derived from the parsed test, so a Lookup
+// carrying both needs no test at all.
+func TestResolveAlias(t *testing.T) {
+	c := memo.New(0)
+	e, ok := catalog.ByName("mp")
+	if !ok {
+		t.Fatal("catalogue has no mp")
+	}
+	src := e.Source
+	modelID := memo.ModelID(models.Power)
+	b := exec.Budget{Timeout: time.Minute}
+
+	miss, test, err := c.Resolve(src, modelID, b)
+	if err != nil || test == nil {
+		t.Fatalf("first Resolve: test=%v err=%v, want the parsed test", test, err)
+	}
+	free := b
+	free.Timeout = 0
+	if want := memo.Key(memo.CanonicalTest(test), modelID, b); miss.Key != want {
+		t.Errorf("Key = %s, want %s", miss.Key, want)
+	}
+	if want := memo.Key(memo.CanonicalTest(test), modelID, free); miss.CompleteKey != want {
+		t.Errorf("CompleteKey = %s, want the timeout-free %s", miss.CompleteKey, want)
+	}
+	if miss.Name != test.Name {
+		t.Errorf("Name = %q, want %q", miss.Name, test.Name)
+	}
+	hit, again, err := c.Resolve(src, modelID, b)
+	if err != nil || again != nil || hit != miss {
+		t.Fatalf("second Resolve: %+v test=%v err=%v, want %+v from the alias", hit, again, err, miss)
+	}
+	if other, _, _ := c.Resolve(src, modelID, free); other.Key != miss.CompleteKey {
+		t.Error("another budget was answered from the first budget's alias")
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Resolve("not litmus", modelID, b); err == nil {
+			t.Fatal("Resolve accepted a source that does not parse")
+		}
+	}
+	if s := c.Stats(); s.AliasHits != 1 || s.AliasMisses != 4 || s.Aliases != 2 {
+		t.Errorf("stats = %+v, want alias hits 1, misses 4 (parse failures never alias), 2 resident", s)
+	}
+
+	// Complete outcomes live under CompleteKey: a Lookup with both keys
+	// and no test finds the verdict a keyed Simulate stored.
+	out, _, err := c.Simulate(context.Background(), memo.Request{
+		Key: miss.Key, CompleteKey: miss.CompleteKey, Test: test, Model: models.Power, Budget: b,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Lookup(memo.Request{Key: hit.Key, CompleteKey: hit.CompleteKey, Model: models.Power, Budget: b}); !ok || got != out {
+		t.Fatalf("test-free Lookup: ok=%v, want the stored outcome", ok)
+	}
+	if got, ok := c.Lookup(memo.Request{Test: test, Model: models.Power, Budget: exec.Budget{Timeout: time.Hour}}); !ok || got != out {
+		t.Fatalf("cross-timeout Lookup: ok=%v, want the stored outcome", ok)
+	}
+}

@@ -181,55 +181,42 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := r.Header.Get(wire.TenantHeader)
+	b := s.budget(req.Budget)
+	checker, status, merr := s.resolveModel(req.Model)
 	tr := obs.NewTrace()
 	stopParse := tr.Phase(obs.PhaseParse)
-	test, err := litmus.Parse(req.Litmus)
+	var rw *row
+	var err error
+	if merr == nil {
+		rw, err = s.resolveRow(req.Litmus, memo.ModelID(checker), b)
+	} else if _, perr := litmus.Parse(req.Litmus); perr != nil {
+		// A bad litmus test is reported before a bad model.
+		err = fmt.Errorf("litmus: %w", perr)
+	}
 	stopParse()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "litmus: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	checker, status, err := s.resolveModel(req.Model)
-	if err != nil {
-		writeError(w, status, "model: %v", err)
+	if merr != nil {
+		writeError(w, status, "model: %v", merr)
 		return
 	}
-	b := s.budget(req.Budget)
-	key := memo.Key(memo.CanonicalTest(test), memo.ModelID(checker), b)
 
 	start := time.Now()
-	// Brownout fast path: a resident verdict is served without an
-	// admission slot (or a tenant token), so a saturated server still
-	// answers warm traffic at full speed — only work that needs CPU
-	// queues or pays quota for it.
-	if out, ok := s.cache.Lookup(memo.Request{Key: key, Test: test, Model: checker, Budget: b}); ok {
-		writeJSON(w, http.StatusOK, RunResponse{
-			Key:       key,
-			Cached:    true,
-			Verdict:   verdict(out),
-			Outcome:   out.JSON(),
-			Options:   s.effectiveOptions(b),
-			ElapsedMS: time.Since(start).Milliseconds(),
-			Trace:     tr.Summary(),
-		})
-		return
-	}
 	ctx := r.Context()
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	release, oerr := s.admit(ctx, tenant)
-	if oerr != nil {
-		writeOverloaded(w, oerr)
-		return
-	}
-	defer release()
-	out, cached, err := s.cache.Simulate(ctx, memo.Request{
-		Key: key, Test: test, Model: checker, Budget: b, Obs: tr,
-	})
+	out, cached, err := s.answer(ctx, rw, checker, b, tenant, tr)
 	if err != nil {
+		var oerr *overloadError
+		if errors.As(err, &oerr) {
+			writeOverloaded(w, oerr)
+			return
+		}
 		// The inputs parsed but could not be simulated (e.g. an
 		// instruction the enumerator rejects): the client's data is at
 		// fault, not the service.
@@ -237,7 +224,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, RunResponse{
-		Key:       key,
+		Key:       rw.keys.Key,
 		Cached:    cached,
 		Verdict:   verdict(out),
 		Outcome:   out.JSON(),
@@ -245,6 +232,54 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: time.Since(start).Milliseconds(),
 		Trace:     tr.Summary(),
 	})
+}
+
+// row is one litmus source resolved to its verdict keys. The test itself
+// is parsed only when needed: a raw-bytes alias hit (memo.Cache.Resolve)
+// leaves it nil until a verdict miss must simulate it.
+type row struct {
+	src  string
+	keys memo.Resolved
+	test *litmus.Test
+}
+
+// resolveRow resolves one source under one model and budget; its error
+// is the source's parse failure, prefixed for the client.
+func (s *Server) resolveRow(src, modelID string, b exec.Budget) (*row, error) {
+	keys, test, err := s.cache.Resolve(src, modelID, b)
+	if err != nil {
+		return nil, fmt.Errorf("litmus: %w", err)
+	}
+	return &row{src: src, keys: keys, test: test}, nil
+}
+
+// answer serves one resolved row. A resident verdict is served without
+// an admission slot (or a tenant token), so a saturated server still
+// answers warm traffic at full speed — only work that needs CPU queues
+// or pays quota for it. A refused admission comes back as the
+// *overloadError; a miss parses the row if the alias skipped that, and
+// simulates it.
+func (s *Server) answer(ctx context.Context, rw *row, checker sim.Checker, b exec.Budget, tenant string, tr *obs.Trace) (*sim.Outcome, bool, error) {
+	req := memo.Request{Key: rw.keys.Key, CompleteKey: rw.keys.CompleteKey, Model: checker, Budget: b}
+	if out, ok := s.cache.Lookup(req); ok {
+		return out, true, nil
+	}
+	release, oerr := s.admit(ctx, tenant)
+	if oerr != nil {
+		return nil, false, oerr
+	}
+	defer release()
+	if rw.test == nil {
+		stop := tr.Phase(obs.PhaseParse)
+		test, err := litmus.Parse(rw.src)
+		stop()
+		if err != nil {
+			return nil, false, fmt.Errorf("litmus: %w", err)
+		}
+		rw.test = test
+	}
+	req.Test, req.Obs = rw.test, tr
+	return s.cache.Simulate(ctx, req)
 }
 
 // admit claims a tenant quota token, then an admission slot. The token is
@@ -267,7 +302,6 @@ type batchPlan struct {
 	cached []bool
 	errs   []error      // per-test parse errors (nil rows parsed)
 	traces []*obs.Trace // per-test phase traces (streaming only)
-	tests  []*litmus.Test
 }
 
 // buildBatch compiles a batch request into its plan. A test that fails to
@@ -281,14 +315,12 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 		cached: make([]bool, n),
 		errs:   make([]error, n),
 		traces: make([]*obs.Trace, n),
-		tests:  make([]*litmus.Test, n),
 	}
 	modelID := memo.ModelID(checker)
 	for i, src := range req.Tests {
 		i := i
-		test, perr := litmus.Parse(src)
+		rw, perr := s.resolveRow(src, modelID, b)
 		if perr != nil {
-			perr := fmt.Errorf("litmus: %w", perr)
 			p.errs[i] = perr
 			p.jobs[i] = campaign.Job{
 				Name: fmt.Sprintf("tests[%d]", i),
@@ -298,31 +330,20 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 			}
 			continue
 		}
-		p.tests[i] = test
-		p.keys[i] = memo.Key(memo.CanonicalTest(test), modelID, b)
+		p.keys[i] = rw.keys.Key
 		if trace {
 			p.traces[i] = obs.NewTrace()
 		}
 		p.jobs[i] = campaign.Job{
-			Name:  test.Name,
+			Name:  rw.keys.Name,
 			Model: checker,
+			// Batch jobs share the admission slots (and tenant tokens)
+			// with /v1/run — one concurrency envelope for the whole
+			// server — with the same brownout fast path for resident
+			// verdicts. The campaign never retries (Retries: -1), so jb
+			// is the b the keys were derived under.
 			Run: func(ctx context.Context, jb exec.Budget) (*sim.Outcome, error) {
-				// Batch jobs share the admission slots (and tenant
-				// tokens) with /v1/run — one concurrency envelope for
-				// the whole server — with the same brownout fast path
-				// for resident verdicts.
-				if out, ok := s.cache.Lookup(memo.Request{Key: p.keys[i], Test: test, Model: checker, Budget: jb}); ok {
-					p.cached[i] = true
-					return out, nil
-				}
-				release, oerr := s.admit(ctx, tenant)
-				if oerr != nil {
-					return nil, oerr
-				}
-				defer release()
-				out, hit, err := s.cache.Simulate(ctx, memo.Request{
-					Key: p.keys[i], Test: test, Model: checker, Budget: jb, Obs: p.traces[i],
-				})
+				out, hit, err := s.answer(ctx, rw, checker, jb, tenant, p.traces[i])
 				p.cached[i] = hit
 				return out, err
 			},

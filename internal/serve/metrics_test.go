@@ -61,6 +61,8 @@ func TestMetricsEndpointGolden(t *testing.T) {
 		"herdd_admission_shed_total":       "counter",
 		"herdd_admission_slots_in_use":     "gauge",
 		"herdd_admission_wait_us":          "histogram",
+		"herdd_cache_alias_hits_total":     "counter",
+		"herdd_cache_alias_misses_total":   "counter",
 		"herdd_cache_entries":              "gauge",
 		"herdd_cache_evictions_total":      "counter",
 		"herdd_cache_hits_total":           "counter",
@@ -122,6 +124,9 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	if v := samples["herdd_cache_entries"]; v != 1 {
 		t.Errorf("cache entries = %v, want 1", v)
 	}
+	if h, m := samples["herdd_cache_alias_hits_total"], samples["herdd_cache_alias_misses_total"]; h != 0 || m != 1 {
+		t.Errorf("alias hits/misses = %v/%v, want 0/1", h, m)
+	}
 	// sb has 4 stores/loads → dozens of candidates; the exact count is the
 	// engine's business, but zero would mean the enum counters never wired.
 	if v := samples["herdd_enum_candidates_total"]; v == 0 {
@@ -152,6 +157,10 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	}
 	if v := samples2["herdd_cache_misses_total"]; v != 1 {
 		t.Errorf("cache misses after cached hit = %v, want 1", v)
+	}
+	// The repeat's bytes hit the raw-bytes alias: no second parse.
+	if h, m := samples2["herdd_cache_alias_hits_total"], samples2["herdd_cache_alias_misses_total"]; h != 1 || m != 1 {
+		t.Errorf("alias hits/misses after cached hit = %v/%v, want 1/1", h, m)
 	}
 }
 

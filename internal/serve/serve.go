@@ -172,6 +172,8 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("herdd_cache_waits_total", func() uint64 { return s.cache.Stats().Waits })
 	r.CounterFunc("herdd_cache_misses_total", func() uint64 { return s.cache.Stats().Misses })
 	r.CounterFunc("herdd_cache_evictions_total", func() uint64 { return s.cache.Stats().Evictions })
+	r.CounterFunc("herdd_cache_alias_hits_total", func() uint64 { return s.cache.Stats().AliasHits })
+	r.CounterFunc("herdd_cache_alias_misses_total", func() uint64 { return s.cache.Stats().AliasMisses })
 	r.GaugeFunc("herdd_cache_entries", func() int64 { return int64(s.cache.Stats().Entries) })
 	r.GaugeFunc("herdd_http_in_flight", func() int64 { return s.inflight.Load() })
 }
