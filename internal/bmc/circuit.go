@@ -8,29 +8,40 @@
 // boolean variables choose a read-from map, per-location coherence orders
 // and one control-flow trace per thread; derived relations (fr, ppo, prop,
 // hb) are boolean circuits over event-pair variables; each axiom's
-// acyclicity check is encoded with an auxiliary strict total order.
+// acyclicity check is encoded with an auxiliary strict total order per
+// strongly connected component of the relation's possible edges.
 package bmc
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"herdcats/internal/rel"
 	"herdcats/internal/sat"
 )
 
-// circuit is a constant-folding Tseitin builder over a SAT solver.
+// circuit is a constant-folding, hash-consed Tseitin builder over a SAT
+// solver: a gate over the same inputs is built once, so the literal a
+// gate returns is a function of its inputs alone (DESIGN.md §16).
 type circuit struct {
 	s        *sat.Solver
 	trueLit  sat.Lit
 	falseLit sat.Lit
-	// Gate caches keep the instance small when the same subterm recurs.
+	// andCache keys an and2 gate by its ordered input pair; orCache keys
+	// a wider or gate by the bytes of its inputs sorted by variable.
 	andCache map[[2]sat.Lit]sat.Lit
+	orCache  map[string]sat.Lit
+	// Scratch reused across calls: or's sorted inputs (slot 0 is kept for
+	// the gate's own literal in its long clause), its key, seq's terms.
+	orBuf  []sat.Lit
+	keyBuf []byte
+	terms  []sat.Lit
 }
 
 func newCircuit(s *sat.Solver) *circuit {
 	t := sat.Lit(s.NewVar())
 	s.AddClause(t)
-	return &circuit{s: s, trueLit: t, falseLit: t.Neg(), andCache: map[[2]sat.Lit]sat.Lit{}}
+	return &circuit{s: s, trueLit: t, falseLit: t.Neg(),
+		andCache: map[[2]sat.Lit]sat.Lit{}, orCache: map[string]sat.Lit{}}
 }
 
 func (c *circuit) constOf(b bool) sat.Lit {
@@ -71,38 +82,59 @@ func (c *circuit) and2(a, b sat.Lit) sat.Lit {
 	return v
 }
 
-// or returns a literal equivalent to the disjunction of ls.
+// or returns a literal equivalent to the disjunction of ls. Its inputs
+// are sorted by variable as they are kept, which puts a duplicate or a
+// complementary pair next to each other and gives the gate its key. A
+// two-input or is ¬(¬a ∧ ¬b): the same three clauses, from and2's cache.
 func (c *circuit) or(ls ...sat.Lit) sat.Lit {
-	var kept []sat.Lit
-	seen := map[sat.Lit]bool{}
+	kept := append(c.orBuf[:0], 0)
+next:
 	for _, l := range ls {
-		if c.isTrue(l) {
+		switch {
+		case c.isTrue(l):
 			return c.trueLit
-		}
-		if c.isFalse(l) || seen[l] {
+		case c.isFalse(l):
 			continue
 		}
-		if seen[l.Neg()] {
-			return c.trueLit
+		i := len(kept)
+		for ; i > 1 && kept[i-1].Var() >= l.Var(); i-- {
+			if kept[i-1] == l {
+				continue next
+			}
+			if kept[i-1] == l.Neg() {
+				return c.trueLit
+			}
 		}
-		seen[l] = true
-		kept = append(kept, l)
+		kept = append(kept, 0)
+		copy(kept[i+1:], kept[i:])
+		kept[i] = l
 	}
+	c.orBuf = kept
 	switch len(kept) {
-	case 0:
-		return c.falseLit
 	case 1:
-		return kept[0]
+		return c.falseLit
+	case 2:
+		return kept[1]
+	case 3:
+		return c.and2(kept[1].Neg(), kept[2].Neg()).Neg()
+	}
+	key := c.keyBuf[:0]
+	for _, l := range kept[1:] {
+		key = binary.LittleEndian.AppendUint32(key, uint32(l))
+	}
+	c.keyBuf = key
+	if v, ok := c.orCache[string(key)]; ok {
+		return v
 	}
 	v := sat.Lit(c.s.NewVar())
-	for _, l := range kept {
+	for _, l := range kept[1:] {
 		c.s.AddClause(l.Neg(), v)
 	}
-	c.s.AddClause(append([]sat.Lit{v.Neg()}, kept...)...)
+	kept[0] = v.Neg()
+	c.s.AddClause(kept...)
+	c.orCache[string(key)] = v
 	return v
 }
-
-func (c *circuit) not(l sat.Lit) sat.Lit { return l.Neg() }
 
 // --- Relation matrices -------------------------------------------------
 
@@ -111,28 +143,27 @@ func (c *circuit) not(l sat.Lit) sat.Lit { return l.Neg() }
 type relExpr [][]sat.Lit
 
 func (c *circuit) emptyRel(m int) relExpr {
+	cells := make([]sat.Lit, m*m)
+	for i := range cells {
+		cells[i] = c.falseLit
+	}
 	r := make(relExpr, m)
 	for i := range r {
-		r[i] = make([]sat.Lit, m)
-		for j := range r[i] {
-			r[i][j] = c.falseLit
-		}
+		r[i] = cells[i*m : (i+1)*m : (i+1)*m]
 	}
 	return r
 }
 
-// constRel embeds a concrete relation (over a subset of event indices
-// mapped by idx) as a constant matrix.
-func (c *circuit) constRel(m int, concrete rel.Rel, memID []int) relExpr {
-	r := c.emptyRel(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if concrete.Has(memID[i], memID[j]) {
-				r[i][j] = c.trueLit
+// sameRel reports whether two relations are literal-for-literal equal.
+func sameRel(a, b relExpr) bool {
+	for i := range a {
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
 			}
 		}
 	}
-	return r
+	return true
 }
 
 func (c *circuit) union(a, b relExpr) relExpr {
@@ -162,10 +193,13 @@ func (c *circuit) seq(a, b relExpr) relExpr {
 	out := c.emptyRel(m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
-			var terms []sat.Lit
+			terms := c.terms[:0]
 			for k := 0; k < m; k++ {
-				terms = append(terms, c.and2(a[i][k], b[k][j]))
+				if !c.isFalse(a[i][k]) && !c.isFalse(b[k][j]) {
+					terms = append(terms, c.and2(a[i][k], b[k][j]))
+				}
 			}
+			c.terms = terms
 			out[i][j] = c.or(terms...)
 		}
 	}
@@ -187,13 +221,15 @@ func (c *circuit) restrict(a relExpr, src, dst func(int) bool) relExpr {
 }
 
 // star computes the reflexive-transitive closure by repeated squaring.
+// Squaring is a pure function of the matrix's literals (the gates are
+// hash-consed), so once a round returns its input every later round
+// would too, and the loop stops there with the formula the full
+// unrolling builds.
 func (c *circuit) star(a relExpr) relExpr {
 	m := len(a)
 	s := c.emptyRel(m)
 	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			s[i][j] = a[i][j]
-		}
+		copy(s[i], a[i])
 		s[i][i] = c.trueLit
 	}
 	rounds := 1
@@ -201,64 +237,82 @@ func (c *circuit) star(a relExpr) relExpr {
 		rounds++
 	}
 	for r := 0; r < rounds; r++ {
-		s = c.seq(s, s)
+		next := c.seq(s, s)
+		if sameRel(next, s) {
+			break
+		}
+		s = next
 	}
 	return s
 }
 
-// equalRel asserts that two relations coincide (used in self-tests).
-func (c *circuit) equalRel(a, b relExpr) sat.Lit {
-	m := len(a)
-	var terms []sat.Lit
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			eq := c.or(c.and2(a[i][j], b[i][j]), c.and2(a[i][j].Neg(), b[i][j].Neg()))
-			terms = append(terms, eq.Neg())
-		}
-	}
-	return c.or(terms...).Neg()
-}
-
-// assertAcyclic encodes acyclic(R) with a fresh strict total order:
-// transitivity over every triple, plus R(i,j) → i<j and ¬R(i,i).
+// assertAcyclic encodes acyclic(R): ¬R(i,i) for every i, and a fresh
+// strict total order inside each strongly connected component of R's
+// possible edges (the entries not constant false) that R's edges there
+// must follow. Under any assignment a cycle of R uses possible edges
+// only, so it lies inside one component; the per-component orders exist
+// iff R is acyclic (DESIGN.md §16). Edges between components need no
+// clause, and initial writes, which no possible edge reaches, are in no
+// component.
 func (c *circuit) assertAcyclic(r relExpr) {
 	m := len(r)
-	// ord[i][j] for i<j; ordLit gives the signed literal for "i before j".
-	ord := make([][]sat.Lit, m)
-	for i := range ord {
-		ord[i] = make([]sat.Lit, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			v := sat.Lit(c.s.NewVar())
-			ord[i][j] = v
-			ord[j][i] = v.Neg()
-		}
-	}
-	ordLit := func(i, j int) sat.Lit { return ord[i][j] }
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				if k == i || k == j {
-					continue
-				}
-				// i<j ∧ j<k → i<k
-				c.s.AddClause(ordLit(i, j).Neg(), ordLit(j, k).Neg(), ordLit(i, k))
-			}
-		}
-	}
+	reach := rel.New(m)
 	for i := 0; i < m; i++ {
 		if !c.isFalse(r[i][i]) {
 			c.s.AddClause(r[i][i].Neg())
 		}
 		for j := 0; j < m; j++ {
-			if i == j || c.isFalse(r[i][j]) {
-				continue
+			if i != j && !c.isFalse(r[i][j]) {
+				reach.Add(i, j)
 			}
-			c.s.AddClause(r[i][j].Neg(), ordLit(i, j))
+		}
+	}
+	reach.PlusInPlace()
+	inComp := make([]bool, m)
+	var comp []int
+	for i := 0; i < m; i++ {
+		// The lowest member of a component is the first one met.
+		if inComp[i] || !reach.Has(i, i) {
+			continue
+		}
+		comp = append(comp[:0], i)
+		for j := i + 1; j < m; j++ {
+			if reach.Has(i, j) && reach.Has(j, i) {
+				comp = append(comp, j)
+				inComp[j] = true
+			}
+		}
+		c.orderWithin(r, comp)
+	}
+}
+
+// orderWithin asserts a strict total order over the events of comp that
+// every edge of r between them follows.
+func (c *circuit) orderWithin(r relExpr, comp []int) {
+	n := len(comp)
+	// ord[a*n+b] is the literal for "comp[a] before comp[b]".
+	ord := make([]sat.Lit, n*n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			v := sat.Lit(c.s.NewVar())
+			ord[a*n+b], ord[b*n+a] = v, v.Neg()
+		}
+	}
+	// Transitivity: rotating a triple gives the same clause, so the two
+	// orientations of each unordered triple cover all six.
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			for k := b + 1; k < n; k++ {
+				c.s.AddClause(ord[a*n+b].Neg(), ord[b*n+k].Neg(), ord[a*n+k])
+				c.s.AddClause(ord[a*n+k].Neg(), ord[k*n+b].Neg(), ord[a*n+b])
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if e := r[comp[a]][comp[b]]; a != b && !c.isFalse(e) {
+				c.s.AddClause(e.Neg(), ord[a*n+b])
+			}
 		}
 	}
 }
@@ -270,9 +324,4 @@ func (c *circuit) assertIrreflexive(r relExpr) {
 			c.s.AddClause(r[i][i].Neg())
 		}
 	}
-}
-
-// debugString is a development aid.
-func (r relExpr) debugString() string {
-	return fmt.Sprintf("relExpr(%d)", len(r))
 }

@@ -12,18 +12,7 @@ import (
 func (in *Instance) encodeModel() {
 	c := in.c
 	x := in.asm.X
-
-	static := func(r interface{ Has(int, int) bool }) relExpr {
-		out := c.emptyRel(in.m)
-		for i := 0; i < in.m; i++ {
-			for j := 0; j < in.m; j++ {
-				if r.Has(in.memID[i], in.memID[j]) {
-					out[i][j] = c.trueLit
-				}
-			}
-		}
-		return out
-	}
+	static := in.static
 	po := static(x.PO)
 	poloc := static(x.POLoc)
 	com := c.union(c.union(in.coRel, in.rfRel), in.frRel)
@@ -85,25 +74,33 @@ func (in *Instance) encodeModel() {
 	c.assertAcyclic(c.union(in.coRel, prop))
 }
 
+// static embeds a concrete relation over skeleton events as a constant
+// matrix over the memory events.
+func (in *Instance) static(r interface{ Has(int, int) bool }) relExpr {
+	out := in.c.emptyRel(in.m)
+	for i := 0; i < in.m; i++ {
+		for j := 0; j < in.m; j++ {
+			if r.Has(in.memID[i], in.memID[j]) {
+				out[i][j] = in.c.trueLit
+			}
+		}
+	}
+	return out
+}
+
 // powerPPO encodes the preserved-program-order fixpoint of Fig. 25 by
 // Kleene unrolling; PowerCAV adds the propagation-model strengthening and
 // deeper unrolling (its executions carry one propagation subevent per
 // write and thread, which our encoding reflects as a larger circuit).
+// A round is a pure function of the previous round's literal matrices
+// (the gates are hash-consed), so a round that returns its inputs is a
+// fixpoint: every later round would build nothing new, and the
+// unrolling stops there with the formula the full bound builds.
 func (in *Instance) powerPPO(poloc, po, rfe, rfi, fre, coe relExpr,
 	fenceRel func(events.FenceKind) relExpr) (ppo, fences relExpr) {
 	c := in.c
 	x := in.asm.X
-	static := func(r interface{ Has(int, int) bool }) relExpr {
-		out := c.emptyRel(in.m)
-		for i := 0; i < in.m; i++ {
-			for j := 0; j < in.m; j++ {
-				if r.Has(in.memID[i], in.memID[j]) {
-					out[i][j] = c.trueLit
-				}
-			}
-		}
-		return out
-	}
+	static := in.static
 	isR, isW := in.isRead, in.isWrite
 
 	dp := static(x.Addr.Union(x.Data))
@@ -146,6 +143,9 @@ func (in *Instance) powerPPO(poloc, po, rfe, rfi, fre, coe relExpr,
 		nic := c.union(c.union(ii, cc), c.union(c.seq(ic, cc), c.seq(ii, ic)))
 		nci := c.union(ci0, c.union(c.seq(ci, ii), c.seq(cc, ci)))
 		ncc := c.union(c.union(cc0, ci), c.union(c.seq(ci, ic), c.seq(cc, cc)))
+		if sameRel(nii, ii) && sameRel(nic, ic) && sameRel(nci, ci) && sameRel(ncc, cc) {
+			break
+		}
 		ii, ic, ci, cc = nii, nic, nci, ncc
 	}
 	ppo = c.union(c.restrict(ii, isR, isR), c.restrict(ic, isR, isW))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -8,7 +9,9 @@ import (
 	"herdcats/internal/bmc"
 	"herdcats/internal/cases"
 	"herdcats/internal/models"
+	"herdcats/internal/multi"
 	"herdcats/internal/opsim"
+	"herdcats/internal/sim"
 )
 
 // Table10Row is one line of Tab. X: a verification route, the tests it
@@ -87,26 +90,38 @@ type Table11Row struct {
 
 // Table11 reproduces Tab. XI: the same SAT verifier carrying the CAV 2012
 // multi-event model vs. the present single-event model, on a litmus corpus.
+// After the timed run, each verdict is checked against the enumerative
+// simulator under the matching model (multi.Model for CAV12, models.Power
+// for the present one).
 func Table11(c *Corpus) ([]Table11Row, error) {
-	run := func(id bmc.ModelID) (Table11Row, error) {
+	run := func(id bmc.ModelID, ref sim.Checker) (Table11Row, error) {
 		row := Table11Row{Model: id.String(), Tests: len(c.Tests)}
+		verdicts := make([]bool, len(c.Tests))
 		start := time.Now()
-		for _, t := range c.Tests {
+		for i, t := range c.Tests {
 			inst, err := bmc.Encode(t, id)
 			if err != nil {
 				return row, fmt.Errorf("%s: %v", t.Name, err)
 			}
-			inst.Solve()
-			row.Correct++
+			verdicts[i] = inst.Solve()
 		}
 		row.Time = time.Since(start)
+		for i, t := range c.Tests {
+			out, err := sim.Simulate(context.Background(), sim.Request{Test: t, Checker: ref})
+			if err != nil {
+				return row, fmt.Errorf("%s: %v", t.Name, err)
+			}
+			if out.Allowed() == verdicts[i] {
+				row.Correct++
+			}
+		}
 		return row, nil
 	}
-	cav, err := run(bmc.PowerCAV)
+	cav, err := run(bmc.PowerCAV, multi.Model{})
 	if err != nil {
 		return nil, err
 	}
-	present, err := run(bmc.Power)
+	present, err := run(bmc.Power, models.Power)
 	if err != nil {
 		return nil, err
 	}
@@ -117,9 +132,9 @@ func Table11(c *Corpus) ([]Table11Row, error) {
 func RenderTable11(rows []Table11Row) string {
 	var b strings.Builder
 	b.WriteString("Table XI: verification with the CAV12 model vs the present model\n")
-	fmt.Fprintf(&b, "%-32s %8s %12s\n", "model", "tests", "time")
+	fmt.Fprintf(&b, "%-32s %8s %8s %12s\n", "model", "tests", "correct", "time")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-32s %8d %12s\n", r.Model, r.Tests, r.Time.Round(time.Millisecond))
+		fmt.Fprintf(&b, "%-32s %8d %8d %12s\n", r.Model, r.Tests, r.Correct, r.Time.Round(time.Millisecond))
 	}
 	return b.String()
 }

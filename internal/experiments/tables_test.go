@@ -158,7 +158,8 @@ func TestTable10Shape(t *testing.T) {
 }
 
 // TestTable11Shape: the present model's encoding is not slower than the
-// CAV12 one (the paper reports a ~2x speedup).
+// CAV12 one (the paper reports a ~2x speedup), and every verdict of both
+// agrees with the simulator under the matching model.
 func TestTable11Shape(t *testing.T) {
 	c := experiments.BuildCorpus("PPC", 4, 4, 120)
 	rows, err := experiments.Table11(c)
@@ -168,6 +169,11 @@ func TestTable11Shape(t *testing.T) {
 	cav, present := rows[0], rows[1]
 	if present.Time > cav.Time*3/2 {
 		t.Errorf("present model (%v) should not be slower than CAV12 (%v)", present.Time, cav.Time)
+	}
+	for _, r := range rows {
+		if r.Correct != r.Tests {
+			t.Errorf("%s: %d of %d verdicts agree with the simulator", r.Model, r.Correct, r.Tests)
+		}
 	}
 	_ = experiments.RenderTable11(rows)
 }

@@ -59,6 +59,7 @@ type Solver struct {
 	varInc   float64
 
 	seen      []bool // scratch for conflict analysis
+	addBuf    []Lit  // scratch for AddClause's simplification
 	propHead  int
 	unsatable bool // a top-level conflict was found
 
@@ -126,18 +127,22 @@ func (s *Solver) AddClause(lits ...Lit) {
 	// clause simplification below must only trust root-level assignments.
 	s.cancelUntil(0)
 	// Simplify: drop duplicates and false top-level literals; detect
-	// tautologies and satisfied clauses.
-	seen := map[Lit]bool{}
-	var out []Lit
+	// tautologies and satisfied clauses. Clauses are short, so a scan
+	// over the literals kept so far replaces a set; they are kept in a
+	// reused buffer and copied out only for a clause that is stored.
+	out := s.addBuf[:0]
+next:
 	for _, l := range lits {
 		if l == 0 || l.Var() > s.nVars {
 			panic(fmt.Sprintf("sat: bad literal %d (have %d vars)", l, s.nVars))
 		}
-		if seen[l] {
-			continue
-		}
-		if seen[l.Neg()] {
-			return // tautology
+		for _, k := range out {
+			if k == l {
+				continue next
+			}
+			if k == l.Neg() {
+				return // tautology
+			}
 		}
 		switch s.litValue(l) {
 		case lTrue:
@@ -149,9 +154,9 @@ func (s *Solver) AddClause(lits ...Lit) {
 				continue // drop false literal
 			}
 		}
-		seen[l] = true
 		out = append(out, l)
 	}
+	s.addBuf = out[:0]
 	switch len(out) {
 	case 0:
 		s.unsatable = true
@@ -165,7 +170,7 @@ func (s *Solver) AddClause(lits ...Lit) {
 		}
 		return
 	}
-	c := &clause{lits: out}
+	c := &clause{lits: append([]Lit(nil), out...)}
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 }
