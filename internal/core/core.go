@@ -12,8 +12,7 @@
 //
 // Options carries the documented weakenings of Sec. 4.8–4.9: allowing
 // load-load hazards (dropping read-read pairs from po-loc, Sparc RMO and the
-// "ARM llh" model of Tab. VII), disabling NO THIN AIR (software models
-// allowing lb), and the C++ R-A weakening of PROPAGATION to
+// "ARM llh" model of Tab. VII) and the C++ R-A weakening of PROPAGATION to
 // irreflexive(prop ; co).
 package core
 
@@ -23,28 +22,28 @@ import (
 )
 
 // Architecture is the triple (ppo, fences, prop) of Sec. 4.1.
-// Each function receives a derived candidate execution and returns a
-// relation over its events.
+// Each method receives a derived candidate execution and returns a fresh
+// relation over its events that the caller owns: drawn from ar, to be
+// handed back with Put, or newly allocated when ar is nil.
 type Architecture interface {
 	// Name identifies the architecture, e.g. "Power".
 	Name() string
 	// PPO returns the preserved program order.
-	PPO(x *events.Execution) rel.Rel
+	PPO(x *events.Execution, ar *rel.Arena) rel.Rel
 	// Fences returns the fence relation of the model (the union of the
 	// fence flavours the architecture recognises, already port-filtered,
 	// e.g. lwsync \ WR on Power).
-	Fences(x *events.Execution) rel.Rel
+	Fences(x *events.Execution, ar *rel.Arena) rel.Rel
 	// Prop returns the propagation order. It receives the architecture's
 	// own ppo and fences (as computed by PPO and Fences) so instances can
 	// build prop from hb without recomputing the ppo fixpoint — prop is
 	// defined in terms of fences and hb in Fig. 18.
-	Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel
+	Prop(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel
 }
 
-// Checker validates one candidate execution. It mirrors sim.Checker (the
-// method sets are identical, so values convert freely between the two);
-// it is defined here as well so evaluator providers in leaf packages
-// (models, cat) can name the type without importing the simulator.
+// Checker validates one candidate execution (sim.Checker is an alias).
+// It lives here so evaluator providers in leaf packages (models, cat) can
+// name the type without importing the simulator.
 type Checker interface {
 	Name() string
 	Check(x *events.Execution) Result
@@ -96,8 +95,6 @@ type Options struct {
 	// AllowLoadLoadHazard drops read-read pairs from po-loc in
 	// SC PER LOCATION (coRR allowed): Sparc RMO, pre-Power4, "ARM llh".
 	AllowLoadLoadHazard bool
-	// SkipNoThinAir disables the NO THIN AIR check (models allowing lb).
-	SkipNoThinAir bool
 	// WeakPropagation replaces acyclic(co ∪ prop) with
 	// irreflexive(prop ; co), the C++ R-A HBVSMO-style check.
 	WeakPropagation bool
@@ -105,7 +102,7 @@ type Options struct {
 
 // Result reports the outcome of checking one candidate execution.
 type Result struct {
-	// Valid is true iff every (enabled) axiom holds.
+	// Valid is true iff every axiom holds.
 	Valid bool
 	// Failed lists the violated axioms, in the paper's order. This is the
 	// classification used by Tab. VIII (columns S, T, O, P and their
@@ -132,34 +129,13 @@ func (r Result) FailedSet() map[Axiom]bool {
 	return m
 }
 
-// ArenaArchitecture is optionally implemented by architectures whose
-// (ppo, fences, prop) functions can draw every scratch and result buffer
-// from an arena. The returned relations are arena-owned: the caller uses
-// them and returns them with Put. The arena may be nil, in which case the
-// methods must behave like their plain counterparts.
-type ArenaArchitecture interface {
-	PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel
-	FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel
-	PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel
-}
-
-// Check validates x against arch with default options.
-func Check(arch Architecture, x *events.Execution) Result {
-	return CheckWith(arch, x, Options{})
-}
-
-// CheckWith validates x against arch under the given axiom options.
-// All four axioms are always evaluated (unless disabled) so that the result
-// carries the full classification, not just the first failure.
-func CheckWith(arch Architecture, x *events.Execution, opts Options) Result {
-	return CheckWithArena(arch, x, opts, nil)
-}
-
-// CheckWithArena is CheckWith drawing every intermediate relation from the
-// given arena: with a warm arena (one per search, reused across the
-// candidates of a skeleton) the steady-state check allocates no bitsets.
-// A nil arena degrades to allocate-per-call, which is exactly CheckWith.
-func CheckWithArena(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) Result {
+// Check validates x against arch under the given axiom options, drawing
+// every intermediate relation from ar: with a warm arena (one per search
+// worker, reused across candidates) the steady-state check allocates no
+// bitsets, and a nil arena allocates per call. All four axioms are always
+// evaluated so that the result carries the full classification, not just
+// the first failure.
+func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) Result {
 	n := x.N()
 	var failed []Axiom
 
@@ -179,35 +155,18 @@ func CheckWithArena(arch Architecture, x *events.Execution, opts Options, ar *re
 	}
 	ar.Put(sc)
 
-	// The architecture's ingredients. Arena-aware architectures hand back
-	// arena-owned buffers we return below; plain ones allocate (and may
-	// return relations shared with x, e.g. a fence map entry), so their
-	// results must not be put back in the pool.
-	aa, owned := arch.(ArenaArchitecture)
-	var ppo, fences rel.Rel
-	if owned {
-		ppo = aa.PPOArena(x, ar)
-		fences = aa.FencesArena(x, ar)
-	} else {
-		ppo = arch.PPO(x)
-		fences = arch.Fences(x)
-	}
+	ppo := arch.PPO(x, ar)
+	fences := arch.Fences(x, ar)
 
 	// NO THIN AIR: acyclic(hb), hb = ppo ∪ fences ∪ rfe.
 	hb := ar.Get(n)
 	hb.CopyFrom(ppo)
 	hb.UnionInto(fences)
 	hb.UnionInto(x.RFE)
-	if !opts.SkipNoThinAir && !hb.AcyclicScratch(ar.DFS()) {
+	if !hb.AcyclicScratch(ar.DFS()) {
 		failed = append(failed, NoThinAir)
 	}
-
-	var prop rel.Rel
-	if owned {
-		prop = aa.PropArena(x, ppo, fences, ar)
-	} else {
-		prop = arch.Prop(x, ppo, fences)
-	}
+	prop := arch.Prop(x, ppo, fences, ar)
 
 	// OBSERVATION: irreflexive(fre ; prop ; hb*).
 	hbStar := ar.Get(n)
@@ -235,14 +194,8 @@ func CheckWithArena(arch Architecture, x *events.Execution, opts Options, ar *re
 			failed = append(failed, Propagation)
 		}
 	}
-	ar.Put(t2)
-	ar.Put(t1)
-	ar.Put(hbStar)
-	ar.Put(hb)
-	if owned {
-		ar.Put(prop)
-		ar.Put(fences)
-		ar.Put(ppo)
+	for _, r := range []rel.Rel{t2, t1, hbStar, hb, prop, fences, ppo} {
+		ar.Put(r)
 	}
 
 	names := make([]string, len(failed))

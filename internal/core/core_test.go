@@ -13,11 +13,11 @@ import (
 type scLike struct{}
 
 func (scLike) Name() string { return "sc-like" }
-func (scLike) PPO(x *events.Execution) rel.Rel {
+func (scLike) PPO(x *events.Execution, _ *rel.Arena) rel.Rel {
 	return x.PO.Restrict(x.M, x.M)
 }
-func (scLike) Fences(x *events.Execution) rel.Rel { return rel.New(x.N()) }
-func (a scLike) Prop(x *events.Execution, ppo, _ rel.Rel) rel.Rel {
+func (scLike) Fences(x *events.Execution, _ *rel.Arena) rel.Rel { return rel.New(x.N()) }
+func (a scLike) Prop(x *events.Execution, ppo, _ rel.Rel, _ *rel.Arena) rel.Rel {
 	return ppo.Union(x.MemRF()).Union(x.FR)
 }
 
@@ -59,7 +59,7 @@ func coWWExecution() *events.Execution {
 }
 
 func TestCheckClassifiesMP(t *testing.T) {
-	res := core.Check(scLike{}, mpExecution())
+	res := core.Check(scLike{}, mpExecution(), core.Options{}, nil)
 	if res.Valid {
 		t.Fatal("mp's forbidden data-flow should be invalid under the SC instance")
 	}
@@ -76,7 +76,7 @@ func TestCheckClassifiesMP(t *testing.T) {
 }
 
 func TestCheckCoWW(t *testing.T) {
-	res := core.Check(scLike{}, coWWExecution())
+	res := core.Check(scLike{}, coWWExecution(), core.Options{}, nil)
 	if res.Valid || !res.FailedSet()[core.SCPerLocation] {
 		t.Errorf("coWW should fail SC PER LOCATION: %v", res.Failed)
 	}
@@ -85,44 +85,6 @@ func TestCheckCoWW(t *testing.T) {
 		t.Error("llh must not allow coWW")
 	}
 }
-
-func TestSkipNoThinAir(t *testing.T) {
-	// An lb-shaped execution: two threads, read then write, each reading
-	// the other's write.
-	x := events.NewExecution(6)
-	x.Events = []events.Event{
-		{ID: 0, Tid: events.InitTid, PC: -1, Kind: events.MemWrite, Loc: "x"},
-		{ID: 1, Tid: events.InitTid, PC: -1, Kind: events.MemWrite, Loc: "y"},
-		{ID: 2, Tid: 0, PC: 0, Kind: events.MemRead, Loc: "x", Val: 1},
-		{ID: 3, Tid: 0, PC: 1, Kind: events.MemWrite, Loc: "y", Val: 1},
-		{ID: 4, Tid: 1, PC: 0, Kind: events.MemRead, Loc: "y", Val: 1},
-		{ID: 5, Tid: 1, PC: 1, Kind: events.MemWrite, Loc: "x", Val: 1},
-	}
-	x.PO.Add(2, 3)
-	x.PO.Add(4, 5)
-	x.RF.Add(5, 2)
-	x.RF.Add(3, 4)
-	x.CO.Add(0, 5)
-	x.CO.Add(1, 3)
-	x.Derive()
-
-	strict := core.CheckWith(scLike{}, x, core.Options{})
-	if strict.Valid || !strict.FailedSet()[core.NoThinAir] {
-		t.Errorf("lb shape should fail NO THIN AIR under po-preserving ppo: %v", strict.Failed)
-	}
-	// Disabling the axiom admits the execution only if the others hold;
-	// under the SC-like prop it still fails PROPAGATION, so weaken that
-	// too to isolate the option.
-	weak := core.CheckWith(weakArch{}, x, core.Options{SkipNoThinAir: true})
-	if !weak.Valid {
-		t.Errorf("with NO THIN AIR disabled and an empty prop, lb is admitted: %v", weak.Failed)
-	}
-}
-
-// weakArch has the SC ppo but no propagation constraints at all.
-type weakArch struct{ scLike }
-
-func (weakArch) Prop(x *events.Execution, _, _ rel.Rel) rel.Rel { return rel.New(x.N()) }
 
 func TestWeakPropagation(t *testing.T) {
 	// A 2+2w-style co/prop cycle of length four fails acyclic(co ∪ prop)
@@ -148,11 +110,11 @@ func TestWeakPropagation(t *testing.T) {
 
 	// ppoArch: prop = po over memory (writes in program order propagate
 	// in order), no com in prop.
-	strict := core.CheckWith(ppoPropArch{}, x, core.Options{})
+	strict := core.Check(ppoPropArch{}, x, core.Options{}, nil)
 	if strict.Valid || !strict.FailedSet()[core.Propagation] {
 		t.Errorf("2+2w shape should fail PROPAGATION: %v", strict.Failed)
 	}
-	weak := core.CheckWith(ppoPropArch{}, x, core.Options{WeakPropagation: true})
+	weak := core.Check(ppoPropArch{}, x, core.Options{WeakPropagation: true}, nil)
 	if !weak.Valid {
 		t.Errorf("C++ R-A weakening should admit the 2+2w shape: %v", weak.Failed)
 	}
@@ -160,7 +122,7 @@ func TestWeakPropagation(t *testing.T) {
 
 type ppoPropArch struct{ scLike }
 
-func (a ppoPropArch) Prop(x *events.Execution, _, _ rel.Rel) rel.Rel {
+func (a ppoPropArch) Prop(x *events.Execution, _, _ rel.Rel, _ *rel.Arena) rel.Rel {
 	return x.PO.Restrict(x.M, x.M)
 }
 
@@ -187,61 +149,5 @@ func TestHB(t *testing.T) {
 	}
 	if !hb.Has(2, 3) { // ppo
 		t.Error("hb missing ppo edge")
-	}
-}
-
-func TestExplain(t *testing.T) {
-	// mp's forbidden data-flow: OBSERVATION must carry a reflexive witness.
-	vs := core.Explain(scLike{}, mpExecution(), core.Options{})
-	if len(vs) == 0 {
-		t.Fatal("no violations explained")
-	}
-	foundObs := false
-	for _, v := range vs {
-		if v.Axiom == core.Observation {
-			foundObs = true
-			if len(v.Witness) != 1 {
-				t.Errorf("observation witness = %v, want a single reflexive point", v.Witness)
-			}
-		}
-	}
-	if !foundObs {
-		t.Errorf("OBSERVATION not among violations: %v", vs)
-	}
-	text := core.FormatViolations(mpExecution(), vs)
-	if text == "" {
-		t.Error("empty rendering")
-	}
-
-	// coWW: the SC-per-location witness must be a genuine cycle of
-	// po-loc ∪ com.
-	x := coWWExecution()
-	vs = core.Explain(scLike{}, x, core.Options{})
-	for _, v := range vs {
-		if v.Axiom != core.SCPerLocation {
-			continue
-		}
-		if len(v.Witness) < 2 {
-			t.Fatalf("witness too short: %v", v.Witness)
-		}
-		comPoloc := x.POLoc.Union(x.Com)
-		for i := range v.Witness {
-			a, b := v.Witness[i], v.Witness[(i+1)%len(v.Witness)]
-			if !comPoloc.Has(a, b) {
-				t.Errorf("witness edge (%d,%d) not in po-loc ∪ com", a, b)
-			}
-		}
-	}
-
-	// Valid executions explain to nothing.
-	ok := mpExecution()
-	// Rewire d to read a (x=1): now SC-consistent.
-	ok.RF = ok.RF.Clone()
-	ok.RF.Remove(0, 5)
-	ok.RF.Add(2, 5)
-	ok.Events[5].Val = 1
-	ok.Derive()
-	if vs := core.Explain(scLike{}, ok, core.Options{}); len(vs) != 0 {
-		t.Errorf("valid execution explained violations: %v", vs)
 	}
 }

@@ -157,9 +157,10 @@ func TestTable10Shape(t *testing.T) {
 	_ = experiments.RenderTable10(rows)
 }
 
-// TestTable11Shape: the present model's encoding is not slower than the
-// CAV12 one (the paper reports a ~2x speedup), and every verdict of both
-// agrees with the simulator under the matching model.
+// TestTable11Shape: the present model's encoding takes at most 1.5x the
+// CAV12 one's time (the paper reports a ~2x speedup; the bound leaves
+// room for timing noise), and every verdict of both agrees with the
+// simulator under the matching model.
 func TestTable11Shape(t *testing.T) {
 	c := experiments.BuildCorpus("PPC", 4, 4, 120)
 	rows, err := experiments.Table11(c)
@@ -168,7 +169,7 @@ func TestTable11Shape(t *testing.T) {
 	}
 	cav, present := rows[0], rows[1]
 	if present.Time > cav.Time*3/2 {
-		t.Errorf("present model (%v) should not be slower than CAV12 (%v)", present.Time, cav.Time)
+		t.Errorf("present model (%v) should take at most 1.5x the CAV12 time (%v)", present.Time, cav.Time)
 	}
 	for _, r := range rows {
 		if r.Correct != r.Tests {

@@ -113,10 +113,10 @@ func New(arch core.Architecture, x *events.Execution) (*Machine, error) {
 		}
 	}
 
-	ppo := arch.PPO(x)
-	m.fences = arch.Fences(x)
+	ppo := arch.PPO(x, nil)
+	m.fences = arch.Fences(x, nil)
 	m.ppoFences = ppo.Union(m.fences)
-	m.prop = arch.Prop(x, ppo, m.fences)
+	m.prop = arch.Prop(x, ppo, m.fences, nil)
 	hb := core.HB(x, ppo, m.fences)
 	m.propHBs = m.prop.Seq(hb.Star())
 	m.poloc = x.POLoc

@@ -3,7 +3,6 @@ package models
 import (
 	"herdcats/internal/core"
 	"herdcats/internal/events"
-	"herdcats/internal/rel"
 )
 
 // C11Model is the mixed-access-type extension announced in Sec. 4.9:
@@ -57,9 +56,4 @@ func (C11Model) Check(x *events.Execution) core.Result {
 	}
 
 	return core.Result{Valid: len(failed) == 0, FailedChecks: failed}
-}
-
-// HBC exposes the C11 happens-before (for tests and tooling).
-func (C11Model) HBC(x *events.Execution) rel.Rel {
-	return x.PO.Restrict(x.M, x.M).Union(x.SW).Plus()
 }

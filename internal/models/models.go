@@ -23,32 +23,30 @@ func (m Model) Name() string { return m.Arch.Name() }
 
 // Check validates a candidate execution against the model.
 func (m Model) Check(x *events.Execution) core.Result {
-	return core.CheckWith(m.Arch, x, m.Opts)
+	return core.Check(m.Arch, x, m.Opts, nil)
 }
 
 // NewEvaluator implements core.EvaluatorProvider: the returned checker
 // reuses one arena of pooled relation buffers across candidates, so the
 // steady-state axiom check (including the Power/ARM ppo fixpoint) runs
 // without allocating bitsets. One evaluator serves one goroutine;
-// sim.Simulate requests one per search.
+// sim.Simulate requests one per search worker.
 func (m Model) NewEvaluator() core.Checker {
-	return &arenaChecker{m: m, ar: rel.NewArena()}
+	return evaluator{Model: m, ar: rel.NewArena()}
 }
 
-// arenaChecker is a Model bound to a private arena.
-type arenaChecker struct {
-	m  Model
+// evaluator is a Model bound to a private arena.
+type evaluator struct {
+	Model
 	ar *rel.Arena
 }
 
-func (c *arenaChecker) Name() string { return c.m.Name() }
-
-func (c *arenaChecker) Check(x *events.Execution) core.Result {
-	return core.CheckWithArena(c.m.Arch, x, c.m.Opts, c.ar)
+func (e evaluator) Check(x *events.Execution) core.Result {
+	return core.Check(e.Arch, x, e.Opts, e.ar)
 }
 
 // PruneLevel declares the early SC-per-location pruning level sound for
-// this model (sim.PruneCapable): core.CheckWith evaluates the SC PER
+// this model (sim.PruneCapable): core.Check evaluates the SC PER
 // LOCATION axiom for every architecture, so any candidate whose po-loc ∪
 // com union is cyclic is rejected — the enumeration may skip it. Under
 // AllowLoadLoadHazard the axiom exempts read-read program-order pairs, and
@@ -70,25 +68,25 @@ var (
 	// PROPAGATION weakening to irreflexive(prop ; co) (Sec. 4.8).
 	CppRA = Model{Arch: cppRAArch{}, Opts: core.Options{WeakPropagation: true}}
 	// Power is the paper's Power model (Fig. 5 + 17 + 18 + 25).
-	Power = Model{Arch: powerArch{}}
+	Power = Model{Arch: powerArch{name: "Power", cfence: events.FenceIsync}}
 	// PowerARM instantiates the Power model with ARM fences (first column
 	// of Tab. VII); it is invalidated by ARM hardware.
-	PowerARM = Model{Arch: armArch{ppoVariant: ppoPower, name: "Power-ARM"}}
+	PowerARM = Model{Arch: powerArch{name: "Power-ARM", cfence: events.FenceISB, armFences: true}}
 	// ARM is the paper's proposed ARM model (Tab. VII): cc0 loses po-loc
 	// to admit the early-commit behaviours of Fig. 32/33.
-	ARM = Model{Arch: armArch{ppoVariant: ppoARM, name: "ARM"}}
+	ARM = Model{Arch: powerArch{name: "ARM", cfence: events.FenceISB, armFences: true, earlyCommit: true}}
 	// ARMllh is ARM plus load-load hazards allowed in SC PER LOCATION,
 	// used to test hardware suffering from the acknowledged coRR bug.
 	ARMllh = Model{
-		Arch: armArch{ppoVariant: ppoARM, name: "ARM llh"},
+		Arch: powerArch{name: "ARM llh", cfence: events.FenceISB, armFences: true, earlyCommit: true},
 		Opts: core.Options{AllowLoadLoadHazard: true},
 	}
 	// PowerStatic and ARMStatic drop the dynamic rdw and detour ingredients
 	// from the preserved program order — the weaker, "more stand-alone" ppo
 	// the paper weighs at the end of Sec. 8.2; the nodetour ablation
 	// measures how few behaviours this actually frees.
-	PowerStatic = Model{Arch: powerArch{static: true, name: "Power nodetour"}}
-	ARMStatic   = Model{Arch: armArch{ppoVariant: ppoARM, name: "ARM nodetour", static: true}}
+	PowerStatic = Model{Arch: powerArch{name: "Power nodetour", cfence: events.FenceIsync, static: true}}
+	ARMStatic   = Model{Arch: powerArch{name: "ARM nodetour", cfence: events.FenceISB, armFences: true, earlyCommit: true, static: true}}
 )
 
 // All lists the model zoo in a stable order.
@@ -113,26 +111,11 @@ type scArch struct{}
 
 func (scArch) Name() string { return "SC" }
 
-func (a scArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
+func (scArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel { return poMM(x, ar) }
 
-func (a scArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
+func (scArch) Fences(x *events.Execution, ar *rel.Arena) rel.Rel { return ar.Get(x.N()) }
 
-func (a scArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (scArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	ppo := ar.Get(x.N())
-	ppo.CopyFrom(x.PO)
-	ppo.RestrictInPlace(x.M, x.M)
-	return ppo
-}
-
-func (scArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ar.Get(x.N())
-}
-
-func (scArch) PropArena(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
+func (scArch) Prop(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
 	prop := ar.Get(x.N())
 	prop.CopyFrom(ppo)
 	prop.UnionInto(x.MemRF())
@@ -148,18 +131,8 @@ type tsoArch struct{}
 
 func (tsoArch) Name() string { return "TSO" }
 
-func (a tsoArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a tsoArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a tsoArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (tsoArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	po := ar.Get(x.N())
-	po.CopyFrom(x.PO)
-	po.RestrictInPlace(x.M, x.M)
+func (tsoArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
+	po := poMM(x, ar)
 	wr := ar.Get(x.N())
 	wr.CopyFrom(po)
 	wr.RestrictInPlace(x.W, x.R)
@@ -168,19 +141,27 @@ func (tsoArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
 	return po
 }
 
-func (tsoArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
+func (tsoArch) Fences(x *events.Execution, ar *rel.Arena) rel.Rel {
 	f := ar.Get(x.N())
 	copyFence(f, x, events.FenceMFence)
 	return f
 }
 
-func (tsoArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
+func (tsoArch) Prop(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
 	prop := ar.Get(x.N())
 	prop.CopyFrom(ppo)
 	prop.UnionInto(fences)
 	prop.UnionInto(x.RFE)
 	prop.UnionInto(x.FR)
 	return prop
+}
+
+// poMM returns po restricted to memory events, drawn from ar.
+func poMM(x *events.Execution, ar *rel.Arena) rel.Rel {
+	po := ar.Get(x.N())
+	po.CopyFrom(x.PO)
+	po.RestrictInPlace(x.M, x.M)
+	return po
 }
 
 // copyFence overwrites dst with the execution's fence relation of the given
@@ -198,30 +179,11 @@ func copyFence(dst rel.Rel, x *events.Execution, kind events.FenceKind) {
 // C++ R-A (Fig. 21): ppo = sb (program order), fences = ∅, prop = hb⁺ with
 // hb = sb ∪ rf. Checked with the WeakPropagation option.
 
-type cppRAArch struct{}
+type cppRAArch struct{ scArch }
 
 func (cppRAArch) Name() string { return "C++ R-A" }
 
-func (a cppRAArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a cppRAArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a cppRAArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (cppRAArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	ppo := ar.Get(x.N())
-	ppo.CopyFrom(x.PO)
-	ppo.RestrictInPlace(x.M, x.M)
-	return ppo
-}
-
-func (cppRAArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ar.Get(x.N())
-}
-
-func (cppRAArch) PropArena(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
+func (cppRAArch) Prop(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) rel.Rel {
 	prop := ar.Get(x.N())
 	prop.CopyFrom(ppo)
 	prop.UnionInto(x.MemRF())
@@ -232,22 +194,40 @@ func (cppRAArch) PropArena(x *events.Execution, ppo, _ rel.Rel, ar *rel.Arena) r
 // ---------------------------------------------------------------------------
 // Power (Fig. 17 + 18 + 25) and ARM (Tab. VII).
 
-type ppoVariant uint8
+// powerArch is the Power family: Power, the ARM variants of Tab. VII and
+// their nodetour ablations differ only in these parameters.
+type powerArch struct {
+	name string
+	// cfence is the control fence: isync on Power, isb on ARM.
+	cfence events.FenceKind
+	// earlyCommit drops po-loc from cc0, the proposed ARM model.
+	earlyCommit bool
+	// static drops rdw and detour from the ppo (the Sec. 8.2 ablation).
+	static bool
+	// armFences selects ARM's fences (dmb, dsb and their .st variants)
+	// over Power's (sync, lwsync and eieio).
+	armFences bool
+	// extraII0, when set, returns one more ii0 seed (see PowerWith).
+	extraII0 func(x *events.Execution, ar *rel.Arena) rel.Rel
+}
 
-const (
-	ppoPower ppoVariant = iota // cc0 = dp ∪ po-loc ∪ ctrl ∪ (addr;po)
-	ppoARM                     // cc0 = dp ∪ ctrl ∪ (addr;po): early commit allowed
-)
+// PowerWith returns Power under another name, with one more ii0 seed in
+// its Fig. 25 fixpoint: the result of seed, a fresh relation drawn from
+// ar. Package multi builds its CAV12 strengthening this way.
+func PowerWith(name string, seed func(x *events.Execution, ar *rel.Arena) rel.Rel) core.Architecture {
+	return powerArch{name: name, cfence: events.FenceIsync, extraII0: seed}
+}
 
-// ppoFixpoint computes the preserved program order of Fig. 25: the least
-// fixpoint of the ii/ic/ci/cc equations over init/commit subevent orderings,
-// then ppo = (ii ∩ RR) ∪ (ic ∩ RW).
+func (a powerArch) Name() string { return a.name }
+
+// PPO computes the preserved program order of Fig. 25: the fixpoint of
+// PPOFixpoint over the seeds
 //
-// cfence is the architecture's control fence (isync or isb); variant selects
-// the Power or ARM cc0. When static is true, the dynamic ingredients rdw
-// and detour are excluded — the "more static" ppo the paper advocates
-// exploring at the end of Sec. 8.2, reproduced by the nodetour ablation.
-func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVariant, static bool, ar *rel.Arena) rel.Rel {
+//	ii0 = dp ∪ rdw ∪ rfi        ci0 = ctrl+cfence ∪ detour
+//	cc0 = dp ∪ po-loc ∪ ctrl ∪ (addr ; po)
+//
+// (ARM drops po-loc from cc0), then ppo = (ii ∩ RR) ∪ (ic ∩ RW).
+func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
 	n := x.N()
 	dp := ar.Get(n)
 	dp.CopyFrom(x.Addr)
@@ -255,7 +235,7 @@ func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVarian
 	tmp := ar.Get(n)
 	rdw := ar.Get(n)
 	detour := ar.Get(n)
-	if !static {
+	if !a.static {
 		tmp.SeqInto(x.FRE, x.RFE)
 		rdw.CopyFrom(x.POLoc)
 		rdw.InterInto(tmp)
@@ -264,39 +244,63 @@ func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVarian
 		detour.InterInto(tmp)
 	}
 
-	// The seeds of the Fig. 25 equations. ic0 is empty, so its term folds
-	// away below.
 	ii0 := ar.Get(n)
 	ii0.CopyFrom(dp)
 	ii0.UnionInto(rdw)
 	ii0.UnionInto(x.RFI)
+	if a.extraII0 != nil {
+		extra := a.extraII0(x, ar)
+		ii0.UnionInto(extra)
+		ar.Put(extra)
+	}
 	ci0 := ar.Get(n)
-	if ctrlCfence, ok := x.CtrlCfence[cfence]; ok && ctrlCfence.N() == n {
+	if ctrlCfence, ok := x.CtrlCfence[a.cfence]; ok && ctrlCfence.N() == n {
 		ci0.CopyFrom(ctrlCfence)
 	}
 	ci0.UnionInto(detour)
+	po := poMM(x, ar)
+	tmp.SeqInto(x.Addr, po)
+	ar.Put(po)
 	cc0 := ar.Get(n)
 	cc0.CopyFrom(dp)
 	cc0.UnionInto(x.Ctrl)
-	poMM := ar.Get(n)
-	poMM.CopyFrom(x.PO)
-	poMM.RestrictInPlace(x.M, x.M)
-	tmp.SeqInto(x.Addr, poMM)
 	cc0.UnionInto(tmp)
-	if variant == ppoPower {
+	if !a.earlyCommit {
 		cc0.UnionInto(x.POLoc)
 	}
 
-	// Kleene iteration with two register files swapped each round: the
-	// "next" values are rebuilt in place from the current ones, so the
-	// loop allocates nothing regardless of how many rounds it takes.
-	ii := ar.Get(n)
+	ii, ic := PPOFixpoint(ii0, ci0, cc0, ar)
+	ii.RestrictInPlace(x.R, x.R)
+	ic.RestrictInPlace(x.R, x.W)
+	ii.UnionInto(ic)
+	for _, r := range []rel.Rel{dp, tmp, rdw, detour, ii0, ci0, cc0, ic} {
+		ar.Put(r)
+	}
+	return ii
+}
+
+// PPOFixpoint iterates the equations of Fig. 25 over init/commit
+// subevent orderings from the seeds ii0, ci0 and cc0 (ic0 is empty) to
+// their least fixpoint:
+//
+//	ii = ii0 ∪ ci ∪ (ic ; ci) ∪ (ii ; ii)
+//	ic = ii ∪ cc ∪ (ic ; cc) ∪ (ii ; ic)
+//	ci = ci0 ∪ (ci ; ii) ∪ (cc ; ci)
+//	cc = cc0 ∪ ci ∪ (ci ; ic) ∪ (cc ; cc)
+//
+// The seeds are read-only; ii and ic are fresh relations the caller owns.
+// Two register files swap each round, so with a warm arena the loop
+// allocates nothing however many rounds it takes.
+func PPOFixpoint(ii0, ci0, cc0 rel.Rel, ar *rel.Arena) (ii, ic rel.Rel) {
+	n := ii0.N()
+	ii = ar.Get(n)
 	ii.CopyFrom(ii0)
-	ic := ar.Get(n) // ic0 = ∅
+	ic = ar.Get(n)
 	ci := ar.Get(n)
 	ci.CopyFrom(ci0)
 	cc := ar.Get(n)
 	cc.CopyFrom(cc0)
+	tmp := ar.Get(n)
 	nii, nic, nci, ncc := ar.Get(n), ar.Get(n), ar.Get(n), ar.Get(n)
 	for {
 		nii.CopyFrom(ii0)
@@ -334,27 +338,62 @@ func ppoFixpoint(x *events.Execution, cfence events.FenceKind, variant ppoVarian
 		ci, nci = nci, ci
 		cc, ncc = ncc, cc
 	}
-
-	out := ar.Get(n)
-	out.CopyFrom(ii)
-	out.RestrictInPlace(x.R, x.R)
-	tmp.CopyFrom(ic)
-	tmp.RestrictInPlace(x.R, x.W)
-	out.UnionInto(tmp)
-
-	for _, r := range []rel.Rel{dp, tmp, rdw, detour, ii0, ci0, cc0, poMM, ii, ic, ci, cc, nii, nic, nci, ncc} {
+	for _, r := range []rel.Rel{ci, cc, tmp, nii, nic, nci, ncc} {
 		ar.Put(r)
 	}
-	return out
+	return ii, ic
 }
 
-// propPowerARM computes the propagation order of Fig. 18:
+// ffence writes the full fence into dst: sync on Power; on ARM dmb ∪ dsb
+// plus the .st variants restricted to write-write pairs (Sec. 4.7: .st
+// fences are taken to be their unsuffixed counterparts limited to WW).
+// tmp is scratch of the same universe.
+func (a powerArch) ffence(dst, tmp rel.Rel, x *events.Execution) {
+	if !a.armFences {
+		copyFence(dst, x, events.FenceSync)
+		return
+	}
+	copyFence(dst, x, events.FenceDMB)
+	if f, ok := x.FenceRel[events.FenceDSB]; ok {
+		dst.UnionInto(f)
+	}
+	copyFence(tmp, x, events.FenceDMBST)
+	if f, ok := x.FenceRel[events.FenceDSBST]; ok {
+		tmp.UnionInto(f)
+	}
+	tmp.RestrictInPlace(x.W, x.W)
+	dst.UnionInto(tmp)
+}
+
+// Fences is the full fence, plus on Power the lightweight one: lwsync \ WR
+// and eieio restricted to write-write pairs (Sec. 4.7: eieio is a
+// lightweight barrier maintaining only WW pairs; ARM has none).
+func (a powerArch) Fences(x *events.Execution, ar *rel.Arena) rel.Rel {
+	n := x.N()
+	f := ar.Get(n)
+	tmp := ar.Get(n)
+	a.ffence(f, tmp, x)
+	if !a.armFences {
+		lw := ar.Get(n)
+		copyFence(lw, x, events.FenceLwsync)
+		tmp.CopyFrom(lw)
+		tmp.RestrictInPlace(x.W, x.R)
+		lw.DiffInto(tmp)
+		f.UnionInto(lw)
+		copyFence(tmp, x, events.FenceEieio)
+		tmp.RestrictInPlace(x.W, x.W)
+		f.UnionInto(tmp)
+		ar.Put(lw)
+	}
+	ar.Put(tmp)
+	return f
+}
+
+// Prop computes the propagation order of Fig. 18:
 //
 //	prop-base = (fences ∪ (rfe ; fences)) ; hb*
 //	prop      = (prop-base ∩ WW) ∪ (com* ; prop-base* ; ffence ; hb*)
-//
-// ffence is read-only; the result is arena-owned.
-func propPowerARM(x *events.Execution, ppo, fences, ffence rel.Rel, ar *rel.Arena) rel.Rel {
+func (a powerArch) Prop(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
 	n := x.N()
 	hbStar := ar.Get(n)
 	hbStar.CopyFrom(ppo)
@@ -378,139 +417,18 @@ func propPowerARM(x *events.Execution, ppo, fences, ffence rel.Rel, ar *rel.Aren
 	pbStar.PlusInPlace()
 	pbStar.UnionIdentity()
 
+	ff := ar.Get(n)
 	u := ar.Get(n)
+	a.ffence(ff, u, x)
 	t.SeqInto(comStar, pbStar)
-	u.SeqInto(t, ffence)
+	u.SeqInto(t, ff)
 	t.SeqInto(u, hbStar) // strong
 
-	out := ar.Get(n)
-	out.CopyFrom(propBase)
+	out := propBase
 	out.RestrictInPlace(x.W, x.W)
 	out.UnionInto(t)
-
-	for _, r := range []rel.Rel{hbStar, t, propBase, comStar, pbStar, u} {
+	for _, r := range []rel.Rel{hbStar, t, comStar, pbStar, ff, u} {
 		ar.Put(r)
 	}
-	return out
-}
-
-type powerArch struct {
-	// static drops rdw and detour from the ppo (the Sec. 8.2 ablation).
-	static bool
-	name   string
-}
-
-func (a powerArch) Name() string {
-	if a.name != "" {
-		return a.name
-	}
-	return "Power"
-}
-
-func (a powerArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a powerArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a powerArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (a powerArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ppoFixpoint(x, events.FenceIsync, ppoPower, a.static, ar)
-}
-
-// powerFfence writes sync into dst (the Power full fence).
-func powerFfence(dst rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceSync)
-}
-
-// powerLwfence writes lwsync \ WR into dst, plus eieio restricted to
-// write-write pairs (Sec. 4.7: eieio is a lightweight barrier maintaining
-// only WW pairs). tmp is scratch of the same universe.
-func powerLwfence(dst, tmp rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceLwsync)
-	tmp.CopyFrom(dst)
-	tmp.RestrictInPlace(x.W, x.R)
-	dst.DiffInto(tmp)
-	copyFence(tmp, x, events.FenceEieio)
-	tmp.RestrictInPlace(x.W, x.W)
-	dst.UnionInto(tmp)
-}
-
-func (powerArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	f := ar.Get(n)
-	powerFfence(f, x)
-	lw := ar.Get(n)
-	tmp := ar.Get(n)
-	powerLwfence(lw, tmp, x)
-	f.UnionInto(lw)
-	ar.Put(tmp)
-	ar.Put(lw)
-	return f
-}
-
-func (a powerArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
-	ff := ar.Get(x.N())
-	powerFfence(ff, x)
-	out := propPowerARM(x, ppo, fences, ff, ar)
-	ar.Put(ff)
-	return out
-}
-
-type armArch struct {
-	ppoVariant ppoVariant
-	name       string
-	static     bool // drop rdw and detour (the Sec. 8.2 ablation)
-}
-
-func (a armArch) Name() string { return a.name }
-
-func (a armArch) PPO(x *events.Execution) rel.Rel { return a.PPOArena(x, nil) }
-
-func (a armArch) Fences(x *events.Execution) rel.Rel { return a.FencesArena(x, nil) }
-
-func (a armArch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return a.PropArena(x, ppo, fences, nil)
-}
-
-func (a armArch) PPOArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	return ppoFixpoint(x, events.FenceISB, a.ppoVariant, a.static, ar)
-}
-
-// armFfence writes dmb ∪ dsb into dst, plus the .st variants restricted to
-// write-write pairs (Sec. 4.7: .st fences are taken to be their unsuffixed
-// counterparts limited to WW; ARM has no lightweight fence). tmp is scratch
-// of the same universe.
-func armFfence(dst, tmp rel.Rel, x *events.Execution) {
-	copyFence(dst, x, events.FenceDMB)
-	if f, ok := x.FenceRel[events.FenceDSB]; ok {
-		dst.UnionInto(f)
-	}
-	copyFence(tmp, x, events.FenceDMBST)
-	if f, ok := x.FenceRel[events.FenceDSBST]; ok {
-		tmp.UnionInto(f)
-	}
-	tmp.RestrictInPlace(x.W, x.W)
-	dst.UnionInto(tmp)
-}
-
-func (armArch) FencesArena(x *events.Execution, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	f := ar.Get(n)
-	tmp := ar.Get(n)
-	armFfence(f, tmp, x)
-	ar.Put(tmp)
-	return f
-}
-
-func (a armArch) PropArena(x *events.Execution, ppo, fences rel.Rel, ar *rel.Arena) rel.Rel {
-	n := x.N()
-	ff := ar.Get(n)
-	tmp := ar.Get(n)
-	armFfence(ff, tmp, x)
-	ar.Put(tmp)
-	out := propPowerARM(x, ppo, fences, ff, ar)
-	ar.Put(ff)
 	return out
 }

@@ -14,102 +14,52 @@
 //  2. A stronger preserved program order: the per-thread write-propagation
 //     model orders a read that misses a write against a later read that
 //     sees a propagation-successor of that write. Concretely we extend
-//     ii0 with po ∩ (fre ; (prop ∩ WW) ; rfe), which reproduces the CAV
-//     2012 verdict on mp+lwsync+addr-bigdetour-addr (Fig. 37): forbidden
-//     here, allowed by the paper's Power model.
+//     Power's ii0 with po ∩ RR ∩ (fre ; (fences ∩ WW) ; rfe), which
+//     reproduces the CAV 2012 verdict on mp+lwsync+addr-bigdetour-addr
+//     (Fig. 37): forbidden here, allowed by the paper's Power model.
 package multi
 
 import (
+	"slices"
+
 	"herdcats/internal/core"
 	"herdcats/internal/events"
+	"herdcats/internal/models"
 	"herdcats/internal/rel"
 )
 
 // Model is the multi-event Power checker. It implements sim.Checker.
 type Model struct{}
 
+const name = "Power multi-event (CAV12)"
+
 // Name implements sim.Checker.
-func (Model) Name() string { return "Power multi-event (CAV12)" }
+func (Model) Name() string { return name }
 
-// arch is the strengthened Power architecture used for the verdict.
-type arch struct{}
-
-func (arch) Name() string { return "Power multi-event (CAV12)" }
-
-func (a arch) PPO(x *events.Execution) rel.Rel {
-	return ppoMulti(x)
-}
-
-func (arch) Fences(x *events.Execution) rel.Rel {
-	lw := x.Fences(events.FenceLwsync)
-	lw = lw.Diff(lw.Restrict(x.W, x.R))
-	eieio := x.Fences(events.FenceEieio).Restrict(x.W, x.W)
-	return lw.Union(eieio).Union(x.Fences(events.FenceSync))
-}
-
-func (a arch) Prop(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	ffence := x.Fences(events.FenceSync)
-	hbStar := core.HB(x, ppo, fences).Star()
-	acumul := x.RFE.Seq(fences)
-	propBase := fences.Union(acumul).Seq(hbStar)
-	strong := x.Com.Star().Seq(propBase.Star()).Seq(ffence).Seq(hbStar)
-	return propBase.Restrict(x.W, x.W).Union(strong)
-}
+// arch is the strengthened Power architecture used for the verdict: the
+// zoo's Power with bigRdw added to the ii0 of its Fig. 25 fixpoint.
+var arch = models.PowerWith(name, bigRdw)
 
 // Arch exposes the strengthened architecture (e.g. for machine-based
 // cross-checks).
-func Arch() core.Architecture { return arch{} }
+func Arch() core.Architecture { return arch }
 
-// ppoMulti is the Power ppo fixpoint of Fig. 25 with the propagation-model
-// strengthening in ii0.
-func ppoMulti(x *events.Execution) rel.Rel {
-	n := x.N()
-	dp := x.Addr.Union(x.Data)
-	rdw := x.POLoc.Inter(x.FRE.Seq(x.RFE))
-	detour := x.POLoc.Inter(x.COE.Seq(x.RFE))
-
-	// Propagation-model ordering: if a read r1 reads a write that is
-	// co-before (or simply misses) a write w1 whose propagation precedes a
-	// write w2 (fence-ordered, write-to-write), and a po-later read r2
-	// reads w2 externally, then r1 was satisfied before w1 propagated,
-	// hence before w2 propagated, hence before r2 was satisfied.
-	wwProp := propWW(x)
-	bigRdw := x.PO.Restrict(x.R, x.R).Inter(x.FRE.Seq(wwProp).Seq(x.RFE))
-
-	ctrlCfence := x.CtrlCfence[events.FenceIsync]
-	if ctrlCfence.N() != n {
-		ctrlCfence = rel.New(n)
-	}
-
-	ii0 := dp.Union(rdw).Union(x.RFI).Union(bigRdw)
-	ic0 := rel.New(n)
-	ci0 := ctrlCfence.Union(detour)
-	cc0 := dp.Union(x.POLoc).Union(x.Ctrl).Union(x.Addr.Seq(x.PO.Restrict(x.M, x.M)))
-
-	ii, ic, ci, cc := ii0, ic0, ci0, cc0
-	for {
-		nii := ii0.Union(ci).Union(ic.Seq(ci)).Union(ii.Seq(ii))
-		nic := ic0.Union(ii).Union(cc).Union(ic.Seq(cc)).Union(ii.Seq(ic))
-		nci := ci0.Union(ci.Seq(ii)).Union(cc.Seq(ci))
-		ncc := cc0.Union(ci).Union(ci.Seq(ic)).Union(cc.Seq(cc))
-		if nii.Equal(ii) && nic.Equal(ic) && nci.Equal(ci) && ncc.Equal(cc) {
-			break
-		}
-		ii, ic, ci, cc = nii, nic, nci, ncc
-	}
-	return ii.Restrict(x.R, x.R).Union(ic.Restrict(x.R, x.W))
-}
-
-// propWW is the write-to-write propagation base used by the ppo
-// strengthening: fence-ordered write pairs and their B-cumulative
-// extensions (fences ; rfe-free hb over writes is approximated by the
-// prop-base ∩ WW of Fig. 18 without recursion through ppo).
-func propWW(x *events.Execution) rel.Rel {
-	lw := x.Fences(events.FenceLwsync)
-	lw = lw.Diff(lw.Restrict(x.W, x.R))
-	eieio := x.Fences(events.FenceEieio).Restrict(x.W, x.W)
-	fences := lw.Union(eieio).Union(x.Fences(events.FenceSync))
-	return fences.Restrict(x.W, x.W)
+// bigRdw is the propagation-model ordering po ∩ RR ∩ (fre ; fences|WW ;
+// rfe): if a read r1 misses a write w1 whose propagation precedes a write
+// w2 (fence-ordered, write-to-write), and a po-later read r2 reads w2
+// externally, then r1 was satisfied before w1 propagated, hence before w2
+// propagated, hence before r2 was satisfied. The result is drawn from ar.
+func bigRdw(x *events.Execution, ar *rel.Arena) rel.Rel {
+	ww := models.Power.Arch.Fences(x, ar)
+	ww.RestrictInPlace(x.W, x.W)
+	t := ar.Get(x.N())
+	t.SeqInto(x.FRE, ww)
+	ww.SeqInto(t, x.RFE)
+	t.CopyFrom(x.PO)
+	t.RestrictInPlace(x.R, x.R)
+	t.InterInto(ww)
+	ar.Put(ww)
+	return t
 }
 
 // Check implements sim.Checker: it expands the execution into its
@@ -125,10 +75,9 @@ func (m Model) Check(x *events.Execution) core.Result {
 	_ = ex.HB.Acyclic()
 	_ = ex.Obs.Irreflexive()
 	_ = ex.CoProp.Acyclic()
-	scOK := ex.POLocCom.Acyclic()
 
-	res := core.CheckWith(arch{}, x, core.Options{})
-	if scOK != core.SCPerLocationHolds(x, core.Options{}) {
+	res := core.Check(arch, x, core.Options{}, nil)
+	if ex.POLocCom.Acyclic() == slices.Contains(res.Failed, core.SCPerLocation) {
 		// Cannot happen: the expansion preserves SC PER LOCATION exactly.
 		panic("multi: expanded SC PER LOCATION disagrees with projection")
 	}
@@ -211,7 +160,6 @@ func Expand(x *events.Execution) *Expanded {
 	// what makes multi-event simulation pay: the same fixpoint over
 	// matrices that are larger by one propagation subevent per
 	// (write, thread) pair.
-	a := arch{}
 	dp := lift(x.Addr.Union(x.Data))
 	rdw := lift(x.POLoc.Inter(x.FRE.Seq(x.RFE)))
 	detour := lift(x.POLoc.Inter(x.COE.Seq(x.RFE)))
@@ -221,24 +169,13 @@ func Expand(x *events.Execution) *Expanded {
 	}
 	rfiE := lift(x.RFI).Union(structural)
 	ii0 := dp.Union(rdw).Union(rfiE)
-	ic0 := rel.New(n)
 	ci0 := ctrlCfence.Union(detour)
 	poME := lift(x.PO.Restrict(x.M, x.M))
 	cc0 := dp.Union(lift(x.POLoc)).Union(lift(x.Ctrl)).Union(lift(x.Addr).Seq(poME))
-	ii, ic, ci, cc := ii0, ic0, ci0, cc0
-	for {
-		nii := ii0.Union(ci).Union(ic.Seq(ci)).Union(ii.Seq(ii))
-		nic := ic0.Union(ii).Union(cc).Union(ic.Seq(cc)).Union(ii.Seq(ic))
-		nci := ci0.Union(ci.Seq(ii)).Union(cc.Seq(ci))
-		ncc := cc0.Union(ci).Union(ci.Seq(ic)).Union(cc.Seq(cc))
-		if nii.Equal(ii) && nic.Equal(ic) && nci.Equal(ci) && ncc.Equal(cc) {
-			break
-		}
-		ii, ic, ci, cc = nii, nic, nci, ncc
-	}
-	ppoE := ii.Union(ic) // direction filtering happens on projection
+	ppoE, ic := models.PPOFixpoint(ii0, ci0, cc0, nil)
+	ppoE.UnionInto(ic) // direction filtering happens on projection
 
-	fencesE := lift(a.Fences(x))
+	fencesE := lift(arch.Fences(x, nil))
 	ffenceE := lift(x.Fences(events.FenceSync))
 	rfeE := lift(x.RFE).Union(structural)
 	hbE := ppoE.Union(fencesE).Union(rfeE)

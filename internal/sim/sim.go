@@ -22,10 +22,7 @@ import (
 
 // Checker validates one candidate execution. models.Model and cat-compiled
 // models both implement it.
-type Checker interface {
-	Name() string
-	Check(x *events.Execution) core.Result
-}
+type Checker = core.Checker
 
 // PruneCapable is implemented by checkers that declare a level of early
 // SC-per-location pruning as sound: the checker promises to reject every
@@ -69,10 +66,8 @@ type Options struct {
 	PruneStats *exec.PruneStats
 }
 
-// Request is everything one simulation needs — the single entry point
-// replacing the Run/RunCtx/RunOptsCtx/RunCompiled/RunCompiledCtx/
-// RunCompiledOptsCtx family (kept as deprecated wrappers in
-// deprecated.go).
+// Request is everything one simulation needs: Simulate is the single
+// entry point, whether the test arrives as source or compiled.
 type Request struct {
 	// Test is the litmus test to simulate; it is compiled on the way in.
 	// Leave nil when Program carries a pre-compiled test.
