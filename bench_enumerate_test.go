@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -43,6 +44,19 @@ const coHeavySrc = `PPC coheavy
  stw r4,0(r2) | stw r4,0(r2) | stw r4,0(r2) | stw r4,0(r2) ;
  stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) | stw r4,0(r3) ;
 exists (x=1 /\ y=2 /\ z=3)`
+
+// coldHeavySrc is the benchmark's cold-heavy shape: four threads each
+// store their own constant to x and to y around an lwsync, so every
+// location collects four writes and the candidate space is the coherence
+// product 4!·4! = 576; propagation rejects the 2+2W cycles among them.
+const coldHeavySrc = `PPC heavy
+{ 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; 2:r1=x; 2:r2=y; 3:r1=x; 3:r2=y; }
+ P0 | P1 | P2 | P3 ;
+ li r4,1 | li r4,2 | li r4,3 | li r4,4 ;
+ stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) ;
+ lwsync | lwsync | lwsync | lwsync ;
+ stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) ;
+exists (x=1 /\ y=2)`
 
 // enumerateHash drives one full partitioned enumeration and folds every
 // candidate of the shard streams, concatenated in shard order, into a
@@ -186,10 +200,11 @@ func unpinProcs(tb testing.TB) int {
 // partitioned walk (a no-op consumer) at 1/2/4/8 workers and verifies the
 // shard streams concatenate to the sequential stream; times the whole
 // verdict — sim.Simulate under compiled cat Power — at the same worker
-// counts and fails if any outcome differs from workers=1; measures the
-// overhead of enabled instrumentation against the nil-sink path; and
-// writes the machine-readable record the CI bench step commits as
-// BENCH_enumerate.json. Speedups are honest for the recorded core count:
+// counts and fails if any outcome differs from workers=1; times one-worker
+// sim.Simulate of the cold-heavy shape with its enumerate/check split;
+// measures the overhead of enabled instrumentation against the nil-sink
+// path; and writes the machine-readable record the CI bench step commits
+// as BENCH_enumerate.json. Speedups are honest for the recorded core count:
 // on a single-core runner they hover around 1x.
 func TestBenchEnumerateJSON(t *testing.T) {
 	out := os.Getenv("BENCH_ENUM_OUT")
@@ -238,6 +253,7 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		SimulateRows   []simulateRow `json:"simulate_rows"`
 		EnumRows       []enumRow     `json:"enum_rows"`
 		CheckRows      []checkRow    `json:"check_rows"`
+		ColdHeavy      coldHeavyRow  `json:"cold_heavy_simulate"`
 		CatSpeedup     float64       `json:"cat_check_speedup"`
 		CatAllocRatio  float64       `json:"cat_check_alloc_ratio"`
 		ObsOffNsPerOp  int64         `json:"obs_off_ns_per_op"`
@@ -253,6 +269,7 @@ func TestBenchEnumerateJSON(t *testing.T) {
 		SimulateRows:   simRows,
 		EnumRows:       enumRows,
 		CheckRows:      checkRows,
+		ColdHeavy:      coldHeavyBench(t),
 		CatSpeedup:     catSpeedup,
 		CatAllocRatio:  catAllocRatio,
 		ObsOffNsPerOp:  offMed,
@@ -290,6 +307,77 @@ func TestBenchEnumerateJSON(t *testing.T) {
 	}
 	t.Logf("cat check compiled vs interpreted: %.1fx faster, %.0fx fewer allocs",
 		catSpeedup, catAllocRatio)
+	ch := record.ColdHeavy
+	t.Logf("cold-heavy Simulate, one worker: %v/op; per candidate: enumerate %v, check %v",
+		time.Duration(ch.NsPerOp), time.Duration(ch.EnumerateNsPerCandidate), time.Duration(ch.CheckNsPerCandidate))
+}
+
+// coldHeavyRow is one-worker sim.Simulate of the cold-heavy shape under
+// compiled cat Power: the whole verdict untraced, and its enumerate/check
+// split per candidate from traced runs (obs phases; enumerate is the walk
+// with the derivation the enumeration itself does, check the evaluator
+// with the derivation it demands). Each figure is a median over Reps.
+type coldHeavyRow struct {
+	Test                    string `json:"test"`
+	Candidates              int    `json:"candidates"`
+	Valid                   int    `json:"valid"`
+	Reps                    int    `json:"reps"`
+	NsPerOp                 int64  `json:"ns_per_op"`
+	EnumerateNsPerCandidate int64  `json:"enumerate_ns_per_candidate"`
+	CheckNsPerCandidate     int64  `json:"check_ns_per_candidate"`
+}
+
+// coldHeavyReps is how many untraced and traced Simulates the cold-heavy
+// row takes its medians over; one is a couple of milliseconds.
+const coldHeavyReps = 41
+
+// coldHeavyBench measures the cold-heavy row, alternating untraced and
+// traced runs after a warm-up that lowers the cat model once.
+func coldHeavyBench(t *testing.T) coldHeavyRow {
+	t.Helper()
+	p := compileBench(t, coldHeavySrc)
+	m, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := coldHeavyRow{Test: "2+2W+lwsyncs (4 threads x 2 writes, 4!^2 candidates)", Reps: coldHeavyReps}
+	run := func(tr *obs.Trace) time.Duration {
+		start := time.Now()
+		out, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: m, Obs: tr})
+		el := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Candidates != 576 {
+			t.Fatalf("cold-heavy: simulated %d candidates, want 576", out.Candidates)
+		}
+		row.Candidates, row.Valid = out.Candidates, out.Valid
+		return el
+	}
+	run(nil)
+	var whole, enum, check []int64
+	for r := 0; r < coldHeavyReps; r++ {
+		whole = append(whole, run(nil).Nanoseconds())
+		tr := obs.NewTrace()
+		run(tr)
+		for _, ph := range tr.Summary().Phases {
+			switch ph.Phase {
+			case obs.PhaseEnumerate:
+				enum = append(enum, ph.DurationUS*1000/576)
+			case obs.PhaseCheck:
+				check = append(check, ph.DurationUS*1000/576)
+			}
+		}
+	}
+	median := func(v []int64) int64 {
+		if len(v) == 0 {
+			t.Fatal("cold-heavy: a traced run recorded no such phase")
+		}
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	row.NsPerOp, row.EnumerateNsPerCandidate, row.CheckNsPerCandidate = median(whole), median(enum), median(check)
+	return row
 }
 
 // walkRowReps is how many timed repetitions each walk row takes its
@@ -351,7 +439,7 @@ func TestCheckAllocsCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, allocs, _ := checkBench(t, xs, compiled.NewEvaluator().Check)
+	allocs := timeChecks(t, []checkCase{{"cat:power:compiled", xs, compiled.NewEvaluator().Check}}, 3)[0].AllocsPerOp
 	const ceiling = 8.0
 	if allocs > ceiling {
 		t.Errorf("compiled cat Power: %.2f allocs per candidate, ceiling %.0f — the allocation storm is back",
@@ -585,33 +673,59 @@ func collectExecutions(tb testing.TB, p *exec.Program) []*events.Execution {
 	return xs
 }
 
-// checkBench times one checker over the collected executions: median-of-3
-// wall clock plus allocation and GC-pause deltas from the slowest-run-free
-// pass. The checker is warmed first so one-time work (static binding, lazy
-// model lowering, arena growth) isn't billed to the steady state.
-func checkBench(tb testing.TB, xs []*events.Execution, check func(*events.Execution) core.Result) (nsPerOp int64, allocsPerOp float64, gcPause uint64) {
+// checkRowReps is how many timed passes each check row takes its median
+// over. The passes go round-robin over the checkers, as in
+// simulateBenchRows: a best-of-3 per checker read the zoo row anywhere
+// from 10.6 to 13.2 µs on identical code.
+const checkRowReps = 5
+
+// checkCase is one checker and the executions it is timed over.
+type checkCase struct {
+	name  string
+	xs    []*events.Execution
+	check func(*events.Execution) core.Result
+}
+
+// timeChecks times each case over its executions: every checker is warmed
+// first so one-time work (static binding, lazy model lowering, arena
+// growth) isn't billed to the steady state, then reps passes go
+// round-robin over the cases. A row reports the median pass per
+// execution, with that pass's allocation and GC-pause deltas.
+func timeChecks(tb testing.TB, cases []checkCase, reps int) []checkRow {
 	tb.Helper()
-	for _, x := range xs[:min(len(xs), 64)] {
-		check(x)
+	for _, c := range cases {
+		for _, x := range c.xs[:min(len(c.xs), 64)] {
+			c.check(x)
+		}
 	}
-	var best int64
+	type pass struct {
+		ns     int64
+		allocs float64
+		pause  uint64
+	}
+	passes := make([][]pass, len(cases))
 	var ms0, ms1 runtime.MemStats
-	for rep := 0; rep < 3; rep++ {
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		for _, x := range xs {
-			check(x)
-		}
-		el := time.Since(t0).Nanoseconds()
-		runtime.ReadMemStats(&ms1)
-		if rep == 0 || el < best {
-			best = el
-			allocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(len(xs))
-			gcPause = ms1.PauseTotalNs - ms0.PauseTotalNs
+	for rep := 0; rep < reps; rep++ {
+		for i, c := range cases {
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			t0 := time.Now()
+			for _, x := range c.xs {
+				c.check(x)
+			}
+			el := time.Since(t0).Nanoseconds()
+			runtime.ReadMemStats(&ms1)
+			passes[i] = append(passes[i], pass{el, float64(ms1.Mallocs-ms0.Mallocs) / float64(len(c.xs)), ms1.PauseTotalNs - ms0.PauseTotalNs})
 		}
 	}
-	return best / int64(len(xs)), allocsPerOp, gcPause
+	rows := make([]checkRow, len(cases))
+	for i, c := range cases {
+		ps := passes[i]
+		sort.Slice(ps, func(a, b int) bool { return ps[a].ns < ps[b].ns })
+		med := ps[len(ps)/2]
+		rows[i] = checkRow{Checker: c.name, NsPerOp: med.ns / int64(len(c.xs)), AllocsPerOp: med.allocs, GCPauseTotalNs: med.pause}
+	}
+	return rows
 }
 
 func min(a, b int) int {
@@ -642,26 +756,16 @@ func checkBenchRows(tb testing.TB, p *exec.Program) (rows []checkRow, speedup, a
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ev := compiled.NewEvaluator()
-	zoo := models.Power.NewEvaluator()
-	cases := []struct {
-		name  string
-		check func(*events.Execution) core.Result
-	}{
-		{"cat:power:interpreted", m.Interpreted().Check},
-		{"cat:power:compiled", ev.Check},
-		{"models:power:arena", zoo.Check},
-	}
-	for _, c := range cases {
-		ns, allocs, pause := checkBench(tb, xs, c.check)
-		rows = append(rows, checkRow{Checker: c.name, NsPerOp: ns, AllocsPerOp: allocs, GCPauseTotalNs: pause})
-	}
 	rb, ok := catalog.ByName(readBearing)
 	if !ok {
 		tb.Fatalf("catalogue has no %s", readBearing)
 	}
-	ns, allocs, pause := checkBench(tb, collectExecutions(tb, compileBench(tb, rb.Source)), compiled.NewEvaluator().Check)
-	rows = append(rows, checkRow{Checker: "cat:power:compiled:" + readBearing, NsPerOp: ns, AllocsPerOp: allocs, GCPauseTotalNs: pause})
+	rows = timeChecks(tb, []checkCase{
+		{"cat:power:interpreted", xs, m.Interpreted().Check},
+		{"cat:power:compiled", xs, compiled.NewEvaluator().Check},
+		{"models:power:arena", xs, models.Power.NewEvaluator().Check},
+		{"cat:power:compiled:" + readBearing, collectExecutions(tb, compileBench(tb, rb.Source)), compiled.NewEvaluator().Check},
+	}, checkRowReps)
 	interp, comp := rows[0], rows[1]
 	speedup = float64(interp.NsPerOp) / float64(comp.NsPerOp)
 	den := comp.AllocsPerOp

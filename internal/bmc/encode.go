@@ -77,6 +77,10 @@ func (in *Instance) Stats() (vars int, events int) {
 	return in.s.NumVars(), in.m
 }
 
+// Clauses reports the stored clauses of the encoding (see
+// sat.Solver.NumClauses): read it before Solve for the encoding's size.
+func (in *Instance) Clauses() int { return in.s.NumClauses() }
+
 // Encode compiles the reachability of test's condition under the model.
 func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
 	prog, err := exec.Compile(test)

@@ -38,58 +38,59 @@ import (
 
 // --- Dynamic builtins ----------------------------------------------------
 
-// Tags for the builtins derived from the enumerated rf/co choice. Any
-// binding whose definition (transitively) references one of these is
-// dynamic and must be re-evaluated per candidate; everything else is
-// static per skeleton.
-const (
-	dRF uint8 = iota
-	dRFE
-	dRFI
-	dSW
-	dCO
-	dCOE
-	dCOI
-	dFR
-	dFRE
-	dFRI
-	dCom
-)
-
-var dynNames = map[string]uint8{
-	"rf": dRF, "rfe": dRFE, "rfi": dRFI, "sw": dSW,
-	"co": dCO, "coe": dCOE, "coi": dCOI,
-	"fr": dFR, "fre": dFRE, "fri": dFRI,
-	"com": dCom,
+// dynNames maps the builtins derived from the enumerated rf/co choice to
+// their events.Dyn bit. Any binding whose definition (transitively)
+// references one of these is dynamic and must be re-evaluated per
+// candidate; everything else is static per skeleton. An oDyn operand's idx
+// is the builtin's bit, so a program's demand is the OR of its operands.
+var dynNames = map[string]events.Dyn{
+	"rf": events.DynRF, "rfe": events.DynRFE, "rfi": events.DynRFI, "sw": events.DynSW,
+	"co": events.DynCO, "coe": events.DynCOE, "coi": events.DynCOI,
+	"fr": events.DynFR, "fre": events.DynFRE, "fri": events.DynFRI,
+	"com": events.DynCom,
 }
 
-// dynRel resolves a dynamic-builtin tag against a derived execution.
-func dynRel(x *events.Execution, tag uint8) rel.Rel {
-	switch tag {
-	case dRF:
+// dynRel resolves a dynamic builtin against an execution that has derived
+// it.
+func dynRel(x *events.Execution, d events.Dyn) rel.Rel {
+	switch d {
+	case events.DynRF:
 		return x.MemRF()
-	case dRFE:
+	case events.DynRFE:
 		return x.RFE
-	case dRFI:
+	case events.DynRFI:
 		return x.RFI
-	case dSW:
+	case events.DynSW:
 		return x.SW
-	case dCO:
+	case events.DynCO:
 		return x.CO
-	case dCOE:
+	case events.DynCOE:
 		return x.COE
-	case dCOI:
+	case events.DynCOI:
 		return x.COI
-	case dFR:
+	case events.DynFR:
 		return x.FR
-	case dFRE:
+	case events.DynFRE:
 		return x.FRE
-	case dFRI:
+	case events.DynFRI:
 		return x.FRI
-	case dCom:
+	case events.DynCom:
 		return x.Com
 	}
-	panic(fmt.Sprintf("cat: bad dynamic builtin tag %d", tag))
+	panic(fmt.Sprintf("cat: bad dynamic builtin %#x", d))
+}
+
+// demandOf is the set of dynamic builtins a program fetches.
+func demandOf(prog []cinstr) events.Dyn {
+	var d events.Dyn
+	for _, in := range prog {
+		for _, o := range [2]operand{in.a, in.b} {
+			if o.kind == oDyn {
+				d |= events.Dyn(o.idx)
+			}
+		}
+	}
+	return d
 }
 
 // --- Compiled form -------------------------------------------------------
@@ -192,6 +193,7 @@ type Compiled struct {
 	nSlots    int
 	sChecks   []staticCheck
 	prog      []cinstr
+	demand    events.Dyn // the dynamic builtins prog fetches
 	nRegs     int
 	fixGroups []fixGroup
 	dChecks   []dynCheck
@@ -290,6 +292,7 @@ func (m *Model) Compile(p *exec.Program) (*Compiled, error) {
 		}
 	}
 	c.nRegs = lw.nextReg
+	c.demand = demandOf(c.prog)
 	return c, nil
 }
 
@@ -487,11 +490,11 @@ func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
 			}
 			return operand{kind: oReg, idx: b.reg}, false, nil
 		}
-		tag, ok := dynNames[e.name]
+		d, ok := dynNames[e.name]
 		if !ok {
 			return operand{}, false, fmt.Errorf("cat: internal: unknown dynamic builtin %q", e.name)
 		}
-		return operand{kind: oDyn, idx: int(tag)}, false, nil
+		return operand{kind: oDyn, idx: int(d)}, false, nil
 	case eBin:
 		switch e.op {
 		case '|', '&':
@@ -640,8 +643,14 @@ type Evaluator struct {
 // Name returns the model's declared name.
 func (ev *Evaluator) Name() string { return ev.c.m.name }
 
-// Check validates one candidate execution. The execution must be derived
-// (Derive, or AdoptStatic+DeriveDynamic from a derived skeleton). Model
+// DerivesOwnDemand declares to sim that Check derives the dynamic
+// relations it reads (sim.SelfDeriving).
+func (ev *Evaluator) DerivesOwnDemand() {}
+
+// Check validates one candidate execution. The execution needs its static
+// half (Derive, or AdoptStatic from a derived skeleton); of the dynamic
+// relations, Check derives the ones its program reads and no others, so a
+// deferred candidate (exec.Request.Deferred) is checked as is. Model
 // evaluation failure — a divergent let rec — is reported as Result.Err,
 // never as a panic.
 func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
@@ -664,14 +673,20 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 		ev.sp.on = ev.specialise()
 	}
 	ev.seen++
-	if sp := ev.sp; sp != nil && sp.on && sp.covers(x) {
-		ev.run(x, sp.prog)
-		for i, d := range sp.decided {
+	covered := false
+	if sp := ev.sp; sp != nil && sp.on {
+		x.DeriveDemand(sp.demand, nil)
+		covered = sp.covers(x)
+	}
+	if covered {
+		ev.run(x, ev.sp.prog)
+		for i, d := range ev.sp.decided {
 			if d {
-				ev.dOK[i] = sp.fixedOK[i]
+				ev.dOK[i] = ev.sp.fixedOK[i]
 			}
 		}
 	} else {
+		x.DeriveDemand(ev.c.demand, nil)
 		ev.run(x, ev.c.prog)
 	}
 
@@ -740,7 +755,7 @@ func (ev *Evaluator) fetch(x *events.Execution, o operand) rel.Rel {
 	case oConst:
 		return ev.sp.consts[o.idx]
 	default:
-		return dynRel(x, uint8(o.idx))
+		return dynRel(x, events.Dyn(o.idx))
 	}
 }
 
@@ -847,7 +862,8 @@ type residual struct {
 	consts                 []rel.Rel // skeleton constants; the first nConst are in use
 	nConst                 int
 	prog                   []cinstr
-	decided, fixedOK       []bool // per dynamic check: fixed by the bounds, and how
+	demand                 events.Dyn // what prog fetches, plus rf and co for covers
+	decided, fixedOK       []bool     // per dynamic check: fixed by the bounds, and how
 
 	// Build scratch: per instruction the constant its result folds to (or
 	// -1), per register its constant as a folded group's member, per group
@@ -924,7 +940,7 @@ func (sp *residual) bound(ev *Evaluator, o operand, hi bool) rel.Rel {
 	case oStatic:
 		return ev.static[o.idx]
 	case oDyn:
-		return dynRel(x, uint8(o.idx))
+		return dynRel(x, events.Dyn(o.idx))
 	}
 	return regs[o.idx]
 }
@@ -950,6 +966,7 @@ func (ev *Evaluator) specialise() bool {
 		return false
 	}
 	sp.build(ev.c)
+	sp.demand = demandOf(sp.prog) | events.DynRF | events.DynCO
 	return true
 }
 

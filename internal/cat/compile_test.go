@@ -142,7 +142,7 @@ func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
 func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
 	t.Helper()
 	staticAtoms := []string{"po", "po-loc", "id", "addr", "data", "ctrl", "sync", "lwsync", "dmb", "0"}
-	dynAtoms := []string{"rf", "rfe", "rfi", "co", "coe", "fr", "fre", "com", "sw"}
+	dynAtoms := []string{"rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com", "sw"}
 	defined := []string{}
 	atom := func() string {
 		r := rng.Intn(10)
@@ -238,6 +238,17 @@ func TestCompiledEquivalenceRandom(t *testing.T) {
 		}
 		progs = append(progs, p)
 	}
+	// A release/acquire pair, so sw is not empty.
+	p, err := exec.Compile(litmus.MustParse(`C mp-rel-acq
+{ }
+ P0 | P1 ;
+ atomic_store_explicit(x, 1, relaxed) | r1 = atomic_load_explicit(y, acquire) ;
+ atomic_store_explicit(y, 1, release) | r2 = atomic_load_explicit(x, relaxed) ;
+exists (1:r1=1 /\ 1:r2=0)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, p)
 	for i := 0; i < 40; i++ {
 		m := randModel(t, rng)
 		for _, g := range specGates {
@@ -248,7 +259,9 @@ func TestCompiledEquivalenceRandom(t *testing.T) {
 
 // sameVerdicts checks every candidate of p with the interpreter and with
 // one compiled evaluator, and fails on any difference in verdict, failed
-// checks or error-ness.
+// checks or error-ness. The evaluator gets the candidates deferred, as
+// sim hands them over, and derives what it reads; the interpreter checks
+// a fully derived clone.
 func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
 	t.Helper()
 	c, err := m.Compiled()
@@ -256,9 +269,9 @@ func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
 		t.Fatalf("%s: compile: %v", what, err)
 	}
 	ev := c.NewEvaluator()
-	err = p.Search(context.Background(), exec.Request{}, func(cd *exec.Candidate) bool {
-		want := m.Check(cd.X)
+	err = p.Search(context.Background(), exec.Request{Deferred: true}, func(cd *exec.Candidate) bool {
 		got := ev.Check(cd.X)
+		want := m.Check(cd.Clone().X)
 		if (want.Err != nil) != (got.Err != nil) {
 			t.Fatalf("%s: error divergence: interp=%v compiled=%v", what, want.Err, got.Err)
 		}

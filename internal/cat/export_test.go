@@ -37,3 +37,14 @@ func ProgramSizes(ev core.Checker) (generic, residual int) {
 	}
 	return len(e.c.prog), len(e.sp.prog)
 }
+
+// Demands returns the dynamic builtins a compiled evaluator derives before
+// a check: its generic program's, and its residual program's plus the
+// covers guard's (0 when it has not specialised its bound skeleton).
+func Demands(ev core.Checker) (generic, residual events.Dyn) {
+	e := ev.(*Evaluator)
+	if e.sp == nil || !e.sp.on {
+		return e.c.demand, 0
+	}
+	return e.c.demand, e.sp.demand
+}

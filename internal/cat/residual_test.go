@@ -79,6 +79,17 @@ func TestSkeletonBoundsContain(t *testing.T) {
 	}
 }
 
+// writeOnlyShape is the benchmark's cold-heavy shape: four threads each
+// store to x and y around an lwsync, 576 candidates.
+const writeOnlyShape = `PPC writes
+{ 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; 2:r1=x; 2:r2=y; 3:r1=x; 3:r2=y; }
+ P0 | P1 | P2 | P3 ;
+ li r4,1 | li r4,2 | li r4,3 | li r4,4 ;
+ stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) ;
+ lwsync | lwsync | lwsync | lwsync ;
+ stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) ;
+exists (x=1 /\ y=2)`
+
 // TestResidualShrinksWriteOnlyPower pins what specialisation is for: on a
 // shape that writes and never reads, rf and its kin are empty for every
 // candidate, so Power's ppo fixpoint, hb, prop-base and the observation
@@ -89,14 +100,7 @@ func TestResidualShrinksWriteOnlyPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := exec.Compile(litmus.MustParse(`PPC writes
-{ 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; 2:r1=x; 2:r2=y; 3:r1=x; 3:r2=y; }
- P0 | P1 | P2 | P3 ;
- li r4,1 | li r4,2 | li r4,3 | li r4,4 ;
- stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) ;
- lwsync | lwsync | lwsync | lwsync ;
- stw r4,0(r2) | stw r4,0(r1) | stw r4,0(r2) | stw r4,0(r1) ;
-exists (x=1 /\ y=2)`))
+	p, err := exec.Compile(litmus.MustParse(writeOnlyShape))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +118,38 @@ exists (x=1 /\ y=2)`))
 	generic, residual := cat.ProgramSizes(ev)
 	if residual < 0 || residual*8 > generic {
 		t.Errorf("%d candidates: residual program has %d instructions of the generic %d, want under an eighth", n, residual, generic)
+	}
+}
+
+// TestDemandPinsPower pins what the compiled Power evaluator derives per
+// candidate. The generic program reads rf, its splits, co, coe, fr, fre
+// and com, never sw, coi or fri; on the cold-heavy shape the residual
+// program reads co alone, and the covers guard adds rf. A lowering change
+// that widens either set shows up here, not as a silent slowdown.
+func TestDemandPinsPower(t *testing.T) {
+	m, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := exec.Compile(litmus.MustParse(writeOnlyShape))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := m.NewEvaluator()
+	if err := p.Search(context.Background(), exec.Request{Deferred: true}, func(cd *exec.Candidate) bool {
+		ev.Check(cd.X)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	generic, residual := cat.Demands(ev)
+	wantGeneric := events.DynRF | events.DynRFE | events.DynRFI | events.DynCO | events.DynCOE |
+		events.DynFR | events.DynFRE | events.DynCom
+	if generic != wantGeneric {
+		t.Errorf("power.cat generic demand %#x, want %#x", generic, wantGeneric)
+	}
+	if want := events.DynRF | events.DynCO; residual != want {
+		t.Errorf("cold-heavy residual demand with the guard %#x, want %#x", residual, want)
 	}
 }
 

@@ -160,7 +160,9 @@ func (e Event) String() string {
 // across every rf/co choice over the same skeleton), DeriveDynamic the
 // relations downstream of the enumerated rf and co. The enumerator derives
 // the static half once per skeleton and shares it into each candidate via
-// AdoptStatic; Derive runs both halves for standalone executions.
+// AdoptStatic; Derive runs both halves for standalone executions. The
+// dynamic half is demand-driven underneath (DeriveDemand): a consumer that
+// reads only some dynamic relations may derive only those.
 type Execution struct {
 	Events []Event
 
@@ -191,7 +193,8 @@ type Execution struct {
 	CtrlCfence  map[FenceKind]rel.Rel // ctrl+cfence per control-fence flavour
 	FenceRel    map[FenceKind]rel.Rel // memory pairs separated by the given fence
 
-	// Dynamic derived relations (filled by DeriveDynamic).
+	// Dynamic derived relations (filled by Derive, DeriveDynamic or
+	// DeriveDemand; see Dyn for which of them a candidate holds).
 	FR       rel.Rel // from-read: rf⁻¹ ; co
 	Com      rel.Rel // co ∪ rf ∪ fr (memory events)
 	SW       rel.Rel // synchronises-with: release-write -> acquire-read rf edges
@@ -199,8 +202,17 @@ type Execution struct {
 	COE, COI rel.Rel
 	FRE, FRI rel.Rel
 
-	memRF    rel.Rel // cached RF.Restrict(W, R), filled by DeriveDynamic
-	hasMemRF bool
+	memRF rel.Rel // cached RF.Restrict(W, R), valid when derived has DynRF
+
+	// derived marks the dynamic relations computed for the current rf and
+	// co. AdoptStatic, DeriveDynamicInto and a buffer reallocation clear
+	// it, so nothing derived for one candidate survives into the next.
+	derived Dyn
+
+	// syncs records that the event structure has both a releasing write
+	// and an acquiring read: without them sw is empty for every rf, so
+	// the derivation skips it. Static per skeleton, shared by AdoptStatic.
+	syncs bool
 
 	// emptyRel is a shared all-empty relation handed out by read-only
 	// accessors (Fences on a miss, CtrlCfenceAll with no control fences)
@@ -215,8 +227,8 @@ type Execution struct {
 	hasCtrlCfenceAll bool
 
 	// dynN records the universe size the dynamic relation buffers (FR, Com,
-	// SW, the splits, memRF) were last allocated for; DeriveDynamicInto
-	// reuses them in place when it matches instead of allocating afresh.
+	// SW, the splits, memRF) were last allocated for; DeriveDemand reuses
+	// them in place when it matches instead of allocating afresh.
 	dynN int
 }
 
@@ -238,11 +250,11 @@ func NewExecution(n int) *Execution {
 // N returns the number of events.
 func (x *Execution) N() int { return len(x.Events) }
 
-// MemRF returns rf restricted to memory events. After DeriveDynamic the
+// MemRF returns rf restricted to memory events. Once derived (DynRF) the
 // restriction is cached, so hot callers (models' prop functions, cat's rf
 // builtin) don't re-allocate it per candidate.
 func (x *Execution) MemRF() rel.Rel {
-	if x.hasMemRF {
+	if x.derived&DynRF != 0 {
 		return x.memRF
 	}
 	return x.RF.Restrict(x.W, x.R)
@@ -271,6 +283,7 @@ func (x *Execution) DeriveStatic() {
 	// present, so the set and relation counts are known up front.
 	tids := make([]int, 0, 8)
 	kinds := make([]FenceKind, 0, 4)
+	acquires, releases := false, false
 	for _, e := range x.Events {
 		if !slices.Contains(tids, e.Tid) {
 			tids = append(tids, e.Tid)
@@ -278,7 +291,10 @@ func (x *Execution) DeriveStatic() {
 		if e.Kind == Fence && !slices.Contains(kinds, e.Fence) {
 			kinds = append(kinds, e.Fence)
 		}
+		acquires = acquires || e.Kind == MemRead && e.Order.Acquires()
+		releases = releases || e.Kind == MemWrite && e.Order.Releases()
 	}
+	x.syncs = acquires && releases
 
 	sets := rel.NewSets(n, 6+len(tids)+len(kinds))
 	x.All, x.R, x.W, x.M, x.B, x.RegEvents = sets[0], sets[1], sets[2], sets[3], sets[4], sets[5]
@@ -360,9 +376,13 @@ func poRestrict(dst, po rel.Rel, src, tgt rel.Set) rel.Rel {
 // AdoptStatic shares base's static derived state — sets, po-loc,
 // same-thread pairs, fence relations, dependencies — into x instead of
 // recomputing it, and records base as x.Base. x must have the same event
-// structure as base; only RF and CO may differ. Call DeriveDynamic after.
+// structure as base; only RF and CO may differ. It forgets every dynamic
+// relation derived before, since they belong to the previous rf and co:
+// derive what is read after (DeriveDemand or DeriveDynamic).
 func (x *Execution) AdoptStatic(base *Execution) {
 	x.Base = base
+	x.derived = 0
+	x.syncs = base.syncs
 	x.All, x.R, x.W, x.M = base.All, base.R, base.W, base.M
 	x.B, x.RegEvents = base.B, base.RegEvents
 	x.POLoc = base.POLoc
@@ -374,25 +394,75 @@ func (x *Execution) AdoptStatic(base *Execution) {
 	x.ctrlCfenceAll, x.hasCtrlCfenceAll = base.ctrlCfenceAll, base.hasCtrlCfenceAll
 }
 
-// DeriveDynamic computes the relations downstream of the enumerated rf and
-// co: fr, com, sw and the internal/external splits. It requires the static
-// half (DeriveStatic or AdoptStatic) to be in place. Every output relation
-// is freshly allocated, so references to the previous derivation stay
-// valid; the enumeration hot loop uses DeriveDynamicInto instead.
+// Dyn is a set of the dynamic derived relations, one bit per relation:
+// what a consumer of a candidate reads downstream of rf and co. It names
+// the same relations as cat's dynamic builtins.
+type Dyn uint16
+
+// The dynamic relations. DynRF is rf over memory events (MemRF); DynCO is
+// co itself, a base relation with nothing to derive, kept so a demand can
+// name every builtin it reads.
+const (
+	DynRF Dyn = 1 << iota
+	DynRFE
+	DynRFI
+	DynSW
+	DynCO
+	DynCOE
+	DynCOI
+	DynFR
+	DynFRE
+	DynFRI
+	DynCom
+
+	// DynAll is every dynamic relation.
+	DynAll = DynCom<<1 - 1
+)
+
+// closure adds to d the relations its members are computed from: fr, sw
+// and the rf splits read rf; com and the fr splits read fr.
+func (d Dyn) closure() Dyn {
+	if d&(DynCom|DynFRE|DynFRI) != 0 {
+		d |= DynFR
+	}
+	if d&(DynFR|DynSW|DynRFE|DynRFI|DynCom) != 0 {
+		d |= DynRF
+	}
+	return d
+}
+
+// DeriveDynamic computes every relation downstream of the enumerated rf
+// and co: fr, com, sw and the internal/external splits. It requires the
+// static half (DeriveStatic or AdoptStatic) to be in place. Every output
+// relation is freshly allocated, so references to the previous derivation
+// stay valid; the enumeration hot loop uses DeriveDemand instead.
 func (x *Execution) DeriveDynamic() {
 	x.dynN = -1 // force fresh buffers: callers may hold the old ones
 	x.DeriveDynamicInto(nil)
 }
 
-// DeriveDynamicInto is DeriveDynamic for the allocation-free hot loop: the
-// dynamic relations (fr, com, sw, the splits, the memory-rf cache) are
-// recomputed in place into the buffers of the previous derivation when the
-// universe size matches, and scratch is drawn from (and returned to) the
-// arena. First use — or a universe-size change — allocates the buffers
-// through the arena; they then belong to the execution, not the pool. A
-// nil arena degrades to plain allocation. The caller must not hold
-// references to x's dynamic relations across calls: they are overwritten.
+// DeriveDynamicInto recomputes every dynamic relation in place, as
+// DeriveDemand(DynAll, a) after forgetting what was derived before, so it
+// is safe after RF or CO changed by hand.
 func (x *Execution) DeriveDynamicInto(a *rel.Arena) {
+	x.derived = 0
+	x.DeriveDemand(DynAll, a)
+}
+
+// DeriveDemand is the one dynamic derivation: it computes the relations
+// of d, and those they are computed from, that are not yet derived for the
+// current rf and co, and leaves the other dynamic fields as they are. It
+// requires the static half (DeriveStatic or AdoptStatic). sw is computed
+// only when the skeleton has a releasing write and an acquiring read;
+// otherwise it is cleared.
+//
+// The buffers are recomputed in place when the universe size matches the
+// previous derivation's; otherwise every one is drawn from the arena at
+// once, even for an empty d, and then belongs to the execution, not the
+// pool. A nil arena degrades to plain allocation. Nothing else is drawn:
+// a warm derivation allocates nothing. The caller must not hold references
+// to x's dynamic relations across calls: they are overwritten.
+func (x *Execution) DeriveDemand(d Dyn, a *rel.Arena) {
 	n := x.N()
 	if x.dynN != n {
 		x.FR, x.Com, x.SW = a.Get(n), a.Get(n), a.Get(n)
@@ -400,37 +470,43 @@ func (x *Execution) DeriveDynamicInto(a *rel.Arena) {
 		x.COE, x.COI = a.Get(n), a.Get(n)
 		x.FRE, x.FRI = a.Get(n), a.Get(n)
 		x.memRF = a.Get(n)
-		x.dynN = n
+		x.dynN, x.derived = n, 0
+	}
+	d = d.closure() &^ x.derived
+	if d == 0 {
+		return
+	}
+	x.derived |= d
+
+	if d&DynRF != 0 { // rf over memory events, cached for MemRF
+		x.memRF.CopyFrom(x.RF)
+		x.memRF.RestrictInPlace(x.W, x.R)
+	}
+	if d&DynFR != 0 { // fr = rf⁻¹ ; co: a read's row is its write's co row
+		x.FR.InvSeqInto(x.memRF, x.CO)
+	}
+	if d&DynCom != 0 {
+		x.Com.CopyFrom(x.CO)
+		x.Com.UnionInto(x.memRF)
+		x.Com.UnionInto(x.FR)
+	}
+	if d&DynSW != 0 {
+		// synchronises-with: rf edges from releasing writes to acquiring
+		// reads (the C11 extension; empty for assembly dialects).
+		x.SW.Clear()
+		if x.syncs {
+			x.memRF.ForEachPair(func(w, r int) {
+				if x.Events[w].Order.Releases() && x.Events[r].Order.Acquires() {
+					x.SW.Add(w, r)
+				}
+			})
+		}
 	}
 
-	// rf over memory events, cached for MemRF.
-	x.memRF.CopyFrom(x.RF)
-	x.memRF.RestrictInPlace(x.W, x.R)
-	x.hasMemRF = true
-
-	// fr = rf⁻¹ ; co; the inverse is pure scratch.
-	inv := a.Get(n)
-	inv.InverseInto(x.memRF)
-	x.FR.SeqInto(inv, x.CO)
-	a.Put(inv)
-
-	x.Com.CopyFrom(x.CO)
-	x.Com.UnionInto(x.memRF)
-	x.Com.UnionInto(x.FR)
-
-	// synchronises-with: rf edges from releasing writes to acquiring reads
-	// (the C11 extension; empty for assembly dialects).
-	x.SW.Clear()
-	x.memRF.ForEachPair(func(w, r int) {
-		if x.Events[w].Order.Releases() && x.Events[r].Order.Acquires() {
-			x.SW.Add(w, r)
-		}
-	})
-
 	// Internal/external splits against the same-thread mask.
-	x.splitInto(x.RFE, x.RFI, x.memRF)
-	x.splitInto(x.COE, x.COI, x.CO)
-	x.splitInto(x.FRE, x.FRI, x.FR)
+	x.split(d, DynRFE, DynRFI, x.RFE, x.RFI, x.memRF)
+	x.split(d, DynCOE, DynCOI, x.COE, x.COI, x.CO)
+	x.split(d, DynFRE, DynFRI, x.FRE, x.FRI, x.FR)
 }
 
 // CloneDynamicCache replaces the unexported dynamic caches (the memory-rf
@@ -439,7 +515,7 @@ func (x *Execution) DeriveDynamicInto(a *rel.Arena) {
 // copy shares no mutable buffer with the original; the static singletons
 // (shared empty relation, ctrl+cfence union) are read-only and stay shared.
 func (x *Execution) CloneDynamicCache() {
-	if x.hasMemRF {
+	if x.derived&DynRF != 0 {
 		x.memRF = x.memRF.Clone()
 	}
 }
@@ -457,14 +533,18 @@ func (x *Execution) Fences(kind FenceKind) rel.Rel {
 	return rel.New(x.N())
 }
 
-// splitInto partitions r into its external (distinct threads) and internal
-// (same thread) parts by masking against the precomputed same-thread
-// relation, overwriting the two destination buffers.
-func (x *Execution) splitInto(external, internal, r rel.Rel) {
-	external.CopyFrom(r)
-	external.DiffInto(x.IntraThread)
-	internal.CopyFrom(r)
-	internal.InterInto(x.IntraThread)
+// split overwrites the parts of r that d demands: external (distinct
+// threads, tag e) and internal (same thread, tag i), by masking against
+// the precomputed same-thread relation.
+func (x *Execution) split(d, e, i Dyn, external, internal, r rel.Rel) {
+	if d&e != 0 {
+		external.CopyFrom(r)
+		external.DiffInto(x.IntraThread)
+	}
+	if d&i != 0 {
+		internal.CopyFrom(r)
+		internal.InterInto(x.IntraThread)
+	}
 }
 
 // deriveDependencies computes addr, data, ctrl and ctrl+cfence per Fig. 22:

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"herdcats/internal/events"
 	"herdcats/internal/obs"
 	"herdcats/internal/rel"
 )
@@ -141,7 +142,8 @@ type search struct {
 	err     error // non-nil iff stopped abnormally
 	tick    uint  // throttle for the deadline/cancellation checks
 
-	slot *candSlot // lazily-built reusable candidate arena (see expand.go)
+	slot   *candSlot  // lazily-built reusable candidate arena (see expand.go)
+	derive events.Dyn // what emission derives: everything, or nothing when deferred
 }
 
 // candidateSlot returns the search's candidate arena, building it on first

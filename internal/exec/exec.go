@@ -34,7 +34,9 @@ const addrBase = 0x1000
 // yield callback — the next candidate is derived into the same buffers.
 // Callers that retain a candidate (or any relation reachable from X) past
 // their yield must take a Clone; a retained original is detectably stale
-// (Expired reports true) rather than silently corrupt.
+// (Expired reports true) rather than silently corrupt. Under
+// Request.Deferred, X holds rf and co but no dynamic relation until the
+// consumer derives the ones it reads (X.DeriveDemand).
 type Candidate struct {
 	X     *events.Execution
 	State *litmus.State
@@ -47,7 +49,10 @@ type Candidate struct {
 // indefinitely. The skeleton state (events, po, iico, dependencies, fence
 // relations) is immutable and stays shared; the per-candidate relations
 // (rf, co and every dynamic derivation) and the final memory are copied.
+// A deferred candidate first derives, in its slot, whatever its consumer
+// has not, so the copy is always fully derived.
 func (c *Candidate) Clone() *Candidate {
+	c.X.DeriveDemand(events.DynAll, nil)
 	x := *c.X
 	x.RF = c.X.RF.Clone()
 	x.CO = c.X.CO.Clone()

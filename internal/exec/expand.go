@@ -512,8 +512,10 @@ type candSlot struct {
 // candidate slot and hands it to the search. The candidate shares the
 // skeleton's event structure and static derived state (AdoptStatic); only
 // rf, co and the dynamic derivation downstream of them are rebuilt, in
-// place, per candidate. The previous candidate's buffers are overwritten:
-// this is exactly the zero-copy yield contract documented on Candidate.
+// place, per candidate — all of it, or none for a deferred search, whose
+// consumer derives what it reads. The previous candidate's buffers are
+// overwritten: this is exactly the zero-copy yield contract documented on
+// Candidate.
 func (w *walker) emitCandidate() {
 	e := w.e
 	e.staticOnce.Do(e.x.DeriveStatic)
@@ -548,15 +550,11 @@ func (w *walker) emitCandidate() {
 	}
 	for li := range e.locs {
 		order := w.orders[li]
-		for i := 0; i < len(order); i++ {
-			for j := i + 1; j < len(order); j++ {
-				cx.CO.Add(order[i], order[j])
-			}
-		}
+		cx.CO.AddChain(order) // each write's row: the writes after it
 		finalMem[e.locs[li].name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
 	}
-	cx.AdoptStatic(e.x)
-	cx.DeriveDynamicInto(sl.arena)
+	cx.AdoptStatic(e.x) // forgets the previous candidate's derivation
+	cx.DeriveDemand(w.s.derive, sl.arena)
 	sl.state.Regs = e.finalRegs
 	sl.gen++
 	w.s.emit(&Candidate{X: cx, State: &sl.state, slot: sl, gen: sl.gen})

@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"herdcats/internal/events"
 	"herdcats/internal/obs"
 )
 
 // Request gathers every knob of one enumeration, for Search and
 // SearchShards alike. The zero value enumerates sequentially, unpruned,
-// unbudgeted and uninstrumented.
+// unbudgeted and uninstrumented, and yields fully derived candidates.
 type Request struct {
 	// Budget bounds the search (see Budget); the zero value is unlimited.
 	Budget Budget
@@ -39,6 +40,20 @@ type Request struct {
 	// count into a process-lifetime monotone counter (see PruneStats).
 	// Like Obs it is flushed once per search, never from the hot walk.
 	PruneStats *PruneStats
+
+	// Deferred hands each candidate over with rf and co alone: the
+	// consumer derives the dynamic relations it reads itself, with
+	// X.DeriveDemand, inside its yield. The default derives every one
+	// before the yield, so any consumer may read any field.
+	Deferred bool
+}
+
+// derive is what emission derives under the request.
+func (r Request) derive() events.Dyn {
+	if r.Deferred {
+		return 0
+	}
+	return events.DynAll
 }
 
 // Search enumerates every candidate execution of the compiled program
@@ -53,6 +68,7 @@ type Request struct {
 // a retained original reports Expired once the slot moves on.
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
 	s := newSearch(ctx, req.Budget, yield)
+	s.derive = req.derive()
 	defer s.flush(req.Obs, req.PruneStats)
 	if !s.alive(true) { // already canceled or expired before the search starts
 		return s.err
@@ -383,7 +399,7 @@ func prefixSplit(widths []int, want int) (k, count int) {
 // flushed per walk; the candidate total is the merger's, which counts the
 // sequential prefix only.
 func (p *Program) walkShard(ctx context.Context, deadline time.Time, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
-	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield}
+	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield, derive: req.derive()}
 	defer func() {
 		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err
 		req.Obs.AddShardsRun(1)

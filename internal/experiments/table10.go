@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -85,56 +86,83 @@ type Table11Row struct {
 	Model   string
 	Tests   int
 	Correct int // verdicts agreeing with the enumerative simulator
+	Vars    int // SAT variables over the corpus
+	Clauses int // stored SAT clauses over the corpus, before solving
 	Time    time.Duration
 }
 
+// table11Rounds is how many times Table11 times each model's pass over
+// the corpus; a row reports the median. One pass per model, in a fixed
+// order, let one burst of load on a shared runner decide the comparison.
+const table11Rounds = 5
+
 // Table11 reproduces Tab. XI: the same SAT verifier carrying the CAV 2012
 // multi-event model vs. the present single-event model, on a litmus corpus.
-// After the timed run, each verdict is checked against the enumerative
-// simulator under the matching model (multi.Model for CAV12, models.Power
-// for the present one).
+// Each round encodes and solves the whole corpus under both models, which
+// go first in alternate rounds; a row's time is its median round, and its
+// encoding size and verdicts are those of every round. After the timed
+// rounds, each verdict is checked against the enumerative simulator under
+// the matching model (multi.Model for CAV12, models.Power for the present
+// one).
 func Table11(c *Corpus) ([]Table11Row, error) {
-	run := func(id bmc.ModelID, ref sim.Checker) (Table11Row, error) {
-		row := Table11Row{Model: id.String(), Tests: len(c.Tests)}
+	type model struct {
+		id       bmc.ModelID
+		ref      sim.Checker
+		times    []time.Duration
+		verdicts []bool
+	}
+	ms := []*model{{id: bmc.PowerCAV, ref: multi.Model{}}, {id: bmc.Power, ref: models.Power}}
+	rows := make([]Table11Row, len(ms))
+	pass := func(i int) error {
+		m, row := ms[i], &rows[i]
+		row.Vars, row.Clauses = 0, 0
 		verdicts := make([]bool, len(c.Tests))
 		start := time.Now()
-		for i, t := range c.Tests {
-			inst, err := bmc.Encode(t, id)
+		for k, t := range c.Tests {
+			inst, err := bmc.Encode(t, m.id)
 			if err != nil {
-				return row, fmt.Errorf("%s: %v", t.Name, err)
+				return fmt.Errorf("%s: %v", t.Name, err)
 			}
-			verdicts[i] = inst.Solve()
+			vars, _ := inst.Stats()
+			row.Vars, row.Clauses = row.Vars+vars, row.Clauses+inst.Clauses()
+			verdicts[k] = inst.Solve()
 		}
-		row.Time = time.Since(start)
-		for i, t := range c.Tests {
-			out, err := sim.Simulate(context.Background(), sim.Request{Test: t, Checker: ref})
-			if err != nil {
-				return row, fmt.Errorf("%s: %v", t.Name, err)
+		m.times = append(m.times, time.Since(start))
+		m.verdicts = verdicts
+		return nil
+	}
+	for r := 0; r < table11Rounds; r++ {
+		for k := range ms {
+			if err := pass((k + r) % len(ms)); err != nil {
+				return nil, err
 			}
-			if out.Allowed() == verdicts[i] {
+		}
+	}
+	for i, m := range ms {
+		row := &rows[i]
+		row.Model, row.Tests = m.id.String(), len(c.Tests)
+		slices.Sort(m.times)
+		row.Time = m.times[len(m.times)/2]
+		for k, t := range c.Tests {
+			out, err := sim.Simulate(context.Background(), sim.Request{Test: t, Checker: m.ref})
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", t.Name, err)
+			}
+			if out.Allowed() == m.verdicts[k] {
 				row.Correct++
 			}
 		}
-		return row, nil
 	}
-	cav, err := run(bmc.PowerCAV, multi.Model{})
-	if err != nil {
-		return nil, err
-	}
-	present, err := run(bmc.Power, models.Power)
-	if err != nil {
-		return nil, err
-	}
-	return []Table11Row{cav, present}, nil
+	return rows, nil
 }
 
-// RenderTable11 formats the rows like Tab. XI.
+// RenderTable11 formats the rows like Tab. XI, with each encoding's size.
 func RenderTable11(rows []Table11Row) string {
 	var b strings.Builder
 	b.WriteString("Table XI: verification with the CAV12 model vs the present model\n")
-	fmt.Fprintf(&b, "%-32s %8s %8s %12s\n", "model", "tests", "correct", "time")
+	fmt.Fprintf(&b, "%-32s %8s %8s %10s %10s %12s\n", "model", "tests", "correct", "vars", "clauses", "time")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-32s %8d %8d %12s\n", r.Model, r.Tests, r.Correct, r.Time.Round(time.Millisecond))
+		fmt.Fprintf(&b, "%-32s %8d %8d %10d %10d %12s\n", r.Model, r.Tests, r.Correct, r.Vars, r.Clauses, r.Time.Round(time.Millisecond))
 	}
 	return b.String()
 }

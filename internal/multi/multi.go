@@ -40,10 +40,6 @@ func (Model) Name() string { return name }
 // zoo's Power with bigRdw added to the ii0 of its Fig. 25 fixpoint.
 var arch = models.PowerWith(name, bigRdw)
 
-// Arch exposes the strengthened architecture (e.g. for machine-based
-// cross-checks).
-func Arch() core.Architecture { return arch }
-
 // bigRdw is the propagation-model ordering po ∩ RR ∩ (fre ; fences|WW ;
 // rfe): if a read r1 misses a write w1 whose propagation precedes a write
 // w2 (fence-ordered, write-to-write), and a po-later read r2 reads w2
@@ -164,7 +160,7 @@ func Expand(x *events.Execution) *Expanded {
 	rdw := lift(x.POLoc.Inter(x.FRE.Seq(x.RFE)))
 	detour := lift(x.POLoc.Inter(x.COE.Seq(x.RFE)))
 	ctrlCfence := rel.New(n)
-	if cf, ok := x.CtrlCfence[events.FenceIsync]; ok {
+	if cf, ok := x.CtrlCfence[events.FenceIsync]; ok && cf.N() == x.N() {
 		ctrlCfence = lift(cf)
 	}
 	rfiE := lift(x.RFI).Union(structural)

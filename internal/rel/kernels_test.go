@@ -80,6 +80,23 @@ func checkKernelsNaive(t *testing.T, a, b Rel, src, dst Set) {
 	d.InverseInto(a)
 	check("InverseInto", d, naiveOf(n, func(i, j int) bool { return an[[2]int{j, i}] }))
 
+	inv := d.Clone()
+	d.CopyFrom(a) // pre-dirty: InvSeqInto must fully overwrite
+	d.InvSeqInto(a, b)
+	check("InvSeqInto", d, naiveSeq(inv.toNaive(), bn))
+
+	// A chain over every other element, in descending order, added on
+	// top of a's pairs.
+	var chain []int
+	for e := n - 1; e >= 0; e -= 2 {
+		chain = append(chain, e)
+	}
+	d.CopyFrom(a)
+	d.AddChain(chain)
+	check("AddChain", d, naiveOf(n, func(i, j int) bool {
+		return an[[2]int{i, j}] || i > j && i%2 == (n-1)%2 && j%2 == (n-1)%2
+	}))
+
 	plus := naivePlus(an)
 	d.CopyFrom(a)
 	d.PlusInPlace()
@@ -185,6 +202,17 @@ func TestInverseIntoAliasPanics(t *testing.T) {
 	a := New(4)
 	a.Add(0, 1)
 	a.InverseInto(a)
+}
+
+func TestInvSeqIntoAliasPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InvSeqInto with aliased destination did not panic")
+		}
+	}()
+	a := New(4)
+	a.Add(0, 1)
+	a.InvSeqInto(a, New(4))
 }
 
 func TestSeqIntoAliasPanics(t *testing.T) {

@@ -246,6 +246,60 @@ func (r Rel) InverseInto(s Rel) {
 	}
 }
 
+// InvSeqInto overwrites r with a⁻¹ ; b: row j of r is the OR of b's rows
+// over the sources i of the pairs (i, j) of a. It composes without
+// transposing a first. r must not alias a or b.
+func (r Rel) InvSeqInto(a, b Rel) {
+	r.sameUniverse(a)
+	r.sameUniverse(b)
+	if len(r.bits) > 0 && (&r.bits[0] == &a.bits[0] || &r.bits[0] == &b.bits[0]) {
+		panic("rel: InvSeqInto destination aliases an operand")
+	}
+	r.Clear()
+	if r.words == 1 {
+		for i, word := range a.bits {
+			for ; word != 0; word &= word - 1 {
+				r.bits[bits.TrailingZeros64(word)] |= b.bits[i]
+			}
+		}
+		return
+	}
+	for i := 0; i < a.n; i++ {
+		src := b.row(i)
+		for w, word := range a.row(i) {
+			for ; word != 0; word &= word - 1 {
+				dst := r.row(w*wordBits + bits.TrailingZeros64(word))
+				for k := range dst {
+					dst[k] |= src[k]
+				}
+			}
+		}
+	}
+}
+
+// AddChain adds the strict total order of chain to r: the pair
+// (chain[i], chain[j]) for every i < j. With one word per row it is one
+// backward pass, each element's row taking the mask of the elements after
+// it; wider universes add the pairs one by one. The elements must be
+// distinct.
+func (r Rel) AddChain(chain []int) {
+	if r.words == 1 {
+		var after uint64
+		for i := len(chain) - 1; i >= 0; i-- {
+			c := chain[i]
+			r.check(c, c)
+			r.bits[c] |= after
+			after |= 1 << uint(c)
+		}
+		return
+	}
+	for i, a := range chain {
+		for _, b := range chain[i+1:] {
+			r.Add(a, b)
+		}
+	}
+}
+
 // PlusInPlace replaces r with its transitive closure r⁺ (Floyd–Warshall).
 func (r Rel) PlusInPlace() {
 	if r.words == 1 {

@@ -105,6 +105,11 @@ func (s *Solver) NewVar() int {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.nVars }
 
+// NumClauses returns the number of stored clauses. Before Solve these are
+// the problem clauses that survived simplification (a unit clause is
+// assigned, not stored); after it, learned clauses count too.
+func (s *Solver) NumClauses() int { return len(s.clauses) }
+
 func (s *Solver) litValue(l Lit) lbool {
 	v := s.assign[l.Var()]
 	if v == lUndef {

@@ -33,6 +33,16 @@ type PruneCapable interface {
 	PruneLevel() exec.Prune
 }
 
+// SelfDeriving is implemented by evaluators that derive the dynamic
+// relations they read themselves (events.Execution.DeriveDemand), as the
+// compiled cat evaluator does. Simulate then enumerates deferred
+// candidates (exec.Request.Deferred), which hold rf and co alone, so a
+// candidate costs only the derivation its check reads. Every other
+// checker gets fully derived candidates.
+type SelfDeriving interface {
+	DerivesOwnDemand()
+}
+
 // PruneLevelFor resolves the pruning level a checker declares sound, or
 // PruneNone for checkers that declare nothing.
 func PruneLevelFor(model Checker) exec.Prune {
@@ -130,15 +140,27 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	// per-worker evaluator when it offers one (compiled cat models, the
 	// built-in zoo), whose pooled relation buffers make the steady-state
 	// check allocation-free, plus one state keyer. Name, pruning and the
-	// outcome still come from the original checker.
+	// outcome still come from the original checker. The first evaluator
+	// is built here, to learn whether it derives its own demand, and goes
+	// to the first worker.
 	prov, _ := req.Checker.(core.EvaluatorProvider)
-	newWorker := func() func(exec.Walk) *partial {
-		w := &worker{check: req.Checker.Check, cond: p.Test.Cond, traced: req.Obs != nil}
+	newChecker := func() Checker {
 		if prov != nil {
 			if ev := prov.NewEvaluator(); ev != nil {
-				w.check = ev.Check
+				return ev
 			}
 		}
+		return req.Checker
+	}
+	first := newChecker()
+	_, er.Deferred = first.(SelfDeriving)
+	newWorker := func() func(exec.Walk) *partial {
+		ck := first
+		if ck == nil {
+			ck = newChecker()
+		}
+		first = nil
+		w := &worker{check: ck.Check, cond: p.Test.Cond, traced: req.Obs != nil}
 		if w.cond != nil {
 			w.keyer = litmus.NewStateKeyer(w.cond)
 		}
