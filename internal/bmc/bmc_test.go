@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"herdcats/internal/bmc"
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
@@ -18,6 +19,8 @@ func modelOf(id bmc.ModelID) models.Model {
 		return models.SC
 	case bmc.TSO:
 		return models.TSO
+	case bmc.ARM:
+		return models.ARM
 	default:
 		return models.Power
 	}
@@ -28,15 +31,14 @@ func modelOf(id bmc.ModelID) models.Model {
 // model, SAT-reachability of the final condition must coincide with the
 // enumerative simulator's verdict.
 func TestAgainstSimulator(t *testing.T) {
-	for _, id := range []bmc.ModelID{bmc.SC, bmc.TSO, bmc.Power} {
+	for _, id := range []bmc.ModelID{bmc.SC, bmc.TSO, bmc.Power, bmc.ARM} {
 		id := id
 		t.Run(id.String(), func(t *testing.T) {
 			for _, e := range catalog.Tests() {
 				test := e.Test()
-				if test.Arch == litmus.ARM && id != bmc.SC && id != bmc.TSO {
-					// The Power encoding uses Power fences; ARM tests are
-					// checked against SC/TSO only (their dmb/isb map to
-					// no-ops there, matching the simulator's behaviour).
+				if (test.Arch == litmus.ARM) != (id == bmc.ARM) && id != bmc.SC && id != bmc.TSO {
+					// Power and ARM each read their own dialect's fences;
+					// SC and TSO ignore fences and take every test.
 					continue
 				}
 				inst, err := bmc.Encode(test, id)
@@ -178,8 +180,8 @@ func TestMemAtomCondition(t *testing.T) {
 	}
 }
 
-// TestC11Encoding: the mixed-access C11 encoding agrees with the native
-// model on the extension's key tests.
+// TestC11Encoding: c11.cat lowered over the circuit agrees with the
+// native C11 model on the extension's key tests.
 func TestC11Encoding(t *testing.T) {
 	srcs := []string{
 		`C bmc-mp-ra
@@ -207,9 +209,17 @@ exists (0:r1=1 /\ 0:r2=0)`,
  atomic_store_explicit(y, 1, release) | atomic_store_explicit(x, 1, release) ;
 exists (x=2 /\ y=2)`,
 	}
+	m, err := cat.Builtin("c11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c11, err := m.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range srcs {
 		test := litmus.MustParse(src)
-		inst, err := bmc.Encode(test, bmc.C11)
+		inst, err := bmc.EncodeCat(test, c11)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
@@ -220,6 +230,38 @@ exists (x=2 /\ y=2)`,
 		if inst.Solve() != out.Allowed() {
 			t.Errorf("%s: BMC C11 disagrees with the native model (bmc=%v sim=%v)",
 				test.Name, !out.Allowed(), out.Allowed())
+		}
+	}
+}
+
+// TestLoweringRejects: the lowering returns an error, never a verdict,
+// for a cat construct outside its pre-fixpoint argument (DESIGN.md §16)
+// or a static let rec that does not converge, and encodes the same model
+// without it.
+func TestLoweringRejects(t *testing.T) {
+	const rec = "let rec r = rfe | (r;po;r)\n"
+	cases := []struct{ name, bad, good string }{
+		{"dynamic reflexive", "reflexive po;rfe", "irreflexive po;rfe"},
+		{"check through ~", rec + "irreflexive po & ~r", rec + "irreflexive po & r"},
+		{"check through the right of \\", rec + "irreflexive po \\ r", rec + "irreflexive r \\ po"},
+		{"let rec through the right of \\", "let rec r = rfe | (po \\ r)\nacyclic r", rec + "acyclic r"},
+		{"divergent static let rec", "let rec s = po \\ s\nacyclic s | rf", "let rec s = po | (s;s)\nacyclic s | rf"},
+	}
+	e, _ := catalog.ByName("mp")
+	for _, tc := range cases {
+		for _, src := range []string{tc.bad, tc.good} {
+			m, err := cat.Compile("\"probe\"\n" + src + " as probe\n")
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			cm, err := m.Compiled()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = bmc.EncodeCat(e.Test(), cm)
+			if bad := src == tc.bad; bad != (err != nil) {
+				t.Errorf("%s: encoding %q: err = %v", tc.name, src, err)
+			}
 		}
 	}
 }

@@ -4,12 +4,15 @@
 // is compiled to propositional satisfiability and handed to the CDCL
 // solver of package sat.
 //
-// The encoding is relational, mirroring the axiomatic model directly:
-// boolean variables choose a read-from map, per-location coherence orders
-// and one control-flow trace per thread; derived relations (fr, ppo, prop,
-// hb) are boolean circuits over event-pair variables; each axiom's
-// acyclicity check is encoded with an auxiliary strict total order per
-// strongly connected component of the relation's possible edges.
+// The encoding is relational: boolean variables choose a read-from map,
+// per-location coherence orders and one control-flow trace per thread,
+// and fr is a circuit over them. The model is a builtin cat program,
+// lowered onto the circuit by cat.Lower (DESIGN.md §16): each derived
+// relation (ppo, hb, prop) is a matrix of literals over the memory
+// events, each let rec group a matrix of fresh variables asserted to be
+// a pre-fixpoint of its body, and each acyclicity check an auxiliary
+// strict total order per strongly connected component of the relation's
+// possible edges.
 package bmc
 
 import (
@@ -136,6 +139,19 @@ next:
 	return v
 }
 
+// implies asserts a → b.
+func (c *circuit) implies(a, b sat.Lit) {
+	switch {
+	case c.isFalse(a) || c.isTrue(b):
+	case c.isTrue(a):
+		c.s.AddClause(b)
+	case c.isFalse(b):
+		c.s.AddClause(a.Neg())
+	default:
+		c.s.AddClause(a.Neg(), b)
+	}
+}
+
 // --- Relation matrices -------------------------------------------------
 
 // relExpr is an m×m matrix of literals denoting a symbolic relation over
@@ -201,20 +217,6 @@ func (c *circuit) seq(a, b relExpr) relExpr {
 			}
 			c.terms = terms
 			out[i][j] = c.or(terms...)
-		}
-	}
-	return out
-}
-
-// restrict masks entries outside src×dst.
-func (c *circuit) restrict(a relExpr, src, dst func(int) bool) relExpr {
-	m := len(a)
-	out := c.emptyRel(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if src(i) && dst(j) {
-				out[i][j] = a[i][j]
-			}
 		}
 	}
 	return out

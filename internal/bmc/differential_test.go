@@ -2,6 +2,7 @@ package bmc_test
 
 import (
 	"context"
+	"os"
 	"testing"
 
 	"herdcats/internal/bmc"
@@ -12,20 +13,11 @@ import (
 	"herdcats/internal/sim"
 )
 
-// detourTest's verdict needs a second round of the ppo unrolling, which
-// no test of the small diy corpus does: P1's R -data-> W -detour-> R
-// -addr-> R orders its first read before its last only through ii;ci.
-const detourTest = `PPC mp+lwsync+data-detour-addr
-{ 0:r1=z; 0:r3=y; 1:r1=y; 1:r2=x; 1:r4=z; 2:r2=x; }
- P0 | P1 | P2 ;
- li r6,1 | lwz r5,0(r1) | li r6,2 ;
- stw r6,0(r1) | xor r7,r5,r5 | stw r6,0(r2) ;
- lwsync | addi r7,r7,1 | ;
- stw r6,0(r3) | stw r7,0(r2) | ;
- | lwz r8,0(r2) | ;
- | xor r9,r8,r8 | ;
- | lwzx r10,r9,r4 | ;
-exists (1:r5=1 /\ 1:r8=2 /\ 1:r10=0 /\ x=2)`
+// detourTest's Power verdict needs a composition inside Fig. 25's ppo
+// fixpoint that no test of the small diy corpus needs: P1's R -data-> W
+// -detour-> R -addr-> R orders its first read before its last only
+// through ii;ci.
+const detourTest = "../../testdata/litmus/mp+lwsync+data-detour-addr.litmus"
 
 // deepCycles are diy cumulativity chains whose hb paths are longer than
 // one squaring of star covers; the sampled 4- and 5-cycles have none.
@@ -38,11 +30,16 @@ var deepCycles = []string{
 // campaign's: every 2-cycle of the Power pool, then sampled 4- and
 // 5-cycles, n tests in all.
 func diyCorpus(t testing.TB, n int) []*litmus.Test {
+	return diyCorpusOf(t, litmus.PPC, diy.PowerPool(), n)
+}
+
+// diyCorpusOf is diyCorpus for any dialect and edge pool.
+func diyCorpusOf(t testing.TB, arch litmus.Arch, pool []diy.Edge, n int) []*litmus.Test {
 	t.Helper()
 	var out []*litmus.Test
 	seen := map[string]bool{}
 	emit := func(c diy.Cycle) bool {
-		test, err := diy.Generate(litmus.PPC, c)
+		test, err := diy.Generate(arch, c)
 		if err != nil || seen[test.Name] {
 			return true // a cycle diy cannot lay out, or a re-draw
 		}
@@ -50,9 +47,9 @@ func diyCorpus(t testing.TB, n int) []*litmus.Test {
 		out = append(out, test)
 		return len(out) < n
 	}
-	diy.Enumerate(diy.PowerPool(), 2, 2, emit)
+	diy.Enumerate(pool, 2, 2, emit)
 	if len(out) < n {
-		diy.Sample(diy.PowerPool(), []int{4, 5}, 1, emit)
+		diy.Sample(pool, []int{4, 5}, 1, emit)
 	}
 	if len(out) < n {
 		t.Fatalf("diy corpus: %d tests, want %d", len(out), n)
@@ -64,10 +61,17 @@ func diyCorpus(t testing.TB, n int) []*litmus.Test {
 // to generated tests: on 300 diy PPC tests and the deep shapes above,
 // SAT-reachability under SC, TSO, Power and PowerCAV must coincide with
 // the enumerative simulator under the matching model (PowerCAV's is the
-// multi-event model). It pins the encoder's shortcuts: the early stop
-// of the ppo and star unrolling and the per-component acyclicity orders.
+// multi-event model), and on 300 diy ARM tests under ARM with
+// models.ARM. It pins the lowering of the cat models onto the circuit
+// (static relations projected onto memory events, each let rec as a
+// bounded pre-fixpoint), the early stop of star and the per-component
+// acyclicity orders.
 func TestAgainstSimulatorDiy(t *testing.T) {
-	corpus := append(diyCorpus(t, 300), litmus.MustParse(detourTest))
+	src, err := os.ReadFile(detourTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := append(diyCorpus(t, 300), litmus.MustParse(string(src)))
 	for _, cy := range deepCycles {
 		c, err := diy.ParseCycle(cy)
 		if err != nil {
@@ -79,19 +83,22 @@ func TestAgainstSimulatorDiy(t *testing.T) {
 		}
 		corpus = append(corpus, test)
 	}
+	armCorpus := diyCorpusOf(t, litmus.ARM, diy.ARMPool(), 300)
 	checkers := []struct {
-		id  bmc.ModelID
-		ref sim.Checker
+		id     bmc.ModelID
+		ref    sim.Checker
+		corpus []*litmus.Test
 	}{
-		{bmc.SC, models.SC},
-		{bmc.TSO, models.TSO},
-		{bmc.Power, models.Power},
-		{bmc.PowerCAV, multi.Model{}},
+		{bmc.SC, models.SC, corpus},
+		{bmc.TSO, models.TSO, corpus},
+		{bmc.Power, models.Power, corpus},
+		{bmc.PowerCAV, multi.Model{}, corpus},
+		{bmc.ARM, models.ARM, armCorpus},
 	}
 	for _, ck := range checkers {
 		ck := ck
 		t.Run(ck.id.String(), func(t *testing.T) {
-			for _, test := range corpus {
+			for _, test := range ck.corpus {
 				inst, err := bmc.Encode(test, ck.id)
 				if err != nil {
 					t.Fatalf("%s: encode: %v", test.Name, err)

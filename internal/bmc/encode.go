@@ -3,33 +3,33 @@ package bmc
 import (
 	"fmt"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/sat"
 )
 
-// ModelID selects the memory model to encode.
+// ModelID selects the memory model to encode. Each names a cat model,
+// which the encoding runs over the circuit (cat.Lower).
 type ModelID uint8
 
 // Encodable models.
 const (
-	// SC is Fig. 21's Sequential Consistency.
+	// SC is Fig. 21's Sequential Consistency (sc.cat).
 	SC ModelID = iota
-	// TSO is Fig. 21's Total Store Order.
+	// TSO is Fig. 21's Total Store Order (tso.cat).
 	TSO
-	// Power is the paper's Power model (Fig. 5 + 17 + 18 + 25), the
-	// "present model" row of Tab. XI.
+	// Power is the paper's Power model (power.cat: Fig. 5 + 17 + 18 +
+	// 25), the "present model" row of Tab. XI.
 	Power
 	// PowerCAV is the multi-event-style strengthened Power model (our
 	// CAV 2012 stand-in; see package multi), the comparison row of
-	// Tab. XI. Its encoding carries the extra propagation-ordering term
-	// and a deeper fixpoint unrolling, hence larger formulas.
+	// Tab. XI: power.cat whose ii0 also holds the propagation-ordering
+	// term bigrdw.
 	PowerCAV
-	// C11 is the mixed-access-type extension (models.C11): hbC is built
-	// from sb and the synchronises-with edges of the symbolic rf, masked
-	// by the static per-access memory orders.
-	C11
+	// ARM is the proposed ARM model of Tab. VII (arm.cat).
+	ARM
 )
 
 func (m ModelID) String() string {
@@ -42,8 +42,8 @@ func (m ModelID) String() string {
 		return "Power"
 	case PowerCAV:
 		return "Power multi-event (CAV12)"
-	case C11:
-		return "C11"
+	case ARM:
+		return "ARM"
 	}
 	return "?"
 }
@@ -51,8 +51,6 @@ func (m ModelID) String() string {
 // Instance is an encoded reachability problem: is the test's final
 // condition observable in some model-valid execution?
 type Instance struct {
-	Model ModelID
-
 	s    *sat.Solver
 	c    *circuit
 	prog *exec.Program
@@ -83,12 +81,22 @@ func (in *Instance) Clauses() int { return in.s.NumClauses() }
 
 // Encode compiles the reachability of test's condition under the model.
 func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
+	m, err := model.compiled()
+	if err != nil {
+		return nil, err
+	}
+	return encode(test, m)
+}
+
+// encode compiles the reachability of test's condition under a compiled
+// cat model, lowered over the circuit. It is exact for the builtin models
+// (DESIGN.md §16), not for every cat program.
+func encode(test *litmus.Test, model *cat.Compiled) (*Instance, error) {
 	prog, err := exec.Compile(test)
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{
-		Model: model,
 		s:     sat.New(),
 		prog:  prog,
 		rfVar: map[[2]int]sat.Lit{},
@@ -136,7 +144,13 @@ func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
 	in.encodeRF()
 	in.encodeCO()
 	in.buildCoreRels()
-	in.encodeModel()
+	staticOK, err := cat.Lower(model, in.asm.X, &gates{in: in})
+	if err != nil {
+		return nil, err
+	}
+	if !staticOK {
+		in.s.AddClause() // a static check fails on the skeleton
+	}
 	if err := in.assertCondition(); err != nil {
 		return nil, err
 	}
@@ -380,44 +394,4 @@ func (in *Instance) buildCoreRels() {
 			in.frRel[r][w2] = c.or(terms...)
 		}
 	}
-}
-
-// --- Direction and thread predicates ----------------------------------
-
-func (in *Instance) isRead(i int) bool {
-	return in.asm.X.Events[in.memID[i]].Kind == events.MemRead
-}
-
-func (in *Instance) isWrite(i int) bool {
-	return in.asm.X.Events[in.memID[i]].Kind == events.MemWrite
-}
-
-func (in *Instance) sameThread(i, j int) bool {
-	return in.asm.ThreadOf[in.memID[i]] == in.asm.ThreadOf[in.memID[j]]
-}
-
-// external masks a symbolic relation to cross-thread pairs; initial writes
-// count as external to everything (the paper's convention for rfe).
-func (in *Instance) external(r relExpr) relExpr {
-	out := in.c.emptyRel(in.m)
-	for i := 0; i < in.m; i++ {
-		for j := 0; j < in.m; j++ {
-			if in.isInit(in.memID[i]) || in.isInit(in.memID[j]) || !in.sameThread(i, j) {
-				out[i][j] = r[i][j]
-			}
-		}
-	}
-	return out
-}
-
-func (in *Instance) internal(r relExpr) relExpr {
-	out := in.c.emptyRel(in.m)
-	for i := 0; i < in.m; i++ {
-		for j := 0; j < in.m; j++ {
-			if !in.isInit(in.memID[i]) && !in.isInit(in.memID[j]) && in.sameThread(i, j) {
-				out[i][j] = r[i][j]
-			}
-		}
-	}
-	return out
 }

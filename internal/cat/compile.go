@@ -883,23 +883,29 @@ func (sp *residual) covers(x *events.Execution) bool {
 }
 
 // bounds derives rf and co's bounds from the skeleton's events, matching
-// exec's enumeration: a read takes its value from a same-location,
-// same-value write (rf's lower bound holds the reads with one such write),
-// and a location's coherence order starts at its initial write and orders
-// the others every way. Everything derived from rf and co is monotone in
-// them, so deriving both bounds bounds fr, com, sw and the e/i splits.
-func (sp *residual) bounds(base *events.Execution) {
+// exec's enumeration: a read takes its value from a same-location write,
+// of the same value when sameValue is set (rf's lower bound holds the
+// reads with one such write), and a location's coherence order starts at
+// its initial write and orders the others every way. Everything derived
+// from rf and co is monotone in them, so deriving the demand d on both
+// bounds bounds fr, com, sw and the e/i splits.
+func (sp *residual) bounds(base *events.Execution, sameValue bool, d events.Dyn) {
 	evs := base.Events
 	for _, r := range []rel.Rel{sp.rfLo, sp.rfHi, sp.coLo, sp.coHi} {
 		r.Clear()
 	}
-	for _, e := range evs {
+	for i := range evs {
+		e := &evs[i]
+		if !e.IsMem() {
+			continue
+		}
 		feeds, last := 0, -1
-		for _, w := range evs {
+		for j := range evs {
+			w := &evs[j]
 			if w.Kind != events.MemWrite || w.Loc != e.Loc || w.ID == e.ID {
 				continue
 			}
-			if e.Kind == events.MemRead && w.Val == e.Val {
+			if e.Kind == events.MemRead && (!sameValue || w.Val == e.Val) {
 				sp.rfHi.Add(w.ID, e.ID)
 				feeds, last = feeds+1, w.ID
 			}
@@ -917,13 +923,17 @@ func (sp *residual) bounds(base *events.Execution) {
 	sp.lox.Events, sp.lox.RF, sp.lox.CO = evs, sp.rfLo, sp.coLo
 	sp.hix.Events, sp.hix.RF, sp.hix.CO = evs, sp.rfHi, sp.coHi
 	for _, x := range []*events.Execution{&sp.lox, &sp.hix} {
-		x.AdoptStatic(base)
-		x.DeriveDynamicInto(&sp.arena)
+		x.AdoptStatic(base) // clears what was derived
+		x.DeriveDemand(d, &sp.arena)
 	}
 }
 
-// constant records r as a skeleton constant and returns its index.
+// constant records r as a skeleton constant and returns its index, or -1
+// without consts.
 func (sp *residual) constant(r rel.Rel) int {
+	if sp.consts == nil {
+		return -1
+	}
 	sp.consts[sp.nConst].CopyFrom(r)
 	sp.nConst++
 	return sp.nConst - 1
@@ -950,24 +960,37 @@ func (sp *residual) bound(ev *Evaluator, o operand, hi bool) rel.Rel {
 // the skeleton then keeps the generic program, which reports the
 // divergence of every candidate that diverges.
 func (ev *Evaluator) specialise() bool {
+	sp, c := ev.sp, ev.c
+	if sp.n != ev.n || sp.consts == nil {
+		sp.consts = rel.NewN(ev.n, len(c.prog)+c.nRegs) // a result per instruction, a value per member
+		sp.prog = make([]cinstr, 0, len(c.prog))
+		sp.live, sp.written, sp.exposed = make([]bool, c.nRegs), make([]bool, c.nRegs), make([]bool, c.nRegs)
+	}
+	if !ev.boundRun(true, len(c.prog)) {
+		return false
+	}
+	sp.build(c)
+	sp.demand = demandOf(sp.prog) | events.DynRF | events.DynCO
+	return true
+}
+
+// boundRun derives the bound skeleton's rf and co bounds (of the same
+// value, or of any) and runs the abstract program's first end
+// instructions over them, leaving each register's bounds in sp.lo and
+// sp.hi. It reports false when some let rec's abstract iteration does not
+// converge. Without consts (cat.Lower's run) it records no constants.
+func (ev *Evaluator) boundRun(sameValue bool, end int) bool {
 	sp, c, n := ev.sp, ev.c, ev.n
 	if sp.n != n || sp.hi == nil {
 		b := rel.NewN(n, 4)
 		sp.n, sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = n, b[0], b[1], b[2], b[3]
-		sp.hi, sp.prog = rel.NewN(n, c.nRegs), make([]cinstr, 0, len(c.prog))
-		sp.consts = rel.NewN(n, len(c.prog)+c.nRegs) // a result per instruction, a value per member
+		sp.hi = rel.NewN(n, c.nRegs)
 		sp.constAt, sp.fold, sp.member = make([]int, len(c.prog)), make([]bool, len(c.fixGroups)), make([]int, c.nRegs)
 		sp.decided, sp.fixedOK = make([]bool, len(c.dChecks)), make([]bool, len(c.dChecks))
-		sp.live, sp.written, sp.exposed = make([]bool, c.nRegs), make([]bool, c.nRegs), make([]bool, c.nRegs)
 	}
 	sp.lo = ev.regs // scratch between candidates
-	sp.bounds(ev.base)
-	if !sp.abstract(ev) {
-		return false
-	}
-	sp.build(ev.c)
-	sp.demand = demandOf(sp.prog) | events.DynRF | events.DynCO
-	return true
+	sp.bounds(ev.base, sameValue, c.demand)
+	return sp.abstract(ev, end)
 }
 
 // abstract runs the generic program once over interval-valued registers,
@@ -976,12 +999,13 @@ func (ev *Evaluator) specialise() bool {
 // right of \ and ~, which swap the bounds. A let rec group iterates until
 // both bounds are stable: by induction over the rounds they then bound
 // every round of the concrete iteration from ∅. The run records the
-// results, groups and checks the bounds decide.
-func (sp *residual) abstract(ev *Evaluator) bool {
+// results, groups and checks the bounds decide. It stops before
+// instruction end.
+func (sp *residual) abstract(ev *Evaluator, end int) bool {
 	c := ev.c
 	sp.nConst = 0
 	gi, iters := 0, 0
-	for pc := 0; pc < len(c.prog); pc++ {
+	for pc := 0; pc < end; pc++ {
 		in := &c.prog[pc]
 		sp.constAt[pc] = -1
 		switch in.op {

@@ -127,6 +127,28 @@ func TestCompiledEquivalenceZoo(t *testing.T) {
 	}
 }
 
+// TestCompiledDemandProbes: for every dynamic builtin b, the probe model
+// "empty b" is checked compiled against interpreted over the corpus, so a
+// demand that under-derives any one builtin fails here, although no
+// builtin model reads coi or fri. The corpus has every builtin non-empty
+// somewhere: coi in coWW, fri in coRW1, sw in mp+rel+acq.
+func TestCompiledDemandProbes(t *testing.T) {
+	var progs []*exec.Program
+	for _, tst := range corpusTests(t) {
+		p, err := exec.Compile(tst)
+		if err != nil {
+			t.Fatalf("%s: %v", tst.Name, err)
+		}
+		progs = append(progs, p)
+	}
+	for _, b := range []string{"rf", "rfe", "rfi", "sw", "co", "coe", "coi", "fr", "fre", "fri", "com"} {
+		m := cat.MustCompile(fmt.Sprintf("\"probe %s\"\nempty %s as probe\n", b, b))
+		for _, p := range progs {
+			sameVerdicts(t, m, p, b+" on "+p.Test.Name)
+		}
+	}
+}
+
 // randModel generates a random (valid) cat program exercising the lowering:
 // static and dynamic bindings, recursive groups, shadowing, every operator,
 // hoistable static subexpressions, and checks of every kind.

@@ -23,7 +23,7 @@ func SkeletonBounds(base *events.Execution) (rfLo, rfHi, coLo, coHi rel.Rel) {
 	var sp residual
 	n := base.N()
 	sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = rel.New(n), rel.New(n), rel.New(n), rel.New(n)
-	sp.bounds(base)
+	sp.bounds(base, true, events.DynAll)
 	return sp.rfLo, sp.rfHi, sp.coLo, sp.coHi
 }
 

@@ -86,6 +86,35 @@ func TestPairsAgreeOnCorpus(t *testing.T) {
 	}
 }
 
+// TestARMPairsAgreeOnCorpus sweeps the ARM table (the cat ARM model and
+// the SAT encoding of arm.cat against the native proposed-ARM model, SC
+// and TSO against their encodings) over every length-3 diy ARM cycle.
+func TestARMPairsAgreeOnCorpus(t *testing.T) {
+	pairs := crosscheck.Pairs(litmus.ARM)
+	n := 0
+	diy.Enumerate(diy.ARMPool(), 3, 3, func(c diy.Cycle) bool {
+		test, err := diy.Generate(litmus.ARM, c)
+		if err != nil {
+			return true
+		}
+		n++
+		rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+		if err != nil {
+			t.Fatalf("%s: %v", test.Name, err)
+		}
+		for _, e := range rep.Errors {
+			t.Errorf("%s: decider %s failed: %s", test.Name, e.Decider, e.Err)
+		}
+		for _, d := range rep.Disagreements {
+			t.Errorf("%s: %s (%s)\n%s", test.Name, d, d.Why, test)
+		}
+		return true
+	})
+	if n < 50 {
+		t.Fatalf("ARM corpus too small: %d", n)
+	}
+}
+
 // TestModelMonotonicityOnCorpus keeps the finer per-candidate refinement
 // the whole-test Subset pairs cannot see: an SC-valid candidate execution
 // stays valid under every weaker model, candidate by candidate. (The

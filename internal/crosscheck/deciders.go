@@ -220,6 +220,8 @@ func Pairs(arch litmus.Arch) []Pair {
 				Why: "TSO on ARM dialect: the SAT encoding equals the simulator"},
 			{A: simARM, B: MustCat("arm"), Rel: Equal,
 				Why: "the cat ARM model is the native proposed-ARM model"},
+			{A: simARM, B: BMC(bmc.ARM), Rel: Equal,
+				Why: "SAT encoding of ARM equals the simulator"},
 			{A: simSC, B: simARM, Rel: Subset,
 				Why: "SC-valid executions stay valid under weaker models"},
 		}

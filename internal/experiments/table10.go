@@ -22,6 +22,8 @@ type Table10Row struct {
 	Route   string
 	Tests   int
 	Decided int
+	Vars    int // SAT variables over the corpus (the SAT route only)
+	Clauses int // stored SAT clauses over the corpus, before solving
 	Time    time.Duration
 }
 
@@ -53,20 +55,23 @@ func Table10(c *Corpus, stateBound int) ([]Table10Row, error) {
 	})
 
 	start = time.Now()
-	decided = 0
+	row := Table10Row{
+		Tool:  "bmc (axiomatic model in the tool)",
+		Route: "SAT, single-event axiomatic model",
+		Tests: len(c.Tests),
+	}
 	for _, t := range c.Tests {
 		inst, err := bmc.Encode(t, bmc.Power)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", t.Name, err)
 		}
+		vars, _ := inst.Stats()
+		row.Vars, row.Clauses = row.Vars+vars, row.Clauses+inst.Clauses()
 		inst.Solve()
-		decided++
+		row.Decided++
 	}
-	rows = append(rows, Table10Row{
-		Tool:  "bmc (axiomatic model in the tool)",
-		Route: "SAT, single-event axiomatic model",
-		Tests: len(c.Tests), Decided: decided, Time: time.Since(start),
-	})
+	row.Time = time.Since(start)
+	rows = append(rows, row)
 	return rows, nil
 }
 
@@ -74,9 +79,13 @@ func Table10(c *Corpus, stateBound int) ([]Table10Row, error) {
 func RenderTable10(rows []Table10Row) string {
 	var b strings.Builder
 	b.WriteString("Table X: operational instrumentation vs in-tool axiomatic model\n")
-	fmt.Fprintf(&b, "%-40s %8s %8s %12s\n", "tool", "tests", "decided", "time")
+	fmt.Fprintf(&b, "%-40s %8s %8s %10s %10s %12s\n", "tool", "tests", "decided", "vars", "clauses", "time")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-40s %8d %8d %12s\n", r.Tool, r.Tests, r.Decided, r.Time.Round(time.Millisecond))
+		vars, clauses := "-", "-"
+		if r.Vars > 0 {
+			vars, clauses = fmt.Sprint(r.Vars), fmt.Sprint(r.Clauses)
+		}
+		fmt.Fprintf(&b, "%-40s %8d %8d %10s %10s %12s\n", r.Tool, r.Tests, r.Decided, vars, clauses, r.Time.Round(time.Millisecond))
 	}
 	return b.String()
 }

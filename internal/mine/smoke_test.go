@@ -8,19 +8,22 @@ import (
 	"runtime"
 	"testing"
 
+	"herdcats/internal/bmc"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
 	"herdcats/internal/obs"
 )
 
-// smokePairs is the mine-smoke workload: five expected agreements across
+// smokePairs is the mine-smoke workload: six expected agreements across
 // three engines (simulator, SAT, cat compiler) that are fast enough to
 // sweep hundreds of tests under -race in seconds.
 func smokePairs() []crosscheck.Pair {
 	simPower := crosscheck.Axiomatic(models.Power)
 	pairs := cheapPairs() // sim==bmc on SC and TSO, SC⊆TSO
 	return append(pairs,
+		crosscheck.Pair{A: simPower, B: crosscheck.BMC(bmc.Power), Rel: crosscheck.Equal,
+			Why: "SAT encoding of power.cat equals the simulator"},
 		crosscheck.Pair{A: simPower, B: crosscheck.MustCat("power"), Rel: crosscheck.Equal,
 			Why: "the Fig. 38 cat model is the native Power model"},
 		crosscheck.Pair{A: simPower, B: crosscheck.Axiomatic(models.PowerStatic), Rel: crosscheck.Subset,
