@@ -91,7 +91,7 @@ func BenchmarkTable5Harness(b *testing.B) {
 			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: models.PowerARM}); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := machines[0].RunCompiled(p); err != nil {
+			if _, err := machines[0].RunCompiled(context.Background(), p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -81,21 +81,28 @@ func (in *Instance) Clauses() int { return in.s.NumClauses() }
 
 // Encode compiles the reachability of test's condition under the model.
 func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
-	m, err := model.compiled()
-	if err != nil {
-		return nil, err
-	}
-	return encode(test, m)
-}
-
-// encode compiles the reachability of test's condition under a compiled
-// cat model, lowered over the circuit. It is exact for the builtin models
-// (DESIGN.md §16), not for every cat program.
-func encode(test *litmus.Test, model *cat.Compiled) (*Instance, error) {
 	prog, err := exec.Compile(test)
 	if err != nil {
 		return nil, err
 	}
+	return EncodeProgram(prog, model)
+}
+
+// EncodeProgram is Encode over an already compiled test. A shared program
+// (exec.ProgramFor) hands the encoding the trace sets its searches kept.
+func EncodeProgram(prog *exec.Program, model ModelID) (*Instance, error) {
+	m, err := model.compiled()
+	if err != nil {
+		return nil, err
+	}
+	return encode(prog, m)
+}
+
+// encode compiles the reachability of prog's condition under a compiled
+// cat model, lowered over the circuit. It is exact for the builtin models
+// (DESIGN.md §16), not for every cat program.
+func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
+	var err error
 	in := &Instance{
 		s:     sat.New(),
 		prog:  prog,

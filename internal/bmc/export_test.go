@@ -1,5 +1,17 @@
 package bmc
 
+import (
+	"herdcats/internal/cat"
+	"herdcats/internal/exec"
+	"herdcats/internal/litmus"
+)
+
 // EncodeCat is the encoding of a test under a compiled cat model, for
 // tests of models that no ModelID names.
-var EncodeCat = encode
+func EncodeCat(test *litmus.Test, model *cat.Compiled) (*Instance, error) {
+	prog, err := exec.Compile(test)
+	if err != nil {
+		return nil, err
+	}
+	return encode(prog, model)
+}

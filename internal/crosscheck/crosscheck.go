@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 
+	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 )
 
@@ -130,7 +131,13 @@ func (r *Report) Agreed() bool {
 // errors never fail the comparison: the errored decider is reported under
 // Errors and its pairs are skipped. The returned error is non-nil only when
 // ctx was canceled before the comparison finished.
+//
+// The deciders share one compiled test (exec.Share): the first to ask
+// compiles it, and its thread traces and skeletons, which no model
+// changes, are enumerated once for all of them. That state is dropped
+// when the comparison returns.
 func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Report, error) {
+	ctx = exec.Share(ctx, test)
 	rep := &Report{Test: test.Name}
 	verdicts := map[string]Verdict{}
 	for _, p := range pairs {

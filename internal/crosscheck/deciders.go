@@ -20,6 +20,11 @@ import (
 // can be asked: is the test's final condition observable? Names must be
 // unique per behaviour — ComparePairs runs each distinct name once per
 // test, and the mining store uses names as content-address material.
+//
+// The deciders here take their compiled test from exec.ProgramFor(ctx,
+// test), so under ComparePairs (which shares one program per test on ctx)
+// they compile the test, enumerate its thread traces and build its
+// skeletons once between them; on any other ctx each compiles afresh.
 type Decider interface {
 	Name() string
 	Decide(ctx context.Context, test *litmus.Test) (allowed bool, err error)
@@ -79,7 +84,11 @@ func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 	if d.cache != nil {
 		out, _, err = d.cache.Run(ctx, test, d.model, d.budget)
 	} else {
-		out, err = sim.Simulate(ctx, sim.Request{Test: test, Checker: d.model, Budget: d.budget})
+		p, perr := exec.ProgramFor(ctx, test)
+		if perr != nil {
+			return false, perr
+		}
+		out, err = sim.Simulate(ctx, sim.Request{Program: p, Checker: d.model, Budget: d.budget})
 	}
 	if err != nil {
 		return false, err
@@ -104,7 +113,7 @@ func Operational(m models.Model) Decider { return operational{model: m} }
 func (d operational) Name() string { return "machine:" + d.model.Name() }
 
 func (d operational) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, err := exec.Compile(test)
+	p, err := exec.ProgramFor(ctx, test)
 	if err != nil {
 		return false, err
 	}
@@ -146,7 +155,11 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	inst, err := bmc.Encode(test, d.id)
+	p, err := exec.ProgramFor(ctx, test)
+	if err != nil {
+		return false, err
+	}
+	inst, err := bmc.EncodeProgram(p, d.id)
 	if err != nil {
 		return false, err
 	}
@@ -165,10 +178,11 @@ func Hardware(m hardware.Machine) Decider { return hwDecider{m: m} }
 func (d hwDecider) Name() string { return "hw:" + d.m.Name }
 
 func (d hwDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	if err := ctx.Err(); err != nil {
+	p, err := exec.ProgramFor(ctx, test)
+	if err != nil {
 		return false, err
 	}
-	obs, err := d.m.RunLitmus(test)
+	obs, err := d.m.RunCompiled(ctx, p)
 	if err != nil {
 		return false, err
 	}

@@ -1,0 +1,137 @@
+package crosscheck_test
+
+import (
+	"context"
+	"os"
+	"testing"
+
+	"herdcats/internal/catalog"
+	"herdcats/internal/crosscheck"
+	"herdcats/internal/diy"
+	"herdcats/internal/exec"
+	"herdcats/internal/litmus"
+)
+
+// catalogPPC returns the catalogue's PPC tests.
+func catalogPPC(t *testing.T) []*litmus.Test {
+	t.Helper()
+	var out []*litmus.Test
+	for _, e := range catalog.Tests() {
+		if test := e.Test(); test.Arch == litmus.PPC {
+			out = append(out, test)
+		}
+	}
+	if len(out) < 20 {
+		t.Fatalf("catalogue has %d PPC tests", len(out))
+	}
+	return out
+}
+
+// TestSharedVerdictsMatchFresh: under ComparePairs every decider of the
+// PPC table judges the test over one shared program, whose trace sets and
+// skeletons the earlier deciders built; each verdict, and each error,
+// must equal the decider's own Decide on a fresh context, which compiles
+// and enumerates the test alone. Over the sampled diy corpus and the
+// catalogue's PPC tests.
+func TestSharedVerdictsMatchFresh(t *testing.T) {
+	pairs := crosscheck.Pairs(litmus.PPC)
+	deciders := map[string]crosscheck.Decider{}
+	for _, p := range pairs {
+		deciders[p.A.Name()], deciders[p.B.Name()] = p.A, p.B
+	}
+	tests := append(corpus(t, 15), catalogPPC(t)...)
+	for _, test := range tests {
+		rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+		if err != nil {
+			t.Fatalf("%s: %v", test.Name, err)
+		}
+		if len(rep.Verdicts) != len(deciders) {
+			t.Fatalf("%s: %d verdicts, want %d", test.Name, len(rep.Verdicts), len(deciders))
+		}
+		for _, v := range rep.Verdicts {
+			allowed, err := deciders[v.Decider].Decide(context.Background(), test)
+			fresh := crosscheck.Verdict{Decider: v.Decider, Allowed: allowed}
+			if err != nil {
+				fresh = crosscheck.Verdict{Decider: v.Decider, Err: err.Error()}
+			}
+			if v != fresh {
+				t.Errorf("%s: %s shared %+v, fresh %+v", test.Name, v.Decider, v, fresh)
+			}
+		}
+	}
+}
+
+// programSpy records the program each Decide would be handed.
+type programSpy struct {
+	crosscheck.Decider
+	seen *[]*exec.Program
+}
+
+func (s programSpy) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
+	p, err := exec.ProgramFor(ctx, test)
+	if err != nil {
+		return false, err
+	}
+	*s.seen = append(*s.seen, p)
+	return s.Decider.Decide(ctx, test)
+}
+
+// TestComparePairsSharesOneProgram: every decider of one comparison gets
+// the same compiled program, and two comparisons of one test get two.
+func TestComparePairsSharesOneProgram(t *testing.T) {
+	test := onePPCTest(t)
+	var seen []*exec.Program
+	var pairs []crosscheck.Pair
+	for _, p := range crosscheck.Pairs(litmus.PPC) {
+		p.A, p.B = programSpy{p.A, &seen}, programSpy{p.B, &seen}
+		pairs = append(pairs, p)
+	}
+	for range 2 {
+		if _, err := crosscheck.ComparePairs(context.Background(), test, pairs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := len(seen) / 2
+	if half < 2 {
+		t.Fatalf("%d Decide calls", len(seen))
+	}
+	for i, p := range seen {
+		if first := seen[i/half*half]; p != first {
+			t.Fatalf("Decide %d of a comparison got another program than the first", i%half)
+		}
+	}
+	if seen[0] == seen[half] {
+		t.Fatal("two comparisons shared one program")
+	}
+}
+
+// TestComparePairsAllocsCeiling is the bench-smoke guard on what one
+// comparison costs the allocator: the full PPC table over one diy test
+// must allocate no more than measured once its deciders shared one
+// compiled test (go1.24: 4196; 5771 when each decider re-enumerates the
+// traces and skeletons, 6558 when each also compiles the test).
+// Gated on BENCH_ENUM_OUT like the other bench asserts.
+func TestComparePairsAllocsCeiling(t *testing.T) {
+	if os.Getenv("BENCH_ENUM_OUT") == "" {
+		t.Skip("set BENCH_ENUM_OUT to run the comparison allocation ceiling check")
+	}
+	c, err := diy.ParseCycle("PodWW Rfe DpAddrdR PodRR Fre")
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := diy.Generate(litmus.PPC, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := crosscheck.Pairs(litmus.PPC)
+	allocs := testing.AllocsPerRun(20, func() {
+		rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+		if err != nil || !rep.Agreed() {
+			t.Fatalf("%s: %v %+v", test.Name, err, rep)
+		}
+	})
+	const ceiling = 4300
+	if allocs > ceiling {
+		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
+	}
+}

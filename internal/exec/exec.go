@@ -92,6 +92,11 @@ type Program struct {
 	// where encoding the initial writes used to fail.
 	initVals []int
 	initErr  error
+
+	// shared is the comparison-scoped memo of trace sets and skeletons;
+	// nil (memoise nothing) unless ProgramFor compiled the program for a
+	// Share context.
+	shared *shared
 }
 
 // Compile parses the threads of a test and prepares the value domain.
@@ -300,7 +305,12 @@ type access struct {
 }
 
 // ThreadTraces enumerates the traces of one thread over the value domain.
+// A shared program (ProgramFor) whose trace sets some search has kept
+// returns the kept set; callers must not modify it.
 func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
+	if all := p.shared.complete(); all != nil {
+		return all[tid], nil
+	}
 	ts, _, err := p.threadTraces(&search{ctx: context.Background()}, tid)
 	return ts, err
 }

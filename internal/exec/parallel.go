@@ -89,7 +89,14 @@ func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate
 }
 
 // allTraces enumerates every thread's traces under the search's budget.
+// A shared program enumerates them once: a search that runs the
+// enumeration to the end keeps the sets, and later searches take them, or
+// their prefixes under a MaxTracesPerThread cap (see capped).
 func (p *Program) allTraces(s *search) (traces [][]Trace, truncated bool, err error) {
+	if all := p.shared.complete(); all != nil {
+		traces, truncated = capped(all, s.b.MaxTracesPerThread)
+		return traces, truncated, nil
+	}
 	traces = make([][]Trace, len(p.Threads))
 	for tid := range p.Threads {
 		ts, trunc, err := p.threadTraces(s, tid)
@@ -104,6 +111,9 @@ func (p *Program) allTraces(s *search) (traces [][]Trace, truncated bool, err er
 		}
 		traces[tid] = ts
 		truncated = truncated || trunc
+	}
+	if !truncated && !s.stopped {
+		p.shared.keep(traces)
 	}
 	return traces, truncated, nil
 }
@@ -134,7 +144,7 @@ func (p *Program) walkCombos(s *search, prune Prune, allTraces [][]Trace, lo, hi
 	choice := make([]int, len(p.Threads))
 	for ci := lo; ci < hi && s.alive(false); ci++ {
 		comboChoice(allTraces, ci, choice)
-		e, err := p.newExpansion(allTraces, choice)
+		e, err := p.expansion(allTraces, ci, choice)
 		if err != nil {
 			return err
 		}
@@ -346,7 +356,7 @@ func (p *Program) buildShards(allTraces [][]Trace, nc, workers int) ([]shard, er
 		choice := make([]int, len(p.Threads))
 		for ci := 0; ci < nc; ci++ {
 			comboChoice(allTraces, ci, choice)
-			e, err := p.newExpansion(allTraces, choice)
+			e, err := p.expansion(allTraces, ci, choice)
 			if err != nil {
 				return nil, err
 			}

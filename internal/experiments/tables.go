@@ -156,7 +156,7 @@ func confront(c *Corpus, model models.Model, family hardware.Arch) (Table5Row, e
 				return nil, err
 			}
 			for _, m := range profiles {
-				obs, err := m.RunCompiled(p)
+				obs, err := m.RunCompiled(ctx, p)
 				if err != nil {
 					return nil, err
 				}

@@ -279,13 +279,15 @@ func (m Machine) RunLitmus(test *litmus.Test) (*Observation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.RunCompiled(p)
+	return m.RunCompiled(context.Background(), p)
 }
 
-// RunCompiled is RunLitmus over a pre-compiled program.
-func (m Machine) RunCompiled(p *exec.Program) (*Observation, error) {
+// RunCompiled is RunLitmus over a pre-compiled program, searching under
+// ctx: a canceled ctx stops the run with an error matching
+// exec.ErrCanceled.
+func (m Machine) RunCompiled(ctx context.Context, p *exec.Program) (*Observation, error) {
 	obs := &Observation{Machine: m.Name, Test: p.Test, States: map[string]int{}}
-	err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+	err := p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 		obs.Candidates++
 		if !m.ObservesTest(c.X, p.Test.Name) {
 			return true

@@ -29,6 +29,7 @@ import (
 	"herdcats/internal/campaign"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
+	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/obs"
 )
@@ -386,6 +387,7 @@ func (m *Miner) minimize(ctx context.Context, u unit, d crosscheck.Disagreement)
 	// original's.
 	lastA, lastB := d.A, d.B
 	oracle := func(ctx context.Context, t *litmus.Test) (bool, error) {
+		ctx = exec.Share(ctx, t) // both sides judge one compiled candidate
 		a, err := pair.A.Decide(ctx, t)
 		if err != nil {
 			return false, err

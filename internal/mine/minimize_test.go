@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
+	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
 )
@@ -195,5 +197,70 @@ func TestMinerEmitsWitness(t *testing.T) {
 	}
 	if !sawMinimal {
 		t.Fatal("no disagreement minimized to the known minimal witness LwSyncdWW+Rfe+PodRR+Fre")
+	}
+}
+
+// programSpy records, per test, the programs its Decide calls would be
+// handed by exec.ProgramFor.
+type programSpy struct {
+	crosscheck.Decider
+	mu   *sync.Mutex
+	seen map[*litmus.Test]map[*exec.Program]bool
+}
+
+func (s programSpy) Decide(ctx context.Context, t *litmus.Test) (bool, error) {
+	p, err := exec.ProgramFor(ctx, t)
+	if err != nil {
+		return false, err
+	}
+	s.mu.Lock()
+	if s.seen[t] == nil {
+		s.seen[t] = map[*exec.Program]bool{}
+	}
+	s.seen[t][p] = true
+	s.mu.Unlock()
+	return s.Decider.Decide(ctx, t)
+}
+
+// TestMinimizeSharesProgram: the minimization oracle judges each candidate
+// test with both sides of the pair over one compiled program, as the
+// comparison that found the disagreement does.
+func TestMinimizeSharesProgram(t *testing.T) {
+	var pool []diy.Edge
+	for _, name := range []string{"LwSyncdWW", "Rfe", "DpAddrdR", "Fre"} {
+		e, err := diy.ParseEdge(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, e)
+	}
+	mu, seen := &sync.Mutex{}, map[*litmus.Test]map[*exec.Program]bool{}
+	pair := brokenPair()
+	pair.A, pair.B = programSpy{pair.A, mu, seen}, programSpy{pair.B, mu, seen}
+	m, err := New(Config{
+		Arch:            litmus.PPC,
+		Pool:            pool,
+		ExhaustiveMax:   4,
+		DisableSampling: true,
+		Workers:         2,
+		Pairs:           []crosscheck.Pair{pair},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := m.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.MinimizeSteps == 0 {
+		t.Fatal("no minimization ran")
+	}
+	if len(seen) <= sum.Checked {
+		t.Fatalf("%d tests judged, %d checked: the oracle judged none", len(seen), sum.Checked)
+	}
+	for test, progs := range seen {
+		if len(progs) != 1 {
+			t.Fatalf("%s: judged over %d programs, want 1", test.Name, len(progs))
+		}
 	}
 }
