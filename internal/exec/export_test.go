@@ -9,10 +9,5 @@ func Memo(p *Program) (traces bool, exps int) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, e := range sh.exps {
-		if e != nil {
-			exps++
-		}
-	}
-	return sh.traces != nil, exps
+	return sh.traces != nil, len(sh.exps)
 }

@@ -17,20 +17,17 @@ import (
 // thousands of programs) would otherwise hold every test's traces and
 // skeletons (DESIGN.md §18).
 
-// maxSharedCombos caps the trace combinations whose expansions a shared
-// program keeps: above it every search builds its own, so one comparison
-// never holds more skeletons than this at once.
-const maxSharedCombos = 1 << 10
-
 // shared is the memo of a program compiled for one comparison. traces is
 // every thread's complete trace set, kept by the first search whose trace
 // enumeration ran to the end: not canceled, not timed out, not truncated
 // by MaxTracesPerThread. exps holds the expansion of each feasible
-// combination over exactly those sets, by combination index, once built.
+// combination over exactly those sets, by combination index, once a search
+// has built it. It never holds more than a sharded search over the same
+// sets does at once: buildShards builds every feasible expansion up front.
 type shared struct {
 	mu     sync.Mutex
 	traces [][]Trace
-	exps   []*expansion // nil when the combinations exceed maxSharedCombos
+	exps   map[int]*expansion
 }
 
 // complete returns the kept trace sets, or nil before any are kept (or
@@ -55,10 +52,7 @@ func (sh *shared) keep(traces [][]Trace) {
 	if sh.traces != nil {
 		return
 	}
-	sh.traces = traces
-	if nc := comboCount(traces); nc <= maxSharedCombos {
-		sh.exps = make([]*expansion, nc)
-	}
+	sh.traces, sh.exps = traces, map[int]*expansion{}
 }
 
 // expansion returns combination ci's expansion, choice being its decoded
@@ -72,7 +66,7 @@ func (p *Program) expansion(allTraces [][]Trace, ci int, choice []int) (*expansi
 		return p.newExpansion(allTraces, choice)
 	}
 	sh.mu.Lock()
-	memo := sh.exps != nil && &allTraces[0] == &sh.traces[0]
+	memo := sh.traces != nil && &allTraces[0] == &sh.traces[0]
 	var kept *expansion
 	if memo {
 		kept = sh.exps[ci]
@@ -87,10 +81,11 @@ func (p *Program) expansion(allTraces [][]Trace, ci int, choice []int) (*expansi
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.exps[ci] == nil {
-		sh.exps[ci] = e
+	if kept := sh.exps[ci]; kept != nil {
+		return kept, nil
 	}
-	return sh.exps[ci], nil
+	sh.exps[ci] = e
+	return e, nil
 }
 
 // capped returns the trace sets a search under a MaxTracesPerThread cap

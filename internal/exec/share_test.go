@@ -213,10 +213,11 @@ func mustProgramFor(t *testing.T, ctx context.Context, test *litmus.Test) *exec.
 	return p
 }
 
-// TestSharedProgramManyCombos: a shared program over more trace
-// combinations than it keeps skeletons for (64 traces per thread, 4096
-// combinations) keeps its trace sets and no skeleton, and searches as a
-// fresh program does.
+// TestSharedProgramManyCombos: a shared program over many trace
+// combinations (64 traces per thread, 4096 combinations; a mine-ppc test
+// has at most 64) keeps its trace sets and a skeleton for each of the 64
+// feasible ones only, and searches as a fresh program does, sequentially
+// and sharded.
 func TestSharedProgramManyCombos(t *testing.T) {
 	const src = `PPC manycombos
 { 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; }
@@ -234,14 +235,14 @@ exists (0:r4=2 /\ 1:r4=1)`
 		t.Fatal(err)
 	}
 	p := mustProgramFor(t, exec.Share(context.Background(), test), test)
-	for range 2 {
-		got, err := stream(t, p, exec.Request{})
+	for _, req := range []exec.Request{{}, {}, {Workers: 2}} {
+		got, err := stream(t, p, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameStream(t, "manycombos", got, want)
 	}
-	if traces, exps := exec.Memo(p); !traces || exps != 0 {
-		t.Fatalf("kept traces=%v and %d skeletons, want traces and none", traces, exps)
+	if traces, exps := exec.Memo(p); !traces || exps != 64 {
+		t.Fatalf("kept traces=%v and %d skeletons, want traces and 64", traces, exps)
 	}
 }
