@@ -27,16 +27,17 @@ race:
 # one-worker Simulate allocation ceilings (the second on a shape whose
 # trace combinations are mostly infeasible) and herdd's per-row
 # allocation ceiling for a warm batch, the SAT encoder's allocation
-# ceiling for one Power instance, and the allocation ceiling of one
+# ceiling for one Power instance, the allocation ceiling of one
 # comparison over the PPC pair table (its deciders share one compiled
-# test); and record the result (with
+# test), and the wire codec's allocation ceilings for encoding and
+# decoding one warm row's result/v1 frame; and record the result (with
 # the runner's core count) in BENCH_enumerate.json. The walk rows are
 # medians of round-robin repetitions over the worker counts.
 # GOMAXPROCS is pinned to the machine's core count explicitly: the
 # original record was taken with an inherited GOMAXPROCS=1, which
 # serialised the 2/4/8-worker timings and flattened the scaling curve.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestResultFrameAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/wire/
 
 # The fleet acceptance test under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

@@ -93,7 +93,9 @@ func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, k
 			if err := claim(f.Index); err != nil {
 				return err
 			}
-			sink(wire.NewResult(rows[f.Index], f.Key, f.Cached, f.Result))
+			// The decoded frame is this stream's own: renumber it in place.
+			f.Index = rows[f.Index]
+			sink(f)
 		case *wire.ErrorFrame:
 			if f.Index < 0 {
 				// The whole upstream batch died mid-flight; abort the

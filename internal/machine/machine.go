@@ -79,8 +79,22 @@ type Machine struct {
 	propHBs   rel.Rel // prop ; hb*
 	co        rel.Rel
 
+	// One successor mask per event and relation, so that a premise over
+	// the committed or satisfied events is one AND against the state.
+	succ        []succMasks
+	writeMask   uint64   // m.writes
+	readMask    uint64   // m.reads
+	coPred      []uint64 // co-predecessors of each event
+	propHBsPred []uint64 // (prop;hb*)-predecessors of each event
+
 	// visibility pre-computation (CR: SC PER LOCATION cases)
 	visible map[int]bool // keyed by read event: is rf(r) visible to r?
+}
+
+// succMasks are one event's successors in the relations enabled tests
+// against the state.
+type succMasks struct {
+	poloc, prop, fences, ppoFences, co uint64
 }
 
 // maxEvents bounds the bitset state encoding.
@@ -125,7 +139,31 @@ func New(arch core.Architecture, x *events.Execution) (*Machine, error) {
 	for _, r := range m.reads {
 		m.visible[r] = m.computeVisible(m.rfOf[r], r)
 	}
+	m.buildMasks()
 	return m, nil
+}
+
+// buildMasks fills the per-event successor and predecessor masks.
+func (m *Machine) buildMasks() {
+	n := m.x.N()
+	m.succ = make([]succMasks, n)
+	m.coPred = make([]uint64, n)
+	m.propHBsPred = make([]uint64, n)
+	for _, w := range m.writes {
+		m.writeMask |= bit(w)
+	}
+	for _, r := range m.reads {
+		m.readMask |= bit(r)
+	}
+	m.poloc.ForEachPair(func(i, j int) { m.succ[i].poloc |= bit(j) })
+	m.prop.ForEachPair(func(i, j int) { m.succ[i].prop |= bit(j) })
+	m.fences.ForEachPair(func(i, j int) { m.succ[i].fences |= bit(j) })
+	m.ppoFences.ForEachPair(func(i, j int) { m.succ[i].ppoFences |= bit(j) })
+	m.co.ForEachPair(func(i, j int) {
+		m.succ[i].co |= bit(j)
+		m.coPred[j] |= bit(i)
+	})
+	m.propHBs.ForEachPair(func(i, j int) { m.propHBsPred[j] |= bit(i) })
 }
 
 // computeVisible implements the visibility definition of Sec. 7.1.2,
@@ -205,31 +243,22 @@ func (m *Machine) final(s state) bool {
 // enabled reports whether the transition labelled l can fire in s, checking
 // the premises of Fig. 30.
 func (m *Machine) enabled(s state, l Label) bool {
-	x := m.x
 	switch l.Kind {
 	case CommitWrite:
 		w := l.Event
 		if s.cw&bit(w) != 0 {
 			return false
 		}
+		a := m.succ[w]
 		// (CW: SC PER LOCATION/coWW): no committed po-loc-later write.
 		// (CW: PROPAGATION): no committed prop-later write.
-		for _, w2 := range m.writes {
-			if s.cw&bit(w2) != 0 && (m.poloc.Has(w, w2) || m.prop.Has(w, w2)) {
-				return false
-			}
-		}
 		// (CW: fences ∩ WR): no satisfied fence-later read.
 		// (CW: PROPAGATION on reads): prop pairs whose target is a read
 		// order the write's commit before the read's satisfaction; this
 		// covers the strong-A-cumulativity pairs of Fig. 18, which Fig. 30
 		// spells out only for write-write pairs.
-		for _, r := range m.reads {
-			if s.sr&bit(r) != 0 && (m.fences.Has(w, r) || m.prop.Has(w, r)) {
-				return false
-			}
-		}
-		return true
+		return s.cw&m.writeMask&(a.poloc|a.prop) == 0 &&
+			s.sr&m.readMask&(a.fences|a.prop) == 0
 
 	case WriteReachesCoherencePoint:
 		w := l.Event
@@ -242,18 +271,9 @@ func (m *Machine) enabled(s state, l Label) bool {
 		}
 		// (CPW: po-loc AND cpw IN ACCORD) / (CPW: PROPAGATION):
 		// no write already at coherence point may be po-loc- or prop-after w.
-		for i := 0; i < x.N(); i++ {
-			if s.cpw&bit(i) != 0 && (m.poloc.Has(w, i) || m.prop.Has(w, i)) {
-				return false
-			}
-		}
 		// Fixing the candidate's co: all co-predecessors first.
-		for i := 0; i < x.N(); i++ {
-			if m.co.Has(i, w) && s.cpw&bit(i) == 0 {
-				return false
-			}
-		}
-		return true
+		a := m.succ[w]
+		return s.cpw&(a.poloc|a.prop) == 0 && m.coPred[w]&^s.cpw == 0
 
 	case SatisfyRead:
 		r := l.Event
@@ -262,31 +282,19 @@ func (m *Machine) enabled(s state, l Label) bool {
 			return false
 		}
 		// (SR: WRITE IS EITHER LOCAL OR COMMITTED)
-		local := m.poloc.Has(w, r) && x.Events[w].Tid == x.Events[r].Tid
+		local := m.poloc.Has(w, r) && m.x.Events[w].Tid == m.x.Events[r].Tid
 		if !local && s.cw&bit(w) == 0 {
 			return false
 		}
+		a := m.succ[r]
 		// (SR: PPO/ii0 ∩ RR): no satisfied (ppo∪fences)-later read; also no
 		// satisfied prop-later read (read-read prop pairs arise from strong
 		// A-cumulativity and order satisfaction points).
-		for _, r2 := range m.reads {
-			if s.sr&bit(r2) != 0 && (m.ppoFences.Has(r, r2) || m.prop.Has(r, r2)) {
-				return false
-			}
-		}
 		// (SR: PROPAGATION on writes): no committed prop-later write.
-		for _, w2 := range m.writes {
-			if s.cw&bit(w2) != 0 && m.prop.Has(r, w2) {
-				return false
-			}
-		}
 		// (SR: OBSERVATION): no w' co-after w with (w', r) ∈ prop;hb*.
-		for i := 0; i < x.N(); i++ {
-			if m.co.Has(w, i) && m.propHBs.Has(i, r) {
-				return false
-			}
-		}
-		return true
+		return s.sr&m.readMask&(a.ppoFences|a.prop) == 0 &&
+			s.cw&m.writeMask&a.prop == 0 &&
+			m.succ[w].co&m.propHBsPred[r] == 0
 
 	case CommitRead:
 		r := l.Event
@@ -302,18 +310,9 @@ func (m *Machine) enabled(s state, l Label) bool {
 			return false
 		}
 		// (CR: PPO/cc0 ∩ RW): no committed (ppo∪fences)-later write.
-		for _, w2 := range m.writes {
-			if s.cw&bit(w2) != 0 && m.ppoFences.Has(r, w2) {
-				return false
-			}
-		}
 		// (CR: PPO/(ci0 ∪ cc0) ∩ RR): no satisfied (ppo∪fences)-later read.
-		for _, r2 := range m.reads {
-			if s.sr&bit(r2) != 0 && m.ppoFences.Has(r, r2) {
-				return false
-			}
-		}
-		return true
+		a := m.succ[r]
+		return s.cw&m.writeMask&a.ppoFences == 0 && s.sr&m.readMask&a.ppoFences == 0
 	}
 	return false
 }

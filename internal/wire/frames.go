@@ -118,6 +118,8 @@ type Encoder struct {
 	flush func()
 	err   error
 	last  time.Time
+	buf   []byte   // the frame being written, reused across frames
+	keys  []string // scratch for sorting a result frame's states keys
 }
 
 // NewEncoder builds an encoder over w, detecting per-frame flush support.
@@ -152,13 +154,20 @@ func (e *Encoder) encodeLocked(frame any) error {
 	if e.err != nil {
 		return e.err
 	}
-	buf, err := json.Marshal(frame)
+	var err error
+	if f, ok := frame.(*ResultFrame); ok && f != nil {
+		e.buf, e.keys, err = appendResultFrame(e.buf[:0], f, e.keys)
+	} else {
+		var b []byte
+		b, err = json.Marshal(frame)
+		e.buf = append(e.buf[:0], b...)
+	}
 	if err != nil {
 		e.err = err
 		return err
 	}
-	buf = append(buf, '\n')
-	if _, err := e.w.Write(buf); err != nil {
+	e.buf = append(e.buf, '\n')
+	if _, err := e.w.Write(e.buf); err != nil {
 		e.err = err
 		return err
 	}
@@ -250,7 +259,8 @@ func (m *Merge) Emit(index int, frame any) error {
 // parses and is delivered. Unknown frame types are preserved as
 // UnknownFrame.
 type Decoder struct {
-	r *bufio.Reader
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer, reassembled
 }
 
 // NewDecoder builds a decoder over r.
@@ -263,7 +273,7 @@ func NewDecoder(r io.Reader) *Decoder {
 // ErrTruncated when the stream was cut mid-frame.
 func (d *Decoder) Next() (any, error) {
 	for {
-		line, err := d.r.ReadBytes('\n')
+		line, err := d.readLine()
 		if err != nil && err != io.EOF {
 			return nil, err
 		}
@@ -288,13 +298,67 @@ func (d *Decoder) Next() (any, error) {
 	}
 }
 
+// readLine returns the next line, newline included when present. The
+// line aliases the reader's buffer (or d.long) until the next read;
+// frames copy what they keep.
+func (d *Decoder) readLine() ([]byte, error) {
+	line, err := d.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	d.long = append(d.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = d.r.ReadSlice('\n')
+		d.long = append(d.long, line...)
+	}
+	return d.long, err
+}
+
 // atEOF reports whether the underlying reader has no more bytes.
 func (d *Decoder) atEOF() bool {
 	_, err := d.r.Peek(1)
 	return err == io.EOF
 }
 
+// decodeFrame decodes one line. A line opening with a v1 type tag takes
+// one pass: decodeResult for an encoder-shaped result/v1 line, else one
+// json.Unmarshal into that tag's frame, kept only if encoding/json reads
+// the same type from it. Every other line, and every failure, goes to
+// decodeFrameJSON, so the outcome is always what it alone would return.
 func decodeFrame(line []byte) (any, error) {
+	tag := typeTag(line)
+	var frame any
+	var typ *string
+	switch tag {
+	case FrameResult:
+		if f, ok := decodeResult(line); ok {
+			return f, nil
+		}
+		f := &ResultFrame{}
+		frame, typ = f, &f.Type
+	case FrameError:
+		f := &ErrorFrame{}
+		frame, typ = f, &f.Type
+	case FrameSummary:
+		f := &SummaryFrame{}
+		frame, typ = f, &f.Type
+	case FrameHeartbeat:
+		f := &HeartbeatFrame{}
+		frame, typ = f, &f.Type
+	default:
+		return decodeFrameJSON(line)
+	}
+	// The frame's type field matches keys exactly as a lone type probe
+	// would, so equal tags mean decodeFrameJSON would pick this frame.
+	if err := json.Unmarshal(line, frame); err == nil && *typ == tag {
+		return frame, nil
+	}
+	return decodeFrameJSON(line)
+}
+
+// decodeFrameJSON is the reference decoder: encoding/json reads the type,
+// then the frame it names.
+func decodeFrameJSON(line []byte) (any, error) {
 	var head struct {
 		Type string `json:"type"`
 	}
