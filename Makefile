@@ -1,7 +1,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 
-.PHONY: build test vet race bench chaos-smoke mine-smoke fleet-demo ci serve
+.PHONY: build test vet perfbench race bench chaos-smoke mine-smoke fleet-demo ci serve
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# Vet and test the nested benchmark module. perfbench has its own go.mod,
+# so the root `go test ./...` never compiles it, yet it imports the
+# simulator's packages (memo.Request and memo.Stats among them): this is
+# where an API change that breaks the benchmark shows up.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The campaign runner and the budgeted enumeration are concurrent code:
 # every PR must pass the race detector, not just the plain suite.
@@ -60,7 +67,7 @@ mine-smoke:
 fleet-demo: build
 	./scripts/fleet_demo.sh
 
-ci: vet test race chaos-smoke mine-smoke
+ci: vet test perfbench race chaos-smoke mine-smoke
 
 # The litmus-simulation service (cmd/herdd): HTTP verdicts with a
 # content-addressed cache. See the "herdd" section of README.md.

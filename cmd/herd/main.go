@@ -107,8 +107,8 @@ func main() {
 
 	// Every simulation goes through a verdict cache (internal/memo): the
 	// same file listed twice — or two files holding the same test — is
-	// simulated once, and the -dot/-explain passes reuse the batch's
-	// compiled programs instead of recompiling.
+	// simulated once. The cache keeps verdicts, not compiled tests: the
+	// -dot/-explain passes compile the tests they draw.
 	ew := *enumWorkers
 	if ew <= 0 {
 		ew = runtime.GOMAXPROCS(0)
@@ -201,7 +201,7 @@ func main() {
 			if tests[i] == nil || res.Failed() || res.Status == campaign.StatusSkipped {
 				continue
 			}
-			p, err := cache.Program(tests[i])
+			p, err := exec.Compile(tests[i])
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "herd: %s: %v\n", flag.Arg(i), err)
 				exit = 1
@@ -302,8 +302,8 @@ func fatal(err error) {
 }
 
 // explainTest prints, for the first candidate execution satisfying the
-// test's condition, the checks it violates and their witness cycles. The
-// program comes pre-compiled from the batch's cache.
+// test's condition, the checks it violates and their witness cycles, over
+// the test's compiled program p.
 func explainTest(test *litmus.Test, p *exec.Program, checker sim.Checker) error {
 	catModel, ok := checker.(*cat.Model)
 	if !ok {
@@ -348,8 +348,7 @@ func explainTest(test *litmus.Test, p *exec.Program, checker sim.Checker) error 
 
 // writeDot renders the first candidate execution satisfying the test's
 // condition (the behaviour the test asks about) as a Graphviz file, in the
-// style of the paper's figures. The program comes pre-compiled from the
-// batch's cache.
+// style of the paper's figures, over the test's compiled program p.
 func writeDot(dir string, test *litmus.Test, p *exec.Program) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

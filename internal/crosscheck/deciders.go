@@ -10,7 +10,6 @@ import (
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
 	"herdcats/internal/machine"
-	"herdcats/internal/memo"
 	"herdcats/internal/models"
 	"herdcats/internal/multi"
 	"herdcats/internal/sim"
@@ -35,19 +34,11 @@ type Decider interface {
 type axiomatic struct {
 	prefix string
 	model  sim.Checker
-	cache  *memo.Cache
-	budget exec.Budget
 }
 
 // Axiomatic wraps a checker (a native models.Model, multi.Model, or a
 // cat-compiled model) as a decider over the single-event simulator.
 func Axiomatic(m sim.Checker) Decider { return axiomatic{prefix: "sim", model: m} }
-
-// AxiomaticCached is Axiomatic through a verdict cache, so repeated tests
-// (minimization re-checks, resumed sweeps) cost one simulation each.
-func AxiomaticCached(m sim.Checker, c *memo.Cache) Decider {
-	return axiomatic{prefix: "sim", model: m, cache: c}
-}
 
 // Multi wraps the multi-event CAV12 checker.
 func Multi() Decider { return axiomatic{prefix: "multi", model: multi.Model{}} }
@@ -77,19 +68,11 @@ func MustCat(name string) Decider {
 func (d axiomatic) Name() string { return d.prefix + ":" + d.model.Name() }
 
 func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	var (
-		out *sim.Outcome
-		err error
-	)
-	if d.cache != nil {
-		out, _, err = d.cache.Run(ctx, test, d.model, d.budget)
-	} else {
-		p, perr := exec.ProgramFor(ctx, test)
-		if perr != nil {
-			return false, perr
-		}
-		out, err = sim.Simulate(ctx, sim.Request{Program: p, Checker: d.model, Budget: d.budget})
+	p, err := exec.ProgramFor(ctx, test)
+	if err != nil {
+		return false, err
 	}
+	out, err := sim.Simulate(ctx, sim.Request{Program: p, Checker: d.model})
 	if err != nil {
 		return false, err
 	}

@@ -9,13 +9,13 @@ import (
 
 // Stage 1 of Sec. 3 — each thread's traces and the skeleton of each trace
 // combination — depends on the test alone, not on the model. When several
-// deciders judge one test (a crosscheck comparison), they share one
-// program that keeps that stage: Share puts a lazily compiled program on
-// the context the deciders receive, and ProgramFor hands it out. Its memo
-// lives exactly as long as that context is in use. A program from plain
-// Compile memoises nothing: long-lived caches (internal/memo keeps up to
-// thousands of programs) would otherwise hold every test's traces and
-// skeletons (DESIGN.md §18).
+// deciders judge one test (a crosscheck comparison, an experiment sweep's
+// job, or verdict misses through internal/memo), they share one program
+// that keeps that stage: Share puts a lazily compiled program on the
+// context they receive, and ProgramFor hands it out. This is the only way
+// a compiled test is shared; nothing holds one beyond the work that
+// compiled it. Its memo lives exactly as long as that context is in use.
+// A program from plain Compile memoises nothing (DESIGN.md §18).
 
 // shared is the memo of a program compiled for one comparison. traces is
 // every thread's complete trace set, kept by the first search whose trace

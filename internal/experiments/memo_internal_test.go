@@ -4,12 +4,10 @@ import (
 	"testing"
 )
 
-// TestSweepsHitTheCache: the ablation's model variants share one compiled
-// program per test, and re-running the same sweep serves every verdict
+// TestSweepsHitTheCache: re-running the same sweep serves every verdict
 // from the cache instead of re-enumerating (the point of wiring the table
 // sweeps through internal/memo).
 func TestSweepsHitTheCache(t *testing.T) {
-	before := sweepCache.Stats()
 	rows, err := NoDetour(3, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -19,11 +17,6 @@ func TestSweepsHitTheCache(t *testing.T) {
 		tests += r.Tests
 	}
 	mid := sweepCache.Stats()
-	// Each test ran under two model variants on one compiled program: the
-	// full variant compiles (a program miss), the static variant reuses.
-	if gained := mid.ProgramHits - before.ProgramHits; gained < uint64(tests) {
-		t.Fatalf("program hits grew by %d, want >= %d (one reuse per test)", gained, tests)
-	}
 
 	// The identical sweep again: every (test, variant) verdict is cached.
 	if _, err := NoDetour(3, 3, 10); err != nil {

@@ -51,15 +51,16 @@ func NoDetour(minLen, maxLen, maxTests int) ([]NoDetourRow, error) {
 		}
 		row := NoDetourRow{Arch: string(cfg.arch), Tests: len(corpus.Tests)}
 		for _, t := range corpus.Tests {
-			// Both model variants run through the sweep cache: they share
-			// one compiled program per test, and a corpus test already
+			// Both model variants run through the sweep cache under one
+			// shared program (exec.Share), and a corpus test already
 			// checked under the same variant (e.g. a catalogue test that
 			// also appeared in Table V) is a verdict-cache hit.
-			fullOut, _, err := sweepCache.Run(context.Background(), t, cfg.full, exec.Budget{})
+			ctx := exec.Share(context.Background(), t)
+			fullOut, _, err := sweepCache.Run(ctx, t, cfg.full, exec.Budget{})
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", t.Name, err)
 			}
-			staticOut, _, err := sweepCache.Run(context.Background(), t, cfg.static, exec.Budget{})
+			staticOut, _, err := sweepCache.Run(ctx, t, cfg.static, exec.Budget{})
 			if err != nil {
 				return nil, err
 			}

@@ -24,11 +24,12 @@ import (
 	"herdcats/internal/sim"
 )
 
-// sweepCache memoises compiled programs and verdicts across every table
-// and ablation in the process: the nodetour ablation re-checks one corpus
-// under model variants, and Table V confronts the same ARM corpus with two
-// models, so repeated (test, model) pairs are served from memory instead
-// of re-enumerating and every model shares one compiled program per test.
+// sweepCache memoises verdicts across every table and ablation in the
+// process: the nodetour ablation re-checks one corpus under model
+// variants, and Table V confronts the same ARM corpus with two models, so
+// repeated (test, model) pairs are served from memory instead of
+// re-enumerating. Compiled tests are shared only within one test's job
+// (exec.Share), across the engines that judge it there.
 var sweepCache = memo.New(0)
 
 // Corpus is a generated set of litmus tests for one architecture.
@@ -135,7 +136,9 @@ func Table5(minLen, maxLen, maxTests int) ([]Table5Row, error) {
 }
 
 // confront runs every corpus test under the model and on every (distinct)
-// machine profile of the family, classifying tests as invalid/unseen.
+// machine profile of the family, classifying tests as invalid/unseen. A
+// test's verdict and its machine runs share one compiled program, with its
+// thread traces and skeletons (exec.Share).
 // Tests are independent, so the corpus is swept on the campaign runner:
 // a test that panics or errors is counted in Errors and skipped, never
 // aborting the whole confrontation.
@@ -147,7 +150,8 @@ func confront(c *Corpus, model models.Model, family hardware.Arch) (Table5Row, e
 	for i, t := range c.Tests {
 		i, t := i, t
 		jobs[i] = campaign.Job{Name: t.Name, Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-			p, err := sweepCache.Program(t)
+			ctx = exec.Share(ctx, t)
+			p, err := exec.ProgramFor(ctx, t)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", t.Name, err)
 			}

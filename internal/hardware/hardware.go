@@ -161,24 +161,16 @@ func (m Machine) rareGate(testName string) bool {
 	return h.Sum32()%rareBugWindow == 0
 }
 
-// Observes reports whether the machine can exhibit the candidate execution,
-// with rare bugs enabled (context-free form; use ObservesTest when the test
-// name is known, so that bug rarity applies).
-func (m Machine) Observes(x *events.Execution) bool {
-	return m.observes(x, true)
-}
-
-// ObservesTest is Observes with the rare bugs gated per test.
+// ObservesTest reports whether the machine can exhibit the candidate
+// execution of the named test: its base model allows it and the silicon
+// implements it, or one of its bugs fires, the rare ones gated per test
+// (rareGate).
 func (m Machine) ObservesTest(x *events.Execution, testName string) bool {
-	return m.observes(x, m.rareGate(testName))
-}
-
-func (m Machine) observes(x *events.Execution, rareOK bool) bool {
 	res := m.base.Check(x)
 	if res.Valid && !m.restricted(x) {
 		return true
 	}
-	return m.bugFires(x, res, rareOK)
+	return m.bugFires(x, res, m.rareGate(testName))
 }
 
 // restricted reports whether the silicon does not implement the behaviour

@@ -388,47 +388,12 @@ func (m *Machine) Accepts() bool {
 	return search(m.initial())
 }
 
-// AcceptsBounded is Accepts with a cap on the number of distinct states
-// explored, mirroring the memory bound under which ppcmem could process
-// only 4704 of the paper's 8117 tests (Tab. IX). It reports whether a full
-// path was found, whether the cap was hit, and the states explored.
-func (m *Machine) AcceptsBounded(maxStates int) (accepted, capped bool, states int) {
-	labels := m.Labels()
-	seen := map[state]bool{}
-	var search func(s state) bool
-	search = func(s state) bool {
-		if m.final(s) {
-			return true
-		}
-		if seen[s] {
-			return false
-		}
-		if len(seen) >= maxStates {
-			capped = true
-			return false
-		}
-		seen[s] = true
-		for _, l := range labels {
-			if m.enabled(s, l) {
-				if search(m.apply(s, l)) {
-					return true
-				}
-			}
-			if capped {
-				return false
-			}
-		}
-		return false
-	}
-	accepted = search(m.initial())
-	return accepted, capped, len(seen)
-}
-
 // ExploreBounded walks the ENTIRE reachable state space (no early exit on
 // acceptance), the way an operational simulator enumerates all outcomes of
-// a test, stopping only at the state cap. It reports whether a complete
-// (final) state was reached, whether the cap was hit, and the states
-// explored.
+// a test, stopping only at the state cap: the memory bound under which
+// ppcmem could process only 4704 of the paper's 8117 tests (Tab. IX). It
+// reports whether a complete (final) state was reached, whether the cap
+// was hit, and the states explored.
 func (m *Machine) ExploreBounded(maxStates int) (accepted, capped bool, states int) {
 	labels := m.Labels()
 	seen := map[state]bool{}

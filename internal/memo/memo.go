@@ -4,15 +4,20 @@
 // outcome can be addressed by the SHA-256 of a canonical rendering of those
 // inputs and computed exactly once.
 //
-// The cache has four layers, each LRU-bounded and instrumented:
+// The cache has three layers, each LRU-bounded and instrumented:
 //
 //   - verdicts: key → *sim.Outcome, the expensive product;
 //   - aliases: raw request bytes → Resolved, so a repeated litmus source
 //     is parsed and canonicalised once (see Resolve);
-//   - programs: canonical test → *exec.Program, so distinct models share
-//     one compiled test;
 //   - models: cat source → *cat.Model, so inline model sources are
 //     compiled once.
+//
+// The cache keeps no compiled test. A verdict miss takes its program from
+// exec.ProgramFor: a caller that judges one test under several models puts
+// exec.Share(ctx, test) on the context and they share one compile, with
+// its thread traces and skeletons; otherwise each miss compiles afresh.
+// Either way the program lives only as long as the work that compiled it
+// (DESIGN.md §18).
 //
 // Concurrent identical requests are deduplicated with a stdlib-only
 // singleflight: the first caller (the leader) simulates, every concurrent
@@ -20,8 +25,8 @@
 // how the work was shared (Misses = simulations started, Waits = joins on
 // an in-flight simulation, Hits = served from the finished cache).
 //
-// Cached values are shared, not copied: treat a returned *sim.Outcome,
-// *exec.Program or *cat.Model as immutable.
+// Cached values are shared, not copied: treat a returned *sim.Outcome or
+// *cat.Model as immutable.
 package memo
 
 import (
@@ -127,11 +132,9 @@ type Stats struct {
 	// deterministic bounds).
 	CrossTimeoutHits uint64 `json:"cross_timeout_hits"`
 
-	// Intermediate layers.
-	ProgramHits   uint64 `json:"program_hits"`
-	ProgramMisses uint64 `json:"program_misses"`
-	ModelHits     uint64 `json:"model_hits"`
-	ModelMisses   uint64 `json:"model_misses"`
+	// Compiled cat models (Model).
+	ModelHits   uint64 `json:"model_hits"`
+	ModelMisses uint64 `json:"model_misses"`
 
 	// Raw-bytes alias (Resolve). A miss parses and canonicalises the
 	// test; a hit does neither.
@@ -151,7 +154,6 @@ type Cache struct {
 	opts     Options
 	verdicts *lruMap
 	aliases  *lruMap
-	programs *lruMap
 	models   *lruMap
 	inflight map[string]*call
 	stats    Stats
@@ -209,7 +211,6 @@ func NewWithOptions(maxEntries int, o Options) *Cache {
 		opts:     o,
 		verdicts: newLRUMap(maxEntries),
 		aliases:  newLRUMap(maxEntries),
-		programs: newLRUMap(maxEntries),
 		models:   newLRUMap(maxEntries),
 		inflight: map[string]*call{},
 	}
@@ -227,7 +228,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // Request is one cached-simulation request — the single entry point the
-// Run/RunKeyed convenience wrappers feed.
+// Run convenience wrapper feeds.
 type Request struct {
 	// Key optionally carries the precomputed content address (e.g. to
 	// echo it in an API response); when empty it is derived from the
@@ -264,24 +265,16 @@ func (c *Cache) Run(ctx context.Context, t *litmus.Test, model sim.Checker, b ex
 	return c.Simulate(ctx, Request{Test: t, Model: model, Budget: b})
 }
 
-// RunKeyed is Run for callers that have already computed the key; key must
-// equal Key(CanonicalTest(t), ModelID(model), b).
-func (c *Cache) RunKeyed(ctx context.Context, key string, t *litmus.Test, model sim.Checker, b exec.Budget) (*sim.Outcome, bool, error) {
-	return c.Simulate(ctx, Request{Key: key, Test: t, Model: model, Budget: b})
-}
-
 // keys returns the request's content address and its timeout-free
 // variant, rendering the test at most once and only for a key the
-// request does not carry. canon is that rendering, or "" when none was
-// needed.
-func (req Request) keys() (key, completeKey, canon string) {
+// request does not carry.
+func (req Request) keys() (key, completeKey string) {
 	key, completeKey = req.Key, req.CompleteKey
 	if completeKey == "" && req.Budget.Timeout == 0 {
 		completeKey = key
 	}
 	if key == "" || completeKey == "" {
-		canon = CanonicalTest(req.Test)
-		k, ck := keysOf(canon, ModelID(req.Model), req.Budget)
+		k, ck := keysOf(CanonicalTest(req.Test), ModelID(req.Model), req.Budget)
 		if key == "" {
 			key = k
 		}
@@ -289,7 +282,7 @@ func (req Request) keys() (key, completeKey, canon string) {
 			completeKey = ck
 		}
 	}
-	return key, completeKey, canon
+	return key, completeKey
 }
 
 // lookupLocked consults the verdict layer under c.mu, counting a Hit on
@@ -318,7 +311,7 @@ func (c *Cache) lookupLocked(key, completeKey string) (*sim.Outcome, bool) {
 // warm traffic from here while it sheds the cold traffic that would need
 // an enumeration. A successful Lookup counts as a Hit.
 func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
-	key, completeKey, _ := req.keys()
+	key, completeKey := req.keys()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lookupLocked(key, completeKey)
@@ -327,7 +320,7 @@ func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
 // Simulate answers req through the cache (see Run for the semantics of
 // the boolean).
 func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, error) {
-	key, completeKey, canon := req.keys()
+	key, completeKey := req.keys()
 	c.mu.Lock()
 	if out, ok := c.lookupLocked(key, completeKey); ok {
 		c.mu.Unlock()
@@ -384,18 +377,18 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 			panic(r)
 		}
 	}()
-	out, err = c.simulate(ctx, req, canon)
+	out, err = c.simulate(ctx, req)
 	return out, false, err
 }
 
-// simulate runs the cold path, sharing the compiled program. The request's
-// trace gets the compile span (near-zero on a program-cache hit) and the
+// simulate runs the cold path on the program ctx shares for the test, or
+// on a fresh compile (exec.ProgramFor). The request's trace gets the
+// compile span (near-zero when ctx's program is already compiled) and the
 // simulation phases; the enumeration counters also roll up into the
-// cache-wide aggregate when Options.Obs is set. canon is the test's
-// canonical rendering when the caller already has it, "" otherwise.
-func (c *Cache) simulate(ctx context.Context, req Request, canon string) (*sim.Outcome, error) {
+// cache-wide aggregate when Options.Obs is set.
+func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error) {
 	stop := req.Obs.Phase(obs.PhaseCompile)
-	p, err := c.program(req.Test, canon)
+	p, err := exec.ProgramFor(ctx, req.Test)
 	stop()
 	if err != nil {
 		return nil, err
@@ -494,42 +487,6 @@ func aliasKey(src, modelID string, b exec.Budget) string {
 	}
 	sum := sha256.Sum256(buf)
 	return string(sum[:])
-}
-
-// Program returns the compiled program for a test, memoised on the
-// canonical source so every model (and the dot/explain passes) shares one
-// compilation. Compile errors are not cached.
-func (c *Cache) Program(t *litmus.Test) (*exec.Program, error) {
-	return c.program(t, "")
-}
-
-// program is Program for a caller that may already hold the canonical
-// rendering (canon != ""), which then is not rendered again.
-func (c *Cache) program(t *litmus.Test, canon string) (*exec.Program, error) {
-	if canon == "" {
-		canon = CanonicalTest(t)
-	}
-	key := sha256.Sum256([]byte(canon))
-	k := string(key[:])
-	c.mu.Lock()
-	if v, ok := c.programs.get(k); ok {
-		c.stats.ProgramHits++
-		c.mu.Unlock()
-		return v.(*exec.Program), nil
-	}
-	c.mu.Unlock()
-	// Compiling outside the lock keeps slow compiles from serialising the
-	// cache; a concurrent duplicate compile is rare and harmless (last
-	// writer wins, both programs are equivalent).
-	p, err := exec.Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.stats.ProgramMisses++
-	c.programs.add(k, p)
-	c.mu.Unlock()
-	return p, nil
 }
 
 // Model compiles a cat model source, memoised on its SHA-256, so an inline

@@ -71,7 +71,7 @@ func TestModelID(t *testing.T) {
 }
 
 // TestHitMissAndSharing: the second identical run is a hit and performs no
-// model work; distinct models share one compiled program.
+// model work; a distinct model on the same test is a verdict of its own.
 func TestHitMissAndSharing(t *testing.T) {
 	c := memo.New(0)
 	test := mustTest(t, "mp")
@@ -89,8 +89,7 @@ func TestHitMissAndSharing(t *testing.T) {
 		t.Fatal("cached run returned a different outcome object")
 	}
 
-	// A different model on the same test must simulate again but reuse the
-	// compiled program.
+	// A different model on the same test must simulate again.
 	if _, cached, err = c.Run(ctx, test, models.SC, exec.Budget{}); err != nil || cached {
 		t.Fatalf("distinct model: cached=%v err=%v", cached, err)
 	}
@@ -98,8 +97,68 @@ func TestHitMissAndSharing(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 || s.Waits != 0 {
 		t.Fatalf("stats = %+v, want hits=1 misses=2 waits=0", s)
 	}
-	if s.ProgramMisses != 1 || s.ProgramHits != 1 {
-		t.Fatalf("program stats = %+v, want one compile shared once", s)
+}
+
+// baseSpy is a checker that records the skeleton (Execution.Base) of every
+// candidate it is asked about.
+type baseSpy struct {
+	name  string
+	mu    sync.Mutex
+	bases map[*events.Execution]bool
+}
+
+func newBaseSpy(name string) *baseSpy {
+	return &baseSpy{name: name, bases: map[*events.Execution]bool{}}
+}
+
+func (s *baseSpy) Name() string { return s.name }
+
+func (s *baseSpy) Check(x *events.Execution) core.Result {
+	s.mu.Lock()
+	s.bases[x.Base] = true
+	s.mu.Unlock()
+	return core.Result{Valid: true}
+}
+
+// TestShareScopesSkeletons: two models simulated through one Cache under
+// one exec.Share context judge their candidates over the same skeletons,
+// because both verdict misses take the context's program; a model
+// simulated on a context sharing nothing compiles afresh and sees skeletons
+// of its own.
+func TestShareScopesSkeletons(t *testing.T) {
+	c := memo.New(0)
+	test := mustTest(t, "mp")
+	ctx := exec.Share(context.Background(), test)
+	a, b, fresh := newBaseSpy("spy-a"), newBaseSpy("spy-b"), newBaseSpy("spy-fresh")
+	for _, run := range []struct {
+		ctx context.Context
+		spy *baseSpy
+	}{{ctx, a}, {ctx, b}, {context.Background(), fresh}} {
+		if _, cached, err := c.Run(run.ctx, test, run.spy, exec.Budget{}); err != nil || cached {
+			t.Fatalf("%s: cached=%v err=%v", run.spy.name, cached, err)
+		}
+	}
+	if len(a.bases) == 0 || a.bases[nil] {
+		t.Fatalf("spy-a saw skeletons %v, want non-nil ones", a.bases)
+	}
+	if len(a.bases) != len(b.bases) {
+		t.Fatalf("spy-a saw %d skeletons, spy-b %d", len(a.bases), len(b.bases))
+	}
+	for x := range a.bases {
+		if !b.bases[x] {
+			t.Fatalf("skeleton %p seen by spy-a only: the shared context's program was not shared", x)
+		}
+	}
+	for x := range fresh.bases {
+		if a.bases[x] {
+			t.Fatalf("skeleton %p seen on both the shared and a fresh context", x)
+		}
+	}
+	if len(fresh.bases) != len(a.bases) {
+		t.Fatalf("fresh context saw %d skeletons, the shared one %d", len(fresh.bases), len(a.bases))
+	}
+	if p, err := exec.ProgramFor(ctx, test); err != nil || p == nil {
+		t.Fatalf("shared program: %v", err) // keeps ctx's skeletons live until here
 	}
 }
 

@@ -221,13 +221,36 @@ func PowerWith(name string, seed func(x *events.Execution, ar *rel.Arena) rel.Re
 func (a powerArch) Name() string { return a.name }
 
 // PPO computes the preserved program order of Fig. 25: the fixpoint of
-// PPOFixpoint over the seeds
+// PPOFixpoint over the architecture's seeds, then
+// ppo = (ii ∩ RR) ∪ (ic ∩ RW).
+func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
+	ii0, ci0, cc0 := a.seeds(x, ar)
+	ii, ic := PPOFixpoint(ii0, ci0, cc0, ar)
+	ii.RestrictInPlace(x.R, x.R)
+	ic.RestrictInPlace(x.R, x.W)
+	ii.UnionInto(ic)
+	for _, r := range []rel.Rel{ii0, ci0, cc0, ic} {
+		ar.Put(r)
+	}
+	return ii
+}
+
+// PowerSeeds returns the seeds of Power's Fig. 25 fixpoint over x, fresh
+// relations drawn from ar (see powerArch.seeds). Package multi lifts them
+// into its multi-event universe.
+func PowerSeeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.Rel) {
+	return Power.Arch.(powerArch).seeds(x, ar)
+}
+
+// seeds builds the seeds of the Fig. 25 fixpoint, fresh relations drawn
+// from ar:
 //
 //	ii0 = dp ∪ rdw ∪ rfi        ci0 = ctrl+cfence ∪ detour
 //	cc0 = dp ∪ po-loc ∪ ctrl ∪ (addr ; po)
 //
-// (ARM drops po-loc from cc0), then ppo = (ii ∩ RR) ∪ (ic ∩ RW).
-func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
+// ARM drops po-loc from cc0, the nodetour ablations drop rdw and detour,
+// and PowerWith adds its extra seed to ii0.
+func (a powerArch) seeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.Rel) {
 	n := x.N()
 	dp := ar.Get(n)
 	dp.CopyFrom(x.Addr)
@@ -244,7 +267,7 @@ func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
 		detour.InterInto(tmp)
 	}
 
-	ii0 := ar.Get(n)
+	ii0 = ar.Get(n)
 	ii0.CopyFrom(dp)
 	ii0.UnionInto(rdw)
 	ii0.UnionInto(x.RFI)
@@ -253,7 +276,7 @@ func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
 		ii0.UnionInto(extra)
 		ar.Put(extra)
 	}
-	ci0 := ar.Get(n)
+	ci0 = ar.Get(n)
 	if ctrlCfence, ok := x.CtrlCfence[a.cfence]; ok && ctrlCfence.N() == n {
 		ci0.CopyFrom(ctrlCfence)
 	}
@@ -261,22 +284,17 @@ func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
 	po := poMM(x, ar)
 	tmp.SeqInto(x.Addr, po)
 	ar.Put(po)
-	cc0 := ar.Get(n)
+	cc0 = ar.Get(n)
 	cc0.CopyFrom(dp)
 	cc0.UnionInto(x.Ctrl)
 	cc0.UnionInto(tmp)
 	if !a.earlyCommit {
 		cc0.UnionInto(x.POLoc)
 	}
-
-	ii, ic := PPOFixpoint(ii0, ci0, cc0, ar)
-	ii.RestrictInPlace(x.R, x.R)
-	ic.RestrictInPlace(x.R, x.W)
-	ii.UnionInto(ic)
-	for _, r := range []rel.Rel{dp, tmp, rdw, detour, ii0, ci0, cc0, ic} {
+	for _, r := range []rel.Rel{dp, tmp, rdw, detour} {
 		ar.Put(r)
 	}
-	return ii
+	return ii0, ci0, cc0
 }
 
 // PPOFixpoint iterates the equations of Fig. 25 over init/commit

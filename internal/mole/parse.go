@@ -113,14 +113,6 @@ func (p *Program) Add(src string) error {
 	return cp.file()
 }
 
-// MustAdd is Add panicking on error (for embedded corpora).
-func (p *Program) MustAdd(src string) *Program {
-	if err := p.Add(src); err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type cparser struct {
 	prog *Program
 	toks []ctok

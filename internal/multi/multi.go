@@ -126,9 +126,7 @@ func Expand(x *events.Execution) *Expanded {
 	// lift embeds an original relation in the expanded universe.
 	lift := func(r rel.Rel) rel.Rel {
 		out := rel.New(n)
-		for _, p := range r.Pairs() {
-			out.Add(p[0], p[1])
-		}
+		r.ForEachPair(out.Add)
 		return out
 	}
 
@@ -141,34 +139,25 @@ func Expand(x *events.Execution) *Expanded {
 			structural.Add(w, ex.PropEvent[[2]int{w, ti}])
 		}
 	}
-	for _, p := range x.CO.Pairs() {
+	x.CO.ForEachPair(func(w1, w2 int) {
 		for ti := 0; ti < nThreads; ti++ {
-			structural.Add(ex.PropEvent[[2]int{p[0], ti}], ex.PropEvent[[2]int{p[1], ti}])
+			structural.Add(ex.PropEvent[[2]int{w1, ti}], ex.PropEvent[[2]int{w2, ti}])
 		}
-	}
-	for _, p := range x.RFE.Pairs() {
-		ti := threads[x.Events[p[1]].Tid]
-		structural.Add(ex.PropEvent[[2]int{p[0], ti}], p[1])
-	}
+	})
+	x.RFE.ForEachPair(func(w, r int) {
+		structural.Add(ex.PropEvent[[2]int{w, threads[x.Events[r].Tid]}], r)
+	})
 
 	// The model's whole derivation — the ppo fixpoint of Fig. 25 and the
-	// prop composition of Fig. 18 — runs on the expanded universe. This is
-	// what makes multi-event simulation pay: the same fixpoint over
-	// matrices that are larger by one propagation subevent per
-	// (write, thread) pair.
-	dp := lift(x.Addr.Union(x.Data))
-	rdw := lift(x.POLoc.Inter(x.FRE.Seq(x.RFE)))
-	detour := lift(x.POLoc.Inter(x.COE.Seq(x.RFE)))
-	ctrlCfence := rel.New(n)
-	if cf, ok := x.CtrlCfence[events.FenceIsync]; ok && cf.N() == x.N() {
-		ctrlCfence = lift(cf)
-	}
-	rfiE := lift(x.RFI).Union(structural)
-	ii0 := dp.Union(rdw).Union(rfiE)
-	ci0 := ctrlCfence.Union(detour)
-	poME := lift(x.PO.Restrict(x.M, x.M))
-	cc0 := dp.Union(lift(x.POLoc)).Union(lift(x.Ctrl)).Union(lift(x.Addr).Seq(poME))
-	ppoE, ic := models.PPOFixpoint(ii0, ci0, cc0, nil)
+	// prop composition of Fig. 18 — runs on the expanded universe, from
+	// Power's seeds lifted into it with the structural edges joining rfi
+	// in ii0. This is what makes multi-event simulation pay: the same
+	// fixpoint over matrices that are larger by one propagation subevent
+	// per (write, thread) pair.
+	ii0, ci0, cc0 := models.PowerSeeds(x, nil)
+	ii0E := lift(ii0)
+	ii0E.UnionInto(structural)
+	ppoE, ic := models.PPOFixpoint(ii0E, lift(ci0), lift(cc0), nil)
 	ppoE.UnionInto(ic) // direction filtering happens on projection
 
 	fencesE := lift(arch.Fences(x, nil))

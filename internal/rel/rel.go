@@ -668,20 +668,6 @@ func (r Rel) Pairs() [][2]int {
 	return out
 }
 
-// Succ returns the successors of i in ascending order.
-func (r Rel) Succ(i int) []int {
-	var out []int
-	row := r.row(i)
-	for w, word := range row {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			out = append(out, w*wordBits+b)
-		}
-	}
-	return out
-}
-
 // RestrictDomain keeps only pairs whose source is in keep.
 func (r Rel) RestrictDomain(keep Set) Rel {
 	return r.Restrict(keep, FullSet(r.n))
