@@ -152,11 +152,15 @@ func BenchmarkSimMultiEvent(b *testing.B) {
 
 func BenchmarkSimOperational(b *testing.B) {
 	cands := table9Candidates(b)
+	md, err := machine.NewModel(cat.MustBuiltin("power"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cands {
-			m, err := machine.New(models.Power.Arch, c.X)
+			m, err := machine.New(md, c.X)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,7 +178,7 @@ func BenchmarkBMCOperationalRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opsim.Run(test, models.Power.Arch, 1<<16); err != nil {
+		if _, err := opsim.Run(test, cat.MustBuiltin("power"), 1<<16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8787", "listen address")
 	workers := flag.Int("j", 0, "simulations run in parallel per /v1/batch request (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 4096, "entries kept per cache layer (verdicts, compiled tests, compiled models)")
+	cacheEntries := flag.Int("cache-entries", 4096, "entries kept per cache layer (verdicts, request aliases, compiled models)")
 	timeout := flag.Duration("timeout", 30*time.Second, "hard wall-clock cap on one simulation (0 = uncapped)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	enumWorkers := flag.Int("enum-workers", 1, "workers per verdict, each walking and checking its own shards (0 = GOMAXPROCS, 1 = sequential); never changes verdicts or cache keys")

@@ -13,10 +13,8 @@ import (
 
 	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
-	"herdcats/internal/core"
-	"herdcats/internal/events"
+	"herdcats/internal/crosscheck"
 	"herdcats/internal/litmus"
-	"herdcats/internal/machine"
 	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
@@ -67,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opAllowed, err := operationalAllowed(e.Test())
+	opAllowed, err := crosscheck.Operational(cat.MustBuiltin("power")).Decide(context.Background(), e.Test())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,37 +82,4 @@ func verdict(test *litmus.Test, m sim.Checker) string {
 		return "Allowed"
 	}
 	return "Forbidden"
-}
-
-func operationalAllowed(test *litmus.Test) (bool, error) {
-	p, err := simCompile(test)
-	if err != nil {
-		return false, err
-	}
-	return p, nil
-}
-
-// simCompile runs the intermediate machine over every candidate and asks
-// whether a condition-satisfying one is accepted.
-func simCompile(test *litmus.Test) (bool, error) {
-	allowed := false
-	out, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: operationalChecker{}})
-	if err != nil {
-		return false, err
-	}
-	allowed = out.Allowed()
-	return allowed, nil
-}
-
-// operationalChecker adapts the Sec. 7 machine to the simulator interface.
-type operationalChecker struct{}
-
-func (operationalChecker) Name() string { return "Power (operational)" }
-
-func (operationalChecker) Check(x *events.Execution) core.Result {
-	m, err := machine.New(models.Power.Arch, x)
-	if err != nil {
-		return core.Result{}
-	}
-	return core.Result{Valid: m.Accepts()}
 }

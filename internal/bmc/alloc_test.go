@@ -33,6 +33,7 @@ func TestBMCEncodeAllocsCeiling(t *testing.T) {
 		}
 	})
 	const ceiling = 950
+	t.Logf("Power encode of %s: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Power encode of %s: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
 	}

@@ -12,40 +12,28 @@ import (
 
 // --- AST ---------------------------------------------------------------
 
-type expr interface{ String() string }
+type expr interface{}
 
 type eIdent struct{ name string }
 
-func (e eIdent) String() string { return e.name }
-
 type eZero struct{}
-
-func (eZero) String() string { return "0" }
 
 type eBin struct {
 	op   byte // '|', '&', ';', '\'
 	l, r expr
 }
 
-func (e eBin) String() string { return fmt.Sprintf("(%s%c%s)", e.l, e.op, e.r) }
-
 type ePost struct {
 	op byte // '+', '*', '?'
 	x  expr
 }
 
-func (e ePost) String() string { return fmt.Sprintf("%s%c", e.x, e.op) }
-
 type eCompl struct{ x expr }
-
-func (e eCompl) String() string { return fmt.Sprintf("~%s", e.x) }
 
 type eRestrict struct {
 	dirs string // e.g. "RR", "WM"
 	x    expr
 }
-
-func (e eRestrict) String() string { return fmt.Sprintf("%s(%s)", e.dirs, e.x) }
 
 type bind struct {
 	name string

@@ -9,10 +9,10 @@ package cat
 // tiers by how often those change:
 //
 //   - Model-static: po, po-loc, id, the dependency relations and every
-//     fence are fixed by the event skeleton. Static bindings and checks,
-//     and the static subexpressions hoisted out of dynamic right-hand
-//     sides, are evaluated once per skeleton by the reference interpreter
-//     into a slot table.
+//     fence are fixed by the event skeleton. Static bindings, let rec
+//     groups and checks, and the static subexpressions hoisted out of
+//     dynamic right-hand sides, lower to a static program that runs once
+//     per skeleton over a file of static slots.
 //   - Skeleton-static: rf, co and everything downstream (fr, com, sw, the
 //     e/i splits) vary per candidate, but the skeleton's events bound
 //     them from below and above. After a few candidates of a skeleton, one
@@ -22,6 +22,11 @@ package cat
 //     flat instruction sequence over a small register file of rel.Rel
 //     buffers, with the destructive kernels of internal/rel and zero
 //     steady-state allocation.
+//
+// Both programs are sequences of the same instructions, run by the same
+// loop. With every binding an operand, a compiled model also hands out a
+// named binding's value on a candidate (Reader): the operational machine
+// reads ppo, fence, prop and hb that way.
 //
 // The AST interpreter (cat.go) remains the reference implementation; the
 // equivalence suite asserts byte-identical outcomes between the two.
@@ -95,10 +100,12 @@ func demandOf(prog []cinstr) events.Dyn {
 
 // --- Compiled form -------------------------------------------------------
 
-// operand addresses one input of a dynamic instruction: a register of the
+// operand addresses one input of an instruction: a register of the
 // evaluator's scratch file, a static slot (computed once per skeleton), a
 // dynamic builtin fetched straight off the candidate execution, or a
-// residual program's skeleton constant. Only registers are ever written.
+// residual program's skeleton constant. The dynamic program writes only
+// registers; the static program runs with the slot file as its registers,
+// so its own values are oStatic operands the dynamic program reads as is.
 type opndKind uint8
 
 const (
@@ -113,9 +120,9 @@ type operand struct {
 	idx  int
 }
 
-// cop is a dynamic-slice opcode. All relation-valued operations go through
-// the destructive kernels of internal/rel, mutating the destination
-// register in place.
+// cop is an opcode. All relation-valued operations go through the
+// destructive kernels of internal/rel, mutating the destination register
+// in place.
 type cop uint8
 
 const (
@@ -131,7 +138,7 @@ const (
 	cRestrict            // regs[dst] = DIRS(regs[dst]); aux encodes the two directions
 	cSnapshot            // shadows of fix group aux ← their registers
 	cLoop                // if group aux changed since its snapshot, jump to aux2
-	cCheck               // dynChecks[aux] result ← check kind applied to a
+	cCheck               // checks[aux] result ← check kind applied to a
 )
 
 type cinstr struct {
@@ -152,52 +159,41 @@ type fixGroup struct {
 	start, end int
 }
 
-// staticStep is one step of the per-skeleton static program, run by the
-// reference interpreter in statement order. Exactly one of the three forms
-// is active: a let statement evaluated into the interpreter environment, a
-// hoisted expression evaluated into a static slot, or a static check whose
-// verdict is recorded once and reused for every candidate.
-type staticStep struct {
-	let   *sLet
-	slot  int // destination slot, with e the expression; -1 when unused
-	check int // index into Compiled.sChecks, with e the expression; -1 when unused
-	e     expr
-}
-
-type staticCheck struct {
-	kind checkKind
-	name string
-}
-
-type dynCheck struct {
-	kind checkKind
-	name string
-}
-
-// checkRef points at a check's verdict in statement order, so results
-// assemble in exactly the interpreter's order.
-type checkRef struct {
+// check is one check statement, in statement order; static checks run in
+// the static program, the others per candidate.
+type check struct {
+	kind   checkKind
+	name   string
 	static bool
-	idx    int
 }
 
-// Compiled is the specialised form of a Model: bindings partitioned into a
-// static program (run once per skeleton) and a flat dynamic instruction
-// sequence (run per candidate over pooled registers). A Compiled is
-// immutable and safe to share between goroutines; per-search mutable state
-// lives in the Evaluator it mints. It implements the simulator's Checker
-// (via one-shot evaluators) and core.EvaluatorProvider.
+// builtinSlot is a static slot holding a static builtin (po, addr, sync,
+// ...) of the bound skeleton; the programs only read it.
+type builtinSlot struct {
+	slot int
+	name string
+}
+
+// Compiled is the specialised form of a Model: a static program (run once
+// per skeleton over the slot file) and a flat dynamic instruction sequence
+// (run per candidate over pooled registers). A Compiled is immutable and
+// safe to share between goroutines; per-search mutable state lives in the
+// Evaluator it mints. It implements the simulator's Checker (via one-shot
+// evaluators) and core.EvaluatorProvider.
 type Compiled struct {
-	m         *Model
-	static    []staticStep
-	nSlots    int
-	sChecks   []staticCheck
-	prog      []cinstr
-	demand    events.Dyn // the dynamic builtins prog fetches
-	nRegs     int
-	fixGroups []fixGroup
-	dChecks   []dynCheck
-	checks    []checkRef
+	m          *Model
+	sprog      []cinstr
+	sGroups    []fixGroup
+	nSlots     int
+	builtins   []builtinSlot
+	prog       []cinstr
+	demand     events.Dyn // the dynamic builtins prog fetches
+	nRegs      int
+	fixGroups  []fixGroup
+	checks     []check
+	names      map[string]operand // every let binding, as bound at the model's end
+	lets       []cinstr           // prog computing the let bindings only (Reader)
+	letsDemand events.Dyn
 }
 
 // Name returns the model's declared name.
@@ -225,28 +221,30 @@ func (c *Compiled) NewEvaluator() core.Checker { return c.newEvaluator() }
 func (c *Compiled) newEvaluator() *Evaluator {
 	return &Evaluator{
 		c:     c,
-		sOK:   make([]bool, len(c.sChecks)),
-		dOK:   make([]bool, len(c.dChecks)),
-		iters: make([]int, len(c.fixGroups)),
+		ok:    make([]bool, len(c.checks)),
+		iters: make([]int, max(len(c.fixGroups), len(c.sGroups))),
 	}
 }
 
 // --- Lowering ------------------------------------------------------------
 
-// binding records what a name currently means to the lowerer: a dynamic
-// register, or a value living in the static interpreter environment.
-type binding struct {
-	dynamic bool
-	reg     int
+// tier is one of the two programs being emitted, with its register
+// allocator: the static program's registers are slots (oStatic), the
+// dynamic program's are registers (oReg).
+type tier struct {
+	kind   opndKind
+	prog   []cinstr
+	groups []fixGroup
+	n      int
+	free   []int
 }
 
 type lowerer struct {
-	c         *Compiled
-	names     map[string]binding
-	slotByKey map[string]int // dedup key "epoch:expr" -> static slot
-	epoch     int            // bumped per static let, invalidating hoist dedup
-	nextReg   int
-	free      []int
+	c        *Compiled
+	names    map[string]operand
+	builtins map[string]operand // static builtins by name, each in one slot
+	st, dy   tier
+	t        *tier // the tier being emitted
 }
 
 // Compile lowers the model into its specialised evaluator form. The
@@ -256,43 +254,35 @@ type lowerer struct {
 func (m *Model) Compile(p *exec.Program) (*Compiled, error) {
 	_ = p
 	c := &Compiled{m: m}
-	lw := &lowerer{c: c, names: map[string]binding{}, slotByKey: map[string]int{}}
+	lw := &lowerer{c: c, names: map[string]operand{}, builtins: map[string]operand{},
+		st: tier{kind: oStatic}, dy: tier{kind: oReg}}
 	for _, st := range m.stmts {
 		switch st := st.(type) {
 		case sLet:
-			if lw.isStaticLet(st) {
-				stc := st
-				c.static = append(c.static, staticStep{let: &stc, slot: -1, check: -1})
-				for _, b := range st.binds {
-					lw.names[b.name] = binding{dynamic: false}
-				}
-				lw.epoch++
-			} else if err := lw.lowerDynamicLet(st); err != nil {
+			lw.t = lw.tierOf(lw.isStaticLet(st))
+			if err := lw.lowerLet(st); err != nil {
 				return nil, err
 			}
 		case sCheck:
-			if lw.isStatic(st.e) {
-				idx := len(c.sChecks)
-				c.sChecks = append(c.sChecks, staticCheck{kind: st.kind, name: st.name})
-				c.static = append(c.static, staticStep{slot: -1, check: idx, e: st.e})
-				c.checks = append(c.checks, checkRef{static: true, idx: idx})
-			} else {
-				a, owned, err := lw.compileExpr(st.e)
-				if err != nil {
-					return nil, err
-				}
-				idx := len(c.dChecks)
-				c.dChecks = append(c.dChecks, dynCheck{kind: st.kind, name: st.name})
-				lw.emit(cinstr{op: cCheck, a: a, aux: idx})
-				if owned {
-					lw.release(a.idx)
-				}
-				c.checks = append(c.checks, checkRef{static: false, idx: idx})
+			static := lw.isStatic(st.e)
+			lw.t = lw.tierOf(static)
+			a, owned, err := lw.compileExpr(st.e)
+			if err != nil {
+				return nil, err
 			}
+			lw.emit(cinstr{op: cCheck, a: a, aux: len(c.checks)})
+			if owned {
+				lw.release(a)
+			}
+			c.checks = append(c.checks, check{kind: st.kind, name: st.name, static: static})
 		}
 	}
-	c.nRegs = lw.nextReg
+	c.sprog, c.sGroups, c.nSlots = lw.st.prog, lw.st.groups, lw.st.n
+	c.prog, c.fixGroups, c.nRegs = lw.dy.prog, lw.dy.groups, lw.dy.n
 	c.demand = demandOf(c.prog)
+	c.names = lw.names
+	c.lets = c.letsProgram()
+	c.letsDemand = demandOf(c.lets)
 	return c, nil
 }
 
@@ -334,20 +324,28 @@ func (i interpOnly) Check(x *events.Execution) core.Result { return i.m.Check(x)
 // so outcome equivalence holds with pruning enabled too.
 func (i interpOnly) PruneLevel() exec.Prune { return i.m.PruneLevel() }
 
-func (lw *lowerer) emit(in cinstr) { lw.c.prog = append(lw.c.prog, in) }
-
-func (lw *lowerer) alloc() int {
-	if k := len(lw.free); k > 0 {
-		r := lw.free[k-1]
-		lw.free = lw.free[:k-1]
-		return r
+func (lw *lowerer) tierOf(static bool) *tier {
+	if static {
+		return &lw.st
 	}
-	r := lw.nextReg
-	lw.nextReg++
-	return r
+	return &lw.dy
 }
 
-func (lw *lowerer) release(reg int) { lw.free = append(lw.free, reg) }
+func (lw *lowerer) emit(in cinstr) { lw.t.prog = append(lw.t.prog, in) }
+
+// alloc returns a free register of the current tier.
+func (lw *lowerer) alloc() operand {
+	t := lw.t
+	if k := len(t.free); k > 0 {
+		r := t.free[k-1]
+		t.free = t.free[:k-1]
+		return operand{kind: t.kind, idx: r}
+	}
+	t.n++
+	return operand{kind: t.kind, idx: t.n - 1}
+}
+
+func (lw *lowerer) release(o operand) { lw.t.free = append(lw.t.free, o.idx) }
 
 // isStatic reports whether the expression's value is invariant across the
 // candidates of a skeleton: it references no dynamic builtin and no
@@ -357,8 +355,8 @@ func (lw *lowerer) isStatic(e expr) bool {
 	case eZero:
 		return true
 	case eIdent:
-		if b, ok := lw.names[e.name]; ok {
-			return !b.dynamic
+		if o, ok := lw.names[e.name]; ok {
+			return o.kind != oReg
 		}
 		_, dyn := dynNames[e.name]
 		return !dyn
@@ -381,19 +379,19 @@ func (lw *lowerer) isStatic(e expr) bool {
 func (lw *lowerer) isStaticLet(st sLet) bool {
 	if st.rec {
 		type saved struct {
-			b  binding
+			o  operand
 			ok bool
 		}
 		prev := make(map[string]saved, len(st.binds))
 		for _, b := range st.binds {
 			old, ok := lw.names[b.name]
 			prev[b.name] = saved{old, ok}
-			lw.names[b.name] = binding{dynamic: false}
+			lw.names[b.name] = operand{kind: oStatic}
 		}
 		defer func() {
 			for name, s := range prev {
 				if s.ok {
-					lw.names[name] = s.b
+					lw.names[name] = s.o
 				} else {
 					delete(lw.names, name)
 				}
@@ -408,28 +406,13 @@ func (lw *lowerer) isStaticLet(st sLet) bool {
 	return true
 }
 
-// slotOf hoists a static expression into a slot of the per-skeleton slot
-// table, deduplicated per static-environment epoch so repeated occurrences
-// of e.g. `fence` in dynamic right-hand sides share one evaluation.
-func (lw *lowerer) slotOf(e expr) operand {
-	key := fmt.Sprintf("%d:%s", lw.epoch, e.String())
-	if idx, ok := lw.slotByKey[key]; ok {
-		return operand{kind: oStatic, idx: idx}
-	}
-	idx := lw.c.nSlots
-	lw.c.nSlots++
-	lw.slotByKey[key] = idx
-	lw.c.static = append(lw.c.static, staticStep{slot: idx, check: -1, e: e})
-	return operand{kind: oStatic, idx: idx}
-}
-
-// lowerDynamicLet lowers one dynamic let statement. Each binding gets a
-// pinned register (never recycled); recursive groups compile to a
+// lowerLet lowers one let statement into the current tier. Each binding
+// gets a pinned register (never recycled); recursive groups compile to a
 // snapshot/body/loop sequence realising the same Gauss–Seidel Kleene
 // iteration as the interpreter — per round, each binding is recomputed in
 // order seeing the updated values of earlier ones, until a full round
 // changes nothing.
-func (lw *lowerer) lowerDynamicLet(st sLet) error {
+func (lw *lowerer) lowerLet(st sLet) error {
 	if !st.rec {
 		for _, b := range st.binds {
 			a, owned, err := lw.compileExpr(b.e)
@@ -437,24 +420,25 @@ func (lw *lowerer) lowerDynamicLet(st sLet) error {
 				return err
 			}
 			reg := lw.alloc()
-			lw.emit(cinstr{op: cCopy, dst: reg, a: a})
+			lw.emit(cinstr{op: cCopy, dst: reg.idx, a: a})
 			if owned {
-				lw.release(a.idx)
+				lw.release(a)
 			}
-			lw.names[b.name] = binding{dynamic: true, reg: reg}
+			lw.names[b.name] = reg
 		}
 		return nil
 	}
-	g := fixGroup{start: len(lw.c.prog)}
+	t := lw.t
+	g := fixGroup{start: len(t.prog)}
 	for _, b := range st.binds {
 		reg := lw.alloc()
-		g.regs = append(g.regs, reg)
-		g.shadows = append(g.shadows, lw.alloc())
-		lw.emit(cinstr{op: cZero, dst: reg})
-		lw.names[b.name] = binding{dynamic: true, reg: reg}
+		g.regs = append(g.regs, reg.idx)
+		g.shadows = append(g.shadows, lw.alloc().idx)
+		lw.emit(cinstr{op: cZero, dst: reg.idx})
+		lw.names[b.name] = reg
 	}
-	gi := len(lw.c.fixGroups)
-	loopStart := len(lw.c.prog)
+	gi := len(t.groups)
+	loopStart := len(t.prog)
 	lw.emit(cinstr{op: cSnapshot, aux: gi})
 	for i, b := range st.binds {
 		a, owned, err := lw.compileExpr(b.e)
@@ -463,38 +447,57 @@ func (lw *lowerer) lowerDynamicLet(st sLet) error {
 		}
 		lw.emit(cinstr{op: cCopy, dst: g.regs[i], a: a})
 		if owned {
-			lw.release(a.idx)
+			lw.release(a)
 		}
 	}
-	g.end = len(lw.c.prog)
+	g.end = len(t.prog)
 	lw.emit(cinstr{op: cLoop, aux: gi, aux2: loopStart})
-	lw.c.fixGroups = append(lw.c.fixGroups, g)
+	t.groups = append(t.groups, g)
 	return nil
 }
 
-// compileExpr lowers one dynamic expression, returning the operand holding
-// its value and whether that operand is a scratch register the caller owns
-// (and must release or keep). Static subexpressions are hoisted whole into
-// slots; owned registers are mutated in place where the operators allow
+// compileExpr lowers one expression into the current tier, returning the
+// operand holding its value and whether that operand is a scratch register
+// the caller owns (and must release or keep). A static subexpression of a
+// dynamic one is hoisted whole into the static program, its slot pinned;
+// owned registers are mutated in place where the operators allow
 // (commutative operators fold into either owned side), so the generated
 // code moves no more words than it must.
 func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
-	if lw.isStatic(e) {
-		return lw.slotOf(e), false, nil
+	if lw.t == &lw.dy && lw.isStatic(e) {
+		lw.t = &lw.st
+		a, _, err := lw.compileExpr(e)
+		lw.t = &lw.dy
+		return a, false, err
 	}
 	switch e := e.(type) {
+	case eZero:
+		d := lw.alloc()
+		lw.emit(cinstr{op: cZero, dst: d.idx})
+		return d, true, nil
 	case eIdent:
-		if b, ok := lw.names[e.name]; ok {
-			if !b.dynamic {
-				return operand{}, false, fmt.Errorf("cat: internal: static name %q reached dynamic lowering", e.name)
+		if o, ok := lw.names[e.name]; ok {
+			return o, false, nil
+		}
+		if d, ok := dynNames[e.name]; ok {
+			if lw.t == &lw.st {
+				return operand{}, false, fmt.Errorf("cat: internal: dynamic builtin %q reached static lowering", e.name)
 			}
-			return operand{kind: oReg, idx: b.reg}, false, nil
+			return operand{kind: oDyn, idx: int(d)}, false, nil
 		}
-		d, ok := dynNames[e.name]
-		if !ok {
-			return operand{}, false, fmt.Errorf("cat: internal: unknown dynamic builtin %q", e.name)
+		if !builtinNames[e.name] {
+			return operand{}, false, fmt.Errorf("cat: internal: unknown builtin %q", e.name)
 		}
-		return operand{kind: oDyn, idx: int(d)}, false, nil
+		o, ok := lw.builtins[e.name]
+		if !ok { // the static tier is current
+			// A slot never written, so never one a temporary held: bind
+			// points it at the skeleton's relation.
+			lw.st.n++
+			o = operand{kind: oStatic, idx: lw.st.n - 1}
+			lw.builtins[e.name] = o
+			lw.c.builtins = append(lw.c.builtins, builtinSlot{slot: o.idx, name: e.name})
+		}
+		return o, false, nil
 	case eBin:
 		switch e.op {
 		case '|', '&':
@@ -513,7 +516,7 @@ func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
 			if lo {
 				lw.emit(cinstr{op: op, dst: l.idx, a: r})
 				if ro {
-					lw.release(r.idx)
+					lw.release(r)
 				}
 				return l, true, nil
 			}
@@ -522,9 +525,9 @@ func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
 				return r, true, nil
 			}
 			d := lw.alloc()
-			lw.emit(cinstr{op: cCopy, dst: d, a: l})
-			lw.emit(cinstr{op: op, dst: d, a: r})
-			return operand{kind: oReg, idx: d}, true, nil
+			lw.emit(cinstr{op: cCopy, dst: d.idx, a: l})
+			lw.emit(cinstr{op: op, dst: d.idx, a: r})
+			return d, true, nil
 		case '\\':
 			l, lo, err := lw.compileExpr(e.l)
 			if err != nil {
@@ -536,12 +539,12 @@ func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
 			}
 			d := l
 			if !lo {
-				d = operand{kind: oReg, idx: lw.alloc()}
+				d = lw.alloc()
 				lw.emit(cinstr{op: cCopy, dst: d.idx, a: l})
 			}
 			lw.emit(cinstr{op: cDiff, dst: d.idx, a: r})
 			if ro {
-				lw.release(r.idx)
+				lw.release(r)
 			}
 			return d, true, nil
 		case ';':
@@ -556,14 +559,14 @@ func (lw *lowerer) compileExpr(e expr) (operand, bool, error) {
 			// SeqInto needs a destination distinct from both operands;
 			// l and r are still held, so alloc cannot return either.
 			d := lw.alloc()
-			lw.emit(cinstr{op: cSeq, dst: d, a: l, b: r})
+			lw.emit(cinstr{op: cSeq, dst: d.idx, a: l, b: r})
 			if lo {
-				lw.release(l.idx)
+				lw.release(l)
 			}
 			if ro {
-				lw.release(r.idx)
+				lw.release(r)
 			}
-			return operand{kind: oReg, idx: d}, true, nil
+			return d, true, nil
 		}
 		return operand{}, false, fmt.Errorf("cat: internal: unknown operator %q", e.op)
 	case ePost:
@@ -611,7 +614,7 @@ func (lw *lowerer) owned(e expr) (operand, error) {
 	if ao {
 		return a, nil
 	}
-	d := operand{kind: oReg, idx: lw.alloc()}
+	d := lw.alloc()
 	lw.emit(cinstr{op: cCopy, dst: d.idx, a: a})
 	return d, nil
 }
@@ -630,10 +633,9 @@ type Evaluator struct {
 	c      *Compiled
 	n      int
 	base   *events.Execution
-	static []rel.Rel
-	sOK    []bool
+	static []rel.Rel // the slot file
 	regs   []rel.Rel
-	dOK    []bool
+	ok     []bool // per check, its latest verdict
 	iters  []int
 	dfs    rel.DFSScratch
 	seen   int       // candidates of the bound skeleton checked so far
@@ -656,16 +658,10 @@ func (ev *Evaluator) DerivesOwnDemand() {}
 func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = core.Result{Err: fmt.Errorf("cat: model %q evaluation failed: %v", ev.c.m.name, r)}
+			res = core.Result{Err: ev.evalErr(r)}
 		}
 	}()
-	base := x.Base
-	if base == nil {
-		base = x
-	}
-	if ev.base != base || ev.n != x.N() {
-		ev.bind(base, x.N())
-	}
+	ev.bindFor(x)
 	if ev.seen == specGate {
 		if ev.sp == nil {
 			ev.sp = &residual{}
@@ -679,52 +675,58 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 		covered = sp.covers(x)
 	}
 	if covered {
-		ev.run(x, ev.sp.prog)
+		ev.run(x, ev.regs, ev.sp.prog, ev.c.fixGroups)
 		for i, d := range ev.sp.decided {
 			if d {
-				ev.dOK[i] = ev.sp.fixedOK[i]
+				ev.ok[i] = ev.sp.fixedOK[i]
 			}
 		}
 	} else {
 		x.DeriveDemand(ev.c.demand, nil)
-		ev.run(x, ev.c.prog)
+		ev.run(x, ev.regs, ev.c.prog, ev.c.fixGroups)
 	}
 
 	var failed []string
-	for _, cr := range ev.c.checks {
-		if cr.static {
-			if !ev.sOK[cr.idx] {
-				failed = append(failed, ev.c.sChecks[cr.idx].name)
-			}
-		} else if !ev.dOK[cr.idx] {
-			failed = append(failed, ev.c.dChecks[cr.idx].name)
+	for i, ck := range ev.c.checks {
+		if !ev.ok[i] {
+			failed = append(failed, ck.name)
 		}
 	}
 	return core.Result{Valid: len(failed) == 0, FailedChecks: failed}
 }
 
-// bind runs the static program against a new skeleton: let bindings and
-// hoisted expressions evaluate through the reference interpreter into the
-// slot table, static checks record their verdicts, and the register file
-// is (re)sized. Candidates sharing the skeleton skip all of this.
+func (ev *Evaluator) evalErr(r any) error {
+	return fmt.Errorf("cat: model %q evaluation failed: %v", ev.c.m.name, r)
+}
+
+// bindFor binds the skeleton of x, unless it is bound already.
+func (ev *Evaluator) bindFor(x *events.Execution) {
+	base := x.Base
+	if base == nil {
+		base = x
+	}
+	if ev.base != base || ev.n != x.N() {
+		ev.bind(base, x.N())
+	}
+}
+
+// bind runs the static program against a new skeleton: the static
+// builtins fill their slots, the program computes the static bindings and
+// hoisted expressions into the slot file and records the static checks'
+// verdicts, and the files are (re)sized. Candidates sharing the skeleton
+// skip all of this.
 func (ev *Evaluator) bind(base *events.Execution, n int) {
 	c := ev.c
-	ev.static = make([]rel.Rel, c.nSlots)
-	env := &env{x: base, defs: map[string]rel.Rel{}}
-	for _, st := range c.static {
-		switch {
-		case st.let != nil:
-			env.evalLet(*st.let)
-		case st.slot >= 0:
-			ev.static[st.slot] = env.eval(st.e)
-		case st.check >= 0:
-			ev.sOK[st.check] = applyCheck(c.sChecks[st.check].kind, env.eval(st.e), &ev.dfs)
-		}
+	if ev.n != n || len(ev.regs) != c.nRegs || len(ev.static) != c.nSlots {
+		files := rel.NewN(n, c.nSlots+c.nRegs)
+		ev.static, ev.regs = files[:c.nSlots:c.nSlots], files[c.nSlots:]
 	}
-	if len(ev.regs) != c.nRegs || ev.n != n {
-		ev.regs = rel.NewN(n, c.nRegs)
+	ev.base, ev.n = nil, n // bound only once the static program has run
+	for _, b := range c.builtins {
+		ev.static[b.slot], _ = builtinRel(base, b.name)
 	}
-	ev.base, ev.n = base, n
+	ev.run(base, ev.static, c.sprog, c.sGroups)
+	ev.base = base
 	if ev.seen = 0; ev.sp != nil {
 		ev.sp.on = false
 	}
@@ -744,12 +746,18 @@ func applyCheck(kind checkKind, r rel.Rel, dfs *rel.DFSScratch) bool {
 	panic(fmt.Sprintf("cat: bad check kind %d", kind))
 }
 
-// fetch resolves an operand against the register file, the static slot
-// table, the skeleton constants, or the candidate execution.
-func (ev *Evaluator) fetch(x *events.Execution, o operand) rel.Rel {
+// fetch resolves an operand against the register file regs, the static
+// slot file, the skeleton constants, or the candidate execution. The
+// register case is small enough to inline into run.
+func (ev *Evaluator) fetch(x *events.Execution, regs []rel.Rel, o operand) rel.Rel {
+	if o.kind == oReg {
+		return regs[o.idx]
+	}
+	return ev.fetchOther(x, o)
+}
+
+func (ev *Evaluator) fetchOther(x *events.Execution, o operand) rel.Rel {
 	switch o.kind {
-	case oReg:
-		return ev.regs[o.idx]
 	case oStatic:
 		return ev.static[o.idx]
 	case oConst:
@@ -771,46 +779,46 @@ func (ev *Evaluator) dirSet(x *events.Execution, d byte) rel.Set {
 	panic(fmt.Sprintf("cat: bad direction %c", d))
 }
 
-// run executes the generic or a residual program for one candidate.
-func (ev *Evaluator) run(x *events.Execution, prog []cinstr) {
+// run executes a program over the register file regs: the static program
+// over the slot file, the generic or a residual dynamic program over the
+// registers. groups are the program's let rec groups.
+func (ev *Evaluator) run(x *events.Execution, regs []rel.Rel, prog []cinstr, groups []fixGroup) {
 	c := ev.c
-	for i := range ev.iters {
-		ev.iters[i] = 0
-	}
+	clear(ev.iters)
 	for pc := 0; pc < len(prog); pc++ {
 		in := &prog[pc]
 		switch in.op {
 		case cZero:
-			ev.regs[in.dst].Clear()
+			regs[in.dst].Clear()
 		case cCopy:
-			ev.regs[in.dst].CopyFrom(ev.fetch(x, in.a))
+			regs[in.dst].CopyFrom(ev.fetch(x, regs, in.a))
 		case cUnion:
-			ev.regs[in.dst].UnionInto(ev.fetch(x, in.a))
+			regs[in.dst].UnionInto(ev.fetch(x, regs, in.a))
 		case cInter:
-			ev.regs[in.dst].InterInto(ev.fetch(x, in.a))
+			regs[in.dst].InterInto(ev.fetch(x, regs, in.a))
 		case cDiff:
-			ev.regs[in.dst].DiffInto(ev.fetch(x, in.a))
+			regs[in.dst].DiffInto(ev.fetch(x, regs, in.a))
 		case cSeq:
-			ev.regs[in.dst].SeqInto(ev.fetch(x, in.a), ev.fetch(x, in.b))
+			regs[in.dst].SeqInto(ev.fetch(x, regs, in.a), ev.fetch(x, regs, in.b))
 		case cPlus:
-			ev.regs[in.dst].PlusInPlace()
+			regs[in.dst].PlusInPlace()
 		case cUnionID:
-			ev.regs[in.dst].UnionIdentity()
+			regs[in.dst].UnionIdentity()
 		case cCompl:
-			ev.regs[in.dst].ComplementInPlace()
+			regs[in.dst].ComplementInPlace()
 		case cRestrict:
-			ev.regs[in.dst].RestrictInPlace(
+			regs[in.dst].RestrictInPlace(
 				ev.dirSet(x, byte(in.aux>>8)), ev.dirSet(x, byte(in.aux)))
 		case cSnapshot:
-			g := &c.fixGroups[in.aux]
+			g := &groups[in.aux]
 			for k, r := range g.regs {
-				ev.regs[g.shadows[k]].CopyFrom(ev.regs[r])
+				regs[g.shadows[k]].CopyFrom(regs[r])
 			}
 		case cLoop:
-			g := &c.fixGroups[in.aux]
+			g := &groups[in.aux]
 			changed := false
 			for k, r := range g.regs {
-				if !ev.regs[r].Equal(ev.regs[g.shadows[k]]) {
+				if !regs[r].Equal(regs[g.shadows[k]]) {
 					changed = true
 					break
 				}
@@ -823,10 +831,83 @@ func (ev *Evaluator) run(x *events.Execution, prog []cinstr) {
 				pc = in.aux2 - 1
 			}
 		case cCheck:
-			ev.dOK[in.aux] = applyCheck(
-				c.dChecks[in.aux].kind, ev.fetch(x, in.a), &ev.dfs)
+			ev.ok[in.aux] = applyCheck(c.checks[in.aux].kind, ev.fetch(x, regs, in.a), &ev.dfs)
 		}
 	}
+}
+
+// --- Binding export ------------------------------------------------------
+
+// Reader hands out the values of some of a compiled model's let bindings
+// on candidate executions — ppo, fence, prop and hb, say, for the
+// operational machine. A name means its binding at the end of the model (a
+// later let shadows an earlier one). A Reader owns one evaluator, so it
+// serves one goroutine.
+type Reader struct {
+	ev  *Evaluator
+	ops []operand
+}
+
+// Reader resolves the named let bindings; a builtin or an unbound name is
+// an error.
+func (c *Compiled) Reader(names ...string) (*Reader, error) {
+	r := &Reader{ev: c.newEvaluator()}
+	for _, name := range names {
+		o, ok := c.names[name]
+		if !ok {
+			return nil, fmt.Errorf("cat: model %q binds no %q", c.m.name, name)
+		}
+		r.ops = append(r.ops, o)
+	}
+	return r, nil
+}
+
+// letsProgram is the dynamic program without its checks and whatever only
+// they read: the residual build, with every check decided, nothing folded
+// and every let binding's register live.
+func (c *Compiled) letsProgram() []cinstr {
+	sp := &residual{
+		prog:    make([]cinstr, 0, len(c.prog)),
+		constAt: make([]int, len(c.prog)),
+		fold:    make([]bool, len(c.fixGroups)),
+		decided: make([]bool, len(c.checks)),
+		live:    make([]bool, c.nRegs), written: make([]bool, c.nRegs), exposed: make([]bool, c.nRegs),
+	}
+	for i := range sp.constAt {
+		sp.constAt[i] = -1
+	}
+	for i := range sp.decided {
+		sp.decided[i] = true
+	}
+	for _, o := range c.names {
+		if o.kind == oReg {
+			sp.live[o.idx] = true
+		}
+	}
+	sp.build(c)
+	return sp.prog
+}
+
+// Values evaluates the model on the candidate x and returns the values of
+// the Reader's bindings, in its order: fresh relations the caller owns,
+// since the evaluator reuses its registers for the next candidate. Like
+// Check it derives the dynamic relations it reads, and reports evaluation
+// failure as an error, never a panic.
+func (r *Reader) Values(x *events.Execution) (out []rel.Rel, err error) {
+	ev := r.ev
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, ev.evalErr(p)
+		}
+	}()
+	ev.bindFor(x)
+	x.DeriveDemand(ev.c.letsDemand, nil)
+	ev.run(x, ev.regs, ev.c.lets, ev.c.fixGroups)
+	out = make([]rel.Rel, len(r.ops))
+	for i, o := range r.ops {
+		out[i] = ev.fetch(x, ev.regs, o).Clone()
+	}
+	return out, nil
 }
 
 // --- Per-skeleton specialisation -----------------------------------------
@@ -969,6 +1050,7 @@ func (ev *Evaluator) specialise() bool {
 	if !ev.boundRun(true, len(c.prog)) {
 		return false
 	}
+	clear(sp.live)
 	sp.build(c)
 	sp.demand = demandOf(sp.prog) | events.DynRF | events.DynCO
 	return true
@@ -986,7 +1068,7 @@ func (ev *Evaluator) boundRun(sameValue bool, end int) bool {
 		sp.n, sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = n, b[0], b[1], b[2], b[3]
 		sp.hi = rel.NewN(n, c.nRegs)
 		sp.constAt, sp.fold, sp.member = make([]int, len(c.prog)), make([]bool, len(c.fixGroups)), make([]int, c.nRegs)
-		sp.decided, sp.fixedOK = make([]bool, len(c.dChecks)), make([]bool, len(c.dChecks))
+		sp.decided, sp.fixedOK = make([]bool, len(c.checks)), make([]bool, len(c.checks))
 	}
 	sp.lo = ev.regs // scratch between candidates
 	sp.bounds(ev.base, sameValue, c.demand)
@@ -1038,17 +1120,15 @@ func (sp *residual) abstract(ev *Evaluator, end int) bool {
 		case cCheck:
 			// Every check kind is monotone or antitone in its relation, so
 			// bounds that agree decide it.
-			kind := c.dChecks[in.aux].kind
+			kind := c.checks[in.aux].kind
 			sp.fixedOK[in.aux] = applyCheck(kind, sp.bound(ev, in.a, false), &ev.dfs)
 			sp.decided[in.aux] = sp.fixedOK[in.aux] == applyCheck(kind, sp.bound(ev, in.a, true), &ev.dfs)
 		case cDiff:
 			sp.lo[in.dst].DiffInto(sp.bound(ev, in.a, true))
 			sp.hi[in.dst].DiffInto(sp.bound(ev, in.a, false))
-		default: // the concrete step on each file; sp.lo is ev.regs
-			ev.regs = sp.hi
-			ev.run(&sp.hix, c.prog[pc:pc+1])
-			ev.regs = sp.lo
-			ev.run(&sp.lox, c.prog[pc:pc+1])
+		default: // the concrete step on each file
+			ev.run(&sp.hix, sp.hi, c.prog[pc:pc+1], c.fixGroups)
+			ev.run(&sp.lox, sp.lo, c.prog[pc:pc+1], c.fixGroups)
 			if in.op == cCompl {
 				sp.lo[in.dst], sp.hi[in.dst] = sp.hi[in.dst], sp.lo[in.dst]
 			}
@@ -1065,13 +1145,12 @@ func (sp *residual) abstract(ev *Evaluator, end int) bool {
 
 // build emits the residual program in one backward pass over the generic
 // one, keeping an instruction only if a kept one further on reads its
-// result. A decided result becomes a copy of its skeleton constant, and a
-// decided check or folded group drops out. An open group is kept whole,
-// starting from ∅ as in the generic program, so a divergent one still
-// diverges.
+// result, or it writes a register sp.live holds on entry. A decided result
+// becomes a copy of its skeleton constant, and a decided check or folded
+// group drops out. An open group is kept whole, starting from ∅ as in the
+// generic program, so a divergent one still diverges.
 func (sp *residual) build(c *Compiled) {
 	out := sp.prog[:0]
-	clear(sp.live)
 	for gi, pc := len(c.fixGroups)-1, len(c.prog)-1; pc >= 0; pc-- {
 		in := c.prog[pc]
 		if gi >= 0 && pc == c.fixGroups[gi].end {

@@ -154,15 +154,29 @@ func TestCompiledDemandProbes(t *testing.T) {
 // hoistable static subexpressions, and checks of every kind.
 func randModel(t *testing.T, rng *rand.Rand) *cat.Model {
 	t.Helper()
-	return randModelWith(t, rng, false)
+	return randModelWith(t, rng, genPlain)
 }
 
-// randModelWith is randModel; when rich, expressions also complement, and
-// recursive groups are more frequent and half of them place their members
-// under ~ or on the right of \, so they are not monotone and may not
-// converge.
-func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
+// genMode selects what randModelWith generates beyond randModel's mix.
+type genMode uint8
+
+const (
+	genPlain genMode = iota
+	// genRich: expressions also complement, and recursive groups are more
+	// frequent and half of them place their members under ~ or on the
+	// right of \, so they are not monotone and may not converge.
+	genRich
+	// genStatic: static builtins only, so every let, let rec and check
+	// lowers to the static program; reflexive checks too, and in one
+	// program of four a let rec that does not converge wherever po is
+	// non-empty.
+	genStatic
+)
+
+// randModelWith is randModel in the given mode.
+func randModelWith(t *testing.T, rng *rand.Rand, mode genMode) *cat.Model {
 	t.Helper()
+	rich, static := mode == genRich, mode == genStatic
 	staticAtoms := []string{"po", "po-loc", "id", "addr", "data", "ctrl", "sync", "lwsync", "dmb", "0"}
 	dynAtoms := []string{"rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com", "sw"}
 	defined := []string{}
@@ -171,7 +185,7 @@ func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
 		switch {
 		case r < 4 && len(defined) > 0:
 			return defined[rng.Intn(len(defined))]
-		case r < 7:
+		case r < 7 && !static:
 			return dynAtoms[rng.Intn(len(dynAtoms))]
 		default:
 			return staticAtoms[rng.Intn(len(staticAtoms))]
@@ -211,7 +225,16 @@ func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
 	var b strings.Builder
 	b.WriteString("\"random\"\n")
 	nLets := 2 + rng.Intn(4)
+	diverge := -1 // the static mode's non-convergent group goes before this let
+	if static && rng.Intn(4) == 0 {
+		diverge = rng.Intn(nLets)
+	}
 	for i := 0; i < nLets; i++ {
+		if i == diverge {
+			// From ∅, dv alternates between its seed and ∅.
+			b.WriteString("let rec dv = (~dv & (po | " + genExpr(1) + "))\n")
+			defined = append(defined, "dv")
+		}
 		name := string(rune('a' + i))
 		if rng.Intn(4) == 0 || rich && rng.Intn(2) == 0 {
 			// A recursive group; unless rich, keep the bodies
@@ -232,6 +255,9 @@ func randModelWith(t *testing.T, rng *rand.Rand, rich bool) *cat.Model {
 	}
 	nChecks := 1 + rng.Intn(3)
 	kinds := []string{"acyclic", "irreflexive", "empty"}
+	if static {
+		kinds = append(kinds, "reflexive")
+	}
 	for i := 0; i < nChecks; i++ {
 		b.WriteString(kinds[rng.Intn(len(kinds))] + " " + genExpr(2) + "\n")
 	}
@@ -277,14 +303,29 @@ exists (1:r1=1 /\ 1:r2=0)`))
 			atGate(g.after, func() { sameVerdicts(t, m, progs[i%len(progs)], fmt.Sprintf("program %d, %s", i, g.name)) })
 		}
 	}
+
+	// Static-only programs pin the lowered static program, divergence
+	// included: a candidate errs compiled iff it errs interpreted, with
+	// the same message. Their dynamic program is empty, so the
+	// specialisation threshold does not matter.
+	rng = rand.New(rand.NewSource(0x57A71C))
+	erred, fine := 0, 0
+	for i := 0; i < 32; i++ {
+		m := randModelWith(t, rng, genStatic)
+		e, n := sameVerdicts(t, m, progs[i%len(progs)], fmt.Sprintf("static program %d", i))
+		erred, fine = erred+e, fine+n-e
+	}
+	if erred == 0 || fine == 0 {
+		t.Fatalf("static programs: %d candidates erred, %d did not; want both", erred, fine)
+	}
 }
 
 // sameVerdicts checks every candidate of p with the interpreter and with
 // one compiled evaluator, and fails on any difference in verdict, failed
-// checks or error-ness. The evaluator gets the candidates deferred, as
-// sim hands them over, and derives what it reads; the interpreter checks
-// a fully derived clone.
-func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
+// checks or error. The evaluator gets the candidates deferred, as sim
+// hands them over, and derives what it reads; the interpreter checks a
+// fully derived clone. It returns how many candidates erred, of how many.
+func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) (erred, checked int) {
 	t.Helper()
 	c, err := m.Compiled()
 	if err != nil {
@@ -294,8 +335,12 @@ func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
 	err = p.Search(context.Background(), exec.Request{Deferred: true}, func(cd *exec.Candidate) bool {
 		got := ev.Check(cd.X)
 		want := m.Check(cd.Clone().X)
-		if (want.Err != nil) != (got.Err != nil) {
+		checked++
+		if (want.Err != nil) != (got.Err != nil) || want.Err != nil && want.Err.Error() != got.Err.Error() {
 			t.Fatalf("%s: error divergence: interp=%v compiled=%v", what, want.Err, got.Err)
+		}
+		if want.Err != nil {
+			erred++
 		}
 		if want.Valid != got.Valid ||
 			strings.Join(want.FailedChecks, ",") != strings.Join(got.FailedChecks, ",") {
@@ -306,6 +351,7 @@ func sameVerdicts(t *testing.T, m *cat.Model, p *exec.Program, what string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return erred, checked
 }
 
 // TestNonConvergenceIsError: a model whose let rec oscillates must surface

@@ -141,7 +141,7 @@ func Lower[R any](c *Compiled, x *events.Execution, g Gates[R]) (staticOK bool, 
 			grp = nil
 		case cCheck:
 			a := fetch(in.a)
-			switch c.dChecks[in.aux].kind {
+			switch c.checks[in.aux].kind {
 			case checkAcyclic:
 				g.Acyclic(a)
 			case checkIrreflexive:
@@ -151,7 +151,12 @@ func Lower[R any](c *Compiled, x *events.Execution, g Gates[R]) (staticOK bool, 
 			}
 		}
 	}
-	return !slices.Contains(ev.sOK, false), nil
+	for i, ck := range c.checks {
+		if ck.static && !ev.ok[i] {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // memberOf is the index of register r among grp's members, or -1.
@@ -217,7 +222,7 @@ func (c *Compiled) lowerable() error {
 		case cLoop:
 			grp = nil
 		case cCheck:
-			ck := c.dChecks[in.aux]
+			ck := c.checks[in.aux]
 			if ck.kind == checkReflexive {
 				return fmt.Errorf("cat: model %q: check %s is a dynamic reflexive check", c.m.name, ck.name)
 			}

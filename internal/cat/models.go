@@ -55,6 +55,16 @@ func Builtin(name string) (*Model, error) {
 	return m, nil
 }
 
+// MustBuiltin is Builtin for names fixed in the program, where a missing
+// model is a programming error.
+func MustBuiltin(name string) *Model {
+	m, err := Builtin(name)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // BuiltinNames lists the embedded models in sorted order.
 func BuiltinNames() []string {
 	loadOnce.Do(loadAll)

@@ -243,7 +243,7 @@ func TestResidualEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EC))
 	progs := openPrograms(t)
 	for i := 0; i < 120; i++ {
-		m := randModelWith(t, rng, true)
+		m := randModelWith(t, rng, genRich)
 		sameVerdicts(t, m, progs[i%len(progs)], fmt.Sprintf("program %d", i))
 	}
 }

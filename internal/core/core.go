@@ -214,8 +214,3 @@ func SCPerLocationHolds(x *events.Execution, opts Options) bool {
 	}
 	return poloc.Union(x.Com).Acyclic()
 }
-
-// HB computes the happens-before relation ppo ∪ fences ∪ rfe of Sec. 4.4.
-func HB(x *events.Execution, ppo, fences rel.Rel) rel.Rel {
-	return ppo.Union(fences).Union(x.RFE)
-}

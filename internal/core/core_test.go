@@ -139,15 +139,3 @@ func TestAxiomStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestHB(t *testing.T) {
-	x := mpExecution()
-	ppo := x.PO.Restrict(x.M, x.M)
-	hb := core.HB(x, ppo, rel.New(x.N()))
-	if !hb.Has(3, 4) { // rfe
-		t.Error("hb missing rfe edge")
-	}
-	if !hb.Has(2, 3) { // ppo
-		t.Error("hb missing ppo edge")
-	}
-}

@@ -58,11 +58,7 @@ func Cat(name string) (Decider, error) {
 // MustCat is Cat for the builtin tables, where a missing model is a
 // programming error.
 func MustCat(name string) Decider {
-	d, err := Cat(name)
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return axiomatic{prefix: "cat", model: cat.MustBuiltin(name)}
 }
 
 func (d axiomatic) Name() string { return d.prefix + ":" + d.model.Name() }
@@ -86,12 +82,13 @@ func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 
 // --- operational machine ---------------------------------------------------
 
-type operational struct{ model models.Model }
+type operational struct{ model *cat.Model }
 
-// Operational wraps the intermediate machine (Thm. 7.1): the test is
-// allowed iff some candidate execution is accepted by the machine and
-// satisfies the final condition.
-func Operational(m models.Model) Decider { return operational{model: m} }
+// Operational wraps the intermediate machine (Thm. 7.1) under the cat
+// model m, which binds its ppo, fence, prop and hb (machine.NewModel): the
+// test is allowed iff some candidate execution is accepted by the machine
+// and satisfies the final condition.
+func Operational(m *cat.Model) Decider { return operational{model: m} }
 
 func (d operational) Name() string { return "machine:" + d.model.Name() }
 
@@ -100,10 +97,14 @@ func (d operational) Decide(ctx context.Context, test *litmus.Test) (bool, error
 	if err != nil {
 		return false, err
 	}
+	md, err := machine.NewModel(d.model)
+	if err != nil {
+		return false, err
+	}
 	allowed := false
 	var machineErr error
 	err = p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
-		m, err := machine.New(d.model.Arch, c.X)
+		m, err := machine.New(md, c.X)
 		if err != nil {
 			machineErr = err
 			return false
@@ -195,7 +196,7 @@ func Pairs(arch litmus.Arch) []Pair {
 				Why: "SAT encoding of Power equals the simulator"},
 			{A: simPower, B: MustCat("power"), Rel: Equal,
 				Why: "the Fig. 38 cat model is the native Power model"},
-			{A: simPower, B: Operational(models.Power), Rel: Equal,
+			{A: simPower, B: Operational(cat.MustBuiltin("power")), Rel: Equal,
 				Why: "operational acceptance equals axiomatic validity (Thm. 7.1)"},
 			{A: Multi(), B: simPower, Rel: Subset,
 				Why: "the CAV12 multi-event ppo is a superset of Power's"},

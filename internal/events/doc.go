@@ -6,22 +6,24 @@
 // from register-level data flow rather than annotations).
 //
 // Glossary of relations (the paper's Tab. II), with the field or method of
-// Execution that carries each:
+// Execution that carries each. The architecture's relations are the let
+// bindings of a cat model (internal/cat/catfiles), which the compiled
+// evaluator hands out by name (cat.Compiled.Reader):
 //
 //	notation    name                      nature        carried by
 //	po          program order             execution     Execution.PO
 //	rf          read-from                 execution     Execution.RF / MemRF
 //	co          coherence                 execution     Execution.CO
-//	ppo         preserved program order   architecture  core.Architecture.PPO
+//	ppo         preserved program order   architecture  cat binding ppo
 //	ffence/lwf  full/lightweight fence    architecture  Execution.Fences(kind)
 //	cfence      control fence             architecture  Execution.CtrlCfence
-//	prop        propagation               architecture  core.Architecture.Prop
+//	prop        propagation               architecture  cat binding prop
 //	po-loc      po to the same location   derived       Execution.POLoc
 //	com         co ∪ rf ∪ fr              derived       Execution.Com
 //	fr          from-read                 derived       Execution.FR
-//	hb          ppo ∪ fences ∪ rfe        derived       core.HB
-//	rdw         read different writes     derived       po-loc ∩ (fre;rfe), in models
-//	detour      detour                    derived       po-loc ∩ (coe;rfe), in models
+//	hb          ppo ∪ fences ∪ rfe        derived       cat binding hb
+//	rdw         read different writes     derived       cat binding rdw
+//	detour      detour                    derived       cat binding detour
 //	addr/data   address/data dependency   derived       Execution.Addr / Data
 //	ctrl        control dependency        derived       Execution.Ctrl
 //	ctrl+cfence control + control fence   derived       Execution.CtrlCfence

@@ -9,6 +9,7 @@ import (
 
 	"herdcats/internal/bmc"
 	"herdcats/internal/cases"
+	"herdcats/internal/cat"
 	"herdcats/internal/models"
 	"herdcats/internal/multi"
 	"herdcats/internal/opsim"
@@ -40,7 +41,7 @@ func Table10(c *Corpus, stateBound int) ([]Table10Row, error) {
 	start := time.Now()
 	decided := 0
 	for _, t := range c.Tests {
-		res, err := opsim.Run(t, models.Power.Arch, stateBound)
+		res, err := opsim.Run(t, cat.MustBuiltin("power"), stateBound)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", t.Name, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/exec"
 	"herdcats/internal/models"
 	"herdcats/internal/multi"
@@ -44,7 +45,7 @@ func Table9(c *Corpus, stateBound int) ([]Table9Row, error) {
 	start := time.Now()
 	processed := 0
 	for _, p := range programs {
-		res, err := opsim.RunCompiled(p, models.Power.Arch, stateBound)
+		res, err := opsim.RunCompiled(p, cat.MustBuiltin("power"), stateBound)
 		if err != nil {
 			return nil, err
 		}

@@ -347,10 +347,14 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			mu.Unlock()
 			return nil
 		}
+		observers := make([]*hardware.Observer, len(profiles))
+		for i, m := range profiles {
+			observers[i] = m.Observer()
+		}
 		return p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 			observed := false
-			for _, m := range profiles {
-				if m.ObservesTest(c.X, t.Name) {
+			for _, o := range observers {
+				if o.Observes(c.X, t.Name) {
 					observed = true
 					break
 				}

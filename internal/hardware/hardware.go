@@ -24,17 +24,22 @@
 //   - the early-commit behaviours (Fig. 32/33) on the Qualcomm machines —
 //     claimed as desirable features by the designers, hence part of those
 //     machines' base model (the proposed ARM model) rather than a bug.
+//
+// The base models are the builtin cat models power, power-arm and arm,
+// checked by compiled evaluators; the bug gate reads their failed checks
+// by name (sc-per-location, observation, propagation).
 package hardware
 
 import (
 	"context"
 	"hash/fnv"
+	"slices"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/core"
 	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 )
 
 // Arch tags a machine family.
@@ -63,8 +68,8 @@ const (
 type Machine struct {
 	Name string
 	Arch Arch
-	// base is the model of the machine's intended behaviour.
-	base models.Model
+	// base is the cat model of the machine's intended behaviour.
+	base *cat.Model
 	// restrictLB forbids load-buffering shapes the silicon does not
 	// implement (Power machines).
 	restrictLB bool
@@ -88,26 +93,27 @@ func Machines() []Machine {
 		}
 		return out
 	}
+	power, powerARM, arm := cat.MustBuiltin("power"), cat.MustBuiltin("power-arm"), cat.MustBuiltin("arm")
 	return []Machine{
-		{Name: "power-g5", Arch: Power, base: models.Power, restrictLB: true},
-		{Name: "power6", Arch: Power, base: models.Power, restrictLB: true},
-		{Name: "power7", Arch: Power, base: models.Power, restrictLB: true},
-		{Name: "tegra2", Arch: ARM, base: models.PowerARM, restrictLB: true, bugs: armBugs()},
-		{Name: "tegra3", Arch: ARM, base: models.PowerARM, restrictLB: true,
+		{Name: "power-g5", Arch: Power, base: power, restrictLB: true},
+		{Name: "power6", Arch: Power, base: power, restrictLB: true},
+		{Name: "power7", Arch: Power, base: power, restrictLB: true},
+		{Name: "tegra2", Arch: ARM, base: powerARM, restrictLB: true, bugs: armBugs()},
+		{Name: "tegra3", Arch: ARM, base: powerARM, restrictLB: true,
 			bugs: armBugs(BugReadWriteHazard, BugObservation)},
 		// The Qualcomm machines exhibit the early-commit behaviours of
 		// Fig. 32/33, including load-buffering shapes mediated by internal
 		// read-from (lb+data+fri-rfi-ctrl was observed on APQ8064), so
 		// their base is the proposed ARM model and their lb restriction
 		// exempts rfi-mediated shapes; plain lb stays unseen.
-		{Name: "apq8060", Arch: ARM, base: models.ARM, restrictLB: true, earlyCommitLB: true, bugs: armBugs()},
-		{Name: "apq8064", Arch: ARM, base: models.ARM, restrictLB: true, earlyCommitLB: true, bugs: armBugs()},
-		{Name: "a5x", Arch: ARM, base: models.PowerARM, restrictLB: true, bugs: armBugs()},
-		{Name: "a6x", Arch: ARM, base: models.PowerARM, restrictLB: true, bugs: armBugs()},
-		{Name: "exynos4412", Arch: ARM, base: models.PowerARM, restrictLB: true,
+		{Name: "apq8060", Arch: ARM, base: arm, restrictLB: true, earlyCommitLB: true, bugs: armBugs()},
+		{Name: "apq8064", Arch: ARM, base: arm, restrictLB: true, earlyCommitLB: true, bugs: armBugs()},
+		{Name: "a5x", Arch: ARM, base: powerARM, restrictLB: true, bugs: armBugs()},
+		{Name: "a6x", Arch: ARM, base: powerARM, restrictLB: true, bugs: armBugs()},
+		{Name: "exynos4412", Arch: ARM, base: powerARM, restrictLB: true,
 			bugs: armBugs(BugReadWriteHazard)},
-		{Name: "exynos5250", Arch: ARM, base: models.PowerARM, restrictLB: true, bugs: armBugs()},
-		{Name: "exynos5410", Arch: ARM, base: models.PowerARM, restrictLB: true, bugs: armBugs()},
+		{Name: "exynos5250", Arch: ARM, base: powerARM, restrictLB: true, bugs: armBugs()},
+		{Name: "exynos5410", Arch: ARM, base: powerARM, restrictLB: true, bugs: armBugs()},
 	}
 }
 
@@ -161,16 +167,29 @@ func (m Machine) rareGate(testName string) bool {
 	return h.Sum32()%rareBugWindow == 0
 }
 
-// ObservesTest reports whether the machine can exhibit the candidate
-// execution of the named test: its base model allows it and the silicon
-// implements it, or one of its bugs fires, the rare ones gated per test
-// (rareGate).
-func (m Machine) ObservesTest(x *events.Execution, testName string) bool {
-	res := m.base.Check(x)
-	if res.Valid && !m.restricted(x) {
+// An Observer decides, candidate by candidate, what one machine can
+// exhibit over one search. It holds the machine's base evaluator, and for
+// the OBSERVATION bug the proposed ARM model's, so it serves one goroutine.
+type Observer struct {
+	m    Machine
+	base core.Checker
+	arm  core.Checker // made on first use
+}
+
+// Observer returns a fresh observer of the machine.
+func (m Machine) Observer() *Observer {
+	return &Observer{m: m, base: m.base.NewEvaluator()}
+}
+
+// Observes reports whether the machine can exhibit the candidate execution
+// x of the named test: its base model allows it and the silicon implements
+// it, or one of its bugs fires, the rare ones gated per test (rareGate).
+func (o *Observer) Observes(x *events.Execution, testName string) bool {
+	res := o.base.Check(x)
+	if res.Valid && !o.m.restricted(x) {
 		return true
 	}
-	return m.bugFires(x, res, m.rareGate(testName))
+	return o.bugFires(x, res, o.m.rareGate(testName))
 }
 
 // restricted reports whether the silicon does not implement the behaviour
@@ -197,30 +216,22 @@ func lbShape(x *events.Execution) bool {
 // execution its base model forbids. rareOK gates the low-frequency bugs
 // (read-write hazards and OBSERVATION violations); the load-load hazard is
 // frequent (Tab. VI: 10M/95G) and never gated.
-func (m Machine) bugFires(x *events.Execution, res core.Result, rareOK bool) bool {
-	if len(res.Failed) == 0 {
-		return false // valid but restricted: restriction never "un-fires"
+func (o *Observer) bugFires(x *events.Execution, res core.Result, rareOK bool) bool {
+	m, failed := o.m, res.FailedChecks
+	if len(failed) == 0 {
+		return false // valid but restricted (or a failed evaluation)
 	}
-	onlySC := len(res.Failed) == 1 && res.Failed[0] == core.SCPerLocation
+	onlySC := len(failed) == 1 && failed[0] == "sc-per-location"
 	// OBSERVATION violations drag PROPAGATION along whenever the observed
 	// chain runs through a full fence (the fre;prop;hb* loop is itself a
 	// prop self-loop), so Tab. VIII classifies the Tegra3 anomalies as
 	// "OP"; the bug gate accordingly accepts {O} and {O,P}.
-	hasObs := false
-	obsOnly := true
-	for _, a := range res.Failed {
-		if a == core.Observation {
-			hasObs = true
-		} else if a != core.Propagation {
-			obsOnly = false
-		}
-	}
-	onlyObs := hasObs && obsOnly
+	onlyObs := slices.Contains(failed, "observation") && !slices.ContainsFunc(failed, func(c string) bool {
+		return c != "observation" && c != "propagation"
+	})
 	if onlySC {
-		opts := m.base.Opts
 		if m.bugs[BugLoadLoadHazard] {
-			opts.AllowLoadLoadHazard = true
-			if core.SCPerLocationHolds(x, opts) && !m.restricted(x) {
+			if core.SCPerLocationHolds(x, core.Options{AllowLoadLoadHazard: true}) && !m.restricted(x) {
 				return true
 			}
 		}
@@ -237,7 +248,10 @@ func (m Machine) bugFires(x *events.Execution, res core.Result, rareOK bool) boo
 		// The Tegra3 OBSERVATION bug only concerns genuinely anomalous
 		// behaviours, not the early-commit features the proposed ARM model
 		// legitimises (those were Qualcomm-only observations).
-		if !models.ARM.Check(x).Valid {
+		if o.arm == nil {
+			o.arm = cat.MustBuiltin("arm").NewEvaluator()
+		}
+		if !o.arm.Check(x).Valid {
 			return true
 		}
 	}
@@ -279,9 +293,10 @@ func (m Machine) RunLitmus(test *litmus.Test) (*Observation, error) {
 // exec.ErrCanceled.
 func (m Machine) RunCompiled(ctx context.Context, p *exec.Program) (*Observation, error) {
 	obs := &Observation{Machine: m.Name, Test: p.Test, States: map[string]int{}}
+	o := m.Observer()
 	err := p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 		obs.Candidates++
-		if !m.ObservesTest(c.X, p.Test.Name) {
+		if !o.Observes(c.X, p.Test.Name) {
 			return true
 		}
 		obs.Observed++

@@ -3,12 +3,16 @@ package hardware_test
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/exec"
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
+	"herdcats/internal/models"
 )
 
 func observedOn(t *testing.T, machineName, testName string) bool {
@@ -167,5 +171,37 @@ func TestRunCompiledHonoursContext(t *testing.T) {
 	cancel()
 	if _, err := m.RunCompiled(ctx, p); !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("canceled before the run: err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestBaseChecksNameTheAxioms pins what the bug gate keys on: on every
+// candidate of the catalogue, each cat base model's failed checks are the
+// zoo model's failed axioms of Fig. 5, in order, under the cat names
+// sc-per-location, no-thin-air, observation and propagation.
+func TestBaseChecksNameTheAxioms(t *testing.T) {
+	for _, tc := range []struct {
+		cat string
+		zoo models.Model
+	}{{"power", models.Power}, {"power-arm", models.PowerARM}, {"arm", models.ARM}} {
+		ev := cat.MustBuiltin(tc.cat).NewEvaluator()
+		for _, e := range catalog.Tests() {
+			p, err := exec.Compile(e.Test())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+				var want []string
+				for _, a := range tc.zoo.Check(c.X).Failed {
+					want = append(want, strings.ReplaceAll(strings.ToLower(a.String()), " ", "-"))
+				}
+				if got := ev.Check(c.X).FailedChecks; !slices.Equal(got, want) {
+					t.Fatalf("%s on %s: cat fails %v, zoo %v", tc.cat, e.Name, got, want)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

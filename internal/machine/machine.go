@@ -11,15 +11,46 @@
 // execution of the corpus, the machine accepts some path iff the axiomatic
 // model validates the candidate; and for valid candidates the constructive
 // path of Lemma 7.3 is accepted.
+//
+// The machine is parametrised by an architecture's (ppo, fences, prop),
+// which it reads off a cat model's bindings: the template models of
+// Fig. 38 (power.cat, arm.cat, power-arm.cat) bind them as ppo, fence and
+// prop, with hb = ppo ∪ fence ∪ rfe.
 package machine
 
 import (
 	"fmt"
 
-	"herdcats/internal/core"
+	"herdcats/internal/cat"
 	"herdcats/internal/events"
 	"herdcats/internal/rel"
 )
+
+// Model evaluates the relations the machine's premises read — the
+// bindings ppo, fence, prop and hb of a cat model — on candidate
+// executions. It holds one evaluator, so one Model serves one search on
+// one goroutine.
+type Model struct {
+	name string
+	r    *cat.Reader
+}
+
+// NewModel binds the machine to a cat model, which must bind ppo, fence,
+// prop and hb.
+func NewModel(m *cat.Model) (*Model, error) {
+	c, err := m.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.Reader("ppo", "fence", "prop", "hb")
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
+	}
+	return &Model{name: m.Name(), r: r}, nil
+}
+
+// Name returns the cat model's declared name.
+func (md *Model) Name() string { return md.name }
 
 // LabelKind identifies a transition of the machine.
 type LabelKind uint8
@@ -63,8 +94,10 @@ func (l Label) String() string {
 }
 
 // Machine validates label paths for one candidate execution under one
-// architecture. The candidate's rf and co are fixed, so the derived
-// relations (prop, ppo, fences, hb) are those of the axiomatic model.
+// model. The candidate's rf and co are fixed, so the derived relations
+// (prop, ppo, fences, hb) are those of the axiomatic model. They are the
+// machine's own copies: the model's evaluator moves on to the next
+// candidate without touching them.
 type Machine struct {
 	x *events.Execution
 
@@ -100,8 +133,9 @@ type succMasks struct {
 // maxEvents bounds the bitset state encoding.
 const maxEvents = 64
 
-// New builds the machine for a derived candidate execution.
-func New(arch core.Architecture, x *events.Execution) (*Machine, error) {
+// New builds the machine for a derived candidate execution under the
+// model md.
+func New(md *Model, x *events.Execution) (*Machine, error) {
 	if x.N() > maxEvents {
 		return nil, fmt.Errorf("machine: execution has %d events, max %d", x.N(), maxEvents)
 	}
@@ -127,11 +161,13 @@ func New(arch core.Architecture, x *events.Execution) (*Machine, error) {
 		}
 	}
 
-	ppo := arch.PPO(x, nil)
-	m.fences = arch.Fences(x, nil)
+	v, err := md.r.Values(x)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
+	}
+	ppo, hb := v[0], v[3]
+	m.fences, m.prop = v[1], v[2]
 	m.ppoFences = ppo.Union(m.fences)
-	m.prop = arch.Prop(x, ppo, m.fences, nil)
-	hb := core.HB(x, ppo, m.fences)
 	m.propHBs = m.prop.Seq(hb.Star())
 	m.poloc = x.POLoc
 	m.co = x.CO
@@ -502,22 +538,29 @@ func (m *Machine) ConstructPath() ([]Label, bool) {
 		b, bok := sR(p[1])
 		addEdge(a, aok, b, bok)
 	}
-	// co and prop+: cp labels in order; also commit labels (fifo footnote).
+	// co and prop+: cp labels in order. Commit labels follow prop+ and
+	// the po-loc pairs of co, the only orders the premises of c(w)
+	// impose; a co pair across threads orders the cp labels only, so a
+	// write may commit before a co-earlier one (ARM's mp+dmb+rdw).
 	// prop pairs involving reads order the corresponding satisfaction
 	// points, mirroring the extended machine premises.
-	coProp := m.co.Union(m.prop.Plus())
+	propPlus := m.prop.Plus()
 	labelOf := func(ev int) (int, bool) {
 		if m.x.Events[ev].Kind == events.MemRead {
 			return sR(ev)
 		}
 		return cW(ev)
 	}
-	for _, p := range coProp.Pairs() {
+	for _, p := range m.co.Union(propPlus).Pairs() {
 		a, aok := cpW(p[0])
 		b, bok := cpW(p[1])
 		addEdge(a, aok, b, bok)
-		a, aok = labelOf(p[0])
-		b, bok = labelOf(p[1])
+	}
+	commits := m.co.Inter(m.poloc)
+	commits.UnionInto(propPlus)
+	for _, p := range commits.Pairs() {
+		a, aok := labelOf(p[0])
+		b, bok := labelOf(p[1])
 		addEdge(a, aok, b, bok)
 	}
 	// (r, e) ∈ ppo∪fences with r a read: commit r before processing e.

@@ -2,22 +2,45 @@ package machine_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/exec"
+	"herdcats/internal/litmus"
 	"herdcats/internal/machine"
 	"herdcats/internal/models"
 )
 
+// thm71Models are the cat models the machine is built from, each with the
+// zoo model whose axiomatic verdict is the oracle. arm-llh stays out: its
+// load-load hazard lives inline in its SC PER LOCATION check, which binds
+// nothing the machine could read.
+var thm71Models = []struct {
+	cat    string
+	oracle models.Model
+}{{"power", models.Power}, {"arm", models.ARM}, {"power-arm", models.PowerARM}}
+
+// newModel binds the machine to the named builtin cat model.
+func newModel(t *testing.T, name string) *machine.Model {
+	t.Helper()
+	md, err := machine.NewModel(cat.MustBuiltin(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return md
+}
+
 // TestMachineEquivalence is the experimental counterpart of Thm. 7.1: on
 // every candidate execution of every catalogue test, the intermediate
-// machine accepts some path iff the axiomatic model validates the
-// candidate. We check it for Power and the proposed ARM model.
+// machine built from a cat model accepts some path iff the zoo's
+// axiomatic model validates the candidate. We check it for Power, the
+// proposed ARM model and Power-ARM.
 func TestMachineEquivalence(t *testing.T) {
-	for _, m := range []models.Model{models.Power, models.ARM} {
-		m := m
-		t.Run(m.Name(), func(t *testing.T) {
+	for _, tm := range thm71Models {
+		md := newModel(t, tm.cat)
+		t.Run(md.Name(), func(t *testing.T) {
 			for _, e := range catalog.Tests() {
 				p, err := exec.Compile(e.Test())
 				if err != nil {
@@ -25,8 +48,8 @@ func TestMachineEquivalence(t *testing.T) {
 				}
 				mismatches := 0
 				err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-					axiomatic := m.Check(c.X).Valid
-					mach, err := machine.New(m.Arch, c.X)
+					axiomatic := tm.oracle.Check(c.X).Valid
+					mach, err := machine.New(md, c.X)
 					if err != nil {
 						t.Fatalf("%s: %v", e.Name, err)
 					}
@@ -48,35 +71,104 @@ func TestMachineEquivalence(t *testing.T) {
 
 // TestConstructedPathAccepted realises the constructive half of Lemma 7.3:
 // for every axiomatically valid candidate, the explicit linearised path is
-// accepted by the machine.
+// accepted by the machine, for each model of TestMachineEquivalence.
 func TestConstructedPathAccepted(t *testing.T) {
+	for _, tm := range thm71Models {
+		md := newModel(t, tm.cat)
+		t.Run(md.Name(), func(t *testing.T) {
+			for _, e := range catalog.Tests() {
+				p, err := exec.Compile(e.Test())
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name, err)
+				}
+				err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+					if !tm.oracle.Check(c.X).Valid {
+						return true
+					}
+					mach, err := machine.New(md, c.X)
+					if err != nil {
+						t.Fatalf("%s: %v", e.Name, err)
+					}
+					path, ok := mach.ConstructPath()
+					if !ok {
+						t.Errorf("%s: label ordering of Lemma 7.3 is cyclic on a valid execution", e.Name)
+						return false
+					}
+					if !mach.AcceptsPath(path) {
+						t.Errorf("%s: constructed path rejected:\n%v", e.Name, path)
+						return false
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestMachineOutlivesItsCandidate: a machine keeps its answers after its
+// model's evaluator has moved on to other candidates, so registers the
+// evaluator reuses cannot alias into it. Every candidate of the
+// catalogue's PPC tests gets a machine; after the whole search, each must still give the
+// answers — acceptance, state count and the Lemma 7.3 path, which reads
+// the relations themselves — that a machine built afresh for its
+// candidate gives.
+func TestMachineOutlivesItsCandidate(t *testing.T) {
+	md := newModel(t, "power")
+	type built struct {
+		mach   *machine.Machine
+		accept bool
+		states int
+		path   string
+		c      *exec.Candidate
+	}
+	pathOf := func(m *machine.Machine) string {
+		p, ok := m.ConstructPath()
+		return fmt.Sprint(ok, p)
+	}
+	var all []built
 	for _, e := range catalog.Tests() {
+		if e.Test().Arch != litmus.PPC {
+			continue
+		}
 		p, err := exec.Compile(e.Test())
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+			t.Fatal(err)
 		}
 		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-			if !models.Power.Check(c.X).Valid {
-				return true
-			}
-			mach, err := machine.New(models.Power.Arch, c.X)
+			// The search reuses its candidate after the yield, so a machine
+			// kept past it is built on the candidate's own copy: the
+			// evaluator's registers are then all it could share.
+			c = c.Clone()
+			mach, err := machine.New(md, c.X)
 			if err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
+				t.Fatal(err)
 			}
-			path, ok := mach.ConstructPath()
-			if !ok {
-				t.Errorf("%s: label ordering of Lemma 7.3 is cyclic on a valid execution", e.Name)
-				return false
-			}
-			if !mach.AcceptsPath(path) {
-				t.Errorf("%s: constructed path rejected:\n%v", e.Name, path)
-				return false
-			}
+			all = append(all, built{mach, mach.Accepts(), mach.CountStates(), pathOf(mach), c})
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	accepted := 0
+	for i, b := range all {
+		fresh, err := machine.New(newModel(t, "power"), b.c.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.mach.Accepts() != b.accept || b.mach.CountStates() != b.states || pathOf(b.mach) != b.path ||
+			fresh.Accepts() != b.accept || fresh.CountStates() != b.states || pathOf(fresh) != b.path {
+			t.Fatalf("candidate %d: machine changed after its evaluator moved on", i)
+		}
+		if b.accept {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == len(all) {
+		t.Fatalf("%d of %d candidates accepted: the corpus does not tell machines apart", accepted, len(all))
 	}
 }
 
@@ -88,11 +180,12 @@ func TestPathValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := false
+	md := newModel(t, "power")
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		if !models.Power.Check(c.X).Valid {
 			return true
 		}
-		mach, err := machine.New(models.Power.Arch, c.X)
+		mach, err := machine.New(md, c.X)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +229,9 @@ func TestCountStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	md := newModel(t, "power")
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-		mach, err := machine.New(models.Power.Arch, c.X)
+		mach, err := machine.New(md, c.X)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ package opsim
 import (
 	"context"
 
-	"herdcats/internal/core"
+	"herdcats/internal/cat"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/machine"
@@ -35,25 +35,30 @@ type Result struct {
 // DefaultStateBound is the per-test exploration budget.
 const DefaultStateBound = 1 << 17
 
-// Run explores the test operationally under the given architecture.
-func Run(test *litmus.Test, arch core.Architecture, stateBound int) (*Result, error) {
+// Run explores the test operationally under the cat model m, which binds
+// the machine's ppo, fence, prop and hb (machine.NewModel).
+func Run(test *litmus.Test, m *cat.Model, stateBound int) (*Result, error) {
 	p, err := exec.Compile(test)
 	if err != nil {
 		return nil, err
 	}
-	return RunCompiled(p, arch, stateBound)
+	return RunCompiled(p, m, stateBound)
 }
 
 // RunCompiled is Run over a pre-compiled program.
-func RunCompiled(p *exec.Program, arch core.Architecture, stateBound int) (*Result, error) {
+func RunCompiled(p *exec.Program, m *cat.Model, stateBound int) (*Result, error) {
 	if stateBound <= 0 {
 		stateBound = DefaultStateBound
 	}
+	md, err := machine.NewModel(m)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Processed: true}
 	var innerErr error
-	err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		res.Candidates++
-		m, err := machine.New(arch, c.X)
+		m, err := machine.New(md, c.X)
 		if err != nil {
 			innerErr = err
 			return false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
@@ -19,7 +20,7 @@ func TestAgreesWithAxiomatic(t *testing.T) {
 		if test.Arch != litmus.PPC {
 			continue
 		}
-		op, err := opsim.Run(test, models.Power.Arch, 0)
+		op, err := opsim.Run(test, cat.MustBuiltin("power"), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -44,14 +45,14 @@ func TestAgreesWithAxiomatic(t *testing.T) {
 // ppcmem memory-bound effect of Tab. IX.
 func TestStateBound(t *testing.T) {
 	e, _ := catalog.ByName("iriw")
-	res, err := opsim.Run(e.Test(), models.Power.Arch, 8)
+	res, err := opsim.Run(e.Test(), cat.MustBuiltin("power"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Processed {
 		t.Error("iriw processed within 8 states; expected bound hit")
 	}
-	res, err = opsim.Run(e.Test(), models.Power.Arch, 0)
+	res, err = opsim.Run(e.Test(), cat.MustBuiltin("power"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
