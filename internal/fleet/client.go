@@ -186,10 +186,7 @@ func (c *Client) Run(ctx context.Context, req wire.RunRequest) (*wire.RunRespons
 // Batch simulates many tests via POST /v1/batch with the same retry
 // discipline.
 func (c *Client) Batch(ctx context.Context, req wire.BatchRequest) (*wire.BatchResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, classify(http.StatusBadRequest, "bad_request", err.Error(), err)
-	}
+	body := wire.AppendBatchRequest(nil, &req)
 	var resp wire.BatchResponse
 	if err := c.do(ctx, "/v1/batch", body, &resp); err != nil {
 		return nil, err

@@ -323,8 +323,8 @@ func (g *Gateway) route(ctx context.Context, key string, req wire.RunRequest) (*
 
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req wire.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes())).Decode(&req); err != nil {
-		writeGatewayError(w, classify(http.StatusBadRequest, "bad_request", err.Error(), err))
+	if err := wire.DecodeBody(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes()), &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	resp, err := g.Run(hopContext(r), req)
@@ -337,8 +337,8 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes())).Decode(&req); err != nil {
-		writeGatewayError(w, classify(http.StatusBadRequest, "bad_request", err.Error(), err))
+	if err := wire.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes()), &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.Tests) == 0 {
@@ -351,6 +351,13 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeGatewayJSON(w, g.collectBatch(ctx, req))
+}
+
+// writeDecodeError answers a body that did not decode exactly as herdd
+// answers it: 413 too_large when the body limit tripped, 400 bad_request
+// otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	wire.WriteError(w, wire.DecodeStatus(err), "%v", err)
 }
 
 // hopContext threads the per-hop request metadata into the context the

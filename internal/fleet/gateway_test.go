@@ -392,3 +392,78 @@ func TestGatewayBackendsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayDecodeMatchesHerdd pins that herd-gw reads a request body
+// exactly as herdd does: the same malformed, trailing and oversized
+// bodies, posted straight to herdd and through herd-gw, get the same
+// status and the same envelope code.
+func TestGatewayDecodeMatchesHerdd(t *testing.T) {
+	const limit = 2048
+	node := serve.New(serve.Config{MaxRequestBytes: limit})
+	hs := httptest.NewServer(node.Handler())
+	defer hs.Close()
+	gw, err := NewGateway(GatewayConfig{Backends: []string{hs.URL}, MaxRequestBytes: limit, Policy: Policy{MaxAttempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	// The trailing cases carry a valid test, so a decoder that let the
+	// trailing data through would answer 200, not 400.
+	src, err := json.Marshal(sbVariant(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := fmt.Sprintf(`{"litmus":%s,"model":{"name":"tso"}}`, src)
+	batch := fmt.Sprintf(`{"tests":[%s],"model":{"name":"tso"},"budget":{}}`, src)
+	big := strings.Repeat("x", 2*limit)
+	bodies := map[string][]string{
+		"/v1/run": {
+			`{"litmus":`,
+			`[1,2]`,
+			`{"litmus":5,"model":{"name":"tso"}}`,
+			run + ` extra`,
+			run + `}`,
+			run + `]`,
+			run + `{}`,
+			fmt.Sprintf(`{"litmus":%q,"model":{"name":"tso"}}`, big),
+			run + strings.Repeat(" ", 2*limit),
+		},
+		"/v1/batch": {
+			`{"tests":[`,
+			`[1,2]`,
+			`{"tests":"x","model":{"name":"tso"}}`,
+			batch + ` extra`,
+			batch + `}`,
+			batch + `]`,
+			batch + `{}`,
+			fmt.Sprintf(`{"tests":[%q],"model":{"name":"tso"},"budget":{}}`, big),
+			batch + strings.Repeat("\n", 2*limit),
+		},
+	}
+	answer := func(h http.Handler, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s %.40q: answer is not an envelope: %s", path, body, rec.Body)
+		}
+		return rec.Code, env.Error.Code
+	}
+	for path, list := range bodies {
+		for _, body := range list {
+			ds, dc := answer(node.Handler(), path, body)
+			gs, gc := answer(gw.Handler(), path, body)
+			if ds != gs || dc != gc {
+				t.Errorf("%s %.60q: herdd answers %d %s, herd-gw %d %s", path, body, ds, dc, gs, gc)
+			}
+			if ds < 400 || ds >= 500 {
+				t.Errorf("%s %.60q: herdd answers %d, want a client error", path, body, ds)
+			}
+		}
+	}
+}

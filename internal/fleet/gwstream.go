@@ -141,28 +141,26 @@ func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, k
 	}
 }
 
-// streamBatch is the NDJSON edge of the fan-out: it merges the frames
-// onto one downstream encoder (in request order when the request is
-// ordered), heartbeats the merged stream's own idleness, and folds the
-// upstream summaries into the single terminal summary.
+// streamBatch is the NDJSON edge of the fan-out. It merges the frames
+// onto one downstream stream (in request order when the request is
+// ordered) and folds the upstream summaries into the single terminal
+// summary. The stream's writer goroutine writes each burst of relayed
+// frames with one write and heartbeats the merged stream's own
+// idleness; its first failed write (the client is gone) cancels the
+// fan-out.
 func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
 	start := time.Now()
 	n := len(req.Tests)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
-	enc := wire.NewEncoder(w)
+	ctx, enc := wire.NewStream(ctx, w, g.cfg.heartbeatInterval())
+	defer enc.Close()
 	merge := wire.NewMerge(enc, req.Ordered)
-	stopHeartbeat := wire.Heartbeat(ctx, enc, g.cfg.heartbeatInterval(), start)
-	defer stopHeartbeat()
 
 	emit := func(i int, frame any) {
-		if merge.Emit(i, frame) != nil {
-			cancel() // the client is gone: wind the whole fan-out down
-		}
+		_ = merge.Emit(i, frame) // a failed stream has cancelled ctx
 	}
 	// Each row's status and cached flag are written once, by the
 	// goroutine settling it; only the summary fold is shared.
@@ -206,7 +204,6 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 			sum.CacheHits++
 		}
 	}
-	stopHeartbeat()
 	sum.ElapsedMS = time.Since(start).Milliseconds()
 	_ = enc.Encode(sum)
 }

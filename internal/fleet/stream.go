@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,10 +25,7 @@ import (
 // error alongside the frames already delivered; the caller decides what
 // to re-request.
 func (c *Client) BatchStream(ctx context.Context, req wire.BatchRequest, onFrame func(frame any) error) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return classify(http.StatusBadRequest, "bad_request", err.Error(), err)
-	}
+	body := wire.AppendBatchRequest(nil, &req)
 	var last error
 	for attempt := 0; attempt < c.pol.maxAttempts(); attempt++ {
 		if attempt > 0 {

@@ -82,22 +82,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	wire.WriteError(w, status, format, args...)
 }
 
-// decodeBody decodes one JSON value into v, rejecting trailing garbage.
-// It never panics on malformed input (see fuzz_test.go).
-func decodeBody(r io.Reader, v any) error {
-	return wire.DecodeBody(r, v)
-}
-
-// decodeStatus maps a decode error to its HTTP status: 413 when the body
-// limit tripped, 400 otherwise.
-func decodeStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // resolveModel turns a ModelSpec into a checker: built-ins come from the
 // embedded catalogue, inline sources from the content-addressed model
 // cache.
@@ -163,8 +147,8 @@ func verdict(out *sim.Outcome) string {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
+	if err := wire.DecodeBody(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
+		writeError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -358,8 +342,8 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 // the buffered edge writes the returned report whole.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
+	if err := wire.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
+		writeError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := req.Validate(); err != nil {

@@ -29,6 +29,8 @@ var seedRequests = []string{
 	`null`,
 	`"just a string"`,
 	`{"litmus":"x","model":{"name":"tso"}} trailing`,
+	`{"litmus":"x","model":{"name":"tso"}}}`,
+	`{"litmus":"x","model":{"name":"tso"}}]`,
 	`{"litmus":"x","model":{"name":"tso"`,
 	"\x00\xff\xfe",
 	``,

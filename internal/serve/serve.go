@@ -261,10 +261,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Flush forwards per-frame flushes to the wrapped writer. Embedding the
-// ResponseWriter interface hides the concrete writer's Flush from type
-// assertions, and without this the NDJSON stream silently degrades to
-// one buffered document delivered at the end.
+// Flush forwards the NDJSON stream's flushes to the wrapped writer.
+// Embedding the ResponseWriter interface hides the concrete writer's
+// Flush from type assertions, and without this the stream silently
+// degrades to one buffered document delivered at the end.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

@@ -267,6 +267,8 @@ func TestBadRequests(t *testing.T) {
 		{"empty", ``, http.StatusBadRequest},
 		{"not json", `{{{`, http.StatusBadRequest},
 		{"trailing garbage", `{"litmus":"x"} extra`, http.StatusBadRequest},
+		{"trailing brace", `{"litmus":"x","model":{"name":"tso"}}}`, http.StatusBadRequest},
+		{"trailing bracket", `{"litmus":"x","model":{"name":"tso"}}]`, http.StatusBadRequest},
 		{"missing litmus", `{"model":{"name":"tso"}}`, http.StatusBadRequest},
 		{"no model", fmt.Sprintf(`{"litmus":%q}`, sbSrc), http.StatusBadRequest},
 		{"both models", fmt.Sprintf(`{"litmus":%q,"model":{"name":"tso","cat":"x"}}`, sbSrc), http.StatusBadRequest},
@@ -287,6 +289,39 @@ func TestBadRequests(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil ||
 				e.Error.Code == "" || e.Error.Message == "" {
 				t.Fatalf("error body not a JSON envelope: %s", rec.Body)
+			}
+		})
+	}
+}
+
+// TestBadBatchBodies pins /v1/batch's body decoding: anything after the
+// request object, a closing brace or bracket included, is a 400; a body
+// over the limit is a 413.
+func TestBadBatchBodies(t *testing.T) {
+	s := New(Config{MaxRequestBytes: 1024})
+	h := s.Handler()
+	cases := []struct {
+		name   string
+		body   string
+		status int
+	}{
+		{"trailing brace", `{"tests":["x"],"model":{"name":"power"}}}`, http.StatusBadRequest},
+		{"trailing bracket", `{"tests":["x"],"model":{"name":"power"}}]`, http.StatusBadRequest},
+		{"trailing object", `{"tests":["x"],"model":{"name":"power"},"budget":{}} {}`, http.StatusBadRequest},
+		{"not json", `{"tests":[`, http.StatusBadRequest},
+		{"too large", fmt.Sprintf(`{"tests":[%q],"model":{"name":"power"},"budget":{}}`, strings.Repeat("x", 2048)), http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(c.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != c.status {
+				t.Fatalf("status %d, want %d (body %s)", rec.Code, c.status, rec.Body)
+			}
+			var e apiError
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != wire.ErrorCode(c.status) {
+				t.Fatalf("error body not a %s envelope: %s", wire.ErrorCode(c.status), rec.Body)
 			}
 		})
 	}

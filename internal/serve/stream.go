@@ -18,63 +18,53 @@ import (
 // summary/v1 with the batch totals — so a million-test campaign is
 // delivered incrementally instead of buffered whole on both sides.
 //
-// Cancellation: the request context dies when the client disconnects, and
-// a frame-write failure (the disconnect signal once streaming has begun)
-// cancels the campaign explicitly — either way the in-flight simulations
-// wind down and their admission slots are released promptly.
+// Frames go through a wire.NewStream encoder: emit queues each frame and
+// returns, and the stream's writer goroutine writes whatever has queued
+// with one write, so the campaign workers never wait on the socket
+// unless the client falls a bounded amount behind.
+//
+// Cancellation: the request context dies when the client disconnects,
+// and the stream cancels the campaign's context on its first failed
+// write (the disconnect signal once streaming has begun) — either way
+// the in-flight simulations wind down and their admission slots are
+// released promptly.
 type batchStream struct {
-	p             *batchPlan
-	enc           *wire.Encoder
-	merge         *wire.Merge
-	cancel        context.CancelFunc
-	stopHeartbeat func()
-	emitted       []bool
-	start         time.Time
+	p       *batchPlan
+	enc     *wire.Encoder
+	merge   *wire.Merge
+	emitted []bool
+	start   time.Time
 }
 
 // openBatchStream writes the NDJSON response header and starts the
-// heartbeat. The returned context is the campaign's: the stream cancels
-// it when the client goes away.
+// stream's writer. The returned context is the campaign's: the stream
+// cancels it when the client goes away.
 func openBatchStream(ctx context.Context, w http.ResponseWriter, p *batchPlan, ordered bool, heartbeat time.Duration) (context.Context, *batchStream) {
-	ctx, cancel := context.WithCancel(ctx)
 	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
-	enc := wire.NewEncoder(w)
-	st := &batchStream{
-		p:       p,
-		enc:     enc,
-		merge:   wire.NewMerge(enc, ordered),
-		cancel:  cancel,
-		emitted: make([]bool, len(p.jobs)),
-		start:   time.Now(),
-	}
-	st.stopHeartbeat = wire.Heartbeat(ctx, enc, heartbeat, st.start)
+	st := &batchStream{p: p, emitted: make([]bool, len(p.jobs)), start: time.Now()}
+	ctx, st.enc = wire.NewStream(ctx, w, heartbeat)
+	st.merge = wire.NewMerge(st.enc, ordered)
 	return ctx, st
 }
 
-// close stops the heartbeat and cancels the campaign context; calling it
-// again is harmless.
+// close drains the stream, stops its writer and cancels the campaign
+// context; calling it again is harmless.
 func (st *batchStream) close() {
-	st.stopHeartbeat()
-	st.cancel()
+	_ = st.enc.Close()
 }
 
-// emit writes index i's single frame; it is the campaign's OnResult hook.
-// Indices are distinct per call, so the emitted bookkeeping is race-free;
-// the merge serialises the actual writes.
+// emit queues index i's single frame; it is the campaign's OnResult
+// hook. Indices are distinct per call, so the emitted bookkeeping is
+// race-free; the merge serialises the frames. An error means the stream
+// has failed, and the stream has already cancelled the campaign.
 func (st *batchStream) emit(i int, res campaign.JobResult) {
 	st.emitted[i] = true
-	var err error
 	if res.Failed() || res.Status == campaign.StatusSkipped {
-		err = st.merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(st.p, i, res), res.Reason))
+		_ = st.merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(st.p, i, res), res.Reason))
 	} else {
-		err = st.merge.Emit(i, wire.NewResult(i, st.p.keys[i], st.p.cached[i], res))
-	}
-	if err != nil {
-		// The client is gone (or the pipe broke): stop the campaign
-		// now so simulations stop burning slots for nobody.
-		st.cancel()
+		_ = st.merge.Emit(i, wire.NewResult(i, st.p.keys[i], st.p.cached[i], res))
 	}
 }
 
@@ -87,7 +77,6 @@ func (st *batchStream) finish(rep *campaign.Report, opts EffectiveOptions) {
 			st.emit(i, rep.Jobs[i])
 		}
 	}
-	st.stopHeartbeat()
 
 	sum := wire.NewSummary(len(rep.Jobs))
 	for status, c := range rep.Counts {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,6 +283,112 @@ func TestStreamClientDisconnect(t *testing.T) {
 	srv.Close()
 	http.DefaultClient.CloseIdleConnections()
 	leakCheck(t)
+}
+
+// stalledWriter is a ResponseWriter whose writes wait for release: a
+// client that reads nothing until told to.
+type stalledWriter struct {
+	header  http.Header
+	release chan struct{}
+	mu      sync.Mutex
+	body    bytes.Buffer
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+// TestStreamStalledClientBlocksCampaign pins the stream's backpressure at
+// the node: with a client that reads nothing, the campaign workers block
+// on the stream's bounded pending bytes long before the batch is done —
+// as TCP backpressure stalled them when each frame was its own write —
+// and once the client reads again every frame arrives and the writer
+// goroutine exits.
+func TestStreamStalledClientBlocksCampaign(t *testing.T) {
+	defer testleak.Gone(t, "herdcats/internal/wire.(*Encoder).run")
+	s := New(Config{Workers: 2})
+	// A long test name makes every result frame a few KiB, so the batch's
+	// frames far exceed what the stream may hold.
+	src := strings.Replace(sbSrc, "X86 sb", "X86 sb"+strings.Repeat("x", 3000), 1)
+	if rec, body := postJSON(t, s.Handler(), "/v1/run", RunRequest{Litmus: src, Model: ModelSpec{Name: "tso"}}); rec.Code != http.StatusOK {
+		t.Fatalf("warming run: status %d: %s", rec.Code, body)
+	}
+	const n = wire.MaxBatchTests
+	tests := make([]string, n)
+	for i := range tests {
+		tests[i] = src
+	}
+	data, err := json.Marshal(BatchRequest{Tests: tests, Model: ModelSpec{Name: "tso"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(data))
+	r.Header.Set("Accept", wire.ContentTypeNDJSON)
+	w := &stalledWriter{header: http.Header{}, release: make(chan struct{})}
+	hits0 := s.Cache().Stats().Hits
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, r)
+	}()
+
+	// Every row is a cache hit, so the hit count is the campaign's
+	// progress: wait until it stops moving.
+	last := uint64(0)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		time.Sleep(100 * time.Millisecond)
+		hits := s.Cache().Stats().Hits - hits0
+		if hits == last && hits > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign still progressing (%d rows) with the client stalled", hits)
+		}
+		last = hits
+	}
+	select {
+	case <-done:
+		t.Fatal("the handler finished while its client read nothing")
+	default:
+	}
+	t.Logf("%d of %d rows settled with the client stalled", last, n)
+	if last >= n/2 {
+		t.Fatalf("%d of %d rows settled with the client stalled: the stream is not bounding its pending bytes", last, n)
+	}
+
+	close(w.release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler did not finish once the client read again")
+	}
+	results, summaries := 0, 0
+	dec := wire.NewDecoder(&w.body)
+	for {
+		f, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f.(type) {
+		case *wire.ResultFrame:
+			results++
+		case *wire.SummaryFrame:
+			summaries++
+		}
+	}
+	if results != n || summaries != 1 {
+		t.Fatalf("%d results and %d summaries after the stall, want %d and 1", results, summaries, n)
+	}
 }
 
 // TestTenantQuota pins the per-tenant token bucket: distinct cold tests

@@ -19,6 +19,7 @@
 package testleak
 
 import (
+	"bytes"
 	"runtime"
 	"time"
 )
@@ -58,5 +59,26 @@ func Baseline() func(t TB) {
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
+	}
+}
+
+// Gone polls until no goroutine is running fn — a function as a
+// goroutine dump names it, e.g. "herdcats/internal/wire.(*Encoder).run"
+// — and fails with the dump if one still is after Deadline. It pins one
+// goroutine exactly where Baseline's count, with its Slack, cannot.
+func Gone(t TB, fn string) {
+	t.Helper()
+	frame := []byte(fn + "(")
+	deadline := time.Now().Add(Deadline)
+	for {
+		buf := make([]byte, 1<<20)
+		dump := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(dump, frame) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a goroutine running %s was left behind\n%s", fn, dump)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -88,20 +89,69 @@ func appendResultFrame(b []byte, f *ResultFrame, keys []string) ([]byte, []strin
 	return append(b, "}}"...), keys, nil
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than
-// `"`, `\` and `<>&` is written verbatim; a string holding anything else
-// (which json.Marshal may escape or rewrite) is handed to json.Marshal.
+// appendString appends s as a JSON string, escaped exactly as
+// json.Marshal escapes it: `"`, `\` and control characters, the HTML
+// characters <, > and &, U+2028 and U+2029, with each invalid UTF-8 byte
+// replaced by \ufffd.
 func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // marshalling a string cannot fail
-			return append(b, q...)
-		}
-	}
+	const hex = "0123456789abcdef"
 	b = append(b, '"')
-	b = append(b, s...)
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if htmlSafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }
+
+// htmlSafe marks the bytes json.Marshal copies into a string verbatim:
+// ASCII from space up, except `"`, `\` and the HTML characters <, > and &.
+var htmlSafe = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // typeTag reads a frame's type tag when the line opens with it, as every
 // encoder-written frame does, and names one of the four v1 types; it
@@ -135,7 +185,7 @@ func typeTag(line []byte) string {
 // hands to encoding/json. Every string field is a substring of one copy
 // of the line.
 func decodeResult(line []byte) (*ResultFrame, bool) {
-	p := resultParser{s: string(line), ok: true}
+	p := parser[string]{s: string(line), ok: true}
 	f := &ResultFrame{Type: FrameResult}
 	r := &f.Result
 	p.lit(`{"type":"result/v1","index":`)
@@ -195,17 +245,18 @@ func status(s string) campaign.Status {
 	return campaign.Status(s)
 }
 
-// resultParser is decodeResult's cursor. The first mismatch clears ok;
+// parser is the one-pass decoders' cursor, over a copy of a result/v1
+// line or over a request body's bytes. The first mismatch clears ok;
 // every later step is then a no-op.
-type resultParser struct {
-	s   string
+type parser[T string | []byte] struct {
+	s   T
 	pos int
 	ok  bool
 }
 
 // skip consumes lit if the input continues with it.
-func (p *resultParser) skip(lit string) bool {
-	if !p.ok || len(p.s)-p.pos < len(lit) || p.s[p.pos:p.pos+len(lit)] != lit {
+func (p *parser[T]) skip(lit string) bool {
+	if !p.ok || len(p.s)-p.pos < len(lit) || string(p.s[p.pos:p.pos+len(lit)]) != lit {
 		return false
 	}
 	p.pos += len(lit)
@@ -213,7 +264,7 @@ func (p *resultParser) skip(lit string) bool {
 }
 
 // lit consumes lit, which the input must continue with.
-func (p *resultParser) lit(lit string) {
+func (p *parser[T]) lit(lit string) {
 	if !p.skip(lit) {
 		p.ok = false
 	}
@@ -221,10 +272,11 @@ func (p *resultParser) lit(lit string) {
 
 // str consumes a JSON string that encoding/json would decode to its own
 // bytes: no escape, no control character, valid UTF-8.
-func (p *resultParser) str() string {
+func (p *parser[T]) str() T {
+	var none T
 	if !p.skip(`"`) {
 		p.ok = false
-		return ""
+		return none
 	}
 	start, ascii := p.pos, true
 	for ; p.pos < len(p.s); p.pos++ {
@@ -232,50 +284,54 @@ func (p *resultParser) str() string {
 		case c == '"':
 			s := p.s[start:p.pos]
 			p.pos++
-			if !ascii && !utf8.ValidString(s) {
+			if !ascii && !utf8.ValidString(string(s)) {
 				p.ok = false
 			}
 			return s
 		case c < 0x20 || c == '\\':
 			p.ok = false
-			return ""
+			return none
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
 	p.ok = false
-	return ""
+	return none
 }
 
-// int64 consumes a JSON integer: an optional minus, then 0 or a digit
-// string without a leading zero, short enough not to overflow.
-func (p *resultParser) int64() int64 {
+// int64 consumes a JSON integer that fits an int64: an optional minus,
+// then 0 or a digit string without a leading zero.
+func (p *parser[T]) int64() int64 {
 	if !p.ok {
 		return 0
 	}
 	neg := p.skip("-")
 	start := p.pos
-	var v int64
-	for ; p.pos < len(p.s) && p.pos-start < 19; p.pos++ {
+	var v uint64 // 19 digits cannot overflow it; a 20th fails below
+	for ; p.pos < len(p.s) && p.pos-start < 20; p.pos++ {
 		c := p.s[p.pos]
 		if c < '0' || c > '9' {
 			break
 		}
-		v = v*10 + int64(c-'0')
+		v = v*10 + uint64(c-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
 	}
 	n := p.pos - start
-	if n == 0 || n == 19 || (n > 1 && p.s[start] == '0') {
+	if n == 0 || n == 20 || (n > 1 && p.s[start] == '0') || v > limit {
 		p.ok = false
 		return 0
 	}
 	if neg {
-		return -v
+		return -int64(v)
 	}
-	return v
+	return int64(v)
 }
 
 // int consumes a JSON integer that fits an int.
-func (p *resultParser) int() int {
+func (p *parser[T]) int() int {
 	v := p.int64()
 	if int64(int(v)) != v {
 		p.ok = false

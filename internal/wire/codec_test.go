@@ -137,6 +137,10 @@ func TestDecodeFallbacks(t *testing.T) {
 		`{"type":"result/v1","index":1e2,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":01,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":99999999999999999999,"result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":9223372036854775807,"result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":-9223372036854775808,"result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":9223372036854775808,"result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":-9223372036854775809,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":null,"key":null,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":0,"cached":false,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":0,"result":{"name":"a","states":{},` + tail,

@@ -105,68 +105,137 @@ type UnknownFrame struct {
 // mining journal's torn-line tolerance.
 var ErrTruncated = errors.New("wire: stream truncated mid-frame")
 
-// Encoder writes frames as NDJSON, one compact JSON object per line,
-// flushing after every frame when the writer supports it (an
-// http.ResponseWriter does) so each verdict reaches the client as it is
-// produced. Encode is safe for concurrent use; after the first write
-// error the encoder is poisoned and every call returns that error, so a
-// producer fanning out across goroutines stops promptly when the client
-// goes away.
+// Encoder writes frames as NDJSON, one compact JSON object per line.
+// Encode is safe for concurrent use; after the first write error the
+// encoder is poisoned and every call returns that error, so a producer
+// fanning out across goroutines stops promptly when the client goes away.
+//
+// An encoder from NewEncoder writes (and, when the writer supports it,
+// flushes) each frame before Encode returns. An encoder from NewStream
+// is a response stream's: Encode appends the frame to the stream's
+// pending bytes and returns, and one writer goroutine hands everything
+// pending to one Write and one Flush — so a burst of verdicts costs one
+// write, not one per frame.
 type Encoder struct {
 	mu    sync.Mutex
 	w     io.Writer
 	flush func()
 	err   error
-	last  time.Time
-	buf   []byte   // the frame being written, reused across frames
+	buf   []byte   // the frame being written; a stream's pending frames
 	keys  []string // scratch for sorting a result frame's states keys
+	s     *stream  // nil for a synchronous encoder
 }
 
-// NewEncoder builds an encoder over w, detecting per-frame flush support.
+// stream is the writer goroutine's side of a NewStream encoder; closed
+// and ended are guarded by the encoder's mu.
+type stream struct {
+	room   *sync.Cond    // signalled when the writer takes the pending bytes
+	wake   chan struct{} // a token when pending bytes await the writer
+	done   chan struct{} // closed when the writer has exited
+	cancel context.CancelFunc
+	closed bool
+	ended  bool // the summary/v1 frame is queued: no heartbeat may follow
+}
+
+// maxPending bounds a stream's pending bytes: a producer that finds more
+// waits for the writer, so a client that stops reading stalls the
+// producers (as TCP backpressure would) instead of growing the buffer.
+// At most one more frame, and the batch the writer holds, come on top.
+const maxPending = 64 << 10
+
+// errStreamClosed is returned by Encode on a stream after Close.
+var errStreamClosed = errors.New("wire: stream closed")
+
+// NewEncoder builds an encoder over w that writes each frame before
+// Encode returns, flushing after it when w supports it.
 func NewEncoder(w io.Writer) *Encoder {
-	e := &Encoder{w: w, last: time.Now()}
+	e := &Encoder{w: w}
 	if f, ok := w.(interface{ Flush() }); ok {
 		e.flush = f.Flush
 	}
 	return e
 }
 
-// Encode writes one frame.
+// NewStream builds the encoder of one NDJSON response stream over w and
+// starts its writer goroutine. The writer passes everything pending to
+// one Write, then flushes when w supports it; no frame waits for a later
+// one. When nothing has been written for heartbeat (positive; worst-case
+// gap just under 2×heartbeat) and no summary/v1 frame has been queued,
+// it writes a heartbeat/v1 frame, its elapsed_ms counted from now. The
+// returned context is ctx, cancelled by the first write error (the
+// client is gone) and by Close; Close must be called to drain the stream
+// and stop the writer.
+func NewStream(ctx context.Context, w io.Writer, heartbeat time.Duration) (context.Context, *Encoder) {
+	ctx, cancel := context.WithCancel(ctx)
+	e := NewEncoder(w)
+	e.s = &stream{
+		room:   sync.NewCond(&e.mu),
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
+		cancel: cancel,
+	}
+	go e.run(heartbeat, time.Now())
+	return ctx, e
+}
+
+// Encode writes one frame — on a stream, queues it for the writer.
 func (e *Encoder) Encode(frame any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.encodeLocked(frame)
-}
-
-// EncodeIdle writes frame only if the stream has been idle for at least
-// idle — the heartbeat primitive: a stream making progress never carries
-// filler.
-func (e *Encoder) EncodeIdle(idle time.Duration, frame any) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if time.Since(e.last) < idle {
-		return nil
+	if e.s == nil {
+		return e.encodeLocked(frame)
 	}
-	return e.encodeLocked(frame)
+	for e.err == nil && !e.s.closed && len(e.buf) > maxPending {
+		e.s.room.Wait()
+	}
+	switch {
+	case e.err != nil:
+		return e.err
+	case e.s.closed:
+		return errStreamClosed
+	}
+	n := len(e.buf)
+	var err error
+	if e.buf, err = e.appendFrame(e.buf, frame); err != nil {
+		e.buf = e.buf[:n]
+		e.failLocked(err)
+		return err
+	}
+	if _, ok := frame.(*SummaryFrame); ok {
+		e.s.ended = true
+	}
+	if n == 0 {
+		select {
+		case e.s.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+	return nil
 }
 
+// appendFrame appends frame's line, newline included, to b.
+func (e *Encoder) appendFrame(b []byte, frame any) ([]byte, error) {
+	var err error
+	if f, ok := frame.(*ResultFrame); ok && f != nil {
+		b, e.keys, err = appendResultFrame(b, f, e.keys)
+	} else {
+		var line []byte
+		line, err = json.Marshal(frame)
+		b = append(b, line...)
+	}
+	return append(b, '\n'), err
+}
+
+// encodeLocked writes one frame synchronously.
 func (e *Encoder) encodeLocked(frame any) error {
 	if e.err != nil {
 		return e.err
 	}
 	var err error
-	if f, ok := frame.(*ResultFrame); ok && f != nil {
-		e.buf, e.keys, err = appendResultFrame(e.buf[:0], f, e.keys)
-	} else {
-		var b []byte
-		b, err = json.Marshal(frame)
-		e.buf = append(e.buf[:0], b...)
-	}
-	if err != nil {
+	if e.buf, err = e.appendFrame(e.buf[:0], frame); err != nil {
 		e.err = err
 		return err
 	}
-	e.buf = append(e.buf, '\n')
 	if _, err := e.w.Write(e.buf); err != nil {
 		e.err = err
 		return err
@@ -174,8 +243,81 @@ func (e *Encoder) encodeLocked(frame any) error {
 	if e.flush != nil {
 		e.flush()
 	}
-	e.last = time.Now()
 	return nil
+}
+
+// failLocked poisons a stream with err, releases the producers waiting
+// for room, and cancels the stream's context.
+func (e *Encoder) failLocked(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+	e.buf = e.buf[:0]
+	e.s.room.Broadcast()
+	e.s.cancel()
+}
+
+// run is a stream's writer goroutine: on each wake-up it takes every
+// pending byte, writes them with one Write and one Flush, and exits once
+// Close has been called and nothing is left.
+func (e *Encoder) run(heartbeat time.Duration, start time.Time) {
+	defer close(e.s.done)
+	tick := time.NewTicker(heartbeat)
+	defer tick.Stop()
+	last := start
+	var batch []byte
+	for {
+		select {
+		case <-e.s.wake:
+		case <-tick.C:
+		}
+		e.mu.Lock()
+		if len(e.buf) == 0 && e.err == nil && !e.s.closed && !e.s.ended && time.Since(last) >= heartbeat {
+			e.buf, _ = e.appendFrame(e.buf, &HeartbeatFrame{Type: FrameHeartbeat, ElapsedMS: time.Since(start).Milliseconds()})
+		}
+		batch, e.buf = e.buf, batch[:0]
+		closed := e.s.closed
+		e.s.room.Broadcast()
+		e.mu.Unlock()
+
+		if len(batch) > 0 {
+			_, err := e.w.Write(batch)
+			if err == nil && e.flush != nil {
+				e.flush()
+			}
+			if err != nil {
+				e.mu.Lock()
+				e.failLocked(err)
+				e.mu.Unlock()
+			}
+			last = time.Now()
+		}
+		if closed {
+			return
+		}
+	}
+}
+
+// Close drains a stream: it returns once every frame queued before it
+// has been written (or the stream has failed) and the writer goroutine
+// has exited, then cancels the stream's context. Frames encoded after
+// Close are refused. On an encoder from NewEncoder, Close does nothing.
+// Calling Close again is harmless.
+func (e *Encoder) Close() error {
+	if e.s == nil {
+		return nil
+	}
+	e.mu.Lock()
+	e.s.closed = true
+	e.s.room.Broadcast()
+	e.mu.Unlock()
+	select {
+	case e.s.wake <- struct{}{}:
+	default:
+	}
+	<-e.s.done
+	e.s.cancel()
+	return e.Err()
 }
 
 // Err returns the error that poisoned the encoder, if any.
@@ -185,36 +327,8 @@ func (e *Encoder) Err() error {
 	return e.err
 }
 
-// Heartbeat emits heartbeat/v1 frames on enc whenever the stream has been
-// idle for roughly interval (worst-case gap just under 2×interval), until
-// ctx is done or stop is called. start anchors the frames' elapsed_ms.
-func Heartbeat(ctx context.Context, enc *Encoder, interval time.Duration, start time.Time) (stop func()) {
-	ctx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				_ = enc.EncodeIdle(interval, &HeartbeatFrame{
-					Type:      FrameHeartbeat,
-					ElapsedMS: time.Since(start).Milliseconds(),
-				})
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
-}
-
 // Merge serialises per-test frames from concurrent producers onto one
-// encoder. Unordered, a frame is written the moment its test completes;
+// encoder. Unordered, a frame is encoded the moment its test completes;
 // ordered, frames are held until every lower index has been emitted, so
 // the stream replays in request order at the cost of head-of-line
 // buffering. Each index must be emitted exactly once.

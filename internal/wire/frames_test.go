@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,14 +15,23 @@ import (
 	"herdcats/internal/campaign"
 )
 
-// flushRecorder counts per-frame flushes, standing in for an
+// flushRecorder counts writes and flushes, standing in for an
 // http.ResponseWriter.
 type flushRecorder struct {
 	bytes.Buffer
-	flushes int
+	writes, flushes int
+	flushed         int // bytes written up to the last flush
 }
 
-func (f *flushRecorder) Flush() { f.flushes++ }
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	f.writes++
+	return f.Buffer.Write(p)
+}
+
+func (f *flushRecorder) Flush() {
+	f.flushes++
+	f.flushed = f.Len()
+}
 
 func sampleResult(i int) *ResultFrame {
 	return NewResult(i, fmt.Sprintf("key-%d", i), i%2 == 0, campaign.JobResult{
@@ -35,10 +45,14 @@ func sampleResult(i int) *ResultFrame {
 }
 
 // TestFrameRoundTrip pins that every frame type survives the
-// encode → decode trip intact, with one flush per frame.
+// encode → decode trip through a stream intact, and the stream's
+// delivery contract: frames are written in bursts, at most one write and
+// one flush per frame, and every byte is flushed by the time Close
+// returns.
 func TestFrameRoundTrip(t *testing.T) {
+	defer writerGone(t)
 	w := &flushRecorder{}
-	enc := NewEncoder(w)
+	_, enc := NewStream(context.Background(), w, time.Hour)
 	frames := []any{
 		sampleResult(0),
 		NewError(1, "tests[1]", "bad_request", "litmus: no such arch"),
@@ -59,8 +73,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.flushes != len(frames) {
-		t.Fatalf("flushes = %d, want one per frame (%d)", w.flushes, len(frames))
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 1 || w.writes > len(frames) || w.flushes != w.writes {
+		t.Fatalf("%d writes and %d flushes for %d frames, want one flush per write and at most one write per frame",
+			w.writes, w.flushes, len(frames))
+	}
+	if w.flushed != w.Len() {
+		t.Fatalf("%d of %d bytes flushed when Close returned", w.flushed, w.Len())
 	}
 
 	dec := NewDecoder(bytes.NewReader(w.Bytes()))
@@ -252,27 +273,5 @@ func TestMergeOrderedConcurrent(t *testing.T) {
 		if got.(*ResultFrame).Index != want {
 			t.Fatalf("position %d carries index %d", want, got.(*ResultFrame).Index)
 		}
-	}
-}
-
-// TestEncodeIdle pins the heartbeat primitive: a frame is suppressed
-// while the stream is fresh and written once it has sat idle.
-func TestEncodeIdle(t *testing.T) {
-	w := &flushRecorder{}
-	enc := NewEncoder(w)
-	if err := enc.Encode(sampleResult(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeIdle(time.Hour, &HeartbeatFrame{Type: FrameHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(w.Bytes(), []byte{'\n'}); got != 1 {
-		t.Fatalf("fresh stream grew a heartbeat (%d frames)", got)
-	}
-	if err := enc.EncodeIdle(0, &HeartbeatFrame{Type: FrameHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(w.Bytes(), []byte{'\n'}); got != 2 {
-		t.Fatalf("idle stream did not heartbeat (%d frames)", got)
 	}
 }

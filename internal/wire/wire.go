@@ -16,9 +16,10 @@
 // # Streaming wire format
 //
 // A /v1/batch request carrying "Accept: application/x-ndjson" is answered
-// as newline-delimited JSON: one frame per line, flushed as written, so a
-// million-test campaign is delivered verdict by verdict instead of being
-// buffered whole on both sides. Each frame is a JSON object whose "type"
+// as newline-delimited JSON: one frame per line, each written as soon as
+// it exists (frames that queue behind an in-flight write share the next
+// one; see NewStream), so a million-test campaign is delivered verdict by
+// verdict instead of being buffered whole on both sides. Each frame is a JSON object whose "type"
 // field names a versioned schema:
 //
 //	result/v1     one test's verdict (index, key, cached, campaign row)
@@ -38,6 +39,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -167,15 +169,38 @@ func Tenant(ctx context.Context) string {
 	return t
 }
 
-// DecodeBody decodes one JSON value into v, rejecting trailing garbage.
-// It never panics on malformed input (see serve's fuzz test).
+// DecodeBody decodes one JSON value into v, rejecting anything but JSON
+// whitespace after it. It never panics on malformed input (see serve's
+// fuzz test).
 func DecodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("body: %w", err)
 	}
-	if dec.More() {
-		return fmt.Errorf("body: trailing data after the request object")
+	rest := io.MultiReader(dec.Buffered(), r)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return fmt.Errorf("body: trailing data after the request object")
+			}
+		}
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return fmt.Errorf("body: %w", err)
+		}
 	}
-	return nil
+}
+
+// DecodeStatus maps a DecodeBody (or DecodeBatchRequest) error to its
+// HTTP status: 413 when the body limit tripped, 400 otherwise.
+func DecodeStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
