@@ -45,7 +45,7 @@ func BenchmarkFigureVerdicts(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range programs {
-			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: models.Power}); err != nil {
+			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: cat.MustBuiltin("power")}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig06SCPerLocation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range programs {
-			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: models.SC}); err != nil {
+			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: cat.MustBuiltin("sc")}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,7 +88,7 @@ func BenchmarkTable5Harness(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: models.PowerARM}); err != nil {
+			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: cat.MustBuiltin("power-arm")}); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := machines[0].RunCompiled(context.Background(), p); err != nil {
@@ -104,12 +104,13 @@ func BenchmarkTable8Classify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ev := cat.MustBuiltin("power-arm").NewEvaluator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cands {
-			res := models.PowerARM.Check(c.X)
-			_ = res.Failed
+			res := ev.Check(c.X)
+			_ = res.FailedChecks
 		}
 	}
 }
@@ -129,18 +130,19 @@ func table9Candidates(b *testing.B) []*exec.Candidate {
 
 func BenchmarkSimSingleEvent(b *testing.B) {
 	cands := table9Candidates(b)
+	ev := cat.MustBuiltin("power").NewEvaluator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cands {
-			models.Power.Check(c.X)
+			ev.Check(c.X)
 		}
 	}
 }
 
 func BenchmarkSimMultiEvent(b *testing.B) {
 	cands := table9Candidates(b)
-	m := multi.Model{}
+	m := multi.Model{}.NewEvaluator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,10 +16,10 @@ import (
 	"os"
 	"time"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/experiments"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
 
@@ -155,13 +155,19 @@ func experimentsTable(minLen, maxLen, maxTests, units int) map[string]func() err
 }
 
 // figures re-derives the allowed/forbidden verdict of every catalogued
-// paper figure under every asserted model.
+// paper figure under every asserted model: the builtin cat model that
+// declares the asserted name.
 func figures() error {
+	byName := map[string]*cat.Model{}
+	for _, n := range cat.BuiltinNames() {
+		m := cat.MustBuiltin(n)
+		byName[m.Name()] = m
+	}
 	mismatches := 0
 	for _, e := range catalog.Tests() {
 		test := e.Test()
 		for name, want := range e.Expect {
-			m, ok := models.ByName(name)
+			m, ok := byName[name]
 			if !ok {
 				return fmt.Errorf("unknown model %q", name)
 			}

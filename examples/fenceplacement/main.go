@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"log"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/diy"
 	"herdcats/internal/events"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
 
@@ -105,7 +105,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s at %v: %v", p.name, s, err)
 			}
-			out, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: models.Power})
+			out, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: cat.MustBuiltin("power")})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 
 	"herdcats/internal/bmc"
 	"herdcats/internal/cases"
-	"herdcats/internal/models"
+	"herdcats/internal/cat"
 	"herdcats/internal/mole"
 	"herdcats/internal/sim"
 )
@@ -43,10 +43,10 @@ func main() {
 		run   func() (*sim.Outcome, error)
 	}{
 		{"with rcu_assign_pointer's lwsync", func() (*sim.Outcome, error) {
-			return sim.Simulate(context.Background(), sim.Request{Test: rcu.Test(), Checker: models.Power})
+			return sim.Simulate(context.Background(), sim.Request{Test: rcu.Test(), Checker: cat.MustBuiltin("power")})
 		}},
 		{"without the fence (buggy)", func() (*sim.Outcome, error) {
-			return sim.Simulate(context.Background(), sim.Request{Test: rcu.BuggyTest(), Checker: models.Power})
+			return sim.Simulate(context.Background(), sim.Request{Test: rcu.BuggyTest(), Checker: cat.MustBuiltin("power")})
 		}},
 	} {
 		out, err := tc.run()

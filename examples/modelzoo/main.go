@@ -15,9 +15,15 @@ import (
 	"herdcats/internal/catalog"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
+
+// zoo lists the builtin cat models of the paper's architectures.
+var zoo = []*cat.Model{
+	cat.MustBuiltin("sc"), cat.MustBuiltin("tso"), cat.MustBuiltin("cpp-ra"),
+	cat.MustBuiltin("power"), cat.MustBuiltin("power-arm"),
+	cat.MustBuiltin("arm"), cat.MustBuiltin("arm-llh"),
+}
 
 // userModel is "SC minus the write-read pair" — TSO written from scratch
 // in five lines of cat. Edit it and re-run to explore.
@@ -34,7 +40,7 @@ func main() {
 	tests := []string{"mp", "sb", "lb", "2+2w", "iriw", "r+lwsync+sync", "mp+lwsync+addr"}
 
 	fmt.Printf("%-18s", "test")
-	for _, m := range models.All() {
+	for _, m := range zoo {
 		fmt.Printf(" %-10s", m.Name())
 	}
 	fmt.Println(" my-tso(cat)")
@@ -51,7 +57,7 @@ func main() {
 		}
 		test := e.Test()
 		fmt.Printf("%-18s", name)
-		for _, m := range models.All() {
+		for _, m := range zoo {
 			fmt.Printf(" %-10s", verdict(test, m))
 		}
 		fmt.Printf(" %s\n", verdict(test, mine))
@@ -61,11 +67,12 @@ func main() {
 	// machine agrees with the axiomatic verdicts, execution by execution.
 	fmt.Println("\ncross-checking Power against its operational machine on mp...")
 	e, _ := catalog.ByName("mp")
-	out, err := sim.Simulate(context.Background(), sim.Request{Test: e.Test(), Checker: models.Power})
+	power := cat.MustBuiltin("power")
+	out, err := sim.Simulate(context.Background(), sim.Request{Test: e.Test(), Checker: power})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opAllowed, err := crosscheck.Operational(cat.MustBuiltin("power")).Decide(context.Background(), e.Test())
+	opAllowed, err := crosscheck.Operational(power).Decide(context.Background(), e.Test())
 	if err != nil {
 		log.Fatal(err)
 	}

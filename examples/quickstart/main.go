@@ -11,7 +11,6 @@ import (
 
 	"herdcats/internal/cat"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
 
@@ -40,13 +39,17 @@ const mpBare = `PPC mp
 exists (1:r5=1 /\ 1:r6=0)`
 
 func main() {
+	// The Power model of Fig. 38, written in the cat language.
+	power, err := cat.Builtin("power")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, src := range []string{mpBare, mpFenced} {
 		test, err := litmus.Parse(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Simulate under the native Go Power model...
-		out, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: models.Power})
+		out, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: power})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,20 +61,5 @@ func main() {
 			fmt.Printf("FORBIDDEN — the protocol is safe (%d/%d executions valid)\n",
 				out.Valid, out.Candidates)
 		}
-
-		// ... and under the same model written in the cat language
-		// (Fig. 38): the two must agree.
-		catPower, err := cat.Builtin("power")
-		if err != nil {
-			log.Fatal(err)
-		}
-		catOut, err := sim.Simulate(context.Background(), sim.Request{Test: test, Checker: catPower})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if catOut.Allowed() != out.Allowed() {
-			log.Fatalf("cat and native models disagree on %s", test.Name)
-		}
 	}
-	fmt.Println("\ncat-language Power model agrees with the native one on both tests.")
 }

@@ -25,8 +25,8 @@ const (
 	Power
 	// PowerCAV is the multi-event-style strengthened Power model (our
 	// CAV 2012 stand-in; see package multi), the comparison row of
-	// Tab. XI: power.cat whose ii0 also holds the propagation-ordering
-	// term bigrdw.
+	// Tab. XI: power-cav.cat, power.cat whose ii0 also holds the
+	// propagation-ordering term bigrdw.
 	PowerCAV
 	// ARM is the proposed ARM model of Tab. VII (arm.cat).
 	ARM

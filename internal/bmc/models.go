@@ -2,8 +2,6 @@ package bmc
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"herdcats/internal/cat"
 	"herdcats/internal/events"
@@ -24,7 +22,7 @@ func (m ModelID) compiled() (*cat.Compiled, error) {
 	case ARM:
 		name = "arm"
 	case PowerCAV:
-		return powerCAV()
+		name = "power-cav"
 	default:
 		return nil, fmt.Errorf("bmc: unknown model %d", m)
 	}
@@ -34,28 +32,6 @@ func (m ModelID) compiled() (*cat.Compiled, error) {
 	}
 	return cm.Compiled()
 }
-
-// powerCAV is power.cat with the propagation-model strengthening of the
-// multi-event model (see package multi) in ii0: a read that misses a
-// fence-ordered write is satisfied before a po-later read of the fence's
-// target.
-var powerCAV = sync.OnceValues(func() (*cat.Compiled, error) {
-	src, err := cat.BuiltinSource("power")
-	if err != nil {
-		return nil, err
-	}
-	const ii0 = "let ii0 = dp|rdw|rfi\n"
-	if !strings.Contains(src, ii0) {
-		return nil, fmt.Errorf("bmc: power.cat has no line %q to strengthen", strings.TrimSpace(ii0))
-	}
-	src = strings.Replace(src, ii0, "let bigrdw = RR(po) & (fre;WW(lwsync|sync|eieio);rfe)\n"+
-		"let ii0 = dp|rdw|rfi|bigrdw\n", 1)
-	m, err := cat.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return m.Compiled()
-})
 
 // gates lowers a compiled cat program onto the instance's circuit
 // (cat.Lower): a relation is a matrix of literals over the memory events,

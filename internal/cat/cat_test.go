@@ -17,7 +17,8 @@ import (
 // TestCatMatchesNative is the key test of Sec. 8.3: the cat sources
 // (power.cat is Fig. 38 verbatim) compiled by our interpreter must agree
 // with the hand-written Go models on every candidate execution of every
-// catalogue test.
+// catalogue test — C++ R-A with its HBVSMO weakening of PROPAGATION
+// (Sec. 4.8) and the Sec. 8.2 nodetour ablations included.
 func TestCatMatchesNative(t *testing.T) {
 	pairs := []struct {
 		catName string
@@ -29,6 +30,9 @@ func TestCatMatchesNative(t *testing.T) {
 		{"arm", models.ARM},
 		{"arm-llh", models.ARMllh},
 		{"power-arm", models.PowerARM},
+		{"cpp-ra", models.CppRA},
+		{"power-nodetour", models.PowerStatic},
+		{"arm-nodetour", models.ARMStatic},
 	}
 	for _, pair := range pairs {
 		pair := pair
@@ -67,14 +71,14 @@ func TestCatMatchesNative(t *testing.T) {
 // asserts the paper's verdicts (the cat analogue of TestFigureVerdicts).
 func TestBuiltinVerdicts(t *testing.T) {
 	catOf := map[string]string{
-		"SC": "sc", "TSO": "tso", "Power": "power",
+		"SC": "sc", "TSO": "tso", "C++ R-A": "cpp-ra", "Power": "power",
 		"Power-ARM": "power-arm", "ARM": "arm", "ARM llh": "arm-llh",
 	}
 	for _, e := range catalog.Tests() {
 		for modelName, want := range e.Expect {
 			catName, ok := catOf[modelName]
 			if !ok {
-				continue // C++ R-A has no cat file
+				t.Fatalf("%s: no cat file for model %q", e.Name, modelName)
 			}
 			m, err := cat.Builtin(catName)
 			if err != nil {
@@ -191,7 +195,8 @@ func TestRestrictors(t *testing.T) {
 
 func TestBuiltinNames(t *testing.T) {
 	names := cat.BuiltinNames()
-	want := []string{"arm", "arm-llh", "c11", "cpp-ra", "power", "power-arm", "sc", "tso"}
+	want := []string{"arm", "arm-llh", "arm-nodetour", "c11", "cpp-ra", "power", "power-arm",
+		"power-cav", "power-nodetour", "sc", "tso"}
 	if len(names) != len(want) {
 		t.Fatalf("BuiltinNames = %v, want %v", names, want)
 	}
@@ -202,39 +207,6 @@ func TestBuiltinNames(t *testing.T) {
 	}
 	if _, err := cat.Builtin("nope"); err == nil {
 		t.Error("Builtin(nope) should fail")
-	}
-	src, err := cat.BuiltinSource("power")
-	if err != nil || !strings.Contains(src, "let ppo = RR(ii)|RW(ic)") {
-		t.Errorf("BuiltinSource(power) wrong: %v", err)
-	}
-}
-
-// TestCppRACat: the cat encoding of C++ R-A (with the HBVSMO weakening of
-// PROPAGATION, Sec. 4.8) agrees with the native model on every candidate
-// of the whole catalogue.
-func TestCppRACat(t *testing.T) {
-	m, err := cat.Builtin("cpp-ra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range catalog.Tests() {
-		p, err := exec.Compile(e.Test())
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-			catRes := m.Check(c.X)
-			natRes := models.CppRA.Check(c.X)
-			if catRes.Valid != natRes.Valid {
-				t.Errorf("%s: cat cpp-ra=%v (failed %v), native=%v (failed %v)",
-					e.Name, catRes.Valid, catRes.FailedChecks, natRes.Valid, natRes.FailedChecks)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -75,12 +75,3 @@ func BuiltinNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// BuiltinSource returns the raw cat source of an embedded model.
-func BuiltinSource(name string) (string, error) {
-	data, err := catFiles.ReadFile("catfiles/" + name + ".cat")
-	if err != nil {
-		return "", fmt.Errorf("cat: no builtin model %q", name)
-	}
-	return string(data), nil
-}

@@ -33,7 +33,7 @@ func ByName(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Model name constants (must match the models package).
+// Model name constants: the names the builtin cat models declare.
 const (
 	mSC       = "SC"
 	mTSO      = "TSO"

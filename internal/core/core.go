@@ -104,13 +104,10 @@ type Options struct {
 type Result struct {
 	// Valid is true iff every axiom holds.
 	Valid bool
-	// Failed lists the violated axioms, in the paper's order. This is the
-	// classification used by Tab. VIII (columns S, T, O, P and their
-	// combinations).
-	Failed []Axiom
-	// FailedChecks names the violated checks. For the built-in models these
-	// are the axiom names; for cat-compiled models they are the model's own
-	// check names ("as ..." clauses or derived names).
+	// FailedChecks names the violated checks, in the model's order. For
+	// the built-in models these are the axiom names (Axiom.String); for
+	// cat-compiled models they are the model's own check names ("as ..."
+	// clauses or derived names).
 	FailedChecks []string
 	// Err is set when the model itself failed to evaluate on this candidate
 	// (e.g. a registered cat model whose let-rec never converges). The
@@ -118,15 +115,6 @@ type Result struct {
 	// lists are empty. Callers running many candidates should abort the
 	// search and surface the error rather than tallying the result.
 	Err error
-}
-
-// FailedSet returns the violated axioms as a membership map.
-func (r Result) FailedSet() map[Axiom]bool {
-	m := make(map[Axiom]bool, len(r.Failed))
-	for _, a := range r.Failed {
-		m[a] = true
-	}
-	return m
 }
 
 // Check validates x against arch under the given axiom options, drawing
@@ -137,7 +125,7 @@ func (r Result) FailedSet() map[Axiom]bool {
 // the first failure.
 func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) Result {
 	n := x.N()
-	var failed []Axiom
+	var failed []string
 
 	// SC PER LOCATION: acyclic(po-loc ∪ com), honouring load-load hazards.
 	sc := ar.Get(n)
@@ -151,7 +139,7 @@ func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) 
 	}
 	sc.UnionInto(x.Com)
 	if !sc.AcyclicScratch(ar.DFS()) {
-		failed = append(failed, SCPerLocation)
+		failed = append(failed, SCPerLocation.String())
 	}
 	ar.Put(sc)
 
@@ -164,7 +152,7 @@ func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) 
 	hb.UnionInto(fences)
 	hb.UnionInto(x.RFE)
 	if !hb.AcyclicScratch(ar.DFS()) {
-		failed = append(failed, NoThinAir)
+		failed = append(failed, NoThinAir.String())
 	}
 	prop := arch.Prop(x, ppo, fences, ar)
 
@@ -178,31 +166,26 @@ func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) 
 	t2 := ar.Get(n)
 	t2.SeqInto(t1, hbStar)
 	if !t2.Irreflexive() {
-		failed = append(failed, Observation)
+		failed = append(failed, Observation.String())
 	}
 
 	// PROPAGATION: acyclic(co ∪ prop), or the weak irreflexive(prop ; co).
 	if opts.WeakPropagation {
 		t1.SeqInto(prop, x.CO)
 		if !t1.Irreflexive() {
-			failed = append(failed, Propagation)
+			failed = append(failed, Propagation.String())
 		}
 	} else {
 		t1.CopyFrom(x.CO)
 		t1.UnionInto(prop)
 		if !t1.AcyclicScratch(ar.DFS()) {
-			failed = append(failed, Propagation)
+			failed = append(failed, Propagation.String())
 		}
 	}
 	for _, r := range []rel.Rel{t2, t1, hbStar, hb, prop, fences, ppo} {
 		ar.Put(r)
 	}
-
-	names := make([]string, len(failed))
-	for i, a := range failed {
-		names[i] = a.String()
-	}
-	return Result{Valid: len(failed) == 0, Failed: failed, FailedChecks: names}
+	return Result{Valid: len(failed) == 0, FailedChecks: failed}
 }
 
 // SCPerLocationHolds evaluates acyclic(po-loc ∪ com), honouring the

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"herdcats/internal/core"
@@ -63,22 +64,18 @@ func TestCheckClassifiesMP(t *testing.T) {
 	if res.Valid {
 		t.Fatal("mp's forbidden data-flow should be invalid under the SC instance")
 	}
-	failed := res.FailedSet()
-	if !failed[core.Observation] {
-		t.Errorf("expected OBSERVATION among failures, got %v", res.Failed)
+	if !slices.Contains(res.FailedChecks, "OBSERVATION") {
+		t.Errorf("expected OBSERVATION among failures, got %v", res.FailedChecks)
 	}
-	if failed[core.SCPerLocation] || failed[core.NoThinAir] {
-		t.Errorf("unexpected failures: %v", res.Failed)
-	}
-	if len(res.FailedChecks) != len(res.Failed) {
-		t.Error("FailedChecks not aligned with Failed")
+	if slices.Contains(res.FailedChecks, "SC PER LOCATION") || slices.Contains(res.FailedChecks, "NO THIN AIR") {
+		t.Errorf("unexpected failures: %v", res.FailedChecks)
 	}
 }
 
 func TestCheckCoWW(t *testing.T) {
 	res := core.Check(scLike{}, coWWExecution(), core.Options{}, nil)
-	if res.Valid || !res.FailedSet()[core.SCPerLocation] {
-		t.Errorf("coWW should fail SC PER LOCATION: %v", res.Failed)
+	if res.Valid || !slices.Contains(res.FailedChecks, "SC PER LOCATION") {
+		t.Errorf("coWW should fail SC PER LOCATION: %v", res.FailedChecks)
 	}
 	// Load-load hazard option does not rescue a write-write hazard.
 	if core.SCPerLocationHolds(coWWExecution(), core.Options{AllowLoadLoadHazard: true}) {
@@ -111,12 +108,12 @@ func TestWeakPropagation(t *testing.T) {
 	// ppoArch: prop = po over memory (writes in program order propagate
 	// in order), no com in prop.
 	strict := core.Check(ppoPropArch{}, x, core.Options{}, nil)
-	if strict.Valid || !strict.FailedSet()[core.Propagation] {
-		t.Errorf("2+2w shape should fail PROPAGATION: %v", strict.Failed)
+	if strict.Valid || !slices.Contains(strict.FailedChecks, "PROPAGATION") {
+		t.Errorf("2+2w shape should fail PROPAGATION: %v", strict.FailedChecks)
 	}
 	weak := core.Check(ppoPropArch{}, x, core.Options{WeakPropagation: true}, nil)
 	if !weak.Valid {
-		t.Errorf("C++ R-A weakening should admit the 2+2w shape: %v", weak.Failed)
+		t.Errorf("C++ R-A weakening should admit the 2+2w shape: %v", weak.FailedChecks)
 	}
 }
 

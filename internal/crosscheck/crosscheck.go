@@ -1,10 +1,11 @@
 // Package crosscheck compares the repository's independent deciders — the
-// axiomatic simulator (internal/sim over internal/models and cat-compiled
-// models), the operational machine (internal/machine, Thm. 7.1), the
-// multi-event checker (internal/multi), the SAT-based model checker
-// (internal/bmc) and the simulated hardware (internal/hardware) — on the
-// whole-test "allowed/forbidden" verdict, the unit of the paper's
-// data-mining tables (Tab. IX–XII).
+// axiomatic simulator (internal/sim over the compiled cat models), the
+// operational machine (internal/machine, Thm. 7.1), the multi-event
+// checker (internal/multi), the SAT-based model checker (internal/bmc) and
+// the simulated hardware (internal/hardware) — on the whole-test
+// "allowed/forbidden" verdict, the unit of the paper's data-mining tables
+// (Tab. IX–XII). The hand-written zoo (internal/models) decides only as
+// the oracle of one native-vs-cat pair per weak dialect.
 //
 // The paper grounds which pairs are *expected* to relate, and how:
 //
@@ -56,8 +57,8 @@ type Pair struct {
 	Why  string
 }
 
-// String renders the pair's identity, e.g. "sim:SC==bmc:SC" or
-// "multi:Power multi-event (CAV12)<=sim:Power". It is the pair's stable
+// String renders the pair's identity, e.g. "cat:SC==bmc:SC" or
+// "multi:Power multi-event (CAV12)<=cat:Power". It is the pair's stable
 // name in metrics, store records and discrepancy reports.
 func (p Pair) String() string {
 	op := "=="

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"strings"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 )
 
 // NoDetourRow reports the Sec. 8.2 ablation for one architecture: how many
@@ -32,10 +32,10 @@ type NoDetourRow struct {
 func NoDetour(minLen, maxLen, maxTests int) ([]NoDetourRow, error) {
 	configs := []struct {
 		arch         litmus.Arch
-		full, static models.Model
+		full, static *cat.Model
 	}{
-		{litmus.PPC, models.Power, models.PowerStatic},
-		{litmus.ARM, models.ARM, models.ARMStatic},
+		{litmus.PPC, cat.MustBuiltin("power"), cat.MustBuiltin("power-nodetour")},
+		{litmus.ARM, cat.MustBuiltin("arm"), cat.MustBuiltin("arm-nodetour")},
 	}
 	var rows []NoDetourRow
 	for _, cfg := range configs {

@@ -10,7 +10,6 @@ import (
 	"herdcats/internal/bmc"
 	"herdcats/internal/cases"
 	"herdcats/internal/cat"
-	"herdcats/internal/models"
 	"herdcats/internal/multi"
 	"herdcats/internal/opsim"
 	"herdcats/internal/sim"
@@ -112,7 +111,7 @@ const table11Rounds = 5
 // go first in alternate rounds; a row's time is its median round, and its
 // encoding size and verdicts are those of every round. After the timed
 // rounds, each verdict is checked against the enumerative simulator under
-// the matching model (multi.Model for CAV12, models.Power for the present
+// the matching model (multi.Model for CAV12, power.cat for the present
 // one).
 func Table11(c *Corpus) ([]Table11Row, error) {
 	type model struct {
@@ -121,7 +120,7 @@ func Table11(c *Corpus) ([]Table11Row, error) {
 		times    []time.Duration
 		verdicts []bool
 	}
-	ms := []*model{{id: bmc.PowerCAV, ref: multi.Model{}}, {id: bmc.Power, ref: models.Power}}
+	ms := []*model{{id: bmc.PowerCAV, ref: multi.Model{}}, {id: bmc.Power, ref: cat.MustBuiltin("power")}}
 	rows := make([]Table11Row, len(ms))
 	pass := func(i int) error {
 		m, row := ms[i], &rows[i]

@@ -8,7 +8,6 @@ import (
 
 	"herdcats/internal/cat"
 	"herdcats/internal/exec"
-	"herdcats/internal/models"
 	"herdcats/internal/multi"
 	"herdcats/internal/opsim"
 	"herdcats/internal/sim"
@@ -71,7 +70,7 @@ func Table9(c *Corpus, stateBound int) ([]Table9Row, error) {
 
 	start = time.Now()
 	for _, p := range programs {
-		if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: models.Power}); err != nil {
+		if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: cat.MustBuiltin("power")}); err != nil {
 			return nil, err
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"herdcats/internal/campaign"
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/core"
 	"herdcats/internal/diy"
@@ -20,7 +21,6 @@ import (
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
 	"herdcats/internal/memo"
-	"herdcats/internal/models"
 	"herdcats/internal/sim"
 )
 
@@ -114,20 +114,20 @@ func Table5(minLen, maxLen, maxTests int) ([]Table5Row, error) {
 	var rows []Table5Row
 
 	powerRow, err := confront(BuildCorpus(litmus.PPC, minLen, maxLen, maxTests),
-		models.Power, hardware.Power)
+		cat.MustBuiltin("power"), hardware.Power)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, powerRow)
 
 	armCorpus := BuildCorpus(litmus.ARM, minLen, maxLen, maxTests)
-	powerARMRow, err := confront(armCorpus, models.PowerARM, hardware.ARM)
+	powerARMRow, err := confront(armCorpus, cat.MustBuiltin("power-arm"), hardware.ARM)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, powerARMRow)
 
-	armRow, err := confront(armCorpus, models.ARMllh, hardware.ARM)
+	armRow, err := confront(armCorpus, cat.MustBuiltin("arm-llh"), hardware.ARM)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func Table5(minLen, maxLen, maxTests int) ([]Table5Row, error) {
 // Tests are independent, so the corpus is swept on the campaign runner:
 // a test that panics or errors is counted in Errors and skipped, never
 // aborting the whole confrontation.
-func confront(c *Corpus, model models.Model, family hardware.Arch) (Table5Row, error) {
+func confront(c *Corpus, model sim.Checker, family hardware.Arch) (Table5Row, error) {
 	row := Table5Row{Arch: string(family), Model: model.Name(), Tests: len(c.Tests)}
 	profiles := machineProfiles(family)
 	observed := make([]bool, len(c.Tests))
@@ -243,7 +243,7 @@ exists (0:r1=1 /\ 0:r2=0)`}
 			}
 		}
 		test := entry.Test()
-		out, _, err := sweepCache.Run(context.Background(), test, models.PowerARM, exec.Budget{})
+		out, _, err := sweepCache.Run(context.Background(), test, cat.MustBuiltin("power-arm"), exec.Budget{})
 		if err != nil {
 			return nil, err
 		}
@@ -320,11 +320,11 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 		}
 	}
 	profiles := machineProfiles(hardware.ARM)
-	rows := []Table8Row{
-		{Model: models.PowerARM.Name(), ByAxes: map[string]int{}},
-		{Model: models.ARMllh.Name(), ByAxes: map[string]int{}},
+	checkers := []*cat.Model{cat.MustBuiltin("power-arm"), cat.MustBuiltin("arm-llh")}
+	rows := make([]Table8Row, len(checkers))
+	for i, m := range checkers {
+		rows[i] = Table8Row{Model: m.Name(), ByAxes: map[string]int{}}
 	}
-	checkers := []models.Model{models.PowerARM, models.ARMllh}
 
 	// The sweep survives a single bad test: per-test panics and errors
 	// are contained here and counted, and cancellation (should a caller
@@ -351,6 +351,10 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 		for i, m := range profiles {
 			observers[i] = m.Observer()
 		}
+		evaluators := make([]core.Checker, len(checkers))
+		for i, m := range checkers {
+			evaluators[i] = m.NewEvaluator()
+		}
 		return p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 			observed := false
 			for _, o := range observers {
@@ -362,14 +366,14 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			if !observed {
 				return true
 			}
-			for i, model := range checkers {
-				res := model.Check(c.X)
+			for i, ev := range evaluators {
+				res := ev.Check(c.X)
 				if res.Valid {
 					continue
 				}
 				mu.Lock()
 				rows[i].Total++
-				rows[i].ByAxes[axesKey(res.Failed)]++
+				rows[i].ByAxes[axesKey(res.FailedChecks)]++
 				mu.Unlock()
 			}
 			return true
@@ -381,17 +385,19 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 	return rows, nil
 }
 
-func axesKey(failed []core.Axiom) string {
+// axesKey spells the violated checks of a cat model in Tab. VIII's
+// column letters.
+func axesKey(failed []string) string {
 	var b strings.Builder
-	for _, a := range failed {
-		switch a {
-		case core.SCPerLocation:
+	for _, name := range failed {
+		switch name {
+		case "sc-per-location", "sc-per-location-llh":
 			b.WriteByte('S')
-		case core.NoThinAir:
+		case "no-thin-air":
 			b.WriteByte('T')
-		case core.Observation:
+		case "observation":
 			b.WriteByte('O')
-		case core.Propagation:
+		case "propagation":
 			b.WriteByte('P')
 		}
 	}

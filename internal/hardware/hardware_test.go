@@ -191,8 +191,8 @@ func TestBaseChecksNameTheAxioms(t *testing.T) {
 			}
 			err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 				var want []string
-				for _, a := range tc.zoo.Check(c.X).Failed {
-					want = append(want, strings.ReplaceAll(strings.ToLower(a.String()), " ", "-"))
+				for _, a := range tc.zoo.Check(c.X).FailedChecks {
+					want = append(want, strings.ReplaceAll(strings.ToLower(a), " ", "-"))
 				}
 				if got := ev.Check(c.X).FailedChecks; !slices.Equal(got, want) {
 					t.Fatalf("%s on %s: cat fails %v, zoo %v", tc.cat, e.Name, got, want)

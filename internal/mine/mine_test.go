@@ -10,19 +10,17 @@ import (
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
 	"herdcats/internal/litmus"
-	"herdcats/internal/models"
 )
 
 // cheapPairs is a fast expected-agreement table for tests that exercise
-// the campaign machinery rather than the deciders: simulator vs SAT on SC
-// and TSO, plus the SC⊆TSO inclusion.
+// the campaign machinery rather than the deciders: the cat simulator vs
+// SAT on SC and TSO, plus the SC⊆TSO inclusion.
 func cheapPairs() []crosscheck.Pair {
-	simSC := crosscheck.Axiomatic(models.SC)
-	simTSO := crosscheck.Axiomatic(models.TSO)
+	catSC, catTSO := crosscheck.MustCat("sc"), crosscheck.MustCat("tso")
 	return []crosscheck.Pair{
-		{A: simSC, B: crosscheck.BMC(bmc.SC), Rel: crosscheck.Equal},
-		{A: simTSO, B: crosscheck.BMC(bmc.TSO), Rel: crosscheck.Equal},
-		{A: simSC, B: simTSO, Rel: crosscheck.Subset},
+		{A: catSC, B: crosscheck.BMC(bmc.SC), Rel: crosscheck.Equal},
+		{A: catTSO, B: crosscheck.BMC(bmc.TSO), Rel: crosscheck.Equal},
+		{A: catSC, B: catTSO, Rel: crosscheck.Subset},
 	}
 }
 

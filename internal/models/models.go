@@ -207,15 +207,6 @@ type powerArch struct {
 	// armFences selects ARM's fences (dmb, dsb and their .st variants)
 	// over Power's (sync, lwsync and eieio).
 	armFences bool
-	// extraII0, when set, returns one more ii0 seed (see PowerWith).
-	extraII0 func(x *events.Execution, ar *rel.Arena) rel.Rel
-}
-
-// PowerWith returns Power under another name, with one more ii0 seed in
-// its Fig. 25 fixpoint: the result of seed, a fresh relation drawn from
-// ar. Package multi builds its CAV12 strengthening this way.
-func PowerWith(name string, seed func(x *events.Execution, ar *rel.Arena) rel.Rel) core.Architecture {
-	return powerArch{name: name, cfence: events.FenceIsync, extraII0: seed}
 }
 
 func (a powerArch) Name() string { return a.name }
@@ -248,8 +239,8 @@ func PowerSeeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.Rel) {
 //	ii0 = dp ∪ rdw ∪ rfi        ci0 = ctrl+cfence ∪ detour
 //	cc0 = dp ∪ po-loc ∪ ctrl ∪ (addr ; po)
 //
-// ARM drops po-loc from cc0, the nodetour ablations drop rdw and detour,
-// and PowerWith adds its extra seed to ii0.
+// ARM drops po-loc from cc0, and the nodetour ablations drop rdw and
+// detour.
 func (a powerArch) seeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.Rel) {
 	n := x.N()
 	dp := ar.Get(n)
@@ -271,11 +262,6 @@ func (a powerArch) seeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.
 	ii0.CopyFrom(dp)
 	ii0.UnionInto(rdw)
 	ii0.UnionInto(x.RFI)
-	if a.extraII0 != nil {
-		extra := a.extraII0(x, ar)
-		ii0.UnionInto(extra)
-		ar.Put(extra)
-	}
 	ci0 = ar.Get(n)
 	if ctrlCfence, ok := x.CtrlCfence[a.cfence]; ok && ctrlCfence.N() == n {
 		ci0.CopyFrom(ctrlCfence)

@@ -135,8 +135,8 @@ func TestModelStrengthOrder(t *testing.T) {
 func TestFailedAxiomsClassification(t *testing.T) {
 	forEachCandidate(t, func(t *testing.T, name string, c *exec.Candidate) {
 		res := models.Power.Check(c.X)
-		if res.Valid != (len(res.Failed) == 0) {
-			t.Errorf("%s: Valid=%v but Failed=%v", name, res.Valid, res.Failed)
+		if res.Valid != (len(res.FailedChecks) == 0) {
+			t.Errorf("%s: Valid=%v but FailedChecks=%v", name, res.Valid, res.FailedChecks)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package multi implements a multi-event axiomatic checker in the style of
 // Mador-Haim et al. (CAV 2012), the comparison point of Tab. IX and
-// Fig. 37. Two things distinguish it from the single-event model of
-// package core:
+// Fig. 37. Two things distinguish it from the single-event Power model
+// of power.cat:
 //
 //  1. Event expansion: the propagation of one store is represented by one
 //     subevent per thread (plus the original commit event), so executions
@@ -13,71 +13,75 @@
 //
 //  2. A stronger preserved program order: the per-thread write-propagation
 //     model orders a read that misses a write against a later read that
-//     sees a propagation-successor of that write. Concretely we extend
-//     Power's ii0 with po ∩ RR ∩ (fre ; (fences ∩ WW) ; rfe), which
-//     reproduces the CAV 2012 verdict on mp+lwsync+addr-bigdetour-addr
-//     (Fig. 37): forbidden here, allowed by the paper's Power model.
+//     sees a propagation-successor of that write. power-cav.cat writes it
+//     as power.cat with one more ii0 seed, bigrdw, which reproduces the
+//     CAV 2012 verdict on mp+lwsync+addr-bigdetour-addr (Fig. 37):
+//     forbidden here, allowed by the paper's Power model.
 package multi
 
 import (
 	"slices"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/core"
 	"herdcats/internal/events"
 	"herdcats/internal/models"
 	"herdcats/internal/rel"
 )
 
-// Model is the multi-event Power checker. It implements sim.Checker.
+// cav is power-cav.cat, the model that decides every verdict.
+var cav = cat.MustBuiltin("power-cav")
+
+// Model is the multi-event Power checker. It implements sim.Checker and
+// core.EvaluatorProvider.
 type Model struct{}
 
-const name = "Power multi-event (CAV12)"
+// Name implements sim.Checker: the name power-cav.cat declares.
+func (Model) Name() string { return cav.Name() }
 
-// Name implements sim.Checker.
-func (Model) Name() string { return name }
+// Check implements sim.Checker with a throwaway evaluator.
+func (m Model) Check(x *events.Execution) core.Result { return m.NewEvaluator().Check(x) }
 
-// arch is the strengthened Power architecture used for the verdict: the
-// zoo's Power with bigRdw added to the ii0 of its Fig. 25 fixpoint.
-var arch = models.PowerWith(name, bigRdw)
+// NewEvaluator implements core.EvaluatorProvider: sim.Simulate holds one
+// per search worker, each over an evaluator of power-cav's compiled
+// program.
+func (Model) NewEvaluator() core.Checker { return evaluator{cav.NewEvaluator()} }
 
-// bigRdw is the propagation-model ordering po ∩ RR ∩ (fre ; fences|WW ;
-// rfe): if a read r1 misses a write w1 whose propagation precedes a write
-// w2 (fence-ordered, write-to-write), and a po-later read r2 reads w2
-// externally, then r1 was satisfied before w1 propagated, hence before w2
-// propagated, hence before r2 was satisfied. The result is drawn from ar.
-func bigRdw(x *events.Execution, ar *rel.Arena) rel.Rel {
-	ww := models.Power.Arch.Fences(x, ar)
-	ww.RestrictInPlace(x.W, x.W)
-	t := ar.Get(x.N())
-	t.SeqInto(x.FRE, ww)
-	ww.SeqInto(t, x.RFE)
-	t.CopyFrom(x.PO)
-	t.RestrictInPlace(x.R, x.R)
-	t.InterInto(ww)
-	ar.Put(ww)
-	return t
-}
+// evaluator does not declare sim.SelfDeriving: Expand reads the fully
+// derived candidate.
+type evaluator struct{ verdict core.Checker }
 
-// Check implements sim.Checker: it expands the execution into its
-// multi-event form and runs the axioms over the expanded relations — the
-// cost profile of Tab. IX — then reports the strengthened-Power verdict
-// computed on the (projection-exact) original relations. The expanded
-// SC PER LOCATION check is verdict-preserving (structural edges project
-// onto com); the other expanded checks are evaluated for their cost but
-// the verdict comes from the strengthened axioms, because a structural
-// co;rfe path is not an hb (resp. prop) path under projection.
-func (m Model) Check(x *events.Execution) core.Result {
+func (e evaluator) Name() string { return cav.Name() }
+
+// Check expands the execution into its multi-event form and runs the
+// axioms over the expanded relations — the cost profile of Tab. IX — then
+// reports power-cav's verdict on the (projection-exact) original
+// relations. The expanded SC PER LOCATION check is verdict-preserving
+// (structural edges project onto com); the other expanded checks are
+// evaluated for their cost but the verdict comes from power-cav, because
+// a structural co;rfe path is not an hb (resp. prop) path under
+// projection.
+func (e evaluator) Check(x *events.Execution) core.Result {
 	ex := Expand(x)
 	_ = ex.HB.Acyclic()
 	_ = ex.Obs.Irreflexive()
 	_ = ex.CoProp.Acyclic()
 
-	res := core.Check(arch, x, core.Options{}, nil)
-	if ex.POLocCom.Acyclic() == slices.Contains(res.Failed, core.SCPerLocation) {
+	res := e.verdict.Check(x)
+	if res.Err == nil && ex.POLocCom.Acyclic() == slices.Contains(res.FailedChecks, "sc-per-location") {
 		// Cannot happen: the expansion preserves SC PER LOCATION exactly.
 		panic("multi: expanded SC PER LOCATION disagrees with projection")
 	}
 	return res
+}
+
+// fences is power.cat's fence: RM(lwsync) ∪ WW(lwsync) ∪ WW(eieio) ∪ sync.
+func fences(x *events.Execution) rel.Rel {
+	lw := x.Fences(events.FenceLwsync)
+	f := lw.Diff(lw.Restrict(x.W, x.R))
+	f.UnionInto(x.Fences(events.FenceEieio).Restrict(x.W, x.W))
+	f.UnionInto(x.Fences(events.FenceSync))
+	return f
 }
 
 // Expanded carries the multi-event form of a candidate execution: the
@@ -160,7 +164,7 @@ func Expand(x *events.Execution) *Expanded {
 	ppoE, ic := models.PPOFixpoint(ii0E, lift(ci0), lift(cc0), nil)
 	ppoE.UnionInto(ic) // direction filtering happens on projection
 
-	fencesE := lift(arch.Fences(x, nil))
+	fencesE := lift(fences(x))
 	ffenceE := lift(x.Fences(events.FenceSync))
 	rfeE := lift(x.RFE).Union(structural)
 	hbE := ppoE.Union(fencesE).Union(rfeE)
