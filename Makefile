@@ -10,8 +10,12 @@ build:
 test: build
 	$(GO) test ./...
 
+# go vet, and fail on unformatted Go. gofmt scans tracked files only, so
+# build caches inside the checkout (the benchmark's .bench_build module
+# cache) are never read.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Vet and test the nested benchmark module. perfbench has its own go.mod,
 # so the root `go test ./...` never compiles it, yet it imports the

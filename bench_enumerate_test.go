@@ -29,8 +29,7 @@ import (
 // coHeavySrc is the parallel-enumeration workload: four threads of three
 // writes each over three locations. Every location collects four writes
 // plus its initial one, so the candidate count is the pure coherence
-// product 4!³ = 13824 — no reads, so rf contributes nothing and pruning
-// never fires. The shard tree is wide at the top (the co positions of the
+// product 4!³ = 13824 — no reads, so rf contributes nothing. The shard tree is wide at the top (the co positions of the
 // first thread's writes), which is exactly the shape exec.SearchShards
 // splits across workers.
 const coHeavySrc = `PPC coheavy
@@ -569,16 +568,17 @@ func TestSimulateAllocsCeiling(t *testing.T) {
 // PodWR+SyncdRR+DpAddrdR+PodRR+Fre leave some read without a
 // same-location, same-value write. The feasibility pre-check rejects
 // those before anything is allocated, so a regression that assembles
-// them again fails here (go1.24: 270; 296 while the interpreter ran the
-// static program, 515 with the pre-check taken out, 1609 before per-test
-// setup came off the allocator). Gated on BENCH_ENUM_OUT like the other
-// bench asserts.
+// them again fails here (go1.24: 268; 270 while each skeleton also built
+// the per-location po-loc edges of SC-per-location pruning, 296 while the
+// interpreter ran the static program, 515 with the pre-check taken out,
+// 1609 before per-test setup came off the allocator). Gated on
+// BENCH_ENUM_OUT like the other bench asserts.
 func TestInfeasibleAllocsCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the infeasible-heavy allocation ceiling check")
 	}
 	allocs, name := simulateAllocs(t, "PodWR SyncdRR DpAddrdR PodRR Fre")
-	const ceiling = 270
+	const ceiling = 268
 	t.Logf("Simulate of %s on one worker: %.0f allocs/op (ceiling %d)", name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", name, allocs, ceiling)

@@ -148,4 +148,24 @@ func TestCLI(t *testing.T) {
 			t.Errorf("table12 output: %s", out)
 		}
 	})
+
+	// figures checks every catalogue test against every model it names;
+	// two runs must print the same lines in the same order (the closing
+	// wall-clock line aside).
+	t.Run("cats-experiments-figures", func(t *testing.T) {
+		figures := func() string {
+			out := run(t, tools["cats-experiments"], "-run", "figures")
+			if i := strings.LastIndex(out, "total time:"); i >= 0 {
+				out = out[:i]
+			}
+			return out
+		}
+		first := figures()
+		if second := figures(); second != first {
+			t.Errorf("figures output differs between runs:\n%s\n---\n%s", first, second)
+		}
+		if strings.Contains(first, "MISMATCH") {
+			t.Errorf("figures reports a mismatch:\n%s", first)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"herdcats/internal/cat"
@@ -166,7 +167,13 @@ func figures() error {
 	mismatches := 0
 	for _, e := range catalog.Tests() {
 		test := e.Test()
-		for name, want := range e.Expect {
+		names := make([]string, 0, len(e.Expect))
+		for name := range e.Expect {
+			names = append(names, name)
+		}
+		sort.Strings(names) // e.Expect is a map: print in a stable order
+		for _, name := range names {
+			want := e.Expect[name]
 			m, ok := byName[name]
 			if !ok {
 				return fmt.Errorf("unknown model %q", name)

@@ -7,7 +7,7 @@
 //
 //	herd [-model power|sc|tso|arm|arm-llh|power-arm] test.litmus...
 //	herd -cat mymodel.cat test.litmus...
-//	herd -j 8 -enum-workers 4 -prune -timeout 2s -max-candidates 100000 -json tests/*.litmus
+//	herd -j 8 -enum-workers 4 -timeout 2s -max-candidates 100000 -json tests/*.litmus
 //	herd -server http://gw:8786 [-stream] [-tenant team] tests/*.litmus
 //	herd -list-models
 //
@@ -49,10 +49,9 @@ func main() {
 	maxCand := flag.Int("max-candidates", 0, "per-test candidate-execution budget (0 = unlimited)")
 	workers := flag.Int("j", 1, "tests simulated in parallel (0 = GOMAXPROCS)")
 	enumWorkers := flag.Int("enum-workers", 1, "workers per verdict, each walking and checking its own shards (0 = GOMAXPROCS, 1 = sequential); never changes verdicts")
-	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	contOnErr := flag.Bool("continue-on-error", true, "keep simulating remaining tests after a test errors or panics")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable campaign report on stdout")
-	stats := flag.Bool("stats", false, "print a per-test phase breakdown (compile/enumerate/check/verdict, candidates, pruning) and batch totals")
+	stats := flag.Bool("stats", false, "print a per-test phase breakdown (compile/enumerate/check/verdict, candidates, shards) and batch totals")
 	server := flag.String("server", "", "run the batch on a herdd or herd-gw base URL instead of simulating locally")
 	stream := flag.Bool("stream", false, "with -server: stream verdicts over NDJSON, printing each as it is produced")
 	tenant := flag.String("tenant", "", "with -server: X-Tenant quota account to charge the batch to")
@@ -113,7 +112,7 @@ func main() {
 	if ew <= 0 {
 		ew = runtime.GOMAXPROCS(0)
 	}
-	cache := memo.NewWithOptions(0, memo.Options{Workers: ew, Prune: *prune})
+	cache := memo.NewWithOptions(0, memo.Options{Workers: ew})
 
 	// An unreadable or unparsable file becomes an Error job rather than
 	// aborting the run: the remaining files still simulate, and the

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	herdd [-addr :8787] [-j 0] [-enum-workers 1] [-prune]
+//	herdd [-addr :8787] [-j 0] [-enum-workers 1]
 //	      [-cache-entries 4096] [-timeout 30s]
 //	      [-max-concurrent 0] [-max-queue 64] [-max-queue-wait 1s]
 //	      [-tenant-rate 0] [-tenant-burst 0] [-heartbeat 10s]
@@ -43,7 +43,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "hard wall-clock cap on one simulation (0 = uncapped)")
 	drain := flag.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	enumWorkers := flag.Int("enum-workers", 1, "workers per verdict, each walking and checking its own shards (0 = GOMAXPROCS, 1 = sequential); never changes verdicts or cache keys")
-	prune := flag.Bool("prune", false, "skip SC-per-location-violating candidates for models that declare the pruning sound")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simulations admitted at once across all requests (0 = 2x GOMAXPROCS, floor 4); cache hits bypass admission")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for an admission slot before shedding with 429 (0 = 64)")
 	maxQueueWait := flag.Duration("max-queue-wait", 0, "longest one request may wait for a slot before shedding with 429 + Retry-After (0 = 1s)")
@@ -61,7 +60,6 @@ func main() {
 		CacheEntries:      *cacheEntries,
 		MaxSimTimeout:     *timeout,
 		EnumWorkers:       ew,
-		Prune:             *prune,
 		MaxConcurrent:     *maxConcurrent,
 		MaxQueue:          *maxQueue,
 		MaxQueueWait:      *maxQueueWait,
@@ -75,8 +73,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	log.Printf("herdd: listening on %s (workers=%d enum-workers=%d prune=%v cache-entries=%d sim-timeout=%s)",
-		*addr, *workers, ew, *prune, *cacheEntries, *timeout)
+	log.Printf("herdd: listening on %s (workers=%d enum-workers=%d cache-entries=%d sim-timeout=%s)",
+		*addr, *workers, ew, *cacheEntries, *timeout)
 
 	select {
 	case err := <-errc:

@@ -94,11 +94,6 @@ type Config struct {
 	// changing its outcome. Job.EnumWorkers overrides it per job.
 	EnumWorkers int
 
-	// Prune enables early SC-per-location pruning for checkers that
-	// declare it sound (sim.Options.Prune). Outcome verdicts and states
-	// are unchanged; Candidates counts shrink.
-	Prune bool
-
 	// Trace records a per-job phase trace (compile → enumerate → check →
 	// verdict plus enumeration counters) into each JobResult, and
 	// aggregate phase totals into the Report. Off by default: tracing is
@@ -365,7 +360,7 @@ func runAttempt(ctx context.Context, cfg Config, timeout time.Duration, b exec.B
 		out, err = job.Run(ctx, b)
 		return out, nil, err, ""
 	}
-	o := sim.Options{Workers: cfg.EnumWorkers, Prune: cfg.Prune}
+	o := sim.Options{Workers: cfg.EnumWorkers}
 	if job.EnumWorkers > 0 {
 		o.Workers = job.EnumWorkers
 	}

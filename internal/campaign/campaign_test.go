@@ -299,25 +299,24 @@ func TestBackoffHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestEnumWorkersAndPrune: the enumeration knobs reach the simulator and
-// leave the verdicts untouched; Job.EnumWorkers overrides the config.
-func TestEnumWorkersAndPrune(t *testing.T) {
+// TestEnumWorkers: the enumeration workers reach the simulator and leave
+// the verdicts and candidate counts untouched; Job.EnumWorkers overrides
+// the config.
+func TestEnumWorkers(t *testing.T) {
 	test := litmus.MustParse(sbSrc)
 	base := campaign.Run(context.Background(), campaign.Config{}, []campaign.Job{
 		{Name: "sb", Test: test, Model: models.TSO},
 	}).Jobs[0]
-	cfg := campaign.Config{EnumWorkers: 4, Prune: true}
+	cfg := campaign.Config{EnumWorkers: 4}
 	jobs := []campaign.Job{
 		{Name: "sb", Test: test, Model: models.TSO},
 		{Name: "sb-wide", Test: test, Model: models.TSO, EnumWorkers: 8},
 	}
 	rep := campaign.Run(context.Background(), cfg, jobs)
 	for _, res := range rep.Jobs {
-		if res.Status != base.Status || res.Valid != base.Valid {
-			t.Errorf("%s: status %s valid %d, want %s/%d", res.Name, res.Status, res.Valid, base.Status, base.Valid)
-		}
-		if res.Candidates > base.Candidates {
-			t.Errorf("%s: pruned run enumerated %d candidates, unpruned %d", res.Name, res.Candidates, base.Candidates)
+		if res.Status != base.Status || res.Valid != base.Valid || res.Candidates != base.Candidates {
+			t.Errorf("%s: status %s valid %d candidates %d, want %s/%d/%d", res.Name,
+				res.Status, res.Valid, res.Candidates, base.Status, base.Valid, base.Candidates)
 		}
 	}
 }

@@ -203,9 +203,6 @@ func (c *Compiled) Name() string { return c.m.name }
 // caches identify the compiled and interpreted forms as the same model.
 func (c *Compiled) Fingerprint() string { return c.m.fp }
 
-// PruneLevel delegates to the model's syntactic pruning analysis.
-func (c *Compiled) PruneLevel() exec.Prune { return c.m.PruneLevel() }
-
 // Check validates one execution with a throwaway evaluator. It is safe for
 // concurrent use; hot loops should hold an Evaluator (NewEvaluator) instead
 // so buffers and the static program are reused across candidates.
@@ -319,10 +316,6 @@ type interpOnly struct{ m *Model }
 func (i interpOnly) Name() string { return i.m.name }
 
 func (i interpOnly) Check(x *events.Execution) core.Result { return i.m.Check(x) }
-
-// PruneLevel keeps the interpreted wrapper prune-equivalent to the model,
-// so outcome equivalence holds with pruning enabled too.
-func (i interpOnly) PruneLevel() exec.Prune { return i.m.PruneLevel() }
 
 func (lw *lowerer) tierOf(static bool) *tier {
 	if static {

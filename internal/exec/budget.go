@@ -137,7 +137,6 @@ type search struct {
 	yield    func(*Candidate) bool
 
 	cands   int   // candidates yielded so far
-	pruned  int   // decision subtrees rejected by early pruning
 	stopped bool  // stop the recursion (user stop, budget, or cancel)
 	err     error // non-nil iff stopped abnormally
 	tick    uint  // throttle for the deadline/cancellation checks
@@ -147,7 +146,7 @@ type search struct {
 }
 
 // candidateSlot returns the search's candidate arena, building it on first
-// use so searches that never reach a leaf (pruned away, canceled early)
+// use so searches that never reach a leaf (infeasible, canceled early)
 // pay nothing.
 func (s *search) candidateSlot() *candSlot {
 	if s.slot == nil {
@@ -156,17 +155,11 @@ func (s *search) candidateSlot() *candSlot {
 	return s.slot
 }
 
-// flush publishes the search's private counters to an observability sink
-// and an optional prune-statistics counter. Counting privately and
-// flushing once keeps the hot walk free of atomics; nil sinks make the
-// whole call a branch.
-func (s *search) flush(sink *obs.EnumStats, ps *PruneStats) {
-	ps.AddSubtrees(int64(s.pruned))
-	if sink == nil {
-		return
-	}
+// flush publishes the search's private candidate count to an
+// observability sink. Counting privately and flushing once keeps the hot
+// walk free of atomics; a nil sink makes the whole call a branch.
+func (s *search) flush(sink *obs.EnumStats) {
 	sink.AddCandidates(s.cands)
-	sink.AddPruned(s.pruned)
 }
 
 // halt stops the search abnormally, recording the reason. The first

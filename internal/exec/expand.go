@@ -20,14 +20,13 @@ type decisionKind uint8
 
 const (
 	decRF decisionKind = iota // pick the write feeding read #read
-	decCO                     // pick position #pos of location #loc's order
+	decCO                     // pick the next write of location #loc's order
 )
 
 type decision struct {
 	kind decisionKind
 	read int // index into expansion.reads (decRF)
 	loc  int // index into expansion.locs (decCO)
-	pos  int // 0-based position among the non-init writes (decCO)
 }
 
 // expansion is the assembled skeleton of one trace combination: the global
@@ -61,11 +60,8 @@ type expansion struct {
 	rfCands [][]int // per read: feeding-write candidates (same loc+value)
 
 	// Multi-write locations, in Program.locs order; their coherence order
-	// is a decision, and their po-loc∪com projection is the prune check.
-	// local maps an event ID to its node index within its location (-1
-	// outside them): writes first, then reads.
-	locs  []coLoc
-	local []int
+	// is a decision.
+	locs []coLoc
 
 	decisions []decision
 	widths    []int // static width of each decision level
@@ -80,15 +76,7 @@ type locValue struct {
 // coLoc is one multi-write location of an expansion.
 type coLoc struct {
 	name   string
-	writes []int    // write event IDs, init first
-	reads  []int    // indices into expansion.reads
-	po     []poEdge // po-loc edges, in local node indices
-}
-
-// poEdge is one po-loc edge of a location, rr when both ends are reads.
-type poEdge struct {
-	from, to int
-	rr       bool
+	writes []int // write event IDs, init first
 }
 
 // feasible is the pre-check run before a trace combination is assembled:
@@ -210,15 +198,11 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 	}
 
 	// Every int slice of the expansion is carved from one allocation.
-	ints := make([]int, n+nMem+nReads+rfBound+nDec)
+	ints := make([]int, nMem+nReads+rfBound+nDec)
 	take := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]
 		return s
-	}
-	local := take(n)
-	for i := range local {
-		local[i] = -1
 	}
 	// members holds location l's writes (event IDs, event order, so the
 	// initial write first) and then its reads (indices into reads).
@@ -255,11 +239,9 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 		baseMem:   make([]locValue, 0, nLocs-nCo),
 		reads:     reads, rfCands: rfCands,
 		locs:      make([]coLoc, 0, nCo),
-		local:     local,
 		decisions: make([]decision, 0, nDec),
 		widths:    take(nDec)[:0],
 	}
-	var po []poEdge
 	for l, b := 0, 0; l < nLocs; l++ {
 		ws := members[b : b+nw[l] : b+nw[l]]
 		rs := members[b+nw[l] : b+nw[l]+nr[l] : b+nw[l]+nr[l]]
@@ -282,27 +264,7 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 			e.baseMem = append(e.baseMem, locValue{p.locs[l], p.Decode(evs[ws[0]].Val)})
 			continue
 		}
-		for k, id := range ws {
-			local[id] = k
-		}
-		for k, ri := range rs {
-			local[reads[ri]] = len(ws) + k
-		}
-		start := len(po)
-		node := func(k int) int { // local node k's event ID
-			if k < len(ws) {
-				return ws[k]
-			}
-			return reads[rs[k-len(ws)]]
-		}
-		for i := 0; i < len(ws)+len(rs); i++ {
-			for j := 0; j < len(ws)+len(rs); j++ {
-				if x.PO.Has(node(i), node(j)) {
-					po = append(po, poEdge{from: i, to: j, rr: i >= len(ws) && j >= len(ws)})
-				}
-			}
-		}
-		e.locs = append(e.locs, coLoc{name: p.locs[l], writes: ws, reads: rs, po: po[start:len(po):len(po)]})
+		e.locs = append(e.locs, coLoc{name: p.locs[l], writes: ws})
 	}
 
 	// The decision tree: every rf level, then every co level.
@@ -313,7 +275,7 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 	for li := range e.locs {
 		m := len(e.locs[li].writes) - 1 // non-init writes to place
 		for pos := 0; pos < m; pos++ {
-			e.decisions = append(e.decisions, decision{kind: decCO, loc: li, pos: pos})
+			e.decisions = append(e.decisions, decision{kind: decCO, loc: li})
 			e.widths = append(e.widths, m-pos)
 		}
 	}
@@ -323,18 +285,17 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 // walker holds the mutable decision state of one depth-first walk over an
 // expansion's tree. Walkers are cheap; every worker builds its own.
 type walker struct {
-	e     *expansion
-	s     *search
-	prune Prune
+	e *expansion
+	s *search
 
 	rfPick []int    // per read: chosen feeding write
 	orders [][]int  // per location: coherence order under construction
 	used   [][]bool // per location: non-init writes already placed
 }
 
-func newWalker(e *expansion, s *search, prune Prune) *walker {
+func newWalker(e *expansion, s *search) *walker {
 	w := &walker{
-		e: e, s: s, prune: prune,
+		e: e, s: s,
 		rfPick: make([]int, len(e.reads)),
 		orders: make([][]int, len(e.locs)),
 		used:   make([][]bool, len(e.locs)),
@@ -350,20 +311,12 @@ func newWalker(e *expansion, s *search, prune Prune) *walker {
 }
 
 // apply takes choice c at the given decision level, mutating the walker
-// state, and reports whether the resulting subtree is admissible (true) or
-// pruned (false). Either way the state is mutated; call undo after.
-func (w *walker) apply(level, c int) bool {
+// state; call undo after.
+func (w *walker) apply(level, c int) {
 	d := w.e.decisions[level]
 	if d.kind == decRF {
-		wr := w.e.rfCands[d.read][c]
-		w.rfPick[d.read] = wr
-		// Quick check: a read feeding from a program-order-later write of
-		// the same location is a 2-cycle (po-loc ∪ rf); the read-to-write
-		// pair survives every prune level.
-		if w.prune != PruneNone && w.e.x.PO.Has(w.e.reads[d.read], wr) {
-			return false
-		}
-		return true
+		w.rfPick[d.read] = w.e.rfCands[d.read][c]
+		return
 	}
 	// decCO: place the c-th not-yet-used non-init write next, counting in
 	// ascending event-ID order — the canonical (lexicographic) ordering
@@ -382,10 +335,6 @@ func (w *walker) apply(level, c int) bool {
 	}
 	used[pick] = true
 	w.orders[d.loc] = append(w.orders[d.loc], ws[pick+1])
-	if w.prune != PruneNone && d.pos == len(used)-1 && !w.locAcyclic(d.loc) {
-		return false // the location's order is complete and cyclic: prune
-	}
-	return true
 }
 
 // undo reverts the state change of the matching apply.
@@ -418,75 +367,13 @@ func (w *walker) walk(level int) {
 		if !w.s.alive(false) {
 			return
 		}
-		if w.apply(level, c) {
-			w.walk(level + 1)
-		} else {
-			w.s.pruned++
-		}
+		w.apply(level, c)
+		w.walk(level + 1)
 		w.undo(level)
 		if w.s.stopped {
 			return
 		}
 	}
-}
-
-// locAcyclic checks the per-location projection of po-loc ∪ rf ∪ fr ∪ co
-// for the (now fully ordered) location li, under the walker's prune level.
-// Only same-location edges exist in any of the four relations, so this
-// exactly decides whether the final candidate would violate the axiom at
-// this location.
-func (w *walker) locAcyclic(li int) bool {
-	cl := &w.e.locs[li]
-	m := len(cl.writes) + len(cl.reads)
-	local := w.e.local
-	order := w.orders[li]
-
-	adj := make([][]int, m)
-	add := func(a, b int) { adj[a] = append(adj[a], b) }
-	for _, edge := range cl.po {
-		if w.prune == PruneSCPerLocNoRR && edge.rr {
-			continue // load-load hazard allowed: read-read pairs exempt
-		}
-		add(edge.from, edge.to)
-	}
-	// co: consecutive edges carry the same reachability as the full order.
-	pos := make([]int, m) // order position of each write, by local index
-	for i, wr := range order {
-		pos[local[wr]] = i
-		if i > 0 {
-			add(local[order[i-1]], local[wr])
-		}
-	}
-	for k, ri := range cl.reads {
-		wr, r := w.rfPick[ri], len(cl.writes)+k // r: the read's local node
-		add(local[wr], r)                       // rf: w -> r
-		if p := pos[local[wr]]; p+1 < len(order) {
-			add(r, local[order[p+1]]) // fr: r -> first co-later write
-		}
-	}
-
-	// Three-colour DFS over the (tiny) local graph.
-	color := make([]int, m)
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		color[v] = 1
-		for _, u := range adj[v] {
-			if color[u] == 1 {
-				return false
-			}
-			if color[u] == 0 && !visit(u) {
-				return false
-			}
-		}
-		color[v] = 2
-		return true
-	}
-	for v := 0; v < m; v++ {
-		if color[v] == 0 && !visit(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // candSlot is the reusable candidate arena of one search. Every candidate

@@ -11,7 +11,7 @@ import (
 )
 
 // Request gathers every knob of one enumeration, for Search and
-// SearchShards alike. The zero value enumerates sequentially, unpruned,
+// SearchShards alike. The zero value enumerates sequentially,
 // unbudgeted and uninstrumented, and yields fully derived candidates.
 type Request struct {
 	// Budget bounds the search (see Budget); the zero value is unlimited.
@@ -24,22 +24,11 @@ type Request struct {
 	// caches (internal/memo) deliberately exclude it from their keys.
 	Workers int
 
-	// Prune sets the early SC-per-location pruning level. Only enable a
-	// level the downstream checker has declared sound (see Prune); the
-	// default PruneNone reproduces the full candidate space.
-	Prune Prune
-
 	// Obs, when non-nil, receives the enumeration counters: candidates
-	// yielded, subtrees rejected by pruning, and shard utilisation.
-	// Counters are accumulated privately per worker and flushed in bulk,
-	// so the hot walk stays free of atomics; a nil sink costs one branch
-	// per flush point.
+	// yielded and shard utilisation. Counters are accumulated privately
+	// per worker and flushed in bulk, so the hot walk stays free of
+	// atomics; a nil sink costs one branch per flush point.
 	Obs *obs.EnumStats
-
-	// PruneStats, when non-nil, additionally receives the pruned-subtree
-	// count into a process-lifetime monotone counter (see PruneStats).
-	// Like Obs it is flushed once per search, never from the hot walk.
-	PruneStats *PruneStats
 
 	// Deferred hands each candidate over with rf and co alone: the
 	// consumer derives the dynamic relations it reads itself, with
@@ -69,13 +58,13 @@ func (r Request) derive() events.Dyn {
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
 	s := newSearch(ctx, req.Budget, yield)
 	s.derive = req.derive()
-	defer s.flush(req.Obs, req.PruneStats)
+	defer s.flush(req.Obs)
 	if !s.alive(true) { // already canceled or expired before the search starts
 		return s.err
 	}
 	allTraces, truncated, err := p.allTraces(s)
 	if err == nil && s.err == nil {
-		err = p.walkCombos(s, req.Prune, allTraces, 0, comboCount(allTraces))
+		err = p.walkCombos(s, allTraces, 0, comboCount(allTraces))
 	}
 	switch {
 	case err != nil:
@@ -140,7 +129,7 @@ func comboChoice(allTraces [][]Trace, ci int, choice []int) {
 
 // walkCombos walks the trace combinations [lo, hi) in index order — the
 // sequential visit order — each through its own decision tree.
-func (p *Program) walkCombos(s *search, prune Prune, allTraces [][]Trace, lo, hi int) error {
+func (p *Program) walkCombos(s *search, allTraces [][]Trace, lo, hi int) error {
 	choice := make([]int, len(p.Threads))
 	for ci := lo; ci < hi && s.alive(false); ci++ {
 		comboChoice(allTraces, ci, choice)
@@ -149,7 +138,7 @@ func (p *Program) walkCombos(s *search, prune Prune, allTraces [][]Trace, lo, hi
 			return err
 		}
 		if e != nil {
-			newWalker(e, s, prune).walk(0)
+			newWalker(e, s).walk(0)
 		}
 	}
 	return nil
@@ -405,30 +394,24 @@ func prefixSplit(widths []int, want int) (k, count int) {
 
 // walkShard walks one shard with a search of its own — its own candidate
 // slot, so candidates stay zero-copy — capped at limit candidates
-// (0 = none), and records how the walk ended in sh. Prune rejections are
-// flushed per walk; the candidate total is the merger's, which counts the
-// sequential prefix only.
+// (0 = none), and records how the walk ended in sh. The candidate total is
+// the merger's, which counts the sequential prefix only.
 func (p *Program) walkShard(ctx context.Context, deadline time.Time, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
 	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield, derive: req.derive()}
 	defer func() {
 		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err
 		req.Obs.AddShardsRun(1)
-		req.Obs.AddPruned(ws.pruned)
-		req.PruneStats.AddSubtrees(int64(ws.pruned))
 	}()
 	switch {
 	case !ws.alive(true):
 	case sh.exp == nil:
-		if err := p.walkCombos(ws, req.Prune, allTraces, sh.lo, sh.hi); err != nil {
+		if err := p.walkCombos(ws, allTraces, sh.lo, sh.hi); err != nil {
 			ws.halt(err)
 		}
 	default:
-		w := newWalker(sh.exp, ws, req.Prune)
+		w := newWalker(sh.exp, ws)
 		for lvl, c := range sh.prefix {
-			if !w.apply(lvl, c) {
-				ws.pruned++ // the whole shard is pruned
-				return
-			}
+			w.apply(lvl, c)
 		}
 		w.walk(len(sh.prefix))
 	}

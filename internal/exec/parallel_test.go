@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"herdcats/internal/core"
 	"herdcats/internal/exec"
 	"herdcats/internal/testleak"
 )
@@ -259,89 +258,6 @@ func TestParallelPanicReraised(t *testing.T) {
 		}
 	})
 	t.Fatal("SearchShards returned normally")
-}
-
-// TestPruneSoundAndExact: the pruned enumeration yields exactly the
-// candidates whose po-loc ∪ com union is acyclic — no violator survives,
-// no conforming candidate is lost — in the unpruned relative order.
-func TestPruneSoundAndExact(t *testing.T) {
-	for name, p := range propertyTests(t) {
-		t.Run(name, func(t *testing.T) {
-			var kept []string
-			err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-				if core.SCPerLocationHolds(c.X, core.Options{}) {
-					kept = append(kept, fingerprint(c))
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				parts, err := shardStreams(t, p, exec.Request{Workers: workers, Prune: exec.PruneSCPerLoc}, nil)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				sameStream(t, fmt.Sprintf("workers=%d pruned", workers), concat(parts), kept)
-			}
-		})
-	}
-}
-
-// TestPruneNoRRKeepsHazards: under the load-load-hazard level, candidates
-// whose only uniproc violation is a read-read reordering survive, and
-// everything the relaxed check rejects is pruned.
-func TestPruneNoRRKeepsHazards(t *testing.T) {
-	// coRR: two po-adjacent reads of x observing new-then-old — the
-	// classic hazard allowed by ARM llh.
-	const coRRSrc = `PPC coRR
-{ 0:r2=x; 1:r2=x; }
- P0 | P1 ;
- li r1,1 | lwz r3,0(r2) ;
- stw r1,0(r2) | lwz r4,0(r2) ;
-exists (1:r3=1 /\ 1:r4=0)`
-	p := compile(t, coRRSrc)
-	var kept []string
-	err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-		if core.SCPerLocationHolds(c.X, core.Options{AllowLoadLoadHazard: true}) {
-			kept = append(kept, fingerprint(c))
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stream(t, p, exec.Request{Prune: exec.PruneSCPerLocNoRR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(kept) {
-		t.Fatalf("pruned stream has %d candidates, want %d", len(got), len(kept))
-	}
-	for i := range kept {
-		if got[i] != kept[i] {
-			t.Fatalf("candidate %d differs", i)
-		}
-	}
-	// The hazard itself must survive: some kept candidate observes r3=1, r4=0.
-	hazard := false
-	for _, fp := range kept {
-		if strings.Contains(fp, "1:r3=1") && strings.Contains(fp, "1:r4=0") {
-			hazard = true
-		}
-	}
-	if !hazard {
-		t.Fatalf("no load-load-hazard candidate survived NoRR pruning:\n%s", strings.Join(kept, "\n"))
-	}
-
-	// The full level must reject strictly more than the NoRR level here.
-	full, err := stream(t, p, exec.Request{Prune: exec.PruneSCPerLoc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) >= len(got) {
-		t.Fatalf("full prune kept %d, NoRR kept %d: expected full < NoRR", len(full), len(got))
-	}
 }
 
 // TestParallelSameSetUnordered is a defence-in-depth check: even if the

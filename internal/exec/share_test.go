@@ -106,7 +106,7 @@ func TestSharedProgramMatchesFresh(t *testing.T) {
 		{name: "traces-cap-loose", ctx: bg, req: exec.Request{Budget: exec.Budget{MaxTracesPerThread: 64}}, traces: true},
 		{name: "sharded-capped", ctx: bg, req: exec.Request{Workers: 2, Budget: exec.Budget{MaxTracesPerThread: 20, MaxCandidates: 9}}, traces: true},
 		{name: "canceled-in-yield", ctx: bg, cancelInYield: true, traces: true},
-		{name: "pruned-deferred", ctx: bg, req: exec.Request{Prune: exec.PruneSCPerLoc, Deferred: true}, traces: true},
+		{name: "deferred", ctx: bg, req: exec.Request{Deferred: true}, traces: true},
 	}
 	shared, err := exec.ProgramFor(exec.Share(bg(), test), test)
 	if err != nil {

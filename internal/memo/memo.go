@@ -79,10 +79,9 @@ func CanonicalTest(t *litmus.Test) string { return t.String() }
 // Key is the content address of a verdict: the hex SHA-256 over the
 // length-prefixed canonical test, model identity and budget key.
 //
-// Enumeration options (worker count, pruning) are deliberately not part of
-// the key. Workers never change the outcome — the parallel candidate
-// stream is identical to the sequential one — and pruning is fixed per
-// Cache instance (see Options), so neither can make one key ambiguous.
+// The worker count is deliberately not part of the key: workers never
+// change the outcome — the parallel candidate stream is identical to the
+// sequential one (see Options).
 //
 // The budget's timeout is part of the key, but a COMPLETE outcome does not
 // depend on it: the cache stores complete outcomes under the timeout-free
@@ -161,31 +160,18 @@ type Cache struct {
 
 // Options tunes how the cache simulates on a miss. The options are fixed
 // for the lifetime of the cache and are NOT part of the verdict keys:
-//
-//   - Workers cannot be keyed because it does not need to be — the
-//     sharded verdict folds to the byte-identical sequential outcome,
-//     so the outcome is a pure function of (test, model, budget) alone.
-//   - Prune does change the Candidates count and the FailedBy histogram
-//     (uniproc-violating candidates are never built), though never the
-//     verdict. Keeping it per-instance rather than per-key means one
-//     cache never mixes pruned and unpruned counters.
+// Workers need not be keyed, because the sharded verdict folds to the
+// byte-identical sequential outcome, so the outcome is a pure function of
+// (test, model, budget) alone.
 type Options struct {
 	// Workers parallelises each simulation's candidate enumeration;
 	// <= 1 keeps it sequential.
 	Workers int
-	// Prune enables early SC-per-location pruning at the level each
-	// checker declares sound (sim.PruneLevelFor).
-	Prune bool
 	// Obs, when non-nil, aggregates the enumeration counters of every
 	// simulation this cache performs (cache hits add nothing — no
 	// enumeration happens). herdd points this at its process-wide stats
-	// so /metrics reports candidates and prune rejections.
+	// so /metrics reports candidates and shard utilisation.
 	Obs *obs.EnumStats
-	// PruneStats, when non-nil, receives every simulation's pruned-subtree
-	// count into a process-lifetime monotone counter
-	// (exec.Request.PruneStats); herdd exports it as
-	// herdd_enum_pruned_subtrees_total.
-	PruneStats *exec.PruneStats
 }
 
 // call is one in-flight simulation; waiters block on done.
@@ -403,7 +389,7 @@ func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error)
 		Program: p,
 		Checker: req.Model,
 		Budget:  req.Budget,
-		Options: sim.Options{Workers: c.opts.Workers, Prune: c.opts.Prune, PruneStats: c.opts.PruneStats},
+		Options: sim.Options{Workers: c.opts.Workers},
 		Obs:     tr,
 	})
 	c.opts.Obs.Merge(tr.Enum().Snapshot())

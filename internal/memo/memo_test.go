@@ -555,12 +555,11 @@ func TestCrossTimeoutHit(t *testing.T) {
 	}
 }
 
-// TestOptionsPreserveOutcome: a pruned, parallel cache returns the same
-// verdict and states as a plain one — only the Candidates counter may
-// legitimately differ.
+// TestOptionsPreserveOutcome: a parallel cache returns the same verdict
+// and candidate count as a plain one.
 func TestOptionsPreserveOutcome(t *testing.T) {
 	plain := memo.New(0)
-	tuned := memo.NewWithOptions(0, memo.Options{Workers: 4, Prune: true})
+	tuned := memo.NewWithOptions(0, memo.Options{Workers: 4})
 	ctx := context.Background()
 	for _, name := range []string{"mp", "sb", "iriw"} {
 		test := mustTest(t, name)
@@ -576,8 +575,8 @@ func TestOptionsPreserveOutcome(t *testing.T) {
 			if a.Valid != b.Valid || a.CondObserved != b.CondObserved || a.OK() != b.OK() {
 				t.Errorf("%s/%s: tuned cache changed the verdict", name, m.Name())
 			}
-			if b.Candidates > a.Candidates {
-				t.Errorf("%s/%s: pruning grew candidates %d -> %d", name, m.Name(), a.Candidates, b.Candidates)
+			if b.Candidates != a.Candidates {
+				t.Errorf("%s/%s: tuned cache changed candidates %d -> %d", name, m.Name(), a.Candidates, b.Candidates)
 			}
 		}
 	}

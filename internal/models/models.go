@@ -7,7 +7,6 @@ package models
 import (
 	"herdcats/internal/core"
 	"herdcats/internal/events"
-	"herdcats/internal/exec"
 	"herdcats/internal/rel"
 )
 
@@ -43,19 +42,6 @@ type evaluator struct {
 
 func (e evaluator) Check(x *events.Execution) core.Result {
 	return core.Check(e.Arch, x, e.Opts, e.ar)
-}
-
-// PruneLevel declares the early SC-per-location pruning level sound for
-// this model (sim.PruneCapable): core.Check evaluates the SC PER
-// LOCATION axiom for every architecture, so any candidate whose po-loc ∪
-// com union is cyclic is rejected — the enumeration may skip it. Under
-// AllowLoadLoadHazard the axiom exempts read-read program-order pairs, and
-// so must the pruning.
-func (m Model) PruneLevel() exec.Prune {
-	if m.Opts.AllowLoadLoadHazard {
-		return exec.PruneSCPerLocNoRR
-	}
-	return exec.PruneSCPerLoc
 }
 
 // The standard model zoo.

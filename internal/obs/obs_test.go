@@ -63,7 +63,7 @@ func TestConcurrentCounters(t *testing.T) {
 				g.Add(1)
 				h.Observe(int64(i))
 				e.AddCandidates(1)
-				e.AddPruned(2)
+				e.AddShardsRun(2)
 				e.SetWorkers(i % 7)
 			}
 		}()
@@ -79,7 +79,7 @@ func TestConcurrentCounters(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
 	}
 	snap := e.Snapshot()
-	if snap.Candidates != workers*perWorker || snap.Pruned != 2*workers*perWorker {
+	if snap.Candidates != workers*perWorker || snap.ShardsRun != 2*workers*perWorker {
 		t.Errorf("enum stats = %+v", snap)
 	}
 	if snap.Workers != 6 {
@@ -110,7 +110,6 @@ func TestNilSinksNoOp(t *testing.T) {
 	}
 	var e *obs.EnumStats
 	e.AddCandidates(1)
-	e.AddPruned(1)
 	e.AddShardsBuilt(1)
 	e.AddShardsRun(1)
 	e.SetWorkers(8)

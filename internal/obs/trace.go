@@ -33,13 +33,12 @@ var phaseOrder = map[string]int{
 }
 
 // EnumStats collects the counters one (or many) enumerations report:
-// candidates yielded, subtrees rejected by early SC-per-location pruning,
-// and how the sharded parallel search spread its work. All methods are
-// nil-safe and safe for concurrent use; the engine accumulates privately
-// and flushes per shard, so the hot walk never touches an atomic.
+// candidates yielded and how the sharded parallel search spread its work.
+// All methods are nil-safe and safe for concurrent use; the engine
+// accumulates privately and flushes per shard, so the hot walk never
+// touches an atomic.
 type EnumStats struct {
 	candidates  atomic64
-	pruned      atomic64
 	shardsBuilt atomic64
 	shardsRun   atomic64
 	workers     atomic64 // high-water worker count of any single enumeration
@@ -54,14 +53,6 @@ func (s *EnumStats) AddCandidates(n int) {
 		return
 	}
 	s.candidates.Add(n)
-}
-
-// AddPruned records n decision subtrees rejected by early pruning.
-func (s *EnumStats) AddPruned(n int) {
-	if s == nil {
-		return
-	}
-	s.pruned.Add(n)
 }
 
 // AddShardsBuilt records n shards partitioned for a parallel search.
@@ -106,7 +97,6 @@ func (s *EnumStats) Merge(snap EnumSnapshot) {
 		return
 	}
 	s.candidates.v.Add(snap.Candidates)
-	s.pruned.v.Add(snap.Pruned)
 	s.shardsBuilt.v.Add(snap.ShardsBuilt)
 	s.shardsRun.v.Add(snap.ShardsRun)
 	s.SetWorkers(int(snap.Workers))
@@ -115,7 +105,6 @@ func (s *EnumStats) Merge(snap EnumSnapshot) {
 // EnumSnapshot is the JSON-ready copy of an EnumStats.
 type EnumSnapshot struct {
 	Candidates  uint64 `json:"candidates"`
-	Pruned      uint64 `json:"pruned,omitempty"`
 	ShardsBuilt uint64 `json:"shards_built,omitempty"`
 	ShardsRun   uint64 `json:"shards_run,omitempty"`
 	Workers     uint64 `json:"workers,omitempty"`
@@ -125,7 +114,6 @@ type EnumSnapshot struct {
 // high-water mark. Used when aggregating per-job snapshots into a report.
 func (s *EnumSnapshot) Add(o EnumSnapshot) {
 	s.Candidates += o.Candidates
-	s.Pruned += o.Pruned
 	s.ShardsBuilt += o.ShardsBuilt
 	s.ShardsRun += o.ShardsRun
 	if o.Workers > s.Workers {
@@ -140,7 +128,6 @@ func (s *EnumStats) Snapshot() EnumSnapshot {
 	}
 	return EnumSnapshot{
 		Candidates:  s.candidates.Value(),
-		Pruned:      s.pruned.Value(),
 		ShardsBuilt: s.shardsBuilt.Value(),
 		ShardsRun:   s.shardsRun.Value(),
 		Workers:     s.workers.Value(),
@@ -248,9 +235,6 @@ func (j *TraceJSON) String() string {
 		fmt.Fprintf(&b, "  %-10s %12s\n", s.Phase, time.Duration(s.DurationUS)*time.Microsecond)
 	}
 	fmt.Fprintf(&b, "  %-10s %12d\n", "candidates", j.Enum.Candidates)
-	if j.Enum.Pruned > 0 {
-		fmt.Fprintf(&b, "  %-10s %12d\n", "pruned", j.Enum.Pruned)
-	}
 	if j.Enum.ShardsBuilt > 0 {
 		fmt.Fprintf(&b, "  %-10s %12d/%d (workers %d)\n", "shards",
 			j.Enum.ShardsRun, j.Enum.ShardsBuilt, j.Enum.Workers)

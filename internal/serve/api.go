@@ -122,7 +122,6 @@ func (s *Server) budget(spec BudgetSpec) exec.Budget {
 func (s *Server) effectiveOptions(b exec.Budget) EffectiveOptions {
 	return EffectiveOptions{
 		Workers: s.cfg.EnumWorkers,
-		Prune:   s.cfg.Prune,
 		Budget: BudgetSpec{
 			MaxCandidates:      b.MaxCandidates,
 			MaxTracesPerThread: b.MaxTracesPerThread,

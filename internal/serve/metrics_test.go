@@ -57,26 +57,24 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	// kind. Extra families are allowed (the registry is extensible), but
 	// these must all be present and correctly typed.
 	goldenTypes := map[string]string{
-		"herdd_admission_queue_depth":      "gauge",
-		"herdd_admission_shed_total":       "counter",
-		"herdd_admission_slots_in_use":     "gauge",
-		"herdd_admission_wait_us":          "histogram",
-		"herdd_cache_alias_hits_total":     "counter",
-		"herdd_cache_alias_misses_total":   "counter",
-		"herdd_cache_entries":              "gauge",
-		"herdd_cache_evictions_total":      "counter",
-		"herdd_cache_hits_total":           "counter",
-		"herdd_cache_misses_total":         "counter",
-		"herdd_cache_waits_total":          "counter",
-		"herdd_enum_candidates_total":      "counter",
-		"herdd_enum_pruned_total":          "counter",
-		"herdd_enum_pruned_subtrees_total": "counter",
-		"herdd_enum_shards_built_total":    "counter",
-		"herdd_enum_shards_run_total":      "counter",
-		"herdd_enum_workers":               "gauge",
-		"herdd_http_in_flight":             "gauge",
-		"herdd_request_latency_us":         "histogram",
-		"herdd_requests_total":             "counter",
+		"herdd_admission_queue_depth":    "gauge",
+		"herdd_admission_shed_total":     "counter",
+		"herdd_admission_slots_in_use":   "gauge",
+		"herdd_admission_wait_us":        "histogram",
+		"herdd_cache_alias_hits_total":   "counter",
+		"herdd_cache_alias_misses_total": "counter",
+		"herdd_cache_entries":            "gauge",
+		"herdd_cache_evictions_total":    "counter",
+		"herdd_cache_hits_total":         "counter",
+		"herdd_cache_misses_total":       "counter",
+		"herdd_cache_waits_total":        "counter",
+		"herdd_enum_candidates_total":    "counter",
+		"herdd_enum_shards_built_total":  "counter",
+		"herdd_enum_shards_run_total":    "counter",
+		"herdd_enum_workers":             "gauge",
+		"herdd_http_in_flight":           "gauge",
+		"herdd_request_latency_us":       "histogram",
+		"herdd_requests_total":           "counter",
 	}
 	seenTypes := make(map[string]string)
 	for _, line := range strings.Split(page, "\n") {

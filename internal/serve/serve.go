@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"herdcats/internal/exec"
 	"herdcats/internal/memo"
 	"herdcats/internal/obs"
 )
@@ -59,12 +58,6 @@ type Config struct {
 	// identical to the sequential one, so verdicts are worker-count
 	// independent.
 	EnumWorkers int
-
-	// Prune enables early SC-per-location pruning for models that
-	// declare it sound. Verdicts and states are unchanged; the
-	// Candidates counters in responses shrink. Fixed per server, so the
-	// cache never mixes pruned and unpruned counters.
-	Prune bool
 
 	// MaxConcurrent bounds the simulations running at once across /v1/run
 	// and /v1/batch — the admission-control slot pool (<= 0 selects
@@ -108,11 +101,10 @@ type Server struct {
 	mux   *http.ServeMux
 	http  *http.Server
 
-	reg     *obs.Registry    // /metrics exposition
-	enum    *obs.EnumStats   // process-wide enumeration counters (via memo)
-	prune   *exec.PruneStats // process-lifetime pruned-subtree counter (via memo)
-	adm     *admission       // concurrency slots + bounded queue + shedding
-	tenants *tenantLimiter   // per-tenant token buckets (X-Tenant header)
+	reg     *obs.Registry  // /metrics exposition
+	enum    *obs.EnumStats // process-wide enumeration counters (via memo)
+	adm     *admission     // concurrency slots + bounded queue + shedding
+	tenants *tenantLimiter // per-tenant token buckets (X-Tenant header)
 
 	requests atomic.Int64 // requests completed
 	errors   atomic.Int64 // requests answered with a 4xx/5xx status
@@ -121,11 +113,11 @@ type Server struct {
 
 // New builds a server and registers its expvar and /metrics instruments.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, reg: obs.NewRegistry(), enum: &obs.EnumStats{}, prune: &exec.PruneStats{}}
+	s := &Server{cfg: cfg, reg: obs.NewRegistry(), enum: &obs.EnumStats{}}
 	s.adm = newAdmission(cfg, s.reg)
 	s.tenants = newTenantLimiter(cfg, s.reg)
 	s.cache = memo.NewWithOptions(cfg.CacheEntries,
-		memo.Options{Workers: cfg.EnumWorkers, Prune: cfg.Prune, Obs: s.enum, PruneStats: s.prune})
+		memo.Options{Workers: cfg.EnumWorkers, Obs: s.enum})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -163,8 +155,6 @@ func New(cfg Config) *Server {
 func (s *Server) registerMetrics() {
 	r := s.reg
 	r.CounterFunc("herdd_enum_candidates_total", func() uint64 { return s.enum.Snapshot().Candidates })
-	r.CounterFunc("herdd_enum_pruned_total", func() uint64 { return s.enum.Snapshot().Pruned })
-	r.CounterFunc("herdd_enum_pruned_subtrees_total", func() uint64 { return uint64(s.prune.Subtrees()) })
 	r.CounterFunc("herdd_enum_shards_built_total", func() uint64 { return s.enum.Snapshot().ShardsBuilt })
 	r.CounterFunc("herdd_enum_shards_run_total", func() uint64 { return s.enum.Snapshot().ShardsRun })
 	r.GaugeFunc("herdd_enum_workers", func() int64 { return int64(s.enum.Snapshot().Workers) })

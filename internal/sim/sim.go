@@ -24,15 +24,6 @@ import (
 // models both implement it.
 type Checker = core.Checker
 
-// PruneCapable is implemented by checkers that declare a level of early
-// SC-per-location pruning as sound: the checker promises to reject every
-// candidate whose per-location po-loc ∪ com projection (relaxed per the
-// level) is cyclic, so the enumeration may skip building such candidates.
-// models.Model and cat.Model both implement it.
-type PruneCapable interface {
-	PruneLevel() exec.Prune
-}
-
 // SelfDeriving is implemented by evaluators that derive the dynamic
 // relations they read themselves (events.Execution.DeriveDemand), as the
 // compiled cat evaluator does. Simulate then enumerates deferred
@@ -43,17 +34,8 @@ type SelfDeriving interface {
 	DerivesOwnDemand()
 }
 
-// PruneLevelFor resolves the pruning level a checker declares sound, or
-// PruneNone for checkers that declare nothing.
-func PruneLevelFor(model Checker) exec.Prune {
-	if pc, ok := model.(PruneCapable); ok {
-		return pc.PruneLevel()
-	}
-	return exec.PruneNone
-}
-
 // Options tunes how the candidate space is enumerated. The zero value is
-// sequential and unpruned.
+// sequential.
 type Options struct {
 	// Workers parallelises the whole verdict (exec.Request.Workers): each
 	// of Workers goroutines walks shards of the candidate space and checks
@@ -62,18 +44,6 @@ type Options struct {
 	// the sequential one, so the outcome — counters, states, verdict and
 	// even a deterministic truncation point — does not depend on it.
 	Workers int
-
-	// Prune enables early SC-per-location pruning at the level the
-	// checker declares sound (PruneLevelFor); checkers declaring nothing
-	// run unpruned. Pruning preserves Valid, States, CondObserved and
-	// OK, but Candidates shrinks and uniproc violations disappear from
-	// FailedBy: the rejected candidates are never built.
-	Prune bool
-
-	// PruneStats, when non-nil, receives the pruned-subtree count into a
-	// process-lifetime monotone counter (exec.Request.PruneStats) — the
-	// herdd server threads its /metrics counter through here.
-	PruneStats *exec.PruneStats
 }
 
 // Request is everything one simulation needs: Simulate is the single
@@ -94,7 +64,7 @@ type Request struct {
 	// Budget bounds the enumeration; the zero value is unlimited.
 	Budget exec.Budget
 
-	// Options tunes the enumeration (parallel workers, pruning).
+	// Options tunes the enumeration (parallel workers).
 	Options Options
 
 	// Obs, when non-nil, records the run's phase trace and the
@@ -128,18 +98,14 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 		}
 	}
 	er := exec.Request{
-		Budget:     req.Budget,
-		Workers:    req.Options.Workers,
-		Obs:        req.Obs.Enum(),
-		PruneStats: req.Options.PruneStats,
-	}
-	if req.Options.Prune {
-		er.Prune = PruneLevelFor(req.Checker)
+		Budget:  req.Budget,
+		Workers: req.Options.Workers,
+		Obs:     req.Obs.Enum(),
 	}
 	// Each search goroutine gets one worker: the checker upgraded to a
 	// per-worker evaluator when it offers one (compiled cat models, the
 	// built-in zoo), whose pooled relation buffers make the steady-state
-	// check allocation-free, plus one state keyer. Name, pruning and the
+	// check allocation-free, plus one state keyer. Name and the
 	// outcome still come from the original checker. The first evaluator
 	// is built here, to learn whether it derives its own demand, and goes
 	// to the first worker.

@@ -55,7 +55,7 @@ func TestMigrationTombstoneRequestShapesEquivalent(t *testing.T) {
 		"RunOptsCtx":         {Test: test, Checker: model, Options: sim.Options{Workers: 2}},
 		"RunCompiled":        {Program: p, Checker: model},
 		"RunCompiledCtx":     {Program: p, Checker: model, Budget: exec.Budget{}},
-		"RunCompiledOptsCtx": {Program: p, Checker: model, Options: sim.Options{Prune: true}},
+		"RunCompiledOptsCtx": {Program: p, Checker: model, Options: sim.Options{Workers: 2}},
 	}
 	for name, req := range shapes {
 		got, err := sim.Simulate(ctx, req)

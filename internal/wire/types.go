@@ -72,10 +72,9 @@ func (r *RunRequest) Validate() error {
 
 // EffectiveOptions echoes the options a request actually ran under, after
 // server-side defaults and clamps — so a client can see, e.g., that its
-// timeout was capped or which prune level applied.
+// timeout was capped.
 type EffectiveOptions struct {
 	Workers int        `json:"workers"` // enumeration workers (0/1 = sequential)
-	Prune   bool       `json:"prune"`   // early SC-per-location pruning enabled
 	Budget  BudgetSpec `json:"budget"`  // effective budget, post-clamp
 }
 
