@@ -32,10 +32,11 @@ func diyCorpus(t *testing.T, arch litmus.Arch, pool []diy.Edge, n int) []*litmus
 }
 
 // TestBindingsMatchZoo: the relations the operational machine reads off a
-// compiled cat model — its ppo, fence, prop and hb bindings — equal the
-// zoo's Architecture.PPO, Fences and Prop, and ppo ∪ fences ∪ rfe, on
-// every candidate of the catalogue and of a seeded diy corpus of the
-// model's dialect. One Reader per model serves every candidate, so values
+// compiled cat model — its ppo, fence, prop, hb and po-loc-sc bindings —
+// equal the zoo's Architecture.PPO, Fences and Prop, ppo ∪ fences ∪ rfe,
+// and the po-loc its SC PER LOCATION reads (without read-read pairs where
+// the zoo allows load-load hazards), on every candidate of the catalogue
+// and of a seeded diy corpus of the model's dialect. One Reader per model serves every candidate, so values
 // handed out must not depend on what its evaluator checked before.
 func TestBindingsMatchZoo(t *testing.T) {
 	for _, tc := range []struct {
@@ -46,13 +47,15 @@ func TestBindingsMatchZoo(t *testing.T) {
 	}{
 		{"power", models.Power, litmus.PPC, diy.PowerPool()},
 		{"arm", models.ARM, litmus.ARM, diy.ARMPool()},
+		{"arm-llh", models.ARMllh, litmus.ARM, diy.ARMPool()},
 	} {
 		t.Run(tc.cat, func(t *testing.T) {
 			c, err := cat.MustBuiltin(tc.cat).Compiled()
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.Reader("ppo", "fence", "prop", "hb")
+			names := []string{"ppo", "fence", "prop", "hb", "po-loc-sc"}
+			r, err := c.Reader(names...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,8 +78,12 @@ func TestBindingsMatchZoo(t *testing.T) {
 					}
 					a := tc.zoo.Arch
 					ppo, fences := a.PPO(x, nil), a.Fences(x, nil)
-					want := []rel.Rel{ppo, fences, a.Prop(x, ppo, fences, nil), ppo.Union(fences).Union(x.RFE)}
-					for i, name := range []string{"ppo", "fence", "prop", "hb"} {
+					poloc := x.POLoc
+					if tc.zoo.Opts.AllowLoadLoadHazard {
+						poloc = poloc.Diff(poloc.Restrict(x.R, x.R))
+					}
+					want := []rel.Rel{ppo, fences, a.Prop(x, ppo, fences, nil), ppo.Union(fences).Union(x.RFE), poloc}
+					for i, name := range names {
 						if !got[i].Equal(want[i]) {
 							t.Fatalf("%s: %s: cat %v, zoo %v\n%s", test.Name, name, got[i], want[i], x)
 						}

@@ -2,12 +2,12 @@ package cat_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
-	"herdcats/internal/core"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
@@ -224,9 +224,10 @@ func TestLLHFilterModel(t *testing.T) {
 	matched, unmatched := 0, 0
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		// Ground truth: a candidate is an llh behaviour iff it violates
-		// strict SC PER LOCATION but passes with read-read pairs dropped.
-		strict := core.SCPerLocationHolds(c.X, core.Options{})
-		loose := core.SCPerLocationHolds(c.X, core.Options{AllowLoadLoadHazard: true})
+		// strict SC PER LOCATION but passes with read-read pairs dropped,
+		// as the zoo's ARM and ARM llh judge it.
+		strict := !slices.Contains(models.ARM.Check(c.X).FailedChecks, "SC PER LOCATION")
+		loose := !slices.Contains(models.ARMllh.Check(c.X).FailedChecks, "SC PER LOCATION")
 		isLLH := !strict && loose
 		if got := m.Check(c.X).Valid; got != isLLH {
 			t.Errorf("llh filter = %v, ground truth = %v", got, isLLH)

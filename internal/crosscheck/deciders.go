@@ -86,9 +86,9 @@ func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 type operational struct{ model *cat.Model }
 
 // Operational wraps the intermediate machine (Thm. 7.1) under the cat
-// model m, which binds its ppo, fence, prop and hb (machine.NewModel): the
-// test is allowed iff some candidate execution is accepted by the machine
-// and satisfies the final condition.
+// model m, which binds its ppo, fence, prop, hb and po-loc-sc
+// (machine.NewModel): the test is allowed iff some candidate execution is
+// accepted by the machine and satisfies the final condition.
 func Operational(m *cat.Model) Decider { return operational{model: m} }
 
 func (d operational) Name() string { return "machine:" + d.model.Name() }

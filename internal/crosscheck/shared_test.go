@@ -132,7 +132,7 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 			t.Fatalf("%s: %v %+v", test.Name, err, rep)
 		}
 	})
-	const ceiling = 3574
+	const ceiling = 3539
 	t.Logf("%s over the PPC table: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ const (
 // model is not invalidated by Power hardware but leaves unimplemented
 // behaviours unseen; the Power-ARM model is heavily invalidated by ARM
 // hardware; the ARM llh model reduces the invalidations to the residual
-// anomalies.
+// anomalies. It also pins every row's counts over the full length-3..4
+// corpus, as cmd/cats-experiments prints them by default.
 func TestTable5Shape(t *testing.T) {
 	rows, err := experiments.Table5(minLen, maxLen, capN)
 	if err != nil {
@@ -27,6 +29,15 @@ func TestTable5Shape(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 rows, got %d", len(rows))
+	}
+	for i, want := range []experiments.Table5Row{
+		{Arch: "Power", Model: "Power", Tests: 1825, Invalid: 0, Unseen: 6},
+		{Arch: "ARM", Model: "Power-ARM", Tests: 1154, Invalid: 23, Unseen: 5},
+		{Arch: "ARM", Model: "ARM llh", Tests: 1154, Invalid: 6, Unseen: 5},
+	} {
+		if rows[i] != want {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], want)
+		}
 	}
 	power, powerARM, armllh := rows[0], rows[1], rows[2]
 	if power.Invalid != 0 {
@@ -49,7 +60,8 @@ func TestTable5Shape(t *testing.T) {
 }
 
 // TestTable6 asserts that every anomaly test is model-forbidden yet
-// observed on at least one simulated machine.
+// observed on at least one simulated machine, and pins the machines each
+// row is observed on.
 func TestTable6(t *testing.T) {
 	rows, err := experiments.Table6()
 	if err != nil {
@@ -64,6 +76,20 @@ func TestTable6(t *testing.T) {
 		}
 		if !r.Observed {
 			t.Errorf("%s: not observed on any simulated machine", r.Test)
+		}
+	}
+	every := "tegra2,tegra3,apq8060,apq8064,a5x,a6x,exynos4412,exynos5250,exynos5410"
+	wantMachines := map[string]string{
+		"coRR":                   every,
+		"coRSDWI":                every,
+		"mp+dmb+fri-rfi-ctrlisb": "apq8060,apq8064",
+		"lb+data+fri-rfi-ctrl":   "apq8060,apq8064",
+		"moredetour0052":         "tegra3,exynos4412",
+		"mp+dmb+pos-ctrlisb+bis": "tegra3",
+	}
+	for _, r := range rows {
+		if got := strings.Join(r.Machines, ","); got != wantMachines[r.Test] {
+			t.Errorf("%s observed on %s, want %s", r.Test, got, wantMachines[r.Test])
 		}
 	}
 	// Fig. 32's behaviour is a Qualcomm-only feature.
@@ -81,11 +107,21 @@ func TestTable6(t *testing.T) {
 
 // TestTable8Shape asserts Tab. VIII's headline: moving from Power-ARM to
 // ARM llh removes the bulk of the invalid executions, and the remaining
-// anomalies include SC PER LOCATION and OBSERVATION classes.
+// anomalies include SC PER LOCATION and OBSERVATION classes. It also pins
+// each row's classification over the full length-3..4 corpus, as
+// cmd/cats-experiments prints it by default.
 func TestTable8Shape(t *testing.T) {
 	rows, err := experiments.Table8(minLen, maxLen, capN)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, want := range []experiments.Table8Row{
+		{Model: "Power-ARM", Total: 91, ByAxes: map[string]int{"P": 1, "S": 77, "T": 2, "OP": 8, "SOP": 3}},
+		{Model: "ARM llh", Total: 30, ByAxes: map[string]int{"S": 23, "OP": 7}},
+	} {
+		if got := rows[i]; got.Model != want.Model || got.Total != want.Total || !maps.Equal(got.ByAxes, want.ByAxes) {
+			t.Errorf("row %d = %+v, want %+v", i, got, want)
+		}
 	}
 	powerARM, armllh := rows[0], rows[1]
 	if powerARM.Total == 0 {

@@ -25,9 +25,10 @@
 //     claimed as desirable features by the designers, hence part of those
 //     machines' base model (the proposed ARM model) rather than a bug.
 //
-// The base models are the builtin cat models power, power-arm and arm,
-// checked by compiled evaluators; the bug gate reads their failed checks
-// by name (sc-per-location, observation, propagation).
+// Cat files decide every behaviour: the base models are the builtin cat
+// models power, power-arm and arm, whose failed checks the bug gate reads
+// by name; the restrictions and the hazards are the checks of the
+// package's own cat program, silicon, which is not a builtin model.
 package hardware
 
 import (
@@ -167,61 +168,62 @@ func (m Machine) rareGate(testName string) bool {
 	return h.Sum32()%rareBugWindow == 0
 }
 
+// silicon is what the simulated silicon does beside its base model: a
+// hazard bug explains a pure SC PER LOCATION failure its check passes.
+var silicon = cat.MustCompile(`"silicon"
+(* SC PER LOCATION under the load-load hazard (coRR): no RR pairs. *)
+acyclic (po-loc \ RR(po-loc))|rf|fr|co as load-load-hazard
+(* ... and under read-write hazards (coRW2): write-sourced pairs only. *)
+acyclic WM(po-loc)|rf|fr|co as read-write-hazard
+(* Fails on lb shapes, which the silicon does not implement. *)
+acyclic RW(po)|rfe as lb
+(* Fails on an internal read-from, through which lb commits early. *)
+empty rfi as rfi
+`)
+
 // An Observer decides, candidate by candidate, what one machine can
-// exhibit over one search. It holds the machine's base evaluator, and for
-// the OBSERVATION bug the proposed ARM model's, so it serves one goroutine.
+// exhibit over one search. It holds the machine's base evaluator, the
+// silicon program's, and for the OBSERVATION bug the proposed ARM
+// model's, so it serves one goroutine.
 type Observer struct {
-	m    Machine
-	base core.Checker
-	arm  core.Checker // made on first use
+	m       Machine
+	base    core.Checker
+	silicon core.Checker
+	arm     core.Checker // made on first use
 }
 
 // Observer returns a fresh observer of the machine.
 func (m Machine) Observer() *Observer {
-	return &Observer{m: m, base: m.base.NewEvaluator()}
+	return &Observer{m: m, base: m.base.NewEvaluator(), silicon: silicon.NewEvaluator()}
 }
 
 // Observes reports whether the machine can exhibit the candidate execution
 // x of the named test: its base model allows it and the silicon implements
 // it, or one of its bugs fires, the rare ones gated per test (rareGate).
+// The silicon program runs at most once, and only where a restriction or
+// a hazard can decide.
 func (o *Observer) Observes(x *events.Execution, testName string) bool {
+	m := o.m
 	res := o.base.Check(x)
-	if res.Valid && !o.m.restricted(x) {
-		return true
+	if res.Valid {
+		return !m.restrictLB || !m.restricted(o.silicon.Check(x).FailedChecks)
 	}
-	return o.bugFires(x, res, o.m.rareGate(testName))
-}
-
-// restricted reports whether the silicon does not implement the behaviour
-// even though its base model allows it.
-func (m Machine) restricted(x *events.Execution) bool {
-	if !m.restrictLB || !lbShape(x) {
-		return false
-	}
-	if m.earlyCommitLB && !x.RFI.IsEmpty() {
-		return false
-	}
-	return true
-}
-
-// lbShape detects load-buffering behaviours: a cycle through external
-// read-from and read-to-write program order, which Power silicon (and the
-// tested ARM chips) do not exhibit even though the models allow them.
-func lbShape(x *events.Execution) bool {
-	poRW := x.PO.Restrict(x.R, x.W)
-	return !poRW.Union(x.RFE).Acyclic()
-}
-
-// bugFires decides whether one of the machine's anomalies explains an
-// execution its base model forbids. rareOK gates the low-frequency bugs
-// (read-write hazards and OBSERVATION violations); the load-load hazard is
-// frequent (Tab. VI: 10M/95G) and never gated.
-func (o *Observer) bugFires(x *events.Execution, res core.Result, rareOK bool) bool {
-	m, failed := o.m, res.FailedChecks
+	failed := res.FailedChecks
 	if len(failed) == 0 {
-		return false // valid but restricted (or a failed evaluation)
+		return false // a failed evaluation
 	}
-	onlySC := len(failed) == 1 && failed[0] == "sc-per-location"
+	if len(failed) == 1 && failed[0] == "sc-per-location" {
+		// The load-load hazard is frequent (Tab. VI: 10M/95G) and never
+		// gated; the read-write hazard is rare. Write-sourced coherence
+		// (coWW, coWR) holds under both, as observed.
+		llh, rwh := m.bugs[BugLoadLoadHazard], m.bugs[BugReadWriteHazard] && m.rareGate(testName)
+		if !llh && !rwh {
+			return false
+		}
+		sf := o.silicon.Check(x).FailedChecks
+		return !m.restricted(sf) && (llh && !slices.Contains(sf, "load-load-hazard") ||
+			rwh && !slices.Contains(sf, "read-write-hazard"))
+	}
 	// OBSERVATION violations drag PROPAGATION along whenever the observed
 	// chain runs through a full fence (the fre;prop;hb* loop is itself a
 	// prop self-loop), so Tab. VIII classifies the Tegra3 anomalies as
@@ -229,40 +231,25 @@ func (o *Observer) bugFires(x *events.Execution, res core.Result, rareOK bool) b
 	onlyObs := slices.Contains(failed, "observation") && !slices.ContainsFunc(failed, func(c string) bool {
 		return c != "observation" && c != "propagation"
 	})
-	if onlySC {
-		if m.bugs[BugLoadLoadHazard] {
-			if core.SCPerLocationHolds(x, core.Options{AllowLoadLoadHazard: true}) && !m.restricted(x) {
-				return true
-			}
-		}
-		if rareOK && m.bugs[BugReadWriteHazard] {
-			// Drop every read-sourced po-loc pair: coRR and coRW hazards
-			// both become visible; write-sourced coherence (coWW, coWR)
-			// still holds, as observed.
-			if scPerLocWithoutReadSources(x) && !m.restricted(x) {
-				return true
-			}
-		}
+	if !onlyObs || !m.bugs[BugObservation] || !m.rareGate(testName) {
+		return false
 	}
-	if rareOK && onlyObs && m.bugs[BugObservation] {
-		// The Tegra3 OBSERVATION bug only concerns genuinely anomalous
-		// behaviours, not the early-commit features the proposed ARM model
-		// legitimises (those were Qualcomm-only observations).
-		if o.arm == nil {
-			o.arm = cat.MustBuiltin("arm").NewEvaluator()
-		}
-		if !o.arm.Check(x).Valid {
-			return true
-		}
+	// The Tegra3 OBSERVATION bug only concerns genuinely anomalous
+	// behaviours, not the early-commit features the proposed ARM model
+	// legitimises (those were Qualcomm-only observations).
+	if o.arm == nil {
+		o.arm = cat.MustBuiltin("arm").NewEvaluator()
 	}
-	return false
+	return !o.arm.Check(x).Valid
 }
 
-// scPerLocWithoutReadSources checks SC PER LOCATION with po-loc restricted
-// to write-sourced pairs.
-func scPerLocWithoutReadSources(x *events.Execution) bool {
-	poloc := x.POLoc.RestrictDomain(x.W)
-	return poloc.Union(x.Com).Acyclic()
+// restricted reports, from the silicon program's failed checks, whether
+// the silicon does not implement a behaviour its base model allows: an lb
+// shape on a machine restricting lb, unless the machine commits early and
+// the shape runs through an internal read-from.
+func (m Machine) restricted(silicon []string) bool {
+	return m.restrictLB && slices.Contains(silicon, "lb") &&
+		!(m.earlyCommitLB && slices.Contains(silicon, "rfi"))
 }
 
 // Observation is the result of running one litmus test on one machine.

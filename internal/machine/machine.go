@@ -12,10 +12,10 @@
 // model validates the candidate; and for valid candidates the constructive
 // path of Lemma 7.3 is accepted.
 //
-// The machine is parametrised by an architecture's (ppo, fences, prop),
-// which it reads off a cat model's bindings: the template models of
-// Fig. 38 (power.cat, arm.cat, power-arm.cat) bind them as ppo, fence and
-// prop, with hb = ppo ∪ fence ∪ rfe.
+// The machine is parametrised by an architecture's (ppo, fences, prop)
+// and its SC PER LOCATION program order, read off a cat model's bindings
+// ppo, fence, prop, hb = ppo ∪ fence ∪ rfe and po-loc-sc: po-loc in the
+// template models of Fig. 38, po-loc \ RR(po-loc) in arm-llh.cat.
 package machine
 
 import (
@@ -27,22 +27,22 @@ import (
 )
 
 // Model evaluates the relations the machine's premises read — the
-// bindings ppo, fence, prop and hb of a cat model — on candidate
-// executions. It holds one evaluator, so one Model serves one search on
-// one goroutine.
+// bindings ppo, fence, prop, hb and po-loc-sc of a cat model — on
+// candidate executions. It holds one evaluator, so one Model serves one
+// search on one goroutine.
 type Model struct {
 	name string
 	r    *cat.Reader
 }
 
 // NewModel binds the machine to a cat model, which must bind ppo, fence,
-// prop and hb.
+// prop, hb and po-loc-sc.
 func NewModel(m *cat.Model) (*Model, error) {
 	c, err := m.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.Reader("ppo", "fence", "prop", "hb")
+	r, err := c.Reader("ppo", "fence", "prop", "hb", "po-loc-sc")
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
@@ -103,9 +103,9 @@ type Machine struct {
 
 	writes []int // non-init writes
 	reads  []int
-	rfOf   map[int]int // read -> its write (or -1 for none; must not happen)
+	rfOf   []int // by event ID: a read's write, -1 for every other event
 
-	poloc     rel.Rel
+	poloc     rel.Rel // po-loc-sc, the program order of SC PER LOCATION
 	prop      rel.Rel
 	ppoFences rel.Rel // ppo ∪ fences
 	fences    rel.Rel
@@ -121,7 +121,7 @@ type Machine struct {
 	propHBsPred []uint64 // (prop;hb*)-predecessors of each event
 
 	// visibility pre-computation (CR: SC PER LOCATION cases)
-	visible map[int]bool // keyed by read event: is rf(r) visible to r?
+	visible []bool // by event ID: is a read's rf(r) visible to it?
 }
 
 // succMasks are one event's successors in the relations enabled tests
@@ -136,10 +136,14 @@ const maxEvents = 64
 // New builds the machine for a derived candidate execution under the
 // model md.
 func New(md *Model, x *events.Execution) (*Machine, error) {
-	if x.N() > maxEvents {
-		return nil, fmt.Errorf("machine: execution has %d events, max %d", x.N(), maxEvents)
+	n := x.N()
+	if n > maxEvents {
+		return nil, fmt.Errorf("machine: execution has %d events, max %d", n, maxEvents)
 	}
-	m := &Machine{x: x, rfOf: map[int]int{}, visible: map[int]bool{}}
+	m := &Machine{x: x, rfOf: make([]int, n), visible: make([]bool, n)}
+	for i := range m.rfOf {
+		m.rfOf[i] = -1
+	}
 	for _, e := range x.Events {
 		switch {
 		case e.Kind == events.MemWrite && !e.IsInit():
@@ -148,14 +152,8 @@ func New(md *Model, x *events.Execution) (*Machine, error) {
 			m.reads = append(m.reads, e.ID)
 		}
 	}
-	memRF := x.MemRF()
+	x.MemRF().ForEachPair(func(w, r int) { m.rfOf[r] = w })
 	for _, r := range m.reads {
-		m.rfOf[r] = -1
-		for _, p := range memRF.Pairs() {
-			if p[1] == r {
-				m.rfOf[r] = p[0]
-			}
-		}
 		if m.rfOf[r] < 0 {
 			return nil, fmt.Errorf("machine: read %d has no rf edge", r)
 		}
@@ -169,7 +167,7 @@ func New(md *Model, x *events.Execution) (*Machine, error) {
 	m.fences, m.prop = v[1], v[2]
 	m.ppoFences = ppo.Union(m.fences)
 	m.propHBs = m.prop.Seq(hb.Star())
-	m.poloc = x.POLoc
+	m.poloc = v[4]
 	m.co = x.CO
 
 	for _, r := range m.reads {

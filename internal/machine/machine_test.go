@@ -14,13 +14,13 @@ import (
 )
 
 // thm71Models are the cat models the machine is built from, each with the
-// zoo model whose axiomatic verdict is the oracle. arm-llh stays out: its
-// load-load hazard lives inline in its SC PER LOCATION check, which binds
-// nothing the machine could read.
+// zoo model whose axiomatic verdict is the oracle. arm-llh's po-loc-sc
+// binding drops the read-read pairs of po-loc, so its machine exhibits the
+// load-load hazard the zoo's ARMllh allows.
 var thm71Models = []struct {
 	cat    string
 	oracle models.Model
-}{{"power", models.Power}, {"arm", models.ARM}, {"power-arm", models.PowerARM}}
+}{{"power", models.Power}, {"arm", models.ARM}, {"power-arm", models.PowerARM}, {"arm-llh", models.ARMllh}}
 
 // newModel binds the machine to the named builtin cat model.
 func newModel(t *testing.T, name string) *machine.Model {
@@ -36,7 +36,7 @@ func newModel(t *testing.T, name string) *machine.Model {
 // every candidate execution of every catalogue test, the intermediate
 // machine built from a cat model accepts some path iff the zoo's
 // axiomatic model validates the candidate. We check it for Power, the
-// proposed ARM model and Power-ARM.
+// proposed ARM model, Power-ARM and ARM llh.
 func TestMachineEquivalence(t *testing.T) {
 	for _, tm := range thm71Models {
 		md := newModel(t, tm.cat)

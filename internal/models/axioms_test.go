@@ -1,11 +1,11 @@
-package core_test
+package models_test
 
 import (
 	"slices"
 	"testing"
 
-	"herdcats/internal/core"
 	"herdcats/internal/events"
+	"herdcats/internal/models"
 	"herdcats/internal/rel"
 )
 
@@ -60,7 +60,7 @@ func coWWExecution() *events.Execution {
 }
 
 func TestCheckClassifiesMP(t *testing.T) {
-	res := core.Check(scLike{}, mpExecution(), core.Options{}, nil)
+	res := models.Check(scLike{}, mpExecution(), models.Options{}, nil)
 	if res.Valid {
 		t.Fatal("mp's forbidden data-flow should be invalid under the SC instance")
 	}
@@ -73,13 +73,14 @@ func TestCheckClassifiesMP(t *testing.T) {
 }
 
 func TestCheckCoWW(t *testing.T) {
-	res := core.Check(scLike{}, coWWExecution(), core.Options{}, nil)
+	res := models.Check(scLike{}, coWWExecution(), models.Options{}, nil)
 	if res.Valid || !slices.Contains(res.FailedChecks, "SC PER LOCATION") {
 		t.Errorf("coWW should fail SC PER LOCATION: %v", res.FailedChecks)
 	}
 	// Load-load hazard option does not rescue a write-write hazard.
-	if core.SCPerLocationHolds(coWWExecution(), core.Options{AllowLoadLoadHazard: true}) {
-		t.Error("llh must not allow coWW")
+	res = models.Check(scLike{}, coWWExecution(), models.Options{AllowLoadLoadHazard: true}, nil)
+	if !slices.Contains(res.FailedChecks, "SC PER LOCATION") {
+		t.Errorf("llh must not allow coWW: %v", res.FailedChecks)
 	}
 }
 
@@ -107,11 +108,11 @@ func TestWeakPropagation(t *testing.T) {
 
 	// ppoArch: prop = po over memory (writes in program order propagate
 	// in order), no com in prop.
-	strict := core.Check(ppoPropArch{}, x, core.Options{}, nil)
+	strict := models.Check(ppoPropArch{}, x, models.Options{}, nil)
 	if strict.Valid || !slices.Contains(strict.FailedChecks, "PROPAGATION") {
 		t.Errorf("2+2w shape should fail PROPAGATION: %v", strict.FailedChecks)
 	}
-	weak := core.Check(ppoPropArch{}, x, core.Options{WeakPropagation: true}, nil)
+	weak := models.Check(ppoPropArch{}, x, models.Options{WeakPropagation: true}, nil)
 	if !weak.Valid {
 		t.Errorf("C++ R-A weakening should admit the 2+2w shape: %v", weak.FailedChecks)
 	}
@@ -124,11 +125,11 @@ func (a ppoPropArch) Prop(x *events.Execution, _, _ rel.Rel, _ *rel.Arena) rel.R
 }
 
 func TestAxiomStrings(t *testing.T) {
-	want := map[core.Axiom]string{
-		core.SCPerLocation: "SC PER LOCATION",
-		core.NoThinAir:     "NO THIN AIR",
-		core.Observation:   "OBSERVATION",
-		core.Propagation:   "PROPAGATION",
+	want := map[models.Axiom]string{
+		models.SCPerLocation: "SC PER LOCATION",
+		models.NoThinAir:     "NO THIN AIR",
+		models.Observation:   "OBSERVATION",
+		models.Propagation:   "PROPAGATION",
 	}
 	for a, s := range want {
 		if a.String() != s {

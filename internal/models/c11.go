@@ -39,20 +39,20 @@ func (C11Model) Check(x *events.Execution) core.Result {
 	var failed []string
 
 	if !x.POLoc.Union(x.Com).Acyclic() {
-		failed = append(failed, core.SCPerLocation.String())
+		failed = append(failed, SCPerLocation.String())
 	}
 
 	sb := x.PO.Restrict(x.M, x.M)
 	if !sb.Union(x.MemRF()).Acyclic() {
-		failed = append(failed, core.NoThinAir.String())
+		failed = append(failed, NoThinAir.String())
 	}
 
 	hbC := sb.Union(x.SW).Plus()
 	if !x.FRE.Seq(hbC).Irreflexive() {
-		failed = append(failed, core.Observation.String())
+		failed = append(failed, Observation.String())
 	}
 	if !hbC.Seq(x.CO).Irreflexive() {
-		failed = append(failed, core.Propagation.String())
+		failed = append(failed, Propagation.String())
 	}
 
 	return core.Result{Valid: len(failed) == 0, FailedChecks: failed}

@@ -1,7 +1,12 @@
-// Package models instantiates the generic framework of package core for the
-// architectures studied in the paper: Sequential Consistency, TSO,
+// Package models is the hand-written model zoo: the generic axiomatic
+// framework of Fig. 5 (Architecture, Options, Check) and its instances for
+// the architectures studied in the paper: Sequential Consistency, TSO,
 // C++ restricted to release-acquire atomics (Fig. 21), Power (Fig. 17, 18
 // and 25) and the three ARM variants of Tab. VII.
+//
+// The builtin cat files decide every production verdict; the zoo is the
+// tests' oracle. Outside tests only crosscheck (its native-vs-cat pairs)
+// and multi (the Power ppo seeds) import it.
 package models
 
 import (
@@ -13,8 +18,8 @@ import (
 // Model bundles an architecture with the axiom options it is checked under
 // (e.g. "ARM llh" = proposed-ARM ppo + load-load hazards allowed).
 type Model struct {
-	Arch core.Architecture
-	Opts core.Options
+	Arch Architecture
+	Opts Options
 }
 
 // Name returns the architecture's name.
@@ -22,7 +27,7 @@ func (m Model) Name() string { return m.Arch.Name() }
 
 // Check validates a candidate execution against the model.
 func (m Model) Check(x *events.Execution) core.Result {
-	return core.Check(m.Arch, x, m.Opts, nil)
+	return Check(m.Arch, x, m.Opts, nil)
 }
 
 // NewEvaluator implements core.EvaluatorProvider: the returned checker
@@ -41,7 +46,7 @@ type evaluator struct {
 }
 
 func (e evaluator) Check(x *events.Execution) core.Result {
-	return core.Check(e.Arch, x, e.Opts, e.ar)
+	return Check(e.Arch, x, e.Opts, e.ar)
 }
 
 // The standard model zoo.
@@ -52,7 +57,7 @@ var (
 	TSO = Model{Arch: tsoArch{}}
 	// CppRA is C++ restricted to release-acquire atomics, with the paper's
 	// PROPAGATION weakening to irreflexive(prop ; co) (Sec. 4.8).
-	CppRA = Model{Arch: cppRAArch{}, Opts: core.Options{WeakPropagation: true}}
+	CppRA = Model{Arch: cppRAArch{}, Opts: Options{WeakPropagation: true}}
 	// Power is the paper's Power model (Fig. 5 + 17 + 18 + 25).
 	Power = Model{Arch: powerArch{name: "Power", cfence: events.FenceIsync}}
 	// PowerARM instantiates the Power model with ARM fences (first column
@@ -65,7 +70,7 @@ var (
 	// used to test hardware suffering from the acknowledged coRR bug.
 	ARMllh = Model{
 		Arch: powerArch{name: "ARM llh", cfence: events.FenceISB, armFences: true, earlyCommit: true},
-		Opts: core.Options{AllowLoadLoadHazard: true},
+		Opts: Options{AllowLoadLoadHazard: true},
 	}
 	// PowerStatic and ARMStatic drop the dynamic rdw and detour ingredients
 	// from the preserved program order — the weaker, "more stand-alone" ppo

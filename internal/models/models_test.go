@@ -2,10 +2,11 @@ package models_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"herdcats/internal/catalog"
-	"herdcats/internal/core"
+	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
@@ -236,13 +237,17 @@ func mustEnumerate(t *testing.T, src string, fn func(*exec.Candidate)) {
 	}
 }
 
-// TestOptionsLoadLoadHazard exercises core.Options directly on coRR.
+// TestOptionsLoadLoadHazard exercises models.Options directly on coRR.
 func TestOptionsLoadLoadHazard(t *testing.T) {
 	e, _ := catalog.ByName("coRR")
 	seenViolation := false
+	scPerLocation := func(x *events.Execution, opts models.Options) bool {
+		res := models.Check(models.SC.Arch, x, opts, nil)
+		return !slices.Contains(res.FailedChecks, models.SCPerLocation.String())
+	}
 	mustEnumerate(t, e.Source, func(c *exec.Candidate) {
-		strict := core.SCPerLocationHolds(c.X, core.Options{})
-		loose := core.SCPerLocationHolds(c.X, core.Options{AllowLoadLoadHazard: true})
+		strict := scPerLocation(c.X, models.Options{})
+		loose := scPerLocation(c.X, models.Options{AllowLoadLoadHazard: true})
 		if !strict && loose {
 			seenViolation = true
 		}

@@ -36,7 +36,7 @@ type Result struct {
 const DefaultStateBound = 1 << 17
 
 // Run explores the test operationally under the cat model m, which binds
-// the machine's ppo, fence, prop and hb (machine.NewModel).
+// the machine's ppo, fence, prop, hb and po-loc-sc (machine.NewModel).
 func Run(test *litmus.Test, m *cat.Model, stateBound int) (*Result, error) {
 	p, err := exec.Compile(test)
 	if err != nil {
