@@ -373,6 +373,18 @@ func runAttempt(ctx context.Context, cfg Config, timeout time.Duration, b exec.B
 	return out, tr, err, ""
 }
 
+// Settled is the row Run reports for a job named name under model whose
+// one attempt returned out without error, less the attempt count and
+// the elapsed time, which are the run's own.
+func Settled(name string, model sim.Checker, out *sim.Outcome) JobResult {
+	res := JobResult{Name: name}
+	if model != nil {
+		res.Model = model.Name()
+	}
+	res.fill(out, nil, "")
+	return res
+}
+
 // fill classifies one attempt's result into the JobResult.
 func (r *JobResult) fill(out *sim.Outcome, err error, stack string) {
 	r.Stack = stack

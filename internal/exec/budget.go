@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"herdcats/internal/events"
@@ -49,8 +50,18 @@ type Budget struct {
 // (internal/memo): two budgets with equal bounds have equal keys. The
 // wall-clock Timeout participates because an outcome truncated by it is a
 // different (and non-reproducible) artifact from an unbounded one.
+// It reads candidates=%d;traces=%d;timeout=%d, rendered without fmt:
+// a request renders its budget key once, but the cache keys it feeds
+// are echoed to clients, so these bytes never change.
 func (b Budget) Key() string {
-	return fmt.Sprintf("candidates=%d;traces=%d;timeout=%d", b.MaxCandidates, b.MaxTracesPerThread, int64(b.Timeout))
+	var buf [80]byte
+	k := append(buf[:0], "candidates="...)
+	k = strconv.AppendInt(k, int64(b.MaxCandidates), 10)
+	k = append(k, ";traces="...)
+	k = strconv.AppendInt(k, int64(b.MaxTracesPerThread), 10)
+	k = append(k, ";timeout="...)
+	k = strconv.AppendInt(k, int64(b.Timeout), 10)
+	return string(k)
 }
 
 // Unlimited reports whether the budget imposes no bound at all.

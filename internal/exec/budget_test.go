@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -208,5 +209,31 @@ func TestBudgetScaleSaturates(t *testing.T) {
 	s = exec.Budget{MaxCandidates: 3}.Scale(1000)
 	if s.MaxCandidates != 3000 || s.MaxTracesPerThread != 0 || s.Timeout != 0 {
 		t.Errorf("Scale(1000) = %+v", s)
+	}
+}
+
+// TestBudgetKeyFormat pins Budget.Key to the bytes fmt's
+// candidates=%d;traces=%d;timeout=%d renders: every verdict key hashes
+// it, and verdict keys are echoed to clients.
+func TestBudgetKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		b    exec.Budget
+		want string
+	}{
+		{exec.Budget{}, "candidates=0;traces=0;timeout=0"},
+		{exec.Budget{MaxCandidates: -1, MaxTracesPerThread: -7, Timeout: -time.Second}, "candidates=-1;traces=-7;timeout=-1000000000"},
+		{exec.Budget{MaxCandidates: math.MaxInt, MaxTracesPerThread: math.MaxInt, Timeout: math.MaxInt64},
+			"candidates=9223372036854775807;traces=9223372036854775807;timeout=9223372036854775807"},
+		{exec.Budget{MaxCandidates: math.MinInt, MaxTracesPerThread: math.MinInt, Timeout: math.MinInt64},
+			"candidates=-9223372036854775808;traces=-9223372036854775808;timeout=-9223372036854775808"},
+		{exec.Budget{Timeout: time.Nanosecond}, "candidates=0;traces=0;timeout=1"},
+		{exec.Budget{MaxCandidates: 500, MaxTracesPerThread: 3, Timeout: 1500 * time.Millisecond}, "candidates=500;traces=3;timeout=1500000000"},
+	} {
+		if got := tc.b.Key(); got != tc.want {
+			t.Errorf("%+v.Key() = %q, want %q", tc.b, got, tc.want)
+		}
+		if want := fmt.Sprintf("candidates=%d;traces=%d;timeout=%d", tc.b.MaxCandidates, tc.b.MaxTracesPerThread, int64(tc.b.Timeout)); tc.want != want {
+			t.Errorf("table row %q is not fmt's %q", tc.want, want)
+		}
 	}
 }

@@ -199,34 +199,44 @@ func (g *Gateway) probeLoop(ctx context.Context, b *gwBackend) {
 	}
 }
 
-// verdictKey computes the request's routing key: the same content
-// address the backends cache under, except that the budget is taken
-// as-sent (the gateway cannot know each backend's clamp). Used only for
-// placement — the authoritative key comes back in the response. The key
-// goes through the raw-bytes alias in g.models, so a repeated source is
-// parsed once; routing still uses the canonical key, so byte-different
-// but canonically equal tests meet on one home backend.
-func (g *Gateway) verdictKey(req wire.RunRequest) (string, *Error) {
-	modelID, merr := g.modelID(req.Model)
+// verdictKey computes a row's routing key under its request's scope:
+// the same content address the backends cache under, except that the
+// budget is taken as-sent (the gateway cannot know each backend's
+// clamp). Used only for placement — the authoritative key comes back in
+// the response. The key goes through the raw-bytes alias in g.models,
+// so a repeated source is parsed once; routing still uses the canonical
+// key, so byte-different but canonically equal tests meet on one home
+// backend. merr is the request's model error: a bad litmus test is
+// reported before it.
+func (g *Gateway) verdictKey(src string, s memo.Scope, merr *Error) (string, *Error) {
 	if merr != nil {
-		// A bad litmus test is reported before a bad model.
-		if _, err := litmus.Parse(req.Litmus); err != nil {
+		if _, err := litmus.Parse(src); err != nil {
 			return "", litmusError(err)
 		}
 		return "", merr
 	}
-	b := exec.Budget{
-		MaxCandidates:      req.Budget.MaxCandidates,
-		MaxTracesPerThread: req.Budget.MaxTracesPerThread,
-	}
-	if req.Budget.TimeoutMS > 0 {
-		b.Timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
-	}
-	keys, _, err := g.models.Resolve(req.Litmus, modelID, b)
+	keys, _, err := g.models.Resolve(src, s)
 	if err != nil {
 		return "", litmusError(err)
 	}
 	return keys.Key, nil
+}
+
+// scope renders what every row of a request shares in its routing key:
+// the model identity and the budget as sent.
+func (g *Gateway) scope(model wire.ModelSpec, budget wire.BudgetSpec) (memo.Scope, *Error) {
+	modelID, merr := g.modelID(model)
+	if merr != nil {
+		return memo.Scope{}, merr
+	}
+	b := exec.Budget{
+		MaxCandidates:      budget.MaxCandidates,
+		MaxTracesPerThread: budget.MaxTracesPerThread,
+	}
+	if budget.TimeoutMS > 0 {
+		b.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
+	}
+	return memo.NewScope(modelID, b), nil
 }
 
 // litmusError is the envelope for a request whose litmus source does not
@@ -257,7 +267,8 @@ func (g *Gateway) modelID(spec wire.ModelSpec) (string, *Error) {
 // Run computes one verdict through the fleet, routed along its key's
 // rendezvous ranking with breaker-aware failover.
 func (g *Gateway) Run(ctx context.Context, req wire.RunRequest) (*wire.RunResponse, error) {
-	key, cerr := g.verdictKey(req)
+	scope, merr := g.scope(req.Model, req.Budget)
+	key, cerr := g.verdictKey(req.Litmus, scope, merr)
 	if cerr != nil {
 		return nil, cerr
 	}

@@ -102,7 +102,8 @@ func TestGatewayFailover(t *testing.T) {
 	routedToDead := false
 	for i := 0; i < 16; i++ {
 		req := serve.RunRequest{Litmus: sbVariant(i), Model: serve.ModelSpec{Name: "tso"}}
-		key, cerr := gw.verdictKey(req)
+		scope, merr := gw.scope(req.Model, req.Budget)
+		key, cerr := gw.verdictKey(req.Litmus, scope, merr)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}

@@ -27,15 +27,18 @@ const stoppedReason = "batch stopped before this test ran"
 //
 // sink receives, from concurrent goroutines, at most one
 // *wire.ResultFrame or *wire.ErrorFrame per row — indexed in the
-// caller's request — plus every upstream *wire.SummaryFrame. A row whose
-// context died before it settled gets no frame; the edge reports it.
-func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, sink func(frame any)) {
+// caller's request — plus every upstream *wire.SummaryFrame. With relay,
+// an upstream result line the encoder wrote as is arrives as a
+// *wire.RelayResult instead, undecoded. A row whose context died before
+// it settled gets no frame; the edge reports it.
+func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, relay bool, sink func(frame any)) {
 	// Parse/model failures settle as error frames at once; everything
 	// else joins its home backend's group.
 	keys := make([]string, len(req.Tests))
 	groups := map[string][]int{}
-	for i := range req.Tests {
-		key, cerr := g.verdictKey(rowRunRequest(req, i))
+	scope, merr := g.scope(req.Model, req.Budget)
+	for i, src := range req.Tests {
+		key, cerr := g.verdictKey(src, scope, merr)
 		if cerr != nil {
 			sink(rowError(i, errorBodyOf(cerr)))
 			continue
@@ -55,7 +58,7 @@ func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, sink func(f
 			for len(rows) > 0 && ctx.Err() == nil {
 				chunk := rows[:min(len(rows), wire.MaxBatchTests)]
 				rows = rows[len(chunk):]
-				g.streamChunk(ctx, name, chunk, keys, req, sink)
+				g.streamChunk(ctx, name, chunk, keys, req, relay, sink)
 			}
 		}()
 	}
@@ -67,7 +70,7 @@ func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, sink func(f
 // caller's, then sweeps up anything the stream did not deliver via
 // per-row route — which walks each key's own failover ranking, so the
 // rows of a dead home backend land elsewhere.
-func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, sink func(any)) {
+func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, relay bool, sink func(any)) {
 	b := g.backends[backend]
 	sub := wire.BatchRequest{
 		Model:      req.Model,
@@ -87,8 +90,14 @@ func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, k
 		return nil
 	}
 	g.reg.Counter(`gw_backend_requests_total{backend="` + backend + `"}`).Inc()
-	err := b.client.BatchStream(ctx, sub, func(frame any) error {
+	err := b.client.batchStream(ctx, sub, relay, func(frame any) error {
 		switch f := frame.(type) {
+		case *wire.RelayResult:
+			if err := claim(f.Index); err != nil {
+				return err
+			}
+			f.Index = rows[f.Index]
+			sink(f)
 		case *wire.ResultFrame:
 			if err := claim(f.Index); err != nil {
 				return err
@@ -168,8 +177,11 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 	cached := make([]bool, n)
 	sum := wire.NewSummary(n)
 	var mu sync.Mutex
-	g.fanOut(ctx, req, func(frame any) {
+	g.fanOut(ctx, req, true, func(frame any) {
 		switch f := frame.(type) {
+		case *wire.RelayResult:
+			status[f.Index], cached[f.Index] = f.Status, f.Cached
+			emit(f.Index, f)
 		case *wire.ResultFrame:
 			status[f.Index], cached[f.Index] = f.Result.Status, f.Cached
 			emit(f.Index, f)
@@ -216,7 +228,7 @@ func (g *Gateway) collectBatch(ctx context.Context, req wire.BatchRequest) *wire
 	n := len(req.Tests)
 	jobs := make([]campaign.JobResult, n)
 	resp := &wire.BatchResponse{Cached: make([]bool, n), Keys: make([]string, n)}
-	g.fanOut(ctx, req, func(frame any) {
+	g.fanOut(ctx, req, false, func(frame any) {
 		switch f := frame.(type) {
 		case *wire.ResultFrame:
 			jobs[f.Index], resp.Keys[f.Index], resp.Cached[f.Index] = f.Result, f.Key, f.Cached
@@ -250,7 +262,7 @@ func (g *Gateway) homeBackend(key string) string {
 }
 
 // rowRunRequest projects one batch row onto the single-run wire shape
-// (the unit both routing and the per-row fallback work in).
+// (the unit the per-row fallback works in).
 func rowRunRequest(req wire.BatchRequest, i int) wire.RunRequest {
 	return wire.RunRequest{
 		Litmus:     req.Tests[i],

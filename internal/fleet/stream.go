@@ -25,6 +25,13 @@ import (
 // error alongside the frames already delivered; the caller decides what
 // to re-request.
 func (c *Client) BatchStream(ctx context.Context, req wire.BatchRequest, onFrame func(frame any) error) error {
+	return c.batchStream(ctx, req, false, onFrame)
+}
+
+// batchStream is BatchStream; with relay, a result/v1 line the encoder
+// wrote as is reaches onFrame undecoded, as a *wire.RelayResult
+// (Decoder.NextRelay).
+func (c *Client) batchStream(ctx context.Context, req wire.BatchRequest, relay bool, onFrame func(frame any) error) error {
 	body := wire.AppendBatchRequest(nil, &req)
 	var last error
 	for attempt := 0; attempt < c.pol.maxAttempts(); attempt++ {
@@ -38,7 +45,7 @@ func (c *Client) BatchStream(ctx context.Context, req wire.BatchRequest, onFrame
 				return classify(0, "", ctx.Err().Error(), ctx.Err())
 			}
 		}
-		delivered, err := c.streamAttempt(ctx, body, onFrame)
+		delivered, err := c.streamAttempt(ctx, body, relay, onFrame)
 		if err == nil {
 			return nil
 		}
@@ -60,7 +67,7 @@ func (e *errStreamConsumer) Unwrap() error { return e.err }
 
 // streamAttempt performs one streaming exchange, returning how many
 // frames reached the consumer.
-func (c *Client) streamAttempt(ctx context.Context, body []byte, onFrame func(any) error) (delivered int, err error) {
+func (c *Client) streamAttempt(ctx context.Context, body []byte, relay bool, onFrame func(any) error) (delivered int, err error) {
 	c.stats.Attempts.Add(1)
 	// No per-attempt timeout: a stream lives as long as the campaign it
 	// carries, and its liveness signal is the heartbeat frame, not a wall
@@ -88,8 +95,12 @@ func (c *Client) streamAttempt(ctx context.Context, body []byte, onFrame func(an
 			fmt.Sprintf("backend answered %q, not %s", ct, wire.ContentTypeNDJSON), nil)
 	}
 	dec := wire.NewDecoder(resp.Body)
+	next := dec.Next
+	if relay {
+		next = dec.NextRelay
+	}
 	for {
-		frame, ferr := dec.Next()
+		frame, ferr := next()
 		if ferr != nil {
 			if errors.Is(ferr, io.EOF) {
 				return delivered, nil

@@ -28,7 +28,8 @@
 // Cat files decide every behaviour: the base models are the builtin cat
 // models power, power-arm and arm, whose failed checks the bug gate reads
 // by name; the restrictions and the hazards are the checks of the
-// package's own cat program, silicon, which is not a builtin model.
+// package's own cat programs, silicon and its restriction-only part lbOnly,
+// which are not builtin models.
 package hardware
 
 import (
@@ -168,45 +169,56 @@ func (m Machine) rareGate(testName string) bool {
 	return h.Sum32()%rareBugWindow == 0
 }
 
+// lbChecks decide the lb restriction (Machine.restricted).
+const lbChecks = `
+(* Fails on lb shapes, which the silicon does not implement. *)
+acyclic RW(po)|rfe as lb
+(* Fails on an internal read-from, through which lb commits early. *)
+empty rfi as rfi
+`
+
 // silicon is what the simulated silicon does beside its base model: a
-// hazard bug explains a pure SC PER LOCATION failure its check passes.
+// hazard bug explains a pure SC PER LOCATION failure its check passes,
+// unless the lb restriction removes the candidate.
 var silicon = cat.MustCompile(`"silicon"
 (* SC PER LOCATION under the load-load hazard (coRR): no RR pairs. *)
 acyclic (po-loc \ RR(po-loc))|rf|fr|co as load-load-hazard
 (* ... and under read-write hazards (coRW2): write-sourced pairs only. *)
 acyclic WM(po-loc)|rf|fr|co as read-write-hazard
-(* Fails on lb shapes, which the silicon does not implement. *)
-acyclic RW(po)|rfe as lb
-(* Fails on an internal read-from, through which lb commits early. *)
-empty rfi as rfi
-`)
+` + lbChecks)
+
+// lbOnly is silicon's lb restriction alone, all a candidate its base
+// model allows needs.
+var lbOnly = cat.MustCompile(`"silicon-lb"` + lbChecks)
 
 // An Observer decides, candidate by candidate, what one machine can
 // exhibit over one search. It holds the machine's base evaluator, the
-// silicon program's, and for the OBSERVATION bug the proposed ARM
+// silicon programs', and for the OBSERVATION bug the proposed ARM
 // model's, so it serves one goroutine.
 type Observer struct {
 	m       Machine
 	base    core.Checker
-	silicon core.Checker
-	arm     core.Checker // made on first use
+	lb      core.Checker
+	silicon core.Checker // made on first use, like arm
+	arm     core.Checker
 }
 
 // Observer returns a fresh observer of the machine.
 func (m Machine) Observer() *Observer {
-	return &Observer{m: m, base: m.base.NewEvaluator(), silicon: silicon.NewEvaluator()}
+	return &Observer{m: m, base: m.base.NewEvaluator(), lb: lbOnly.NewEvaluator()}
 }
 
 // Observes reports whether the machine can exhibit the candidate execution
 // x of the named test: its base model allows it and the silicon implements
 // it, or one of its bugs fires, the rare ones gated per test (rareGate).
-// The silicon program runs at most once, and only where a restriction or
-// a hazard can decide.
+// At most one silicon program runs, and only where a restriction or a
+// hazard can decide: lbOnly on a candidate the base model allows, the
+// whole silicon program on a pure SC PER LOCATION failure.
 func (o *Observer) Observes(x *events.Execution, testName string) bool {
 	m := o.m
 	res := o.base.Check(x)
 	if res.Valid {
-		return !m.restrictLB || !m.restricted(o.silicon.Check(x).FailedChecks)
+		return !m.restrictLB || !m.restricted(o.lb.Check(x).FailedChecks)
 	}
 	failed := res.FailedChecks
 	if len(failed) == 0 {
@@ -219,6 +231,9 @@ func (o *Observer) Observes(x *events.Execution, testName string) bool {
 		llh, rwh := m.bugs[BugLoadLoadHazard], m.bugs[BugReadWriteHazard] && m.rareGate(testName)
 		if !llh && !rwh {
 			return false
+		}
+		if o.silicon == nil {
+			o.silicon = silicon.NewEvaluator()
 		}
 		sf := o.silicon.Check(x).FailedChecks
 		return !m.restricted(sf) && (llh && !slices.Contains(sf, "load-load-hazard") ||
@@ -243,7 +258,7 @@ func (o *Observer) Observes(x *events.Execution, testName string) bool {
 	return !o.arm.Check(x).Valid
 }
 
-// restricted reports, from the silicon program's failed checks, whether
+// restricted reports, from a silicon program's failed checks, whether
 // the silicon does not implement a behaviour its base model allows: an lb
 // shape on a machine restricting lb, unless the machine commits early and
 // the shape runs through an internal read-from.

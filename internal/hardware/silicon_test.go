@@ -86,3 +86,36 @@ func TestSiliconMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestLBOnlyMatchesSilicon: on every candidate of the catalogue, the
+// restriction-only program fails exactly the lb checks the whole silicon
+// program fails, so a candidate the base model allows is restricted as
+// it was when the whole program ran on it.
+func TestLBOnlyMatchesSilicon(t *testing.T) {
+	whole, lb := silicon.NewEvaluator(), lbOnly.NewEvaluator()
+	restricted := 0
+	for _, e := range catalog.Tests() {
+		p, err := exec.Compile(e.Test())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+			want := slices.DeleteFunc(slices.Clone(whole.Check(c.X).FailedChecks), func(check string) bool {
+				return check != "lb" && check != "rfi"
+			})
+			if got := lb.Check(c.X).FailedChecks; !slices.Equal(got, want) {
+				t.Fatalf("%s: lbOnly fails %v, silicon %v", e.Name, got, want)
+			}
+			if slices.Contains(want, "lb") {
+				restricted++
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if restricted == 0 {
+		t.Error("no catalogue candidate fails lb: the corpus does not tell the programs apart")
+	}
+}

@@ -6,7 +6,8 @@
 //
 // The cache has three layers, each LRU-bounded and instrumented:
 //
-//   - verdicts: key → *sim.Outcome, the expensive product;
+//   - verdicts: key → Verdict, the expensive product: an outcome, and
+//     the bytes a caller rendered from it (KeepBody), evicted with it;
 //   - aliases: raw request bytes → Resolved, so a repeated litmus source
 //     is parsed and canonicalised once (see Resolve);
 //   - models: cat source → *cat.Model, so inline model sources are
@@ -37,6 +38,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 
 	"herdcats/internal/cat"
@@ -91,14 +93,13 @@ func CanonicalTest(t *litmus.Test) string { return t.String() }
 // deterministic bounds keep their full key — whether the wall clock or the
 // candidate bound trips first does depend on the timeout.
 func Key(canonicalTest, modelID string, b exec.Budget) string {
-	h := sha256.New()
-	for _, field := range []string{canonicalTest, modelID, b.Key()} {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(field)))
-		h.Write(n[:])
-		h.Write([]byte(field))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return keyOf(canonicalTest, modelID, b.Key())
+}
+
+// keyOf is Key with the budget key already rendered.
+func keyOf(canonicalTest, modelID, budgetKey string) string {
+	sum := digest(canonicalTest, modelID, budgetKey)
+	return hex.EncodeToString(sum[:])
 }
 
 // keysOf derives a verdict's key and its timeout-free variant from one
@@ -106,14 +107,68 @@ func Key(canonicalTest, modelID string, b exec.Budget) string {
 // with the timeout zeroed: a complete outcome is independent of the
 // timeout it beat, so that is where complete outcomes live (see Key).
 // With no timeout the two keys coincide.
-func keysOf(canonicalTest, modelID string, b exec.Budget) (key, completeKey string) {
-	key = Key(canonicalTest, modelID, b)
-	if b.Timeout == 0 {
+func keysOf(canonicalTest string, s Scope) (key, completeKey string) {
+	key = keyOf(canonicalTest, s.modelID, s.budgetKey)
+	if s.completeBudgetKey == s.budgetKey {
 		return key, key
 	}
-	tb := b
-	tb.Timeout = 0
-	return key, Key(canonicalTest, modelID, tb)
+	return key, keyOf(canonicalTest, s.modelID, s.completeBudgetKey)
+}
+
+// Scope is what every row of one request shares in its verdict address:
+// the model identity and the budget, with the budget's keys rendered
+// once for the whole request rather than once per row.
+type Scope struct {
+	modelID           string
+	budgetKey         string // the budget's Key
+	completeBudgetKey string // the Key of the budget with the timeout zeroed
+}
+
+// NewScope renders the scope of a request under the model identity
+// modelID and budget b.
+func NewScope(modelID string, b exec.Budget) Scope {
+	s := Scope{modelID: modelID, budgetKey: b.Key()}
+	s.completeBudgetKey = s.budgetKey
+	if b.Timeout != 0 {
+		b.Timeout = 0
+		s.completeBudgetKey = b.Key()
+	}
+	return s
+}
+
+// digest is the SHA-256 over three length-prefixed fields, streamed into
+// a pooled digest: hashing a row allocates nothing, and copies its fields
+// through a 256-byte window rather than into one buffer.
+func digest(a, b, c string) (sum [sha256.Size]byte) {
+	d := digests.Get().(*digester)
+	d.h.Reset()
+	d.write(a)
+	d.write(b)
+	d.write(c)
+	d.h.Sum(d.buf[:0])
+	copy(sum[:], d.buf[:sha256.Size])
+	digests.Put(d)
+	return sum
+}
+
+// digester is a reusable SHA-256 state and the window its fields are
+// copied through.
+type digester struct {
+	h   hash.Hash
+	buf [256]byte
+}
+
+var digests = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
+
+// write streams one length-prefixed field into the digest.
+func (d *digester) write(field string) {
+	binary.BigEndian.PutUint64(d.buf[:8], uint64(len(field)))
+	n := 8 + copy(d.buf[8:], field)
+	d.h.Write(d.buf[:n])
+	for field = field[n-8:]; field != ""; field = field[n:] {
+		n = copy(d.buf[:], field)
+		d.h.Write(d.buf[:n])
+	}
 }
 
 // Stats is a snapshot of the cache counters.
@@ -242,6 +297,14 @@ type Request struct {
 	Obs *obs.Trace
 }
 
+// Verdict is a resident verdict: the outcome, and the body a caller kept
+// with it (KeepBody; nil until one does). The body is evicted with the
+// outcome.
+type Verdict struct {
+	Outcome *sim.Outcome
+	Body    []byte
+}
+
 // Run simulates test under model with the given budget, through the cache:
 // a repeated triple is served from memory, a concurrent duplicate joins the
 // in-flight simulation, and only a genuinely new triple enumerates. The
@@ -260,7 +323,7 @@ func (req Request) keys() (key, completeKey string) {
 		completeKey = key
 	}
 	if key == "" || completeKey == "" {
-		k, ck := keysOf(CanonicalTest(req.Test), ModelID(req.Model), req.Budget)
+		k, ck := keysOf(CanonicalTest(req.Test), NewScope(ModelID(req.Model), req.Budget))
 		if key == "" {
 			key = k
 		}
@@ -276,16 +339,16 @@ func (req Request) keys() (key, completeKey string) {
 // key is also a regular key (for requests made with Timeout=0), so it can
 // hold a deterministically-truncated outcome — valid there, but not an
 // answer for a different timeout.
-func (c *Cache) lookupLocked(key, completeKey string) (*sim.Outcome, bool) {
+func (c *Cache) lookupLocked(key, completeKey string) (*Verdict, bool) {
 	if v, ok := c.verdicts.get(key); ok {
 		c.stats.Hits++
-		return v.(*sim.Outcome), true
+		return v.(*Verdict), true
 	}
 	if completeKey != key {
-		if v, ok := c.verdicts.get(completeKey); ok && !v.(*sim.Outcome).Incomplete {
+		if v, ok := c.verdicts.get(completeKey); ok && !v.(*Verdict).Outcome.Incomplete {
 			c.stats.Hits++
 			c.stats.CrossTimeoutHits++
-			return v.(*sim.Outcome), true
+			return v.(*Verdict), true
 		}
 	}
 	return nil, false
@@ -297,10 +360,38 @@ func (c *Cache) lookupLocked(key, completeKey string) (*sim.Outcome, bool) {
 // warm traffic from here while it sheds the cold traffic that would need
 // an enumeration. A successful Lookup counts as a Hit.
 func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
+	v, ok := c.LookupVerdict(req)
+	return v.Outcome, ok
+}
+
+// LookupVerdict is Lookup returning the resident verdict whole, its
+// kept body included.
+func (c *Cache) LookupVerdict(req Request) (Verdict, bool) {
 	key, completeKey := req.keys()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(key, completeKey)
+	if v, ok := c.lookupLocked(key, completeKey); ok {
+		return *v, true
+	}
+	return Verdict{}, false
+}
+
+// KeepBody keeps body with req's resident verdict, if that verdict is
+// still out and keeps no body yet; LookupVerdict hands it to every later
+// hit on the verdict, whichever request it comes from, so body must be a
+// function of the verdict's key and outcome alone. A hit is not counted.
+func (c *Cache) KeepBody(req Request, out *sim.Outcome, body []byte) {
+	key, completeKey := req.keys()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range [...]string{key, completeKey} {
+		if e, ok := c.verdicts.get(k); ok {
+			if v := e.(*Verdict); v.Outcome == out && v.Body == nil {
+				v.Body = body
+				return
+			}
+		}
+	}
 }
 
 // Simulate answers req through the cache (see Run for the semantics of
@@ -308,9 +399,9 @@ func (c *Cache) Lookup(req Request) (*sim.Outcome, bool) {
 func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, error) {
 	key, completeKey := req.keys()
 	c.mu.Lock()
-	if out, ok := c.lookupLocked(key, completeKey); ok {
+	if v, ok := c.lookupLocked(key, completeKey); ok {
 		c.mu.Unlock()
-		return out, true, nil
+		return v.Outcome, true, nil
 	}
 	if cl, ok := c.inflight[key]; ok {
 		c.stats.Waits++
@@ -351,7 +442,7 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 				// (but deterministic) outcomes keep the full key.
 				storeKey = completeKey
 			}
-			c.stats.Evictions += uint64(c.verdicts.add(storeKey, out))
+			c.stats.Evictions += uint64(c.verdicts.add(storeKey, &Verdict{Outcome: out}))
 		}
 		c.mu.Unlock()
 		if r != nil {
@@ -430,18 +521,21 @@ type Resolved struct {
 }
 
 // Resolve derives the verdict keys of the litmus source src under the
-// model identity modelID and budget b, through the raw-bytes alias: the
-// SHA-256 of the three maps to the keys derived the first time. Parsing
-// and canonicalisation are deterministic, so the alias is a function of
-// its key and cannot change a verdict; it only saves the work.
+// request scope s, through the raw-bytes alias: the SHA-256 of the
+// source, model identity and budget key maps to the keys derived the
+// first time. Parsing and canonicalisation are deterministic, so the
+// alias is a function of its key and cannot change a verdict; it only
+// saves the work. The digest keeps every alias at 32 bytes however long
+// its source (DESIGN.md §15).
 //
 // On a hit the returned test is nil: a caller that must simulate parses
 // src itself. On a miss Resolve parses src, renders it canonically once
 // and returns the parsed test with its keys. A source that fails to
 // parse is never aliased, so its error reproduces on every call. The
 // alias layer is bounded like the others, by the cache's maxEntries.
-func (c *Cache) Resolve(src, modelID string, b exec.Budget) (Resolved, *litmus.Test, error) {
-	ak := aliasKey(src, modelID, b)
+func (c *Cache) Resolve(src string, s Scope) (Resolved, *litmus.Test, error) {
+	sum := digest(src, s.modelID, s.budgetKey)
+	ak := string(sum[:])
 	c.mu.Lock()
 	if v, ok := c.aliases.get(ak); ok {
 		c.stats.AliasHits++
@@ -455,24 +549,11 @@ func (c *Cache) Resolve(src, modelID string, b exec.Budget) (Resolved, *litmus.T
 		return Resolved{}, nil, err
 	}
 	r := &Resolved{Name: t.Name}
-	r.Key, r.CompleteKey = keysOf(CanonicalTest(t), modelID, b)
+	r.Key, r.CompleteKey = keysOf(CanonicalTest(t), s)
 	c.mu.Lock()
 	c.aliases.add(ak, r)
 	c.mu.Unlock()
 	return *r, t, nil
-}
-
-// aliasKey is the raw-bytes alias address: the SHA-256 over the
-// length-prefixed source, model identity and budget key.
-func aliasKey(src, modelID string, b exec.Budget) string {
-	bk := b.Key()
-	buf := make([]byte, 0, 24+len(src)+len(modelID)+len(bk))
-	for _, field := range []string{src, modelID, bk} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(field)))
-		buf = append(buf, field...)
-	}
-	sum := sha256.Sum256(buf)
-	return string(sum[:])
 }
 
 // Model compiles a cat model source, memoised on its SHA-256, so an inline

@@ -2,7 +2,11 @@ package memo_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +29,27 @@ func mustTest(t *testing.T, name string) *litmus.Test {
 		t.Fatalf("catalogue has no test %q", name)
 	}
 	return e.Test()
+}
+
+// TestKeyDigest pins Key to the SHA-256 over one buffer holding the
+// length-prefixed fields, for fields shorter and longer than the window
+// the digest streams them through: keys are echoed to clients, so the
+// streaming must not move one.
+func TestKeyDigest(t *testing.T) {
+	b := exec.Budget{MaxCandidates: 7, Timeout: time.Second}
+	for _, n := range []int{0, 1, 247, 248, 249, 255, 256, 257, 600, 5000} {
+		test := strings.Repeat("t", n)
+		modelID := "name:" + strings.Repeat("m", n/3)
+		var buf []byte
+		for _, field := range []string{test, modelID, b.Key()} {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(len(field)))
+			buf = append(buf, field...)
+		}
+		sum := sha256.Sum256(buf)
+		if got, want := memo.Key(test, modelID, b), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("test of %d bytes: Key = %s, want %s", n, got, want)
+		}
+	}
 }
 
 // TestKeyCanonicalisation: sources that parse to the same test share a key;
@@ -597,7 +622,7 @@ func TestResolveAlias(t *testing.T) {
 	modelID := memo.ModelID(models.Power)
 	b := exec.Budget{Timeout: time.Minute}
 
-	miss, test, err := c.Resolve(src, modelID, b)
+	miss, test, err := c.Resolve(src, memo.NewScope(modelID, b))
 	if err != nil || test == nil {
 		t.Fatalf("first Resolve: test=%v err=%v, want the parsed test", test, err)
 	}
@@ -612,16 +637,16 @@ func TestResolveAlias(t *testing.T) {
 	if miss.Name != test.Name {
 		t.Errorf("Name = %q, want %q", miss.Name, test.Name)
 	}
-	hit, again, err := c.Resolve(src, modelID, b)
+	hit, again, err := c.Resolve(src, memo.NewScope(modelID, b))
 	if err != nil || again != nil || hit != miss {
 		t.Fatalf("second Resolve: %+v test=%v err=%v, want %+v from the alias", hit, again, err, miss)
 	}
-	if other, _, _ := c.Resolve(src, modelID, free); other.Key != miss.CompleteKey {
+	if other, _, _ := c.Resolve(src, memo.NewScope(modelID, free)); other.Key != miss.CompleteKey {
 		t.Error("another budget was answered from the first budget's alias")
 	}
 
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Resolve("not litmus", modelID, b); err == nil {
+		if _, _, err := c.Resolve("not litmus", memo.NewScope(modelID, b)); err == nil {
 			t.Fatal("Resolve accepted a source that does not parse")
 		}
 	}
@@ -642,5 +667,47 @@ func TestResolveAlias(t *testing.T) {
 	}
 	if got, ok := c.Lookup(memo.Request{Test: test, Model: models.Power, Budget: exec.Budget{Timeout: time.Hour}}); !ok || got != out {
 		t.Fatalf("cross-timeout Lookup: ok=%v, want the stored outcome", ok)
+	}
+}
+
+// TestVerdictBody: a body kept with a resident verdict is handed to
+// every later hit on it (a cross-timeout one included) and evicted with
+// the verdict; it is kept only with the outcome it was rendered from,
+// and only once.
+func TestVerdictBody(t *testing.T) {
+	c := memo.New(1)
+	ctx := context.Background()
+	mp, sb := mustTest(t, "mp"), mustTest(t, "sb")
+	req := memo.Request{Test: mp, Model: models.Power, Budget: exec.Budget{Timeout: time.Minute}}
+	out, _, err := c.Simulate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.LookupVerdict(req); !ok || v.Outcome != out || v.Body != nil {
+		t.Fatalf("LookupVerdict = (%+v, %v), want the outcome and no body yet", v, ok)
+	}
+	c.KeepBody(req, &sim.Outcome{}, []byte("another outcome's"))
+	c.KeepBody(req, out, []byte("mp"))
+	c.KeepBody(req, out, []byte("again"))
+	for _, b := range []exec.Budget{{Timeout: time.Minute}, {Timeout: time.Hour}, {}} {
+		v, ok := c.LookupVerdict(memo.Request{Test: mp, Model: models.Power, Budget: b})
+		if !ok || v.Outcome != out || string(v.Body) != "mp" {
+			t.Fatalf("budget %+v: LookupVerdict = (%+v, %v), want the outcome and the first body kept", b, v, ok)
+		}
+	}
+	hits := c.Stats().Hits
+
+	if _, _, err := c.Simulate(ctx, memo.Request{Test: sb, Model: models.Power}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.LookupVerdict(req); ok {
+		t.Fatal("mp still resident in a one-entry cache")
+	}
+	c.KeepBody(req, out, []byte("mp"))
+	if v, ok := c.LookupVerdict(memo.Request{Test: sb, Model: models.Power}); !ok || v.Body != nil {
+		t.Fatalf("sb: LookupVerdict = (%+v, %v), want the verdict without a body", v, ok)
+	}
+	if got := c.Stats().Hits; got != hits+1 {
+		t.Errorf("%d hits after one more lookup hit, want %d: KeepBody counts none", got, hits+1)
 	}
 }

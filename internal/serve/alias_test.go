@@ -215,9 +215,10 @@ func TestAliasBounded(t *testing.T) {
 // batch row costs the allocator: with every row's alias and verdict
 // resident, building the batch plan and answering each row's job (the
 // alias lookup, the verdict Lookup, no parse) must allocate no more per
-// row than measured once the alias landed (go1.24; 100 when every row
-// was parsed and canonicalised). Gated on BENCH_ENUM_OUT like the other
-// bench asserts.
+// row than measured once the alias digest stopped rendering the budget
+// and copying the source per row (go1.24: 3.2; 6.1 before that, 100 when
+// every row was parsed and canonicalised). Gated on BENCH_ENUM_OUT like
+// the other bench asserts.
 func TestWarmBatchAllocsCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the warm batch allocation ceiling check")
@@ -244,7 +245,8 @@ func TestWarmBatchAllocsCeiling(t *testing.T) {
 			}
 		}
 	}) / float64(len(req.Tests))
-	const ceiling = 8
+	t.Logf("warm batch row: %.1f allocs per row", allocs)
+	const ceiling = 4
 	if allocs > ceiling {
 		t.Errorf("warm batch row: %.1f allocs, ceiling %d — rows are being parsed again", allocs, ceiling)
 	}

@@ -171,7 +171,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rw *row
 	var err error
 	if merr == nil {
-		rw, err = s.resolveRow(req.Litmus, memo.ModelID(checker), b)
+		rw, err = s.resolveRow(req.Litmus, memo.NewScope(memo.ModelID(checker), b))
 	} else if _, perr := litmus.Parse(req.Litmus); perr != nil {
 		// A bad litmus test is reported before a bad model.
 		err = fmt.Errorf("litmus: %w", perr)
@@ -193,7 +193,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	out, cached, err := s.answer(ctx, rw, checker, b, tenant, tr)
+	v, cached, err := s.answer(ctx, rw, checker, b, tenant, tr)
 	if err != nil {
 		var oerr *overloadError
 		if errors.As(err, &oerr) {
@@ -209,8 +209,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RunResponse{
 		Key:       rw.keys.Key,
 		Cached:    cached,
-		Verdict:   verdict(out),
-		Outcome:   out.JSON(),
+		Verdict:   verdict(v.Outcome),
+		Outcome:   v.Outcome.JSON(),
 		Options:   s.effectiveOptions(b),
 		ElapsedMS: time.Since(start).Milliseconds(),
 		Trace:     tr.Summary(),
@@ -226,10 +226,10 @@ type row struct {
 	test *litmus.Test
 }
 
-// resolveRow resolves one source under one model and budget; its error
+// resolveRow resolves one source under its request's scope; its error
 // is the source's parse failure, prefixed for the client.
-func (s *Server) resolveRow(src, modelID string, b exec.Budget) (*row, error) {
-	keys, test, err := s.cache.Resolve(src, modelID, b)
+func (s *Server) resolveRow(src string, scope memo.Scope) (*row, error) {
+	keys, test, err := s.cache.Resolve(src, scope)
 	if err != nil {
 		return nil, fmt.Errorf("litmus: %w", err)
 	}
@@ -239,17 +239,17 @@ func (s *Server) resolveRow(src, modelID string, b exec.Budget) (*row, error) {
 // answer serves one resolved row. A resident verdict is served without
 // an admission slot (or a tenant token), so a saturated server still
 // answers warm traffic at full speed — only work that needs CPU queues
-// or pays quota for it. A refused admission comes back as the
-// *overloadError; a miss parses the row if the alias skipped that, and
-// simulates it.
-func (s *Server) answer(ctx context.Context, rw *row, checker sim.Checker, b exec.Budget, tenant string, tr *obs.Trace) (*sim.Outcome, bool, error) {
+// or pays quota for it — together with the body kept with it. A refused
+// admission comes back as the *overloadError; a miss parses the row if
+// the alias skipped that, and simulates it.
+func (s *Server) answer(ctx context.Context, rw *row, checker sim.Checker, b exec.Budget, tenant string, tr *obs.Trace) (memo.Verdict, bool, error) {
 	req := memo.Request{Key: rw.keys.Key, CompleteKey: rw.keys.CompleteKey, Model: checker, Budget: b}
-	if out, ok := s.cache.Lookup(req); ok {
-		return out, true, nil
+	if v, ok := s.cache.LookupVerdict(req); ok {
+		return v, true, nil
 	}
 	release, oerr := s.admit(ctx, tenant)
 	if oerr != nil {
-		return nil, false, oerr
+		return memo.Verdict{}, false, oerr
 	}
 	defer release()
 	if rw.test == nil {
@@ -257,12 +257,25 @@ func (s *Server) answer(ctx context.Context, rw *row, checker sim.Checker, b exe
 		test, err := litmus.Parse(rw.src)
 		stop()
 		if err != nil {
-			return nil, false, fmt.Errorf("litmus: %w", err)
+			return memo.Verdict{}, false, fmt.Errorf("litmus: %w", err)
 		}
 		rw.test = test
 	}
 	req.Test, req.Obs = rw.test, tr
-	return s.cache.Simulate(ctx, req)
+	out, hit, err := s.cache.Simulate(ctx, req)
+	return memo.Verdict{Outcome: out}, hit, err
+}
+
+// keepBody renders the result/v1 body of a resident verdict's row and
+// keeps it with the verdict, so every later streamed hit appends it
+// instead of encoding the row. The body is a function of the verdict's
+// key, as memo requires: its inputs beside the outcome are the test's
+// name, which the canonical test renders, and the model's name, which
+// its identity determines (TestStoredBodyIsKeyed).
+func (s *Server) keepBody(rw *row, checker sim.Checker, b exec.Budget, out *sim.Outcome) []byte {
+	body := wire.ResultBody(campaign.Settled(rw.keys.Name, checker, out))
+	s.cache.KeepBody(memo.Request{Key: rw.keys.Key, CompleteKey: rw.keys.CompleteKey, Model: checker, Budget: b}, out, body)
+	return body
 }
 
 // admit claims a tenant quota token, then an admission slot. The token is
@@ -283,6 +296,7 @@ type batchPlan struct {
 	jobs   []campaign.Job
 	keys   []string
 	cached []bool
+	bodies [][]byte     // per-test kept result/v1 bodies (streamed hits only)
 	errs   []error      // per-test parse errors (nil rows parsed)
 	traces []*obs.Trace // per-test phase traces (streaming only)
 }
@@ -296,13 +310,14 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 		jobs:   make([]campaign.Job, n),
 		keys:   make([]string, n),
 		cached: make([]bool, n),
+		bodies: make([][]byte, n),
 		errs:   make([]error, n),
 		traces: make([]*obs.Trace, n),
 	}
-	modelID := memo.ModelID(checker)
+	scope := memo.NewScope(memo.ModelID(checker), b)
 	for i, src := range req.Tests {
 		i := i
-		rw, perr := s.resolveRow(src, modelID, b)
+		rw, perr := s.resolveRow(src, scope)
 		if perr != nil {
 			p.errs[i] = perr
 			p.jobs[i] = campaign.Job{
@@ -326,9 +341,14 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 			// verdicts. The campaign never retries (Retries: -1), so jb
 			// is the b the keys were derived under.
 			Run: func(ctx context.Context, jb exec.Budget) (*sim.Outcome, error) {
-				out, hit, err := s.answer(ctx, rw, checker, jb, tenant, p.traces[i])
-				p.cached[i] = hit
-				return out, err
+				v, hit, err := s.answer(ctx, rw, checker, jb, tenant, p.traces[i])
+				if trace && hit && err == nil && v.Body == nil && v.Outcome != nil {
+					// Only a streamed row appends a body, and only a
+					// verdict that is hit keeps one.
+					v.Body = s.keepBody(rw, checker, jb, v.Outcome)
+				}
+				p.cached[i], p.bodies[i] = hit, v.Body
+				return v.Outcome, err
 			},
 		}
 	}

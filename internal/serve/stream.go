@@ -57,13 +57,19 @@ func (st *batchStream) close() {
 
 // emit queues index i's single frame; it is the campaign's OnResult
 // hook. Indices are distinct per call, so the emitted bookkeeping is
-// race-free; the merge serialises the frames. An error means the stream
-// has failed, and the stream has already cancelled the campaign.
+// race-free; the merge serialises the frames. A hit appends the body
+// kept with its verdict (keepBody), which is the row's own rendering. An
+// error means the stream has failed, and the stream has already
+// cancelled the campaign.
 func (st *batchStream) emit(i int, res campaign.JobResult) {
 	st.emitted[i] = true
-	if res.Failed() || res.Status == campaign.StatusSkipped {
+	switch body := st.p.bodies[i]; {
+	case res.Failed() || res.Status == campaign.StatusSkipped:
 		_ = st.merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(st.p, i, res), res.Reason))
-	} else {
+	case body != nil && res.Trace == nil:
+		_ = st.merge.Emit(i, &wire.StoredResult{Index: i, Key: st.p.keys[i], Cached: st.p.cached[i],
+			Body: body, Attempts: res.Attempts, ElapsedMS: res.ElapsedMS})
+	default:
 		_ = st.merge.Emit(i, wire.NewResult(i, st.p.keys[i], st.p.cached[i], res))
 	}
 }

@@ -144,7 +144,7 @@ func TestDecodeFallbacks(t *testing.T) {
 		`{"type":"result/v1","index":null,"key":null,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":0,"cached":false,"result":{"name":"a",` + tail,
 		`{"type":"result/v1","index":0,"result":{"name":"a","states":{},` + tail,
-		`{"type":"result/v1","index":0,"result":{"name":"a","states":{"x":1,"x":2},` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"states":{"x":1,"x":2},"attempts":1,"elapsed_ms":0}}`,
 		`{"type":"result/v1","index":0,"result":{"name":"a",` + tail[:len(tail)-2] + `,"trace":{"phases":null,"enum":{"candidates":3}}}}`,
 		`{"type":"result/v1","index":0,"result":{"name":"bad` + "\xff" + `",` + tail,
 		`{"type":"result/v1","index":0,"result":{"name":"tab` + "\t" + `",` + tail,
@@ -220,6 +220,111 @@ func FuzzResultFrameCodec(f *testing.F) {
 	})
 }
 
+// checkRelay fails unless relaying line with index writes what the
+// encoder writes for decodeFrame(line) renumbered to index, and reads
+// the frame's index, cached flag and status; a line the relay refuses
+// takes the decode-and-encode path, which is that reference itself. It
+// reports whether the relay took the line.
+func checkRelay(t *testing.T, line []byte, index int) bool {
+	t.Helper()
+	h, ok := relayResult(line)
+	if !ok {
+		return false
+	}
+	frame, err := decodeFrame(line)
+	rf, isResult := frame.(*ResultFrame)
+	if err != nil || !isResult {
+		t.Fatalf("relay took %q, which decodes to (%#v, %v)", line, frame, err)
+	}
+	if h.Index != rf.Index || h.Cached != rf.Cached || h.Status != rf.Result.Status {
+		t.Fatalf("relay read index %d cached %v status %q from %q, the frame has %d %v %q",
+			h.Index, h.Cached, h.Status, line, rf.Index, rf.Cached, rf.Result.Status)
+	}
+	h.line = line
+	h.Index = index
+	rf.Index = index
+	want, _, err := appendResultFrame(nil, rf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.appendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("relay of %q as index %d wrote\n %s\nthe encoder writes\n %s", line, index, got, want)
+	}
+	return true
+}
+
+// TestRelayResult: every golden result/v1 line relays, and a line the
+// decoder accepts but the encoder would write differently does not.
+func TestRelayResult(t *testing.T) {
+	relayed := 0
+	for i, line := range goldenLines(t) {
+		if typeTag(line) == FrameResult {
+			if !checkRelay(t, line, 1000+i) {
+				t.Errorf("golden line %q was not relayed", line)
+			}
+			relayed++
+		}
+	}
+	if relayed == 0 {
+		t.Fatal("no golden result line")
+	}
+	const tail = `"status":"OK","candidates":1,"valid":1,"attempts":1,"elapsed_ms":0}}`
+	for _, line := range relayRefused {
+		if _, ok := decodeResult([]byte(line)); !ok {
+			t.Errorf("%q: the one-pass decoder refuses it; the case tests nothing", line)
+		}
+		if checkRelay(t, []byte(line), 5) {
+			t.Errorf("relayed %q, which the encoder writes differently", line)
+		}
+	}
+	if !checkRelay(t, []byte(`{"type":"result/v1","index":0,"result":{"name":"a`+"\x7f é"+`",`+tail), 5) {
+		t.Error("refused a line the encoder writes")
+	}
+}
+
+// relayRefused are result/v1 lines the one-pass decoder accepts that the
+// encoder writes otherwise: escaped characters, omitted empty fields,
+// -0, unsorted or repeated states.
+var relayRefused = func() []string {
+	const tail = `"status":"OK","candidates":1,"valid":1,"attempts":1,"elapsed_ms":0}}`
+	return []string{
+		`{"type":"result/v1","index":0,"result":{"name":"a<b",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a>b",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a&b",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a` + "\u2028" + `",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a` + "\u2029" + `",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","model":"<",` + tail,
+		`{"type":"result/v1","index":0,"key":"&","result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"states":{"x<":1},"attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"O&K","candidates":1,"valid":1,"attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":0,"key":"","result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","model":"",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"reason":"","attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"stack":"","attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":-0,"result":{"name":"a",` + tail,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":-0,"valid":1,"attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"attempts":1,"elapsed_ms":-0}}`,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"states":{"y":1,"x":2},"attempts":1,"elapsed_ms":0}}`,
+		`{"type":"result/v1","index":0,"result":{"name":"a","status":"OK","candidates":1,"valid":1,"states":{"x":1,"x":2},"attempts":1,"elapsed_ms":0}}`,
+	}
+}()
+
+// FuzzResultFrameRelay is the relay's differential against decoding and
+// re-encoding: for any line and new index, the relayed bytes are the
+// encoder's bytes for the decoded frame renumbered, or the relay refuses
+// the line and the gateway decodes and re-encodes it.
+func FuzzResultFrameRelay(f *testing.F) {
+	for i, line := range goldenLines(f) {
+		f.Add(line, i-1)
+	}
+	for i, line := range relayRefused {
+		f.Add([]byte(line), i)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, index int) {
+		checkRelay(t, line, index)
+	})
+}
+
 // repeatReader serves the same line forever.
 type repeatReader struct {
 	line []byte
@@ -274,8 +379,20 @@ func TestResultFrameAllocsCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const encCeiling, decCeiling = 0, 4
-	t.Logf("result/v1 frame: %.1f allocs to encode, %.1f to decode", encAllocs, decAllocs)
+	relayed := make([]byte, 0, 2*line.Len())
+	relayAllocs := testing.AllocsPerRun(200, func() {
+		h, ok := relayResult(bytes.TrimSpace(line.Bytes()))
+		if !ok {
+			t.Fatal("relay refused an encoder-written line")
+		}
+		h.line, h.Index = line.Bytes(), 3
+		relayed = h.appendTo(relayed[:0])
+	})
+	const encCeiling, decCeiling, relayCeiling = 0, 4, 0
+	t.Logf("result/v1 frame: %.1f allocs to encode, %.1f to decode, %.1f to relay", encAllocs, decAllocs, relayAllocs)
+	if relayAllocs > relayCeiling {
+		t.Errorf("relay: %.1f allocs, ceiling %d", relayAllocs, relayCeiling)
+	}
 	if encAllocs > encCeiling {
 		t.Errorf("encode: %.1f allocs, ceiling %d — result frames are going through reflection again", encAllocs, encCeiling)
 	}

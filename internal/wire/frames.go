@@ -216,9 +216,18 @@ func (e *Encoder) Encode(frame any) error {
 // appendFrame appends frame's line, newline included, to b.
 func (e *Encoder) appendFrame(b []byte, frame any) ([]byte, error) {
 	var err error
-	if f, ok := frame.(*ResultFrame); ok && f != nil {
+	switch f := frame.(type) {
+	case *ResultFrame:
+		if f == nil {
+			b = append(b, "null"...) // json.Marshal's bytes for a nil frame
+			break
+		}
 		b, e.keys, err = appendResultFrame(b, f, e.keys)
-	} else {
+	case *RelayResult:
+		b = f.appendTo(b)
+	case *StoredResult:
+		b = f.appendTo(b)
+	default:
 		var line []byte
 		line, err = json.Marshal(frame)
 		b = append(b, line...)
@@ -385,7 +394,14 @@ func NewDecoder(r io.Reader) *Decoder {
 // Next returns the next frame — *ResultFrame, *ErrorFrame, *SummaryFrame,
 // *HeartbeatFrame or *UnknownFrame — io.EOF at a clean end of stream, or
 // ErrTruncated when the stream was cut mid-frame.
-func (d *Decoder) Next() (any, error) {
+func (d *Decoder) Next() (any, error) { return d.next(false) }
+
+// NextRelay is Next for a relay: a result/v1 line that is byte for byte
+// what the encoder writes for its frame comes back as a *RelayResult,
+// undecoded; every other line comes back as Next returns it.
+func (d *Decoder) NextRelay() (any, error) { return d.next(true) }
+
+func (d *Decoder) next(relay bool) (any, error) {
 	for {
 		line, err := d.readLine()
 		if err != nil && err != io.EOF {
@@ -398,6 +414,12 @@ func (d *Decoder) Next() (any, error) {
 				return nil, io.EOF
 			}
 			continue
+		}
+		if relay {
+			if f, ok := relayResult(line); ok {
+				f.line = append([]byte(nil), line...)
+				return &f, nil
+			}
 		}
 		frame, ferr := decodeFrame(line)
 		if ferr != nil {
