@@ -149,31 +149,18 @@ func main() {
 		Workers:     *workers,
 		Timeout:     *timeout,
 		Budget:      exec.Budget{MaxCandidates: *maxCand},
-		Retries:     -1, // the user's budget is a hard bound, not a hint
 		StopOnError: !*contOnErr,
 	}
 	rep := campaign.Run(context.Background(), cfg, jobs)
 
-	// The cache-backed jobs above bypass the campaign's own tracing, so
-	// fold the per-test traces into the report here: rep.Jobs is in job
-	// order, and the aggregation matches what campaign.Report.Add does.
+	// The jobs above trace their own work, so attach each test's trace
+	// to its row (rep.Jobs is in job order) and fold it into the totals.
 	if *stats {
 		for i := range rep.Jobs {
-			tj := traces[i].Summary()
-			if tj == nil {
-				continue
+			if tj := traces[i].Summary(); tj != nil {
+				rep.Jobs[i].Trace = tj
+				rep.Fold(tj.Phases, &tj.Enum)
 			}
-			rep.Jobs[i].Trace = tj
-			if rep.PhaseTotalsUS == nil {
-				rep.PhaseTotalsUS = map[string]int64{}
-			}
-			for _, ph := range tj.Phases {
-				rep.PhaseTotalsUS[ph.Phase] += ph.DurationUS
-			}
-			if rep.Enum == nil {
-				rep.Enum = &obs.EnumSnapshot{}
-			}
-			rep.Enum.Add(tj.Enum)
 		}
 	}
 

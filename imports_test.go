@@ -65,6 +65,8 @@ func modulePackageImports(t *testing.T) map[string]map[string]bool {
 // TestImportBoundaries pins which packages may reach which: the
 // hand-written zoo is an oracle, so besides tests only crosscheck (its
 // native-vs-cat pairs) and multi (the Power ppo seeds) import it; the
+// multi-event checker is the cost model of Tab. IX and X, so only
+// experiments imports it (mining decides CAV12 with power-cav.cat); the
 // simulated hardware judges through cat files, with no relation algebra
 // of its own; and core is the checker contract alone, over events.
 func TestImportBoundaries(t *testing.T) {
@@ -74,7 +76,7 @@ func TestImportBoundaries(t *testing.T) {
 		"herdcats/internal/crosscheck": true,
 		"herdcats/internal/multi":      true,
 	}
-	for _, pkg := range []string{"herdcats/internal/models", "herdcats/internal/hardware", "herdcats/internal/core"} {
+	for _, pkg := range []string{"herdcats/internal/models", "herdcats/internal/multi", "herdcats/internal/hardware", "herdcats/internal/core"} {
 		if imports[pkg] == nil {
 			t.Fatalf("package %s not found", pkg)
 		}
@@ -82,6 +84,9 @@ func TestImportBoundaries(t *testing.T) {
 	for pkg, imps := range imports {
 		if imps["herdcats/internal/models"] && !zooImporters[pkg] {
 			t.Errorf("%s imports internal/models, the zoo oracle", pkg)
+		}
+		if imps["herdcats/internal/multi"] && pkg != "herdcats/internal/experiments" {
+			t.Errorf("%s imports internal/multi: only the experiments measure the multi-event checker", pkg)
 		}
 	}
 	if imports["herdcats/internal/hardware"]["herdcats/internal/rel"] {

@@ -1,12 +1,11 @@
-// Package campaign runs large batches of (litmus test, model) simulation
-// jobs the way the paper's evaluation does (Sec. 8: thousands of
-// diy-generated tests per table), but hardened: every job carries its own
-// enumeration budget and wall-clock timeout, a panicking model or checker
-// is contained to its job instead of taking down the batch, and jobs that
-// stop on budget pressure are retried once with a larger budget. The
-// result is a machine-readable report that distinguishes OK, Forbidden,
-// Incomplete, Panicked and Error — so one pathological test degrades one
-// row of a table, not the whole campaign.
+// Package campaign runs large batches of (litmus test, model) jobs the
+// way the paper's evaluation does (Sec. 8: thousands of diy-generated tests
+// per table), but hardened: each job's own Run body runs exactly once under
+// the campaign's enumeration budget and wall-clock timeout, and a panicking
+// model or checker is contained to its job instead of taking down the
+// batch. The result is a machine-readable report that distinguishes OK,
+// Forbidden, Incomplete, Panicked and Error — so one pathological test
+// degrades one row of a table, not the whole campaign.
 package campaign
 
 import (
@@ -15,12 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"runtime/debug"
 	"time"
 
 	"herdcats/internal/exec"
-	"herdcats/internal/litmus"
 	"herdcats/internal/obs"
 	"herdcats/internal/sim"
 )
@@ -48,57 +45,29 @@ const (
 	StatusSkipped Status = "Skipped"
 )
 
-// Job is one unit of campaign work: a litmus test simulated under a
-// model, or any custom function with the same shape.
+// Job is one unit of campaign work: a body that decides one test, and the
+// name and model its report row carries.
 type Job struct {
 	Name  string
-	Test  *litmus.Test
 	Model sim.Checker
 
-	// Run, when set, replaces the default sim.Simulate(Test, Model)
-	// body. It must honour ctx and the budget (incomplete work is
-	// reported via Outcome.Incomplete, hard failures via the error).
+	// Run decides the job. It must honour ctx and the budget (incomplete
+	// work is reported via Outcome.Incomplete, hard failures via the
+	// error).
 	Run func(ctx context.Context, b exec.Budget) (*sim.Outcome, error)
-
-	// EnumWorkers overrides Config.EnumWorkers for this job when > 0: a
-	// known-huge test can fan its enumeration out wider than the rest of
-	// the campaign. The outcome is identical for every worker count, so
-	// this is purely a scheduling knob.
-	EnumWorkers int
 }
 
-// Config tunes a campaign. The zero value runs every job to completion on
-// GOMAXPROCS workers with unlimited budgets and one budget-retry.
+// Config tunes a campaign. The zero value runs every job once on
+// GOMAXPROCS workers with an unlimited budget and no timeout.
 type Config struct {
 	Workers int           // pool size; <= 0 selects GOMAXPROCS
-	Timeout time.Duration // per-attempt wall clock (0 = none)
-	Budget  exec.Budget   // per-attempt enumeration budget
-
-	// Retries bounds the extra attempts granted to a job that comes
-	// back Incomplete under budget pressure; each retry scales the
-	// budget and timeout by BudgetGrowth. 0 means the default of 1;
-	// negative disables retrying.
-	Retries      int
-	BudgetGrowth int           // budget multiplier per retry; 0 means the default of 4
-	Backoff      time.Duration // pause before a retry; 0 means the default of 10ms
+	Timeout time.Duration // per-job wall clock (0 = none)
+	Budget  exec.Budget   // per-job enumeration budget
 
 	// StopOnError cancels the remaining jobs after the first Panicked
 	// or Error result (jobs never started are reported Skipped). The
 	// default — the fault-tolerant mode — keeps going.
 	StopOnError bool
-
-	// EnumWorkers splits each job's verdict — walk and check — across
-	// that many goroutines (sim.Options.Workers); <= 1 keeps it on the
-	// job's own goroutine. Unlike
-	// Workers (how many jobs run at once), this widens one job, without
-	// changing its outcome. Job.EnumWorkers overrides it per job.
-	EnumWorkers int
-
-	// Trace records a per-job phase trace (compile → enumerate → check →
-	// verdict plus enumeration counters) into each JobResult, and
-	// aggregate phase totals into the Report. Off by default: tracing is
-	// cheap but not free, and large campaigns produce large reports.
-	Trace bool
 
 	// OnResult, when set, delivers each job's final result the moment it
 	// settles — the incremental-delivery hook the streaming batch API is
@@ -108,66 +77,6 @@ type Config struct {
 	// classified Skipped. The callback must be safe for concurrent calls
 	// and should return quickly: a slow consumer stalls its worker.
 	OnResult func(index int, res JobResult)
-}
-
-func (c Config) retries() int {
-	if c.Retries < 0 {
-		return 0
-	}
-	if c.Retries == 0 {
-		return 1
-	}
-	return c.Retries
-}
-
-func (c Config) growth() int {
-	if c.BudgetGrowth <= 0 {
-		return 4
-	}
-	return c.BudgetGrowth
-}
-
-func (c Config) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 10 * time.Millisecond
-	}
-	return c.Backoff
-}
-
-// retryableError is the duck-typed contract an error uses to declare
-// itself transient. The fleet client's errors implement it, as can any
-// custom Job.Run error; keeping it structural avoids an import cycle
-// between campaign and the packages whose errors flow through it.
-type retryableError interface{ RetryableError() bool }
-
-// ErrorRetryable reports whether err declares itself transient via a
-// `RetryableError() bool` method anywhere in its chain. Errors that do not
-// opt in are permanent: a litmus parse error or a model compile error
-// fails identically on every attempt, so re-running it only burns campaign
-// budget and delays the report.
-func ErrorRetryable(err error) bool {
-	var r retryableError
-	return errors.As(err, &r) && r.RetryableError()
-}
-
-// maxBackoffWindow caps the exponential backoff window so a job stuck on
-// a flapping dependency re-probes at least this often.
-const maxBackoffWindow = 30 * time.Second
-
-// jitteredBackoff draws the pause before retry number attempt (0-based):
-// full jitter, uniform over [0, window], where window doubles from base
-// each retry ("exponential backoff and full jitter"). Jobs that fail
-// together — a whole campaign hitting one overloaded herdd — therefore do
-// not retry together.
-func jitteredBackoff(base time.Duration, attempt int) time.Duration {
-	window := base
-	for i := 0; i < attempt && window < maxBackoffWindow; i++ {
-		window *= 2
-	}
-	if window > maxBackoffWindow {
-		window = maxBackoffWindow
-	}
-	return rand.N(window + 1)
 }
 
 // JobResult records how one job ended. Outcome is kept for in-process
@@ -182,12 +91,11 @@ type JobResult struct {
 	States     map[string]int `json:"states,omitempty"`
 	Reason     string         `json:"reason,omitempty"` // incomplete reason or error text
 	Stack      string         `json:"stack,omitempty"`  // captured panic stack
-	Attempts   int            `json:"attempts"`
+	Attempts   int            `json:"attempts"`         // 1 once the body ran; 0 if Skipped
 	ElapsedMS  int64          `json:"elapsed_ms"`
 
-	// Trace is the final attempt's phase breakdown, present only when
-	// Config.Trace is set and the default job body ran (custom Job.Run
-	// functions own their instrumentation).
+	// Trace is the job's phase breakdown. Run never sets it: a caller
+	// whose Run bodies trace their work attaches it (cmd/herd -stats).
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
 
 	Outcome *sim.Outcome `json:"-"`
@@ -204,14 +112,10 @@ type Report struct {
 	Counts    map[Status]int `json:"counts"`
 	ElapsedMS int64          `json:"elapsed_ms"`
 
-	// PhaseTotalsUS sums each traced job's phase durations, in
-	// microseconds — the campaign-wide answer to "where did the time
-	// go?". Present only when Config.Trace was set.
-	PhaseTotalsUS map[string]int64 `json:"phase_totals_us,omitempty"`
-
-	// Enum sums the traced jobs' enumeration counters. Present only when
-	// Config.Trace was set.
-	Enum *obs.EnumSnapshot `json:"enum,omitempty"`
+	// PhaseTotals sums the traced jobs' phase durations and enumeration
+	// counters — the campaign-wide answer to "where did the time go?".
+	// Present only when some job carried a Trace.
+	obs.PhaseTotals
 }
 
 // Add appends a result (e.g. a pre-run failure synthesised by a caller)
@@ -222,19 +126,9 @@ func (r *Report) Add(res JobResult) {
 		r.Counts = map[Status]int{}
 	}
 	r.Counts[res.Status]++
-	if res.Trace == nil {
-		return
+	if res.Trace != nil {
+		r.Fold(res.Trace.Phases, &res.Trace.Enum)
 	}
-	if r.PhaseTotalsUS == nil {
-		r.PhaseTotalsUS = map[string]int64{}
-	}
-	for _, ph := range res.Trace.Phases {
-		r.PhaseTotalsUS[ph.Phase] += ph.DurationUS
-	}
-	if r.Enum == nil {
-		r.Enum = &obs.EnumSnapshot{}
-	}
-	r.Enum.Add(res.Trace.Enum)
 }
 
 // Failures counts the jobs that ended Panicked or Error.
@@ -253,7 +147,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 var errStop = errors.New("campaign: stopping on first failure")
 
 // Run executes the jobs on a worker pool and never lets one job's failure
-// destroy another's result: panics are recovered per attempt, errors are
+// destroy another's result: panics are recovered per job, errors are
 // recorded per job, and (unless StopOnError) the pool keeps draining.
 // Results are returned in job order.
 func Run(ctx context.Context, cfg Config, jobs []Job) *Report {
@@ -285,65 +179,24 @@ func Run(ctx context.Context, cfg Config, jobs []Job) *Report {
 	return rep
 }
 
-// runJob drives one job through its attempts. Two kinds of failure earn a
-// retry: an Incomplete under budget pressure (not caller cancellation),
-// which re-runs with a budget scaled by cfg.growth(); and an Error whose
-// cause declares itself transient (ErrorRetryable — a fleet client losing
-// a backend mid-request), which re-runs with the same budget. Permanent
-// errors — a parse failure, a model bug — settle immediately: they would
-// fail identically on every attempt.
+// runJob runs one job's body once, under the campaign's budget and
+// timeout, with panic containment: a panic in the model, the checker or
+// the enumeration surfaces as a Panicked result with the captured stack,
+// never further.
 func runJob(ctx context.Context, cfg Config, job Job) JobResult {
 	start := time.Now()
-	res := JobResult{Name: job.Name}
+	res := JobResult{Name: job.Name, Attempts: 1}
 	if job.Model != nil {
 		res.Model = job.Model.Name()
 	}
-	budget := cfg.Budget
-	timeout := cfg.Timeout
-attempts:
-	for attempt := 0; ; attempt++ {
-		res.Attempts++
-		out, tr, err, stack := runAttempt(ctx, cfg, timeout, budget, job)
-		res.fill(out, err, stack)
-		res.Trace = tr.Summary()
-		if ctx.Err() != nil || attempt >= cfg.retries() {
-			break
-		}
-		switch {
-		case res.Status == StatusIncomplete:
-			// Budget pressure: grow the budget so the retry can finish.
-			budget = budget.Scale(cfg.growth())
-			if timeout > 0 {
-				timeout *= time.Duration(cfg.growth())
-			}
-		case res.Status == StatusError && ErrorRetryable(err):
-			// Transient infrastructure failure: the same budget will do
-			// once the dependency recovers.
-		default:
-			break attempts
-		}
-		// Back off with a stoppable timer: bare time.After would leave a
-		// live timer behind on every cancellation, and a campaign retries
-		// often enough for those to pile up. A cancellation during the
-		// backoff also ends the job now — the retry it pre-empts could
-		// only come back Incomplete(canceled) and overwrite the partial
-		// outcome the last real attempt already produced.
-		backoff := time.NewTimer(jitteredBackoff(cfg.backoff(), attempt))
-		select {
-		case <-backoff.C:
-		case <-ctx.Done():
-			backoff.Stop()
-			break attempts
-		}
-	}
+	out, err, stack := runBody(ctx, cfg, job)
+	res.fill(out, err, stack)
 	res.ElapsedMS = time.Since(start).Milliseconds()
 	return res
 }
 
-// runAttempt executes one attempt with panic containment: a panic in the
-// model, the checker or the enumeration surfaces as an error plus the
-// captured stack, never further.
-func runAttempt(ctx context.Context, cfg Config, timeout time.Duration, b exec.Budget, job Job) (out *sim.Outcome, tr *obs.Trace, err error, stack string) {
+// runBody calls job.Run, recovering a panic into an error and its stack.
+func runBody(ctx context.Context, cfg Config, job Job) (out *sim.Outcome, err error, stack string) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -351,31 +204,18 @@ func runAttempt(ctx context.Context, cfg Config, timeout time.Duration, b exec.B
 			stack = string(debug.Stack())
 		}
 	}()
-	if timeout > 0 {
+	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	if job.Run != nil {
-		out, err = job.Run(ctx, b)
-		return out, nil, err, ""
-	}
-	o := sim.Options{Workers: cfg.EnumWorkers}
-	if job.EnumWorkers > 0 {
-		o.Workers = job.EnumWorkers
-	}
-	if cfg.Trace {
-		tr = obs.NewTrace()
-	}
-	out, err = sim.Simulate(ctx, sim.Request{
-		Test: job.Test, Checker: job.Model, Budget: b, Options: o, Obs: tr,
-	})
-	return out, tr, err, ""
+	out, err = job.Run(ctx, cfg.Budget)
+	return out, err, ""
 }
 
 // Settled is the row Run reports for a job named name under model whose
-// one attempt returned out without error, less the attempt count and
-// the elapsed time, which are the run's own.
+// body returned out without error, less the attempt count and the elapsed
+// time, which are the run's own.
 func Settled(name string, model sim.Checker, out *sim.Outcome) JobResult {
 	res := JobResult{Name: name}
 	if model != nil {
@@ -385,11 +225,10 @@ func Settled(name string, model sim.Checker, out *sim.Outcome) JobResult {
 	return res
 }
 
-// fill classifies one attempt's result into the JobResult.
+// fill classifies the body's result into the JobResult.
 func (r *JobResult) fill(out *sim.Outcome, err error, stack string) {
 	r.Stack = stack
 	r.Outcome = out
-	r.Reason = ""
 	switch {
 	case stack != "":
 		r.Status = StatusPanicked

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,6 +26,13 @@ const sbSrc = `X86 sb
  MOV EAX,[y] | MOV EAX,[x] ;
 exists (0:EAX=0 /\ 1:EAX=0)`
 
+// simJob is a job whose body simulates test under m.
+func simJob(name string, test *litmus.Test, m sim.Checker) campaign.Job {
+	return campaign.Job{Name: name, Model: m, Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
+		return sim.Simulate(ctx, sim.Request{Test: test, Checker: m, Budget: b})
+	}}
+}
+
 // panicChecker stands in for a buggy model: it panics on every candidate.
 type panicChecker struct{}
 
@@ -38,10 +44,10 @@ func (panicChecker) Check(*events.Execution) core.Result { panic("boom: injected
 func TestPanicContainedToJob(t *testing.T) {
 	test := litmus.MustParse(sbSrc)
 	jobs := []campaign.Job{
-		{Name: "good-0", Test: test, Model: models.TSO},
-		{Name: "bad", Test: test, Model: panicChecker{}},
-		{Name: "good-1", Test: test, Model: models.TSO},
-		{Name: "good-2", Test: test, Model: models.SC},
+		simJob("good-0", test, models.TSO),
+		simJob("bad", test, panicChecker{}),
+		simJob("good-1", test, models.TSO),
+		simJob("good-2", test, models.SC),
 	}
 	rep := campaign.Run(context.Background(), campaign.Config{Workers: 2}, jobs)
 	if len(rep.Jobs) != 4 {
@@ -71,42 +77,69 @@ func TestPanicContainedToJob(t *testing.T) {
 	}
 }
 
-// TestRetryWithLargerBudget: a job that is Incomplete under budget
-// pressure is retried once with a scaled budget and then succeeds.
-func TestRetryWithLargerBudget(t *testing.T) {
-	var attempts atomic.Int32
-	job := campaign.Job{Name: "pressure", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-		attempts.Add(1)
-		if b.MaxCandidates < 40 {
-			return &sim.Outcome{Incomplete: true, Reason: exec.ErrBudgetExceeded, Model: "m"}, nil
-		}
-		return &sim.Outcome{Candidates: 50, Valid: 50, CondObserved: true, Model: "m"}, nil
-	}}
-	cfg := campaign.Config{Budget: exec.Budget{MaxCandidates: 10}, Backoff: time.Millisecond}
-	rep := campaign.Run(context.Background(), cfg, []campaign.Job{job})
-	res := rep.Jobs[0]
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("ran %d attempts, want 2", got)
-	}
-	if res.Status != campaign.StatusOK || res.Attempts != 2 {
-		t.Errorf("result = %s after %d attempts, want OK after 2 (%s)", res.Status, res.Attempts, res.Reason)
-	}
-}
-
-// TestNoRetryWhenDisabled: Retries < 0 keeps the user's budget a hard
-// bound (cmd/herd mode).
+// TestNoRetryWhenDisabled: the body sees Config.Budget unchanged and a
+// deadline from Config.Timeout, and an Incomplete result is final, so the
+// caller's budget is a hard bound (cmd/herd and herdd key verdicts by it).
 func TestNoRetryWhenDisabled(t *testing.T) {
 	var attempts atomic.Int32
+	budget := exec.Budget{MaxCandidates: 10}
 	job := campaign.Job{Name: "hard-bound", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
 		attempts.Add(1)
+		if b != budget {
+			t.Errorf("body got budget %+v, want %+v", b, budget)
+		}
+		if _, ok := ctx.Deadline(); !ok {
+			t.Error("body ran without the Config.Timeout deadline")
+		}
 		return &sim.Outcome{Incomplete: true, Reason: exec.ErrBudgetExceeded}, nil
 	}}
-	rep := campaign.Run(context.Background(), campaign.Config{Retries: -1}, []campaign.Job{job})
+	cfg := campaign.Config{Budget: budget, Timeout: time.Hour}
+	rep := campaign.Run(context.Background(), cfg, []campaign.Job{job})
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("ran %d attempts, want 1", got)
 	}
 	if rep.Jobs[0].Status != campaign.StatusIncomplete {
 		t.Errorf("status = %s, want Incomplete", rep.Jobs[0].Status)
+	}
+}
+
+// transientErr declares itself transient through the structural
+// RetryableError contract the fleet client's errors share.
+type transientErr struct{ msg string }
+
+func (e *transientErr) Error() string        { return e.msg }
+func (e *transientErr) RetryableError() bool { return true }
+
+// TestOneAttemptPerJob: under the zero Config, neither budget pressure nor
+// an error that declares itself transient earns a second run — each body
+// runs exactly once and its row reads one attempt.
+func TestOneAttemptPerJob(t *testing.T) {
+	var incomplete, transient atomic.Int32
+	jobs := []campaign.Job{
+		{Name: "pressure", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
+			incomplete.Add(1)
+			return &sim.Outcome{Candidates: 7, Incomplete: true, Reason: exec.ErrBudgetExceeded, Model: "m"}, nil
+		}},
+		{Name: "transient", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
+			transient.Add(1)
+			return nil, &transientErr{msg: "backend connection reset"}
+		}},
+	}
+	rep := campaign.Run(context.Background(), campaign.Config{}, jobs)
+	for i, want := range []struct {
+		calls  *atomic.Int32
+		status campaign.Status
+	}{{&incomplete, campaign.StatusIncomplete}, {&transient, campaign.StatusError}} {
+		res := rep.Jobs[i]
+		if got := want.calls.Load(); got != 1 {
+			t.Errorf("%s: body ran %d times, want 1", res.Name, got)
+		}
+		if res.Status != want.status || res.Attempts != 1 {
+			t.Errorf("%s: status %s after %d attempts, want %s after 1", res.Name, res.Status, res.Attempts, want.status)
+		}
+	}
+	if rep.Jobs[0].Candidates != 7 {
+		t.Errorf("pressure: %d candidates, want the partial outcome's 7", rep.Jobs[0].Candidates)
 	}
 }
 
@@ -157,7 +190,7 @@ func TestStopOnErrorSkipsRemaining(t *testing.T) {
 	}}
 	test := litmus.MustParse(sbSrc)
 	for i := 1; i < len(jobs); i++ {
-		jobs[i] = campaign.Job{Name: "ok", Test: test, Model: models.TSO}
+		jobs[i] = simJob("ok", test, models.TSO)
 	}
 	rep := campaign.Run(context.Background(), campaign.Config{Workers: 1, StopOnError: true}, jobs)
 	if rep.Jobs[0].Status != campaign.StatusError {
@@ -180,9 +213,9 @@ func TestStopOnErrorSkipsRemaining(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	test := litmus.MustParse(sbSrc)
 	jobs := []campaign.Job{
-		{Name: "sb-tso", Test: test, Model: models.TSO},
-		{Name: "sb-sc", Test: test, Model: models.SC},
-		{Name: "bad", Test: test, Model: panicChecker{}},
+		simJob("sb-tso", test, models.TSO),
+		simJob("sb-sc", test, models.SC),
+		simJob("bad", test, panicChecker{}),
 	}
 	rep := campaign.Run(context.Background(), campaign.Config{}, jobs)
 	var buf bytes.Buffer
@@ -207,116 +240,5 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if len(decoded.Jobs[0].States) == 0 {
 		t.Error("JSON report should carry the state histogram")
-	}
-}
-
-// transientErr is an error that opts into retrying via the structural
-// RetryableError contract (as the fleet client's errors do).
-type transientErr struct{ msg string }
-
-func (e *transientErr) Error() string        { return e.msg }
-func (e *transientErr) RetryableError() bool { return true }
-
-// TestRetryableErrorClassification: an Error whose cause declares itself
-// transient is retried (same budget) and can heal; a permanent error — a
-// parse failure, say — settles on the first attempt, because re-running it
-// can only reproduce it.
-func TestRetryableErrorClassification(t *testing.T) {
-	var transientCalls, permanentCalls atomic.Int32
-	jobs := []campaign.Job{
-		{Name: "transient", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-			if transientCalls.Add(1) == 1 {
-				return nil, &transientErr{msg: "backend connection reset"}
-			}
-			return &sim.Outcome{Candidates: 3, Valid: 3, CondObserved: true, Model: "m"}, nil
-		}},
-		{Name: "permanent", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-			permanentCalls.Add(1)
-			return nil, errors.New("litmus: parse error at line 3")
-		}},
-	}
-	rep := campaign.Run(context.Background(), campaign.Config{Retries: 3, Backoff: time.Millisecond}, jobs)
-
-	tr := rep.Jobs[0]
-	if tr.Status != campaign.StatusOK || tr.Attempts != 2 {
-		t.Errorf("transient job: status %s after %d attempts, want OK after 2", tr.Status, tr.Attempts)
-	}
-	perm := rep.Jobs[1]
-	if perm.Status != campaign.StatusError || perm.Attempts != 1 {
-		t.Errorf("permanent job: status %s after %d attempts, want Error after exactly 1 (no retry of parse errors)", perm.Status, perm.Attempts)
-	}
-	if got := permanentCalls.Load(); got != 1 {
-		t.Errorf("permanent job ran %d times, want 1", got)
-	}
-}
-
-// TestErrorRetryable pins the classifier: only errors carrying a
-// RetryableError() method (directly or via wrapping) that returns true are
-// transient.
-func TestErrorRetryable(t *testing.T) {
-	base := &transientErr{msg: "reset"}
-	for _, tc := range []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"plain", errors.New("parse error"), false},
-		{"direct", base, true},
-		{"wrapped", fmt.Errorf("job sb: %w", base), true},
-	} {
-		if got := campaign.ErrorRetryable(tc.err); got != tc.want {
-			t.Errorf("ErrorRetryable(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestBackoffHonoursCancellation: a cancellation arriving during the
-// retry backoff must end the job promptly — no extra attempt, no stuck
-// timer wait — and keep the partial outcome of the last real attempt.
-func TestBackoffHonoursCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts atomic.Int32
-	job := campaign.Job{Name: "slow", Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-		attempts.Add(1)
-		cancel() // the caller tears the campaign down during the backoff
-		return &sim.Outcome{Candidates: 7, Incomplete: true, Reason: exec.ErrBudgetExceeded, Model: "m"}, nil
-	}}
-	cfg := campaign.Config{Retries: 5, Backoff: time.Hour}
-	done := make(chan *campaign.Report, 1)
-	go func() { done <- campaign.Run(ctx, cfg, []campaign.Job{job}) }()
-	select {
-	case rep := <-done:
-		res := rep.Jobs[0]
-		if got := attempts.Load(); got != 1 {
-			t.Errorf("ran %d attempts, want 1", got)
-		}
-		if res.Status != campaign.StatusIncomplete || res.Candidates != 7 {
-			t.Errorf("result = %s with %d candidates, want the partial outcome kept", res.Status, res.Candidates)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("campaign still blocked in backoff after cancellation")
-	}
-}
-
-// TestEnumWorkers: the enumeration workers reach the simulator and leave
-// the verdicts and candidate counts untouched; Job.EnumWorkers overrides
-// the config.
-func TestEnumWorkers(t *testing.T) {
-	test := litmus.MustParse(sbSrc)
-	base := campaign.Run(context.Background(), campaign.Config{}, []campaign.Job{
-		{Name: "sb", Test: test, Model: models.TSO},
-	}).Jobs[0]
-	cfg := campaign.Config{EnumWorkers: 4}
-	jobs := []campaign.Job{
-		{Name: "sb", Test: test, Model: models.TSO},
-		{Name: "sb-wide", Test: test, Model: models.TSO, EnumWorkers: 8},
-	}
-	rep := campaign.Run(context.Background(), cfg, jobs)
-	for _, res := range rep.Jobs {
-		if res.Status != base.Status || res.Valid != base.Valid || res.Candidates != base.Candidates {
-			t.Errorf("%s: status %s valid %d candidates %d, want %s/%d/%d", res.Name,
-				res.Status, res.Valid, res.Candidates, base.Status, base.Valid, base.Candidates)
-		}
 	}
 }

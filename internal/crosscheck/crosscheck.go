@@ -58,7 +58,7 @@ type Pair struct {
 }
 
 // String renders the pair's identity, e.g. "cat:SC==bmc:SC" or
-// "multi:Power multi-event (CAV12)<=cat:Power". It is the pair's stable
+// "cat:Power multi-event (CAV12)<=cat:Power". It is the pair's stable
 // name in metrics, store records and discrepancy reports.
 func (p Pair) String() string {
 	op := "=="

@@ -11,7 +11,6 @@ import (
 	"herdcats/internal/litmus"
 	"herdcats/internal/machine"
 	"herdcats/internal/models"
-	"herdcats/internal/multi"
 	"herdcats/internal/sim"
 )
 
@@ -38,11 +37,8 @@ type axiomatic struct {
 
 // Axiomatic wraps a checker as a decider over the single-event simulator,
 // under the "sim" prefix. Pairs uses it for the hand-written zoo's side of
-// its native-vs-cat pairs; Cat and Multi wrap the production models.
+// its native-vs-cat pairs; Cat wraps the production models.
 func Axiomatic(m sim.Checker) Decider { return axiomatic{prefix: "sim", model: m} }
-
-// Multi wraps the multi-event CAV12 checker.
-func Multi() Decider { return axiomatic{prefix: "multi", model: multi.Model{}} }
 
 // Cat loads the builtin cat model by file name ("power", "sc", "tso", ...)
 // and wraps it as a decider. The prefix keeps it distinct from the native
@@ -200,7 +196,7 @@ func Pairs(arch litmus.Arch) []Pair {
 				Why: "the Fig. 38 cat model is the native Power model"},
 			{A: catPower, B: Operational(cat.MustBuiltin("power")), Rel: Equal,
 				Why: "operational acceptance equals axiomatic validity (Thm. 7.1)"},
-			{A: Multi(), B: catPower, Rel: Subset,
+			{A: MustCat("power-cav"), B: catPower, Rel: Subset,
 				Why: "the CAV12 multi-event ppo is a superset of Power's"},
 			{A: catSC, B: catTSO, Rel: Subset,
 				Why: "SC-valid executions stay valid under weaker models"},

@@ -64,45 +64,10 @@ func (b Budget) Key() string {
 	return string(k)
 }
 
-// Unlimited reports whether the budget imposes no bound at all.
-func (b Budget) Unlimited() bool {
-	return b.MaxCandidates == 0 && b.MaxTracesPerThread == 0 && b.Timeout == 0
-}
-
-// Scale multiplies every finite bound by f (for retry-with-larger-budget).
-// Multiplication saturates instead of wrapping: repeated scaling of a large
-// bound stays at the maximum representable value, so a finite budget can
-// never silently turn negative (which the enumeration would read as
-// instantly exceeded) or wrap back to a small bound.
-func (b Budget) Scale(f int) Budget {
-	if f <= 1 {
-		return b
-	}
-	out := b
-	if b.MaxCandidates > 0 {
-		out.MaxCandidates = satMul(b.MaxCandidates, f)
-	}
-	if b.MaxTracesPerThread > 0 {
-		out.MaxTracesPerThread = satMul(b.MaxTracesPerThread, f)
-	}
-	if b.Timeout > 0 {
-		out.Timeout = time.Duration(satMul64(int64(b.Timeout), int64(f)))
-	}
-	return out
-}
-
 // satMul multiplies two positive ints, saturating at math.MaxInt.
 func satMul(a, f int) int {
 	if a > math.MaxInt/f {
 		return math.MaxInt
-	}
-	return a * f
-}
-
-// satMul64 multiplies two positive int64s, saturating at math.MaxInt64.
-func satMul64(a, f int64) int64 {
-	if a > math.MaxInt64/f {
-		return math.MaxInt64
 	}
 	return a * f
 }

@@ -160,58 +160,6 @@ func TestEarlyStopIsNotAnError(t *testing.T) {
 	}
 }
 
-func TestBudgetScale(t *testing.T) {
-	b := exec.Budget{MaxCandidates: 10, Timeout: time.Second}
-	s := b.Scale(4)
-	if s.MaxCandidates != 40 || s.Timeout != 4*time.Second || s.MaxTracesPerThread != 0 {
-		t.Errorf("Scale(4) = %+v", s)
-	}
-	if !exec.Budget.Unlimited(exec.Budget{}) || b.Unlimited() {
-		t.Error("Unlimited misclassifies")
-	}
-}
-
-// TestBudgetScaleSaturates is the overflow regression: repeated
-// retry-scaling of a large budget must saturate at the maximum
-// representable bound, never wrap negative (read as instantly exceeded) or
-// wrap back around to a small positive bound.
-func TestBudgetScaleSaturates(t *testing.T) {
-	b := exec.Budget{
-		MaxCandidates:      math.MaxInt/2 + 1,
-		MaxTracesPerThread: math.MaxInt/4 + 1,
-		Timeout:            time.Duration(math.MaxInt64/2 + 1),
-	}
-	s := b.Scale(4)
-	if s.MaxCandidates != math.MaxInt {
-		t.Errorf("MaxCandidates = %d, want saturation at MaxInt", s.MaxCandidates)
-	}
-	if s.MaxTracesPerThread != math.MaxInt {
-		t.Errorf("MaxTracesPerThread = %d, want saturation at MaxInt", s.MaxTracesPerThread)
-	}
-	if s.Timeout != time.Duration(math.MaxInt64) {
-		t.Errorf("Timeout = %d, want saturation at MaxInt64", s.Timeout)
-	}
-
-	// The campaign's retry loop scales repeatedly: the bound must stay
-	// pinned at the maximum and remain positive forever.
-	s = exec.Budget{MaxCandidates: 1 << 40, Timeout: time.Hour}
-	for i := 0; i < 50; i++ {
-		s = s.Scale(4)
-		if s.MaxCandidates <= 0 || s.Timeout <= 0 {
-			t.Fatalf("iteration %d: budget wrapped: %+v", i, s)
-		}
-	}
-	if s.MaxCandidates != math.MaxInt || s.Timeout != time.Duration(math.MaxInt64) {
-		t.Errorf("repeated scaling = %+v, want pinned at the maximum", s)
-	}
-
-	// Unlimited (zero) bounds stay unlimited, small bounds still scale.
-	s = exec.Budget{MaxCandidates: 3}.Scale(1000)
-	if s.MaxCandidates != 3000 || s.MaxTracesPerThread != 0 || s.Timeout != 0 {
-		t.Errorf("Scale(1000) = %+v", s)
-	}
-}
-
 // TestBudgetKeyFormat pins Budget.Key to the bytes fmt's
 // candidates=%d;traces=%d;timeout=%d renders: every verdict key hashes
 // it, and verdict keys are echoed to clients.

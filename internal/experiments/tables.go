@@ -172,7 +172,7 @@ func confront(c *Corpus, model sim.Checker, family hardware.Arch) (Table5Row, er
 			return out, nil
 		}}
 	}
-	rep := campaign.Run(context.Background(), campaign.Config{Retries: -1}, jobs)
+	rep := campaign.Run(context.Background(), campaign.Config{}, jobs)
 	for i, res := range rep.Jobs {
 		switch res.Status {
 		case campaign.StatusOK, campaign.StatusForbidden:

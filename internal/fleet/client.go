@@ -106,15 +106,15 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Cause }
 
-// RetryableError implements the structural contract campaign and the
+// RetryableError implements the structural contract the client and the
 // gateway share: transient failures — connect errors, 429 (overload),
 // any 5xx, a deadline expiring at the gateway — may be retried or
 // rerouted; permanent ones (the other 4xx envelopes: bad litmus, unknown
 // model …) will fail identically everywhere and must not be.
 func (e *Error) RetryableError() bool { return e.retryable }
 
-// Retryable reports whether err is worth another attempt, by the same
-// structural contract campaign uses (see campaign.ErrorRetryable).
+// Retryable reports whether err is worth another attempt: whether some
+// error in its chain declares itself transient via RetryableError.
 func Retryable(err error) bool {
 	var r interface{ RetryableError() bool }
 	return errors.As(err, &r) && r.RetryableError()

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -343,7 +342,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, err)
 		return
 	}
-	writeGatewayJSON(w, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -361,7 +360,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		g.streamBatch(ctx, w, req)
 		return
 	}
-	writeGatewayJSON(w, g.collectBatch(ctx, req))
+	wire.WriteJSON(w, http.StatusOK, g.collectBatch(ctx, req))
 }
 
 // writeDecodeError answers a body that did not decode exactly as herdd
@@ -403,14 +402,7 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 			Breaker: g.backends[name].breaker.State().String(),
 		})
 	}
-	writeGatewayJSON(w, out)
-}
-
-func writeGatewayJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // writeGatewayError renders an error in herdd's exact envelope —

@@ -191,18 +191,11 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 		case *wire.SummaryFrame:
 			mu.Lock()
 			defer mu.Unlock()
+			spans := make([]obs.PhaseSpan, 0, len(f.PhaseTotalsUS))
 			for ph, us := range f.PhaseTotalsUS {
-				if sum.PhaseTotalsUS == nil {
-					sum.PhaseTotalsUS = map[string]int64{}
-				}
-				sum.PhaseTotalsUS[ph] += us
+				spans = append(spans, obs.PhaseSpan{Phase: ph, DurationUS: us})
 			}
-			if f.Enum != nil {
-				if sum.Enum == nil {
-					sum.Enum = &obs.EnumSnapshot{}
-				}
-				sum.Enum.Add(*f.Enum)
-			}
+			sum.Fold(spans, f.Enum)
 		}
 	})
 

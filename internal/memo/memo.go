@@ -428,7 +428,7 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 	// even when the model panics mid-simulation: without this a single
 	// panic would poison the key forever (every later caller joins a call
 	// that never completes). The panic is re-raised for the caller's own
-	// containment (campaign.Run recovers per attempt); followers receive
+	// containment (campaign.Run recovers per job); followers receive
 	// ErrLeaderPanicked, and the next request for the key starts fresh.
 	defer func() {
 		r := recover()

@@ -121,6 +121,33 @@ func (s *EnumSnapshot) Add(o EnumSnapshot) {
 	}
 }
 
+// PhaseTotals is a batch's fold of its tests' traces, as a campaign report
+// and a summary/v1 frame carry it: each phase's duration summed in
+// microseconds, and the enumeration counters summed. Both stay nil until
+// something is folded in, so an untraced batch renders neither.
+type PhaseTotals struct {
+	PhaseTotalsUS map[string]int64 `json:"phase_totals_us,omitempty"`
+	Enum          *EnumSnapshot    `json:"enum,omitempty"`
+}
+
+// Fold adds phase spans and enumeration counters (nil adds none) into
+// the totals, making each total on first use.
+func (t *PhaseTotals) Fold(spans []PhaseSpan, enum *EnumSnapshot) {
+	for _, ph := range spans {
+		if t.PhaseTotalsUS == nil {
+			t.PhaseTotalsUS = map[string]int64{}
+		}
+		t.PhaseTotalsUS[ph.Phase] += ph.DurationUS
+	}
+	if enum == nil {
+		return
+	}
+	if t.Enum == nil {
+		t.Enum = &EnumSnapshot{}
+	}
+	t.Enum.Add(*enum)
+}
+
 // Snapshot copies the counters (zero value for nil).
 func (s *EnumStats) Snapshot() EnumSnapshot {
 	if s == nil {
@@ -135,9 +162,9 @@ func (s *EnumStats) Snapshot() EnumSnapshot {
 }
 
 // Trace records one run's per-phase wall clock and enumeration counters.
-// Phases accumulate: observing the same phase twice (a campaign retry, a
-// split measurement) sums the durations. A nil Trace ignores everything,
-// so callers thread traces down unconditionally. Safe for concurrent use.
+// Phases accumulate: observing the same phase twice (a split measurement)
+// sums the durations. A nil Trace ignores everything, so callers thread
+// traces down unconditionally. Safe for concurrent use.
 type Trace struct {
 	mu     sync.Mutex
 	phases map[string]time.Duration

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"herdcats/internal/obs"
+	"herdcats/internal/wire"
 )
 
 // Admission-control defaults (Config documents the knobs).
@@ -57,9 +58,7 @@ const (
 )
 
 // overloadError reports one shed admission: which limit tripped and how
-// long the client should stay away. It implements the structural
-// RetryableError contract, so a campaign or fleet client retrying it is a
-// policy decision, not a special case.
+// long the client should stay away.
 type overloadError struct {
 	reason     string
 	retryAfter time.Duration
@@ -68,10 +67,6 @@ type overloadError struct {
 func (e *overloadError) Error() string {
 	return fmt.Sprintf("overloaded (%s): retry after %v", e.reason, e.retryAfter)
 }
-
-// RetryableError marks overload as transient: the same request succeeds
-// once the queue drains.
-func (e *overloadError) RetryableError() bool { return true }
 
 // retryAfterSeconds rounds the backoff hint up to whole seconds, as the
 // Retry-After header requires, with a floor of 1.
@@ -87,7 +82,7 @@ func (e *overloadError) retryAfterSeconds() int {
 // "overloaded" error envelope the ops guide documents.
 func writeOverloaded(w http.ResponseWriter, err *overloadError) {
 	w.Header().Set("Retry-After", strconv.Itoa(err.retryAfterSeconds()))
-	writeError(w, http.StatusTooManyRequests, "%v", err)
+	wire.WriteError(w, http.StatusTooManyRequests, "%v", err)
 }
 
 // admission is the server's load regulator: a fixed pool of concurrency

@@ -74,14 +74,6 @@ func deadlineBudget(r *http.Request, bodyMS int64) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	wire.WriteJSON(w, status, v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	wire.WriteError(w, status, format, args...)
-}
-
 // resolveModel turns a ModelSpec into a checker: built-ins come from the
 // embedded catalogue, inline sources from the content-addressed model
 // cache.
@@ -147,11 +139,11 @@ func verdict(out *sim.Outcome) string {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := wire.DecodeBody(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
-		writeError(w, wire.DecodeStatus(err), "%v", err)
+		wire.WriteError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	deadline, derr := deadlineBudget(r, req.DeadlineMS)
@@ -160,7 +152,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			writeOverloaded(w, s.adm.expired())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		wire.WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	tenant := r.Header.Get(wire.TenantHeader)
@@ -178,11 +170,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	stopParse()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if merr != nil {
-		writeError(w, status, "model: %v", merr)
+		wire.WriteError(w, status, "model: %v", merr)
 		return
 	}
 
@@ -203,10 +195,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The inputs parsed but could not be simulated (e.g. an
 		// instruction the enumerator rejects): the client's data is at
 		// fault, not the service.
-		writeError(w, http.StatusUnprocessableEntity, "simulate: %v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, "simulate: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{
+	wire.WriteJSON(w, http.StatusOK, RunResponse{
 		Key:       rw.keys.Key,
 		Cached:    cached,
 		Verdict:   verdict(v.Outcome),
@@ -338,7 +330,7 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 			// Batch jobs share the admission slots (and tenant tokens)
 			// with /v1/run — one concurrency envelope for the whole
 			// server — with the same brownout fast path for resident
-			// verdicts. The campaign never retries (Retries: -1), so jb
+			// verdicts. The campaign runs each body once under b, so jb
 			// is the b the keys were derived under.
 			Run: func(ctx context.Context, jb exec.Budget) (*sim.Outcome, error) {
 				v, hit, err := s.answer(ctx, rw, checker, jb, tenant, p.traces[i])
@@ -362,15 +354,15 @@ func (s *Server) buildBatch(req *BatchRequest, checker sim.Checker, b exec.Budge
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := wire.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes()), &req); err != nil {
-		writeError(w, wire.DecodeStatus(err), "%v", err)
+		wire.WriteError(w, wire.DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Tests) > wire.MaxBatchTests {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			"tests: %d exceeds the batch limit of %d", len(req.Tests), wire.MaxBatchTests)
 		return
 	}
@@ -380,12 +372,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeOverloaded(w, s.adm.expired())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		wire.WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	checker, status, err := s.resolveModel(req.Model)
 	if err != nil {
-		writeError(w, status, "model: %v", err)
+		wire.WriteError(w, status, "model: %v", err)
 		return
 	}
 	b := s.budget(req.Budget)
@@ -400,11 +392,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	stream := wire.WantsStream(r)
 	p := s.buildBatch(&req, checker, b, tenant, stream)
-	cfg := campaign.Config{
-		Workers: s.cfg.Workers,
-		Budget:  b,
-		Retries: -1, // the client's budget is a hard bound, and keys must match
-	}
+	cfg := campaign.Config{Workers: s.cfg.Workers, Budget: b}
 	var out *batchStream
 	if stream {
 		ctx, out = openBatchStream(ctx, w, p, req.Ordered, s.cfg.heartbeatInterval())
@@ -416,7 +404,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out.finish(rep, s.effectiveOptions(b))
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
+	wire.WriteJSON(w, http.StatusOK, BatchResponse{
 		Report: rep, Cached: p.cached, Keys: p.keys,
 		Options: s.effectiveOptions(b),
 	})
@@ -428,12 +416,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		m, err := cat.Builtin(n)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "model %s: %v", n, err)
+			wire.WriteError(w, http.StatusInternalServerError, "model %s: %v", n, err)
 			return
 		}
 		infos = append(infos, ModelInfo{Name: n, Fingerprint: m.Fingerprint()})
 	}
-	writeJSON(w, http.StatusOK, infos)
+	wire.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -31,6 +31,7 @@ import (
 
 	"herdcats/internal/memo"
 	"herdcats/internal/obs"
+	"herdcats/internal/wire"
 )
 
 // Config tunes a Server. The zero value serves with the documented
@@ -138,10 +139,10 @@ func New(cfg Config) *Server {
 	// mismatches, so it distinguishes the two cases itself.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if routeLabel(r.URL.Path) != "other" {
-			writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
+			wire.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
 			return
 		}
-		writeError(w, http.StatusNotFound, "no such endpoint: %s %s", r.Method, r.URL.Path)
+		wire.WriteError(w, http.StatusNotFound, "no such endpoint: %s %s", r.Method, r.URL.Path)
 	})
 	s.registerMetrics()
 	s.http = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"herdcats/internal/campaign"
-	"herdcats/internal/obs"
 	"herdcats/internal/wire"
 )
 
@@ -66,7 +65,7 @@ func (st *batchStream) emit(i int, res campaign.JobResult) {
 	switch body := st.p.bodies[i]; {
 	case res.Failed() || res.Status == campaign.StatusSkipped:
 		_ = st.merge.Emit(i, wire.NewError(i, res.Name, streamErrorCode(st.p, i, res), res.Reason))
-	case body != nil && res.Trace == nil:
+	case body != nil:
 		_ = st.merge.Emit(i, &wire.StoredResult{Index: i, Key: st.p.keys[i], Cached: st.p.cached[i],
 			Body: body, Attempts: res.Attempts, ElapsedMS: res.ElapsedMS})
 	default:
@@ -96,20 +95,9 @@ func (st *batchStream) finish(rep *campaign.Report, opts EffectiveOptions) {
 	sum.ElapsedMS = time.Since(st.start).Milliseconds()
 	sum.Options = &opts
 	for _, tr := range st.p.traces {
-		tj := tr.Summary()
-		if tj == nil {
-			continue
+		if tj := tr.Summary(); tj != nil {
+			sum.Fold(tj.Phases, &tj.Enum)
 		}
-		if sum.PhaseTotalsUS == nil {
-			sum.PhaseTotalsUS = map[string]int64{}
-		}
-		for _, ph := range tj.Phases {
-			sum.PhaseTotalsUS[ph.Phase] += ph.DurationUS
-		}
-		if sum.Enum == nil {
-			sum.Enum = &obs.EnumSnapshot{}
-		}
-		sum.Enum.Add(tj.Enum)
 	}
 	_ = st.enc.Encode(sum)
 }

@@ -68,11 +68,10 @@ type SummaryFrame struct {
 	CacheHits int                     `json:"cache_hits"`
 	ElapsedMS int64                   `json:"elapsed_ms"`
 
-	// PhaseTotalsUS sums the per-test phase durations (parse → compile →
-	// enumerate → check → verdict), in microseconds.
-	PhaseTotalsUS map[string]int64 `json:"phase_totals_us,omitempty"`
-	// Enum sums the per-test enumeration counters.
-	Enum *obs.EnumSnapshot `json:"enum,omitempty"`
+	// PhaseTotals sums the per-test phase durations (parse → compile →
+	// enumerate → check → verdict), in microseconds, and the per-test
+	// enumeration counters.
+	obs.PhaseTotals
 	// Options echoes the effective options (absent on gateway-merged
 	// streams, where each backend clamps independently).
 	Options *EffectiveOptions `json:"options,omitempty"`
