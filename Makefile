@@ -40,7 +40,7 @@ race:
 # allocation ceiling for a warm batch, the SAT encoder's allocation
 # ceiling for one Power instance, the allocation ceiling of one
 # comparison over the PPC pair table (its deciders share one compiled
-# test), and the wire codec's allocation ceilings for encoding,
+# test, and its bmc deciders one SAT instance), and the wire codec's allocation ceilings for encoding,
 # decoding and relaying one warm row's result/v1 frame; and record the
 # result (with the runner's core count) in BENCH_enumerate.json. The
 # walk rows are medians of round-robin repetitions over the worker

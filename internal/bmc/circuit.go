@@ -12,11 +12,15 @@
 // events, each let rec group a matrix of fresh variables asserted to be
 // a pre-fixpoint of its body, and each acyclicity check an auxiliary
 // strict total order per strongly connected component of the relation's
-// possible edges.
+// possible edges. Several models can share one instance, each asserted
+// behind an activation literal of its own (EncodeShared, Decide), so the
+// model-free part is encoded once for all of them.
 package bmc
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"herdcats/internal/rel"
 	"herdcats/internal/sat"
@@ -29,21 +33,25 @@ type circuit struct {
 	s        *sat.Solver
 	trueLit  sat.Lit
 	falseLit sat.Lit
+	// m is the dimension of every relation matrix: the memory events.
+	m int
 	// andCache keys an and2 gate by its ordered input pair; orCache keys
 	// a wider or gate by the bytes of its inputs sorted by variable.
 	andCache map[[2]sat.Lit]sat.Lit
 	orCache  map[string]sat.Lit
 	// Scratch reused across calls: or's sorted inputs (slot 0 is kept for
-	// the gate's own literal in its long clause), its key, seq's terms.
+	// the gate's own literal in its long clause), its key, seq's terms
+	// and column masks.
 	orBuf  []sat.Lit
 	keyBuf []byte
 	terms  []sat.Lit
+	cols   []uint32
 }
 
-func newCircuit(s *sat.Solver) *circuit {
+func newCircuit(s *sat.Solver, m int) *circuit {
 	t := sat.Lit(s.NewVar())
 	s.AddClause(t)
-	return &circuit{s: s, trueLit: t, falseLit: t.Neg(),
+	return &circuit{s: s, trueLit: t, falseLit: t.Neg(), m: m,
 		andCache: map[[2]sat.Lit]sat.Lit{}, orCache: map[string]sat.Lit{}}
 }
 
@@ -139,84 +147,95 @@ next:
 	return v
 }
 
-// implies asserts a → b.
-func (c *circuit) implies(a, b sat.Lit) {
+// assert adds the clause lits ∨ ¬act: a constraint of the model that the
+// activation literal act switches on. Under act = trueLit the guard is a
+// top-level false literal, which sat.AddClause drops, so the clause is
+// lits alone (DESIGN.md §16).
+func (c *circuit) assert(act sat.Lit, lits ...sat.Lit) {
+	var buf [4]sat.Lit // the longest guarded clause: an edge, its order, act
+	c.s.AddClause(append(append(buf[:0], lits...), act.Neg())...)
+}
+
+// implies asserts act → (a → b).
+func (c *circuit) implies(act, a, b sat.Lit) {
 	switch {
 	case c.isFalse(a) || c.isTrue(b):
 	case c.isTrue(a):
-		c.s.AddClause(b)
+		c.assert(act, b)
 	case c.isFalse(b):
-		c.s.AddClause(a.Neg())
+		c.assert(act, a.Neg())
 	default:
-		c.s.AddClause(a.Neg(), b)
+		c.assert(act, a.Neg(), b)
 	}
 }
 
 // --- Relation matrices -------------------------------------------------
 
 // relExpr is an m×m matrix of literals denoting a symbolic relation over
-// memory events.
-type relExpr [][]sat.Lit
+// memory events, row by row: entry (i, j) is r[i*m+j]. It holds no
+// pointer, so the garbage collector never scans one.
+type relExpr []sat.Lit
 
-func (c *circuit) emptyRel(m int) relExpr {
-	cells := make([]sat.Lit, m*m)
-	for i := range cells {
-		cells[i] = c.falseLit
-	}
-	r := make(relExpr, m)
+func (c *circuit) emptyRel() relExpr {
+	r := make(relExpr, c.m*c.m)
 	for i := range r {
-		r[i] = cells[i*m : (i+1)*m : (i+1)*m]
+		r[i] = c.falseLit
 	}
 	return r
 }
 
-// sameRel reports whether two relations are literal-for-literal equal.
-func sameRel(a, b relExpr) bool {
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func (c *circuit) union(a, b relExpr) relExpr {
-	m := len(a)
-	out := c.emptyRel(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			out[i][j] = c.or(a[i][j], b[i][j])
-		}
+	out := c.emptyRel()
+	for i := range out {
+		out[i] = c.or(a[i], b[i])
 	}
 	return out
 }
 
 func (c *circuit) inter(a, b relExpr) relExpr {
-	m := len(a)
-	out := c.emptyRel(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			out[i][j] = c.and2(a[i][j], b[i][j])
-		}
+	out := c.emptyRel()
+	for i := range out {
+		out[i] = c.and2(a[i], b[i])
 	}
 	return out
 }
 
+// seq composes a with b. An (i, j) entry is the or of a(i,k) ∧ b(k,j)
+// over the k where neither is constant false, found as the bits of a
+// row mask of a and a column mask of b (m ≤ 24, the encoding bound).
 func (c *circuit) seq(a, b relExpr) relExpr {
-	m := len(a)
-	out := c.emptyRel(m)
+	m := c.m
+	out := c.emptyRel()
+	cols := c.cols[:0]
+	for j := 0; j < m; j++ {
+		var col uint32
+		for k := 0; k < m; k++ {
+			if !c.isFalse(b[k*m+j]) {
+				col |= 1 << k
+			}
+		}
+		cols = append(cols, col)
+	}
+	c.cols = cols
 	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
+		var row uint32
+		for k, l := range a[i*m : (i+1)*m] {
+			if !c.isFalse(l) {
+				row |= 1 << k
+			}
+		}
+		for j := 0; j < m && row != 0; j++ {
+			ks := row & cols[j]
+			if ks == 0 {
+				continue // no path: the entry stays constant false
+			}
 			terms := c.terms[:0]
-			for k := 0; k < m; k++ {
-				if !c.isFalse(a[i][k]) && !c.isFalse(b[k][j]) {
-					terms = append(terms, c.and2(a[i][k], b[k][j]))
-				}
+			for ; ks != 0; ks &= ks - 1 {
+				k := bits.TrailingZeros32(ks)
+				terms = append(terms, c.and2(a[i*m+k], b[k*m+j]))
 			}
 			c.terms = terms
-			out[i][j] = c.or(terms...)
+			out[i*m+j] = c.or(terms...)
 		}
 	}
 	return out
@@ -228,11 +247,11 @@ func (c *circuit) seq(a, b relExpr) relExpr {
 // would too, and the loop stops there with the formula the full
 // unrolling builds.
 func (c *circuit) star(a relExpr) relExpr {
-	m := len(a)
-	s := c.emptyRel(m)
+	m := c.m
+	s := c.emptyRel()
+	copy(s, a)
 	for i := 0; i < m; i++ {
-		copy(s[i], a[i])
-		s[i][i] = c.trueLit
+		s[i*m+i] = c.trueLit
 	}
 	rounds := 1
 	for size := 1; size < m; size *= 2 {
@@ -240,7 +259,7 @@ func (c *circuit) star(a relExpr) relExpr {
 	}
 	for r := 0; r < rounds; r++ {
 		next := c.seq(s, s)
-		if sameRel(next, s) {
+		if slices.Equal(next, s) {
 			break
 		}
 		s = next
@@ -255,16 +274,18 @@ func (c *circuit) star(a relExpr) relExpr {
 // only, so it lies inside one component; the per-component orders exist
 // iff R is acyclic (DESIGN.md §16). Edges between components need no
 // clause, and initial writes, which no possible edge reaches, are in no
-// component.
-func (c *circuit) assertAcyclic(r relExpr) {
-	m := len(r)
+// component. Each clause over R's entries is guarded by act; the order
+// variables are fresh, and their transitivity clauses hold of some order
+// whatever else is assigned, so they need no guard.
+func (c *circuit) assertAcyclic(act sat.Lit, r relExpr) {
+	m := c.m
 	reach := rel.New(m)
 	for i := 0; i < m; i++ {
-		if !c.isFalse(r[i][i]) {
-			c.s.AddClause(r[i][i].Neg())
+		if !c.isFalse(r[i*m+i]) {
+			c.assert(act, r[i*m+i].Neg())
 		}
 		for j := 0; j < m; j++ {
-			if i != j && !c.isFalse(r[i][j]) {
+			if i != j && !c.isFalse(r[i*m+j]) {
 				reach.Add(i, j)
 			}
 		}
@@ -284,13 +305,13 @@ func (c *circuit) assertAcyclic(r relExpr) {
 				inComp[j] = true
 			}
 		}
-		c.orderWithin(r, comp)
+		c.orderWithin(act, r, comp)
 	}
 }
 
 // orderWithin asserts a strict total order over the events of comp that
-// every edge of r between them follows.
-func (c *circuit) orderWithin(r relExpr, comp []int) {
+// every edge of r between them follows, when act holds.
+func (c *circuit) orderWithin(act sat.Lit, r relExpr, comp []int) {
 	n := len(comp)
 	// ord[a*n+b] is the literal for "comp[a] before comp[b]".
 	ord := make([]sat.Lit, n*n)
@@ -312,18 +333,18 @@ func (c *circuit) orderWithin(r relExpr, comp []int) {
 	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			if e := r[comp[a]][comp[b]]; a != b && !c.isFalse(e) {
-				c.s.AddClause(e.Neg(), ord[a*n+b])
+			if e := r[comp[a]*c.m+comp[b]]; a != b && !c.isFalse(e) {
+				c.assert(act, e.Neg(), ord[a*n+b])
 			}
 		}
 	}
 }
 
-// assertIrreflexive encodes irreflexive(R).
-func (c *circuit) assertIrreflexive(r relExpr) {
-	for i := range r {
-		if !c.isFalse(r[i][i]) {
-			c.s.AddClause(r[i][i].Neg())
+// assertIrreflexive encodes act → irreflexive(R).
+func (c *circuit) assertIrreflexive(act sat.Lit, r relExpr) {
+	for i := 0; i < c.m; i++ {
+		if l := r[i*c.m+i]; !c.isFalse(l) {
+			c.assert(act, l.Neg())
 		}
 	}
 }

@@ -18,43 +18,107 @@ func TestAssertAcyclicBruteForce(t *testing.T) {
 	const free = 3
 	rng := rand.New(rand.NewPCG(19, 3))
 	for trial := 0; trial < 400; trial++ {
+		m := 2 + rng.IntN(6)
 		s := sat.New()
-		c := newCircuit(s)
+		c := newCircuit(s, m)
 		vars := make([]sat.Lit, free)
 		for i := range vars {
 			vars[i] = sat.Lit(s.NewVar())
 		}
-		m := 2 + rng.IntN(6)
-		r := c.emptyRel(m)
-		// eval[i][j] gives the entry's value under an assignment.
-		eval := make([][]func(uint) bool, m)
-		for i := range r {
-			eval[i] = make([]func(uint) bool, m)
-			for j := range r[i] {
-				r[i][j], eval[i][j] = randomEntry(c, rng, vars, i == j)
-			}
-		}
-		c.assertAcyclic(r)
+		r, eval := randomRel(c, rng, vars)
+		c.assertAcyclic(c.trueLit, r)
 		for a := uint(0); a < 1<<free; a++ {
-			assume := make([]sat.Lit, free)
-			for v := range vars {
-				assume[v] = vars[v]
-				if a&(1<<v) == 0 {
-					assume[v] = vars[v].Neg()
-				}
-			}
-			concrete := rel.New(m)
-			for i := range r {
-				for j := range r[i] {
-					if eval[i][j](a) {
-						concrete.Add(i, j)
-					}
-				}
-			}
+			assume := assignment(vars, a)
+			concrete := eval(a)
 			if got, want := s.Solve(assume...), concrete.Acyclic(); got != want {
 				t.Fatalf("trial %d, assignment %03b: SAT=%v, acyclic=%v\nrelation %v", trial, a, got, want, concrete.Pairs())
 			}
 		}
+	}
+}
+
+// TestGuardedAssertionsBruteForce pins which clauses a model's activation
+// literal guards. For random symbolic relations a and b over a few free
+// variables, each assertion a lowered model makes through gates (Within,
+// Empty, Acyclic, Irreflexive) is made behind a fresh act. Under every
+// assignment of the free variables, planted as assumptions, the instance
+// must be satisfiable with act iff the concrete relations pass the
+// assertion, and always without act: an inactive model constrains
+// nothing. Constant true entries make some assertions fold to the unit
+// ¬act. This is where a dropped Within guard shows: no verdict can, since
+// an inactive let rec's pre-fixpoint assertion holds at its upper bound.
+func TestGuardedAssertionsBruteForce(t *testing.T) {
+	const free = 3
+	asserts := []struct {
+		name  string
+		make  func(g *gates, a, b relExpr)
+		holds func(a, b rel.Rel) bool
+	}{
+		{"within", func(g *gates, a, b relExpr) { g.Within(a, b) }, rel.Rel.SubsetOf},
+		{"empty", func(g *gates, a, _ relExpr) { g.Empty(a) }, func(a, _ rel.Rel) bool { return a.IsEmpty() }},
+		{"acyclic", func(g *gates, a, _ relExpr) { g.Acyclic(a) }, func(a, _ rel.Rel) bool { return a.Acyclic() }},
+		{"irreflexive", func(g *gates, a, _ relExpr) { g.Irreflexive(a) }, func(a, _ rel.Rel) bool { return a.Irreflexive() }},
+	}
+	rng := rand.New(rand.NewPCG(23, 5))
+	for trial := 0; trial < 150; trial++ {
+		for _, as := range asserts {
+			m := 2 + rng.IntN(5)
+			s := sat.New()
+			c := newCircuit(s, m)
+			vars := make([]sat.Lit, free)
+			for i := range vars {
+				vars[i] = sat.Lit(s.NewVar())
+			}
+			a, evalA := randomRel(c, rng, vars)
+			b, evalB := randomRel(c, rng, vars)
+			act := sat.Lit(s.NewVar())
+			as.make(&gates{in: &Instance{s: s, c: c, m: m}, act: act}, a, b)
+			for x := uint(0); x < 1<<free; x++ {
+				assume := assignment(vars, x)
+				ca, cb := evalA(x), evalB(x)
+				if got, want := s.Solve(append(assume, act)...), as.holds(ca, cb); got != want {
+					t.Fatalf("%s, trial %d, assignment %03b: SAT under act=%v, holds=%v\na=%v b=%v",
+						as.name, trial, x, got, want, ca.Pairs(), cb.Pairs())
+				}
+				if !s.Solve(append(assume, act.Neg())...) {
+					t.Fatalf("%s, trial %d, assignment %03b: UNSAT under ¬act\na=%v b=%v",
+						as.name, trial, x, ca.Pairs(), cb.Pairs())
+				}
+			}
+		}
+	}
+}
+
+// assignment returns the literals of vars that bit i of x sets.
+func assignment(vars []sat.Lit, x uint) []sat.Lit {
+	assume := make([]sat.Lit, len(vars), len(vars)+1)
+	for v := range vars {
+		assume[v] = vars[v]
+		if x&(1<<v) == 0 {
+			assume[v] = vars[v].Neg()
+		}
+	}
+	return assume
+}
+
+// randomRel draws a symbolic relation of randomEntry entries over the
+// circuit's m events, and the concrete relation it denotes under an
+// assignment of vars.
+func randomRel(c *circuit, rng *rand.Rand, vars []sat.Lit) (relExpr, func(uint) rel.Rel) {
+	m := c.m
+	r := c.emptyRel()
+	eval := make([]func(uint) bool, m*m)
+	for i := range r {
+		r[i], eval[i] = randomEntry(c, rng, vars, i/m == i%m)
+	}
+	return r, func(x uint) rel.Rel {
+		concrete := rel.New(m)
+		for i, e := range eval {
+			if e(x) {
+				concrete.Add(i/m, i%m)
+			}
+		}
+		return concrete
 	}
 }
 

@@ -49,7 +49,12 @@ func (m ModelID) String() string {
 }
 
 // Instance is an encoded reachability problem: is the test's final
-// condition observable in some model-valid execution?
+// condition observable in some model-valid execution? Its model-free part
+// (the trace choice, rf, co, fr and the condition) is built once. A model
+// is lowered onto the same circuit, either unguarded (Encode: a
+// single-model instance) or, on an instance from EncodeShared, behind an
+// activation literal of its own, so that one instance answers for every
+// model a comparison asks about (DESIGN.md §16).
 type Instance struct {
 	s    *sat.Solver
 	c    *circuit
@@ -68,6 +73,17 @@ type Instance struct {
 
 	// Core symbolic relations.
 	rfRel, coRel, frRel relExpr
+
+	// models holds each model Decide has lowered, with its activation
+	// literal; nil on a single-model instance.
+	models map[*cat.Compiled]lowered
+}
+
+// lowered is a model on a shared instance: its activation literal, or
+// the error its lowering returned.
+type lowered struct {
+	act sat.Lit
+	err error
 }
 
 // Stats reports encoding size.
@@ -85,12 +101,6 @@ func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return EncodeProgram(prog, model)
-}
-
-// EncodeProgram is Encode over an already compiled test. A shared program
-// (exec.ProgramFor) hands the encoding the trace sets its searches kept.
-func EncodeProgram(prog *exec.Program, model ModelID) (*Instance, error) {
 	m, err := model.compiled()
 	if err != nil {
 		return nil, err
@@ -100,8 +110,73 @@ func EncodeProgram(prog *exec.Program, model ModelID) (*Instance, error) {
 
 // encode compiles the reachability of prog's condition under a compiled
 // cat model, lowered over the circuit. It is exact for the builtin models
-// (DESIGN.md §16), not for every cat program.
+// (DESIGN.md §16), not for every cat program. The model is the instance's
+// only one: its activation literal is the circuit's constant true, so
+// each guard vanishes. The condition comes after the model: asserted
+// first, its unit would simplify the model's clauses at the top level
+// and change the sizes Tab. X and XI report.
 func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
+	in, err := skeleton(prog)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.lower(model, in.c.trueLit); err != nil {
+		return nil, err
+	}
+	if err := in.assertCondition(); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// EncodeShared encodes the model-free part of prog's reachability problem
+// and asserts its condition, for Decide to lower models onto. Solve on it
+// answers with no model at all. A shared program (exec.ProgramFor) hands
+// the encoding the trace sets its searches kept.
+func EncodeShared(prog *exec.Program) (*Instance, error) {
+	in, err := skeleton(prog)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.assertCondition(); err != nil {
+		return nil, err
+	}
+	in.models = map[*cat.Compiled]lowered{}
+	return in, nil
+}
+
+// Decide answers reachability under model on an instance from
+// EncodeShared. The first Decide of a model lowers it behind a fresh
+// activation literal act; each answers Solve(act), so no other model's
+// assertions take part.
+func (in *Instance) Decide(model ModelID) (bool, error) {
+	if in.models == nil {
+		return false, fmt.Errorf("bmc: Decide(%v) on a single-model instance", model)
+	}
+	cm, err := model.compiled()
+	if err != nil {
+		return false, err
+	}
+	return in.decide(cm)
+}
+
+// decide is Decide under a compiled cat model.
+func (in *Instance) decide(model *cat.Compiled) (bool, error) {
+	lm, ok := in.models[model]
+	if !ok {
+		lm.act = sat.Lit(in.s.NewVar())
+		lm.err = in.lower(model, lm.act)
+		in.models[model] = lm
+	}
+	if lm.err != nil {
+		return false, lm.err
+	}
+	return in.s.Solve(lm.act), nil
+}
+
+// skeleton builds an instance's model-free part: the trace selectors, rf
+// and co variables, and fr.
+func skeleton(prog *exec.Program) (*Instance, error) {
 	var err error
 	in := &Instance{
 		s:     sat.New(),
@@ -110,7 +185,6 @@ func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
 		coPos: map[[2]int]sat.Lit{},
 		midx:  map[int]int{},
 	}
-	in.c = newCircuit(in.s)
 
 	// Thread traces with a uniform control-flow skeleton.
 	var first []exec.Trace
@@ -146,25 +220,32 @@ func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
 	if in.m > 24 {
 		return nil, fmt.Errorf("bmc: %d memory events exceeds encoding bound", in.m)
 	}
+	in.c = newCircuit(in.s, in.m)
 
 	in.encodeSelectors()
 	in.encodeRF()
 	in.encodeCO()
 	in.buildCoreRels()
-	staticOK, err := cat.Lower(model, in.asm.X, &gates{in: in})
-	if err != nil {
-		return nil, err
-	}
-	if !staticOK {
-		in.s.AddClause() // a static check fails on the skeleton
-	}
-	if err := in.assertCondition(); err != nil {
-		return nil, err
-	}
 	return in, nil
 }
 
-// Solve decides reachability.
+// lower runs a compiled cat model over the circuit (cat.Lower), every
+// assertion it makes guarded by act. Gate definitions are not guarded:
+// each is an equivalence defining a fresh variable, which constrains
+// nothing else.
+func (in *Instance) lower(model *cat.Compiled, act sat.Lit) error {
+	staticOK, err := cat.Lower(model, in.asm.X, &gates{in: in, act: act})
+	if err != nil {
+		return err
+	}
+	if !staticOK {
+		in.s.AddClause(act.Neg()) // a static check fails on the skeleton
+	}
+	return nil
+}
+
+// Solve decides reachability: under the model of a single-model instance,
+// and under no model on one from EncodeShared.
 func (in *Instance) Solve() bool { return in.s.Solve() }
 
 // sameSkeleton checks two traces have identical control flow and access
@@ -295,7 +376,7 @@ func (in *Instance) encodeCO() {
 	// Variables for unordered same-location non-init write pairs.
 	for a := 0; a < in.m; a++ {
 		for b := a + 1; b < in.m; b++ {
-			ea, eb := evs[in.memID[a]], evs[in.memID[b]]
+			ea, eb := &evs[in.memID[a]], &evs[in.memID[b]]
 			if ea.Kind != events.MemWrite || eb.Kind != events.MemWrite || ea.Loc != eb.Loc {
 				continue
 			}
@@ -345,7 +426,7 @@ func (in *Instance) encodeCO() {
 // whether the pair is a same-location write pair at all.
 func (in *Instance) coLitOK(a, b int) (sat.Lit, bool) {
 	evs := in.asm.X.Events
-	ea, eb := evs[in.memID[a]], evs[in.memID[b]]
+	ea, eb := &evs[in.memID[a]], &evs[in.memID[b]]
 	if ea.Kind != events.MemWrite || eb.Kind != events.MemWrite || ea.Loc != eb.Loc || a == b {
 		return in.c.falseLit, false
 	}
@@ -363,20 +444,20 @@ func (in *Instance) coLitOK(a, b int) (sat.Lit, bool) {
 
 func (in *Instance) buildCoreRels() {
 	c := in.c
-	in.rfRel = c.emptyRel(in.m)
+	in.rfRel = c.emptyRel()
 	for k, v := range in.rfVar {
-		in.rfRel[k[0]][k[1]] = v
+		in.rfRel[k[0]*in.m+k[1]] = v
 	}
-	in.coRel = c.emptyRel(in.m)
+	in.coRel = c.emptyRel()
 	for a := 0; a < in.m; a++ {
 		for b := 0; b < in.m; b++ {
 			if l, ok := in.coLitOK(a, b); ok {
-				in.coRel[a][b] = l
+				in.coRel[a*in.m+b] = l
 			}
 		}
 	}
 	// fr(r, w2) = ∃w1. rf(w1, r) ∧ co(w1, w2).
-	in.frRel = c.emptyRel(in.m)
+	in.frRel = c.emptyRel()
 	evs := in.asm.X.Events
 	for r := 0; r < in.m; r++ {
 		if evs[in.memID[r]].Kind != events.MemRead {
@@ -398,7 +479,7 @@ func (in *Instance) buildCoreRels() {
 				}
 				terms = append(terms, c.and2(rf, co))
 			}
-			in.frRel[r][w2] = c.or(terms...)
+			in.frRel[r*in.m+w2] = c.or(terms...)
 		}
 	}
 }

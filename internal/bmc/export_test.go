@@ -15,3 +15,7 @@ func EncodeCat(test *litmus.Test, model *cat.Compiled) (*Instance, error) {
 	}
 	return encode(prog, model)
 }
+
+// DecideCat is Decide under a compiled cat model, for tests of models that
+// no ModelID names.
+func (in *Instance) DecideCat(model *cat.Compiled) (bool, error) { return in.decide(model) }

@@ -36,8 +36,10 @@ func (m ModelID) compiled() (*cat.Compiled, error) {
 // gates lowers a compiled cat program onto the instance's circuit
 // (cat.Lower): a relation is a matrix of literals over the memory events,
 // and a static relation is its projection onto them (DESIGN.md §16).
+// Every assertion is guarded by the model's activation literal act.
 type gates struct {
-	in *Instance
+	in  *Instance
+	act sat.Lit
 	// The closures built so far, by the matrix closed: a model names one
 	// closure more than once (Power's hb*), and the program hands Star
 	// the same matrix each time.
@@ -48,11 +50,11 @@ type gates struct {
 // matrix over the memory events.
 func (g *gates) Const(r rel.Rel) relExpr {
 	in := g.in
-	out := in.c.emptyRel(in.m)
+	out := in.c.emptyRel()
 	for i, a := range in.memID {
 		for j, b := range in.memID {
 			if r.Has(a, b) {
-				out[i][j] = in.c.trueLit
+				out[i*in.m+j] = in.c.trueLit
 			}
 		}
 	}
@@ -97,11 +99,9 @@ func (g *gates) Inter(a, b relExpr) relExpr { return g.in.c.inter(a, b) }
 func (g *gates) Seq(a, b relExpr) relExpr   { return g.in.c.seq(a, b) }
 
 func (g *gates) Compl(a relExpr) relExpr {
-	out := g.in.c.emptyRel(g.in.m)
-	for i := range a {
-		for j, l := range a[i] {
-			out[i][j] = l.Neg()
-		}
+	out := g.in.c.emptyRel()
+	for i, l := range a {
+		out[i] = l.Neg()
 	}
 	return out
 }
@@ -111,7 +111,7 @@ func (g *gates) Star(a relExpr) relExpr {
 		return a
 	}
 	for k, b := range g.starIn {
-		if &b[0][0] == &a[0][0] {
+		if &b[0] == &a[0] {
 			return g.starOut[k]
 		}
 	}
@@ -124,14 +124,14 @@ func (g *gates) Star(a relExpr) relExpr {
 // hi, and a fresh variable in between.
 func (g *gates) Fresh(lo, hi rel.Rel) relExpr {
 	in := g.in
-	out := in.c.emptyRel(in.m)
+	out := in.c.emptyRel()
 	for i, a := range in.memID {
 		for j, b := range in.memID {
 			switch {
 			case lo.Has(a, b):
-				out[i][j] = in.c.trueLit
+				out[i*in.m+j] = in.c.trueLit
 			case hi.Has(a, b):
-				out[i][j] = sat.Lit(in.s.NewVar())
+				out[i*in.m+j] = sat.Lit(in.s.NewVar())
 			}
 		}
 	}
@@ -139,31 +139,27 @@ func (g *gates) Fresh(lo, hi rel.Rel) relExpr {
 }
 
 func (g *gates) Within(a, b relExpr) {
-	for i := range a {
-		for j, l := range a[i] {
-			g.in.c.implies(l, b[i][j])
-		}
+	for i, l := range a {
+		g.in.c.implies(g.act, l, b[i])
 	}
 }
 
-func (g *gates) Acyclic(a relExpr)     { g.in.c.assertAcyclic(a) }
-func (g *gates) Irreflexive(a relExpr) { g.in.c.assertIrreflexive(a) }
+func (g *gates) Acyclic(a relExpr)     { g.in.c.assertAcyclic(g.act, a) }
+func (g *gates) Irreflexive(a relExpr) { g.in.c.assertIrreflexive(g.act, a) }
 
 func (g *gates) Empty(a relExpr) {
-	for i := range a {
-		for _, l := range a[i] {
-			g.in.c.implies(l, g.in.c.falseLit)
-		}
+	for _, l := range a {
+		g.in.c.implies(g.act, l, g.in.c.falseLit)
 	}
 }
 
 // mask keeps the entries of r at the memory-event pairs keep accepts.
 func (in *Instance) mask(r relExpr, keep func(i, j int) bool) relExpr {
-	out := in.c.emptyRel(in.m)
-	for i := range r {
-		for j, l := range r[i] {
+	out := in.c.emptyRel()
+	for i := 0; i < in.m; i++ {
+		for j := 0; j < in.m; j++ {
 			if keep(i, j) {
-				out[i][j] = l
+				out[i*in.m+j] = r[i*in.m+j]
 			}
 		}
 	}

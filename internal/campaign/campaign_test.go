@@ -103,8 +103,10 @@ func TestNoRetryWhenDisabled(t *testing.T) {
 	}
 }
 
-// transientErr declares itself transient through the structural
-// RetryableError contract the fleet client's errors share.
+// transientErr reads like a transient backend failure, and keeps the
+// RetryableError method through which such errors once declared
+// themselves transient: campaign asks no error whether it may be retried,
+// so a job that returns one runs once like any other.
 type transientErr struct{ msg string }
 
 func (e *transientErr) Error() string        { return e.msg }

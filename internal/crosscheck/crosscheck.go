@@ -135,10 +135,11 @@ func (r *Report) Agreed() bool {
 //
 // The deciders share one compiled test (exec.Share): the first to ask
 // compiles it, and its thread traces and skeletons, which no model
-// changes, are enumerated once for all of them. That state is dropped
-// when the comparison returns.
+// changes, are enumerated once for all of them. The bmc deciders also
+// share one SAT instance, whose model-free part the first of them
+// encodes. That state is dropped when the comparison returns.
 func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Report, error) {
-	ctx = exec.Share(ctx, test)
+	ctx = shareBMC(exec.Share(ctx, test), test)
 	rep := &Report{Test: test.Name}
 	verdicts := map[string]Verdict{}
 	for _, p := range pairs {

@@ -3,6 +3,7 @@ package crosscheck
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"herdcats/internal/bmc"
 	"herdcats/internal/cat"
@@ -127,7 +128,8 @@ type bmcDecider struct{ id bmc.ModelID }
 
 // BMC wraps the SAT encoding of the given model: the test is allowed iff
 // the instance conjoining the model's axioms with the condition is
-// satisfiable.
+// satisfiable. Under ComparePairs the bmc deciders of one comparison share
+// one instance (shareBMC); on any other ctx each encodes the test alone.
 func BMC(id bmc.ModelID) Decider { return bmcDecider{id: id} }
 
 func (d bmcDecider) Name() string { return "bmc:" + d.id.String() }
@@ -140,11 +142,41 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	inst, err := bmc.EncodeProgram(p, d.id)
-	if err != nil {
-		return false, err
+	sl, ok := ctx.Value(bmcKey{}).(*bmcSlot)
+	if !ok || sl.test != test {
+		sl = &bmcSlot{test: test} // an instance for this decider alone
 	}
-	return inst.Solve(), nil
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.inst == nil && sl.err == nil {
+		sl.inst, sl.err = bmc.EncodeShared(p)
+	}
+	if sl.err != nil {
+		return false, sl.err
+	}
+	return sl.inst.Decide(d.id)
+}
+
+// bmcKey is the context key of a comparison's shared SAT instance.
+type bmcKey struct{}
+
+// bmcSlot is the SAT instance shareBMC attaches to a context: the
+// model-free part of test's encoding, built by the first bmc decider that
+// runs, onto which each bmc decider lowers its model behind an activation
+// literal (DESIGN.md §16). mu serialises the deciders, as one solver
+// answers them all.
+type bmcSlot struct {
+	test *litmus.Test
+	mu   sync.Mutex
+	inst *bmc.Instance
+	err  error
+}
+
+// shareBMC returns a context carrying one SAT instance for test, shared by
+// every bmc decider that judges test under it; it is dropped with the
+// context.
+func shareBMC(ctx context.Context, test *litmus.Test) context.Context {
+	return context.WithValue(ctx, bmcKey{}, &bmcSlot{test: test})
 }
 
 // --- simulated hardware ----------------------------------------------------

@@ -3,8 +3,10 @@ package crosscheck_test
 import (
 	"context"
 	"os"
+	"sync"
 	"testing"
 
+	"herdcats/internal/bmc"
 	"herdcats/internal/catalog"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
@@ -107,13 +109,15 @@ func TestComparePairsSharesOneProgram(t *testing.T) {
 
 // TestComparePairsAllocsCeiling is the bench-smoke guard on what one
 // comparison costs the allocator: the full PPC table over one diy test
-// must allocate no more than measured once the CAV12 pair ran
-// power-cav.cat as a cat decider (go1.24: 3236; 3539 when it ran the
-// multi-event checker, 3574 when mining first ran the cat models, 3765
-// once the machine and the hardware were built from compiled cat models,
-// 4050 with both on the zoo, 4196 when the deciders first shared one
-// compiled test, 5771 when each decider re-enumerates the traces and
-// skeletons, 6558 when each also compiles the test).
+// must allocate no more than measured once its bmc deciders shared one
+// SAT instance over flat relation matrices (go1.24: 2415; 2529 with a
+// slice per matrix row, 3236 when each bmc decider encoded the test
+// alone, once the CAV12 pair ran power-cav.cat as a cat decider; 3539
+// when it ran the multi-event checker, 3574 when mining first ran the cat
+// models, 3765 once the machine and the hardware were built from compiled
+// cat models, 4050 with both on the zoo, 4196 when the deciders first
+// shared one compiled test, 5771 when each decider re-enumerates the
+// traces and skeletons, 6558 when each also compiles the test).
 // Gated on BENCH_ENUM_OUT like the other bench asserts.
 func TestComparePairsAllocsCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
@@ -134,9 +138,57 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 			t.Fatalf("%s: %v %+v", test.Name, err, rep)
 		}
 	})
-	const ceiling = 3236
+	const ceiling = 2415
 	t.Logf("%s over the PPC table: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
+	}
+}
+
+// concurrentBMC is a decider that, inside a comparison, runs the bmc
+// deciders from several goroutines at once on the comparison's context,
+// so that they reach its shared SAT instance together, and checks each
+// answer against the decider's own Decide on a fresh context.
+type concurrentBMC struct{ t *testing.T }
+
+func (concurrentBMC) Name() string { return "concurrent bmc" }
+
+func (d concurrentBMC) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
+	ids := []bmc.ModelID{bmc.SC, bmc.TSO, bmc.Power}
+	want := map[bmc.ModelID]bool{}
+	for _, id := range ids {
+		allowed, err := crosscheck.BMC(id).Decide(context.Background(), test)
+		if err != nil {
+			return false, err
+		}
+		want[id] = allowed
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		for _, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := crosscheck.BMC(id).Decide(ctx, test)
+				if err != nil || got != want[id] {
+					d.t.Errorf("%s under %s, shared and concurrent: %v (%v), fresh %v", test.Name, id, got, err, want[id])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	return want[bmc.Power], nil
+}
+
+// TestBMCDecidersConcurrentOnOneComparison: bmc deciders that reach one
+// comparison's SAT instance from several goroutines each get the answer
+// they get alone (meant for make race).
+func TestBMCDecidersConcurrentOnOneComparison(t *testing.T) {
+	for _, test := range corpus(t, 2)[:12] {
+		pair := crosscheck.Pair{A: concurrentBMC{t}, B: crosscheck.BMC(bmc.Power), Rel: crosscheck.Equal}
+		rep, err := crosscheck.ComparePairs(context.Background(), test, pair)
+		if err != nil || !rep.Agreed() {
+			t.Fatalf("%s: %v %+v", test.Name, err, rep)
+		}
 	}
 }

@@ -91,6 +91,10 @@ type Error struct {
 	// through to the edge instead of inventing its own.
 	RetryAfter string
 
+	// retryable marks a transient failure — a connect error, 429
+	// (overload), any 5xx — which may be retried or rerouted; a permanent
+	// one (the other 4xx envelopes: bad litmus, unknown model …) will fail
+	// identically everywhere and must not be.
 	retryable bool
 }
 
@@ -106,18 +110,11 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Cause }
 
-// RetryableError implements the structural contract the client and the
-// gateway share: transient failures — connect errors, 429 (overload),
-// any 5xx, a deadline expiring at the gateway — may be retried or
-// rerouted; permanent ones (the other 4xx envelopes: bad litmus, unknown
-// model …) will fail identically everywhere and must not be.
-func (e *Error) RetryableError() bool { return e.retryable }
-
-// Retryable reports whether err is worth another attempt: whether some
-// error in its chain declares itself transient via RetryableError.
+// Retryable reports whether err is worth another attempt: whether its
+// chain holds a *Error marked transient.
 func Retryable(err error) bool {
-	var r interface{ RetryableError() bool }
-	return errors.As(err, &r) && r.RetryableError()
+	var e *Error
+	return errors.As(err, &e) && e.retryable
 }
 
 // classify builds the Error for one failed exchange.

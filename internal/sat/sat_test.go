@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -173,6 +174,92 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIncrementalAssumptionsAgainstBruteForce pins the incremental use
+// package bmc makes of one solver: random CNF groups share it, each behind
+// its own activation literal a (every clause of the group carries ¬a),
+// and groups arrive between solves. Each Solve(a_i) must equal brute force
+// over the base clauses plus group i alone, and a final Solve() the base
+// clauses alone, whatever earlier solves learned or fixed at the top
+// level; SAT and UNSAT answers interleave on one solver.
+func TestIncrementalAssumptionsAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sats, unsats, flips int
+	for iter := 0; iter < 200; iter++ {
+		nVars := 4 + rng.Intn(6) // 4..9 problem variables
+		// randCNF draws n clauses of one to three literals, mostly three.
+		randCNF := func(n int) [][]Lit {
+			cnf := make([][]Lit, n)
+			for c := range cnf {
+				width := 3
+				if r := rng.Intn(10); r == 0 {
+					width = 1
+				} else if r < 3 {
+					width = 2
+				}
+				for k := 0; k < width; k++ {
+					l := Lit(1 + rng.Intn(nVars))
+					if rng.Intn(2) == 0 {
+						l = l.Neg()
+					}
+					cnf[c] = append(cnf[c], l)
+				}
+			}
+			return cnf
+		}
+		base := randCNF(nVars + rng.Intn(nVars))
+		s := New()
+		newVars(s, nVars)
+		for _, cl := range base {
+			s.AddClause(cl...)
+		}
+		var groups [][][]Lit
+		var acts []Lit
+		last := -1 // the previous answer: 0 UNSAT, 1 SAT
+		for step := 0; step < 12; step++ {
+			if len(groups) == 0 || (len(groups) < 5 && rng.Intn(3) == 0) {
+				g := randCNF(nVars + rng.Intn(2*nVars))
+				act := Lit(s.NewVar())
+				for _, cl := range g {
+					s.AddClause(append(append([]Lit(nil), cl...), act.Neg())...)
+				}
+				groups, acts = append(groups, g), append(acts, act)
+			}
+			i := rng.Intn(len(groups))
+			cnf := append(append([][]Lit(nil), base...), groups[i]...)
+			got, want := s.Solve(acts[i]), bruteForce(nVars, cnf)
+			if got != want {
+				t.Fatalf("iter %d step %d: Solve(group %d of %d)=%v, brute=%v\nbase=%v\ngroup=%v",
+					iter, step, i, len(groups), got, want, base, groups[i])
+			}
+			if got {
+				sats++
+				for _, cl := range cnf {
+					if !slices.ContainsFunc(cl, s.ValueLit) {
+						t.Fatalf("iter %d step %d: model does not satisfy clause %v", iter, step, cl)
+					}
+				}
+			} else {
+				unsats++
+			}
+			answer := 0
+			if got {
+				answer = 1
+			}
+			if last >= 0 && answer != last {
+				flips++
+			}
+			last = answer
+		}
+		if got, want := s.Solve(), bruteForce(nVars, base); got != want {
+			t.Fatalf("iter %d: Solve() over the base=%v, brute=%v\nbase=%v", iter, got, want, base)
+		}
+	}
+	t.Logf("%d SAT, %d UNSAT answers, %d changes of answer between consecutive solves", sats, unsats, flips)
+	if sats < 200 || unsats < 200 || flips < 200 {
+		t.Errorf("%d SAT, %d UNSAT, %d flips: the groups no longer interleave both answers", sats, unsats, flips)
 	}
 }
 
