@@ -122,6 +122,11 @@ type Report struct {
 // and keeps the counts and phase totals consistent.
 func (r *Report) Add(res JobResult) {
 	r.Jobs = append(r.Jobs, res)
+	r.tally(&res)
+}
+
+// tally counts res, one of r.Jobs, and folds its phase totals.
+func (r *Report) tally(res *JobResult) {
 	if r.Counts == nil {
 		r.Counts = map[Status]int{}
 	}
@@ -163,8 +168,14 @@ func Run(ctx context.Context, cfg Config, jobs []Job) *Report {
 		}
 		return nil
 	})
+	// The report's rows are results itself, not a copy grown row by row;
+	// an empty campaign keeps a nil Jobs, which JSON writes as null.
 	rep := &Report{Counts: map[Status]int{}}
-	for i, res := range results {
+	if len(results) > 0 {
+		rep.Jobs = results
+	}
+	for i := range results {
+		res := &results[i]
 		if res.Status == "" { // never started: pool stopped first
 			res.Name = jobs[i].Name
 			if jobs[i].Model != nil {
@@ -173,7 +184,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) *Report {
 			res.Status = StatusSkipped
 			res.Reason = "campaign stopped before this job ran"
 		}
-		rep.Add(res)
+		rep.tally(res)
 	}
 	rep.ElapsedMS = time.Since(start).Milliseconds()
 	return rep

@@ -87,8 +87,9 @@ type gwBackend struct {
 type Gateway struct {
 	cfg      GatewayConfig
 	backends map[string]*gwBackend
-	names    []string    // sorted, fixed at construction
-	models   *memo.Cache // inline cat sources and the raw-bytes key alias
+	names    []string     // sorted, fixed at construction
+	ordered  []*gwBackend // the backends of names, in its order
+	models   *memo.Cache  // inline cat sources and the raw-bytes key alias
 	mux      *http.ServeMux
 	reg      *obs.Registry
 
@@ -122,6 +123,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		g.names = append(g.names, name)
 	}
 	sort.Strings(g.names)
+	for _, name := range g.names {
+		g.ordered = append(g.ordered, g.backends[name])
+	}
 
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/run", g.handleRun)
@@ -347,7 +351,11 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchRequest
-	if err := wire.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes()), &req); err != nil {
+	// The body is held until the fan-out is over: each sub-batch copies
+	// its tests' literals from it rather than escaping them again.
+	body, err := wire.ReadBatchRequest(http.MaxBytesReader(w, r.Body, g.cfg.maxRequestBytes()), &req)
+	defer body.Release()
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -357,10 +365,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := hopContext(r)
 	if wire.WantsStream(r) {
-		g.streamBatch(ctx, w, req)
+		g.streamBatch(ctx, w, req, body)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, g.collectBatch(ctx, req))
+	wire.WriteJSON(w, http.StatusOK, g.collectBatch(ctx, req, body))
 }
 
 // writeDecodeError answers a body that did not decode exactly as herdd

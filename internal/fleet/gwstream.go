@@ -30,8 +30,10 @@ const stoppedReason = "batch stopped before this test ran"
 // caller's request — plus every upstream *wire.SummaryFrame. With relay,
 // an upstream result line the encoder wrote as is arrives as a
 // *wire.RelayResult instead, undecoded. A row whose context died before
-// it settled gets no frame; the edge reports it.
-func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, relay bool, sink func(frame any)) {
+// it settled gets no frame; the edge reports it. body is the request's
+// held body (nil when it was not read in one pass), from which each
+// sub-batch copies its tests' exact literals.
+func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, body *wire.Body, relay bool, sink func(frame any)) {
 	// Parse/model failures settle as error frames at once; everything
 	// else joins its home backend's group.
 	keys := make([]string, len(req.Tests))
@@ -58,7 +60,7 @@ func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, relay bool,
 			for len(rows) > 0 && ctx.Err() == nil {
 				chunk := rows[:min(len(rows), wire.MaxBatchTests)]
 				rows = rows[len(chunk):]
-				g.streamChunk(ctx, name, chunk, keys, req, relay, sink)
+				g.streamChunk(ctx, name, chunk, keys, req, body, relay, sink)
 			}
 		}()
 	}
@@ -70,17 +72,9 @@ func (g *Gateway) fanOut(ctx context.Context, req wire.BatchRequest, relay bool,
 // caller's, then sweeps up anything the stream did not deliver via
 // per-row route — which walks each key's own failover ranking, so the
 // rows of a dead home backend land elsewhere.
-func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, relay bool, sink func(any)) {
+func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, keys []string, req wire.BatchRequest, body *wire.Body, relay bool, sink func(any)) {
 	b := g.backends[backend]
-	sub := wire.BatchRequest{
-		Model:      req.Model,
-		Budget:     req.Budget,
-		DeadlineMS: req.DeadlineMS,
-		Tests:      make([]string, len(rows)),
-	}
-	for gi, i := range rows {
-		sub.Tests[gi] = req.Tests[i]
-	}
+	sub := body.AppendSubBatch(nil, &req, rows) // the chunk's request body
 	done := make([]bool, len(rows))
 	claim := func(gi int) error {
 		if gi < 0 || gi >= len(rows) || done[gi] {
@@ -157,7 +151,7 @@ func (g *Gateway) streamChunk(ctx context.Context, backend string, rows []int, k
 // frames with one write and heartbeats the merged stream's own
 // idleness; its first failed write (the client is gone) cancels the
 // fan-out.
-func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest) {
+func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wire.BatchRequest, body *wire.Body) {
 	start := time.Now()
 	n := len(req.Tests)
 
@@ -177,7 +171,7 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 	cached := make([]bool, n)
 	sum := wire.NewSummary(n)
 	var mu sync.Mutex
-	g.fanOut(ctx, req, true, func(frame any) {
+	g.fanOut(ctx, req, body, true, func(frame any) {
 		switch f := frame.(type) {
 		case *wire.RelayResult:
 			status[f.Index], cached[f.Index] = f.Status, f.Cached
@@ -217,11 +211,11 @@ func (g *Gateway) streamBatch(ctx context.Context, w http.ResponseWriter, req wi
 // frame into a request-ordered BatchResponse. A result frame keeps its
 // campaign row, key and cached flag; an error frame becomes an Error row
 // carrying the frame's message; a row never settled is Skipped.
-func (g *Gateway) collectBatch(ctx context.Context, req wire.BatchRequest) *wire.BatchResponse {
+func (g *Gateway) collectBatch(ctx context.Context, req wire.BatchRequest, body *wire.Body) *wire.BatchResponse {
 	n := len(req.Tests)
 	jobs := make([]campaign.JobResult, n)
 	resp := &wire.BatchResponse{Cached: make([]bool, n), Keys: make([]string, n)}
-	g.fanOut(ctx, req, false, func(frame any) {
+	g.fanOut(ctx, req, body, false, func(frame any) {
 		switch f := frame.(type) {
 		case *wire.ResultFrame:
 			jobs[f.Index], resp.Keys[f.Index], resp.Cached[f.Index] = f.Result, f.Key, f.Cached
@@ -243,15 +237,28 @@ func (g *Gateway) collectBatch(ctx context.Context, req wire.BatchRequest) *wire
 // whose breaker is closed — the same placement route walks, but read via
 // State() so grouping never consumes a half-open trial. When no breaker
 // is closed the top-ranked backend is chosen anyway: failing open beats
-// failing instantly when the whole fleet looks down.
+// failing instantly when the whole fleet looks down. It ranks without
+// sorting or allocating: one pass keeps the heaviest closed backend and
+// the heaviest overall, weighing each as rendezvous does. g.names is
+// sorted, so keeping the first of equal weights breaks ties as
+// rendezvous does.
 func (g *Gateway) homeBackend(key string) string {
-	ranked := rendezvous(key, g.names)
-	for _, name := range ranked {
-		if g.backends[name].breaker.State() == BreakerClosed {
-			return name
+	prefix := fnvString(fnvString(fnvOffset, key), "\x00") // rendezvous's separator
+	var home, top *gwBackend
+	var homeW, topW uint64
+	for _, b := range g.ordered {
+		w := mix64(fnvString(prefix, b.name))
+		if top == nil || w > topW {
+			top, topW = b, w
+		}
+		if (home == nil || w > homeW) && b.breaker.State() == BreakerClosed {
+			home, homeW = b, w
 		}
 	}
-	return ranked[0]
+	if home == nil {
+		return top.name
+	}
+	return home.name
 }
 
 // rowRunRequest projects one batch row onto the single-run wire shape

@@ -42,6 +42,21 @@ func rendezvous(key string, names []string) []string {
 	return out
 }
 
+// FNV-1a's 64-bit parameters, as hash/fnv uses them.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString continues an FNV-1a hash in state h over s: what
+// hash/fnv's New64a computes after writing s, without the []byte.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 // mix64 is the splitmix64 finaliser: a cheap bijection whose output bits
 // all depend on all input bits.
 func mix64(x uint64) uint64 {

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -68,5 +71,68 @@ func TestRendezvousStability(t *testing.T) {
 	}
 	if moved == 0 || kept == 0 {
 		t.Fatalf("degenerate spread: moved=%d kept=%d", moved, kept)
+	}
+}
+
+// TestHomeBackendMatchesRanking: homeBackend's one allocation-free pass
+// picks what a walk of rendezvous's ranking picks — its first backend
+// whose breaker is closed, or its first when none is — over seeded keys,
+// one to five backends and every combination of breaker states; and its
+// inlined weight is hash/fnv's FNV-1a over key, a zero byte and name.
+func TestHomeBackendMatchesRanking(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 1))
+	states := []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen}
+	for n := 1; n <= 5; n++ {
+		g := &Gateway{backends: map[string]*gwBackend{}}
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("http://10.0.%d.%d:%d", rng.IntN(4), rng.IntN(256), 8000+rng.IntN(1000))
+			if g.backends[name] != nil {
+				i--
+				continue
+			}
+			g.backends[name] = &gwBackend{name: name, breaker: &Breaker{}}
+			g.names = append(g.names, name)
+		}
+		sort.Strings(g.names)
+		for _, name := range g.names {
+			g.ordered = append(g.ordered, g.backends[name])
+		}
+		combos := 1
+		for i := 0; i < n; i++ {
+			combos *= len(states)
+		}
+		for combo := 0; combo < combos; combo++ {
+			c := combo
+			for _, b := range g.ordered {
+				b.breaker.state = states[c%len(states)]
+				c /= len(states)
+			}
+			for k := 0; k < 20; k++ {
+				key := fmt.Sprintf("sha256:%016x%016x", rng.Uint64(), rng.Uint64())
+				ranked := rendezvous(key, g.names)
+				want := ranked[0]
+				for _, name := range ranked {
+					if g.backends[name].breaker.State() == BreakerClosed {
+						want = name
+						break
+					}
+				}
+				if got := g.homeBackend(key); got != want {
+					t.Fatalf("%d backends, combo %d, key %s: homeBackend %s, ranking picks %s (ranking %v)", n, combo, key, got, want, ranked)
+				}
+			}
+		}
+		for k := 0; k < 50; k++ {
+			key := fmt.Sprintf("key-%d", rng.Uint64())
+			for _, name := range g.names {
+				h := fnv.New64a()
+				h.Write([]byte(key))
+				h.Write([]byte{0})
+				h.Write([]byte(name))
+				if got, want := fnvString(fnvString(fnvString(fnvOffset, key), "\x00"), name), h.Sum64(); got != want {
+					t.Fatalf("key %q backend %s: inlined FNV-1a %#x, hash/fnv %#x", key, name, got, want)
+				}
+			}
+		}
 	}
 }

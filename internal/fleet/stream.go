@@ -25,14 +25,13 @@ import (
 // error alongside the frames already delivered; the caller decides what
 // to re-request.
 func (c *Client) BatchStream(ctx context.Context, req wire.BatchRequest, onFrame func(frame any) error) error {
-	return c.batchStream(ctx, req, false, onFrame)
+	return c.batchStream(ctx, wire.AppendBatchRequest(nil, &req), false, onFrame)
 }
 
-// batchStream is BatchStream; with relay, a result/v1 line the encoder
-// wrote as is reaches onFrame undecoded, as a *wire.RelayResult
-// (Decoder.NextRelay).
-func (c *Client) batchStream(ctx context.Context, req wire.BatchRequest, relay bool, onFrame func(frame any) error) error {
-	body := wire.AppendBatchRequest(nil, &req)
+// batchStream is BatchStream over an encoded request body; with relay, a
+// result/v1 line the encoder wrote as is reaches onFrame undecoded, as a
+// *wire.RelayResult (Decoder.NextRelay).
+func (c *Client) batchStream(ctx context.Context, body []byte, relay bool, onFrame func(frame any) error) error {
 	var last error
 	for attempt := 0; attempt < c.pol.maxAttempts(); attempt++ {
 		if attempt > 0 {
@@ -95,6 +94,7 @@ func (c *Client) streamAttempt(ctx context.Context, body []byte, relay bool, onF
 			fmt.Sprintf("backend answered %q, not %s", ct, wire.ContentTypeNDJSON), nil)
 	}
 	dec := wire.NewDecoder(resp.Body)
+	defer dec.Release()
 	next := dec.Next
 	if relay {
 		next = dec.NextRelay

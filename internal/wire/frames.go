@@ -134,7 +134,20 @@ type stream struct {
 	cancel context.CancelFunc
 	closed bool
 	ended  bool // the summary/v1 frame is queued: no heartbeat may follow
+	bufs   *streamBufs
 }
+
+// streamBufs are a stream's two byte buffers, the pending frames and the
+// batch the writer holds. They swap on every hand-over, come from
+// streamPool when the stream opens and go back to it when Close has
+// stopped the writer, so a warm stream grows neither.
+type streamBufs struct{ pending, batch []byte }
+
+var streamPool = sync.Pool{New: func() any { return new(streamBufs) }}
+
+// maxPooledStream caps the buffers streamPool keeps, so one oversized
+// frame does not stay resident.
+const maxPooledStream = 256 << 10
 
 // maxPending bounds a stream's pending bytes: a producer that finds more
 // waits for the writer, so a client that stops reading stalls the
@@ -172,8 +185,10 @@ func NewStream(ctx context.Context, w io.Writer, heartbeat time.Duration) (conte
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		cancel: cancel,
+		bufs:   streamPool.Get().(*streamBufs),
 	}
-	go e.run(heartbeat, time.Now())
+	e.buf = e.s.bufs.pending[:0]
+	go e.run(heartbeat, time.Now(), e.s.bufs.batch[:0])
 	return ctx, e
 }
 
@@ -268,12 +283,11 @@ func (e *Encoder) failLocked(err error) {
 // run is a stream's writer goroutine: on each wake-up it takes every
 // pending byte, writes them with one Write and one Flush, and exits once
 // Close has been called and nothing is left.
-func (e *Encoder) run(heartbeat time.Duration, start time.Time) {
+func (e *Encoder) run(heartbeat time.Duration, start time.Time, batch []byte) {
 	defer close(e.s.done)
 	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	last := start
-	var batch []byte
 	for {
 		select {
 		case <-e.s.wake:
@@ -301,6 +315,7 @@ func (e *Encoder) run(heartbeat time.Duration, start time.Time) {
 			last = time.Now()
 		}
 		if closed {
+			e.s.bufs.batch = batch // Close reads it after done is closed
 			return
 		}
 	}
@@ -308,9 +323,10 @@ func (e *Encoder) run(heartbeat time.Duration, start time.Time) {
 
 // Close drains a stream: it returns once every frame queued before it
 // has been written (or the stream has failed) and the writer goroutine
-// has exited, then cancels the stream's context. Frames encoded after
-// Close are refused. On an encoder from NewEncoder, Close does nothing.
-// Calling Close again is harmless.
+// has exited, then cancels the stream's context and returns the stream's
+// buffers to their pool. Frames encoded after Close are refused, and
+// never touch those buffers. On an encoder from NewEncoder, Close does
+// nothing. Calling Close again is harmless.
 func (e *Encoder) Close() error {
 	if e.s == nil {
 		return nil
@@ -325,7 +341,20 @@ func (e *Encoder) Close() error {
 	}
 	<-e.s.done
 	e.s.cancel()
-	return e.Err()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if bufs := e.s.bufs; bufs != nil {
+		e.s.bufs = nil
+		bufs.pending, e.buf = e.buf, nil
+		if cap(bufs.pending) > maxPooledStream {
+			bufs.pending = nil
+		}
+		if cap(bufs.batch) > maxPooledStream {
+			bufs.batch = nil
+		}
+		streamPool.Put(bufs)
+	}
+	return e.err
 }
 
 // Err returns the error that poisoned the encoder, if any.
@@ -385,9 +414,32 @@ type Decoder struct {
 	long []byte // a line longer than r's buffer, reassembled
 }
 
-// NewDecoder builds a decoder over r.
+// readers recycles the decoders' read buffers. No frame aliases one:
+// readLine's lines are copied into every frame that keeps them.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// errDecoderReleased is returned by Next after Release.
+var errDecoderReleased = errors.New("wire: decoder released")
+
+// NewDecoder builds a decoder over r. Its read buffer comes from a pool;
+// Release returns it.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 64<<10)}
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &Decoder{r: br}
+}
+
+// Release returns the decoder's read buffer to its pool and drops its
+// hold on the reader. Frames already returned stay valid; Next returns
+// an error from then on. A decoder that is never released is simply
+// collected. Calling Release again is harmless.
+func (d *Decoder) Release() {
+	if d.r == nil {
+		return
+	}
+	d.r.Reset(nil)
+	readers.Put(d.r)
+	d.r, d.long = nil, nil
 }
 
 // Next returns the next frame — *ResultFrame, *ErrorFrame, *SummaryFrame,
@@ -401,6 +453,9 @@ func (d *Decoder) Next() (any, error) { return d.next(false) }
 func (d *Decoder) NextRelay() (any, error) { return d.next(true) }
 
 func (d *Decoder) next(relay bool) (any, error) {
+	if d.r == nil {
+		return nil, errDecoderReleased
+	}
 	for {
 		line, err := d.readLine()
 		if err != nil && err != io.EOF {

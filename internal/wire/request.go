@@ -22,11 +22,11 @@ import (
 // AppendBatchRequest appends req's JSON encoding to b: json.Marshal's
 // bytes (field order, omitempty, HTML-safe escaping).
 func AppendBatchRequest(b []byte, req *BatchRequest) []byte {
-	n := 128 + len(req.Model.Name) + len(req.Model.Cat)
+	n := 0
 	for _, t := range req.Tests {
 		n += len(t) + len(t)/8 + 3 // quotes, comma, and room for escapes
 	}
-	b = slices.Grow(b, n)
+	b = slices.Grow(b, n+128+len(req.Model.Name)+len(req.Model.Cat))
 	b = append(b, `{"tests":`...)
 	if req.Tests == nil {
 		b = append(b, "null"...)
@@ -40,6 +40,12 @@ func AppendBatchRequest(b []byte, req *BatchRequest) []byte {
 		}
 		b = append(b, ']')
 	}
+	return appendBatchTail(b, req, req.Ordered)
+}
+
+// appendBatchTail appends a BatchRequest's fields after its tests, with
+// ordered for its Ordered field, and closes the object.
+func appendBatchTail(b []byte, req *BatchRequest, ordered bool) []byte {
 	b = append(b, `,"model":{`...)
 	if req.Model.Name != "" {
 		b = append(b, `"name":`...)
@@ -77,7 +83,7 @@ func AppendBatchRequest(b []byte, req *BatchRequest) []byte {
 		b = append(b, `,"deadline_ms":`...)
 		b = strconv.AppendInt(b, req.DeadlineMS, 10)
 	}
-	if req.Ordered {
+	if ordered {
 		b = append(b, `,"ordered":true`...)
 	}
 	return append(b, '}')
@@ -89,26 +95,102 @@ func AppendBatchRequest(b []byte, req *BatchRequest) []byte {
 // any read error, goes to DecodeBody over the same bytes, so the value
 // and the error are always DecodeBody's.
 func DecodeBatchRequest(r io.Reader, req *BatchRequest) error {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyBufs.Put(buf)
-		}
-	}()
-	_, err := buf.ReadFrom(r)
-	if err != nil {
-		return DecodeBody(io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{err}), req)
+	body, err := readBatchRequest(r, req, false)
+	body.Release()
+	return err
+}
+
+// ReadBatchRequest is DecodeBatchRequest for a relay: it decodes the
+// same value with the same error, and also keeps the body's bytes, so
+// that AppendSubBatch can copy each test's JSON literal as it arrived
+// instead of escaping its value again. The caller must Release the
+// returned body once it has built its last sub-batch. The body is nil
+// on an error, and when the request was not read in one pass;
+// AppendSubBatch then escapes every test.
+func ReadBatchRequest(r io.Reader, req *BatchRequest) (*Body, error) {
+	return readBatchRequest(r, req, true)
+}
+
+func readBatchRequest(r io.Reader, req *BatchRequest, keep bool) (*Body, error) {
+	b := &Body{buf: bodyBufs.Get().(*bytes.Buffer)}
+	var lits *[]span
+	if keep {
+		lits = &b.lits
 	}
-	if decodeBatchRequest(buf.Bytes(), req) {
+	_, err := b.buf.ReadFrom(r)
+	switch {
+	case err != nil:
+		err = DecodeBody(io.MultiReader(bytes.NewReader(b.buf.Bytes()), errReader{err}), req)
+	case !decodeBatch(b.buf.Bytes(), req, lits):
+		err = DecodeBody(bytes.NewReader(b.buf.Bytes()), req)
+	case keep:
+		return b, nil
+	}
+	b.Release()
+	return nil, err
+}
+
+// Body is a /v1/batch body held after ReadBatchRequest read it in one
+// pass: its bytes, and where each test's JSON literal lies in them.
+type Body struct {
+	buf  *bytes.Buffer
+	lits []span // per test; an empty span marks a literal that is not exact
+}
+
+// span is a test's literal, quotes included, at buf[start:end].
+type span struct{ start, end int }
+
+// Release returns the body's bytes to their pool. It is a no-op on a
+// nil or already released body.
+func (b *Body) Release() {
+	if b == nil || b.buf == nil {
+		return
+	}
+	if b.buf.Cap() <= maxPooledBody {
+		b.buf.Reset()
+		bodyBufs.Put(b.buf)
+	}
+	b.buf, b.lits = nil, nil
+}
+
+// AppendSubBatch appends AppendBatchRequest's bytes for the sub-batch of
+// req holding the tests at rows, in that order, with req's model, budget
+// and deadline and Ordered unset. req is the request b was read into.
+// A test whose literal is exact — byte for byte what appendString writes
+// for its value — is copied from the body; any other is escaped again.
+func (b *Body) AppendSubBatch(dst []byte, req *BatchRequest, rows []int) []byte {
+	n := 128 + len(req.Model.Name) + len(req.Model.Cat)
+	for _, i := range rows {
+		t := req.Tests[i]
+		n += len(t) + len(t)/8 + 3
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, `{"tests":[`...)
+	for k, i := range rows {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		if lit := b.literal(i); lit != nil {
+			dst = append(dst, lit...)
+		} else {
+			dst = appendString(dst, req.Tests[i])
+		}
+	}
+	dst = append(dst, ']')
+	return appendBatchTail(dst, req, false)
+}
+
+// literal returns test i's exact literal, or nil.
+func (b *Body) literal(i int) []byte {
+	if b == nil || b.buf == nil || i >= len(b.lits) || b.lits[i].end == 0 {
 		return nil
 	}
-	return DecodeBody(bytes.NewReader(buf.Bytes()), req)
+	return b.buf.Bytes()[b.lits[i].start:b.lits[i].end]
 }
 
 // bodyBufs recycles the buffers request bodies are read into: every
 // string decodeBatchRequest keeps is a copy, so a body's bytes are dead
-// once it returns.
+// once it returns, or once its Body is released.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBody caps the buffers bodyBufs keeps, so one oversized body
@@ -127,14 +209,31 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // other body, leaving req untouched. Each string is its own allocation,
 // so a cached source never pins the rest of its batch.
 func decodeBatchRequest(body []byte, req *BatchRequest) bool {
+	return decodeBatch(body, req, nil)
+}
+
+// decodeBatch is decodeBatchRequest; when lits is non-nil it also
+// receives each test's literal span, empty where the literal is not
+// exact (see unquote).
+func decodeBatch(body []byte, req *BatchRequest, lits *[]span) bool {
 	p := parser[[]byte]{s: body, ok: true}
 	var out BatchRequest
 	var scratch []byte
+	var spans []span
 	p.space()
 	p.lit(`{"tests":[`)
 	if !p.skip("]") {
 		for p.ok {
+			start := p.pos
+			p.exact = true
 			out.Tests = append(out.Tests, p.text(&scratch))
+			if lits != nil {
+				sp := span{}
+				if p.exact {
+					sp = span{start, p.pos}
+				}
+				spans = append(spans, sp)
+			}
 			if !p.skip(",") {
 				break
 			}
@@ -177,6 +276,9 @@ func decodeBatchRequest(body []byte, req *BatchRequest) bool {
 		return false
 	}
 	*req = out
+	if lits != nil {
+		*lits = spans
+	}
 	return true
 }
 
@@ -202,7 +304,10 @@ func (p *parser[T]) space() {
 // unquote consumes a JSON string and appends its value to dst, when
 // encoding/json would decode it to exactly that: raw bytes valid UTF-8
 // and free of control characters, escapes among json.Marshal's (\uXXXX
-// only outside the surrogate range).
+// only outside the surrogate range). It clears exact, as str does,
+// where the literal is not what appendString writes for its value: a raw
+// <, >, &, U+2028 or U+2029; an escape appendString does not write for
+// its character (\/, \u0041, an upper-case \u003C, \u000a for \n).
 func (p *parser[T]) unquote(dst []byte) []byte {
 	if !p.skip(`"`) {
 		p.ok = false
@@ -220,7 +325,12 @@ func (p *parser[T]) unquote(dst []byte) []byte {
 		}
 		c := s[i]
 		if c >= 0x20 && c != '"' && c != '\\' {
-			if c >= utf8.RuneSelf {
+			switch {
+			case c < utf8.RuneSelf: // <, > or &
+				p.exact = false
+			case c == 0xE2 && i+2 < len(s) && s[i+1] == 0x80 && s[i+2]&^1 == 0xA8: // U+2028, U+2029
+				ascii, p.exact = false, false
+			default:
 				ascii = false
 			}
 			p.pos++
@@ -243,8 +353,11 @@ func (p *parser[T]) unquote(dst []byte) []byte {
 		esc := p.s[p.pos+1]
 		p.pos += 2
 		switch esc {
-		case '"', '\\', '/':
+		case '"', '\\':
 			dst = append(dst, esc)
+		case '/':
+			dst = append(dst, esc)
+			p.exact = false
 		case 'b':
 			dst = append(dst, '\b')
 		case 'f':
@@ -260,6 +373,9 @@ func (p *parser[T]) unquote(dst []byte) []byte {
 			if utf16.IsSurrogate(r) {
 				p.ok = false
 			}
+			if !escapedAsU(r) {
+				p.exact = false
+			}
 			dst = utf8.AppendRune(dst, r)
 		default:
 			p.ok = false
@@ -273,7 +389,19 @@ func (p *parser[T]) unquote(dst []byte) []byte {
 	return dst
 }
 
-// hex4 consumes the four hex digits of a \u escape.
+// escapedAsU reports whether appendString writes r as a \u escape.
+func escapedAsU(r rune) bool {
+	switch r {
+	case '\b', '\f', '\n', '\r', '\t':
+		return false
+	case '<', '>', '&', '\u2028', '\u2029':
+		return true
+	}
+	return r < 0x20
+}
+
+// hex4 consumes the four hex digits of a \u escape, clearing exact on
+// an upper-case digit.
 func (p *parser[T]) hex4() rune {
 	if len(p.s)-p.pos < 4 {
 		p.ok = false
@@ -289,6 +417,7 @@ func (p *parser[T]) hex4() rune {
 			c -= 'a' - 10
 		case 'A' <= c && c <= 'F':
 			c -= 'A' - 10
+			p.exact = false // appendString writes lower-case hex
 		default:
 			p.ok = false
 			return 0
