@@ -1,0 +1,151 @@
+package crosscheck_test
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"herdcats/internal/catalog"
+	"herdcats/internal/crosscheck"
+	"herdcats/internal/experiments"
+	"herdcats/internal/litmus"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/shelf from the deciders' current verdicts")
+
+// shelfDir holds the committed verdict shelf, one file per dialect.
+var shelfDir = filepath.Join("..", "..", "testdata", "shelf")
+
+// shelfTests returns a dialect's shelf tests in shelf order: its
+// catalogue tests, then the diy corpus of -run table5 (lengths 3-4).
+func shelfTests(arch litmus.Arch) []*litmus.Test {
+	var tests []*litmus.Test
+	for _, e := range catalog.Tests() {
+		if test := e.Test(); test.Arch == arch {
+			tests = append(tests, test)
+		}
+	}
+	if arch == litmus.X86 {
+		return tests
+	}
+	return append(tests, experiments.BuildCorpus(arch, 3, 4, 0).Tests...)
+}
+
+// shelf renders a dialect's shelf: a header naming the columns (the
+// deciders of Pairs(arch), sorted), then one line per test giving each
+// decider's verdict under ComparePairs over the whole table: 1 allowed,
+// 0 forbidden, E failed. The whole table runs on every test, the
+// machine, the SAT encodings, the zoo and the hardware included: the
+// 3000-odd tests take about 2 s on 2 vCPUs.
+func shelf(t *testing.T, arch litmus.Arch) string {
+	t.Helper()
+	pairs := crosscheck.Pairs(arch)
+	var columns []string
+	for _, p := range pairs {
+		for _, name := range []string{p.A.Name(), p.B.Name()} {
+			if !slices.Contains(columns, name) {
+				columns = append(columns, name)
+			}
+		}
+	}
+	slices.Sort(columns)
+
+	tests := shelfTests(arch)
+	lines := make([]string, len(tests))
+	errs := make([]error, len(tests))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				rep, err := crosscheck.ComparePairs(context.Background(), tests[i], pairs...)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				cells := make([]byte, len(columns))
+				for _, v := range rep.Verdicts {
+					c := byte('0')
+					switch {
+					case v.Err != "":
+						c = 'E'
+					case v.Allowed:
+						c = '1'
+					}
+					cells[slices.Index(columns, v.Decider)] = c
+				}
+				lines[i] = tests[i].Name + " " + string(cells)
+			}
+		}()
+	}
+	for i := range tests {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", tests[i].Name, err)
+		}
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "# Verdict shelf, %s: each decider's verdict under crosscheck.ComparePairs\n", arch)
+	b.WriteString("# (1 allowed, 0 forbidden, E failed). Regenerate with\n")
+	b.WriteString("# go test ./internal/crosscheck -run TestVerdictShelf -update\n")
+	for i, name := range columns {
+		fmt.Fprintf(&b, "# column %d: %s\n", i+1, name)
+	}
+	for _, line := range lines {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestVerdictShelf re-derives the committed verdict shelf and diffs it:
+// every decider of each dialect's pair table, over the catalogue and the
+// diy corpora of Tab. V, must give the recorded verdict. Only -update
+// rewrites the shelf.
+func TestVerdictShelf(t *testing.T) {
+	for _, arch := range []litmus.Arch{litmus.PPC, litmus.ARM, litmus.X86} {
+		t.Run(string(arch), func(t *testing.T) {
+			got := shelf(t, arch)
+			path := filepath.Join(shelfDir, strings.ToLower(string(arch))+".verdicts")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(data), "\n")
+			if len(gotLines) != len(wantLines) {
+				t.Errorf("%s: %d lines, shelf has %d", path, len(gotLines), len(wantLines))
+			}
+			diffs := 0
+			for i := range min(len(gotLines), len(wantLines)) {
+				if gotLines[i] == wantLines[i] {
+					continue
+				}
+				if diffs++; diffs <= 20 {
+					t.Errorf("%s:%d: got %q, shelf has %q", path, i+1, gotLines[i], wantLines[i])
+				}
+			}
+			if diffs > 20 {
+				t.Errorf("%s: %d lines differ in all", path, diffs)
+			}
+		})
+	}
+}
