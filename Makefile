@@ -40,7 +40,8 @@ race:
 # allocation ceiling for a warm batch, the SAT encoder's allocation
 # ceiling for one Power instance, the allocation ceiling of one
 # comparison over the PPC pair table (its deciders share one compiled
-# test, and its bmc deciders one SAT instance), and the wire codec's allocation ceilings for encoding,
+# test, its walk deciders one candidate walk, and its bmc deciders one SAT
+# instance), and the wire codec's allocation ceilings for encoding,
 # decoding and relaying one warm row's result/v1 frame, and the bytes
 # allocated per row of a warm streamed batch through herd-gw over one
 # herdd (pooled stream buffers, no per-row ranking); and record the

@@ -25,7 +25,7 @@ package crosscheck
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
@@ -86,12 +86,11 @@ type Verdict struct {
 
 // Disagreement records one violated pair expectation.
 type Disagreement struct {
-	Pair     string   `json:"pair"`
-	Relation Relation `json:"-"`
-	Rel      string   `json:"relation"`
-	A        Verdict  `json:"a"`
-	B        Verdict  `json:"b"`
-	Why      string   `json:"why,omitempty"`
+	Pair string  `json:"pair"`
+	Rel  string  `json:"relation"`
+	A    Verdict `json:"a"`
+	B    Verdict `json:"b"`
+	Why  string  `json:"why,omitempty"`
 }
 
 func (d Disagreement) String() string {
@@ -133,35 +132,48 @@ func (r *Report) Agreed() bool {
 // Errors and its pairs are skipped. The returned error is non-nil only when
 // ctx was canceled before the comparison finished.
 //
-// The deciders share one compiled test (exec.Share): the first to ask
-// compiles it, and its thread traces and skeletons, which no model
-// changes, are enumerated once for all of them. The bmc deciders also
-// share one SAT instance, whose model-free part the first of them
-// encodes. That state is dropped when the comparison returns.
+// The deciders share one compiled test (exec.Share): its thread traces and
+// skeletons, which no model changes, are enumerated once for all of them.
+// First the deciders that judge candidates (the axiomatic checkers, the
+// machine and the hardware, but not a wrapper around one) are decided
+// together over one walk of its candidates, which keeps the trace sets.
+// Then the bmc deciders share one SAT instance, whose model-free part the
+// first of them encodes. That state is dropped when the comparison returns.
 func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Report, error) {
 	ctx = shareBMC(exec.Share(ctx, test), test)
 	rep := &Report{Test: test.Name}
-	verdicts := map[string]Verdict{}
+	var names []string
+	var walkers []walker
+	var others []Decider
 	for _, p := range pairs {
 		for _, d := range []Decider{p.A, p.B} {
-			if _, done := verdicts[d.Name()]; done {
+			if slices.Contains(names, d.Name()) {
 				continue
 			}
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			v := Verdict{Decider: d.Name()}
-			allowed, err := d.Decide(ctx, test)
-			if err != nil {
-				if ctx.Err() != nil {
-					return rep, ctx.Err()
-				}
-				v.Err = err.Error()
+			names = append(names, d.Name())
+			if w, ok := d.(walker); ok {
+				walkers = append(walkers, w)
 			} else {
-				v.Allowed = allowed
+				others = append(others, d)
 			}
-			verdicts[d.Name()] = v
 		}
+	}
+	verdicts := map[string]Verdict{}
+	allowed, errs := walk(ctx, test, walkers)
+	for i, w := range walkers {
+		verdicts[w.Name()] = verdict(w.Name(), allowed[i], errs[i])
+	}
+	for _, d := range others {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		allowed, err := d.Decide(ctx, test)
+		verdicts[d.Name()] = verdict(d.Name(), allowed, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return rep, err
+	}
+	for _, p := range pairs {
 		a, b := verdicts[p.A.Name()], verdicts[p.B.Name()]
 		if a.Err != "" || b.Err != "" {
 			continue
@@ -169,22 +181,13 @@ func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Repor
 		rep.Pairs++
 		if p.Violated(a.Allowed, b.Allowed) {
 			rep.Disagreements = append(rep.Disagreements, Disagreement{
-				Pair:     p.String(),
-				Relation: p.Rel,
-				Rel:      p.Rel.String(),
-				A:        a,
-				B:        b,
-				Why:      p.Why,
+				Pair: p.String(), Rel: p.Rel.String(), A: a, B: b, Why: p.Why,
 			})
 		} else {
 			rep.Agreements++
 		}
 	}
-	names := make([]string, 0, len(verdicts))
-	for n := range verdicts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		v := verdicts[n]
 		if v.Err != "" {
@@ -193,6 +196,14 @@ func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Repor
 		rep.Verdicts = append(rep.Verdicts, v)
 	}
 	return rep, nil
+}
+
+// verdict is the Verdict of the named decider's answer.
+func verdict(name string, allowed bool, err error) Verdict {
+	if err != nil {
+		return Verdict{Decider: name, Err: err.Error()}
+	}
+	return Verdict{Decider: name, Allowed: allowed}
 }
 
 // Compare is ComparePairs over the all-pairs equality closure of the given

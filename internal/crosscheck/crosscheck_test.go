@@ -9,10 +9,13 @@ package crosscheck_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
+	"herdcats/internal/core"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
+	"herdcats/internal/events"
 	"herdcats/internal/litmus"
 	"herdcats/internal/models"
 )
@@ -256,6 +259,73 @@ func TestCompareDeciderError(t *testing.T) {
 	if rep.Agreed() {
 		t.Error("Agreed() despite a decider error")
 	}
+
+	// A checker that fails to evaluate fails its own decider in the
+	// shared walk; the walk deciders beside it keep their standalone
+	// verdicts.
+	failing := crosscheck.Axiomatic(failingChecker{})
+	pairs := append(crosscheck.Pairs(litmus.PPC), crosscheck.Pair{A: failing, B: crosscheck.MustCat("power")})
+	rep, err = crosscheck.ComparePairs(context.Background(), test, pairs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Errors) != 1 || rep.Errors[0].Decider != failing.Name() || !strings.Contains(rep.Errors[0].Err, "diverged") {
+		t.Fatalf("errors = %+v, want %s failing", rep.Errors, failing.Name())
+	}
+	deciders := map[string]crosscheck.Decider{}
+	for _, p := range pairs {
+		deciders[p.A.Name()], deciders[p.B.Name()] = p.A, p.B
+	}
+	for _, v := range rep.Verdicts {
+		if v.Decider == failing.Name() {
+			continue
+		}
+		allowed, err := deciders[v.Decider].Decide(context.Background(), test)
+		if err != nil || allowed != v.Allowed {
+			t.Errorf("%s beside a failing checker: %+v, alone %v (%v)", v.Decider, v, allowed, err)
+		}
+	}
+}
+
+// failingChecker fails to evaluate every candidate, like a cat model
+// whose let rec diverges.
+type failingChecker struct{}
+
+func (failingChecker) Name() string { return "failing" }
+func (failingChecker) Check(*events.Execution) core.Result {
+	return core.Result{Err: errors.New("diverged")}
+}
+
+// flipped embeds a decider and overrides its Decide, flipping the answer;
+// it keeps the embedded decider's name.
+type flipped struct{ crosscheck.Decider }
+
+func (f flipped) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
+	allowed, err := f.Decider.Decide(ctx, test)
+	return !allowed, err
+}
+
+// TestCompareWrapperDecides: a wrapper around a walk decider is decided
+// by its own Decide, never routed into the shared walk: its flipped
+// answer is the one reported, beside the walk deciders of the table.
+func TestCompareWrapperDecides(t *testing.T) {
+	test := onePPCTest(t)
+	catPower := crosscheck.MustCat("power")
+	alone, err := catPower.Decide(context.Background(), test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []crosscheck.Pair{{A: flipped{catPower}, B: crosscheck.MustCat("sc"), Rel: crosscheck.Subset}}
+	pairs = append(pairs, crosscheck.Pairs(litmus.PPC)...) // cat:Power itself is named by the wrapper first
+	rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Verdicts {
+		if v.Decider == catPower.Name() && (v.Err != "" || v.Allowed == alone) {
+			t.Fatalf("wrapped %s reported %+v, want the flipped %v", v.Decider, v, !alone)
+		}
+	}
 }
 
 // TestCompareCanceled: a canceled context surfaces as the returned error,
@@ -268,4 +338,31 @@ func TestCompareCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+
+	// Canceled during the comparison: by a decider that runs before the
+	// walk, and by a judge inside it.
+	ctx, cancel = context.WithCancel(context.Background())
+	pairs := append(crosscheck.Pairs(litmus.PPC), crosscheck.Pair{A: canceling{cancel}, B: crosscheck.MustCat("power")})
+	if _, err := crosscheck.ComparePairs(ctx, test, pairs...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled by a decider: err = %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	pairs = append(crosscheck.Pairs(litmus.PPC), crosscheck.Pair{A: crosscheck.Axiomatic(canceling{cancel}), B: crosscheck.MustCat("power")})
+	if _, err := crosscheck.ComparePairs(ctx, test, pairs...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled in the walk: err = %v, want context.Canceled", err)
+	}
+}
+
+// canceling cancels its context when asked to decide a test or to check a
+// candidate.
+type canceling struct{ cancel context.CancelFunc }
+
+func (c canceling) Name() string { return "canceling" }
+func (c canceling) Decide(context.Context, *litmus.Test) (bool, error) {
+	c.cancel()
+	return false, nil
+}
+func (c canceling) Check(*events.Execution) core.Result {
+	c.cancel()
+	return core.Result{}
 }

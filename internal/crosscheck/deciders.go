@@ -2,11 +2,12 @@ package crosscheck
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"herdcats/internal/bmc"
 	"herdcats/internal/cat"
+	"herdcats/internal/core"
+	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
@@ -19,14 +20,75 @@ import (
 // can be asked: is the test's final condition observable? Names must be
 // unique per behaviour — ComparePairs runs each distinct name once per
 // test, and the mining store uses names as content-address material.
-//
 // The deciders here take their compiled test from exec.ProgramFor(ctx,
-// test), so under ComparePairs (which shares one program per test on ctx)
-// they compile the test, enumerate its thread traces and build its
-// skeletons once between them; on any other ctx each compiles afresh.
+// test): on a ctx without a shared program each compiles afresh.
 type Decider interface {
 	Name() string
 	Decide(ctx context.Context, test *litmus.Test) (allowed bool, err error)
+}
+
+// --- the candidate walk ----------------------------------------------------
+
+// judge reports whether its engine accepts one candidate of a walk.
+type judge func(c *exec.Candidate) (accepted bool, err error)
+
+// walker is a decider that judges candidates: the axiomatic checkers, the
+// machine and the hardware. Only the types themselves implement it, so a
+// wrapper that embeds a Decider is decided through its own Decide.
+type walker interface {
+	Decider
+	newJudge(p *exec.Program) (judge, error) // for one walk of p, on one goroutine
+}
+
+// walk decides every walker over one deferred search of the test's program
+// (DESIGN.md §18). Each undecided judge sees, in search order, the
+// candidates that satisfy the condition: its walker is allowed at the first
+// it accepts and fails at its first error. The search stops once all are
+// decided; a search error (cancellation) fails every undecided walker.
+func walk(ctx context.Context, test *litmus.Test, ws []walker) (allowed []bool, errs []error) {
+	allowed, errs = make([]bool, len(ws)), make([]error, len(ws))
+	judges := make([]judge, len(ws)) // nil once decided
+	undecided := 0
+	p, err := exec.ProgramFor(ctx, test)
+	for i, w := range ws {
+		if errs[i] = err; err == nil {
+			judges[i], errs[i] = w.newJudge(p)
+		}
+		if errs[i] == nil {
+			undecided++
+		}
+	}
+	if undecided == 0 {
+		return allowed, errs
+	}
+	err = p.Search(ctx, exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
+		if p.Test.Cond != nil && !p.Test.Cond.Eval(c.State) {
+			return true
+		}
+		for i, j := range judges {
+			if j == nil {
+				continue
+			}
+			allowed[i], errs[i] = j(c)
+			if allowed[i] || errs[i] != nil {
+				judges[i] = nil
+				undecided--
+			}
+		}
+		return undecided > 0
+	})
+	for i, j := range judges {
+		if j != nil {
+			errs[i] = err
+		}
+	}
+	return allowed, errs
+}
+
+// decideAlone is a walker's Decide: the walk with its judge alone.
+func decideAlone(ctx context.Context, test *litmus.Test, w walker) (bool, error) {
+	allowed, errs := walk(ctx, test, []walker{w})
+	return allowed[0], errs[0]
 }
 
 // --- axiomatic simulation --------------------------------------------------
@@ -38,23 +100,14 @@ type axiomatic struct {
 
 // Axiomatic wraps a checker as a decider over the single-event simulator,
 // under the "sim" prefix. Pairs uses it for the hand-written zoo's side of
-// its native-vs-cat pairs; Cat wraps the production models.
+// its native-vs-cat pairs; MustCat wraps the production models.
 func Axiomatic(m sim.Checker) Decider { return axiomatic{prefix: "sim", model: m} }
 
-// Cat loads the builtin cat model by file name ("power", "sc", "tso", ...)
-// and wraps it as a decider. The prefix keeps it distinct from the native
-// model of the same name, so a pair (native, cat) compares two engines
-// instead of collapsing into one.
-func Cat(name string) (Decider, error) {
-	m, err := cat.Builtin(name)
-	if err != nil {
-		return nil, err
-	}
-	return axiomatic{prefix: "cat", model: m}, nil
-}
-
-// MustCat is Cat for the builtin tables, where a missing model is a
-// programming error.
+// MustCat loads the builtin cat model by file name ("power", "sc", "tso",
+// ...) and wraps it as a decider; a missing model is a programming error.
+// The "cat" prefix keeps it distinct from the native model of the same
+// name, so a pair (native, cat) compares two engines instead of
+// collapsing into one.
 func MustCat(name string) Decider {
 	return axiomatic{prefix: "cat", model: cat.MustBuiltin(name)}
 }
@@ -62,20 +115,26 @@ func MustCat(name string) Decider {
 func (d axiomatic) Name() string { return d.prefix + ":" + d.model.Name() }
 
 func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, err := exec.ProgramFor(ctx, test)
-	if err != nil {
-		return false, err
+	return decideAlone(ctx, test, d)
+}
+
+// newJudge checks each candidate with one evaluator of the model, which
+// derives what it reads itself or is handed the fully derived candidate.
+func (d axiomatic) newJudge(*exec.Program) (judge, error) {
+	ck := d.model
+	if prov, ok := ck.(core.EvaluatorProvider); ok {
+		if ev := prov.NewEvaluator(); ev != nil {
+			ck = ev
+		}
 	}
-	out, err := sim.Simulate(ctx, sim.Request{Program: p, Checker: d.model})
-	if err != nil {
-		return false, err
-	}
-	if out.Incomplete {
-		// A truncated enumeration has no whole-test verdict: treating a
-		// lower bound as the answer would mint false disagreements.
-		return false, fmt.Errorf("crosscheck: %s incomplete: %v", d.Name(), out.Reason)
-	}
-	return out.Allowed(), nil
+	_, self := ck.(sim.SelfDeriving)
+	return func(c *exec.Candidate) (bool, error) {
+		if !self {
+			c.X.DeriveDemand(events.DynAll, nil)
+		}
+		res := ck.Check(c.X)
+		return res.Valid, res.Err
+	}, nil
 }
 
 // --- operational machine ---------------------------------------------------
@@ -91,35 +150,22 @@ func Operational(m *cat.Model) Decider { return operational{model: m} }
 func (d operational) Name() string { return "machine:" + d.model.Name() }
 
 func (d operational) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, err := exec.ProgramFor(ctx, test)
-	if err != nil {
-		return false, err
-	}
+	return decideAlone(ctx, test, d)
+}
+
+func (d operational) newJudge(*exec.Program) (judge, error) {
 	md, err := machine.NewModel(d.model)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	allowed := false
-	var machineErr error
-	err = p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
+	return func(c *exec.Candidate) (bool, error) {
+		c.X.DeriveDemand(events.DynAll, nil)
 		m, err := machine.New(md, c.X)
 		if err != nil {
-			machineErr = err
-			return false
+			return false, err
 		}
-		if m.Accepts() && (p.Test.Cond == nil || p.Test.Cond.Eval(c.State)) {
-			allowed = true
-			return false // one witness decides the Exists question
-		}
-		return true
-	})
-	if machineErr != nil {
-		return false, machineErr
-	}
-	if err != nil {
-		return false, err
-	}
-	return allowed, nil
+		return m.Accepts(), nil
+	}, nil
 }
 
 // --- SAT-based bounded model checking --------------------------------------
@@ -191,15 +237,15 @@ func Hardware(m hardware.Machine) Decider { return hwDecider{m: m} }
 func (d hwDecider) Name() string { return "hw:" + d.m.Name }
 
 func (d hwDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, err := exec.ProgramFor(ctx, test)
-	if err != nil {
-		return false, err
-	}
-	obs, err := d.m.RunCompiled(ctx, p)
-	if err != nil {
-		return false, err
-	}
-	return obs.CondObserved, nil
+	return decideAlone(ctx, test, d)
+}
+
+func (d hwDecider) newJudge(p *exec.Program) (judge, error) {
+	o := d.m.Observer()
+	return func(c *exec.Candidate) (bool, error) {
+		c.X.DeriveDemand(events.DynAll, nil)
+		return o.Observes(c.X, p.Test.Name), nil
+	}, nil
 }
 
 // --- the expected-agreement table ------------------------------------------

@@ -14,50 +14,107 @@ import (
 	"herdcats/internal/litmus"
 )
 
-// catalogPPC returns the catalogue's PPC tests.
-func catalogPPC(t *testing.T) []*litmus.Test {
-	t.Helper()
+// catalogOf returns the catalogue's tests of one dialect.
+func catalogOf(arch litmus.Arch) []*litmus.Test {
 	var out []*litmus.Test
 	for _, e := range catalog.Tests() {
-		if test := e.Test(); test.Arch == litmus.PPC {
+		if test := e.Test(); test.Arch == arch {
 			out = append(out, test)
 		}
-	}
-	if len(out) < 20 {
-		t.Fatalf("catalogue has %d PPC tests", len(out))
 	}
 	return out
 }
 
-// TestSharedVerdictsMatchFresh: under ComparePairs every decider of the
-// PPC table judges the test over one shared program, whose trace sets and
-// skeletons the earlier deciders built; each verdict, and each error,
-// must equal the decider's own Decide on a fresh context, which compiles
-// and enumerates the test alone. Over the sampled diy corpus and the
-// catalogue's PPC tests.
-func TestSharedVerdictsMatchFresh(t *testing.T) {
-	pairs := crosscheck.Pairs(litmus.PPC)
-	deciders := map[string]crosscheck.Decider{}
-	for _, p := range pairs {
-		deciders[p.A.Name()], deciders[p.B.Name()] = p.A, p.B
+// diyCorpusOf is the corpus shape of bmc's TestAgainstSimulatorDiy: every
+// 2-cycle of the dialect's pool, then seeded 4- and 5-cycles, n tests in
+// all.
+func diyCorpusOf(t *testing.T, arch litmus.Arch, pool []diy.Edge, n int) []*litmus.Test {
+	t.Helper()
+	var out []*litmus.Test
+	seen := map[string]bool{}
+	emit := func(c diy.Cycle) bool {
+		test, err := diy.Generate(arch, c)
+		if err != nil || seen[test.Name] {
+			return true
+		}
+		seen[test.Name] = true
+		out = append(out, test)
+		return len(out) < n
 	}
-	tests := append(corpus(t, 15), catalogPPC(t)...)
-	for _, test := range tests {
-		rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+	diy.Enumerate(pool, 2, 2, emit)
+	if len(out) < n {
+		diy.Sample(pool, []int{4, 5}, 1, emit)
+	}
+	if len(out) < n {
+		t.Fatalf("diy %s corpus: %d tests, want %d", arch, len(out), n)
+	}
+	return out
+}
+
+// sharedInputs are TestSharedVerdictsMatchFresh's tests per dialect: the
+// sampled corpus above, the catalogue, and the corpora of bmc's
+// TestAgainstSimulatorDiy (300 diy tests each for PPC and ARM, the
+// detour test and the deep cumulativity chains), plus 100 diy X86 tests.
+func sharedInputs(t *testing.T) map[litmus.Arch][]*litmus.Test {
+	t.Helper()
+	ppc := append(corpus(t, 15), catalogOf(litmus.PPC)...)
+	ppc = append(ppc, diyCorpusOf(t, litmus.PPC, diy.PowerPool(), 300)...)
+	src, err := os.ReadFile("../../testdata/litmus/mp+lwsync+data-detour-addr.litmus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppc = append(ppc, litmus.MustParse(string(src)))
+	for _, cy := range []string{
+		"LwSyncdWW Rfe DpAddrdW Rfe DpAddrdW Rfe DpAddrdR Fre",
+		"LwSyncdWW Rfe DpAddrdW Rfe DpAddrdW Rfe DpAddrdW Rfe DpAddrdR Fre",
+	} {
+		c, err := diy.ParseCycle(cy)
 		if err != nil {
-			t.Fatalf("%s: %v", test.Name, err)
+			t.Fatal(err)
 		}
-		if len(rep.Verdicts) != len(deciders) {
-			t.Fatalf("%s: %d verdicts, want %d", test.Name, len(rep.Verdicts), len(deciders))
+		test, err := diy.Generate(litmus.PPC, c)
+		if err != nil {
+			t.Fatalf("%s: %v", cy, err)
 		}
-		for _, v := range rep.Verdicts {
-			allowed, err := deciders[v.Decider].Decide(context.Background(), test)
-			fresh := crosscheck.Verdict{Decider: v.Decider, Allowed: allowed}
+		ppc = append(ppc, test)
+	}
+	return map[litmus.Arch][]*litmus.Test{
+		litmus.PPC: ppc,
+		litmus.ARM: append(catalogOf(litmus.ARM), diyCorpusOf(t, litmus.ARM, diy.ARMPool(), 300)...),
+		litmus.X86: append(catalogOf(litmus.X86), diyCorpusOf(t, litmus.X86, diy.X86Pool(), 100)...),
+	}
+}
+
+// TestSharedVerdictsMatchFresh: under ComparePairs every decider of a
+// dialect's table judges the test over one shared program, and the
+// deciders that judge candidates over one shared walk of it; each
+// verdict, and each error, must equal the decider's own Decide on a fresh
+// context, which compiles and walks the test alone. Over the PPC, ARM and
+// X86 tables and their inputs (sharedInputs).
+func TestSharedVerdictsMatchFresh(t *testing.T) {
+	for arch, tests := range sharedInputs(t) {
+		pairs := crosscheck.Pairs(arch)
+		deciders := map[string]crosscheck.Decider{}
+		for _, p := range pairs {
+			deciders[p.A.Name()], deciders[p.B.Name()] = p.A, p.B
+		}
+		for _, test := range tests {
+			rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
 			if err != nil {
-				fresh = crosscheck.Verdict{Decider: v.Decider, Err: err.Error()}
+				t.Fatalf("%s: %v", test.Name, err)
 			}
-			if v != fresh {
-				t.Errorf("%s: %s shared %+v, fresh %+v", test.Name, v.Decider, v, fresh)
+			if len(rep.Verdicts) != len(deciders) {
+				t.Fatalf("%s: %d verdicts, want %d", test.Name, len(rep.Verdicts), len(deciders))
+			}
+			for _, v := range rep.Verdicts {
+				allowed, err := deciders[v.Decider].Decide(context.Background(), test)
+				fresh := crosscheck.Verdict{Decider: v.Decider, Allowed: allowed}
+				if err != nil {
+					fresh = crosscheck.Verdict{Decider: v.Decider, Err: err.Error()}
+				}
+				if v != fresh {
+					t.Errorf("%s: %s shared %+v, fresh %+v", test.Name, v.Decider, v, fresh)
+				}
 			}
 		}
 	}
@@ -109,11 +166,13 @@ func TestComparePairsSharesOneProgram(t *testing.T) {
 
 // TestComparePairsAllocsCeiling is the bench-smoke guard on what one
 // comparison costs the allocator: the full PPC table over one diy test
-// must allocate no more than measured once its bmc deciders shared one
-// SAT instance over flat relation matrices (go1.24: 2415; 2529 with a
-// slice per matrix row, 3236 when each bmc decider encoded the test
-// alone, once the CAV12 pair ran power-cav.cat as a cat decider; 3539
-// when it ran the multi-event checker, 3574 when mining first ran the cat
+// must allocate no more than measured once its walk deciders shared one
+// deferred candidate walk (go1.24: 1685; 2415 when each walked the
+// candidates alone, the cat models through sim.Simulate's histograms,
+// once the bmc deciders shared one SAT instance over flat relation
+// matrices; 2529 with a slice per matrix row, 3236 when each bmc decider
+// encoded the test alone, once the CAV12 pair ran power-cav.cat as a cat
+// decider; 3539 when it ran the multi-event checker, 3574 when mining first ran the cat
 // models, 3765 once the machine and the hardware were built from compiled
 // cat models, 4050 with both on the zoo, 4196 when the deciders first
 // shared one compiled test, 5771 when each decider re-enumerates the
@@ -138,7 +197,7 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 			t.Fatalf("%s: %v %+v", test.Name, err, rep)
 		}
 	})
-	const ceiling = 2415
+	const ceiling = 1685
 	t.Logf("%s over the PPC table: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)

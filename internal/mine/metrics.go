@@ -26,7 +26,7 @@ func (m *Miner) register(reg *obs.Registry) {
 	reg.CounterFunc("mine_minimize_steps_total", m.minSteps.Value)
 	reg.CounterFunc("mine_witnesses_total", m.witnesses.Value)
 	reg.CounterFunc("mine_generate_rejects_total", m.genRejects.Value)
-	reg.GaugeFunc("mine_workers", func() int64 { return int64(m.cfg.workers()) })
+	reg.GaugeFunc("mine_workers", func() int64 { return int64(m.cfg.Workers) })
 	if s := m.cfg.Store; s != nil {
 		reg.GaugeFunc("mine_corpus_size", func() int64 { return int64(s.Len()) })
 	}

@@ -23,13 +23,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"herdcats/internal/campaign"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
-	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/obs"
 )
@@ -88,58 +88,6 @@ type Config struct {
 	Reg *obs.Registry
 }
 
-func (c Config) arch() litmus.Arch {
-	if c.Arch == "" {
-		return litmus.PPC
-	}
-	return c.Arch
-}
-
-func (c Config) pool() []diy.Edge {
-	if c.Pool != nil {
-		return c.Pool
-	}
-	switch c.arch() {
-	case litmus.ARM:
-		return diy.ARMPool()
-	case litmus.X86:
-		return diy.X86Pool()
-	default:
-		return diy.PowerPool()
-	}
-}
-
-func (c Config) exhaustiveMax() int {
-	if c.ExhaustiveMax <= 0 {
-		return 3
-	}
-	return c.ExhaustiveMax
-}
-
-func (c Config) sampleSizes() []int {
-	if c.DisableSampling {
-		return nil
-	}
-	if len(c.SampleSizes) == 0 {
-		return []int{4}
-	}
-	return c.SampleSizes
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
-func (c Config) batch() int {
-	if c.Batch <= 0 {
-		return 64
-	}
-	return c.Batch
-}
-
 // Summary reports what one Run did.
 type Summary struct {
 	// Tests processed this run = Checked (fresh) + ResumeHits (served
@@ -188,15 +136,41 @@ type Miner struct {
 	pairDisagreed map[string]*obs.Counter
 }
 
-// New builds a miner and, when cfg.Reg is set, registers the mine_*
-// metric families on it.
+// New builds a miner over cfg with its defaults filled in and, when
+// cfg.Reg is set, registers the mine_* metric families on it.
 func New(cfg Config) (*Miner, error) {
+	if cfg.Arch == "" {
+		cfg.Arch = litmus.PPC
+	}
+	switch {
+	case cfg.Pool != nil:
+	case cfg.Arch == litmus.ARM:
+		cfg.Pool = diy.ARMPool()
+	case cfg.Arch == litmus.X86:
+		cfg.Pool = diy.X86Pool()
+	default:
+		cfg.Pool = diy.PowerPool()
+	}
+	if cfg.ExhaustiveMax <= 0 {
+		cfg.ExhaustiveMax = 3
+	}
+	if cfg.DisableSampling {
+		cfg.SampleSizes = nil
+	} else if len(cfg.SampleSizes) == 0 {
+		cfg.SampleSizes = []int{4}
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Batch <= 0 {
+		cfg.Batch = 64
+	}
 	m := &Miner{cfg: cfg, pairs: cfg.Pairs}
 	if m.pairs == nil {
-		m.pairs = crosscheck.Pairs(cfg.arch())
+		m.pairs = crosscheck.Pairs(cfg.Arch)
 	}
 	if len(m.pairs) == 0 {
-		return nil, fmt.Errorf("mine: no decider pairs for arch %s", cfg.arch())
+		return nil, fmt.Errorf("mine: no decider pairs for arch %s", cfg.Arch)
 	}
 	m.pairChecked = map[string]*obs.Counter{}
 	m.pairDisagreed = map[string]*obs.Counter{}
@@ -242,7 +216,7 @@ func (m *Miner) Run(ctx context.Context) (*Summary, error) {
 		}
 		units := batch
 		batch = nil
-		err := campaign.ForEach(ctx, m.cfg.workers(), len(units), func(ctx context.Context, i int) error {
+		err := campaign.ForEach(ctx, m.cfg.Workers, len(units), func(ctx context.Context, i int) error {
 			return m.check(ctx, units[i])
 		})
 		if err != nil && runErr == nil {
@@ -253,7 +227,7 @@ func (m *Miner) Run(ctx context.Context) (*Summary, error) {
 		if ctx.Err() != nil || runErr != nil {
 			return false
 		}
-		test, err := diy.Generate(m.cfg.arch(), c)
+		test, err := diy.Generate(m.cfg.Arch, c)
 		if err != nil {
 			m.genRejects.Inc()
 			return true
@@ -265,28 +239,38 @@ func (m *Miner) Run(ctx context.Context) (*Summary, error) {
 		seen[key] = true
 		batch = append(batch, unit{cycle: c, test: test, key: key})
 		processed++
-		if len(batch) >= m.cfg.batch() {
+		if len(batch) >= m.cfg.Batch {
 			flush()
 		}
 		return m.cfg.MaxTests == 0 || processed < m.cfg.MaxTests
 	}
 
-	diy.Enumerate(m.cfg.pool(), 2, m.cfg.exhaustiveMax(), emit)
-	if sizes := m.cfg.sampleSizes(); len(sizes) > 0 && runErr == nil && ctx.Err() == nil &&
+	diy.Enumerate(m.cfg.Pool, 2, m.cfg.ExhaustiveMax, emit)
+	if sizes := m.cfg.SampleSizes; len(sizes) > 0 && runErr == nil && ctx.Err() == nil &&
 		(m.cfg.MaxTests == 0 || processed < m.cfg.MaxTests) {
-		diy.Sample(m.cfg.pool(), sizes, m.cfg.Seed, emit)
+		diy.Sample(m.cfg.Pool, sizes, m.cfg.Seed, emit)
 	}
 	flush()
 
-	sum := m.delta(before)
+	sum := m.snapshot()
+	sum.Tests -= before.Tests
+	sum.ResumeHits -= before.ResumeHits
+	sum.PairsChecked -= before.PairsChecked
+	sum.Agreements -= before.Agreements
+	sum.Disagreements -= before.Disagreements
+	sum.DeciderErrors -= before.DeciderErrors
+	sum.Witnesses -= before.Witnesses
+	sum.MinimizeSteps -= before.MinimizeSteps
+	sum.GenerateRejects -= before.GenerateRejects
+	sum.Checked = sum.Tests - sum.ResumeHits
 	sum.ElapsedMS = time.Since(start).Milliseconds()
 	if m.cfg.Store != nil {
 		sum.CorpusSize = m.cfg.Store.Len()
 	}
 	if runErr != nil {
-		return sum, runErr
+		return &sum, runErr
 	}
-	return sum, ctx.Err()
+	return &sum, ctx.Err()
 }
 
 // check cross-checks one unit: resume from the store when possible,
@@ -310,26 +294,19 @@ func (m *Miner) check(ctx context.Context, u unit) error {
 	m.disagreements.Add(len(rep.Disagreements))
 	m.deciderErrs.Add(len(rep.Errors))
 
-	failed := map[string]bool{}
-	for _, v := range rep.Errors {
-		failed[v.Decider] = true
-	}
-	disagreed := map[string]bool{}
-	for _, d := range rep.Disagreements {
-		disagreed[d.Pair] = true
-	}
 	for _, p := range m.pairs {
-		if failed[p.A.Name()] || failed[p.B.Name()] {
-			continue
+		if !slices.ContainsFunc(rep.Errors, func(v crosscheck.Verdict) bool {
+			return v.Decider == p.A.Name() || v.Decider == p.B.Name()
+		}) {
+			m.pairChecked[p.String()].Inc()
 		}
-		m.pairChecked[p.String()].Inc()
-		if disagreed[p.String()] {
-			m.pairDisagreed[p.String()].Inc()
-		}
+	}
+	for _, d := range rep.Disagreements {
+		m.pairDisagreed[d.Pair].Inc()
 	}
 
 	if m.cfg.Store != nil {
-		rec := &Record{
+		if err := m.cfg.Store.Put(&Record{
 			Key:           u.key,
 			Test:          u.test.Name,
 			Cycle:         u.cycle.Name(),
@@ -337,8 +314,7 @@ func (m *Miner) check(ctx context.Context, u unit) error {
 			Agreements:    rep.Agreements,
 			Disagreements: len(rep.Disagreements),
 			Verdicts:      rep.Verdicts,
-		}
-		if err := m.cfg.Store.Put(rec); err != nil {
+		}); err != nil {
 			return err
 		}
 	}
@@ -372,38 +348,28 @@ type Discrepancy struct {
 // the artifacts. The pair is re-resolved by name so the oracle re-checks
 // exactly the violated expectation at every shrink step.
 func (m *Miner) minimize(ctx context.Context, u unit, d crosscheck.Disagreement) error {
-	var pair *crosscheck.Pair
-	for i := range m.pairs {
-		if m.pairs[i].String() == d.Pair {
-			pair = &m.pairs[i]
-			break
-		}
-	}
-	if pair == nil {
+	i := slices.IndexFunc(m.pairs, func(p crosscheck.Pair) bool { return p.String() == d.Pair })
+	if i < 0 {
 		return fmt.Errorf("mine: disagreement on unknown pair %s", d.Pair)
 	}
-	// The oracle captures the pair verdicts of the last reproducing test,
-	// so the record reports the minimized witness's verdicts, not the
-	// original's.
+	// The oracle is the comparison over the one pair. It captures the
+	// verdicts of the last reproducing test, so the record reports the
+	// minimized witness's verdicts, not the original's.
 	lastA, lastB := d.A, d.B
 	oracle := func(ctx context.Context, t *litmus.Test) (bool, error) {
-		ctx = exec.Share(ctx, t) // both sides judge one compiled candidate
-		a, err := pair.A.Decide(ctx, t)
-		if err != nil {
+		rep, err := crosscheck.ComparePairs(ctx, t, m.pairs[i])
+		switch {
+		case err != nil:
 			return false, err
+		case len(rep.Errors) > 0:
+			return false, fmt.Errorf("mine: %s failed: %s", rep.Errors[0].Decider, rep.Errors[0].Err)
+		case len(rep.Disagreements) == 0:
+			return false, nil
 		}
-		b, err := pair.B.Decide(ctx, t)
-		if err != nil {
-			return false, err
-		}
-		if pair.Violated(a, b) {
-			lastA = crosscheck.Verdict{Decider: pair.A.Name(), Allowed: a}
-			lastB = crosscheck.Verdict{Decider: pair.B.Name(), Allowed: b}
-			return true, nil
-		}
-		return false, nil
+		lastA, lastB = rep.Disagreements[0].A, rep.Disagreements[0].B
+		return true, nil
 	}
-	minCycle, minTest, steps, ok, err := Minimize(ctx, m.cfg.arch(), u.cycle, oracle)
+	minCycle, minTest, steps, ok, err := Minimize(ctx, m.cfg.Arch, u.cycle, oracle)
 	m.minSteps.Add(steps)
 	if err != nil {
 		return err
@@ -460,38 +426,17 @@ func sanitize(name string) string {
 	}, name)
 }
 
-// snapshot/delta turn the cumulative counters into per-run summaries.
-type counts struct {
-	tests, resume, pairs, agree, disagree, errs, wit, steps, rejects uint64
-}
-
-func (m *Miner) snapshot() counts {
-	return counts{
-		tests:    m.tests.Value(),
-		resume:   m.resumeHits.Value(),
-		pairs:    m.pairsChecked.Value(),
-		agree:    m.agreements.Value(),
-		disagree: m.disagreements.Value(),
-		errs:     m.deciderErrs.Value(),
-		wit:      m.witnesses.Value(),
-		steps:    m.minSteps.Value(),
-		rejects:  m.genRejects.Value(),
+// snapshot reads the cumulative counters, whose change Run reports.
+func (m *Miner) snapshot() Summary {
+	return Summary{
+		Tests:           int(m.tests.Value()),
+		ResumeHits:      int(m.resumeHits.Value()),
+		PairsChecked:    int(m.pairsChecked.Value()),
+		Agreements:      int(m.agreements.Value()),
+		Disagreements:   int(m.disagreements.Value()),
+		DeciderErrors:   int(m.deciderErrs.Value()),
+		Witnesses:       int(m.witnesses.Value()),
+		MinimizeSteps:   int(m.minSteps.Value()),
+		GenerateRejects: int(m.genRejects.Value()),
 	}
-}
-
-func (m *Miner) delta(before counts) *Summary {
-	now := m.snapshot()
-	s := &Summary{
-		Tests:           int(now.tests - before.tests),
-		ResumeHits:      int(now.resume - before.resume),
-		PairsChecked:    int(now.pairs - before.pairs),
-		Agreements:      int(now.agree - before.agree),
-		Disagreements:   int(now.disagree - before.disagree),
-		DeciderErrors:   int(now.errs - before.errs),
-		Witnesses:       int(now.wit - before.wit),
-		MinimizeSteps:   int(now.steps - before.steps),
-		GenerateRejects: int(now.rejects - before.rejects),
-	}
-	s.Checked = s.Tests - s.ResumeHits
-	return s
 }

@@ -101,9 +101,6 @@ func OpenStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Path returns the journal's file path.
-func (s *Store) Path() string { return s.path }
-
 // Get returns the persisted record for a key, if any.
 func (s *Store) Get(key string) (*Record, bool) {
 	s.mu.Lock()
