@@ -15,12 +15,14 @@ import (
 	"herdcats/internal/catalog"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/experiments"
+	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/shelf from the deciders' current verdicts")
 
-// shelfDir holds the committed verdict shelf, one file per dialect.
+// shelfDir holds the committed shelves: the verdict shelf, one file per
+// dialect, and the observed shelf.
 var shelfDir = filepath.Join("..", "..", "testdata", "shelf")
 
 // shelfTests returns a dialect's shelf tests in shelf order: its
@@ -57,7 +59,57 @@ func shelf(t *testing.T, arch litmus.Arch) string {
 	}
 	slices.Sort(columns)
 
-	tests := shelfTests(arch)
+	var b strings.Builder
+	fmt.Fprintf(&b, "# Verdict shelf, %s: each decider's verdict under crosscheck.ComparePairs\n", arch)
+	b.WriteString("# (1 allowed, 0 forbidden, E failed). Regenerate with\n")
+	b.WriteString("# go test ./internal/crosscheck -run TestVerdictShelf -update\n")
+	for i, name := range columns {
+		fmt.Fprintf(&b, "# column %d: %s\n", i+1, name)
+	}
+	for _, line := range verdictLines(t, shelfTests(arch), pairs, columns) {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// observedShelf renders the observed shelf, the analogue of herdtools7's
+// *.observed: for the PPC and then the ARM shelf tests, a header naming
+// the machines of the dialect's hardware family, then one line per test
+// giving each machine's verdict as crosscheck.Hardware: 1 observed, 0
+// unseen, E failed. Each machine is paired with itself, so ComparePairs
+// decides them all over one walk and asserts nothing between them.
+func observedShelf(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("# Observed shelf: each simulated machine's verdict as crosscheck.Hardware\n")
+	b.WriteString("# (1 observed, 0 unseen, E failed). Regenerate with\n")
+	b.WriteString("# go test ./internal/crosscheck -run TestObservedShelf -update\n")
+	for _, d := range []struct {
+		arch   litmus.Arch
+		family hardware.Arch
+	}{{litmus.PPC, hardware.Power}, {litmus.ARM, hardware.ARM}} {
+		var pairs []crosscheck.Pair
+		var columns []string
+		for _, m := range hardware.ByArch(d.family) {
+			hw := crosscheck.Hardware(m)
+			pairs = append(pairs, crosscheck.Pair{A: hw, B: hw, Rel: crosscheck.Subset})
+			columns = append(columns, hw.Name())
+		}
+		fmt.Fprintf(&b, "# %s columns: %s\n", d.arch, strings.Join(columns, " "))
+		for _, line := range verdictLines(t, shelfTests(d.arch), pairs, columns) {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// verdictLines runs ComparePairs over pairs on every test, one test per
+// goroutine at a time, and renders one line per test: its name, then one
+// cell per column (a decider name): 1 allowed, 0 forbidden, E failed.
+func verdictLines(t *testing.T, tests []*litmus.Test, pairs []crosscheck.Pair, columns []string) []string {
+	t.Helper()
 	lines := make([]string, len(tests))
 	errs := make([]error, len(tests))
 	next := make(chan int)
@@ -97,19 +149,7 @@ func shelf(t *testing.T, arch litmus.Arch) string {
 			t.Fatalf("%s: %v", tests[i].Name, err)
 		}
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Verdict shelf, %s: each decider's verdict under crosscheck.ComparePairs\n", arch)
-	b.WriteString("# (1 allowed, 0 forbidden, E failed). Regenerate with\n")
-	b.WriteString("# go test ./internal/crosscheck -run TestVerdictShelf -update\n")
-	for i, name := range columns {
-		fmt.Fprintf(&b, "# column %d: %s\n", i+1, name)
-	}
-	for _, line := range lines {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return lines
 }
 
 // TestVerdictShelf re-derives the committed verdict shelf and diffs it:
@@ -119,33 +159,47 @@ func shelf(t *testing.T, arch litmus.Arch) string {
 func TestVerdictShelf(t *testing.T) {
 	for _, arch := range []litmus.Arch{litmus.PPC, litmus.ARM, litmus.X86} {
 		t.Run(string(arch), func(t *testing.T) {
-			got := shelf(t, arch)
-			path := filepath.Join(shelfDir, strings.ToLower(string(arch))+".verdicts")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(data), "\n")
-			if len(gotLines) != len(wantLines) {
-				t.Errorf("%s: %d lines, shelf has %d", path, len(gotLines), len(wantLines))
-			}
-			diffs := 0
-			for i := range min(len(gotLines), len(wantLines)) {
-				if gotLines[i] == wantLines[i] {
-					continue
-				}
-				if diffs++; diffs <= 20 {
-					t.Errorf("%s:%d: got %q, shelf has %q", path, i+1, gotLines[i], wantLines[i])
-				}
-			}
-			if diffs > 20 {
-				t.Errorf("%s: %d lines differ in all", path, diffs)
-			}
+			diffShelf(t, strings.ToLower(string(arch))+".verdicts", shelf(t, arch))
 		})
+	}
+}
+
+// TestObservedShelf re-derives the committed observed shelf and diffs it:
+// every simulated machine, over its dialect's catalogue tests and the diy
+// corpus of Tab. V, must observe exactly the recorded tests. Only -update
+// rewrites the shelf.
+func TestObservedShelf(t *testing.T) {
+	diffShelf(t, "hw.observed", observedShelf(t))
+}
+
+// diffShelf diffs got against the shelf file name line by line, after
+// rewriting the file with got under -update.
+func diffShelf(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join(shelfDir, name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(data), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%s: %d lines, shelf has %d", path, len(gotLines), len(wantLines))
+	}
+	diffs := 0
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] == wantLines[i] {
+			continue
+		}
+		if diffs++; diffs <= 20 {
+			t.Errorf("%s:%d: got %q, shelf has %q", path, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if diffs > 20 {
+		t.Errorf("%s: %d lines differ in all", path, diffs)
 	}
 }
