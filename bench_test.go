@@ -15,6 +15,7 @@ import (
 	"herdcats/internal/bmc"
 	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
+	"herdcats/internal/crosscheck"
 	"herdcats/internal/exec"
 	"herdcats/internal/experiments"
 	"herdcats/internal/hardware"
@@ -77,22 +78,24 @@ func BenchmarkFig06SCPerLocation(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Tab. V/VIII harness: model-vs-hardware confrontation over a corpus.
 
+// BenchmarkTable5Harness times Tab. V's comparison of the Power-ARM
+// model with every ARM machine over the length-3 ARM corpus: one
+// crosscheck comparison per test, each machine's pair expecting it to
+// observe at most what the model allows.
 func BenchmarkTable5Harness(b *testing.B) {
 	corpus := experiments.BuildCorpus(litmus.ARM, 3, 3, 0)
-	machines := hardware.ByArch(hardware.ARM)
+	model := crosscheck.MustCat("power-arm")
+	var pairs []crosscheck.Pair
+	for _, m := range hardware.ByArch(hardware.ARM) {
+		pairs = append(pairs, crosscheck.Pair{A: crosscheck.Hardware(m), B: model, Rel: crosscheck.Subset})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range corpus.Tests {
-			p, err := exec.Compile(t)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: cat.MustBuiltin("power-arm")}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := machines[0].RunCompiled(context.Background(), p); err != nil {
-				b.Fatal(err)
+			rep, err := crosscheck.ComparePairs(context.Background(), t, pairs...)
+			if err != nil || len(rep.Errors) > 0 {
+				b.Fatal(err, rep.Errors)
 			}
 		}
 	}

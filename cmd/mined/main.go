@@ -75,17 +75,16 @@ func main() {
 
 	reg := obs.NewRegistry()
 	miner, err := mine.New(mine.Config{
-		Arch:            arch,
-		ExhaustiveMax:   *exhaustiveMax,
-		SampleSizes:     sizes,
-		DisableSampling: len(sizes) == 0,
-		Seed:            *seed,
-		MaxTests:        *maxTests,
-		Workers:         *workers,
-		Batch:           *batch,
-		Store:           store,
-		OutDir:          *out,
-		Reg:             reg,
+		Arch:          arch,
+		ExhaustiveMax: *exhaustiveMax,
+		SampleSizes:   sizes,
+		Seed:          *seed,
+		MaxTests:      *maxTests,
+		Workers:       *workers,
+		Batch:         *batch,
+		Store:         store,
+		OutDir:        *out,
+		Reg:           reg,
 	})
 	if err != nil {
 		log.Fatalf("mined: %v", err)

@@ -131,8 +131,9 @@ func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
 
 // EncodeShared encodes the model-free part of prog's reachability problem
 // and asserts its condition, for Decide to lower models onto. Solve on it
-// answers with no model at all. A shared program (exec.ProgramFor) hands
-// the encoding the trace sets its searches kept.
+// answers with no model at all. On a program a crosscheck comparison
+// shares, the encoding and the comparison's walk enumerate the thread
+// traces once between them (Program.ThreadTraces).
 func EncodeShared(prog *exec.Program) (*Instance, error) {
 	in, err := skeleton(prog)
 	if err != nil {

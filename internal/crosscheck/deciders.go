@@ -240,10 +240,12 @@ func (d hwDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 	return decideAlone(ctx, test, d)
 }
 
+// newJudge asks one observer of the machine about each candidate. Every
+// engine an observer runs is a compiled cat evaluator, which derives what
+// it reads itself.
 func (d hwDecider) newJudge(p *exec.Program) (judge, error) {
 	o := d.m.Observer()
 	return func(c *exec.Candidate) (bool, error) {
-		c.X.DeriveDemand(events.DynAll, nil)
 		return o.Observes(c.X, p.Test.Name), nil
 	}, nil
 }

@@ -305,11 +305,15 @@ type access struct {
 }
 
 // ThreadTraces enumerates the traces of one thread over the value domain.
-// A shared program (ProgramFor) whose trace sets some search has kept
-// returns the kept set; callers must not modify it.
+// A shared program (ProgramFor) returns its kept set, enumerating every
+// thread to completion and keeping the sets first if no search has, so a
+// later search takes them too; callers must not modify it. Should that
+// enumeration fail, the thread is enumerated alone, as on any program.
 func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
-	if all := p.shared.complete(); all != nil {
-		return all[tid], nil
+	if p.shared != nil {
+		if all, _, err := p.allTraces(&search{ctx: context.Background()}); err == nil {
+			return all[tid], nil
+		}
 	}
 	ts, _, err := p.threadTraces(&search{ctx: context.Background()}, tid)
 	return ts, err

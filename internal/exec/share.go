@@ -9,10 +9,9 @@ import (
 
 // Stage 1 of Sec. 3 — each thread's traces and the skeleton of each trace
 // combination — depends on the test alone, not on the model. When several
-// deciders judge one test (a crosscheck comparison, an experiment sweep's
-// job, or verdict misses through internal/memo), they share one program
-// that keeps that stage: Share puts a lazily compiled program on the
-// context they receive, and ProgramFor hands it out. This is the only way
+// deciders judge one test (a crosscheck comparison), they share one
+// program that keeps that stage: Share puts a lazily compiled program on
+// the context they receive, and ProgramFor hands it out. This is the only way
 // a compiled test is shared; nothing holds one beyond the work that
 // compiled it. Its memo lives exactly as long as that context is in use.
 // A program from plain Compile memoises nothing (DESIGN.md §18).

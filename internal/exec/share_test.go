@@ -246,3 +246,48 @@ exists (0:r4=2 /\ 1:r4=1)`
 		t.Fatalf("kept traces=%v and %d skeletons, want traces and 64", traces, exps)
 	}
 }
+
+// TestThreadTracesKeepsSets: ThreadTraces on a shared program that no
+// search has run enumerates every thread once and keeps the sets, and a
+// later search takes them: it keeps skeletons, which a search does only
+// over the kept sets themselves. A compiled program keeps nothing.
+func TestThreadTracesKeepsSets(t *testing.T) {
+	test := litmus.MustParse(sharedReadsSrc)
+	p := mustProgramFor(t, exec.Share(context.Background(), test), test)
+	fresh := compile(t, sharedReadsSrc)
+	var kept [][]exec.Trace
+	for tid := range p.Threads {
+		got, err := p.ThreadTraces(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.ThreadTraces(tid)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("thread %d: %d traces, a compiled program's %d (%v)", tid, len(got), len(want), err)
+		}
+		kept = append(kept, got)
+	}
+	if traces, exps := exec.Memo(p); !traces || exps != 0 {
+		t.Fatalf("after ThreadTraces: kept traces=%v and %d skeletons, want traces and none", traces, exps)
+	}
+	if traces, _ := exec.Memo(fresh); traces {
+		t.Fatal("a compiled program kept its traces")
+	}
+	want, err := stream(t, fresh, exec.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stream(t, p, exec.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStream(t, "after ThreadTraces", got, want)
+	if _, exps := exec.Memo(p); exps == 0 {
+		t.Fatal("the search kept no skeleton: it enumerated its own trace sets")
+	}
+	for tid := range p.Threads {
+		if again, _ := p.ThreadTraces(tid); &again[0] != &kept[tid][0] {
+			t.Fatalf("thread %d: ThreadTraces no longer returns the kept set", tid)
+		}
+	}
+}

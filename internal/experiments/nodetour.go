@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
-	"herdcats/internal/exec"
+	"herdcats/internal/crosscheck"
 	"herdcats/internal/litmus"
 )
 
@@ -32,10 +31,10 @@ type NoDetourRow struct {
 func NoDetour(minLen, maxLen, maxTests int) ([]NoDetourRow, error) {
 	configs := []struct {
 		arch         litmus.Arch
-		full, static *cat.Model
+		full, static string
 	}{
-		{litmus.PPC, cat.MustBuiltin("power"), cat.MustBuiltin("power-nodetour")},
-		{litmus.ARM, cat.MustBuiltin("arm"), cat.MustBuiltin("arm-nodetour")},
+		{litmus.PPC, "power", "power-nodetour"},
+		{litmus.ARM, "arm", "arm-nodetour"},
 	}
 	var rows []NoDetourRow
 	for _, cfg := range configs {
@@ -49,29 +48,24 @@ func NoDetour(minLen, maxLen, maxTests int) ([]NoDetourRow, error) {
 				corpus.Tests = append(corpus.Tests, t)
 			}
 		}
+		// The static ppo is weaker than the full one, so the pair expects
+		// every behaviour the full model allows to stay allowed.
+		full, static := crosscheck.MustCat(cfg.full), crosscheck.MustCat(cfg.static)
+		pair := crosscheck.Pair{A: full, B: static, Rel: crosscheck.Subset}
 		row := NoDetourRow{Arch: string(cfg.arch), Tests: len(corpus.Tests)}
 		for _, t := range corpus.Tests {
-			// Both model variants run through the sweep cache under one
-			// shared program (exec.Share), and a corpus test already
-			// checked under the same variant (e.g. a catalogue test that
-			// also appeared in Table V) is a verdict-cache hit.
-			ctx := exec.Share(context.Background(), t)
-			fullOut, _, err := sweepCache.Run(ctx, t, cfg.full, exec.Budget{})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", t.Name, err)
-			}
-			staticOut, _, err := sweepCache.Run(ctx, t, cfg.static, exec.Budget{})
+			rep, err := compare(context.Background(), t, []crosscheck.Pair{pair})
 			if err != nil {
 				return nil, err
 			}
-			if staticOut.Allowed() && !fullOut.Allowed() {
+			if len(rep.Disagreements) > 0 {
+				return nil, fmt.Errorf("%s: static ppo forbids a behaviour the full ppo allows", t.Name)
+			}
+			if allowed(rep, static.Name()) && !allowed(rep, full.Name()) {
 				row.Supplementary++
 				if len(row.Names) < 30 {
 					row.Names = append(row.Names, t.Name)
 				}
-			}
-			if fullOut.Allowed() && !staticOut.Allowed() {
-				return nil, fmt.Errorf("%s: static ppo forbids a behaviour the full ppo allows", t.Name)
 			}
 		}
 		rows = append(rows, row)

@@ -8,29 +8,22 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"herdcats/internal/campaign"
 	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/core"
+	"herdcats/internal/crosscheck"
 	"herdcats/internal/diy"
 	"herdcats/internal/exec"
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
-	"herdcats/internal/memo"
-	"herdcats/internal/sim"
 )
-
-// sweepCache memoises verdicts across every table and ablation in the
-// process: the nodetour ablation re-checks one corpus under model
-// variants, and Table V confronts the same ARM corpus with two models, so
-// repeated (test, model) pairs are served from memory instead of
-// re-enumerating. Compiled tests are shared only within one test's job
-// (exec.Share), across the engines that judge it there.
-var sweepCache = memo.New(0)
 
 // Corpus is a generated set of litmus tests for one architecture.
 type Corpus struct {
@@ -63,37 +56,6 @@ func BuildCorpus(arch litmus.Arch, minLen, maxLen, max int) *Corpus {
 	return c
 }
 
-// machineProfiles deduplicates machines with identical behaviour, so the
-// per-candidate work is done once per distinct profile.
-func machineProfiles(arch hardware.Arch) []hardware.Machine {
-	seen := map[string]bool{}
-	var out []hardware.Machine
-	for _, m := range hardware.ByArch(arch) {
-		key := fmt.Sprintf("%v|%v|%v",
-			m.HasBug(hardware.BugLoadLoadHazard),
-			m.HasBug(hardware.BugReadWriteHazard),
-			m.HasBug(hardware.BugObservation)) + "|" + profileBase(m)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// profileBase distinguishes machines by their intended-behaviour model via
-// a probe: whether they would observe an early-commit behaviour. We avoid
-// exporting hardware internals by using the machine name prefix.
-func profileBase(m hardware.Machine) string {
-	if strings.HasPrefix(m.Name, "apq") {
-		return "arm-early-commit"
-	}
-	if strings.HasPrefix(m.Name, "power") {
-		return "power"
-	}
-	return "arm-conservative"
-}
-
 // --- Table V ---------------------------------------------------------------
 
 // Table5Row is one column of Tab. V: a model confronted with a hardware
@@ -111,83 +73,88 @@ type Table5Row struct {
 // Power model on Power machines and the Power-ARM model on ARM machines,
 // plus the proposed-ARM-model row discussed in Sec. 8.1.2.
 func Table5(minLen, maxLen, maxTests int) ([]Table5Row, error) {
-	var rows []Table5Row
-
-	powerRow, err := confront(BuildCorpus(litmus.PPC, minLen, maxLen, maxTests),
-		cat.MustBuiltin("power"), hardware.Power)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, powerRow)
-
 	armCorpus := BuildCorpus(litmus.ARM, minLen, maxLen, maxTests)
-	powerARMRow, err := confront(armCorpus, cat.MustBuiltin("power-arm"), hardware.ARM)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, powerARMRow)
-
-	armRow, err := confront(armCorpus, cat.MustBuiltin("arm-llh"), hardware.ARM)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, armRow)
-	return rows, nil
+	return []Table5Row{
+		confront(BuildCorpus(litmus.PPC, minLen, maxLen, maxTests), "power", hardware.Power),
+		confront(armCorpus, "power-arm", hardware.ARM),
+		confront(armCorpus, "arm-llh", hardware.ARM),
+	}, nil
 }
 
-// confront runs every corpus test under the model and on every (distinct)
-// machine profile of the family, classifying tests as invalid/unseen. A
-// test's verdict and its machine runs share one compiled program, with its
-// thread traces and skeletons (exec.Share).
-// Tests are independent, so the corpus is swept on the campaign runner:
-// a test that panics or errors is counted in Errors and skipped, never
-// aborting the whole confrontation.
-func confront(c *Corpus, model sim.Checker, family hardware.Arch) (Table5Row, error) {
-	row := Table5Row{Arch: string(family), Model: model.Name(), Tests: len(c.Tests)}
-	profiles := machineProfiles(family)
-	observed := make([]bool, len(c.Tests))
-	jobs := make([]campaign.Job, len(c.Tests))
-	for i, t := range c.Tests {
-		i, t := i, t
-		jobs[i] = campaign.Job{Name: t.Name, Run: func(ctx context.Context, b exec.Budget) (*sim.Outcome, error) {
-			ctx = exec.Share(ctx, t)
-			p, err := exec.ProgramFor(ctx, t)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", t.Name, err)
-			}
-			out, _, err := sweepCache.Run(ctx, t, model, b)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range profiles {
-				obs, err := m.RunCompiled(ctx, p)
-				if err != nil {
-					return nil, err
-				}
-				if obs.CondObserved {
-					observed[i] = true
-					break
-				}
-			}
-			return out, nil
-		}}
-	}
-	rep := campaign.Run(context.Background(), campaign.Config{}, jobs)
-	for i, res := range rep.Jobs {
-		switch res.Status {
-		case campaign.StatusOK, campaign.StatusForbidden:
-			allowed := res.Status == campaign.StatusOK
-			switch {
-			case observed[i] && !allowed:
-				row.Invalid++
-			case !observed[i] && allowed:
-				row.Unseen++
-			}
-		default: // Error, Panicked, Incomplete, Skipped
-			row.Errors++
+// confront decides every corpus test under the named builtin model and on
+// every machine of the family, with one crosscheck comparison per test:
+// each machine's pair expects it to observe at most what the model allows
+// (Sec. 8.1.1). A violated pair makes the test invalid; a test the model
+// allows and no machine observes is unseen. A test that errors or panics
+// is counted in Errors and skipped (sweep).
+func confront(c *Corpus, model string, family hardware.Arch) Table5Row {
+	m := crosscheck.MustCat(model)
+	row := Table5Row{Arch: string(family), Model: cat.MustBuiltin(model).Name(), Tests: len(c.Tests)}
+	pairs := hardwarePairs(m, hardware.ByArch(family))
+	var mu sync.Mutex
+	row.Errors = sweep(c.Tests, func(ctx context.Context, t *litmus.Test) error {
+		rep, err := compare(ctx, t, pairs)
+		if err != nil {
+			return err
 		}
+		observed := slices.ContainsFunc(rep.Verdicts, func(v crosscheck.Verdict) bool {
+			return v.Allowed && v.Decider != m.Name()
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case len(rep.Disagreements) > 0:
+			row.Invalid++
+		case !observed && allowed(rep, m.Name()):
+			row.Unseen++
+		}
+		return nil
+	})
+	return row
+}
+
+// hardwarePairs expects each machine to observe at most what model allows
+// (Sec. 8.1.1); pair i is machines[i]'s.
+func hardwarePairs(model crosscheck.Decider, machines []hardware.Machine) []crosscheck.Pair {
+	pairs := make([]crosscheck.Pair, len(machines))
+	for i, m := range machines {
+		pairs[i] = crosscheck.Pair{A: crosscheck.Hardware(m), B: model, Rel: crosscheck.Subset}
 	}
-	return row, nil
+	return pairs
+}
+
+// compare is crosscheck.ComparePairs with a decider's failure as its error.
+func compare(ctx context.Context, t *litmus.Test, pairs []crosscheck.Pair) (*crosscheck.Report, error) {
+	rep, err := crosscheck.ComparePairs(ctx, t, pairs...)
+	if err == nil && len(rep.Errors) > 0 {
+		err = fmt.Errorf("%s: %s: %s", t.Name, rep.Errors[0].Decider, rep.Errors[0].Err)
+	}
+	return rep, err
+}
+
+// allowed reports the verdict rep gives the named decider.
+func allowed(rep *crosscheck.Report, decider string) bool {
+	i := slices.IndexFunc(rep.Verdicts, func(v crosscheck.Verdict) bool { return v.Decider == decider })
+	return i >= 0 && rep.Verdicts[i].Allowed
+}
+
+// sweep judges every test on the campaign pool. A test whose judge fails
+// or panics is counted, never fatal: the sweep goes on, and returns how
+// many tests failed.
+func sweep(tests []*litmus.Test, judge func(ctx context.Context, t *litmus.Test) error) int {
+	var failed atomic.Int64
+	_ = campaign.ForEach(context.Background(), 0, len(tests), func(ctx context.Context, i int) error {
+		defer func() {
+			if recover() != nil {
+				failed.Add(1)
+			}
+		}()
+		if judge(ctx, tests[i]) != nil {
+			failed.Add(1)
+		}
+		return nil
+	})
+	return int(failed.Load())
 }
 
 // RenderTable5 formats the rows like Tab. V.
@@ -224,6 +191,8 @@ var table6Tests = []string{
 // synthesized deterministically (we have no silicon to sample), scaled to
 // the rarity classes the paper reports.
 func Table6() ([]Table6Row, error) {
+	model, machines := crosscheck.MustCat("power-arm"), hardware.ByArch(hardware.ARM)
+	pairs := hardwarePairs(model, machines)
 	var rows []Table6Row
 	for _, name := range table6Tests {
 		var entry catalog.Entry
@@ -242,22 +211,16 @@ exists (0:r1=1 /\ 0:r2=0)`}
 				return nil, fmt.Errorf("experiments: unknown table VI test %q", name)
 			}
 		}
-		test := entry.Test()
-		out, _, err := sweepCache.Run(context.Background(), test, cat.MustBuiltin("power-arm"), exec.Budget{})
+		rep, err := compare(context.Background(), entry.Test(), pairs)
 		if err != nil {
 			return nil, err
 		}
-		verdict := "Forbid"
-		if out.Allowed() {
-			verdict = "Allow"
+		row := Table6Row{Test: name, Model: "Forbid"}
+		if allowed(rep, model.Name()) {
+			row.Model = "Allow"
 		}
-		row := Table6Row{Test: name, Model: verdict}
-		for _, m := range hardware.ByArch(hardware.ARM) {
-			obs, err := m.RunLitmus(test)
-			if err != nil {
-				return nil, err
-			}
-			if obs.CondObserved {
+		for i, m := range machines {
+			if allowed(rep, pairs[i].A.Name()) {
 				row.Observed = true
 				row.Machines = append(row.Machines, m.Name)
 			}
@@ -319,36 +282,23 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			corpus.Tests = append(corpus.Tests, t)
 		}
 	}
-	profiles := machineProfiles(hardware.ARM)
+	machines := hardware.ByArch(hardware.ARM)
 	checkers := []*cat.Model{cat.MustBuiltin("power-arm"), cat.MustBuiltin("arm-llh")}
 	rows := make([]Table8Row, len(checkers))
 	for i, m := range checkers {
 		rows[i] = Table8Row{Model: m.Name(), ByAxes: map[string]int{}}
 	}
 
-	// The sweep survives a single bad test: per-test panics and errors
-	// are contained here and counted, and cancellation (should a caller
-	// ever wrap this in a deadline) propagates into the enumeration.
+	// Tab. VIII has no error column: a test that fails or panics adds
+	// nothing, and the sweep goes on.
 	var mu sync.Mutex
-	skipped := 0
-	err := campaign.ForEach(context.Background(), 0, len(corpus.Tests), func(ctx context.Context, ti int) error {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				skipped++
-				mu.Unlock()
-			}
-		}()
-		t := corpus.Tests[ti]
+	sweep(corpus.Tests, func(ctx context.Context, t *litmus.Test) error {
 		p, err := exec.Compile(t)
 		if err != nil {
-			mu.Lock()
-			skipped++
-			mu.Unlock()
-			return nil
+			return err
 		}
-		observers := make([]*hardware.Observer, len(profiles))
-		for i, m := range profiles {
+		observers := make([]*hardware.Observer, len(machines))
+		for i, m := range machines {
 			observers[i] = m.Observer()
 		}
 		evaluators := make([]core.Checker, len(checkers))
@@ -356,14 +306,7 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			evaluators[i] = m.NewEvaluator()
 		}
 		return p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
-			observed := false
-			for _, o := range observers {
-				if o.Observes(c.X, t.Name) {
-					observed = true
-					break
-				}
-			}
-			if !observed {
+			if !slices.ContainsFunc(observers, func(o *hardware.Observer) bool { return o.Observes(c.X, t.Name) }) {
 				return true
 			}
 			for i, ev := range evaluators {
@@ -379,9 +322,6 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			return true
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
 	return rows, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"herdcats/internal/cat"
-	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/memo"
 	"herdcats/internal/obs"
@@ -232,14 +231,7 @@ func (g *Gateway) scope(model wire.ModelSpec, budget wire.BudgetSpec) (memo.Scop
 	if merr != nil {
 		return memo.Scope{}, merr
 	}
-	b := exec.Budget{
-		MaxCandidates:      budget.MaxCandidates,
-		MaxTracesPerThread: budget.MaxTracesPerThread,
-	}
-	if budget.TimeoutMS > 0 {
-		b.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
-	}
-	return memo.NewScope(modelID, b), nil
+	return memo.NewScope(modelID, budget.Budget()), nil
 }
 
 // litmusError is the envelope for a request whose litmus source does not

@@ -287,23 +287,16 @@ func (m Machine) RunLitmus(test *litmus.Test) (*Observation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.RunCompiled(context.Background(), p)
-}
-
-// RunCompiled is RunLitmus over a pre-compiled program, searching under
-// ctx: a canceled ctx stops the run with an error matching
-// exec.ErrCanceled.
-func (m Machine) RunCompiled(ctx context.Context, p *exec.Program) (*Observation, error) {
-	obs := &Observation{Machine: m.Name, Test: p.Test, States: map[string]int{}}
+	obs := &Observation{Machine: m.Name, Test: test, States: map[string]int{}}
 	o := m.Observer()
-	err := p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
+	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		obs.Candidates++
-		if !o.Observes(c.X, p.Test.Name) {
+		if !o.Observes(c.X, test.Name) {
 			return true
 		}
 		obs.Observed++
-		obs.States[c.State.Key(p.Test.Cond)]++
-		if p.Test.Cond == nil || p.Test.Cond.Eval(c.State) {
+		obs.States[c.State.Key(test.Cond)]++
+		if test.Cond == nil || test.Cond.Eval(c.State) {
 			obs.CondObserved = true
 		}
 		return true

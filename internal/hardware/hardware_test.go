@@ -2,7 +2,6 @@ package hardware_test
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -145,32 +144,6 @@ func TestMachineZoo(t *testing.T) {
 	}
 	if _, ok := hardware.ByName("vax"); ok {
 		t.Error("ByName(vax) should fail")
-	}
-}
-
-// TestRunCompiledHonoursContext: RunCompiled searches under its ctx, so a
-// campaign's cancellation stops a machine run with an error matching
-// exec.ErrCanceled; under a live ctx it observes what RunLitmus does.
-func TestRunCompiledHonoursContext(t *testing.T) {
-	m, _ := hardware.ByName("power7")
-	e, _ := catalog.ByName("iriw")
-	p, err := exec.Compile(e.Test())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.RunLitmus(e.Test())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.RunCompiled(context.Background(), p)
-	if err != nil || got.CondObserved != want.CondObserved || got.Candidates != want.Candidates {
-		t.Fatalf("RunCompiled = %+v, %v; RunLitmus = %+v", got, err, want)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.RunCompiled(ctx, p); !errors.Is(err, exec.ErrCanceled) {
-		t.Fatalf("canceled before the run: err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package memo is the content-addressed verdict cache behind the serving
-// layer (cmd/herdd) and the experiment sweeps: a (litmus test, model,
-// budget) triple is a pure function of its inputs, so its simulation
-// outcome can be addressed by the SHA-256 of a canonical rendering of those
-// inputs and computed exactly once.
+// layer (cmd/herdd and herd-gw): a (litmus test, model, budget) triple is
+// a pure function of its inputs, so its simulation outcome can be
+// addressed by the SHA-256 of a canonical rendering of those inputs and
+// computed exactly once.
 //
 // The cache has three layers, each LRU-bounded and instrumented:
 //
@@ -13,12 +13,9 @@
 //   - models: cat source → *cat.Model, so inline model sources are
 //     compiled once.
 //
-// The cache keeps no compiled test. A verdict miss takes its program from
-// exec.ProgramFor: a caller that judges one test under several models puts
-// exec.Share(ctx, test) on the context and they share one compile, with
-// its thread traces and skeletons; otherwise each miss compiles afresh.
-// Either way the program lives only as long as the work that compiled it
-// (DESIGN.md §18).
+// The cache keeps no compiled test: a verdict miss compiles the test
+// afresh (exec.Compile), and the program lives only as long as that
+// simulation (DESIGN.md §18).
 //
 // Concurrent identical requests are deduplicated with a stdlib-only
 // singleflight: the first caller (the leader) simulates, every concurrent
@@ -458,14 +455,13 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 	return out, false, err
 }
 
-// simulate runs the cold path on the program ctx shares for the test, or
-// on a fresh compile (exec.ProgramFor). The request's trace gets the
-// compile span (near-zero when ctx's program is already compiled) and the
-// simulation phases; the enumeration counters also roll up into the
-// cache-wide aggregate when Options.Obs is set.
+// simulate runs the cold path on a fresh compile of the test. The
+// request's trace gets the compile span and the simulation phases; the
+// enumeration counters also roll up into the cache-wide aggregate when
+// Options.Obs is set.
 func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error) {
 	stop := req.Obs.Phase(obs.PhaseCompile)
-	p, err := exec.ProgramFor(ctx, req.Test)
+	p, err := exec.Compile(req.Test)
 	stop()
 	if err != nil {
 		return nil, err

@@ -124,69 +124,6 @@ func TestHitMissAndSharing(t *testing.T) {
 	}
 }
 
-// baseSpy is a checker that records the skeleton (Execution.Base) of every
-// candidate it is asked about.
-type baseSpy struct {
-	name  string
-	mu    sync.Mutex
-	bases map[*events.Execution]bool
-}
-
-func newBaseSpy(name string) *baseSpy {
-	return &baseSpy{name: name, bases: map[*events.Execution]bool{}}
-}
-
-func (s *baseSpy) Name() string { return s.name }
-
-func (s *baseSpy) Check(x *events.Execution) core.Result {
-	s.mu.Lock()
-	s.bases[x.Base] = true
-	s.mu.Unlock()
-	return core.Result{Valid: true}
-}
-
-// TestShareScopesSkeletons: two models simulated through one Cache under
-// one exec.Share context judge their candidates over the same skeletons,
-// because both verdict misses take the context's program; a model
-// simulated on a context sharing nothing compiles afresh and sees skeletons
-// of its own.
-func TestShareScopesSkeletons(t *testing.T) {
-	c := memo.New(0)
-	test := mustTest(t, "mp")
-	ctx := exec.Share(context.Background(), test)
-	a, b, fresh := newBaseSpy("spy-a"), newBaseSpy("spy-b"), newBaseSpy("spy-fresh")
-	for _, run := range []struct {
-		ctx context.Context
-		spy *baseSpy
-	}{{ctx, a}, {ctx, b}, {context.Background(), fresh}} {
-		if _, cached, err := c.Run(run.ctx, test, run.spy, exec.Budget{}); err != nil || cached {
-			t.Fatalf("%s: cached=%v err=%v", run.spy.name, cached, err)
-		}
-	}
-	if len(a.bases) == 0 || a.bases[nil] {
-		t.Fatalf("spy-a saw skeletons %v, want non-nil ones", a.bases)
-	}
-	if len(a.bases) != len(b.bases) {
-		t.Fatalf("spy-a saw %d skeletons, spy-b %d", len(a.bases), len(b.bases))
-	}
-	for x := range a.bases {
-		if !b.bases[x] {
-			t.Fatalf("skeleton %p seen by spy-a only: the shared context's program was not shared", x)
-		}
-	}
-	for x := range fresh.bases {
-		if a.bases[x] {
-			t.Fatalf("skeleton %p seen on both the shared and a fresh context", x)
-		}
-	}
-	if len(fresh.bases) != len(a.bases) {
-		t.Fatalf("fresh context saw %d skeletons, the shared one %d", len(fresh.bases), len(a.bases))
-	}
-	if p, err := exec.ProgramFor(ctx, test); err != nil || p == nil {
-		t.Fatalf("shared program: %v", err) // keeps ctx's skeletons live until here
-	}
-}
-
 // TestLRUEviction: the verdict layer stays within its bound and re-running
 // an evicted triple is a miss again.
 func TestLRUEviction(t *testing.T) {

@@ -25,14 +25,13 @@ func TestMineMetricsGolden(t *testing.T) {
 	defer store.Close()
 	pairs := cheapPairs()
 	m, err := New(Config{
-		Arch:            litmus.PPC,
-		ExhaustiveMax:   3,
-		DisableSampling: true,
-		MaxTests:        10,
-		Workers:         2,
-		Pairs:           pairs,
-		Store:           store,
-		Reg:             reg,
+		Arch:          litmus.PPC,
+		ExhaustiveMax: 3,
+		MaxTests:      10,
+		Workers:       2,
+		Pairs:         pairs,
+		Store:         store,
+		Reg:           reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,11 +49,9 @@ type Config struct {
 	ExhaustiveMax int
 
 	// SampleSizes are the cycle lengths drawn by the seeded sampler once
-	// the exhaustive sweep is done (default {4}); empty with
-	// ExhaustiveMax set keeps the sweep purely exhaustive — set
-	// DisableSampling to suppress the default.
-	SampleSizes     []int
-	DisableSampling bool
+	// the exhaustive sweep is done; empty keeps the sweep purely
+	// exhaustive.
+	SampleSizes []int
 
 	// Seed drives the sampler; the whole corpus is a pure function of
 	// (Pool, ExhaustiveMax, SampleSizes, Seed).
@@ -153,11 +151,6 @@ func New(cfg Config) (*Miner, error) {
 	}
 	if cfg.ExhaustiveMax <= 0 {
 		cfg.ExhaustiveMax = 3
-	}
-	if cfg.DisableSampling {
-		cfg.SampleSizes = nil
-	} else if len(cfg.SampleSizes) == 0 {
-		cfg.SampleSizes = []int{4}
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

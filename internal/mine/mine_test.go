@@ -29,12 +29,11 @@ func cheapPairs() []crosscheck.Pair {
 func TestMinerResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state", "corpus.jsonl")
 	cfg := Config{
-		Arch:            litmus.PPC,
-		ExhaustiveMax:   3,
-		DisableSampling: true,
-		MaxTests:        40,
-		Workers:         4,
-		Pairs:           cheapPairs(),
+		Arch:          litmus.PPC,
+		ExhaustiveMax: 3,
+		MaxTests:      40,
+		Workers:       4,
+		Pairs:         cheapPairs(),
 	}
 
 	store, err := OpenStore(path)

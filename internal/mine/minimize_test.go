@@ -136,13 +136,12 @@ func TestMinerEmitsWitness(t *testing.T) {
 	}
 	out := t.TempDir()
 	m, err := New(Config{
-		Arch:            litmus.PPC,
-		Pool:            pool,
-		ExhaustiveMax:   4,
-		DisableSampling: true,
-		Workers:         2,
-		Pairs:           []crosscheck.Pair{brokenPair()},
-		OutDir:          out,
+		Arch:          litmus.PPC,
+		Pool:          pool,
+		ExhaustiveMax: 4,
+		Workers:       2,
+		Pairs:         []crosscheck.Pair{brokenPair()},
+		OutDir:        out,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,12 +237,11 @@ func TestMinimizeSharesProgram(t *testing.T) {
 	pair := brokenPair()
 	pair.A, pair.B = programSpy{pair.A, mu, seen}, programSpy{pair.B, mu, seen}
 	m, err := New(Config{
-		Arch:            litmus.PPC,
-		Pool:            pool,
-		ExhaustiveMax:   4,
-		DisableSampling: true,
-		Workers:         2,
-		Pairs:           []crosscheck.Pair{pair},
+		Arch:          litmus.PPC,
+		Pool:          pool,
+		ExhaustiveMax: 4,
+		Workers:       2,
+		Pairs:         []crosscheck.Pair{pair},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -96,13 +96,7 @@ func (s *Server) resolveModel(spec ModelSpec) (sim.Checker, int, error) {
 // the server's cap. The clamped budget is what enters the cache key, so
 // "no timeout" and "a timeout beyond the cap" address the same verdict.
 func (s *Server) budget(spec BudgetSpec) exec.Budget {
-	b := exec.Budget{
-		MaxCandidates:      spec.MaxCandidates,
-		MaxTracesPerThread: spec.MaxTracesPerThread,
-	}
-	if spec.TimeoutMS > 0 {
-		b.Timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
+	b := spec.Budget()
 	if lim := s.cfg.MaxSimTimeout; lim > 0 && (b.Timeout == 0 || b.Timeout > lim) {
 		b.Timeout = lim
 	}

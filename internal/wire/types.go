@@ -3,8 +3,10 @@ package wire
 import (
 	"errors"
 	"strings"
+	"time"
 
 	"herdcats/internal/campaign"
+	"herdcats/internal/exec"
 	"herdcats/internal/obs"
 	"herdcats/internal/sim"
 )
@@ -42,6 +44,15 @@ func (b BudgetSpec) Validate() error {
 		return errors.New("budget: bounds must be non-negative")
 	}
 	return nil
+}
+
+// Budget is the exec.Budget the bounds ask for; a zero bound is none.
+func (b BudgetSpec) Budget() exec.Budget {
+	eb := exec.Budget{MaxCandidates: b.MaxCandidates, MaxTracesPerThread: b.MaxTracesPerThread}
+	if b.TimeoutMS > 0 {
+		eb.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
+	}
+	return eb
 }
 
 // RunRequest is the body of POST /v1/run.
