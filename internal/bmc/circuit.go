@@ -21,7 +21,9 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"sync"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/rel"
 	"herdcats/internal/sat"
 )
@@ -46,13 +48,70 @@ type circuit struct {
 	keyBuf []byte
 	terms  []sat.Lit
 	cols   []uint32
+	// Relation matrices are carved from slab chunks, handed out in order
+	// and rewound by reset, so a reused circuit builds its matrices in
+	// the chunks of earlier instances.
+	slab  [][]sat.Lit
+	snext int       // next chunk of slab to hand out
+	free  []sat.Lit // the rest of the current chunk
 }
 
-func newCircuit(s *sat.Solver, m int) *circuit {
+// slabChunk is the literal count of one slab chunk: room for 7 matrices
+// at the encoding bound of 24 memory events, and for most comparisons'
+// matrices in two chunks.
+const slabChunk = 4 << 10
+
+// start readies the circuit over the empty solver s for matrices of
+// dimension m: its constant true, and empty gate caches.
+func (c *circuit) start(s *sat.Solver, m int) {
 	t := sat.Lit(s.NewVar())
 	s.AddClause(t)
-	return &circuit{s: s, trueLit: t, falseLit: t.Neg(), m: m,
-		andCache: map[[2]sat.Lit]sat.Lit{}, orCache: map[string]sat.Lit{}}
+	c.s, c.trueLit, c.falseLit, c.m = s, t, t.Neg(), m
+	if c.andCache == nil {
+		c.andCache, c.orCache = map[[2]sat.Lit]sat.Lit{}, map[string]sat.Lit{}
+	}
+}
+
+// reset empties the gate caches and rewinds the slab, keeping both.
+func (c *circuit) reset() {
+	clear(c.andCache)
+	clear(c.orCache)
+	c.s, c.snext, c.free = nil, 0, nil
+}
+
+// store is the storage an Instance keeps for the next: its solver and
+// circuit, and its variable maps. Instance.Release empties a store and
+// puts it in stores.
+type store struct {
+	s            sat.Solver
+	c            circuit
+	rfVar, coPos map[[2]int]sat.Lit
+	midx         map[int]int
+	models       map[*cat.Compiled]lowered
+}
+
+var stores sync.Pool
+
+// takeStore returns an empty store, from the pool when it has one.
+func takeStore() *store {
+	if st, ok := stores.Get().(*store); ok {
+		return st
+	}
+	st := &store{rfVar: map[[2]int]sat.Lit{}, coPos: map[[2]int]sat.Lit{},
+		midx: map[int]int{}, models: map[*cat.Compiled]lowered{}}
+	st.s.Reset() // the empty solver New returns
+	return st
+}
+
+// put empties the store and returns it to the pool.
+func (st *store) put() {
+	st.s.Reset()
+	st.c.reset()
+	clear(st.rfVar)
+	clear(st.coPos)
+	clear(st.midx)
+	clear(st.models)
+	stores.Put(st)
 }
 
 func (c *circuit) constOf(b bool) sat.Lit {
@@ -177,11 +236,32 @@ func (c *circuit) implies(act, a, b sat.Lit) {
 type relExpr []sat.Lit
 
 func (c *circuit) emptyRel() relExpr {
-	r := make(relExpr, c.m*c.m)
+	k := c.m * c.m
+	if len(c.free) < k {
+		c.free = c.chunk(k)
+	}
+	r := relExpr(c.free[:k:k])
+	c.free = c.free[k:]
 	for i := range r {
 		r[i] = c.falseLit
 	}
 	return r
+}
+
+// chunk hands out the next slab chunk of at least k literals, skipping
+// shorter ones, or a new one kept from then on.
+func (c *circuit) chunk(k int) []sat.Lit {
+	for c.snext < len(c.slab) {
+		ch := c.slab[c.snext]
+		c.snext++
+		if len(ch) >= k {
+			return ch
+		}
+	}
+	ch := make([]sat.Lit, max(slabChunk, k))
+	c.slab = append(c.slab, ch)
+	c.snext = len(c.slab)
+	return ch
 }
 
 func (c *circuit) union(a, b relExpr) relExpr {

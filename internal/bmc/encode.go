@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"errors"
 	"fmt"
 
 	"herdcats/internal/cat"
@@ -55,7 +56,13 @@ func (m ModelID) String() string {
 // single-model instance) or, on an instance from EncodeShared, behind an
 // activation literal of its own, so that one instance answers for every
 // model a comparison asks about (DESIGN.md §16).
+//
+// An instance's solver, circuit and maps are a store taken from a pool;
+// Release puts them back for a later instance, after which the instance
+// answers nothing: Decide returns an error, and Solve, Stats and Clauses
+// panic.
 type Instance struct {
+	st   *store // nil once released
 	s    *sat.Solver
 	c    *circuit
 	prog *exec.Program
@@ -88,12 +95,31 @@ type lowered struct {
 
 // Stats reports encoding size.
 func (in *Instance) Stats() (vars int, events int) {
-	return in.s.NumVars(), in.m
+	return in.live().NumVars(), in.m
 }
 
 // Clauses reports the stored clauses of the encoding (see
 // sat.Solver.NumClauses): read it before Solve for the encoding's size.
-func (in *Instance) Clauses() int { return in.s.NumClauses() }
+func (in *Instance) Clauses() int { return in.live().NumClauses() }
+
+// errReleased is Decide's answer on a released instance.
+var errReleased = errors.New("bmc: instance used after Release")
+
+// live returns the instance's solver, panicking once it is released.
+func (in *Instance) live() *sat.Solver {
+	if in.st == nil {
+		panic(errReleased)
+	}
+	return in.s
+}
+
+// Release puts the instance's storage back in the pool for a later
+// instance to take. The instance must not be used again.
+func (in *Instance) Release() {
+	in.live()
+	in.st.put()
+	*in = Instance{}
+}
 
 // Encode compiles the reachability of test's condition under the model.
 func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
@@ -121,9 +147,11 @@ func encode(prog *exec.Program, model *cat.Compiled) (*Instance, error) {
 		return nil, err
 	}
 	if err := in.lower(model, in.c.trueLit); err != nil {
+		in.Release()
 		return nil, err
 	}
 	if err := in.assertCondition(); err != nil {
+		in.Release()
 		return nil, err
 	}
 	return in, nil
@@ -140,9 +168,10 @@ func EncodeShared(prog *exec.Program) (*Instance, error) {
 		return nil, err
 	}
 	if err := in.assertCondition(); err != nil {
+		in.Release()
 		return nil, err
 	}
-	in.models = map[*cat.Compiled]lowered{}
+	in.models = in.st.models
 	return in, nil
 }
 
@@ -151,6 +180,9 @@ func EncodeShared(prog *exec.Program) (*Instance, error) {
 // activation literal act; each answers Solve(act), so no other model's
 // assertions take part.
 func (in *Instance) Decide(model ModelID) (bool, error) {
+	if in.st == nil {
+		return false, errReleased
+	}
 	if in.models == nil {
 		return false, fmt.Errorf("bmc: Decide(%v) on a single-model instance", model)
 	}
@@ -176,38 +208,44 @@ func (in *Instance) decide(model *cat.Compiled) (bool, error) {
 }
 
 // skeleton builds an instance's model-free part: the trace selectors, rf
-// and co variables, and fr.
+// and co variables, and fr. It takes its storage from the pool, and puts
+// it back if it fails.
 func skeleton(prog *exec.Program) (*Instance, error) {
-	var err error
-	in := &Instance{
-		s:     sat.New(),
-		prog:  prog,
-		rfVar: map[[2]int]sat.Lit{},
-		coPos: map[[2]int]sat.Lit{},
-		midx:  map[int]int{},
+	st := takeStore()
+	in := &Instance{st: st, s: &st.s, prog: prog, rfVar: st.rfVar, coPos: st.coPos, midx: st.midx}
+	if err := in.build(); err != nil {
+		in.Release()
+		return nil, err
 	}
+	return in, nil
+}
+
+// build encodes the model-free part into the instance's store.
+func (in *Instance) build() error {
+	prog := in.prog
 
 	// Thread traces with a uniform control-flow skeleton.
 	var first []exec.Trace
 	for tid := range prog.Threads {
 		ts, err := prog.ThreadTraces(tid)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(ts) == 0 {
-			return nil, fmt.Errorf("bmc: thread %d has no trace", tid)
+			return fmt.Errorf("bmc: thread %d has no trace", tid)
 		}
 		for _, tr := range ts[1:] {
 			if err := sameSkeleton(ts[0], tr); err != nil {
-				return nil, fmt.Errorf("bmc: thread %d: %v", tid, err)
+				return fmt.Errorf("bmc: thread %d: %v", tid, err)
 			}
 		}
 		in.traces = append(in.traces, ts)
 		first = append(first, ts[0])
 	}
+	var err error
 	in.asm, err = prog.Assemble(first)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Memory events.
@@ -219,15 +257,16 @@ func skeleton(prog *exec.Program) (*Instance, error) {
 	}
 	in.m = len(in.memID)
 	if in.m > 24 {
-		return nil, fmt.Errorf("bmc: %d memory events exceeds encoding bound", in.m)
+		return fmt.Errorf("bmc: %d memory events exceeds encoding bound", in.m)
 	}
-	in.c = newCircuit(in.s, in.m)
+	in.c = &in.st.c
+	in.c.start(in.s, in.m)
 
 	in.encodeSelectors()
 	in.encodeRF()
 	in.encodeCO()
 	in.buildCoreRels()
-	return in, nil
+	return nil
 }
 
 // lower runs a compiled cat model over the circuit (cat.Lower), every
@@ -247,7 +286,7 @@ func (in *Instance) lower(model *cat.Compiled, act sat.Lit) error {
 
 // Solve decides reachability: under the model of a single-model instance,
 // and under no model on one from EncodeShared.
-func (in *Instance) Solve() bool { return in.s.Solve() }
+func (in *Instance) Solve() bool { return in.live().Solve() }
 
 // sameSkeleton checks two traces have identical control flow and access
 // shape (values may differ).

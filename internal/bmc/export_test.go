@@ -4,6 +4,7 @@ import (
 	"herdcats/internal/cat"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
+	"herdcats/internal/sat"
 )
 
 // EncodeCat is the encoding of a test under a compiled cat model, for
@@ -19,3 +20,11 @@ func EncodeCat(test *litmus.Test, model *cat.Compiled) (*Instance, error) {
 // DecideCat is Decide under a compiled cat model, for tests of models that
 // no ModelID names.
 func (in *Instance) DecideCat(model *cat.Compiled) (bool, error) { return in.decide(model) }
+
+// newCircuit is a circuit over the solver s for matrices of dimension m,
+// outside any instance.
+func newCircuit(s *sat.Solver, m int) *circuit {
+	c := &circuit{}
+	c.start(s, m)
+	return c
+}

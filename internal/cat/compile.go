@@ -34,6 +34,7 @@ package cat
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"herdcats/internal/core"
 	"herdcats/internal/events"
@@ -178,8 +179,10 @@ type builtinSlot struct {
 // per skeleton over the slot file) and a flat dynamic instruction sequence
 // (run per candidate over pooled registers). A Compiled is immutable and
 // safe to share between goroutines; per-search mutable state lives in the
-// Evaluator it mints. It implements the simulator's Checker (via one-shot
-// evaluators) and core.EvaluatorProvider.
+// Evaluator it mints, whose storage goes back to the Compiled's pool on
+// Release for the next evaluator to take (DESIGN.md §18.1). It implements
+// the simulator's Checker (via one-shot evaluators) and
+// core.EvaluatorProvider.
 type Compiled struct {
 	m          *Model
 	sprog      []cinstr
@@ -194,6 +197,7 @@ type Compiled struct {
 	names      map[string]operand // every let binding, as bound at the model's end
 	lets       []cinstr           // prog computing the let bindings only (Reader)
 	letsDemand events.Dyn
+	pool       sync.Pool // *evaluator storage released by earlier evaluators
 }
 
 // Name returns the model's declared name.
@@ -203,20 +207,35 @@ func (c *Compiled) Name() string { return c.m.name }
 // caches identify the compiled and interpreted forms as the same model.
 func (c *Compiled) Fingerprint() string { return c.m.fp }
 
-// Check validates one execution with a throwaway evaluator. It is safe for
-// concurrent use; hot loops should hold an Evaluator (NewEvaluator) instead
-// so buffers and the static program are reused across candidates.
+// Check validates one execution with an evaluator borrowed for the call.
+// It is safe for concurrent use; hot loops should hold an Evaluator
+// (NewEvaluator) instead so the static program's results are reused
+// across candidates.
 func (c *Compiled) Check(x *events.Execution) core.Result {
-	return c.newEvaluator().Check(x)
+	ev := c.newEvaluator()
+	defer ev.Release()
+	return ev.Check(x)
 }
 
 // NewEvaluator implements core.EvaluatorProvider: the returned checker owns
-// a register file of pooled relation buffers and a per-skeleton cache of
-// the static program's results. One evaluator serves one goroutine.
+// a register file of relation buffers and a per-skeleton cache of the
+// static program's results. One evaluator serves one goroutine; Release
+// hands its storage back for a later evaluator of the model.
 func (c *Compiled) NewEvaluator() core.Checker { return c.newEvaluator() }
 
+// newEvaluator mints an evaluator over storage from the pool, or fresh
+// storage when the pool has none.
 func (c *Compiled) newEvaluator() *Evaluator {
-	return &Evaluator{
+	e, _ := c.pool.Get().(*evaluator)
+	if e == nil {
+		e = c.newStorage()
+	}
+	return &Evaluator{c: c, e: e}
+}
+
+// newStorage is an evaluator's storage, fresh.
+func (c *Compiled) newStorage() *evaluator {
+	return &evaluator{
 		c:     c,
 		ok:    make([]bool, len(c.checks)),
 		iters: make([]int, max(len(c.fixGroups), len(c.sGroups))),
@@ -622,13 +641,26 @@ func (lw *lowerer) owned(e expr) (operand, error) {
 // sim.Simulate holds one per search worker and checks only that worker's
 // shards with it, on the worker's goroutine; sibling evaluators read the
 // same skeletons concurrently but write only their own buffers.
+//
+// An Evaluator is a handle on storage it borrows from its Compiled's pool.
+// Release returns the storage; the handle then panics on any further use,
+// so a released evaluator never answers, whoever holds its storage next.
 type Evaluator struct {
+	c *Compiled
+	e *evaluator // nil once released
+}
+
+// evaluator is an Evaluator's storage: everything it keeps between
+// candidates, and between the evaluators that borrow it in turn.
+type evaluator struct {
 	c      *Compiled
 	n      int
 	base   *events.Execution
 	static []rel.Rel // the slot file
 	regs   []rel.Rel
-	ok     []bool // per check, its latest verdict
+	files  []uint64  // the backing static and regs are carved from
+	rs     []rel.Rel // their headers
+	ok     []bool    // per check, its latest verdict
 	iters  []int
 	dfs    rel.DFSScratch
 	seen   int       // candidates of the bound skeleton checked so far
@@ -647,8 +679,40 @@ func (ev *Evaluator) DerivesOwnDemand() {}
 // relations, Check derives the ones its program reads and no others, so a
 // deferred candidate (exec.Request.Deferred) is checked as is. Model
 // evaluation failure — a divergent let rec — is reported as Result.Err,
-// never as a panic.
-func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
+// never as a panic. Check on a released evaluator panics.
+func (ev *Evaluator) Check(x *events.Execution) core.Result { return ev.live().check(x) }
+
+// Release hands the evaluator's storage back to its Compiled for a later
+// evaluator to take. The evaluator must not be used again: Check and
+// Release panic from then on.
+func (ev *Evaluator) Release() { ev.c.pool.Put(ev.detach()) }
+
+// detach ends the handle and returns its storage, unbound.
+func (ev *Evaluator) detach() *evaluator {
+	e := ev.live()
+	ev.e = nil
+	e.unbind()
+	return e
+}
+
+// live returns the evaluator's storage, panicking once it is released.
+func (ev *Evaluator) live() *evaluator {
+	if ev.e == nil {
+		panic(fmt.Sprintf("cat: model %q: evaluator used after Release", ev.c.m.name))
+	}
+	return ev.e
+}
+
+// unbind forgets the bound skeleton, keeping the buffers: the next bind
+// runs the static program afresh, and the pool keeps no skeleton alive.
+func (ev *evaluator) unbind() {
+	ev.base, ev.seen = nil, 0
+	if ev.sp != nil {
+		ev.sp.on = false
+	}
+}
+
+func (ev *evaluator) check(x *events.Execution) (res core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = core.Result{Err: ev.evalErr(r)}
@@ -664,7 +728,7 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 	ev.seen++
 	covered := false
 	if sp := ev.sp; sp != nil && sp.on {
-		x.DeriveDemand(sp.demand, nil)
+		x.DeriveDemand(sp.demand)
 		covered = sp.covers(x)
 	}
 	if covered {
@@ -675,7 +739,7 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 			}
 		}
 	} else {
-		x.DeriveDemand(ev.c.demand, nil)
+		x.DeriveDemand(ev.c.demand)
 		ev.run(x, ev.regs, ev.c.prog, ev.c.fixGroups)
 	}
 
@@ -688,12 +752,12 @@ func (ev *Evaluator) Check(x *events.Execution) (res core.Result) {
 	return core.Result{Valid: len(failed) == 0, FailedChecks: failed}
 }
 
-func (ev *Evaluator) evalErr(r any) error {
+func (ev *evaluator) evalErr(r any) error {
 	return fmt.Errorf("cat: model %q evaluation failed: %v", ev.c.m.name, r)
 }
 
 // bindFor binds the skeleton of x, unless it is bound already.
-func (ev *Evaluator) bindFor(x *events.Execution) {
+func (ev *evaluator) bindFor(x *events.Execution) {
 	base := x.Base
 	if base == nil {
 		base = x
@@ -706,13 +770,19 @@ func (ev *Evaluator) bindFor(x *events.Execution) {
 // bind runs the static program against a new skeleton: the static
 // builtins fill their slots, the program computes the static bindings and
 // hoisted expressions into the slot file and records the static checks'
-// verdicts, and the files are (re)sized. Candidates sharing the skeleton
-// skip all of this.
-func (ev *Evaluator) bind(base *events.Execution, n int) {
+// verdicts, and the files are re-carved from the evaluator's backing for
+// a new universe size. Candidates sharing the skeleton skip all of this.
+func (ev *evaluator) bind(base *events.Execution, n int) {
 	c := ev.c
-	if ev.n != n || len(ev.regs) != c.nRegs || len(ev.static) != c.nSlots {
-		files := rel.NewN(n, c.nSlots+c.nRegs)
-		ev.static, ev.regs = files[:c.nSlots:c.nSlots], files[c.nSlots:]
+	if ev.n != n || ev.static == nil {
+		ev.rs = rel.Carve(&ev.files, ev.rs, n, c.nSlots+c.nRegs)
+		ev.static, ev.regs = ev.rs[:c.nSlots:c.nSlots], ev.rs[c.nSlots:]
+		if ev.sp != nil {
+			// The abstract run swaps register headers between the two
+			// files at each ~, so some of sp.hi may point into the
+			// backing just re-carved: re-carve sp's files too.
+			ev.sp.hi = nil
+		}
 	}
 	ev.base, ev.n = nil, n // bound only once the static program has run
 	for _, b := range c.builtins {
@@ -742,14 +812,14 @@ func applyCheck(kind checkKind, r rel.Rel, dfs *rel.DFSScratch) bool {
 // fetch resolves an operand against the register file regs, the static
 // slot file, the skeleton constants, or the candidate execution. The
 // register case is small enough to inline into run.
-func (ev *Evaluator) fetch(x *events.Execution, regs []rel.Rel, o operand) rel.Rel {
+func (ev *evaluator) fetch(x *events.Execution, regs []rel.Rel, o operand) rel.Rel {
 	if o.kind == oReg {
 		return regs[o.idx]
 	}
 	return ev.fetchOther(x, o)
 }
 
-func (ev *Evaluator) fetchOther(x *events.Execution, o operand) rel.Rel {
+func (ev *evaluator) fetchOther(x *events.Execution, o operand) rel.Rel {
 	switch o.kind {
 	case oStatic:
 		return ev.static[o.idx]
@@ -760,7 +830,7 @@ func (ev *Evaluator) fetchOther(x *events.Execution, o operand) rel.Rel {
 	}
 }
 
-func (ev *Evaluator) dirSet(x *events.Execution, d byte) rel.Set {
+func (ev *evaluator) dirSet(x *events.Execution, d byte) rel.Set {
 	switch d {
 	case 'R':
 		return x.R
@@ -775,7 +845,7 @@ func (ev *Evaluator) dirSet(x *events.Execution, d byte) rel.Set {
 // run executes a program over the register file regs: the static program
 // over the slot file, the generic or a residual dynamic program over the
 // registers. groups are the program's let rec groups.
-func (ev *Evaluator) run(x *events.Execution, regs []rel.Rel, prog []cinstr, groups []fixGroup) {
+func (ev *evaluator) run(x *events.Execution, regs []rel.Rel, prog []cinstr, groups []fixGroup) {
 	c := ev.c
 	clear(ev.iters)
 	for pc := 0; pc < len(prog); pc++ {
@@ -835,7 +905,7 @@ func (ev *Evaluator) run(x *events.Execution, regs []rel.Rel, prog []cinstr, gro
 // on candidate executions — ppo, fence, prop and hb, say, for the
 // operational machine. A name means its binding at the end of the model (a
 // later let shadows an earlier one). A Reader owns one evaluator, so it
-// serves one goroutine.
+// serves one goroutine, until Release hands the evaluator back.
 type Reader struct {
 	ev  *Evaluator
 	ops []operand
@@ -844,16 +914,20 @@ type Reader struct {
 // Reader resolves the named let bindings; a builtin or an unbound name is
 // an error.
 func (c *Compiled) Reader(names ...string) (*Reader, error) {
-	r := &Reader{ev: c.newEvaluator()}
+	var ops []operand
 	for _, name := range names {
 		o, ok := c.names[name]
 		if !ok {
 			return nil, fmt.Errorf("cat: model %q binds no %q", c.m.name, name)
 		}
-		r.ops = append(r.ops, o)
+		ops = append(ops, o)
 	}
-	return r, nil
+	return &Reader{ev: c.newEvaluator(), ops: ops}, nil
 }
+
+// Release hands the Reader's evaluator back to its Compiled; Values panics
+// from then on.
+func (r *Reader) Release() { r.ev.Release() }
 
 // letsProgram is the dynamic program without its checks and whatever only
 // they read: the residual build, with every check decided, nothing folded
@@ -887,14 +961,14 @@ func (c *Compiled) letsProgram() []cinstr {
 // Check it derives the dynamic relations it reads, and reports evaluation
 // failure as an error, never a panic.
 func (r *Reader) Values(x *events.Execution) (out []rel.Rel, err error) {
-	ev := r.ev
+	ev := r.ev.live()
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, ev.evalErr(p)
 		}
 	}()
 	ev.bindFor(x)
-	x.DeriveDemand(ev.c.letsDemand, nil)
+	x.DeriveDemand(ev.c.letsDemand)
 	ev.run(x, ev.regs, ev.c.lets, ev.c.fixGroups)
 	out = make([]rel.Rel, len(r.ops))
 	for i, o := range r.ops {
@@ -931,9 +1005,13 @@ type residual struct {
 
 	rfLo, rfHi, coLo, coHi rel.Rel
 	lox, hix               events.Execution // the bounds, derived
-	arena                  rel.Arena
-	lo, hi                 []rel.Rel // the abstract register files
+	lo, hi                 []rel.Rel        // the abstract register files
+	bnds                   []rel.Rel        // rf and co's bounds, hi, then lox and hix's dynamic buffers, carved from bndBuf
+	bndBuf                 []uint64
+	record                 bool      // the bound run records skeleton constants
 	consts                 []rel.Rel // skeleton constants; the first nConst are in use
+	constBuf               []uint64  // the backing consts is carved from, for constN events
+	constN                 int
 	nConst                 int
 	prog                   []cinstr
 	demand                 events.Dyn // what prog fetches, plus rf and co for covers
@@ -998,14 +1076,14 @@ func (sp *residual) bounds(base *events.Execution, sameValue bool, d events.Dyn)
 	sp.hix.Events, sp.hix.RF, sp.hix.CO = evs, sp.rfHi, sp.coHi
 	for _, x := range []*events.Execution{&sp.lox, &sp.hix} {
 		x.AdoptStatic(base) // clears what was derived
-		x.DeriveDemand(d, &sp.arena)
+		x.DeriveDemand(d)
 	}
 }
 
 // constant records r as a skeleton constant and returns its index, or -1
-// without consts.
+// when the run records none.
 func (sp *residual) constant(r rel.Rel) int {
-	if sp.consts == nil {
+	if !sp.record {
 		return -1
 	}
 	sp.consts[sp.nConst].CopyFrom(r)
@@ -1015,7 +1093,7 @@ func (sp *residual) constant(r rel.Rel) int {
 
 // bound resolves an operand of the generic program in the lower (hi
 // false) or the upper abstract register file.
-func (sp *residual) bound(ev *Evaluator, o operand, hi bool) rel.Rel {
+func (sp *residual) bound(ev *evaluator, o operand, hi bool) rel.Rel {
 	x, regs := &sp.lox, sp.lo
 	if hi {
 		x, regs = &sp.hix, sp.hi
@@ -1033,10 +1111,14 @@ func (sp *residual) bound(ev *Evaluator, o operand, hi bool) rel.Rel {
 // reports false when some let rec's abstract iteration does not converge:
 // the skeleton then keeps the generic program, which reports the
 // divergence of every candidate that diverges.
-func (ev *Evaluator) specialise() bool {
+func (ev *evaluator) specialise() bool {
 	sp, c := ev.sp, ev.c
-	if sp.n != ev.n || sp.consts == nil {
-		sp.consts = rel.NewN(ev.n, len(c.prog)+c.nRegs) // a result per instruction, a value per member
+	if sp.constN != ev.n || sp.consts == nil {
+		sp.consts = rel.Carve(&sp.constBuf, sp.consts, ev.n, len(c.prog)+c.nRegs) // a result per instruction, a value per member
+		sp.constN = ev.n
+	}
+	sp.record = true
+	if sp.prog == nil {
 		sp.prog = make([]cinstr, 0, len(c.prog))
 		sp.live, sp.written, sp.exposed = make([]bool, c.nRegs), make([]bool, c.nRegs), make([]bool, c.nRegs)
 	}
@@ -1053,13 +1135,20 @@ func (ev *Evaluator) specialise() bool {
 // value, or of any) and runs the abstract program's first end
 // instructions over them, leaving each register's bounds in sp.lo and
 // sp.hi. It reports false when some let rec's abstract iteration does not
-// converge. Without consts (cat.Lower's run) it records no constants.
-func (ev *Evaluator) boundRun(sameValue bool, end int) bool {
+// converge. Unless sp.record is set (cat.Lower's run) it records no
+// constants.
+func (ev *evaluator) boundRun(sameValue bool, end int) bool {
 	sp, c, n := ev.sp, ev.c, ev.n
 	if sp.n != n || sp.hi == nil {
-		b := rel.NewN(n, 4)
+		sp.bnds = rel.Carve(&sp.bndBuf, sp.bnds, n, 4+c.nRegs+2*events.DynBuffers)
+		b := sp.bnds
 		sp.n, sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = n, b[0], b[1], b[2], b[3]
-		sp.hi = rel.NewN(n, c.nRegs)
+		b = b[4:]
+		sp.hi, b = b[:c.nRegs:c.nRegs], b[c.nRegs:]
+		sp.lox.AdoptDynamicBuffers(b[:events.DynBuffers])
+		sp.hix.AdoptDynamicBuffers(b[events.DynBuffers:])
+	}
+	if sp.constAt == nil {
 		sp.constAt, sp.fold, sp.member = make([]int, len(c.prog)), make([]bool, len(c.fixGroups)), make([]int, c.nRegs)
 		sp.decided, sp.fixedOK = make([]bool, len(c.checks)), make([]bool, len(c.checks))
 	}
@@ -1076,7 +1165,7 @@ func (ev *Evaluator) boundRun(sameValue bool, end int) bool {
 // every round of the concrete iteration from ∅. The run records the
 // results, groups and checks the bounds decide. It stops before
 // instruction end.
-func (sp *residual) abstract(ev *Evaluator, end int) bool {
+func (sp *residual) abstract(ev *evaluator, end int) bool {
 	c := ev.c
 	sp.nConst = 0
 	gi, iters := 0, 0

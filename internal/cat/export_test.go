@@ -31,7 +31,7 @@ func SkeletonBounds(base *events.Execution) (rfLo, rfHi, coLo, coHi rel.Rel) {
 // compiled evaluator and of the residual program it runs for its bound
 // skeleton (-1 when it has not specialised the skeleton).
 func ProgramSizes(ev core.Checker) (generic, residual int) {
-	e := ev.(*Evaluator)
+	e := ev.(*Evaluator).live()
 	if e.sp == nil || !e.sp.on {
 		return len(e.c.prog), -1
 	}
@@ -42,7 +42,7 @@ func ProgramSizes(ev core.Checker) (generic, residual int) {
 // a check: its generic program's, and its residual program's plus the
 // covers guard's (0 when it has not specialised its bound skeleton).
 func Demands(ev core.Checker) (generic, residual events.Dyn) {
-	e := ev.(*Evaluator)
+	e := ev.(*Evaluator).live()
 	if e.sp == nil || !e.sp.on {
 		return e.c.demand, 0
 	}

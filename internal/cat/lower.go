@@ -53,16 +53,26 @@ func Lower[R any](c *Compiled, x *events.Execution, g Gates[R]) (staticOK bool, 
 	if err := c.lowerable(); err != nil {
 		return false, err
 	}
+	ev := c.newEvaluator()
+	defer ev.Release()
+	return lower(ev.e, x, g)
+}
+
+// lower is Lower over the evaluator storage ev, which it leaves bound.
+func lower[R any](ev *evaluator, x *events.Execution, g Gates[R]) (staticOK bool, err error) {
+	c := ev.c
 	defer func() {
 		if r := recover(); r != nil { // a divergent static let rec
 			staticOK, err = false, fmt.Errorf("cat: model %q evaluation failed: %v", c.m.name, r)
 		}
 	}()
-	ev := c.newEvaluator()
 	ev.bind(x, x.N())
 	var lo, hi []rel.Rel
 	if len(c.fixGroups) > 0 {
-		ev.sp = &residual{}
+		if ev.sp == nil {
+			ev.sp = &residual{}
+		}
+		ev.sp.record = false
 		if !ev.boundRun(false, c.fixGroups[len(c.fixGroups)-1].end+1) {
 			return false, fmt.Errorf("cat: model %q: let rec bounds did not converge", c.m.name)
 		}

@@ -32,6 +32,16 @@ type EvaluatorProvider interface {
 	NewEvaluator() Checker
 }
 
+// Release hands an evaluator's storage back to its provider, when the
+// evaluator borrowed it from a pool (it has a Release method: the
+// compiled cat evaluators), and does nothing otherwise. The evaluator
+// must not be used again.
+func Release(ck Checker) {
+	if r, ok := ck.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // Result reports the outcome of checking one candidate execution.
 type Result struct {
 	// Valid is true iff every axiom holds.

@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"herdcats/internal/bmc"
@@ -35,9 +36,12 @@ type judge func(c *exec.Candidate) (accepted bool, err error)
 // walker is a decider that judges candidates: the axiomatic checkers, the
 // machine and the hardware. Only the types themselves implement it, so a
 // wrapper that embeds a Decider is decided through its own Decide.
+// newJudge's judge serves one walk of p, on one goroutine; its release,
+// nil when the judge borrowed nothing, hands the evaluators it borrowed
+// back to their pools once the walk is over.
 type walker interface {
 	Decider
-	newJudge(p *exec.Program) (judge, error) // for one walk of p, on one goroutine
+	newJudge(p *exec.Program) (j judge, release func(), err error)
 }
 
 // walk decides every walker over one deferred search of the test's program
@@ -52,7 +56,11 @@ func walk(ctx context.Context, test *litmus.Test, ws []walker) (allowed []bool, 
 	p, err := exec.ProgramFor(ctx, test)
 	for i, w := range ws {
 		if errs[i] = err; err == nil {
-			judges[i], errs[i] = w.newJudge(p)
+			var release func()
+			judges[i], release, errs[i] = w.newJudge(p)
+			if release != nil {
+				defer release()
+			}
 		}
 		if errs[i] == nil {
 			undecided++
@@ -120,21 +128,22 @@ func (d axiomatic) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 
 // newJudge checks each candidate with one evaluator of the model, which
 // derives what it reads itself or is handed the fully derived candidate.
-func (d axiomatic) newJudge(*exec.Program) (judge, error) {
+func (d axiomatic) newJudge(*exec.Program) (judge, func(), error) {
 	ck := d.model
+	var release func()
 	if prov, ok := ck.(core.EvaluatorProvider); ok {
 		if ev := prov.NewEvaluator(); ev != nil {
-			ck = ev
+			ck, release = ev, func() { core.Release(ev) }
 		}
 	}
 	_, self := ck.(sim.SelfDeriving)
 	return func(c *exec.Candidate) (bool, error) {
 		if !self {
-			c.X.DeriveDemand(events.DynAll, nil)
+			c.X.DeriveDemand(events.DynAll)
 		}
 		res := ck.Check(c.X)
 		return res.Valid, res.Err
-	}, nil
+	}, release, nil
 }
 
 // --- operational machine ---------------------------------------------------
@@ -153,19 +162,19 @@ func (d operational) Decide(ctx context.Context, test *litmus.Test) (bool, error
 	return decideAlone(ctx, test, d)
 }
 
-func (d operational) newJudge(*exec.Program) (judge, error) {
+func (d operational) newJudge(*exec.Program) (judge, func(), error) {
 	md, err := machine.NewModel(d.model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return func(c *exec.Candidate) (bool, error) {
-		c.X.DeriveDemand(events.DynAll, nil)
+		c.X.DeriveDemand(events.DynAll)
 		m, err := machine.New(md, c.X)
 		if err != nil {
 			return false, err
 		}
 		return m.Accepts(), nil
-	}, nil
+	}, md.Release, nil
 }
 
 // --- SAT-based bounded model checking --------------------------------------
@@ -175,7 +184,8 @@ type bmcDecider struct{ id bmc.ModelID }
 // BMC wraps the SAT encoding of the given model: the test is allowed iff
 // the instance conjoining the model's axioms with the condition is
 // satisfiable. Under ComparePairs the bmc deciders of one comparison share
-// one instance (shareBMC); on any other ctx each encodes the test alone.
+// one instance (shareBMC), released when the comparison returns; on any
+// other ctx each encodes the test alone and releases its instance.
 func BMC(id bmc.ModelID) Decider { return bmcDecider{id: id} }
 
 func (d bmcDecider) Name() string { return "bmc:" + d.id.String() }
@@ -191,9 +201,13 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	sl, ok := ctx.Value(bmcKey{}).(*bmcSlot)
 	if !ok || sl.test != test {
 		sl = &bmcSlot{test: test} // an instance for this decider alone
+		defer sl.release()
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
+	if sl.over {
+		return false, errComparisonOver
+	}
 	if sl.inst == nil && sl.err == nil {
 		sl.inst, sl.err = bmc.EncodeShared(p)
 	}
@@ -203,6 +217,10 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	return sl.inst.Decide(d.id)
 }
 
+// errComparisonOver is a bmc decider's answer on the context of a
+// comparison that has returned.
+var errComparisonOver = errors.New("crosscheck: bmc decider run on the context of a finished comparison")
+
 // bmcKey is the context key of a comparison's shared SAT instance.
 type bmcKey struct{}
 
@@ -210,19 +228,45 @@ type bmcKey struct{}
 // model-free part of test's encoding, built by the first bmc decider that
 // runs, onto which each bmc decider lowers its model behind an activation
 // literal (DESIGN.md §16). mu serialises the deciders, as one solver
-// answers them all.
+// answers them all. Once over, the instance is released and a decider
+// on the slot gets an error.
 type bmcSlot struct {
-	test *litmus.Test
-	mu   sync.Mutex
-	inst *bmc.Instance
-	err  error
+	test   *litmus.Test
+	mu     sync.Mutex
+	inst   *bmc.Instance
+	err    error
+	over   bool
+	shared bool // attached to a comparison's context by shareBMC
 }
 
 // shareBMC returns a context carrying one SAT instance for test, shared by
-// every bmc decider that judges test under it; it is dropped with the
-// context.
-func shareBMC(ctx context.Context, test *litmus.Test) context.Context {
-	return context.WithValue(ctx, bmcKey{}, &bmcSlot{test: test})
+// every bmc decider that judges test under it, and the function that
+// releases the instance once none of them runs any more.
+func shareBMC(ctx context.Context, test *litmus.Test) (context.Context, func()) {
+	sl := &bmcSlot{test: test, shared: true}
+	return context.WithValue(ctx, bmcKey{}, sl), sl.release
+}
+
+// slotReleased, when set, is told of every release of a slot: whether a
+// comparison shared it, and whether it held an instance (tests count
+// releases with it).
+var slotReleased func(shared, hadInstance bool)
+
+// release ends the slot: it releases the instance, if one was encoded.
+func (sl *bmcSlot) release() {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.over {
+		panic("crosscheck: bmc slot released twice")
+	}
+	sl.over = true
+	if slotReleased != nil {
+		slotReleased(sl.shared, sl.inst != nil)
+	}
+	if sl.inst != nil {
+		sl.inst.Release()
+		sl.inst = nil
+	}
 }
 
 // --- simulated hardware ----------------------------------------------------
@@ -243,11 +287,11 @@ func (d hwDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error) 
 // newJudge asks one observer of the machine about each candidate. Every
 // engine an observer runs is a compiled cat evaluator, which derives what
 // it reads itself.
-func (d hwDecider) newJudge(p *exec.Program) (judge, error) {
+func (d hwDecider) newJudge(p *exec.Program) (judge, func(), error) {
 	o := d.m.Observer()
 	return func(c *exec.Candidate) (bool, error) {
 		return o.Observes(c.X, p.Test.Name), nil
-	}, nil
+	}, o.Release, nil
 }
 
 // --- the expected-agreement table ------------------------------------------

@@ -3,6 +3,7 @@ package crosscheck_test
 import (
 	"context"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -166,8 +167,11 @@ func TestComparePairsSharesOneProgram(t *testing.T) {
 
 // TestComparePairsAllocsCeiling is the bench-smoke guard on what one
 // comparison costs the allocator: the full PPC table over one diy test
-// must allocate no more than measured once its walk deciders shared one
-// deferred candidate walk (go1.24: 1685; 2415 when each walked the
+// must allocate no more than measured once the deciders' storage outlived
+// the test, the cat evaluators, SAT solver and circuit, and search slot
+// each taken from a pool and released when the comparison is done
+// (go1.24: 650; 1685 once its walk deciders shared one deferred
+// candidate walk, 2415 when each walked the
 // candidates alone, the cat models through sim.Simulate's histograms,
 // once the bmc deciders shared one SAT instance over flat relation
 // matrices; 2529 with a slice per matrix row, 3236 when each bmc decider
@@ -197,10 +201,47 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 			t.Fatalf("%s: %v %+v", test.Name, err, rep)
 		}
 	})
-	const ceiling = 1685
+	const ceiling = 650
 	t.Logf("%s over the PPC table: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
+	}
+}
+
+// TestComparePairsBytesCeiling is the bench-smoke guard on the bytes one
+// comparison allocates: the full PPC table over the 200-test diy PPC
+// corpus (diyCorpusOf) must allocate, per comparison, no more than
+// measured once the deciders' storage outlived the test (go1.24:
+// 129–138 KB; 281 KB when every cat evaluator, SAT solver, circuit and
+// search slot was built for one test and dropped). The figure is
+// TotalAlloc over one pass of the corpus after a warm-up pass. It moves
+// by several KB as the collector empties the pools, so the ceiling is
+// about 10% above the measured figures. Gated on BENCH_ENUM_OUT like the other bench
+// asserts.
+func TestComparePairsBytesCeiling(t *testing.T) {
+	if os.Getenv("BENCH_ENUM_OUT") == "" {
+		t.Skip("set BENCH_ENUM_OUT to run the comparison bytes ceiling check")
+	}
+	tests := diyCorpusOf(t, litmus.PPC, diy.PowerPool(), 200)
+	pairs := crosscheck.Pairs(litmus.PPC)
+	pass := func() {
+		for _, test := range tests {
+			rep, err := crosscheck.ComparePairs(context.Background(), test, pairs...)
+			if err != nil || !rep.Agreed() {
+				t.Fatalf("%s: %v %+v", test.Name, err, rep)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(len(tests))
+	const ceiling = 150_000
+	t.Logf("%d diy PPC tests over the PPC table: %d bytes/op (ceiling %d)", len(tests), perOp, ceiling)
+	if perOp > ceiling {
+		t.Errorf("%d diy PPC tests over the PPC table: %d bytes/op, ceiling %d", len(tests), perOp, ceiling)
 	}
 }
 

@@ -182,7 +182,7 @@ func TestDeriveDemandMatchesReference(t *testing.T) {
 			checkDemand(t, "full derivation", &full, events.DynAll, want)
 			for d := events.Dyn(0); d <= events.DynAll; d++ {
 				x.AdoptStatic(base)
-				x.DeriveDemand(d, nil)
+				x.DeriveDemand(d)
 				checkDemand(t, "demand", x, d, want)
 			}
 		}
@@ -214,11 +214,11 @@ func TestDeriveDemandSlotReuse(t *testing.T) {
 			for _, b := range masks {
 				slot := *first
 				slot.RF, slot.CO = first.RF.Clone(), first.CO.Clone()
-				slot.DeriveDemand(a, nil)
+				slot.DeriveDemand(a)
 				slot.RF.CopyFrom(second.RF)
 				slot.CO.CopyFrom(second.CO)
 				slot.AdoptStatic(base)
-				slot.DeriveDemand(b, nil)
+				slot.DeriveDemand(b)
 				checkDemand(t, fmt.Sprintf("after demand %#x on another candidate", a), &slot, b, want)
 			}
 		}
@@ -243,7 +243,7 @@ func TestDeriveDemandSlotReuse(t *testing.T) {
 		i := 0
 		err = p.Search(context.Background(), exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
 			d := masks[i%len(masks)]
-			c.X.DeriveDemand(d, nil)
+			c.X.DeriveDemand(d)
 			checkDemand(t, fmt.Sprintf("%s candidate %d", name, i), c.X, d, dynRef(fulls[i].X))
 			if i%5 == 0 { // a partly derived candidate clones fully derived
 				checkDemand(t, fmt.Sprintf("%s clone %d", name, i), c.Clone().X, events.DynAll, dynRef(fulls[i].X))

@@ -205,7 +205,7 @@ type Execution struct {
 	memRF rel.Rel // cached RF.Restrict(W, R), valid when derived has DynRF
 
 	// derived marks the dynamic relations computed for the current rf and
-	// co. AdoptStatic, DeriveDynamicInto and a buffer reallocation clear
+	// co. AdoptStatic, DeriveDynamic and a buffer reallocation clear
 	// it, so nothing derived for one candidate survives into the next.
 	derived Dyn
 
@@ -431,6 +431,23 @@ func (d Dyn) closure() Dyn {
 	return d
 }
 
+// DynBuffers is the number of dynamic relation buffers an execution
+// derives into (AdoptDynamicBuffers).
+const DynBuffers = 10
+
+// AdoptDynamicBuffers makes bufs, DynBuffers empty relations over x's
+// events, the buffers DeriveDemand derives into, and forgets what was
+// derived. A caller that keeps an execution's storage across universe
+// sizes carves them itself instead of having DeriveDemand allocate them.
+func (x *Execution) AdoptDynamicBuffers(bufs []rel.Rel) {
+	x.FR, x.Com, x.SW = bufs[0], bufs[1], bufs[2]
+	x.RFE, x.RFI = bufs[3], bufs[4]
+	x.COE, x.COI = bufs[5], bufs[6]
+	x.FRE, x.FRI = bufs[7], bufs[8]
+	x.memRF = bufs[9]
+	x.dynN, x.derived = bufs[0].N(), 0
+}
+
 // DeriveDynamic computes every relation downstream of the enumerated rf
 // and co: fr, com, sw and the internal/external splits. It requires the
 // static half (DeriveStatic or AdoptStatic) to be in place. Every output
@@ -438,15 +455,7 @@ func (d Dyn) closure() Dyn {
 // stay valid; the enumeration hot loop uses DeriveDemand instead.
 func (x *Execution) DeriveDynamic() {
 	x.dynN = -1 // force fresh buffers: callers may hold the old ones
-	x.DeriveDynamicInto(nil)
-}
-
-// DeriveDynamicInto recomputes every dynamic relation in place, as
-// DeriveDemand(DynAll, a) after forgetting what was derived before, so it
-// is safe after RF or CO changed by hand.
-func (x *Execution) DeriveDynamicInto(a *rel.Arena) {
-	x.derived = 0
-	x.DeriveDemand(DynAll, a)
+	x.DeriveDemand(DynAll)
 }
 
 // DeriveDemand is the one dynamic derivation: it computes the relations
@@ -457,20 +466,14 @@ func (x *Execution) DeriveDynamicInto(a *rel.Arena) {
 // otherwise it is cleared.
 //
 // The buffers are recomputed in place when the universe size matches the
-// previous derivation's; otherwise every one is drawn from the arena at
-// once, even for an empty d, and then belongs to the execution, not the
-// pool. A nil arena degrades to plain allocation. Nothing else is drawn:
-// a warm derivation allocates nothing. The caller must not hold references
-// to x's dynamic relations across calls: they are overwritten.
-func (x *Execution) DeriveDemand(d Dyn, a *rel.Arena) {
-	n := x.N()
-	if x.dynN != n {
-		x.FR, x.Com, x.SW = a.Get(n), a.Get(n), a.Get(n)
-		x.RFE, x.RFI = a.Get(n), a.Get(n)
-		x.COE, x.COI = a.Get(n), a.Get(n)
-		x.FRE, x.FRI = a.Get(n), a.Get(n)
-		x.memRF = a.Get(n)
-		x.dynN, x.derived = n, 0
+// previous derivation's; otherwise every one is allocated at once, even
+// for an empty d (AdoptDynamicBuffers lets a caller carve them instead).
+// Nothing else is allocated: a warm derivation allocates nothing. The
+// caller must not hold references to x's dynamic relations across calls:
+// they are overwritten.
+func (x *Execution) DeriveDemand(d Dyn) {
+	if n := x.N(); x.dynN != n {
+		x.AdoptDynamicBuffers(rel.NewN(n, DynBuffers))
 	}
 	d = d.closure() &^ x.derived
 	if d == 0 {

@@ -146,3 +146,32 @@ func TestShardYieldZeroCopy(t *testing.T) {
 		t.Fatal("no shard yielded two candidates; the expiry check never ran")
 	}
 }
+
+// TestFinishedSearchSlotRefuses: a finished search puts its candidate
+// slot back for the next search to reuse, so a candidate retained past
+// the search is Expired even when it was the last one yielded, and
+// Clone of it panics instead of copying the next search's candidate.
+func TestFinishedSearchSlotRefuses(t *testing.T) {
+	p := compile(t, mpSrc)
+	var last *exec.Candidate
+	for range 2 { // the second search may take the first one's slot
+		err := p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
+			last = c
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !last.Expired() {
+			t.Fatal("the last candidate of a finished search is not Expired")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Clone of a candidate of a finished search did not panic")
+				}
+			}()
+			last.Clone()
+		}()
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"herdcats/internal/events"
 	"herdcats/internal/obs"
-	"herdcats/internal/rel"
 )
 
 // The enumeration of Sec. 3 is combinatorial: read-value vectors, rf maps
@@ -117,18 +116,27 @@ type search struct {
 	err     error // non-nil iff stopped abnormally
 	tick    uint  // throttle for the deadline/cancellation checks
 
-	slot   *candSlot  // lazily-built reusable candidate arena (see expand.go)
+	slot   *candSlot  // lazily-taken reusable candidate arena (see expand.go)
 	derive events.Dyn // what emission derives: everything, or nothing when deferred
 }
 
-// candidateSlot returns the search's candidate arena, building it on first
-// use so searches that never reach a leaf (infeasible, canceled early)
-// pay nothing.
+// candidateSlot returns the search's candidate arena, taking it from the
+// pool on first use so searches that never reach a leaf (infeasible,
+// canceled early) take none.
 func (s *search) candidateSlot() *candSlot {
 	if s.slot == nil {
-		s.slot = &candSlot{arena: rel.NewArena()}
+		s.slot = slots.Get().(*candSlot)
 	}
 	return s.slot
+}
+
+// releaseSlot puts the search's candidate arena back once the search is
+// over: a candidate it yielded is Expired from then on.
+func (s *search) releaseSlot() {
+	if s.slot != nil {
+		s.slot.release()
+		s.slot = nil
+	}
 }
 
 // flush publishes the search's private candidate count to an

@@ -50,9 +50,13 @@ type Candidate struct {
 // relations) is immutable and stays shared; the per-candidate relations
 // (rf, co and every dynamic derivation) and the final memory are copied.
 // A deferred candidate first derives, in its slot, whatever its consumer
-// has not, so the copy is always fully derived.
+// has not, so the copy is always fully derived. Clone of an Expired
+// candidate panics: its slot holds another candidate by then.
 func (c *Candidate) Clone() *Candidate {
-	c.X.DeriveDemand(events.DynAll, nil)
+	if c.Expired() {
+		panic("exec: Clone of an expired candidate")
+	}
+	c.X.DeriveDemand(events.DynAll)
 	x := *c.X
 	x.RF = c.X.RF.Clone()
 	x.CO = c.X.CO.Clone()

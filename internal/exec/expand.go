@@ -378,8 +378,8 @@ func (w *walker) walk(level int) {
 
 // candSlot is the reusable candidate arena of one search. Every candidate
 // the search yields is materialised into the same Execution and final
-// state, with the relation buffers drawn from (and recycled through) one
-// rel.Arena — steady-state emission allocates nothing but the small
+// state, over rf, co and dynamic relation buffers carved from the slot's
+// backing — steady-state emission allocates nothing but the small
 // Candidate header. The header is deliberately NOT part of the slot: it
 // carries the emit-time generation, and stamping it into reused memory
 // would overwrite a retained header's stamp, making Candidate.Expired
@@ -387,12 +387,33 @@ func (w *walker) walk(level int) {
 // refill, so a candidate retained past its yield is detectably stale
 // instead of silently corrupt. A slot belongs to exactly one search
 // goroutine; the parallel path gives each shard worker its own search,
-// hence its own slot.
+// hence its own slot. A finished search puts its slot back in slots for
+// the next search to take (DESIGN.md §18.1): its candidates expire there,
+// and a search of the same universe size reuses the buffers as they are.
 type candSlot struct {
-	arena *rel.Arena
 	x     events.Execution
 	state litmus.State
 	gen   uint64
+	n     int       // the universe size rels are carved for; -1 before any
+	bits  []uint64  // the backing rels are carved from
+	rels  []rel.Rel // rf, co, then the dynamic buffers
+}
+
+// slots keeps the candidate slots of finished searches.
+var slots = sync.Pool{New: func() any { return &candSlot{n: -1} }}
+
+// release ends the slot's search: every candidate it yielded expires, the
+// slot lets go of the skeleton it last held, keeping its buffers, and
+// goes back to slots.
+func (sl *candSlot) release() {
+	sl.gen++
+	if sl.n >= 0 {
+		sl.x = events.Execution{RF: sl.rels[0], CO: sl.rels[1]}
+		sl.x.AdoptDynamicBuffers(sl.rels[2:])
+	}
+	sl.state.Regs = nil
+	clear(sl.state.Mem) // the next search's program may have other locations
+	slots.Put(sl)
 }
 
 // emitCandidate materialises the fully-decided assignment into the search's
@@ -414,11 +435,13 @@ func (w *walker) emitCandidate() {
 	cx.IICOAddr = e.x.IICOAddr
 	cx.IICOData = e.x.IICOData
 	cx.RFReg = e.x.RFReg
-	if cx.RF.N() != e.n {
+	if sl.n != e.n {
 		// First candidate, or the universe size changed with the trace
-		// combination: draw fresh rf/co buffers (the arena re-anchors).
-		cx.RF = sl.arena.Get(e.n)
-		cx.CO = sl.arena.Get(e.n)
+		// combination: re-carve the buffers from the slot's backing.
+		sl.rels = rel.Carve(&sl.bits, sl.rels, e.n, 2+events.DynBuffers)
+		cx.RF, cx.CO = sl.rels[0], sl.rels[1]
+		cx.AdoptDynamicBuffers(sl.rels[2:])
+		sl.n = e.n
 	} else {
 		cx.RF.Clear()
 		cx.CO.Clear()
@@ -441,7 +464,7 @@ func (w *walker) emitCandidate() {
 		finalMem[e.locs[li].name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
 	}
 	cx.AdoptStatic(e.x) // forgets the previous candidate's derivation
-	cx.DeriveDemand(w.s.derive, sl.arena)
+	cx.DeriveDemand(w.s.derive)
 	sl.state.Regs = e.finalRegs
 	sl.gen++
 	w.s.emit(&Candidate{X: cx, State: &sl.state, slot: sl, gen: sl.gen})

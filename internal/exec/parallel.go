@@ -59,6 +59,7 @@ func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate
 	s := newSearch(ctx, req.Budget, yield)
 	s.derive = req.derive()
 	defer s.flush(req.Obs)
+	defer s.releaseSlot()
 	if !s.alive(true) { // already canceled or expired before the search starts
 		return s.err
 	}
@@ -398,6 +399,7 @@ func prefixSplit(widths []int, want int) (k, count int) {
 // the merger's, which counts the sequential prefix only.
 func (p *Program) walkShard(ctx context.Context, deadline time.Time, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
 	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield, derive: req.derive()}
+	defer ws.releaseSlot()
 	defer func() {
 		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err
 		req.Obs.AddShardsRun(1)

@@ -68,6 +68,7 @@ func Table10(c *Corpus, stateBound int) ([]Table10Row, error) {
 		vars, _ := inst.Stats()
 		row.Vars, row.Clauses = row.Vars+vars, row.Clauses+inst.Clauses()
 		inst.Solve()
+		inst.Release()
 		row.Decided++
 	}
 	row.Time = time.Since(start)
@@ -135,6 +136,7 @@ func Table11(c *Corpus) ([]Table11Row, error) {
 			vars, _ := inst.Stats()
 			row.Vars, row.Clauses = row.Vars+vars, row.Clauses+inst.Clauses()
 			verdicts[k] = inst.Solve()
+			inst.Release()
 		}
 		m.times = append(m.times, time.Since(start))
 		m.verdicts = verdicts

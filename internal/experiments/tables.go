@@ -263,11 +263,14 @@ func RenderTable6(rows []Table6Row) string {
 
 // Table8Row classifies the invalid executions of a model on the ARM corpus
 // by the set of axioms they violate (S = SC PER LOCATION, T = NO THIN AIR,
-// O = OBSERVATION, P = PROPAGATION).
+// O = OBSERVATION, P = PROPAGATION). Errors counts the corpus tests that
+// could not be judged (they failed to compile or search, or panicked):
+// they add nothing to Total.
 type Table8Row struct {
 	Model  string
 	Total  int
 	ByAxes map[string]int // e.g. "S", "OP", "SOP" -> count
+	Errors int
 }
 
 // Table8 reproduces Tab. VIII: executions forbidden by the model yet
@@ -289,10 +292,10 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 		rows[i] = Table8Row{Model: m.Name(), ByAxes: map[string]int{}}
 	}
 
-	// Tab. VIII has no error column: a test that fails or panics adds
-	// nothing, and the sweep goes on.
+	// A test that fails or panics adds nothing to any row but its errors,
+	// and the sweep goes on.
 	var mu sync.Mutex
-	sweep(corpus.Tests, func(ctx context.Context, t *litmus.Test) error {
+	failed := sweep(corpus.Tests, func(ctx context.Context, t *litmus.Test) error {
 		p, err := exec.Compile(t)
 		if err != nil {
 			return err
@@ -300,10 +303,12 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 		observers := make([]*hardware.Observer, len(machines))
 		for i, m := range machines {
 			observers[i] = m.Observer()
+			defer observers[i].Release()
 		}
 		evaluators := make([]core.Checker, len(checkers))
 		for i, m := range checkers {
 			evaluators[i] = m.NewEvaluator()
+			defer core.Release(evaluators[i])
 		}
 		return p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 			if !slices.ContainsFunc(observers, func(o *hardware.Observer) bool { return o.Observes(c.X, t.Name) }) {
@@ -322,6 +327,9 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			return true
 		})
 	})
+	for i := range rows {
+		rows[i].Errors = failed
+	}
 	return rows, nil
 }
 
@@ -368,13 +376,13 @@ func RenderTable8(rows []Table8Row) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, " %8s", k)
 	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, " %8s\n", "errors")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s %8d", r.Model, r.Total)
 		for _, k := range keys {
 			fmt.Fprintf(&b, " %8d", r.ByAxes[k])
 		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, " %8d\n", r.Errors)
 	}
 	return b.String()
 }

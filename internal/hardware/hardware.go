@@ -208,6 +208,15 @@ func (m Machine) Observer() *Observer {
 	return &Observer{m: m, base: m.base.NewEvaluator(), lb: lbOnly.NewEvaluator()}
 }
 
+// Release hands the observer's evaluators back to their models' pools;
+// the observer must not be used again.
+func (o *Observer) Release() {
+	for _, ev := range []core.Checker{o.base, o.lb, o.silicon, o.arm} {
+		core.Release(ev) // a nil one, never made, is no Releaser
+	}
+	*o = Observer{}
+}
+
 // Observes reports whether the machine can exhibit the candidate execution
 // x of the named test: its base model allows it and the silicon implements
 // it, or one of its bugs fires, the rare ones gated per test (rareGate).
@@ -215,6 +224,9 @@ func (m Machine) Observer() *Observer {
 // hazard can decide: lbOnly on a candidate the base model allows, the
 // whole silicon program on a pure SC PER LOCATION failure.
 func (o *Observer) Observes(x *events.Execution, testName string) bool {
+	if o.base == nil {
+		panic("hardware: Observes on a released observer")
+	}
 	m := o.m
 	res := o.base.Check(x)
 	if res.Valid {
@@ -289,6 +301,7 @@ func (m Machine) RunLitmus(test *litmus.Test) (*Observation, error) {
 	}
 	obs := &Observation{Machine: m.Name, Test: test, States: map[string]int{}}
 	o := m.Observer()
+	defer o.Release()
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		obs.Candidates++
 		if !o.Observes(c.X, test.Name) {

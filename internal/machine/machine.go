@@ -52,6 +52,10 @@ func NewModel(m *cat.Model) (*Model, error) {
 // Name returns the cat model's declared name.
 func (md *Model) Name() string { return md.name }
 
+// Release hands the Model's evaluator back to the cat model's pool; the
+// Model must not be used again.
+func (md *Model) Release() { md.r.Release() }
+
 // LabelKind identifies a transition of the machine.
 type LabelKind uint8
 

@@ -39,8 +39,12 @@ type Model struct{}
 // Name implements sim.Checker: the name power-cav.cat declares.
 func (Model) Name() string { return cav.Name() }
 
-// Check implements sim.Checker with a throwaway evaluator.
-func (m Model) Check(x *events.Execution) core.Result { return m.NewEvaluator().Check(x) }
+// Check implements sim.Checker with an evaluator borrowed for the call.
+func (m Model) Check(x *events.Execution) core.Result {
+	ev := m.NewEvaluator()
+	defer core.Release(ev)
+	return ev.Check(x)
+}
 
 // NewEvaluator implements core.EvaluatorProvider: sim.Simulate holds one
 // per search worker, each over an evaluator of power-cav's compiled
@@ -52,6 +56,9 @@ func (Model) NewEvaluator() core.Checker { return evaluator{cav.NewEvaluator()} 
 type evaluator struct{ verdict core.Checker }
 
 func (e evaluator) Name() string { return cav.Name() }
+
+// Release hands power-cav's evaluator back to its pool.
+func (e evaluator) Release() { core.Release(e.verdict) }
 
 // Check expands the execution into its multi-event form and runs the
 // axioms over the expanded relations — the cost profile of Tab. IX — then

@@ -54,6 +54,7 @@ func RunCompiled(p *exec.Program, m *cat.Model, stateBound int) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
+	defer md.Release()
 	res := &Result{Processed: true}
 	var innerErr error
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {

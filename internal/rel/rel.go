@@ -43,13 +43,30 @@ func New(n int) Rel {
 // NewN returns k empty relations over n elements carved from one
 // allocation, for callers that size a whole register file at once.
 func NewN(n, k int) []Rel {
+	var bits []uint64
+	return Carve(&bits, nil, n, k)
+}
+
+// Carve is NewN over storage the caller keeps: it returns k empty
+// relations over n elements carved from *buf, with their headers in rs,
+// and grows *buf or rs only when one is too small. The relations alias
+// *buf, so the next Carve from it overwrites them; a file that outlives
+// one universe size keeps its storage this way.
+func Carve(buf *[]uint64, rs []Rel, n, k int) []Rel {
 	if n < 0 {
 		panic("rel: negative universe size")
 	}
 	w := max((n+wordBits-1)/wordBits, 1)
 	size := n * w
-	bits := make([]uint64, size*k)
-	rs := make([]Rel, k)
+	if cap(*buf) < size*k {
+		*buf = make([]uint64, size*k)
+	}
+	bits := (*buf)[:size*k]
+	clear(bits)
+	if cap(rs) < k {
+		rs = make([]Rel, k)
+	}
+	rs = rs[:k]
 	for i := range rs {
 		rs[i] = Rel{n: n, words: w, bits: bits[i*size : (i+1)*size : (i+1)*size]}
 	}

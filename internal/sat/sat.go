@@ -43,7 +43,16 @@ type clause struct {
 	learned bool
 }
 
+// Clauses and their literals are carved from chunks of these sizes (a
+// longer clause gets a chunk of its own length).
+const (
+	clauseChunk = 256
+	litChunk    = 2048
+)
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
+// Reset empties it for another problem and keeps its storage: the
+// per-variable arrays, the watch lists and the clause chunks.
 type Solver struct {
 	nVars   int
 	clauses []*clause
@@ -60,8 +69,20 @@ type Solver struct {
 
 	seen      []bool // scratch for conflict analysis
 	addBuf    []Lit  // scratch for AddClause's simplification
+	learnBuf  []Lit  // scratch for the clause analyze learns
 	propHead  int
 	unsatable bool // a top-level conflict was found
+
+	// Clause storage: every clause and its literals live in chunks the
+	// solver owns, handed out in order; Reset rewinds the cursors, so a
+	// reused solver stores its clauses in the chunks of earlier problems.
+	// A chunk never grows, so a clause's address stays fixed.
+	cchunks    [][]clause
+	lchunks    [][]Lit
+	cnext      int      // next chunk of cchunks to hand out
+	lnext      int      // next chunk of lchunks to hand out
+	clauseFree []clause // the rest of the current clause chunk
+	litFree    []Lit    // the rest of the current literal chunk
 
 	// Stats for the curious.
 	Conflicts  int64
@@ -74,32 +95,85 @@ func New() *Solver {
 	return &Solver{varInc: 1}
 }
 
+// Reset empties the solver: no variables, no clauses, no statistics, as
+// New returns it. It keeps its storage for the next problem, so the
+// clauses, learned clauses and watch lists of the last one must no longer
+// be referenced, as nothing outside the solver can.
+func (s *Solver) Reset() {
+	s.nVars = 0
+	clear(s.clauses) // the chunks hold the clauses; drop the pointers
+	s.clauses = s.clauses[:0]
+	s.watches = s.watches[:0]
+	s.assign, s.level, s.reason = s.assign[:0], s.level[:0], s.reason[:0]
+	s.activity, s.seen = s.activity[:0], s.seen[:0]
+	s.trail, s.trailLm = s.trail[:0], s.trailLm[:0]
+	s.varInc, s.propHead, s.unsatable = 1, 0, false
+	s.Conflicts, s.Decisions, s.Propagated = 0, 0, 0
+	s.cnext, s.lnext = 0, 0
+	s.clauseFree, s.litFree = nil, nil
+}
+
+// extend grows xs to length n with zero values, in its spare capacity
+// when it has some.
+func extend[T any](xs []T, n int) []T {
+	var zero T
+	for len(xs) < n {
+		xs = append(xs, zero)
+	}
+	return xs
+}
+
 // NewVar allocates a fresh variable and returns its (positive) index.
 func (s *Solver) NewVar() int {
 	s.nVars++
-	s.assign = append(s.assign, lUndef)
-	if len(s.assign) == 1 {
-		s.assign = append(s.assign, lUndef) // index 0 placeholder
-	}
-	for len(s.assign) <= s.nVars {
-		s.assign = append(s.assign, lUndef)
-	}
-	for len(s.level) <= s.nVars {
-		s.level = append(s.level, 0)
-	}
-	for len(s.reason) <= s.nVars {
-		s.reason = append(s.reason, nil)
-	}
-	for len(s.activity) <= s.nVars {
-		s.activity = append(s.activity, 0)
-	}
-	for len(s.seen) <= s.nVars {
-		s.seen = append(s.seen, false)
-	}
+	n := s.nVars + 1 // index 0 unused
+	s.assign = extend(s.assign, n)
+	s.level = extend(s.level, n)
+	s.reason = extend(s.reason, n)
+	s.activity = extend(s.activity, n)
+	s.seen = extend(s.seen, n)
 	for len(s.watches) < 2*s.nVars {
-		s.watches = append(s.watches, nil)
+		if k := len(s.watches); k < cap(s.watches) {
+			s.watches = s.watches[:k+1] // the list an earlier problem grew
+			s.watches[k] = s.watches[k][:0]
+		} else {
+			s.watches = append(s.watches, nil)
+		}
 	}
 	return s.nVars
+}
+
+// newClause stores a copy of lits as a clause, carved from the chunks.
+func (s *Solver) newClause(lits []Lit, learned bool) *clause {
+	if len(s.litFree) < len(lits) {
+		s.litFree = takeChunk(&s.lchunks, &s.lnext, max(litChunk, len(lits)))
+	}
+	if len(s.clauseFree) == 0 {
+		s.clauseFree = takeChunk(&s.cchunks, &s.cnext, clauseChunk)
+	}
+	c := &s.clauseFree[0]
+	s.clauseFree = s.clauseFree[1:]
+	k := len(lits)
+	*c = clause{lits: s.litFree[:k:k], learned: learned}
+	s.litFree = s.litFree[k:]
+	copy(c.lits, lits)
+	return c
+}
+
+// takeChunk hands out the next kept chunk of at least size elements,
+// skipping shorter ones, or a new chunk of exactly size kept from then on.
+func takeChunk[T any](chunks *[][]T, next *int, size int) []T {
+	for *next < len(*chunks) {
+		ch := (*chunks)[*next]
+		*next++
+		if len(ch) >= size {
+			return ch
+		}
+	}
+	ch := make([]T, size)
+	*chunks = append(*chunks, ch)
+	*next = len(*chunks)
+	return ch
 }
 
 // NumVars returns the number of allocated variables.
@@ -175,7 +249,7 @@ next:
 		}
 		return
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 }
@@ -265,9 +339,10 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze performs 1UIP conflict analysis, returning the learned clause
-// (asserting literal first) and the backjump level.
+// (asserting literal first) and the backjump level. The clause is the
+// solver's scratch, overwritten by the next analysis.
 func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
-	learned := []Lit{0} // slot 0 for the asserting literal
+	learned := append(s.learnBuf[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p Lit
 	c := conflict
@@ -313,6 +388,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	for _, l := range learned {
 		s.seen[l.Var()] = false
 	}
+	s.learnBuf = learned
 	return learned, bj
 }
 
@@ -390,7 +466,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 					return false
 				}
 			} else {
-				c := &clause{lits: learned, learned: true}
+				c := s.newClause(learned, true)
 				s.clauses = append(s.clauses, c)
 				s.watch(c)
 				if !s.enqueue(learned[0], c) {

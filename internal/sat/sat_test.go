@@ -283,3 +283,68 @@ func BenchmarkPigeonhole7(b *testing.B) {
 		}
 	}
 }
+
+// TestResetReuseAgainstFresh pins Reset: one solver, reset between
+// problems, solves a run of random CNFs of varying size — satisfiable
+// ones, UNSAT ones, and ones at the phase transition that learn many
+// clauses, some with more clauses than one storage chunk holds — and on
+// each must agree with a fresh solver and with brute force on the answer,
+// and with the fresh solver on NumVars, NumClauses (before and after
+// Solve) and the conflicts it met.
+func TestResetReuseAgainstFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	reused := New()
+	var sats, unsats, learned, bigs int
+	for iter := 0; iter < 300; iter++ {
+		nVars := 4 + rng.Intn(15) // 4..18
+		ratio := []float64{2, 4.3, 4.3, 8, 20}[rng.Intn(5)]
+		cnf := make([][]Lit, int(float64(nVars)*ratio))
+		for c := range cnf {
+			for k := 0; k < 3; k++ {
+				v := Lit(1 + rng.Intn(nVars))
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				cnf[c] = append(cnf[c], v)
+			}
+		}
+		reused.Reset()
+		fresh := New()
+		for _, s := range []*Solver{reused, fresh} {
+			for v := 0; v < nVars; v++ {
+				s.NewVar()
+			}
+			for _, cl := range cnf {
+				s.AddClause(cl...)
+			}
+		}
+		if reused.NumVars() != nVars || fresh.NumVars() != nVars {
+			t.Fatalf("iter %d: NumVars reused %d, fresh %d, want %d", iter, reused.NumVars(), fresh.NumVars(), nVars)
+		}
+		if r, f := reused.NumClauses(), fresh.NumClauses(); r != f {
+			t.Fatalf("iter %d: NumClauses before Solve: reused %d, fresh %d", iter, r, f)
+		}
+		got, want, brute := reused.Solve(), fresh.Solve(), bruteForce(nVars, cnf)
+		if got != want || got != brute {
+			t.Fatalf("iter %d: reused %v, fresh %v, brute force %v\ncnf=%v", iter, got, want, brute, cnf)
+		}
+		if r, f := reused.NumClauses(), fresh.NumClauses(); r != f || reused.Conflicts != fresh.Conflicts {
+			t.Fatalf("iter %d: after Solve: reused %d clauses, %d conflicts; fresh %d, %d", iter, r, reused.Conflicts, f, fresh.Conflicts)
+		}
+		if got {
+			sats++
+		} else {
+			unsats++
+		}
+		if reused.Conflicts >= 5 {
+			learned++
+		}
+		if reused.NumClauses() > clauseChunk {
+			bigs++
+		}
+	}
+	t.Logf("%d SAT, %d UNSAT, %d learning 5+ clauses, %d over one chunk", sats, unsats, learned, bigs)
+	if sats == 0 || unsats == 0 || learned < 20 || bigs == 0 {
+		t.Fatalf("corpus too tame: %d SAT, %d UNSAT, %d learning 5+ clauses, %d over one chunk", sats, unsats, learned, bigs)
+	}
+}

@@ -108,11 +108,19 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 	// check allocation-free, plus one state keyer. Name and the
 	// outcome still come from the original checker. The first evaluator
 	// is built here, to learn whether it derives its own demand, and goes
-	// to the first worker.
+	// to the first worker. The evaluators go back to their provider once
+	// the search, and with it every worker, is done.
 	prov, _ := req.Checker.(core.EvaluatorProvider)
+	var borrowed []Checker
+	defer func() {
+		for _, ev := range borrowed {
+			core.Release(ev)
+		}
+	}()
 	newChecker := func() Checker {
 		if prov != nil {
 			if ev := prov.NewEvaluator(); ev != nil {
+				borrowed = append(borrowed, ev)
 				return ev
 			}
 		}
