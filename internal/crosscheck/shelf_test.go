@@ -12,17 +12,19 @@ import (
 	"sync"
 	"testing"
 
+	"herdcats/internal/cat"
 	"herdcats/internal/catalog"
 	"herdcats/internal/crosscheck"
 	"herdcats/internal/experiments"
 	"herdcats/internal/hardware"
 	"herdcats/internal/litmus"
+	"herdcats/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/shelf from the deciders' current verdicts")
 
-// shelfDir holds the committed shelves: the verdict shelf, one file per
-// dialect, and the observed shelf.
+// shelfDir holds the committed shelves: the verdict and count shelves,
+// one file each per dialect, and the observed shelf.
 var shelfDir = filepath.Join("..", "..", "testdata", "shelf")
 
 // shelfTests returns a dialect's shelf tests in shelf order: its
@@ -201,5 +203,91 @@ func diffShelf(t *testing.T, name, got string) {
 	}
 	if diffs > 20 {
 		t.Errorf("%s: %d lines differ in all", path, diffs)
+	}
+}
+
+// countModels are the builtin cat models whose valid counts a dialect's
+// count shelf records.
+var countModels = map[litmus.Arch][]string{
+	litmus.PPC: {"sc", "tso", "power", "power-arm", "power-cav", "power-nodetour"},
+	litmus.ARM: {"sc", "tso", "arm", "arm-llh", "arm-nodetour", "power-arm"},
+	litmus.X86: {"sc", "tso"},
+}
+
+// countShelf renders a dialect's count shelf: a header naming the
+// columns, then one line per shelf test giving its candidate count and,
+// for each of the dialect's builtin cat models, how many of them the
+// model finds valid (E when the model fails on the test). Whole-test
+// verdicts are almost all forbidden, so these counts are what sees a
+// candidate stream or a skeleton going wrong. Each count is one
+// sim.Simulate on the test, which compiles the test itself.
+func countShelf(t *testing.T, arch litmus.Arch) string {
+	t.Helper()
+	names := countModels[arch]
+	checkers := make([]sim.Checker, len(names))
+	for i, name := range names {
+		checkers[i] = cat.MustBuiltin(name)
+	}
+	tests := shelfTests(arch)
+	lines := make([]string, len(tests))
+	errs := make([]error, len(tests))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				cands := -1
+				cells := make([]string, len(checkers))
+				for k, ck := range checkers {
+					out, err := sim.Simulate(context.Background(), sim.Request{Test: tests[i], Checker: ck})
+					switch {
+					case err != nil:
+						cells[k] = "E"
+						continue
+					case out.Incomplete:
+						errs[i] = fmt.Errorf("%s under %s: incomplete: %v", tests[i].Name, names[k], out.Reason)
+					case cands >= 0 && out.Candidates != cands:
+						errs[i] = fmt.Errorf("%s: %d candidates under %s, %d before", tests[i].Name, out.Candidates, names[k], cands)
+					}
+					cands = out.Candidates
+					cells[k] = fmt.Sprint(out.Valid)
+				}
+				lines[i] = fmt.Sprintf("%s %d %s", tests[i].Name, cands, strings.Join(cells, " "))
+			}
+		}()
+	}
+	for i := range tests {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# Count shelf, %s: each test's candidate count, then how many candidates\n", arch)
+	b.WriteString("# each builtin cat model finds valid under sim.Simulate (E failed). Regenerate with\n")
+	b.WriteString("# go test ./internal/crosscheck -run TestCountShelf -update\n")
+	fmt.Fprintf(&b, "# columns: candidates %s\n", strings.Join(names, " "))
+	for _, line := range lines {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestCountShelf re-derives the committed count shelf and diffs it: over
+// the catalogue and the diy corpora of Tab. V, each test's candidate
+// count and every builtin model's valid count must be the recorded ones.
+// Only -update rewrites the shelf.
+func TestCountShelf(t *testing.T) {
+	for _, arch := range []litmus.Arch{litmus.PPC, litmus.ARM, litmus.X86} {
+		t.Run(string(arch), func(t *testing.T) {
+			diffShelf(t, strings.ToLower(string(arch))+".counts", countShelf(t, arch))
+		})
 	}
 }
