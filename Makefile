@@ -42,8 +42,10 @@ race:
 # comparison over the PPC pair table (its deciders share one compiled
 # test, its walk deciders one candidate walk, and its bmc deciders one SAT
 # instance, and their evaluators, solver, circuit and search slot come
-# from pools that outlive the test) and the bytes it allocates per test
-# over 200 diy PPC tests, and the wire codec's allocation ceilings for encoding,
+# from pools that outlive the test, as do the test's traces and
+# skeletons) and the bytes it allocates per test over 200 diy PPC tests,
+# the bytes one verdict cache miss allocates over 200 light diy PPC tests
+# as herdd serves them, and the wire codec's allocation ceilings for encoding,
 # decoding and relaying one warm row's result/v1 frame, and the bytes
 # allocated per row of a warm streamed batch through herd-gw over one
 # herdd (pooled stream buffers, no per-row ranking); and record the
@@ -54,7 +56,7 @@ race:
 # original record was taken with an inherited GOMAXPROCS=1, which
 # serialised the 2/4/8-worker timings and flattened the scaling curve.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/wire/ ./internal/fleet/
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestColdRunBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/memo/ ./internal/wire/ ./internal/fleet/
 
 # The fleet acceptance test under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

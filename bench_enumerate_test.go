@@ -547,16 +547,17 @@ func simulateAllocs(t *testing.T, cycle string) (float64, string) {
 // verdict costs the allocator: on one worker sim.Simulate is one shard
 // walked on the calling goroutine, and a diy-shaped PPC test
 // (MP+sync+addr, four candidates) under compiled cat Power must allocate
-// no more per Simulate than measured once the static program ran on the
-// register machine (go1.24: 269; 321 while the interpreter ran it, 745
-// before per-test setup came off the allocator). Gated on BENCH_ENUM_OUT like
-// the other bench asserts.
+// no more per Simulate than measured once each search carved its traces
+// and skeletons from pooled storage (go1.24: 83; 269 once the static
+// program ran on the register machine, 321 while the interpreter ran it,
+// 745 before per-test setup came off the allocator). Gated on
+// BENCH_ENUM_OUT like the other bench asserts.
 func TestSimulateAllocsCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the Simulate allocation ceiling check")
 	}
 	allocs, name := simulateAllocs(t, "SyncdWW Rfe DpAddrdR Fre")
-	const ceiling = 269
+	const ceiling = 83
 	t.Logf("Simulate of %s on one worker: %.0f allocs/op (ceiling %d)", name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", name, allocs, ceiling)
@@ -568,17 +569,18 @@ func TestSimulateAllocsCeiling(t *testing.T) {
 // PodWR+SyncdRR+DpAddrdR+PodRR+Fre leave some read without a
 // same-location, same-value write. The feasibility pre-check rejects
 // those before anything is allocated, so a regression that assembles
-// them again fails here (go1.24: 268; 270 while each skeleton also built
-// the per-location po-loc edges of SC-per-location pruning, 296 while the
-// interpreter ran the static program, 515 with the pre-check taken out,
-// 1609 before per-test setup came off the allocator). Gated on
+// them again fails here (go1.24: 49 once each search carved its traces and
+// skeletons from pooled storage; 268 before, 270 while each skeleton also
+// built the per-location po-loc edges of SC-per-location pruning, 296
+// while the interpreter ran the static program, 515 with the pre-check
+// taken out, 1609 before per-test setup came off the allocator). Gated on
 // BENCH_ENUM_OUT like the other bench asserts.
 func TestInfeasibleAllocsCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the infeasible-heavy allocation ceiling check")
 	}
 	allocs, name := simulateAllocs(t, "PodWR SyncdRR DpAddrdR PodRR Fre")
-	const ceiling = 268
+	const ceiling = 49
 	t.Logf("Simulate of %s on one worker: %.0f allocs/op (ceiling %d)", name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", name, allocs, ceiling)

@@ -67,6 +67,7 @@ type Instance struct {
 	c    *circuit
 	prog *exec.Program
 	asm  *exec.Assembled
+	own  bool // prog was compiled by Encode: Release releases it too
 
 	traces [][]exec.Trace
 	sel    [][]sat.Lit // per-thread one-hot trace choice
@@ -114,10 +115,14 @@ func (in *Instance) live() *sat.Solver {
 }
 
 // Release puts the instance's storage back in the pool for a later
-// instance to take. The instance must not be used again.
+// instance to take, and releases the program Encode compiled for it. The
+// instance must not be used again.
 func (in *Instance) Release() {
 	in.live()
 	in.st.put()
+	if in.own {
+		in.prog.Release()
+	}
 	*in = Instance{}
 }
 
@@ -129,9 +134,16 @@ func Encode(test *litmus.Test, model ModelID) (*Instance, error) {
 	}
 	m, err := model.compiled()
 	if err != nil {
+		prog.Release()
 		return nil, err
 	}
-	return encode(prog, m)
+	in, err := encode(prog, m)
+	if err != nil {
+		prog.Release()
+		return nil, err
+	}
+	in.own = true
+	return in, nil
 }
 
 // encode compiles the reachability of prog's condition under a compiled

@@ -960,21 +960,30 @@ func (c *Compiled) letsProgram() []cinstr {
 // since the evaluator reuses its registers for the next candidate. Like
 // Check it derives the dynamic relations it reads, and reports evaluation
 // failure as an error, never a panic.
-func (r *Reader) Values(x *events.Execution) (out []rel.Rel, err error) {
+func (r *Reader) Values(x *events.Execution) ([]rel.Rel, error) {
+	out := rel.NewN(x.N(), len(r.ops))
+	if err := r.ValuesInto(x, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ValuesInto is Values into relations the caller keeps: it overwrites
+// dst[i], a relation over x's events, with the i-th binding's value.
+func (r *Reader) ValuesInto(x *events.Execution, dst []rel.Rel) (err error) {
 	ev := r.ev.live()
 	defer func() {
 		if p := recover(); p != nil {
-			out, err = nil, ev.evalErr(p)
+			err = ev.evalErr(p)
 		}
 	}()
 	ev.bindFor(x)
 	x.DeriveDemand(ev.c.letsDemand)
 	ev.run(x, ev.regs, ev.c.lets, ev.c.fixGroups)
-	out = make([]rel.Rel, len(r.ops))
 	for i, o := range r.ops {
-		out[i] = ev.fetch(x, ev.regs, o).Clone()
+		dst[i].CopyFrom(ev.fetch(x, ev.regs, o))
 	}
-	return out, nil
+	return nil
 }
 
 // --- Per-skeleton specialisation -----------------------------------------

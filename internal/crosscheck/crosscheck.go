@@ -138,12 +138,20 @@ func (r *Report) Agreed() bool {
 // machine and the hardware, but not a wrapper around one) are decided
 // together over one walk of its candidates, which keeps the trace sets.
 // Then the bmc deciders share one SAT instance, whose model-free part the
-// first of them encodes. That state is dropped when the comparison
-// returns, and the instance's storage released for the next comparison's:
-// a decider must not use ctx after its Decide returns (DESIGN.md §18.1).
+// first of them encodes. When the comparison returns, the instance, which
+// holds the program's traces, is released, then the program, so the
+// storage of both serves the next comparison: a decider must not use ctx
+// after its Decide returns (DESIGN.md §18.1).
 func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Report, error) {
-	ctx, release := shareBMC(exec.Share(ctx, test), test)
-	defer release()
+	ctx, releaseProgram := exec.Share(ctx, test)
+	ctx, releaseBMC := shareBMC(ctx, test)
+	defer func() {
+		releaseBMC()
+		releaseProgram()
+		if programReleased != nil {
+			programReleased()
+		}
+	}()
 	rep := &Report{Test: test.Name}
 	var names []string
 	var walkers []walker

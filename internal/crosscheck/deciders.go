@@ -53,7 +53,8 @@ func walk(ctx context.Context, test *litmus.Test, ws []walker) (allowed []bool, 
 	allowed, errs = make([]bool, len(ws)), make([]error, len(ws))
 	judges := make([]judge, len(ws)) // nil once decided
 	undecided := 0
-	p, err := exec.ProgramFor(ctx, test)
+	p, done, err := exec.ProgramFor(ctx, test)
+	defer done() // after the judges' releases: they may hold its skeletons
 	for i, w := range ws {
 		if errs[i] = err; err == nil {
 			var release func()
@@ -169,11 +170,7 @@ func (d operational) newJudge(*exec.Program) (judge, func(), error) {
 	}
 	return func(c *exec.Candidate) (bool, error) {
 		c.X.DeriveDemand(events.DynAll)
-		m, err := machine.New(md, c.X)
-		if err != nil {
-			return false, err
-		}
-		return m.Accepts(), nil
+		return md.Accepts(c.X)
 	}, md.Release, nil
 }
 
@@ -194,10 +191,11 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	p, err := exec.ProgramFor(ctx, test)
+	p, done, err := exec.ProgramFor(ctx, test)
 	if err != nil {
 		return false, err
 	}
+	defer done() // after the instance, which holds the program's traces
 	sl, ok := ctx.Value(bmcKey{}).(*bmcSlot)
 	if !ok || sl.test != test {
 		sl = &bmcSlot{test: test} // an instance for this decider alone
@@ -251,6 +249,11 @@ func shareBMC(ctx context.Context, test *litmus.Test) (context.Context, func()) 
 // comparison shared it, and whether it held an instance (tests count
 // releases with it).
 var slotReleased func(shared, hadInstance bool)
+
+// programReleased, when set, is told each time a comparison has released
+// its shared program, right after its SAT slot (tests count releases and
+// check their order with it).
+var programReleased func()
 
 // release ends the slot: it releases the instance, if one was encoded.
 func (sl *bmcSlot) release() {

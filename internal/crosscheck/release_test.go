@@ -12,9 +12,11 @@ import (
 
 // countReleases runs f with every bmc slot release counted: the releases
 // of comparisons' shared slots, those that held an instance, and those of
-// the slots of bmc deciders run alone.
-func countReleases(f func()) (shared, withInstance, alone int64) {
-	var s, w, a atomic.Int64
+// the slots of bmc deciders run alone. It also counts the comparisons'
+// releases of their shared programs, and those that came without a
+// shared slot release before them.
+func countReleases(f func()) (shared, withInstance, alone, programs, early int64) {
+	var s, w, a, p, e, pending atomic.Int64
 	defer crosscheck.OnSlotRelease(func(sh, inst bool) {
 		switch {
 		case !sh:
@@ -22,12 +24,20 @@ func countReleases(f func()) (shared, withInstance, alone int64) {
 		case inst:
 			s.Add(1)
 			w.Add(1)
+			pending.Add(1)
 		default:
 			s.Add(1)
+			pending.Add(1)
+		}
+	})()
+	defer crosscheck.OnProgramRelease(func() {
+		p.Add(1)
+		if pending.Add(-1) < 0 {
+			e.Add(1)
 		}
 	})()
 	f()
-	return s.Load(), w.Load(), a.Load()
+	return s.Load(), w.Load(), a.Load(), p.Load(), e.Load()
 }
 
 // TestComparisonReleasesOnce: each comparison releases its shared SAT
@@ -35,19 +45,27 @@ func countReleases(f func()) (shared, withInstance, alone int64) {
 // decider ran, by a decider, or inside the walk; and a comparison whose
 // bmc deciders reach the instance from several goroutines at once
 // releases it once too, after all of them, as does every bmc decider run
-// alone. A second release would panic.
+// alone. Each comparison then releases its shared program exactly once,
+// after its slot, whose instance holds the program's traces. A second
+// release of either would panic.
 func TestComparisonReleasesOnce(t *testing.T) {
-	shared, withInst, alone := countReleases(func() { TestCompareCanceled(t) })
+	shared, withInst, alone, programs, early := countReleases(func() { TestCompareCanceled(t) })
 	if shared != 3 || alone != 0 {
 		t.Errorf("three canceled comparisons: %d shared releases (%d with an instance), %d alone; want 3, 0", shared, withInst, alone)
 	}
 	if withInst != 1 {
 		t.Errorf("three canceled comparisons released %d instances; want 1: only the one canceled by a decider ran the bmc deciders", withInst)
 	}
+	if programs != 3 || early != 0 {
+		t.Errorf("three canceled comparisons: %d program releases, %d before their slot's; want 3, 0", programs, early)
+	}
 
-	shared, withInst, alone = countReleases(func() { TestBMCDecidersConcurrentOnOneComparison(t) })
+	shared, withInst, alone, programs, early = countReleases(func() { TestBMCDecidersConcurrentOnOneComparison(t) })
 	if shared != 12 || withInst != 12 || alone != 36 {
 		t.Errorf("twelve concurrent comparisons: %d shared releases, %d with an instance, %d alone; want 12, 12, 36", shared, withInst, alone)
+	}
+	if programs != 12 || early != 0 {
+		t.Errorf("twelve concurrent comparisons: %d program releases, %d before their slot's; want 12, 0", programs, early)
 	}
 }
 

@@ -128,10 +128,11 @@ type programSpy struct {
 }
 
 func (s programSpy) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, err := exec.ProgramFor(ctx, test)
+	p, done, err := exec.ProgramFor(ctx, test)
 	if err != nil {
 		return false, err
 	}
+	defer done()
 	*s.seen = append(*s.seen, p)
 	return s.Decider.Decide(ctx, test)
 }
@@ -167,10 +168,12 @@ func TestComparePairsSharesOneProgram(t *testing.T) {
 
 // TestComparePairsAllocsCeiling is the bench-smoke guard on what one
 // comparison costs the allocator: the full PPC table over one diy test
-// must allocate no more than measured once the deciders' storage outlived
-// the test, the cat evaluators, SAT solver and circuit, and search slot
-// each taken from a pool and released when the comparison is done
-// (go1.24: 650; 1685 once its walk deciders shared one deferred
+// must allocate no more than measured once the compiled test's storage
+// outlived the test too: its traces and skeletons carved from a pooled
+// store, the machine judge's from a pooled scratch, each released when
+// the comparison is done (go1.24: 392; 650 once the cat evaluators, SAT
+// solver and circuit, and search slot came from pools; 1685 once its walk
+// deciders shared one deferred
 // candidate walk, 2415 when each walked the
 // candidates alone, the cat models through sim.Simulate's histograms,
 // once the bmc deciders shared one SAT instance over flat relation
@@ -201,7 +204,7 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 			t.Fatalf("%s: %v %+v", test.Name, err, rep)
 		}
 	})
-	const ceiling = 650
+	const ceiling = 392
 	t.Logf("%s over the PPC table: %.0f allocs/op (ceiling %d)", test.Name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%s over the PPC table: %.0f allocs/op, ceiling %d", test.Name, allocs, ceiling)
@@ -211,13 +214,14 @@ func TestComparePairsAllocsCeiling(t *testing.T) {
 // TestComparePairsBytesCeiling is the bench-smoke guard on the bytes one
 // comparison allocates: the full PPC table over the 200-test diy PPC
 // corpus (diyCorpusOf) must allocate, per comparison, no more than
-// measured once the deciders' storage outlived the test (go1.24:
-// 129–138 KB; 281 KB when every cat evaluator, SAT solver, circuit and
-// search slot was built for one test and dropped). The figure is
-// TotalAlloc over one pass of the corpus after a warm-up pass. It moves
-// by several KB as the collector empties the pools, so the ceiling is
-// about 10% above the measured figures. Gated on BENCH_ENUM_OUT like the other bench
-// asserts.
+// measured once the compiled test's storage outlived the test too, its
+// traces, skeletons and machine judge (go1.24: 31–39 KB; 129–138 KB once
+// the deciders' storage outlived the test; 281 KB when every cat
+// evaluator, SAT solver, circuit and search slot was built for one test
+// and dropped). The figure is TotalAlloc over one pass of the corpus
+// after a warm-up pass. It moves by several KB as the collector empties
+// the pools, so the ceiling is about 15% above the measured figures.
+// Gated on BENCH_ENUM_OUT like the other bench asserts.
 func TestComparePairsBytesCeiling(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the comparison bytes ceiling check")
@@ -238,7 +242,7 @@ func TestComparePairsBytesCeiling(t *testing.T) {
 	pass()
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(len(tests))
-	const ceiling = 150_000
+	const ceiling = 45_000
 	t.Logf("%d diy PPC tests over the PPC table: %d bytes/op (ceiling %d)", len(tests), perOp, ceiling)
 	if perOp > ceiling {
 		t.Errorf("%d diy PPC tests over the PPC table: %d bytes/op, ceiling %d", len(tests), perOp, ceiling)

@@ -277,7 +277,31 @@ func (x *Execution) Derive() {
 // Every set is carved from one allocation and every relation from another,
 // filled by the in-place rel kernels; intermediate relations come from a
 // third, dropped on return. The buffers belong to this execution alone.
-func (x *Execution) DeriveStatic() {
+func (x *Execution) DeriveStatic() { x.DeriveStaticIn(freshStorage{}) }
+
+// Storage is what DeriveStaticIn takes a skeleton's static state from:
+// k empty relations or sets over n events at a time, for its relations,
+// their intermediates and its sets, and the two maps of fence relations,
+// CtrlCfence and FenceRel, empty.
+type Storage interface {
+	Rels(n, k int) []rel.Rel
+	Sets(n, k int) []rel.Set
+	FenceMaps() (ctrlCfence, fenceRel map[FenceKind]rel.Rel)
+}
+
+// freshStorage is the Storage that allocates everything afresh.
+type freshStorage struct{}
+
+func (freshStorage) Rels(n, k int) []rel.Rel { return rel.NewN(n, k) }
+func (freshStorage) Sets(n, k int) []rel.Set { return rel.NewSets(n, k) }
+func (freshStorage) FenceMaps() (map[FenceKind]rel.Rel, map[FenceKind]rel.Rel) {
+	return make(map[FenceKind]rel.Rel, 2), map[FenceKind]rel.Rel{}
+}
+
+// DeriveStaticIn is DeriveStatic with its storage taken from a: an owner
+// that keeps the skeleton's storage (exec's program store) passes it, and
+// the static state lives as long as that storage does.
+func (x *Execution) DeriveStaticIn(a Storage) {
 	n := x.N()
 	// The threads (the init pseudo-thread included) and fence flavours
 	// present, so the set and relation counts are known up front.
@@ -296,7 +320,7 @@ func (x *Execution) DeriveStatic() {
 	}
 	x.syncs = acquires && releases
 
-	sets := rel.NewSets(n, 6+len(tids)+len(kinds))
+	sets := a.Sets(n, 6+len(tids)+len(kinds))
 	x.All, x.R, x.W, x.M, x.B, x.RegEvents = sets[0], sets[1], sets[2], sets[3], sets[4], sets[5]
 	tidSets, fenceSets := sets[6:6+len(tids)], sets[6+len(tids):]
 	for _, e := range x.Events {
@@ -318,12 +342,13 @@ func (x *Execution) DeriveStatic() {
 		tidSets[slices.Index(tids, e.Tid)].Add(e.ID)
 	}
 
-	rels := rel.NewN(n, 9+len(kinds))
+	rels := a.Rels(n, 9+len(kinds))
 	x.POLoc, x.IntraThread, x.Addr, x.Data, x.Ctrl = rels[0], rels[1], rels[2], rels[3], rels[4]
-	x.CtrlCfence = map[FenceKind]rel.Rel{FenceIsync: rels[5], FenceISB: rels[6]}
+	x.CtrlCfence, x.FenceRel = a.FenceMaps()
+	x.CtrlCfence[FenceIsync], x.CtrlCfence[FenceISB] = rels[5], rels[6]
 	x.emptyRel, x.hasEmptyRel = rels[7], true
 	x.ctrlCfenceAll = rels[8]
-	scratch := rel.NewN(n, 5)
+	scratch := a.Rels(n, 5)
 
 	// po-loc: same-location memory pairs in program order.
 	for i, a := range x.Events {
@@ -347,7 +372,6 @@ func (x *Execution) DeriveStatic() {
 	// Fence relations: memory pairs (e1,e2) with a fence of the given kind
 	// in between in program order, i.e. po|M×F ; po|F×M over that kind's
 	// fence events F.
-	x.FenceRel = make(map[FenceKind]rel.Rel, len(kinds))
 	for i, kind := range kinds {
 		fr := rels[9+i]
 		fr.SeqInto(poRestrict(scratch[0], x.PO, x.M, fenceSets[i]), poRestrict(scratch[1], x.PO, fenceSets[i], x.M))
@@ -510,17 +534,6 @@ func (x *Execution) DeriveDemand(d Dyn) {
 	x.split(d, DynRFE, DynRFI, x.RFE, x.RFI, x.memRF)
 	x.split(d, DynCOE, DynCOI, x.COE, x.COI, x.CO)
 	x.split(d, DynFRE, DynFRI, x.FRE, x.FRI, x.FR)
-}
-
-// CloneDynamicCache replaces the unexported dynamic caches (the memory-rf
-// restriction) with private copies. Callers deep-copying an execution —
-// having already cloned the exported dynamic relations — use this so the
-// copy shares no mutable buffer with the original; the static singletons
-// (shared empty relation, ctrl+cfence union) are read-only and stay shared.
-func (x *Execution) CloneDynamicCache() {
-	if x.derived&DynRF != 0 {
-		x.memRF = x.memRF.Clone()
-	}
 }
 
 // Fences returns the fence relation for the given kind. A miss returns the

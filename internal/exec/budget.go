@@ -118,6 +118,32 @@ type search struct {
 
 	slot   *candSlot  // lazily-taken reusable candidate arena (see expand.go)
 	derive events.Dyn // what emission derives: everything, or nothing when deferred
+
+	st       *store // what the search carves its traces and skeletons from
+	ownStore bool   // st is the search's own, released when it ends
+}
+
+// takeStore sets the store the search carves stage 1 from. On a shared
+// program it is the program's, whose memo keeps what the search carves.
+// Any other program keeps nothing of a search, so the search takes a store
+// of its own from the pool, and its carvings die with it: a program
+// searched again and again never grows.
+func (s *search) takeStore(p *Program) {
+	if p.shared != nil {
+		s.st = p.st
+		return
+	}
+	s.st, s.ownStore = stores.Get().(*store), true
+}
+
+// releaseStore rewinds the search's own store and puts it back, once the
+// search is over and its slot released.
+func (s *search) releaseStore() {
+	if s.ownStore {
+		s.st.reset()
+		stores.Put(s.st)
+		s.st, s.ownStore = nil, false
+	}
 }
 
 // candidateSlot returns the search's candidate arena, taking it from the

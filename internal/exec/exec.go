@@ -46,38 +46,41 @@ type Candidate struct {
 }
 
 // Clone returns a standalone deep copy of the candidate that stays valid
-// indefinitely. The skeleton state (events, po, iico, dependencies, fence
-// relations) is immutable and stays shared; the per-candidate relations
-// (rf, co and every dynamic derivation) and the final memory are copied.
-// A deferred candidate first derives, in its slot, whatever its consumer
-// has not, so the copy is always fully derived. Clone of an Expired
-// candidate panics: its slot holds another candidate by then.
+// indefinitely, after its program is released too. A search's candidate
+// lives in its program's storage, skeleton included, so the copy adopts a
+// standalone copy of the skeleton (events, po, iico, rf-reg and the
+// static derivation over them), made once per skeleton and shared by
+// every clone of its candidates; rf, co and the final memory are copied,
+// and the dynamic relations derived afresh from them, so the copy is
+// always fully derived. A clone of a clone, or of a hand-built
+// candidate, shares its skeleton. Clone of an Expired candidate panics:
+// its slot holds another candidate by then.
 func (c *Candidate) Clone() *Candidate {
 	if c.Expired() {
 		panic("exec: Clone of an expired candidate")
 	}
-	c.X.DeriveDemand(events.DynAll)
-	x := *c.X
-	x.RF = c.X.RF.Clone()
-	x.CO = c.X.CO.Clone()
-	x.FR = c.X.FR.Clone()
-	x.Com = c.X.Com.Clone()
-	x.SW = c.X.SW.Clone()
-	x.RFE, x.RFI = c.X.RFE.Clone(), c.X.RFI.Clone()
-	x.COE, x.COI = c.X.COE.Clone(), c.X.COI.Clone()
-	x.FRE, x.FRI = c.X.FRE.Clone(), c.X.FRI.Clone()
-	x.CloneDynamicCache()
-	st := &litmus.State{Regs: c.State.Regs, Mem: make(map[string]litmus.Value, len(c.State.Mem))}
-	for k, v := range c.State.Mem {
-		st.Mem[k] = v
+	base, regs := c.X.Base, c.State.Regs
+	if c.slot != nil {
+		base, regs = c.slot.exp.standalone()
 	}
-	return &Candidate{X: &x, State: st}
+	if base == nil { // a hand-built candidate, derived as a whole
+		base = c.X
+	}
+	x := &events.Execution{
+		Events: base.Events, PO: base.PO, IICO: base.IICO,
+		IICOAddr: base.IICOAddr, IICOData: base.IICOData, RFReg: base.RFReg,
+		RF: c.X.RF.Clone(), CO: c.X.CO.Clone(),
+	}
+	x.AdoptStatic(base)
+	x.DeriveDemand(events.DynAll)
+	return &Candidate{X: x, State: &litmus.State{Regs: regs, Mem: maps.Clone(c.State.Mem)}}
 }
 
 // Expired reports whether the arena slot backing this candidate has since
 // been reused for a later candidate, i.e. the holder violated the yield
-// lifetime without cloning. Standalone candidates (clones, hand-built ones)
-// never expire.
+// lifetime without cloning. Every candidate of a finished search has
+// expired, so every candidate of a released program has. Standalone
+// candidates (clones, hand-built ones) never expire.
 func (c *Candidate) Expired() bool {
 	return c.slot != nil && c.slot.gen != c.gen
 }
@@ -101,9 +104,13 @@ type Program struct {
 	// nil (memoise nothing) unless ProgramFor compiled the program for a
 	// Share context.
 	shared *shared
+
+	// st is the storage stage 1 is carved from; nil once released.
+	st *store
 }
 
-// Compile parses the threads of a test and prepares the value domain.
+// Compile parses the threads of a test and prepares the value domain. The
+// program takes its stage-1 storage from a pool; Release gives it back.
 func Compile(t *litmus.Test) (*Program, error) {
 	p := &Program{Test: t, locs: t.Locations, locIdx: map[string]int{}}
 	for i, l := range t.Locations {
@@ -131,6 +138,7 @@ func Compile(t *litmus.Test) (*Program, error) {
 			return nil, fmt.Errorf("exec: data value %d collides with address encoding", v)
 		}
 	}
+	p.st = stores.Get().(*store)
 	return p, nil
 }
 
@@ -284,8 +292,9 @@ func keys(m map[int]bool) []int {
 // Trace is one control-flow semantics of a single thread (Sec. 3): its
 // events with thread-local IDs, the builder's edge lists, and the final
 // register file. Values are concrete; the enumeration over traces is the
-// enumeration over read-value assignments. A trace owns its slices and
-// map: nothing else writes them once ThreadTraces returns.
+// enumeration over read-value assignments. A trace's slices and map are
+// carved from its program's store: nothing else writes them once
+// ThreadTraces returns, and they are valid until the program is released.
 type Trace struct {
 	Events    []events.Event
 	IICO      [][2]int
@@ -313,13 +322,18 @@ type access struct {
 // thread to completion and keeping the sets first if no search has, so a
 // later search takes them too; callers must not modify it. Should that
 // enumeration fail, the thread is enumerated alone, as on any program.
+// A released program returns an error.
 func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
+	if p.st == nil {
+		return nil, errReleased
+	}
+	s := &search{ctx: context.Background(), st: p.st}
 	if p.shared != nil {
-		if all, _, err := p.allTraces(&search{ctx: context.Background()}); err == nil {
+		if all, _, err := p.allTraces(s); err == nil {
 			return all[tid], nil
 		}
 	}
-	ts, _, err := p.threadTraces(&search{ctx: context.Background()}, tid)
+	ts, _, err := p.threadTraces(s, tid)
 	return ts, err
 }
 
@@ -327,9 +341,12 @@ func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
 // search's cancellation state, and MaxTracesPerThread truncates the result
 // (reported via the second return, not an error — the truncated trace set
 // still yields a sound partial candidate space). Every run of the thread
-// goes through one reused builder; a kept trace copies its parts out.
+// goes through one reused builder, a tracer's; a kept trace copies its
+// parts out into the program's store, and so does the finished set.
 func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
-	regInit := map[string]int{}
+	tc := tracers.Get().(*tracer)
+	defer tc.put()
+	regInit := tc.regInit
 	for k, v := range p.Test.RegInit {
 		if k.Tid != tid {
 			continue
@@ -341,18 +358,16 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 		regInit[k.Reg] = enc
 	}
 
-	var out []Trace
 	truncated := false
-	// vals is the read-value vector under construction; position i holds
-	// the value of the i-th dynamic read of the thread.
-	var vals []int
-	var b isa.Builder
+	// tc.vals is the read-value vector under construction; position i
+	// holds the value of the i-th dynamic read of the thread.
+	b := &tc.b
 	idx, needMore := 0, false
 	env := isa.Env{
 		LocOf: p.locOf,
 		ReadVal: func(string) (int, bool) {
-			if idx < len(vals) {
-				v := vals[idx]
+			if idx < len(tc.vals) {
+				v := tc.vals[idx]
 				idx++
 				return v, true
 			}
@@ -365,19 +380,19 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 		if !s.alive(false) {
 			return nil
 		}
-		if s.b.MaxTracesPerThread > 0 && len(out) >= s.b.MaxTracesPerThread {
+		if s.b.MaxTracesPerThread > 0 && len(tc.out) >= s.b.MaxTracesPerThread {
 			truncated = true
 			return nil
 		}
 		b.Reset()
 		idx, needMore = 0, false
-		final, err := isa.Run(&b, tid, p.Threads[tid], regInit, env)
+		final, err := isa.Run(b, tid, p.Threads[tid], regInit, env)
 		if err == nil {
-			tr, err := p.keepTrace(&b, final)
+			tr, err := p.keepTrace(s.st, b, final)
 			if err != nil {
 				return err
 			}
-			out = append(out, tr)
+			tc.out = append(tc.out, tr)
 			return nil
 		}
 		if err != isa.ErrInfeasible || !needMore {
@@ -385,30 +400,51 @@ func (p *Program) threadTraces(s *search, tid int) ([]Trace, bool, error) {
 		}
 		// The trace needs one more read value: extend the vector.
 		for _, v := range p.domain {
-			vals = append(vals, v)
+			tc.vals = append(tc.vals, v)
 			if err := rec(); err != nil {
 				return err
 			}
-			vals = vals[:len(vals)-1]
+			tc.vals = tc.vals[:len(tc.vals)-1]
 		}
 		return nil
 	}
 	if err := rec(); err != nil {
 		return nil, false, err
 	}
+	if len(tc.out) == 0 {
+		return nil, truncated, nil
+	}
+	s.st.mu.Lock()
+	out := take(&s.st.traces, len(tc.out))
+	s.st.mu.Unlock()
+	copy(out, tc.out)
 	return out, truncated, nil
 }
 
-// keepTrace copies a finished run out of the reused builder, each slice at
-// its exact size (the four edge lists share one allocation), and indexes
-// its memory events for the feasibility pre-check.
-func (p *Program) keepTrace(b *isa.Builder, final map[string]int) (Trace, error) {
-	tr := Trace{FinalRegs: maps.Clone(final)}
-	if len(b.Events) > 0 {
-		tr.Events = make([]events.Event, len(b.Events))
-		copy(tr.Events, b.Events)
+// keepTrace copies a finished run out of the reused builder into the
+// program's store: each slice at its exact size (the four edge lists
+// carved from one stretch), the final registers into a map the store
+// keeps. It indexes the memory events for the feasibility pre-check.
+func (p *Program) keepTrace(st *store, b *isa.Builder, final map[string]int) (Trace, error) {
+	nMem := 0
+	for _, e := range b.Events {
+		if e.IsMem() {
+			nMem++
+		}
 	}
-	edges := make([][2]int, len(b.IICO)+len(b.IICOAddr)+len(b.IICOData)+len(b.RFReg))
+	st.mu.Lock()
+	tr := Trace{FinalRegs: st.regMap()}
+	if len(b.Events) > 0 {
+		tr.Events = take(&st.evs, len(b.Events))
+	}
+	edges := take(&st.edges, len(b.IICO)+len(b.IICOAddr)+len(b.IICOData)+len(b.RFReg))
+	var acc []access
+	if nMem > 0 {
+		acc = take(&st.accs, 2*nMem)[:nMem] // mem, then open in the spare half
+	}
+	st.mu.Unlock()
+	maps.Copy(tr.FinalRegs, final)
+	copy(tr.Events, b.Events)
 	carve := func(src [][2]int) [][2]int {
 		if len(src) == 0 {
 			return nil
@@ -420,16 +456,9 @@ func (p *Program) keepTrace(b *isa.Builder, final map[string]int) (Trace, error)
 	}
 	tr.IICO, tr.IICOAddr, tr.IICOData, tr.RFReg = carve(b.IICO), carve(b.IICOAddr), carve(b.IICOData), carve(b.RFReg)
 
-	nMem := 0
-	for _, e := range tr.Events {
-		if e.IsMem() {
-			nMem++
-		}
-	}
 	if nMem == 0 {
 		return tr, nil
 	}
-	acc := make([]access, nMem, 2*nMem) // mem, then open in the spare half
 	k := 0
 	for _, e := range tr.Events {
 		if !e.IsMem() {
@@ -465,12 +494,13 @@ func writes(mem []access, r access) bool {
 
 // Candidates collects every candidate execution of a test (convenience).
 // Each candidate is cloned out of the search's arena slot, so the returned
-// slice stays valid indefinitely.
+// slice stays valid indefinitely: the program is released on return.
 func Candidates(t *litmus.Test) ([]*Candidate, error) {
 	p, err := Compile(t)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	var out []*Candidate
 	err = p.Search(context.Background(), Request{}, func(c *Candidate) bool {
 		out = append(out, c.Clone())

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"maps"
+	"slices"
 	"sync"
 
 	"herdcats/internal/events"
@@ -35,16 +37,20 @@ type decision struct {
 // one-shot static derivation below — so any number of walkers, on any
 // number of goroutines, may share it.
 //
-// An expansion, and the *events.Execution skeleton inside it, is built per
-// trace combination and never recycled for another: compiled cat
-// evaluators key their per-skeleton state on the skeleton pointer
-// (Execution.Base), so a reused skeleton would hand one combination's
-// static values to another.
+// Everything an expansion holds is carved from its program's store, except
+// the expansion itself, with the *events.Execution skeleton header inside
+// it: that is one allocation per skeleton, never recycled for another.
+// Compiled cat evaluators key their per-skeleton state on the skeleton
+// pointer (Execution.Base), so a header reused for another skeleton would
+// hand one combination's static values to another, and an evaluator that
+// is never released keeps its last header alive, so a fresh header can
+// never take that address.
 type expansion struct {
 	p         *Program
+	st        *store // what the expansion and its static state are carved from
 	evs       []events.Event
 	n         int
-	x         *events.Execution // skeleton: PO/IICO/RFReg set, RF/CO empty
+	x         events.Execution // skeleton: PO/IICO/RFReg set, RF/CO empty
 	finalRegs map[litmus.RegKey]litmus.Value
 	baseMem   []locValue // final memory of single-write locations
 
@@ -55,6 +61,12 @@ type expansion struct {
 	// sync.Once gives the emitting worker a happens-before edge on the
 	// skeleton fields it then reads.
 	staticOnce sync.Once
+
+	// alone is the standalone copy of the skeleton that Candidate.Clone
+	// gives its copies, made at the first Clone.
+	aloneOnce sync.Once
+	alone     *events.Execution
+	aloneRegs map[litmus.RegKey]litmus.Value
 
 	reads   []int   // memory-read event IDs, in event order
 	rfCands [][]int // per read: feeding-write candidates (same loc+value)
@@ -102,27 +114,29 @@ func feasible(allTraces [][]Trace, choice []int) bool {
 	return true
 }
 
-// assemble lays out the global event structure of one trace per thread:
-// the initial writes first, one per location, then each thread's events
-// with their IDs shifted, with po, iico and rf-reg set (rf and co empty,
-// nothing derived), and the chosen traces' final registers. The caller
-// has checked p.initErr.
-func (p *Program) assemble(allTraces [][]Trace, choice []int) (*events.Execution, map[litmus.RegKey]litmus.Value) {
-	n, nRegs := len(p.locs), 0
+// assemble lays out, in x, the global event structure of one trace per
+// thread: the initial writes first, one per location, then each thread's
+// events with their IDs shifted, with po, iico and rf-reg set (rf and co
+// empty, nothing derived); it returns the chosen traces' final registers.
+// The events, the relations and the register map are carved from the
+// program's store. The caller has checked p.initErr.
+func (p *Program) assemble(st *store, allTraces [][]Trace, choice []int, x *events.Execution) map[litmus.RegKey]litmus.Value {
+	n := len(p.locs)
 	for tid := range p.Threads {
-		tr := &allTraces[tid][choice[tid]]
-		n += len(tr.Events)
-		nRegs += len(tr.FinalRegs)
+		n += len(allTraces[tid][choice[tid]].Events)
 	}
-	evs := make([]events.Event, 0, n)
+	st.mu.Lock()
+	evs := take(&st.evs, n)[:0]
+	r := st.rels.Rels(n, 7)
+	finalRegs := st.finalMap()
+	st.mu.Unlock()
+	x.PO, x.IICO, x.IICOAddr, x.IICOData, x.RFReg, x.RF, x.CO = r[0], r[1], r[2], r[3], r[4], r[5], r[6]
 	for i, loc := range p.locs {
 		evs = append(evs, events.Event{
 			ID: i, Tid: events.InitTid, PC: -1,
 			Kind: events.MemWrite, Loc: loc, Val: p.initVals[i],
 		})
 	}
-	x := events.NewExecution(n)
-	finalRegs := make(map[litmus.RegKey]litmus.Value, nRegs)
 	for tid := range p.Threads {
 		tr := &allTraces[tid][choice[tid]]
 		off := len(evs)
@@ -148,7 +162,7 @@ func (p *Program) assemble(allTraces [][]Trace, choice []int) (*events.Execution
 		}
 	}
 	x.Events = evs
-	return x, finalRegs
+	return finalRegs
 }
 
 // addShifted adds the trace-local edges to dst, shifted by off.
@@ -161,19 +175,24 @@ func addShifted(dst rel.Rel, edges [][2]int, off int) {
 // newExpansion assembles the skeleton for one trace combination. It
 // returns (nil, nil) when the combination is infeasible (some read has no
 // same-value write to read from), having allocated nothing.
-func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, error) {
+func (p *Program) newExpansion(st *store, allTraces [][]Trace, choice []int) (*expansion, error) {
 	if p.initErr != nil {
 		return nil, p.initErr
 	}
 	if !feasible(allTraces, choice) {
 		return nil, nil
 	}
-	x, finalRegs := p.assemble(allTraces, choice)
-	evs, n, nLocs := x.Events, x.N(), len(p.locs)
+	e := &expansion{p: p, st: st}
+	e.finalRegs = p.assemble(st, allTraces, choice, &e.x)
+	evs, n, nLocs := e.x.Events, e.x.N(), len(p.locs)
+	e.evs, e.n = evs, n
 
 	// Per location: its write count (the initial write included), its read
 	// count, and cursors into the flat member array below.
-	cnt := make([]int, 4*nLocs)
+	st.mu.Lock()
+	cnt := take(&st.ints, 4*nLocs)
+	st.mu.Unlock()
+	clear(cnt)
 	nw, nr, wcur, rcur := cnt[:nLocs], cnt[nLocs:2*nLocs], cnt[2*nLocs:3*nLocs], cnt[3*nLocs:]
 	nMem, nReads := nLocs, 0
 	for tid := range p.Threads {
@@ -197,23 +216,30 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 		}
 	}
 
-	// Every int slice of the expansion is carved from one allocation.
-	ints := make([]int, nMem+nReads+rfBound+nDec)
-	take := func(k int) []int {
+	// Every int slice of the expansion is carved from one stretch of the
+	// store, and so is each other slice.
+	st.mu.Lock()
+	ints := take(&st.ints, nMem+nReads+rfBound+nDec)
+	rfCands := take(&st.intss, nReads)
+	e.baseMem = take(&st.mems, nLocs-nCo)[:0]
+	e.locs = take(&st.cos, nCo)[:0]
+	e.decisions = take(&st.decs, nDec)[:0]
+	st.mu.Unlock()
+	carve := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]
 		return s
 	}
 	// members holds location l's writes (event IDs, event order, so the
 	// initial write first) and then its reads (indices into reads).
-	members := take(nMem)
+	members := carve(nMem)
 	for l, b := 0, 0; l < nLocs; l++ {
 		wcur[l], rcur[l] = b, b+nw[l]
 		b += nw[l] + nr[l]
 		members[wcur[l]] = l // the initial write's event ID
 		wcur[l]++
 	}
-	reads := take(nReads)[:0]
+	reads := carve(nReads)[:0]
 	off := nLocs
 	for tid := range p.Threads {
 		tr := &allTraces[tid][choice[tid]]
@@ -231,17 +257,8 @@ func (p *Program) newExpansion(allTraces [][]Trace, choice []int) (*expansion, e
 	}
 
 	// rf candidates per read: same location, same value.
-	rfFlat := take(rfBound)[:0]
-	rfCands := make([][]int, nReads)
-	e := &expansion{
-		p: p, evs: evs, n: n, x: x,
-		finalRegs: finalRegs,
-		baseMem:   make([]locValue, 0, nLocs-nCo),
-		reads:     reads, rfCands: rfCands,
-		locs:      make([]coLoc, 0, nCo),
-		decisions: make([]decision, 0, nDec),
-		widths:    take(nDec)[:0],
-	}
+	rfFlat := carve(rfBound)[:0]
+	e.reads, e.rfCands, e.widths = reads, rfCands, carve(nDec)[:0]
 	for l, b := 0, 0; l < nLocs; l++ {
 		ws := members[b : b+nw[l] : b+nw[l]]
 		rs := members[b+nw[l] : b+nw[l]+nr[l] : b+nw[l]+nr[l]]
@@ -393,6 +410,7 @@ func (w *walker) walk(level int) {
 type candSlot struct {
 	x     events.Execution
 	state litmus.State
+	exp   *expansion // the expansion of the latest candidate
 	gen   uint64
 	n     int       // the universe size rels are carved for; -1 before any
 	bits  []uint64  // the backing rels are carved from
@@ -411,9 +429,30 @@ func (sl *candSlot) release() {
 		sl.x = events.Execution{RF: sl.rels[0], CO: sl.rels[1]}
 		sl.x.AdoptDynamicBuffers(sl.rels[2:])
 	}
-	sl.state.Regs = nil
+	sl.state.Regs, sl.exp = nil, nil
 	clear(sl.state.Mem) // the next search's program may have other locations
 	slots.Put(sl)
+}
+
+// deriveStatic derives the skeleton's static state into its program's
+// store, once, at its first candidate.
+func (e *expansion) deriveStatic() { e.x.DeriveStaticIn(e.st) }
+
+// standalone returns a copy of the skeleton and its final registers that
+// owes nothing to the program's store, for Candidate.Clone: made at the
+// first call, re-derived from copies of the base relations, and shared by
+// every later one.
+func (e *expansion) standalone() (*events.Execution, map[litmus.RegKey]litmus.Value) {
+	e.aloneOnce.Do(func() {
+		x := &events.Execution{
+			Events: slices.Clone(e.evs), PO: e.x.PO.Clone(), IICO: e.x.IICO.Clone(),
+			IICOAddr: e.x.IICOAddr.Clone(), IICOData: e.x.IICOData.Clone(), RFReg: e.x.RFReg.Clone(),
+			RF: rel.New(e.n), CO: rel.New(e.n),
+		}
+		x.DeriveStatic()
+		e.alone, e.aloneRegs = x, maps.Clone(e.finalRegs)
+	})
+	return e.alone, e.aloneRegs
 }
 
 // emitCandidate materialises the fully-decided assignment into the search's
@@ -426,8 +465,9 @@ func (sl *candSlot) release() {
 // Candidate.
 func (w *walker) emitCandidate() {
 	e := w.e
-	e.staticOnce.Do(e.x.DeriveStatic)
+	e.staticOnce.Do(e.deriveStatic)
 	sl := w.s.candidateSlot()
+	sl.exp = e
 	cx := &sl.x
 	cx.Events = e.evs
 	cx.PO = e.x.PO
@@ -463,7 +503,7 @@ func (w *walker) emitCandidate() {
 		cx.CO.AddChain(order) // each write's row: the writes after it
 		finalMem[e.locs[li].name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
 	}
-	cx.AdoptStatic(e.x) // forgets the previous candidate's derivation
+	cx.AdoptStatic(&e.x) // forgets the previous candidate's derivation
 	cx.DeriveDemand(w.s.derive)
 	sl.state.Regs = e.finalRegs
 	sl.gen++

@@ -1,5 +1,7 @@
 package exec
 
+import "herdcats/internal/litmus"
+
 // Memo reports what a program keeps across its searches: whether it holds
 // complete trace sets, and how many combination expansions.
 func Memo(p *Program) (traces bool, exps int) {
@@ -11,3 +13,24 @@ func Memo(p *Program) (traces bool, exps int) {
 	defer sh.mu.Unlock()
 	return sh.traces != nil, len(sh.exps)
 }
+
+// Store is stage-1 storage that a test hands from program to program
+// itself, outside the pool.
+type Store struct{ st *store }
+
+// NewStore returns empty storage.
+func NewStore() *Store { return &Store{st: new(store)} }
+
+// CompileIn is Compile with the program's stage 1 carved from s.
+func CompileIn(t *litmus.Test, s *Store) (*Program, error) {
+	p, err := Compile(t)
+	if err != nil {
+		return nil, err
+	}
+	p.st = s.st
+	return p, nil
+}
+
+// Release releases p, a program compiled in s, as Program.Release does,
+// but keeps the rewound storage in s for the next CompileIn.
+func (s *Store) Release(p *Program) { s.st = p.detach() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"herdcats/internal/events"
 	"herdcats/internal/obs"
@@ -54,10 +53,16 @@ func (r Request) derive() events.Dyn {
 // Candidates are delivered zero-copy: each *Candidate is backed by the
 // search's reusable arena slot and is valid only for the duration of its
 // yield call. Consume it in place, or take Candidate.Clone to retain it;
-// a retained original reports Expired once the slot moves on.
+// a retained original reports Expired once the slot moves on. A released
+// program returns an error.
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
+	if p.st == nil {
+		return errReleased
+	}
 	s := newSearch(ctx, req.Budget, yield)
 	s.derive = req.derive()
+	s.takeStore(p)
+	defer s.releaseStore()
 	defer s.flush(req.Obs)
 	defer s.releaseSlot()
 	if !s.alive(true) { // already canceled or expired before the search starts
@@ -87,7 +92,10 @@ func (p *Program) allTraces(s *search) (traces [][]Trace, truncated bool, err er
 		traces, truncated = capped(all, s.b.MaxTracesPerThread)
 		return traces, truncated, nil
 	}
-	traces = make([][]Trace, len(p.Threads))
+	s.st.mu.Lock()
+	traces = take(&s.st.sets, len(p.Threads))
+	s.st.mu.Unlock()
+	clear(traces)
 	for tid := range p.Threads {
 		ts, trunc, err := p.threadTraces(s, tid)
 		if err != nil {
@@ -134,7 +142,7 @@ func (p *Program) walkCombos(s *search, allTraces [][]Trace, lo, hi int) error {
 	choice := make([]int, len(p.Threads))
 	for ci := lo; ci < hi && s.alive(false); ci++ {
 		comboChoice(allTraces, ci, choice)
-		e, err := p.expansion(allTraces, ci, choice)
+		e, err := p.expansion(s.st, allTraces, ci, choice)
 		if err != nil {
 			return err
 		}
@@ -199,7 +207,12 @@ type shard struct {
 
 // searchSharded is SearchShards across goroutines.
 func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorker func() func(Walk) P) ([]P, error) {
+	if p.st == nil {
+		return nil, errReleased
+	}
 	ms := newSearch(ctx, req.Budget, nil) // traces and the shared deadline
+	ms.takeStore(p)                       // every worker carves from it too
+	defer ms.releaseStore()               // after the workers are done
 	if !ms.alive(true) {
 		return nil, ms.err
 	}
@@ -210,7 +223,7 @@ func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorke
 	if err != nil {
 		return nil, err
 	}
-	shards, err := p.buildShards(allTraces, comboCount(allTraces), req.Workers)
+	shards, err := p.buildShards(ms.st, allTraces, comboCount(allTraces), req.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +232,7 @@ func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorke
 	limit := req.Budget.MaxCandidates
 	walk := func(ctx context.Context, consume func(Walk) P, sh *shard, limit int) P {
 		return consume(func(yield func(*Candidate) bool) {
-			p.walkShard(ctx, ms.deadline, limit, req, allTraces, sh, yield)
+			p.walkShard(ctx, ms, limit, req, allTraces, sh, yield)
 		})
 	}
 
@@ -328,7 +341,7 @@ func (sh *shard) settle(n, limit int) (total int, stop, overshot bool, err error
 // combos, each combo's expansion is built once here and split by decision
 // prefix. Either way, concatenating the shards' depth-first streams in
 // slice order reproduces the sequential visit order exactly.
-func (p *Program) buildShards(allTraces [][]Trace, nc, workers int) ([]shard, error) {
+func (p *Program) buildShards(st *store, allTraces [][]Trace, nc, workers int) ([]shard, error) {
 	target := workers * shardsPerWorker
 	var shards []shard
 	if nc >= target {
@@ -346,7 +359,7 @@ func (p *Program) buildShards(allTraces [][]Trace, nc, workers int) ([]shard, er
 		choice := make([]int, len(p.Threads))
 		for ci := 0; ci < nc; ci++ {
 			comboChoice(allTraces, ci, choice)
-			e, err := p.expansion(allTraces, ci, choice)
+			e, err := p.expansion(st, allTraces, ci, choice)
 			if err != nil {
 				return nil, err
 			}
@@ -395,10 +408,11 @@ func prefixSplit(widths []int, want int) (k, count int) {
 
 // walkShard walks one shard with a search of its own — its own candidate
 // slot, so candidates stay zero-copy — capped at limit candidates
-// (0 = none), and records how the walk ended in sh. The candidate total is
-// the merger's, which counts the sequential prefix only.
-func (p *Program) walkShard(ctx context.Context, deadline time.Time, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
-	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: deadline, yield: yield, derive: req.derive()}
+// (0 = none), and records how the walk ended in sh. It shares the master
+// search ms's deadline and store. The candidate total is the merger's,
+// which counts the sequential prefix only.
+func (p *Program) walkShard(ctx context.Context, ms *search, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
+	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: ms.deadline, yield: yield, derive: req.derive(), st: ms.st}
 	defer ws.releaseSlot()
 	defer func() {
 		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err

@@ -25,6 +25,7 @@ import (
 // sets does at once: buildShards builds every feasible expansion up front.
 type shared struct {
 	mu     sync.Mutex
+	st     *store // its program's: exps is the store's map, kept across programs
 	traces [][]Trace
 	exps   map[int]*expansion
 }
@@ -51,7 +52,11 @@ func (sh *shared) keep(traces [][]Trace) {
 	if sh.traces != nil {
 		return
 	}
-	sh.traces, sh.exps = traces, map[int]*expansion{}
+	sh.traces, sh.exps = traces, sh.st.exps
+	if sh.exps == nil {
+		sh.exps = map[int]*expansion{}
+		sh.st.exps = sh.exps
+	}
 }
 
 // expansion returns combination ci's expansion, choice being its decoded
@@ -59,10 +64,10 @@ func (sh *shared) keep(traces [][]Trace) {
 // themselves (not a budget's prefix of them), built and kept on first
 // use; built afresh otherwise. Concurrent searches may build one
 // combination twice; the first kept wins.
-func (p *Program) expansion(allTraces [][]Trace, ci int, choice []int) (*expansion, error) {
+func (p *Program) expansion(st *store, allTraces [][]Trace, ci int, choice []int) (*expansion, error) {
 	sh := p.shared
 	if sh == nil || len(allTraces) == 0 {
-		return p.newExpansion(allTraces, choice)
+		return p.newExpansion(st, allTraces, choice)
 	}
 	sh.mu.Lock()
 	memo := sh.traces != nil && &allTraces[0] == &sh.traces[0]
@@ -74,7 +79,7 @@ func (p *Program) expansion(allTraces [][]Trace, ci int, choice []int) (*expansi
 	if kept != nil {
 		return kept, nil
 	}
-	e, err := p.newExpansion(allTraces, choice)
+	e, err := p.newExpansion(st, allTraces, choice)
 	if !memo || e == nil || err != nil {
 		return e, err
 	}
@@ -123,31 +128,55 @@ type shareSlot struct {
 	once sync.Once
 	p    *Program
 	err  error
+	over bool // released
 }
 
 // Share returns a context carrying one program for test, shared by every
 // ProgramFor(ctx, test) below it: compiled once, on first use, it keeps
 // its complete trace sets and its skeletons across all searches over it.
-// Pass the returned context only to the calls that judge this one test,
-// and drop it with them: the memo lives as long as the context does.
-func Share(ctx context.Context, test *litmus.Test) context.Context {
-	return context.WithValue(ctx, shareKey{}, &shareSlot{test: test})
+// Pass the returned context only to the calls that judge this one test.
+// Once none of them runs any more, call release: it releases the program
+// (Program.Release), if one was compiled, and a ProgramFor under the
+// context afterwards gets the released program, which answers nothing.
+// A second release panics.
+func Share(ctx context.Context, test *litmus.Test) (context.Context, func()) {
+	sl := &shareSlot{test: test}
+	return context.WithValue(ctx, shareKey{}, sl), sl.release
+}
+
+// release ends the slot: no program is compiled for it any more, and the
+// one compiled, if any, is released.
+func (sl *shareSlot) release() {
+	if sl.over {
+		panic("exec: shared program released twice")
+	}
+	sl.over = true
+	sl.once.Do(func() { sl.err = errReleased })
+	if sl.p != nil {
+		sl.p.Release()
+	}
 }
 
 // ProgramFor returns the program ctx shares for test (see Share),
-// compiling it on the first call. For a test ctx shares no program for —
-// none attached, or one attached for another test — it compiles afresh
-// with Compile, and that program memoises nothing.
-func ProgramFor(ctx context.Context, test *litmus.Test) (*Program, error) {
+// compiling it on the first call, and a no-op done: the program belongs
+// to the Share. For a test ctx shares no program for — none attached, or
+// one attached for another test — it compiles afresh with Compile, and
+// that program memoises nothing; done releases it, and the caller calls
+// it once it is finished with the program. done is never nil.
+func ProgramFor(ctx context.Context, test *litmus.Test) (p *Program, done func(), err error) {
 	sl, ok := ctx.Value(shareKey{}).(*shareSlot)
 	if !ok || sl.test != test {
-		return Compile(test)
+		p, err := Compile(test)
+		if err != nil {
+			return nil, func() {}, err
+		}
+		return p, p.Release, nil
 	}
 	sl.once.Do(func() {
 		sl.p, sl.err = Compile(test)
 		if sl.err == nil {
-			sl.p.shared = &shared{}
+			sl.p.shared = &shared{st: sl.p.st}
 		}
 	})
-	return sl.p, sl.err
+	return sl.p, func() {}, sl.err
 }

@@ -108,10 +108,7 @@ func TestSharedProgramMatchesFresh(t *testing.T) {
 		{name: "canceled-in-yield", ctx: bg, cancelInYield: true, traces: true},
 		{name: "deferred", ctx: bg, req: exec.Request{Deferred: true}, traces: true},
 	}
-	shared, err := exec.ProgramFor(exec.Share(bg(), test), test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := mustProgramFor(t, share(t, test), test)
 	for _, st := range steps {
 		fresh, err := exec.Compile(test)
 		if err != nil {
@@ -151,10 +148,7 @@ func TestSharedProgramConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := exec.ProgramFor(exec.Share(context.Background(), test), test)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mustProgramFor(t, share(t, test), test)
 			var wg sync.WaitGroup
 			got := make([][]string, 6)
 			errs := make([]error, len(got))
@@ -182,16 +176,12 @@ func TestSharedProgramConcurrent(t *testing.T) {
 // context does not share.
 func TestProgramForScope(t *testing.T) {
 	a, b := litmus.MustParse(mpSrc), litmus.MustParse(sharedReadsSrc)
-	ctx := exec.Share(context.Background(), a)
-	p1, err := exec.ProgramFor(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := exec.ProgramFor(ctx, a)
-	if p1 != p2 {
+	ctx := share(t, a)
+	p1 := mustProgramFor(t, ctx, a)
+	if p2 := mustProgramFor(t, ctx, a); p1 != p2 {
 		t.Fatal("two ProgramFor calls under one Share compiled twice")
 	}
-	if p3, _ := exec.ProgramFor(exec.Share(context.Background(), a), a); p3 == p1 {
+	if p3 := mustProgramFor(t, share(t, a), a); p3 == p1 {
 		t.Fatal("two Share contexts handed out one program")
 	}
 	for _, p := range []*exec.Program{mustProgramFor(t, ctx, b), mustProgramFor(t, context.Background(), a)} {
@@ -204,13 +194,24 @@ func TestProgramForScope(t *testing.T) {
 	}
 }
 
+// mustProgramFor is exec.ProgramFor, its done deferred to the end of the
+// test.
 func mustProgramFor(t *testing.T, ctx context.Context, test *litmus.Test) *exec.Program {
 	t.Helper()
-	p, err := exec.ProgramFor(ctx, test)
+	p, done, err := exec.ProgramFor(ctx, test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(done)
 	return p
+}
+
+// share is exec.Share on a background context, its release deferred to
+// the end of the test.
+func share(t *testing.T, test *litmus.Test) context.Context {
+	ctx, release := exec.Share(context.Background(), test)
+	t.Cleanup(release)
+	return ctx
 }
 
 // TestSharedProgramManyCombos: a shared program over many trace
@@ -234,7 +235,7 @@ exists (0:r4=2 /\ 1:r4=1)`
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mustProgramFor(t, exec.Share(context.Background(), test), test)
+	p := mustProgramFor(t, share(t, test), test)
 	for _, req := range []exec.Request{{}, {}, {Workers: 2}} {
 		got, err := stream(t, p, req)
 		if err != nil {
@@ -253,7 +254,7 @@ exists (0:r4=2 /\ 1:r4=1)`
 // over the kept sets themselves. A compiled program keeps nothing.
 func TestThreadTracesKeepsSets(t *testing.T) {
 	test := litmus.MustParse(sharedReadsSrc)
-	p := mustProgramFor(t, exec.Share(context.Background(), test), test)
+	p := mustProgramFor(t, share(t, test), test)
 	fresh := compile(t, sharedReadsSrc)
 	var kept [][]exec.Trace
 	for tid := range p.Threads {

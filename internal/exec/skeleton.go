@@ -21,21 +21,36 @@ type Assembled struct {
 }
 
 // Assemble builds the global event structure for one trace per thread.
-// The returned execution is derived, with empty rf and co.
+// The returned execution is derived, with empty rf and co. Like the
+// skeletons of a search, it is carved from the program's store, and
+// valid until the program is released; a released program returns an
+// error.
 func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 	if len(traces) != len(p.Threads) {
 		return nil, fmt.Errorf("exec: Assemble needs %d traces, got %d", len(p.Threads), len(traces))
 	}
+	st := p.st
+	if st == nil {
+		return nil, errReleased
+	}
 	if p.initErr != nil {
 		return nil, p.initErr
 	}
-	wrapped := make([][]Trace, len(traces))
+	st.mu.Lock()
+	wrapped := take(&st.sets, len(traces))
+	choice := take(&st.ints, len(traces))
+	st.mu.Unlock()
 	for i := range traces {
 		wrapped[i] = traces[i : i+1]
 	}
-	x, finalRegs := p.assemble(wrapped, make([]int, len(traces)))
-	threadOf := make([]int, 0, x.N())
-	localIdx := make([]int, 0, x.N())
+	clear(choice)
+	x := &events.Execution{}
+	finalRegs := p.assemble(st, wrapped, choice, x)
+	n := x.N()
+	st.mu.Lock()
+	idx := take(&st.ints, 2*n)
+	st.mu.Unlock()
+	threadOf, localIdx := idx[:0:n], idx[n:n]
 	for range p.locs {
 		threadOf = append(threadOf, events.InitTid)
 		localIdx = append(localIdx, -1)
@@ -46,6 +61,8 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 			localIdx = append(localIdx, li)
 		}
 	}
-	x.Derive()
+	x.DeriveStaticIn(st)
+	x.AdoptDynamicBuffers(st.Rels(n, events.DynBuffers))
+	x.DeriveDemand(events.DynAll)
 	return &Assembled{X: x, ThreadOf: threadOf, LocalIdx: localIdx, FinalRegs: finalRegs}, nil
 }

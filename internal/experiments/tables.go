@@ -264,8 +264,9 @@ func RenderTable6(rows []Table6Row) string {
 // Table8Row classifies the invalid executions of a model on the ARM corpus
 // by the set of axioms they violate (S = SC PER LOCATION, T = NO THIN AIR,
 // O = OBSERVATION, P = PROPAGATION). Errors counts the corpus tests that
-// could not be judged (they failed to compile or search, or panicked):
-// they add nothing to Total.
+// could not be judged (they failed to compile or search, panicked, or a
+// model failed to evaluate one of their candidates): they add nothing to
+// Total or ByAxes.
 type Table8Row struct {
 	Model  string
 	Total  int
@@ -285,52 +286,87 @@ func Table8(minLen, maxLen, maxTests int) ([]Table8Row, error) {
 			corpus.Tests = append(corpus.Tests, t)
 		}
 	}
+	return table8(corpus.Tests, []classifier{cat.MustBuiltin("power-arm"), cat.MustBuiltin("arm-llh")}), nil
+}
+
+// classifier is a model Tab. VIII classifies invalid executions by: one
+// evaluator per test judges its candidates.
+type classifier interface {
+	Name() string
+	core.EvaluatorProvider
+}
+
+// table8 is Tab. VIII over tests, one row per classifier. A test that
+// fails to compile or search, panics, or on which some classifier fails
+// to evaluate a candidate adds nothing to any row but its errors, and
+// the sweep goes on.
+func table8(tests []*litmus.Test, classifiers []classifier) []Table8Row {
 	machines := hardware.ByArch(hardware.ARM)
-	checkers := []*cat.Model{cat.MustBuiltin("power-arm"), cat.MustBuiltin("arm-llh")}
-	rows := make([]Table8Row, len(checkers))
-	for i, m := range checkers {
+	rows := make([]Table8Row, len(classifiers))
+	for i, m := range classifiers {
 		rows[i] = Table8Row{Model: m.Name(), ByAxes: map[string]int{}}
 	}
-
-	// A test that fails or panics adds nothing to any row but its errors,
-	// and the sweep goes on.
 	var mu sync.Mutex
-	failed := sweep(corpus.Tests, func(ctx context.Context, t *litmus.Test) error {
+	failed := sweep(tests, func(ctx context.Context, t *litmus.Test) error {
 		p, err := exec.Compile(t)
 		if err != nil {
 			return err
 		}
+		defer p.Release()
 		observers := make([]*hardware.Observer, len(machines))
 		for i, m := range machines {
 			observers[i] = m.Observer()
 			defer observers[i].Release()
 		}
-		evaluators := make([]core.Checker, len(checkers))
-		for i, m := range checkers {
+		evaluators := make([]core.Checker, len(classifiers))
+		for i, m := range classifiers {
 			evaluators[i] = m.NewEvaluator()
 			defer core.Release(evaluators[i])
 		}
-		return p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
+		// The test's own counts, added to the rows only once it is judged.
+		own := make([]Table8Row, len(classifiers))
+		var evalErr error
+		err = p.Search(ctx, exec.Request{}, func(c *exec.Candidate) bool {
 			if !slices.ContainsFunc(observers, func(o *hardware.Observer) bool { return o.Observes(c.X, t.Name) }) {
 				return true
 			}
 			for i, ev := range evaluators {
 				res := ev.Check(c.X)
+				if res.Err != nil {
+					evalErr = res.Err
+					return false
+				}
 				if res.Valid {
 					continue
 				}
-				mu.Lock()
-				rows[i].Total++
-				rows[i].ByAxes[axesKey(res.FailedChecks)]++
-				mu.Unlock()
+				if own[i].ByAxes == nil {
+					own[i].ByAxes = map[string]int{}
+				}
+				own[i].Total++
+				own[i].ByAxes[axesKey(res.FailedChecks)]++
 			}
 			return true
 		})
+		if err == nil {
+			err = evalErr
+		}
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range rows {
+			rows[i].Total += own[i].Total
+			for k, v := range own[i].ByAxes {
+				rows[i].ByAxes[k] += v
+			}
+		}
+		return nil
 	})
 	for i := range rows {
 		rows[i].Errors = failed
 	}
-	return rows, nil
+	return rows
 }
 
 // axesKey spells the violated checks of a cat model in Tab. VIII's

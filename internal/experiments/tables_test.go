@@ -198,9 +198,10 @@ func TestTable10Shape(t *testing.T) {
 }
 
 // TestTable11Shape: the present model's encoding takes at most 1.5x the
-// CAV12 one's time, median against median over rounds that alternate
-// which model goes first (the paper reports a ~2x speedup; the bound
-// leaves room for timing noise); every verdict of both agrees with the
+// CAV12 one's time, the fastest of five passes against the fastest of
+// five, the passes interleaved so that the models alternate going first
+// (the paper reports a ~2x speedup; the bound leaves room for timing
+// noise); every verdict of both agrees with the
 // simulator under the matching model; and both rows' encoding sizes over
 // the 120 tests are pinned (on this corpus the two come out the same
 // size).

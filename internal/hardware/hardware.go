@@ -299,6 +299,7 @@ func (m Machine) RunLitmus(test *litmus.Test) (*Observation, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	obs := &Observation{Machine: m.Name, Test: test, States: map[string]int{}}
 	o := m.Observer()
 	defer o.Release()

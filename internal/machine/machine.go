@@ -20,6 +20,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"herdcats/internal/cat"
 	"herdcats/internal/events"
@@ -29,11 +30,28 @@ import (
 // Model evaluates the relations the machine's premises read — the
 // bindings ppo, fence, prop, hb and po-loc-sc of a cat model — on
 // candidate executions. It holds one evaluator, so one Model serves one
-// search on one goroutine.
+// search on one goroutine. It also holds the storage Accepts builds each
+// candidate's machine in, taken from a pool and handed back by Release
+// with the evaluator, so the machines of one search, and of the searches
+// after it, allocate nothing once warm.
 type Model struct {
 	name string
 	r    *cat.Reader
+	sc   *scratch // Accepts' storage; nil until its first call
 }
+
+// scratch is the storage Model.Accepts builds machines in: the machine,
+// rebuilt for each candidate, the backing its relations are carved from,
+// and the memo of dead states, cleared for each candidate.
+type scratch struct {
+	m    Machine
+	bits []uint64
+	rels []rel.Rel
+	dead map[state]bool
+}
+
+// scratches keeps the storage of released Models.
+var scratches = sync.Pool{New: func() any { return &scratch{dead: map[state]bool{}} }}
 
 // NewModel binds the machine to a cat model, which must bind ppo, fence,
 // prop, hb and po-loc-sc.
@@ -52,9 +70,18 @@ func NewModel(m *cat.Model) (*Model, error) {
 // Name returns the cat model's declared name.
 func (md *Model) Name() string { return md.name }
 
-// Release hands the Model's evaluator back to the cat model's pool; the
-// Model must not be used again.
-func (md *Model) Release() { md.r.Release() }
+// Release hands the Model's evaluator back to the cat model's pool, and
+// the storage of its machines back to this package's; the Model must not
+// be used again.
+func (md *Model) Release() {
+	md.r.Release()
+	if sc := md.sc; sc != nil {
+		md.sc = nil
+		sc.m.x, sc.m.co = nil, rel.Rel{} // keep no candidate alive in the pool
+		clear(sc.dead)
+		scratches.Put(sc)
+	}
+}
 
 // LabelKind identifies a transition of the machine.
 type LabelKind uint8
@@ -105,9 +132,10 @@ func (l Label) String() string {
 type Machine struct {
 	x *events.Execution
 
-	writes []int // non-init writes
-	reads  []int
-	rfOf   []int // by event ID: a read's write, -1 for every other event
+	writes    []int // non-init writes
+	reads     []int
+	allWrites []int // every write, the initial ones included
+	rfOf      []int // by event ID: a read's write, -1 for every other event
 
 	poloc     rel.Rel // po-loc-sc, the program order of SC PER LOCATION
 	prop      rel.Rel
@@ -126,6 +154,8 @@ type Machine struct {
 
 	// visibility pre-computation (CR: SC PER LOCATION cases)
 	visible []bool // by event ID: is a read's rf(r) visible to it?
+
+	labels []Label // accepts' labels, kept for the next candidate
 }
 
 // succMasks are one event's successors in the relations enabled tests
@@ -137,21 +167,71 @@ type succMasks struct {
 // maxEvents bounds the bitset state encoding.
 const maxEvents = 64
 
+// machineRels is the number of relations a machine derives: the five
+// bindings it reads, ppo ∪ fences, hb* and prop ; hb*.
+const machineRels = 8
+
 // New builds the machine for a derived candidate execution under the
-// model md.
+// model md, in storage of its own: the machine stays valid as long as x
+// does.
 func New(md *Model, x *events.Execution) (*Machine, error) {
-	n := x.N()
-	if n > maxEvents {
-		return nil, fmt.Errorf("machine: execution has %d events, max %d", n, maxEvents)
+	if err := checkSize(x); err != nil {
+		return nil, err
 	}
-	m := &Machine{x: x, rfOf: make([]int, n), visible: make([]bool, n)}
+	m := &Machine{}
+	if err := m.build(md, x, rel.NewN(x.N(), machineRels)); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Accepts builds the machine for a derived candidate execution under md
+// in md's storage and reports whether it accepts (Machine.Accepts). The
+// machine, its relations and its memo of dead states are md's, rebuilt
+// for each candidate, so nothing of one candidate's machine survives into
+// the next one's.
+func (md *Model) Accepts(x *events.Execution) (bool, error) {
+	if err := checkSize(x); err != nil {
+		return false, err
+	}
+	if md.sc == nil {
+		md.sc = scratches.Get().(*scratch)
+	}
+	sc := md.sc
+	sc.rels = rel.Carve(&sc.bits, sc.rels, x.N(), machineRels)
+	if err := sc.m.build(md, x, sc.rels); err != nil {
+		return false, err
+	}
+	clear(sc.dead)
+	return sc.m.accepts(sc.dead), nil
+}
+
+// checkSize rejects an execution the bitset state cannot encode.
+func checkSize(x *events.Execution) error {
+	if n := x.N(); n > maxEvents {
+		return fmt.Errorf("machine: execution has %d events, max %d", n, maxEvents)
+	}
+	return nil
+}
+
+// build fills m for x under md, over rs, machineRels empty relations over
+// x's events; it reuses the capacity of m's slices.
+func (m *Machine) build(md *Model, x *events.Execution, rs []rel.Rel) error {
+	n := x.N()
+	m.x = x
+	m.rfOf = resize(m.rfOf, n)
+	m.visible = resize(m.visible, n)
+	m.writes, m.reads, m.allWrites = m.writes[:0], m.reads[:0], m.allWrites[:0]
 	for i := range m.rfOf {
 		m.rfOf[i] = -1
 	}
 	for _, e := range x.Events {
 		switch {
-		case e.Kind == events.MemWrite && !e.IsInit():
-			m.writes = append(m.writes, e.ID)
+		case e.Kind == events.MemWrite:
+			m.allWrites = append(m.allWrites, e.ID)
+			if !e.IsInit() {
+				m.writes = append(m.writes, e.ID)
+			}
 		case e.Kind == events.MemRead:
 			m.reads = append(m.reads, e.ID)
 		}
@@ -159,34 +239,50 @@ func New(md *Model, x *events.Execution) (*Machine, error) {
 	x.MemRF().ForEachPair(func(w, r int) { m.rfOf[r] = w })
 	for _, r := range m.reads {
 		if m.rfOf[r] < 0 {
-			return nil, fmt.Errorf("machine: read %d has no rf edge", r)
+			return fmt.Errorf("machine: read %d has no rf edge", r)
 		}
 	}
 
-	v, err := md.r.Values(x)
-	if err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
+	if err := md.r.ValuesInto(x, rs[:5]); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
-	ppo, hb := v[0], v[3]
-	m.fences, m.prop = v[1], v[2]
-	m.ppoFences = ppo.Union(m.fences)
-	m.propHBs = m.prop.Seq(hb.Star())
-	m.poloc = v[4]
+	ppo, hb := rs[0], rs[3]
+	m.fences, m.prop, m.poloc = rs[1], rs[2], rs[4]
+	m.ppoFences = rs[5]
+	m.ppoFences.CopyFrom(ppo)
+	m.ppoFences.UnionInto(m.fences)
+	hbStar := rs[6]
+	hbStar.CopyFrom(hb)
+	hbStar.PlusInPlace()
+	hbStar.UnionIdentity()
+	m.propHBs = rs[7]
+	m.propHBs.SeqInto(m.prop, hbStar)
 	m.co = x.CO
 
 	for _, r := range m.reads {
 		m.visible[r] = m.computeVisible(m.rfOf[r], r)
 	}
 	m.buildMasks()
-	return m, nil
+	return nil
+}
+
+// resize returns s at length n, zeroed, reusing its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // buildMasks fills the per-event successor and predecessor masks.
 func (m *Machine) buildMasks() {
 	n := m.x.N()
-	m.succ = make([]succMasks, n)
-	m.coPred = make([]uint64, n)
-	m.propHBsPred = make([]uint64, n)
+	m.succ = resize(m.succ, n)
+	m.coPred = resize(m.coPred, n)
+	m.propHBsPred = resize(m.propHBsPred, n)
+	m.writeMask, m.readMask = 0, 0
 	for _, w := range m.writes {
 		m.writeMask |= bit(w)
 	}
@@ -216,14 +312,14 @@ func (m *Machine) computeVisible(w, r int) bool {
 		return false
 	}
 	// w must be equal to or co-after the last write wb po-loc-before r.
-	for _, wb := range x.W.Elems() {
+	for _, wb := range m.allWrites {
 		if m.poloc.Has(wb, r) && wb != w && !m.co.Has(wb, w) {
 			return false // wb is po-loc-before r but not co-before w: coWR
 		}
 	}
 	// w must be po-loc-before r or co-before every write wa po-loc-after r.
 	if !m.poloc.Has(w, r) {
-		for _, wa := range x.W.Elems() {
+		for _, wa := range m.allWrites {
 			if m.poloc.Has(r, wa) && wa != w && !m.co.Has(w, wa) {
 				return false // coRW2
 			}
@@ -371,8 +467,10 @@ func (m *Machine) apply(s state, l Label) state {
 }
 
 // Labels returns all labels of the candidate, in a deterministic order.
-func (m *Machine) Labels() []Label {
-	var out []Label
+func (m *Machine) Labels() []Label { return m.appendLabels(nil) }
+
+// appendLabels appends the candidate's labels to out.
+func (m *Machine) appendLabels(out []Label) []Label {
 	for _, w := range m.writes {
 		out = append(out,
 			Label{Kind: CommitWrite, Event: w, Write: -1},
@@ -402,28 +500,30 @@ func (m *Machine) AcceptsPath(path []Label) bool {
 // Accepts reports whether some path of the machine consumes every label —
 // the operational acceptance of the candidate. It explores the transition
 // system with memoisation on dead states.
-func (m *Machine) Accepts() bool {
-	labels := m.Labels()
-	dead := map[state]bool{}
-	var search func(s state) bool
-	search = func(s state) bool {
-		if m.final(s) {
-			return true
-		}
-		if dead[s] {
-			return false
-		}
-		for _, l := range labels {
-			if m.enabled(s, l) {
-				if search(m.apply(s, l)) {
-					return true
-				}
-			}
-		}
-		dead[s] = true
+func (m *Machine) Accepts() bool { return m.accepts(map[state]bool{}) }
+
+// accepts is Accepts with the memo of dead states dead, empty on entry.
+func (m *Machine) accepts(dead map[state]bool) bool {
+	m.labels = m.appendLabels(m.labels[:0])
+	return m.search(m.initial(), dead)
+}
+
+// search reports whether some path from s consumes every label, recording
+// the states from which none does in dead.
+func (m *Machine) search(s state, dead map[state]bool) bool {
+	if m.final(s) {
+		return true
+	}
+	if dead[s] {
 		return false
 	}
-	return search(m.initial())
+	for _, l := range m.labels {
+		if m.enabled(s, l) && m.search(m.apply(s, l), dead) {
+			return true
+		}
+	}
+	dead[s] = true
+	return false
 }
 
 // ExploreBounded walks the ENTIRE reachable state space (no early exit on

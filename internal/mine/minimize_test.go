@@ -208,10 +208,11 @@ type programSpy struct {
 }
 
 func (s programSpy) Decide(ctx context.Context, t *litmus.Test) (bool, error) {
-	p, err := exec.ProgramFor(ctx, t)
+	p, done, err := exec.ProgramFor(ctx, t)
 	if err != nil {
 		return false, err
 	}
+	defer done()
 	s.mu.Lock()
 	if s.seen[t] == nil {
 		s.seen[t] = map[*exec.Program]bool{}

@@ -42,6 +42,7 @@ func Run(test *litmus.Test, m *cat.Model, stateBound int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	return RunCompiled(p, m, stateBound)
 }
 

@@ -49,8 +49,9 @@ type Options struct {
 // Request is everything one simulation needs: Simulate is the single
 // entry point, whether the test arrives as source or compiled.
 type Request struct {
-	// Test is the litmus test to simulate; it is compiled on the way in.
-	// Leave nil when Program carries a pre-compiled test.
+	// Test is the litmus test to simulate; it is compiled on the way in,
+	// and the program released when Simulate returns. Leave nil when
+	// Program carries a pre-compiled test.
 	Test *litmus.Test
 
 	// Program is an already-compiled test (exec.Compile), taking
@@ -96,6 +97,7 @@ func Simulate(ctx context.Context, req Request) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer p.Release() // after the evaluators, released below
 	}
 	er := exec.Request{
 		Budget:  req.Budget,
