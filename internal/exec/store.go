@@ -14,11 +14,13 @@ import (
 // trace's events, edge lists, accesses and final registers, the trace
 // sets, and each skeleton's events, relations, sets, int slices and final
 // registers. Compile takes a store from stores and Release puts it back,
-// rewound, for the next program to carve its stage 1 from. Everything
-// carved from a store lives until its program is released, so nothing
-// read from a program's traces or skeletons may outlive the program
-// (Candidate.Clone copies what it keeps). mu guards the carving: the
-// searches of one program may run on several goroutines at once.
+// rewound, for the next program to carve its stage 1 from; a search of
+// a program that memoises nothing takes one of its own for as long as it
+// runs (search.takeStore). Everything carved from a store lives until
+// its owner gives it back, so nothing read from a program's traces or
+// skeletons may outlive the program (Candidate.Clone copies what it
+// keeps). mu guards the carving: the searches of one program may run on
+// several goroutines at once.
 type store struct {
 	mu sync.Mutex
 
