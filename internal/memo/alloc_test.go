@@ -40,7 +40,7 @@ func lightCorpus(t *testing.T, seed uint64, n int) []*litmus.Test {
 // (4096 entries, sequential enumeration) runs 200 distinct light diy PPC
 // tests under cat Power and herdd's 30 s budget, every one a miss, and
 // must allocate per miss no more than measured once a compiled test's
-// stage-1 storage outlived the test (go1.24: 15–19 KB; 67.5 KB when each
+// stage-1 storage outlived the test (go1.24: 13–19 KB; 67.5 KB when each
 // miss built its traces and skeletons in fresh storage). The figure is
 // TotalAlloc over a pass on a fresh cache after a warm-up pass on
 // another; it moves by a few KB as the collector empties the pools, so
