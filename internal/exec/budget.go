@@ -119,30 +119,43 @@ type search struct {
 	slot   *candSlot  // lazily-taken reusable candidate arena (see expand.go)
 	derive events.Dyn // what emission derives: everything, or nothing when deferred
 
-	st       *store // what the search carves its traces and skeletons from
-	ownStore bool   // st is the search's own, released when it ends
+	st  *store // where the search carves its traces: its program's if shared, else own
+	own *store // the search's own store (private), nil until first used
 }
 
-// takeStore sets the store the search carves stage 1 from. On a shared
-// program it is the program's, whose memo keeps what the search carves.
-// Any other program keeps nothing of a search, so the search takes a store
-// of its own from the pool, and its carvings die with it: a program
-// searched again and again never grows.
+// takeStore sets the store the search carves its traces into. On a
+// shared program it is the program's, whose memo keeps them. Any other
+// program keeps nothing of a search, so the search carves into its own
+// store, and its traces die with it: a program searched again and again
+// never grows.
 func (s *search) takeStore(p *Program) {
 	if p.shared != nil {
 		s.st = p.st
 		return
 	}
-	s.st, s.ownStore = stores.Get().(*store), true
+	s.st = s.private()
+}
+
+// private returns the search's own store, taking it from the pool on
+// first use. It holds what no program keeps: an unshared program's trace
+// sets, and every skeleton the search builds that its program does not
+// memoise. walkCombos rewinds such a skeleton once its walk is over, so
+// the store holds one at a time, however many combinations the search
+// walks.
+func (s *search) private() *store {
+	if s.own == nil {
+		s.own = stores.Get().(*store)
+	}
+	return s.own
 }
 
 // releaseStore rewinds the search's own store and puts it back, once the
 // search is over and its slot released.
 func (s *search) releaseStore() {
-	if s.ownStore {
-		s.st.reset()
-		stores.Put(s.st)
-		s.st, s.ownStore = nil, false
+	if s.own != nil {
+		s.own.reset()
+		stores.Put(s.own)
+		s.own = nil
 	}
 }
 

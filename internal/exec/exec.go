@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"sync"
 
 	"herdcats/internal/events"
 	"herdcats/internal/isa"
@@ -105,12 +106,18 @@ type Program struct {
 	// Share context.
 	shared *shared
 
-	// st is the storage stage 1 is carved from; nil once released.
-	st *store
+	// st is the storage the program carves stage 1 into, taken on first
+	// use (storage): a shared program's traces and skeletons, and what
+	// ThreadTraces and Assemble return. released refuses every use after
+	// Release.
+	st       *store
+	stOnce   sync.Once
+	released bool
 }
 
 // Compile parses the threads of a test and prepares the value domain. The
-// program takes its stage-1 storage from a pool; Release gives it back.
+// program takes stage-1 storage from a pool once it carves any; Release
+// gives it back.
 func Compile(t *litmus.Test) (*Program, error) {
 	p := &Program{Test: t, locs: t.Locations, locIdx: map[string]int{}}
 	for i, l := range t.Locations {
@@ -138,7 +145,6 @@ func Compile(t *litmus.Test) (*Program, error) {
 			return nil, fmt.Errorf("exec: data value %d collides with address encoding", v)
 		}
 	}
-	p.st = stores.Get().(*store)
 	return p, nil
 }
 
@@ -321,13 +327,14 @@ type access struct {
 // A shared program (ProgramFor) returns its kept set, enumerating every
 // thread to completion and keeping the sets first if no search has, so a
 // later search takes them too; callers must not modify it. Should that
-// enumeration fail, the thread is enumerated alone, as on any program.
-// A released program returns an error.
+// enumeration fail, the thread is enumerated alone, as on any program,
+// into storage the program keeps until its release. A released program
+// returns an error.
 func (p *Program) ThreadTraces(tid int) ([]Trace, error) {
-	if p.st == nil {
+	if p.released {
 		return nil, errReleased
 	}
-	s := &search{ctx: context.Background(), st: p.st}
+	s := &search{ctx: context.Background(), st: p.storage()}
 	if p.shared != nil {
 		if all, _, err := p.allTraces(s); err == nil {
 			return all[tid], nil

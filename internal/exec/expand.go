@@ -37,8 +37,9 @@ type decision struct {
 // one-shot static derivation below — so any number of walkers, on any
 // number of goroutines, may share it.
 //
-// Everything an expansion holds is carved from its program's store, except
-// the expansion itself, with the *events.Execution skeleton header inside
+// Everything an expansion holds is carved from a store (its program's when
+// the program keeps it, else its search's own, rewound once the walk over
+// it ends), except the expansion itself, with the *events.Execution skeleton header inside
 // it: that is one allocation per skeleton, never recycled for another.
 // Compiled cat evaluators key their per-skeleton state on the skeleton
 // pointer (Execution.Base), so a header reused for another skeleton would
@@ -118,17 +119,18 @@ func feasible(allTraces [][]Trace, choice []int) bool {
 // thread: the initial writes first, one per location, then each thread's
 // events with their IDs shifted, with po, iico and rf-reg set (rf and co
 // empty, nothing derived); it returns the chosen traces' final registers.
-// The events, the relations and the register map are carved from the
-// program's store. The caller has checked p.initErr.
+// The events, the relations and the register map are carved from st's
+// skeletons. The caller has checked p.initErr.
 func (p *Program) assemble(st *store, allTraces [][]Trace, choice []int, x *events.Execution) map[litmus.RegKey]litmus.Value {
 	n := len(p.locs)
 	for tid := range p.Threads {
 		n += len(allTraces[tid][choice[tid]].Events)
 	}
+	sk := &st.skel
 	st.mu.Lock()
-	evs := take(&st.evs, n)[:0]
-	r := st.rels.Rels(n, 7)
-	finalRegs := st.finalMap()
+	evs := take(&sk.evs, n)[:0]
+	r := sk.carveRels(n, 7)
+	finalRegs := sk.finalMap()
 	st.mu.Unlock()
 	x.PO, x.IICO, x.IICOAddr, x.IICOData, x.RFReg, x.RF, x.CO = r[0], r[1], r[2], r[3], r[4], r[5], r[6]
 	for i, loc := range p.locs {
@@ -189,8 +191,9 @@ func (p *Program) newExpansion(st *store, allTraces [][]Trace, choice []int) (*e
 
 	// Per location: its write count (the initial write included), its read
 	// count, and cursors into the flat member array below.
+	sk := &st.skel
 	st.mu.Lock()
-	cnt := take(&st.ints, 4*nLocs)
+	cnt := take(&sk.ints, 4*nLocs)
 	st.mu.Unlock()
 	clear(cnt)
 	nw, nr, wcur, rcur := cnt[:nLocs], cnt[nLocs:2*nLocs], cnt[2*nLocs:3*nLocs], cnt[3*nLocs:]
@@ -219,11 +222,11 @@ func (p *Program) newExpansion(st *store, allTraces [][]Trace, choice []int) (*e
 	// Every int slice of the expansion is carved from one stretch of the
 	// store, and so is each other slice.
 	st.mu.Lock()
-	ints := take(&st.ints, nMem+nReads+rfBound+nDec)
-	rfCands := take(&st.intss, nReads)
-	e.baseMem = take(&st.mems, nLocs-nCo)[:0]
-	e.locs = take(&st.cos, nCo)[:0]
-	e.decisions = take(&st.decs, nDec)[:0]
+	ints := take(&sk.ints, nMem+nReads+rfBound+nDec)
+	rfCands := take(&sk.intss, nReads)
+	e.baseMem = take(&sk.mems, nLocs-nCo)[:0]
+	e.locs = take(&sk.cos, nCo)[:0]
+	e.decisions = take(&sk.decs, nDec)[:0]
 	st.mu.Unlock()
 	carve := func(k int) []int {
 		s := ints[:k:k]
@@ -434,12 +437,12 @@ func (sl *candSlot) release() {
 	slots.Put(sl)
 }
 
-// deriveStatic derives the skeleton's static state into its program's
-// store, once, at its first candidate.
+// deriveStatic derives the skeleton's static state into the store it was
+// carved from, once, at its first candidate.
 func (e *expansion) deriveStatic() { e.x.DeriveStaticIn(e.st) }
 
 // standalone returns a copy of the skeleton and its final registers that
-// owes nothing to the program's store, for Candidate.Clone: made at the
+// owes nothing to any store, for Candidate.Clone: made at the
 // first call, re-derived from copies of the base relations, and shared by
 // every later one.
 func (e *expansion) standalone() (*events.Execution, map[litmus.RegKey]litmus.Value) {

@@ -116,7 +116,7 @@ func assembledFeasible(t *testing.T, p *Program, allTraces [][]Trace, choice []i
 func TestFeasibleMatchesAssembly(t *testing.T) {
 	combos, rejected := 0, 0
 	for name, p := range precheckCorpus(t) {
-		allTraces, _, err := p.allTraces(&search{ctx: context.Background(), st: p.st})
+		allTraces, _, err := p.allTraces(&search{ctx: context.Background(), st: p.storage()})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -127,7 +127,7 @@ func TestFeasibleMatchesAssembly(t *testing.T) {
 			if got := feasible(allTraces, choice); got != want {
 				t.Fatalf("%s combo %d %v: pre-check says feasible=%v, full assembly %v", name, ci, choice, got, want)
 			}
-			e, err := p.newExpansion(p.st, allTraces, choice)
+			e, err := p.newExpansion(p.storage(), allTraces, choice)
 			if err != nil {
 				t.Fatalf("%s combo %d: %v", name, ci, err)
 			}

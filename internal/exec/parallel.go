@@ -56,7 +56,7 @@ func (r Request) derive() events.Dyn {
 // a retained original reports Expired once the slot moves on. A released
 // program returns an error.
 func (p *Program) Search(ctx context.Context, req Request, yield func(*Candidate) bool) error {
-	if p.st == nil {
+	if p.released {
 		return errReleased
 	}
 	s := newSearch(ctx, req.Budget, yield)
@@ -137,17 +137,23 @@ func comboChoice(allTraces [][]Trace, ci int, choice []int) {
 }
 
 // walkCombos walks the trace combinations [lo, hi) in index order — the
-// sequential visit order — each through its own decision tree.
+// sequential visit order — each through its own decision tree. A skeleton
+// the program does not keep is rewound away once its walk is over: the
+// candidates it backed have expired by the next emission, and nothing
+// else reads it.
 func (p *Program) walkCombos(s *search, allTraces [][]Trace, lo, hi int) error {
 	choice := make([]int, len(p.Threads))
 	for ci := lo; ci < hi && s.alive(false); ci++ {
 		comboChoice(allTraces, ci, choice)
-		e, err := p.expansion(s.st, allTraces, ci, choice)
+		e, own, err := p.expansion(s, allTraces, ci, choice)
 		if err != nil {
 			return err
 		}
 		if e != nil {
 			newWalker(e, s).walk(0)
+		}
+		if own {
+			s.own.skel.reset()
 		}
 	}
 	return nil
@@ -207,12 +213,12 @@ type shard struct {
 
 // searchSharded is SearchShards across goroutines.
 func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorker func() func(Walk) P) ([]P, error) {
-	if p.st == nil {
+	if p.released {
 		return nil, errReleased
 	}
 	ms := newSearch(ctx, req.Budget, nil) // traces and the shared deadline
-	ms.takeStore(p)                       // every worker carves from it too
-	defer ms.releaseStore()               // after the workers are done
+	ms.takeStore(p)
+	defer ms.releaseStore() // after the workers are done
 	if !ms.alive(true) {
 		return nil, ms.err
 	}
@@ -223,7 +229,7 @@ func searchSharded[P any](ctx context.Context, p *Program, req Request, newWorke
 	if err != nil {
 		return nil, err
 	}
-	shards, err := p.buildShards(ms.st, allTraces, comboCount(allTraces), req.Workers)
+	shards, err := p.buildShards(ms, allTraces, comboCount(allTraces), req.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -338,10 +344,11 @@ func (sh *shard) settle(n, limit int) (total int, stop, overshot bool, err error
 // buildShards partitions the decision forest into canonically-ordered
 // shards. With at least one combo per shard slot, shards are contiguous
 // combo ranges (workers build their own expansions, in parallel); with few
-// combos, each combo's expansion is built once here and split by decision
-// prefix. Either way, concatenating the shards' depth-first streams in
+// combos, each combo's expansion is built once here, kept by the program
+// or by the master search ms until the workers are done, and split by
+// decision prefix. Either way, concatenating the shards' depth-first streams in
 // slice order reproduces the sequential visit order exactly.
-func (p *Program) buildShards(st *store, allTraces [][]Trace, nc, workers int) ([]shard, error) {
+func (p *Program) buildShards(ms *search, allTraces [][]Trace, nc, workers int) ([]shard, error) {
 	target := workers * shardsPerWorker
 	var shards []shard
 	if nc >= target {
@@ -359,7 +366,7 @@ func (p *Program) buildShards(st *store, allTraces [][]Trace, nc, workers int) (
 		choice := make([]int, len(p.Threads))
 		for ci := 0; ci < nc; ci++ {
 			comboChoice(allTraces, ci, choice)
-			e, err := p.expansion(st, allTraces, ci, choice)
+			e, _, err := p.expansion(ms, allTraces, ci, choice)
 			if err != nil {
 				return nil, err
 			}
@@ -407,12 +414,14 @@ func prefixSplit(widths []int, want int) (k, count int) {
 }
 
 // walkShard walks one shard with a search of its own — its own candidate
-// slot, so candidates stay zero-copy — capped at limit candidates
-// (0 = none), and records how the walk ended in sh. It shares the master
-// search ms's deadline and store. The candidate total is the merger's,
-// which counts the sequential prefix only.
+// slot, so candidates stay zero-copy, and its own store for the skeletons
+// of a combination range that its program does not keep — capped at
+// limit candidates (0 = none), and records how the walk ended in sh. It
+// shares the master search ms's deadline and traces. The candidate total
+// is the merger's, which counts the sequential prefix only.
 func (p *Program) walkShard(ctx context.Context, ms *search, limit int, req Request, allTraces [][]Trace, sh *shard, yield func(*Candidate) bool) {
-	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: ms.deadline, yield: yield, derive: req.derive(), st: ms.st}
+	ws := &search{ctx: ctx, b: Budget{MaxCandidates: limit}, deadline: ms.deadline, yield: yield, derive: req.derive()}
+	defer ws.releaseStore()
 	defer ws.releaseSlot()
 	defer func() {
 		sh.cands, sh.stopped, sh.err = ws.cands, ws.stopped && ws.err == nil, ws.err

@@ -60,36 +60,42 @@ func (sh *shared) keep(traces [][]Trace) {
 }
 
 // expansion returns combination ci's expansion, choice being its decoded
-// trace choice: the kept one when allTraces are the kept trace sets
-// themselves (not a budget's prefix of them), built and kept on first
-// use; built afresh otherwise. Concurrent searches may build one
-// combination twice; the first kept wins.
-func (p *Program) expansion(st *store, allTraces [][]Trace, ci int, choice []int) (*expansion, error) {
+// trace choice, and whether it is the search's own to discard once walked.
+// When allTraces are a shared program's kept trace sets themselves (not a
+// budget's prefix of them), the expansion is the kept one, built into the
+// program's store and kept on first use; concurrent searches may build
+// one combination twice, and the first kept wins. Otherwise it is built
+// afresh into the search's own store.
+func (p *Program) expansion(s *search, allTraces [][]Trace, ci int, choice []int) (e *expansion, own bool, err error) {
 	sh := p.shared
-	if sh == nil || len(allTraces) == 0 {
-		return p.newExpansion(st, allTraces, choice)
+	memo := false
+	if sh != nil && len(allTraces) > 0 {
+		sh.mu.Lock()
+		memo = sh.traces != nil && &allTraces[0] == &sh.traces[0]
+		var kept *expansion
+		if memo {
+			kept = sh.exps[ci]
+		}
+		sh.mu.Unlock()
+		if kept != nil {
+			return kept, false, nil
+		}
 	}
-	sh.mu.Lock()
-	memo := sh.traces != nil && &allTraces[0] == &sh.traces[0]
-	var kept *expansion
-	if memo {
-		kept = sh.exps[ci]
+	if !memo {
+		e, err := p.newExpansion(s.private(), allTraces, choice)
+		return e, true, err
 	}
-	sh.mu.Unlock()
-	if kept != nil {
-		return kept, nil
-	}
-	e, err := p.newExpansion(st, allTraces, choice)
-	if !memo || e == nil || err != nil {
-		return e, err
+	e, err = p.newExpansion(sh.st, allTraces, choice)
+	if e == nil || err != nil {
+		return e, false, err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if kept := sh.exps[ci]; kept != nil {
-		return kept, nil
+		return kept, false, nil
 	}
 	sh.exps[ci] = e
-	return e, nil
+	return e, false, nil
 }
 
 // capped returns the trace sets a search under a MaxTracesPerThread cap
@@ -175,7 +181,7 @@ func ProgramFor(ctx context.Context, test *litmus.Test) (p *Program, done func()
 	sl.once.Do(func() {
 		sl.p, sl.err = Compile(test)
 		if sl.err == nil {
-			sl.p.shared = &shared{st: sl.p.st}
+			sl.p.shared = &shared{st: sl.p.storage()}
 		}
 	})
 	return sl.p, func() {}, sl.err

@@ -220,18 +220,8 @@ func share(t *testing.T, test *litmus.Test) context.Context {
 // feasible ones only, and searches as a fresh program does, sequentially
 // and sharded.
 func TestSharedProgramManyCombos(t *testing.T) {
-	const src = `PPC manycombos
-{ 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; }
- P0 | P1 ;
- li r3,1 | li r3,2 ;
- stw r3,0(r2) | stw r3,0(r1) ;
- lwz r4,0(r1) | lwz r4,0(r2) ;
- lwz r5,0(r1) | lwz r5,0(r2) ;
- lwz r6,0(r1) | lwz r6,0(r2) ;
- li r7,3 | li r7,3 ;
-exists (0:r4=2 /\ 1:r4=1)`
-	test := litmus.MustParse(src)
-	want, err := stream(t, compile(t, src), exec.Request{})
+	test := litmus.MustParse(manyCombosSrc)
+	want, err := stream(t, compile(t, manyCombosSrc), exec.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +237,19 @@ exists (0:r4=2 /\ 1:r4=1)`
 		t.Fatalf("kept traces=%v and %d skeletons, want traces and 64", traces, exps)
 	}
 }
+
+// manyCombosSrc has 64 traces per thread, 4096 trace combinations, 64 of
+// them feasible, every skeleton of one shape.
+const manyCombosSrc = `PPC manycombos
+{ 0:r1=x; 0:r2=y; 1:r1=x; 1:r2=y; }
+ P0 | P1 ;
+ li r3,1 | li r3,2 ;
+ stw r3,0(r2) | stw r3,0(r1) ;
+ lwz r4,0(r1) | lwz r4,0(r2) ;
+ lwz r5,0(r1) | lwz r5,0(r2) ;
+ lwz r6,0(r1) | lwz r6,0(r2) ;
+ li r7,3 | li r7,3 ;
+exists (0:r4=2 /\ 1:r4=1)`
 
 // TestThreadTracesKeepsSets: ThreadTraces on a shared program that no
 // search has run enumerates every thread once and keeps the sets, and a

@@ -29,16 +29,16 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 	if len(traces) != len(p.Threads) {
 		return nil, fmt.Errorf("exec: Assemble needs %d traces, got %d", len(p.Threads), len(traces))
 	}
-	st := p.st
-	if st == nil {
+	if p.released {
 		return nil, errReleased
 	}
 	if p.initErr != nil {
 		return nil, p.initErr
 	}
+	st := p.storage()
 	st.mu.Lock()
 	wrapped := take(&st.sets, len(traces))
-	choice := take(&st.ints, len(traces))
+	choice := take(&st.skel.ints, len(traces))
 	st.mu.Unlock()
 	for i := range traces {
 		wrapped[i] = traces[i : i+1]
@@ -48,7 +48,7 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 	finalRegs := p.assemble(st, wrapped, choice, x)
 	n := x.N()
 	st.mu.Lock()
-	idx := take(&st.ints, 2*n)
+	idx := take(&st.skel.ints, 2*n)
 	st.mu.Unlock()
 	threadOf, localIdx := idx[:0:n], idx[n:n]
 	for range p.locs {

@@ -10,17 +10,19 @@ import (
 	"herdcats/internal/rel"
 )
 
-// store is the stage-1 storage of one program (DESIGN.md §18.1): every
-// trace's events, edge lists, accesses and final registers, the trace
-// sets, and each skeleton's events, relations, sets, int slices and final
-// registers. Compile takes a store from stores and Release puts it back,
-// rewound, for the next program to carve its stage 1 from; a search of
-// a program that memoises nothing takes one of its own for as long as it
-// runs (search.takeStore). Everything carved from a store lives until
-// its owner gives it back, so nothing read from a program's traces or
-// skeletons may outlive the program (Candidate.Clone copies what it
-// keeps). mu guards the carving: the searches of one program may run on
-// several goroutines at once.
+// store is stage-1 storage (DESIGN.md §18.1): every trace's events, edge
+// lists, accesses and final registers, the trace sets, and, in skel,
+// each skeleton's events, relations, sets, int slices and final
+// registers. A program takes a store from stores when it first carves
+// (a shared program at once), and Release puts it back, rewound, for the
+// next program to carve its stage 1 from. A search takes a store of its
+// own for what no program keeps: an unshared program's traces, and any
+// skeleton its program does not memoise, which it discards after walking
+// it (search.private). Everything carved from a store lives until its
+// owner rewinds it, so nothing read from traces or skeletons may outlive
+// that (Candidate.Clone copies what it keeps). mu guards the carving:
+// the searches of one shared program may run on several goroutines at
+// once.
 type store struct {
 	mu sync.Mutex
 
@@ -29,33 +31,51 @@ type store struct {
 	accs   []access
 	traces []Trace
 	sets   [][]Trace
-	ints   []int
-	intss  [][]int
-	mems   []locValue
-	cos    []coLoc
-	decs   []decision
-	rels   rel.Slab
 
-	// Maps are kept whole, cleared on reset, and handed out in order:
-	// the first nRegs of regs are in use as traces' final registers, the
-	// first nFinals of finals as skeletons', the first nFences of fences
-	// as skeletons' fence relations.
-	regs    []map[string]int
-	nRegs   int
-	finals  []map[litmus.RegKey]litmus.Value
-	nFinals int
-	fences  []map[events.FenceKind]rel.Rel // skeletons' CtrlCfence and FenceRel
-	nFences int
+	// regs is kept whole, cleared on reset, and handed out in order: its
+	// first nRegs maps are in use as traces' final registers.
+	regs  []map[string]int
+	nRegs int
+
+	skel skeletons
 
 	// exps is the shared memo's map of kept expansions (share.go).
 	exps map[int]*expansion
 }
 
-// stores keeps the stores of released programs.
+// skeletons is the part of a store that skeletons are carved from, and
+// all a search rewinds after walking a skeleton it does not keep.
+type skeletons struct {
+	evs   []events.Event
+	ints  []int
+	intss [][]int
+	mems  []locValue
+	cos   []coLoc
+	decs  []decision
+	words []uint64 // the bits of rels and sets
+	rels  []rel.Rel
+	sets  []rel.Set
+
+	// Maps are kept whole, as regs is: the first nFinals of finals are
+	// in use as skeletons' final registers, the first nFences of fences
+	// as their fence relations.
+	finals  []map[litmus.RegKey]litmus.Value
+	nFinals int
+	fences  []map[events.FenceKind]rel.Rel // CtrlCfence and FenceRel
+	nFences int
+}
+
+// stores keeps the stores of released programs and finished searches.
 var stores = sync.Pool{New: func() any { return new(store) }}
 
 // errReleased is the answer of a released program.
 var errReleased = errors.New("exec: program used after Release")
+
+// storage returns the program's store, taking it from stores on first use.
+func (p *Program) storage() *store {
+	p.stOnce.Do(func() { p.st = stores.Get().(*store) })
+	return p.st
+}
 
 // Release hands the program's stage-1 storage back for a later program
 // to carve its traces and skeletons from. Call it once no search over
@@ -63,21 +83,30 @@ var errReleased = errors.New("exec: program used after Release")
 // or candidates is used again: Search, SearchShards, ThreadTraces and
 // Assemble then return an error, and every candidate the program yielded
 // is Expired. A clone taken before stays valid. A second Release panics.
-func (p *Program) Release() { stores.Put(p.detach()) }
+func (p *Program) Release() {
+	if st := p.detach(); st != nil {
+		stores.Put(st)
+	}
+}
 
-// detach ends the program's hold on its store and returns it, rewound.
+// detach ends the program's hold on its store and returns it, rewound,
+// or nil if the program never took one.
 func (p *Program) detach() *store {
-	st := p.st
-	if st == nil {
+	if p.released {
 		panic("exec: program released twice")
 	}
+	p.released = true
+	p.stOnce.Do(func() {}) // a released program takes no store
+	st := p.st
 	p.st, p.shared = nil, nil
-	st.reset()
+	if st != nil {
+		st.reset()
+	}
 	return st
 }
 
-// reset rewinds the store for its next program, keeping every chunk and
-// map it grew, and drops what it referenced of this one.
+// reset rewinds the store for its next owner, keeping every chunk and
+// map it grew, and drops what it referenced of its last one.
 func (st *store) reset() {
 	clear(st.evs)
 	st.evs = st.evs[:0]
@@ -87,26 +116,39 @@ func (st *store) reset() {
 	st.traces = st.traces[:0]
 	clear(st.sets)
 	st.sets = st.sets[:0]
-	st.ints = st.ints[:0]
-	clear(st.intss)
-	st.intss = st.intss[:0]
-	clear(st.mems)
-	st.mems = st.mems[:0]
-	clear(st.cos)
-	st.cos = st.cos[:0]
-	st.decs = st.decs[:0]
-	st.rels.Reset()
 	for _, m := range st.regs[:st.nRegs] {
 		clear(m)
 	}
-	for _, m := range st.finals[:st.nFinals] {
-		clear(m)
-	}
-	for _, m := range st.fences[:st.nFences] {
-		clear(m)
-	}
-	st.nRegs, st.nFinals, st.nFences = 0, 0, 0
+	st.nRegs = 0
+	st.skel.reset()
 	clear(st.exps)
+}
+
+// reset rewinds the skeletons' part of a store: every skeleton carved
+// before is its storage again.
+func (sk *skeletons) reset() {
+	clear(sk.evs)
+	sk.evs = sk.evs[:0]
+	sk.ints = sk.ints[:0]
+	clear(sk.intss)
+	sk.intss = sk.intss[:0]
+	clear(sk.mems)
+	sk.mems = sk.mems[:0]
+	clear(sk.cos)
+	sk.cos = sk.cos[:0]
+	sk.decs = sk.decs[:0]
+	sk.words = sk.words[:0]
+	clear(sk.rels)
+	sk.rels = sk.rels[:0]
+	clear(sk.sets)
+	sk.sets = sk.sets[:0]
+	for _, m := range sk.finals[:sk.nFinals] {
+		clear(m)
+	}
+	for _, m := range sk.fences[:sk.nFences] {
+		clear(m)
+	}
+	sk.nFinals, sk.nFences = 0, 0
 }
 
 // regMap returns an empty map for a trace's final registers. The caller
@@ -121,37 +163,50 @@ func (st *store) regMap() map[string]int {
 
 // finalMap returns an empty map for a skeleton's final registers. The
 // caller holds mu.
-func (st *store) finalMap() map[litmus.RegKey]litmus.Value {
-	if st.nFinals == len(st.finals) {
-		st.finals = append(st.finals, map[litmus.RegKey]litmus.Value{})
+func (sk *skeletons) finalMap() map[litmus.RegKey]litmus.Value {
+	if sk.nFinals == len(sk.finals) {
+		sk.finals = append(sk.finals, map[litmus.RegKey]litmus.Value{})
 	}
-	st.nFinals++
-	return st.finals[st.nFinals-1]
+	sk.nFinals++
+	return sk.finals[sk.nFinals-1]
+}
+
+// carveRels returns k empty relations over n elements, and carveSets k
+// empty sets. The caller holds mu.
+func (sk *skeletons) carveRels(n, k int) []rel.Rel {
+	bits := take(&sk.words, n*rel.Words(n)*k)
+	return rel.Carve(&bits, take(&sk.rels, k), n, k)
+}
+
+func (sk *skeletons) carveSets(n, k int) []rel.Set {
+	bits := take(&sk.words, rel.Words(n)*k)
+	return rel.CarveSets(&bits, take(&sk.sets, k), n, k)
 }
 
 // Rels, Sets and FenceMaps make the store the events.Storage of its
 // skeletons' static derivation (DeriveStaticIn), under mu: relations and
-// sets are carved from its slab, and the maps are kept ones.
+// sets are carved from its skeletons' part, and the maps are kept ones.
 func (st *store) Rels(n, k int) []rel.Rel {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.rels.Rels(n, k)
+	return st.skel.carveRels(n, k)
 }
 
 func (st *store) Sets(n, k int) []rel.Set {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.rels.Sets(n, k)
+	return st.skel.carveSets(n, k)
 }
 
 func (st *store) FenceMaps() (ctrlCfence, fenceRel map[events.FenceKind]rel.Rel) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for len(st.fences) < st.nFences+2 {
-		st.fences = append(st.fences, map[events.FenceKind]rel.Rel{})
+	sk := &st.skel
+	for len(sk.fences) < sk.nFences+2 {
+		sk.fences = append(sk.fences, map[events.FenceKind]rel.Rel{})
 	}
-	st.nFences += 2
-	return st.fences[st.nFences-2], st.fences[st.nFences-1]
+	sk.nFences += 2
+	return sk.fences[sk.nFences-2], sk.fences[sk.nFences-1]
 }
 
 // take returns the next n elements of *chunk, at exact capacity, first

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"herdcats/internal/diy"
@@ -166,6 +167,66 @@ func TestReusedStoreMatchesFresh(t *testing.T) {
 	}
 	if !grew || !shrank {
 		t.Fatalf("the corpus order never made the event count grow (%v) or shrink (%v)", grew, shrank)
+	}
+}
+
+// TestPlainSearchStoreBounded: a search of a plain program carves each
+// skeleton it walks into a store of its own and rewinds it once walked,
+// so over the 64 feasible combinations of manyCombosSrc, every skeleton
+// of one shape, what the store has in use and what it holds, at each
+// combination's first candidate, stop changing within the first few. A
+// store keeping every walked skeleton would grow with each combination.
+// The sharded search's workers have no more in use than that.
+func TestPlainSearchStoreBounded(t *testing.T) {
+	p := compile(t, manyCombosSrc)
+	type size struct{ used, maps, held int }
+	var firsts []size // at each combination's first candidate
+	var last *events.Execution
+	err := p.Search(context.Background(), exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
+		if c.X.Base != last {
+			last = c.X.Base
+			used, maps, held := exec.StoreSize(c)
+			firsts = append(firsts, size{used, maps, held})
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(firsts) != 64 {
+		t.Fatalf("%d combinations walked, want 64", len(firsts))
+	}
+	// The store comes from a pool, as grown as its last owner left it, so
+	// its chunks may still grow over the first combinations; from then
+	// on it holds, and has in use, as much at every combination.
+	settled := len(firsts) - 1
+	for settled > 0 && firsts[settled-1] == firsts[settled] {
+		settled--
+	}
+	if settled > 8 {
+		t.Fatalf("the store was still changing at combination %d of 64: %+v there, %+v at the last",
+			settled, firsts[settled-1], firsts[len(firsts)-1])
+	}
+
+	var mu sync.Mutex
+	most := 0
+	_, err = exec.SearchShards(context.Background(), p, exec.Request{Workers: 2, Deferred: true}, func() func(exec.Walk) int {
+		return func(w exec.Walk) int {
+			w(func(c *exec.Candidate) bool {
+				used, _, _ := exec.StoreSize(c)
+				mu.Lock()
+				most = max(most, used)
+				mu.Unlock()
+				return true
+			})
+			return 0
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := firsts[len(firsts)-1]; most > last.used {
+		t.Fatalf("a sharded worker's store had %d bytes in use, a sequential search's %d", most, last.used)
 	}
 }
 

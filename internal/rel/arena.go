@@ -59,58 +59,3 @@ func (a *Arena) DFS() *DFSScratch {
 	}
 	return &a.dfs
 }
-
-// Slab hands out empty relations and sets, carved from storage it keeps
-// across Resets, to an owner that builds many relations of one piece of
-// work and drops them all at once. Each batch is carved with Carve from a chunk of the slab's
-// backing; a full chunk is replaced by one twice its size, and the
-// batches already carved keep the old one. Reset rewinds the slab to
-// its latest chunk, so every relation and set carved before is
-// overwritten by the next carve. A Slab is not safe for concurrent use.
-type Slab struct {
-	words []uint64
-	rels  []Rel
-	sets  []Set
-}
-
-// Rels returns k empty relations over n elements carved from the slab.
-func (s *Slab) Rels(n, k int) []Rel {
-	w := max((n+wordBits-1)/wordBits, 1)
-	bits := take(&s.words, n*w*k)
-	return Carve(&bits, take(&s.rels, k), n, k)
-}
-
-// Sets returns k empty sets over n elements carved from the slab.
-func (s *Slab) Sets(n, k int) []Set {
-	if n < 0 {
-		panic("rel: negative universe size")
-	}
-	w := max((n+wordBits-1)/wordBits, 1)
-	bits := take(&s.words, w*k)
-	clear(bits)
-	ss := take(&s.sets, k)
-	for i := range ss {
-		ss[i] = Set{n: n, bits: bits[i*w : (i+1)*w : (i+1)*w]}
-	}
-	return ss
-}
-
-// Reset rewinds the slab: what it carved before is its storage again.
-func (s *Slab) Reset() {
-	s.words = s.words[:0]
-	clear(s.rels)
-	s.rels = s.rels[:0]
-	clear(s.sets)
-	s.sets = s.sets[:0]
-}
-
-// take returns the next n elements of *chunk, at exact capacity, first
-// replacing a chunk too full for them by one at least twice its size.
-func take[T any](chunk *[]T, n int) []T {
-	if cap(*chunk)-len(*chunk) < n {
-		*chunk = make([]T, 0, max(2*cap(*chunk), n, 64))
-	}
-	l := len(*chunk)
-	*chunk = (*chunk)[:l+n]
-	return (*chunk)[l : l+n : l+n]
-}

@@ -56,7 +56,7 @@ func Carve(buf *[]uint64, rs []Rel, n, k int) []Rel {
 	if n < 0 {
 		panic("rel: negative universe size")
 	}
-	w := max((n+wordBits-1)/wordBits, 1)
+	w := Words(n)
 	size := n * w
 	if cap(*buf) < size*k {
 		*buf = make([]uint64, size*k)
@@ -72,6 +72,11 @@ func Carve(buf *[]uint64, rs []Rel, n, k int) []Rel {
 	}
 	return rs
 }
+
+// Words is the number of 64-bit words a set over n elements takes, and
+// so does each row of a relation over n: Carve takes n*Words(n) words
+// per relation from its buffer, CarveSets Words(n) per set.
+func Words(n int) int { return max((n+wordBits-1)/wordBits, 1) }
 
 // FromPairs builds a relation over n elements containing the given pairs.
 func FromPairs(n int, pairs [][2]int) Rel {

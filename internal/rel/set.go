@@ -29,12 +29,28 @@ func NewSet(n int) Set {
 // NewSets returns k empty sets over n elements carved from one
 // allocation, the set counterpart of NewN.
 func NewSets(n, k int) []Set {
+	var bits []uint64
+	return CarveSets(&bits, nil, n, k)
+}
+
+// CarveSets is NewSets over storage the caller keeps, the set
+// counterpart of Carve: it returns k empty sets over n elements carved
+// from *buf, with their headers in ss, and grows *buf or ss only when
+// one is too small.
+func CarveSets(buf *[]uint64, ss []Set, n, k int) []Set {
 	if n < 0 {
 		panic("rel: negative universe size")
 	}
-	w := max((n+wordBits-1)/wordBits, 1)
-	bits := make([]uint64, w*k)
-	ss := make([]Set, k)
+	w := Words(n)
+	if cap(*buf) < w*k {
+		*buf = make([]uint64, w*k)
+	}
+	bits := (*buf)[:w*k]
+	clear(bits)
+	if cap(ss) < k {
+		ss = make([]Set, k)
+	}
+	ss = ss[:k]
 	for i := range ss {
 		ss[i] = Set{n: n, bits: bits[i*w : (i+1)*w : (i+1)*w]}
 	}
