@@ -55,8 +55,11 @@ race:
 # GOMAXPROCS is pinned to the machine's core count explicitly: the
 # original record was taken with an inherited GOMAXPROCS=1, which
 # serialised the 2/4/8-worker timings and flattened the scaling curve.
+# -p 1 builds and runs the packages one at a time: by default go test
+# runs as many side by side as there are cores, so the record's
+# multi-worker walk rows were timed while other packages compiled.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestColdRunBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/memo/ ./internal/wire/ ./internal/fleet/
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -p 1 -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestColdRunBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/memo/ ./internal/wire/ ./internal/fleet/
 
 # The fleet acceptance test under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

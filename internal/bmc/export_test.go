@@ -2,6 +2,7 @@ package bmc
 
 import (
 	"herdcats/internal/cat"
+	"herdcats/internal/events"
 	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 	"herdcats/internal/sat"
@@ -28,3 +29,6 @@ func newCircuit(s *sat.Solver, m int) *circuit {
 	c.start(s, m)
 	return c
 }
+
+// Skeleton is the assembled skeleton the instance lowers its models onto.
+func (in *Instance) Skeleton() *events.Skeleton { return in.asm.X }

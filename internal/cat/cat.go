@@ -463,14 +463,41 @@ func (e *env) lookup(name string) (rel.Rel, bool) {
 	if r, ok := e.defs[name]; ok {
 		return r, true
 	}
-	r, ok := builtinRel(e.x, name)
-	return r, ok
+	switch name { // the dynamic builtins, resolved apart from the compiled path's dynRel
+	case "rf":
+		return e.x.MemRF(), true
+	case "rfe":
+		return e.x.RFE, true
+	case "rfi":
+		return e.x.RFI, true
+	case "sw":
+		return e.x.SW, true
+	case "co":
+		return e.x.CO, true
+	case "coe":
+		return e.x.COE, true
+	case "coi":
+		return e.x.COI, true
+	case "fr":
+		return e.x.FR, true
+	case "fre":
+		return e.x.FRE, true
+	case "fri":
+		return e.x.FRI, true
+	case "com":
+		return e.x.Com, true
+	}
+	return staticRel(e.x.Skeleton, name)
 }
 
-func builtinRel(x *events.Execution, name string) (rel.Rel, bool) {
+// staticRel resolves a static builtin against a derived skeleton. The
+// relation it returns is the skeleton's, shared with every reader, or one
+// the caller owns (id, and a control fence the skeleton has no relation
+// for).
+func staticRel(x *events.Skeleton, name string) (rel.Rel, bool) {
 	switch name {
 	case "po":
-		return x.PO.Restrict(x.M, x.M), true
+		return x.MemPO, true
 	case "po-loc":
 		return x.POLoc, true
 	case "id":
@@ -479,28 +506,6 @@ func builtinRel(x *events.Execution, name string) (rel.Rel, bool) {
 			idFull.Add(m, m)
 		}
 		return idFull, true
-	case "rf":
-		return x.MemRF(), true
-	case "rfe":
-		return x.RFE, true
-	case "rfi":
-		return x.RFI, true
-	case "sw":
-		return x.SW, true
-	case "co":
-		return x.CO, true
-	case "coe":
-		return x.COE, true
-	case "coi":
-		return x.COI, true
-	case "fr":
-		return x.FR, true
-	case "fre":
-		return x.FRE, true
-	case "fri":
-		return x.FRI, true
-	case "com":
-		return x.Com, true
 	case "addr":
 		return x.Addr, true
 	case "data":
@@ -537,7 +542,7 @@ func builtinRel(x *events.Execution, name string) (rel.Rel, bool) {
 	return rel.Rel{}, false
 }
 
-func ctrlCfence(x *events.Execution, kind events.FenceKind) rel.Rel {
+func ctrlCfence(x *events.Skeleton, kind events.FenceKind) rel.Rel {
 	if r, ok := x.CtrlCfence[kind]; ok {
 		return r
 	}

@@ -634,13 +634,14 @@ func (lw *lowerer) owned(e expr) (operand, error) {
 // --- Evaluation ----------------------------------------------------------
 
 // Evaluator executes a Compiled model over candidate executions. It caches
-// the static program's results per skeleton (the Base pointer candidates
-// of one expansion share), specialises the dynamic program to a skeleton
-// after a few of its candidates, and reuses its relation buffers, so
-// steady-state checking allocates nothing. Not safe for concurrent use —
-// sim.Simulate holds one per search worker and checks only that worker's
-// shards with it, on the worker's goroutine; sibling evaluators read the
-// same skeletons concurrently but write only their own buffers.
+// the static program's results per skeleton (the events.Skeleton every
+// candidate of one trace combination points at), specialises the dynamic
+// program to a skeleton after a few of its candidates, and reuses its
+// relation buffers, so steady-state checking allocates nothing. Not safe
+// for concurrent use — sim.Simulate holds one per search worker and checks
+// only that worker's shards with it, on the worker's goroutine; sibling
+// evaluators read the same skeletons concurrently but write only their own
+// buffers.
 //
 // An Evaluator is a handle on storage it borrows from its Compiled's pool.
 // Release returns the storage; the handle then panics on any further use,
@@ -655,7 +656,7 @@ type Evaluator struct {
 type evaluator struct {
 	c      *Compiled
 	n      int
-	base   *events.Execution
+	base   *events.Skeleton
 	static []rel.Rel // the slot file
 	regs   []rel.Rel
 	files  []uint64  // the backing static and regs are carved from
@@ -675,7 +676,7 @@ func (ev *Evaluator) Name() string { return ev.c.m.name }
 func (ev *Evaluator) DerivesOwnDemand() {}
 
 // Check validates one candidate execution. The execution needs its static
-// half (Derive, or AdoptStatic from a derived skeleton); of the dynamic
+// half (Derive, or AdoptStatic of a derived skeleton); of the dynamic
 // relations, Check derives the ones its program reads and no others, so a
 // deferred candidate (exec.Request.Deferred) is checked as is. Model
 // evaluation failure — a divergent let rec — is reported as Result.Err,
@@ -758,12 +759,8 @@ func (ev *evaluator) evalErr(r any) error {
 
 // bindFor binds the skeleton of x, unless it is bound already.
 func (ev *evaluator) bindFor(x *events.Execution) {
-	base := x.Base
-	if base == nil {
-		base = x
-	}
-	if ev.base != base || ev.n != x.N() {
-		ev.bind(base, x.N())
+	if ev.base != x.Skeleton || ev.n != x.N() {
+		ev.bind(x.Skeleton)
 	}
 }
 
@@ -772,8 +769,8 @@ func (ev *evaluator) bindFor(x *events.Execution) {
 // hoisted expressions into the slot file and records the static checks'
 // verdicts, and the files are re-carved from the evaluator's backing for
 // a new universe size. Candidates sharing the skeleton skip all of this.
-func (ev *evaluator) bind(base *events.Execution, n int) {
-	c := ev.c
+func (ev *evaluator) bind(base *events.Skeleton) {
+	c, n := ev.c, base.N()
 	if ev.n != n || ev.static == nil {
 		ev.rs = rel.Carve(&ev.files, ev.rs, n, c.nSlots+c.nRegs)
 		ev.static, ev.regs = ev.rs[:c.nSlots:c.nSlots], ev.rs[c.nSlots:]
@@ -786,9 +783,9 @@ func (ev *evaluator) bind(base *events.Execution, n int) {
 	}
 	ev.base, ev.n = nil, n // bound only once the static program has run
 	for _, b := range c.builtins {
-		ev.static[b.slot], _ = builtinRel(base, b.name)
+		ev.static[b.slot], _ = staticRel(base, b.name)
 	}
-	ev.run(base, ev.static, c.sprog, c.sGroups)
+	ev.run(&events.Execution{Skeleton: base}, ev.static, c.sprog, c.sGroups) // reads no rf or co
 	ev.base = base
 	if ev.seen = 0; ev.sp != nil {
 		ev.sp.on = false
@@ -830,7 +827,7 @@ func (ev *evaluator) fetchOther(x *events.Execution, o operand) rel.Rel {
 	}
 }
 
-func (ev *evaluator) dirSet(x *events.Execution, d byte) rel.Set {
+func (ev *evaluator) dirSet(x *events.Skeleton, d byte) rel.Set {
 	switch d {
 	case 'R':
 		return x.R
@@ -871,7 +868,7 @@ func (ev *evaluator) run(x *events.Execution, regs []rel.Rel, prog []cinstr, gro
 			regs[in.dst].ComplementInPlace()
 		case cRestrict:
 			regs[in.dst].RestrictInPlace(
-				ev.dirSet(x, byte(in.aux>>8)), ev.dirSet(x, byte(in.aux)))
+				ev.dirSet(x.Skeleton, byte(in.aux>>8)), ev.dirSet(x.Skeleton, byte(in.aux)))
 		case cSnapshot:
 			g := &groups[in.aux]
 			for k, r := range g.regs {
@@ -1050,7 +1047,7 @@ func (sp *residual) covers(x *events.Execution) bool {
 // its initial write and orders the others every way. Everything derived
 // from rf and co is monotone in them, so deriving the demand d on both
 // bounds bounds fr, com, sw and the e/i splits.
-func (sp *residual) bounds(base *events.Execution, sameValue bool, d events.Dyn) {
+func (sp *residual) bounds(base *events.Skeleton, sameValue bool, d events.Dyn) {
 	evs := base.Events
 	for _, r := range []rel.Rel{sp.rfLo, sp.rfHi, sp.coLo, sp.coHi} {
 		r.Clear()
@@ -1081,8 +1078,8 @@ func (sp *residual) bounds(base *events.Execution, sameValue bool, d events.Dyn)
 			sp.rfLo.Add(last, e.ID)
 		}
 	}
-	sp.lox.Events, sp.lox.RF, sp.lox.CO = evs, sp.rfLo, sp.coLo
-	sp.hix.Events, sp.hix.RF, sp.hix.CO = evs, sp.rfHi, sp.coHi
+	sp.lox.RF, sp.lox.CO = sp.rfLo, sp.coLo
+	sp.hix.RF, sp.hix.CO = sp.rfHi, sp.coHi
 	for _, x := range []*events.Execution{&sp.lox, &sp.hix} {
 		x.AdoptStatic(base) // clears what was derived
 		x.DeriveDemand(d)

@@ -19,7 +19,7 @@ func SpecialiseAfter(n int) (restore func()) {
 
 // SkeletonBounds returns the bounds on rf and co that specialisation
 // derives from a skeleton's events.
-func SkeletonBounds(base *events.Execution) (rfLo, rfHi, coLo, coHi rel.Rel) {
+func SkeletonBounds(base *events.Skeleton) (rfLo, rfHi, coLo, coHi rel.Rel) {
 	var sp residual
 	n := base.N()
 	sp.rfLo, sp.rfHi, sp.coLo, sp.coHi = rel.New(n), rel.New(n), rel.New(n), rel.New(n)

@@ -37,8 +37,8 @@ type Gates[R any] interface {
 	Empty(a R)
 }
 
-// Lower runs the program once over g for the skeleton x, whose static half
-// is derived, and asserts its dynamic checks there. It reports whether the
+// Lower runs the program once over g for the derived skeleton x, and
+// asserts its dynamic checks there. It reports whether the
 // static checks hold on x.
 //
 // A let rec group is not unrolled. Each member becomes g.Fresh, bounded by
@@ -49,7 +49,7 @@ type Gates[R any] interface {
 // pre-fixpoint, and every check is antitone in the group, so a check holds
 // for some pre-fixpoint iff it holds for the least fixpoint. Lower returns
 // an error for a program outside that argument (lowerable).
-func Lower[R any](c *Compiled, x *events.Execution, g Gates[R]) (staticOK bool, err error) {
+func Lower[R any](c *Compiled, x *events.Skeleton, g Gates[R]) (staticOK bool, err error) {
 	if err := c.lowerable(); err != nil {
 		return false, err
 	}
@@ -59,14 +59,14 @@ func Lower[R any](c *Compiled, x *events.Execution, g Gates[R]) (staticOK bool, 
 }
 
 // lower is Lower over the evaluator storage ev, which it leaves bound.
-func lower[R any](ev *evaluator, x *events.Execution, g Gates[R]) (staticOK bool, err error) {
+func lower[R any](ev *evaluator, x *events.Skeleton, g Gates[R]) (staticOK bool, err error) {
 	c := ev.c
 	defer func() {
 		if r := recover(); r != nil { // a divergent static let rec
 			staticOK, err = false, fmt.Errorf("cat: model %q evaluation failed: %v", c.m.name, r)
 		}
 	}()
-	ev.bind(x, x.N())
+	ev.bind(x)
 	var lo, hi []rel.Rel
 	if len(c.fixGroups) > 0 {
 		if ev.sp == nil {

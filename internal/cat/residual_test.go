@@ -65,7 +65,7 @@ func TestSkeletonBoundsContain(t *testing.T) {
 	}
 	for _, p := range progs {
 		err := p.Search(context.Background(), exec.Request{}, func(cd *exec.Candidate) bool {
-			rfLo, rfHi, coLo, coHi := cat.SkeletonBounds(cd.X.Base)
+			rfLo, rfHi, coLo, coHi := cat.SkeletonBounds(cd.X.Skeleton)
 			rf := cd.X.MemRF()
 			if !rfLo.SubsetOf(rf) || !rf.SubsetOf(rfHi) || !coLo.SubsetOf(cd.X.CO) || !cd.X.CO.SubsetOf(coHi) {
 				t.Fatalf("%s: candidate outside its skeleton's bounds\nrf %v in [%v, %v]\nco %v in [%v, %v]",

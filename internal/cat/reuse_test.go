@@ -119,10 +119,10 @@ func reuseAtGate(t *testing.T, progs []*exec.Program, gate int) {
 // any error — equals the run over fresh storage.
 func TestReusedLowerMatchesFresh(t *testing.T) {
 	progs := reuseCorpus(t)
-	var skeletons []*events.Execution
+	var skeletons []*events.Skeleton
 	for _, p := range progs {
 		err := p.Search(context.Background(), exec.Request{}, func(cd *exec.Candidate) bool {
-			skeletons = append(skeletons, cd.Clone().X)
+			skeletons = append(skeletons, cd.Clone().X.Skeleton)
 			return false
 		})
 		if err != nil {

@@ -96,7 +96,7 @@ func checkDemand(t *testing.T, what string, x *events.Execution, d events.Dyn, w
 // demandSkeletons returns derived skeletons of the catalogue, a seeded diy
 // PPC sample and a C11 message-passing test whose release/acquire pair
 // makes sw non-empty.
-func demandSkeletons(t *testing.T) []*events.Execution {
+func demandSkeletons(t *testing.T) []*events.Skeleton {
 	t.Helper()
 	var tests []*litmus.Test
 	for _, e := range catalog.Tests() {
@@ -114,7 +114,7 @@ func demandSkeletons(t *testing.T) []*events.Execution {
  atomic_store_explicit(x, 1, relaxed) | r1 = atomic_load_explicit(y, acquire) ;
  atomic_store_explicit(y, 1, release) | r2 = atomic_load_explicit(x, relaxed) ;
 exists (1:r1=1 /\ 1:r2=0)`))
-	var out []*events.Execution
+	var out []*events.Skeleton
 	for _, test := range tests {
 		p, err := exec.Compile(test)
 		if err != nil {
@@ -140,11 +140,9 @@ exists (1:r1=1 /\ 1:r2=0)`))
 // randomCandidate fills a candidate of skeleton base with random rf and co
 // pairs: not only enumerable ones, so a read may have several sources or
 // none, co need not be an order, and rf may touch non-memory events.
-func randomCandidate(rng *rand.Rand, base *events.Execution) *events.Execution {
+func randomCandidate(rng *rand.Rand, base *events.Skeleton) *events.Execution {
 	n := base.N()
-	x := &events.Execution{Events: base.Events, PO: base.PO, IICO: base.IICO,
-		IICOAddr: base.IICOAddr, IICOData: base.IICOData, RFReg: base.RFReg,
-		RF: rel.New(n), CO: rel.New(n)}
+	x := &events.Execution{Skeleton: base, RF: rel.New(n), CO: rel.New(n)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			a, b := base.Events[i], base.Events[j]

@@ -16,13 +16,13 @@ import (
 // as DeriveStatic computed them before it moved onto the in-place kernels.
 type staticRef struct {
 	all, r, w, m, b, reg rel.Set
-	poLoc, intra         rel.Rel
+	memPO, poLoc, intra  rel.Rel
 	addr, data, ctrl     rel.Rel
 	ctrlCfence           map[events.FenceKind]rel.Rel
 	fenceRel             map[events.FenceKind]rel.Rel
 }
 
-func deriveStaticRef(x *events.Execution) staticRef {
+func deriveStaticRef(x *events.Skeleton) staticRef {
 	n := x.N()
 	s := staticRef{all: rel.FullSet(n), r: rel.NewSet(n), w: rel.NewSet(n), b: rel.NewSet(n), reg: rel.NewSet(n)}
 	fenceEvents := map[events.FenceKind][]int{}
@@ -46,8 +46,8 @@ func deriveStaticRef(x *events.Execution) staticRef {
 		tidSets[e.Tid].Add(e.ID)
 	}
 	s.m = s.r.Union(s.w)
-	s.poLoc = rel.New(n)
-	for _, p := range x.PO.Restrict(s.m, s.m).Pairs() {
+	s.memPO, s.poLoc = x.PO.Restrict(s.m, s.m), rel.New(n)
+	for _, p := range s.memPO.Pairs() {
 		if x.Events[p[0]].Loc == x.Events[p[1]].Loc {
 			s.poLoc.Add(p[0], p[1])
 		}
@@ -151,7 +151,7 @@ func TestDeriveStaticMatchesReference(t *testing.T) {
 				name      string
 				got, want rel.Rel
 			}{
-				{"POLoc", x.POLoc, want.poLoc}, {"IntraThread", x.IntraThread, want.intra},
+				{"MemPO", x.MemPO, want.memPO}, {"POLoc", x.POLoc, want.poLoc}, {"IntraThread", x.IntraThread, want.intra},
 				{"Addr", x.Addr, want.addr}, {"Data", x.Data, want.data}, {"Ctrl", x.Ctrl, want.ctrl},
 			}
 			for kind, r := range want.ctrlCfence {

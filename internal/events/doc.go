@@ -1,13 +1,16 @@
 // Package events defines the event structures of the "Herding cats"
 // framework (Sec. 4–5 of the paper): memory, register, branch and fence
-// events; candidate executions (E, po, rf, co); and the derived relations
-// (fr, po-loc, internal/external splits, fence relations, and the
-// dependency relations addr, data, ctrl, ctrl+cfence of Fig. 22, computed
-// from register-level data flow rather than annotations).
+// events; candidate executions (E, po, rf, co), each a Skeleton the chosen
+// traces fix (events, po, iico, rf-reg) and the rf and co chosen over it;
+// and the derived relations (fr, po-loc, internal/external splits, fence
+// relations, and the dependency relations addr, data, ctrl, ctrl+cfence
+// of Fig. 22, computed from register-level data flow rather than
+// annotations).
 //
 // Glossary of relations (the paper's Tab. II), with the field or method of
-// Execution that carries each. The architecture's relations are the let
-// bindings of a cat model (internal/cat/catfiles), which the compiled
+// Execution that carries each (the skeleton's ones read through the
+// Execution). The architecture's relations are the let bindings of a cat
+// model (internal/cat/catfiles), which the compiled
 // evaluator hands out by name (cat.Compiled.Reader):
 //
 //	notation    name                      nature        carried by

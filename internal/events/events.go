@@ -148,29 +148,14 @@ func (e Event) String() string {
 	return name + ": ?"
 }
 
-// Execution is a candidate execution: a set of events plus the execution
-// relations po, rf, co (Sec. 4.1), the intra-instruction causality iico and
-// the register read-from used to derive dependencies (Sec. 5).
-//
-// After populating the base fields, call Derive to compute every derived
-// relation. Architectures (ppo, fences, prop) consume the derived fields.
-//
-// Derivation splits in two: DeriveStatic computes everything determined by
-// the event structure alone (sets, po-loc, fences, dependencies — invariant
-// across every rf/co choice over the same skeleton), DeriveDynamic the
-// relations downstream of the enumerated rf and co. The enumerator derives
-// the static half once per skeleton and shares it into each candidate via
-// AdoptStatic; Derive runs both halves for standalone executions. The
-// dynamic half is demand-driven underneath (DeriveDemand): a consumer that
-// reads only some dynamic relations may derive only those.
-type Execution struct {
+// Skeleton is the part of a candidate execution that the chosen traces
+// fix: the events, program order, the intra-instruction causality iico and
+// the register read-from used to derive dependencies (Sec. 5), and
+// everything DeriveStatic computes from them — sets, po-loc, fences,
+// dependencies. Only rf and co vary over a skeleton (Sec. 8.3), and they
+// live in the Execution that points at it.
+type Skeleton struct {
 	Events []Event
-
-	// Base is the skeleton execution this candidate adopted its static
-	// derived state from (AdoptStatic), or nil for standalone executions.
-	// Candidates of one skeleton share the same Base pointer, which lets
-	// per-search evaluators cache skeleton-derived work.
-	Base *Execution
 
 	// Base relations, over all events.
 	PO       rel.Rel // program order: same thread, increasing PC (inter-instruction)
@@ -178,13 +163,12 @@ type Execution struct {
 	IICOAddr rel.Rel // iico edges entering a memory access through its address port
 	IICOData rel.Rel // iico edges entering a memory write through its value port
 	RFReg    rel.Rel // register read-from (deterministic per thread)
-	RF       rel.Rel // memory read-from (chosen by the enumerator)
-	CO       rel.Rel // coherence: per-location total order of writes
 
 	// Event sets (filled by DeriveStatic).
 	All, R, W, M, B, RegEvents rel.Set
 
 	// Static derived relations (filled by DeriveStatic).
+	MemPO       rel.Rel               // po over memory events: cat's po builtin
 	POLoc       rel.Rel               // po ∩ same location, over memory events
 	IntraThread rel.Rel               // same-thread event pairs (incl. the init pseudo-thread)
 	Addr        rel.Rel               // address dependencies (Fig. 22)
@@ -192,6 +176,49 @@ type Execution struct {
 	Ctrl        rel.Rel               // control dependencies
 	CtrlCfence  map[FenceKind]rel.Rel // ctrl+cfence per control-fence flavour
 	FenceRel    map[FenceKind]rel.Rel // memory pairs separated by the given fence
+
+	// syncs records that the event structure has both a releasing write
+	// and an acquiring read: without them sw is empty for every rf, so
+	// the derivation skips it.
+	syncs bool
+
+	// emptyRel is a shared all-empty relation handed out by read-only
+	// accessors (Fences on a miss, CtrlCfenceAll with no control fences)
+	// instead of allocating a fresh one per call. Filled by DeriveStatic;
+	// callers must never mutate it.
+	emptyRel    rel.Rel
+	hasEmptyRel bool
+
+	// ctrlCfenceAll caches the union of CtrlCfence over all flavours —
+	// static per skeleton, so computed once by DeriveStatic.
+	ctrlCfenceAll    rel.Rel
+	hasCtrlCfenceAll bool
+}
+
+// Execution is a candidate execution (E, po, rf, co) (Sec. 4.1): a
+// skeleton, which may be shared with every other candidate over the same
+// traces, and the memory read-from and coherence chosen over it, with the
+// relations derived from them.
+//
+// After populating the skeleton's base relations, RF and CO, call Derive
+// to compute every derived relation. Architectures (ppo, fences, prop)
+// consume the derived fields.
+//
+// Derivation splits in two, one half per type: DeriveStatic computes the
+// skeleton's derived state (invariant across every rf/co choice over it),
+// DeriveDynamic the relations downstream of the enumerated rf and co. The
+// enumerator derives each skeleton once and points every candidate of it
+// there (AdoptStatic); Derive runs both halves for standalone executions.
+// The dynamic half is demand-driven underneath (DeriveDemand): a consumer
+// that reads only some dynamic relations may derive only those.
+//
+// A consumer reads the skeleton's fields through the candidate and must
+// never write them: every candidate of the skeleton shares them.
+type Execution struct {
+	*Skeleton
+
+	RF rel.Rel // memory read-from (chosen by the enumerator)
+	CO rel.Rel // coherence: per-location total order of writes
 
 	// Dynamic derived relations (filled by Derive, DeriveDynamic or
 	// DeriveDemand; see Dyn for which of them a candidate holds).
@@ -209,46 +236,25 @@ type Execution struct {
 	// it, so nothing derived for one candidate survives into the next.
 	derived Dyn
 
-	// syncs records that the event structure has both a releasing write
-	// and an acquiring read: without them sw is empty for every rf, so
-	// the derivation skips it. Static per skeleton, shared by AdoptStatic.
-	syncs bool
-
-	// emptyRel is a shared all-empty relation handed out by read-only
-	// accessors (Fences on a miss, CtrlCfenceAll with no control fences)
-	// instead of allocating a fresh one per call. Filled by DeriveStatic,
-	// shared by AdoptStatic; callers must never mutate it.
-	emptyRel    rel.Rel
-	hasEmptyRel bool
-
-	// ctrlCfenceAll caches the union of CtrlCfence over all flavours —
-	// static per skeleton, so computed once by DeriveStatic.
-	ctrlCfenceAll    rel.Rel
-	hasCtrlCfenceAll bool
-
 	// dynN records the universe size the dynamic relation buffers (FR, Com,
 	// SW, the splits, memRF) were last allocated for; DeriveDemand reuses
 	// them in place when it matches instead of allocating afresh.
 	dynN int
 }
 
-// NewExecution returns an execution shell over n events with empty
-// relations, all seven carved from one allocation.
+// NewExecution returns an execution shell over n events, with a skeleton
+// of its own, and empty relations, all seven carved from one allocation.
 func NewExecution(n int) *Execution {
 	r := rel.NewN(n, 7)
 	return &Execution{
-		PO:       r[0],
-		IICO:     r[1],
-		IICOAddr: r[2],
-		IICOData: r[3],
-		RFReg:    r[4],
+		Skeleton: &Skeleton{PO: r[0], IICO: r[1], IICOAddr: r[2], IICOData: r[3], RFReg: r[4]},
 		RF:       r[5],
 		CO:       r[6],
 	}
 }
 
 // N returns the number of events.
-func (x *Execution) N() int { return len(x.Events) }
+func (s *Skeleton) N() int { return len(s.Events) }
 
 // MemRF returns rf restricted to memory events. Once derived (DynRF) the
 // restriction is cached, so hot callers (models' prop functions, cat's rf
@@ -261,23 +267,23 @@ func (x *Execution) MemRF() rel.Rel {
 }
 
 // Derive computes every derived relation and set. It must be called after
-// Events, PO, IICO, IICOAddr, IICOData, RFReg, RF and CO are populated,
-// and before the execution is handed to a model.
+// the skeleton's Events, PO, IICO, IICOAddr, IICOData and RFReg, and RF
+// and CO, are populated, and before the execution is handed to a model.
 func (x *Execution) Derive() {
 	x.DeriveStatic()
 	x.DeriveDynamic()
 }
 
 // DeriveStatic computes the derived state determined by the event structure
-// alone — sets, po-loc, same-thread pairs, fence relations and dependencies.
-// It is invariant across every rf/co assignment over the same skeleton, so
-// the enumerator runs it once per skeleton and shares the result into each
-// candidate with AdoptStatic.
+// alone — sets, po over memory events, po-loc, same-thread pairs, fence
+// relations and dependencies. It is invariant across every rf/co
+// assignment over the skeleton, so the enumerator runs it once per
+// skeleton, and every candidate of it points at the result (AdoptStatic).
 //
 // Every set is carved from one allocation and every relation from another,
 // filled by the in-place rel kernels; intermediate relations come from a
-// third, dropped on return. The buffers belong to this execution alone.
-func (x *Execution) DeriveStatic() { x.DeriveStaticIn(freshStorage{}) }
+// third, dropped on return. The buffers belong to this skeleton alone.
+func (x *Skeleton) DeriveStatic() { x.DeriveStaticIn(freshStorage{}) }
 
 // Storage is what DeriveStaticIn takes a skeleton's static state from:
 // k empty relations or sets over n events at a time, for its relations,
@@ -301,7 +307,7 @@ func (freshStorage) FenceMaps() (map[FenceKind]rel.Rel, map[FenceKind]rel.Rel) {
 // DeriveStaticIn is DeriveStatic with its storage taken from a: an owner
 // that keeps the skeleton's storage (exec's program store) passes it, and
 // the static state lives as long as that storage does.
-func (x *Execution) DeriveStaticIn(a Storage) {
+func (x *Skeleton) DeriveStaticIn(a Storage) {
 	n := x.N()
 	// The threads (the init pseudo-thread included) and fence flavours
 	// present, so the set and relation counts are known up front.
@@ -342,13 +348,15 @@ func (x *Execution) DeriveStaticIn(a Storage) {
 		tidSets[slices.Index(tids, e.Tid)].Add(e.ID)
 	}
 
-	rels := a.Rels(n, 9+len(kinds))
+	rels := a.Rels(n, 10+len(kinds))
 	x.POLoc, x.IntraThread, x.Addr, x.Data, x.Ctrl = rels[0], rels[1], rels[2], rels[3], rels[4]
 	x.CtrlCfence, x.FenceRel = a.FenceMaps()
 	x.CtrlCfence[FenceIsync], x.CtrlCfence[FenceISB] = rels[5], rels[6]
 	x.emptyRel, x.hasEmptyRel = rels[7], true
-	x.ctrlCfenceAll = rels[8]
+	x.ctrlCfenceAll, x.MemPO = rels[8], rels[9]
 	scratch := a.Rels(n, 5)
+
+	poRestrict(x.MemPO, x.PO, x.M, x.M)
 
 	// po-loc: same-location memory pairs in program order.
 	for i, a := range x.Events {
@@ -373,7 +381,7 @@ func (x *Execution) DeriveStaticIn(a Storage) {
 	// in between in program order, i.e. po|M×F ; po|F×M over that kind's
 	// fence events F.
 	for i, kind := range kinds {
-		fr := rels[9+i]
+		fr := rels[10+i]
 		fr.SeqInto(poRestrict(scratch[0], x.PO, x.M, fenceSets[i]), poRestrict(scratch[1], x.PO, fenceSets[i], x.M))
 		x.FenceRel[kind] = fr
 	}
@@ -397,25 +405,12 @@ func poRestrict(dst, po rel.Rel, src, tgt rel.Set) rel.Rel {
 	return dst
 }
 
-// AdoptStatic shares base's static derived state — sets, po-loc,
-// same-thread pairs, fence relations, dependencies — into x instead of
-// recomputing it, and records base as x.Base. x must have the same event
-// structure as base; only RF and CO may differ. It forgets every dynamic
-// relation derived before, since they belong to the previous rf and co:
-// derive what is read after (DeriveDemand or DeriveDynamic).
-func (x *Execution) AdoptStatic(base *Execution) {
-	x.Base = base
-	x.derived = 0
-	x.syncs = base.syncs
-	x.All, x.R, x.W, x.M = base.All, base.R, base.W, base.M
-	x.B, x.RegEvents = base.B, base.RegEvents
-	x.POLoc = base.POLoc
-	x.IntraThread = base.IntraThread
-	x.Addr, x.Data, x.Ctrl = base.Addr, base.Data, base.Ctrl
-	x.CtrlCfence = base.CtrlCfence
-	x.FenceRel = base.FenceRel
-	x.emptyRel, x.hasEmptyRel = base.emptyRel, base.hasEmptyRel
-	x.ctrlCfenceAll, x.hasCtrlCfenceAll = base.ctrlCfenceAll, base.hasCtrlCfenceAll
+// AdoptStatic points x at the derived skeleton s, over which x's RF and
+// CO are chosen. It forgets every dynamic relation derived before, since
+// they belong to the previous rf and co: derive what is read after
+// (DeriveDemand or DeriveDynamic).
+func (x *Execution) AdoptStatic(s *Skeleton) {
+	x.Skeleton, x.derived = s, 0
 }
 
 // Dyn is a set of the dynamic derived relations, one bit per relation:
@@ -539,7 +534,7 @@ func (x *Execution) DeriveDemand(d Dyn) {
 // Fences returns the fence relation for the given kind. A miss returns the
 // skeleton's shared empty relation (callers must not mutate it); before
 // DeriveStatic has run it falls back to allocating one.
-func (x *Execution) Fences(kind FenceKind) rel.Rel {
+func (x *Skeleton) Fences(kind FenceKind) rel.Rel {
 	if r, ok := x.FenceRel[kind]; ok {
 		return r
 	}
@@ -570,7 +565,7 @@ func (x *Execution) split(d, e, i Dyn, external, internal, r rel.Rel) {
 // outputs must already be allocated (DeriveStatic does); scratch holds
 // five relations to work in, and fenceSets[i] the fence events of flavour
 // kinds[i].
-func (x *Execution) deriveDependencies(scratch []rel.Rel, kinds []FenceKind, fenceSets []rel.Set) {
+func (x *Skeleton) deriveDependencies(scratch []rel.Rel, kinds []FenceKind, fenceSets []rel.Set) {
 	g, chains, intoBranch, t1, t2 := scratch[0], scratch[1], scratch[2], scratch[3], scratch[4]
 	g.CopyFrom(x.RFReg)
 	g.UnionInto(x.IICO)
@@ -616,7 +611,7 @@ func (x *Execution) deriveDependencies(scratch []rel.Rel, kinds []FenceKind, fen
 // flavours (isync on Power, isb on ARM). After DeriveStatic the union is
 // cached on the skeleton and shared (callers must not mutate it); before
 // that it is computed afresh.
-func (x *Execution) CtrlCfenceAll() rel.Rel {
+func (x *Skeleton) CtrlCfenceAll() rel.Rel {
 	if x.hasCtrlCfenceAll {
 		return x.ctrlCfenceAll
 	}

@@ -48,8 +48,8 @@ type Candidate struct {
 
 // Clone returns a standalone deep copy of the candidate that stays valid
 // indefinitely, after its program is released too. A search's candidate
-// lives in its program's storage, skeleton included, so the copy adopts a
-// standalone copy of the skeleton (events, po, iico, rf-reg and the
+// lives in its program's storage, skeleton included, so the copy points
+// at a standalone copy of the skeleton (events, po, iico, rf-reg and the
 // static derivation over them), made once per skeleton and shared by
 // every clone of its candidates; rf, co and the final memory are copied,
 // and the dynamic relations derived afresh from them, so the copy is
@@ -60,19 +60,11 @@ func (c *Candidate) Clone() *Candidate {
 	if c.Expired() {
 		panic("exec: Clone of an expired candidate")
 	}
-	base, regs := c.X.Base, c.State.Regs
+	s, regs := c.X.Skeleton, c.State.Regs
 	if c.slot != nil {
-		base, regs = c.slot.exp.standalone()
+		s, regs = c.slot.exp.standalone()
 	}
-	if base == nil { // a hand-built candidate, derived as a whole
-		base = c.X
-	}
-	x := &events.Execution{
-		Events: base.Events, PO: base.PO, IICO: base.IICO,
-		IICOAddr: base.IICOAddr, IICOData: base.IICOData, RFReg: base.RFReg,
-		RF: c.X.RF.Clone(), CO: c.X.CO.Clone(),
-	}
-	x.AdoptStatic(base)
+	x := &events.Execution{Skeleton: s, RF: c.X.RF.Clone(), CO: c.X.CO.Clone()}
 	x.DeriveDemand(events.DynAll)
 	return &Candidate{X: x, State: &litmus.State{Regs: regs, Mem: maps.Clone(c.State.Mem)}}
 }

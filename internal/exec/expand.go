@@ -39,26 +39,24 @@ type decision struct {
 //
 // Everything an expansion holds is carved from a store (its program's when
 // the program keeps it, else its search's own, rewound once the walk over
-// it ends), except the expansion itself, with the *events.Execution skeleton header inside
-// it: that is one allocation per skeleton, never recycled for another.
-// Compiled cat evaluators key their per-skeleton state on the skeleton
-// pointer (Execution.Base), so a header reused for another skeleton would
-// hand one combination's static values to another, and an evaluator that
-// is never released keeps its last header alive, so a fresh header can
-// never take that address.
+// it ends), except the expansion itself, with the events.Skeleton header
+// inside it: that is one allocation per skeleton, never recycled for
+// another. Compiled cat evaluators key their per-skeleton state on the
+// skeleton pointer (Execution.Skeleton), so a header reused for another
+// skeleton would hand one combination's static values to another, and an
+// evaluator that is never released keeps its last header alive, so a
+// fresh header can never take that address.
 type expansion struct {
 	p         *Program
-	st        *store // what the expansion and its static state are carved from
-	evs       []events.Event
-	n         int
-	x         events.Execution // skeleton: PO/IICO/RFReg set, RF/CO empty
+	st        *store          // what the expansion and its static state are carved from
+	x         events.Skeleton // PO/IICO/RFReg set, static half derived at the first candidate
 	finalRegs map[litmus.RegKey]litmus.Value
 	baseMem   []locValue // final memory of single-write locations
 
 	// staticOnce guards the skeleton's DeriveStatic: the static derived
 	// state (sets, po-loc, fences, dependencies) is identical for every
 	// candidate of the expansion, so it is computed once at the first
-	// emitted candidate and shared into all of them via AdoptStatic.
+	// emitted candidate, and every candidate points at it (AdoptStatic).
 	// sync.Once gives the emitting worker a happens-before edge on the
 	// skeleton fields it then reads.
 	staticOnce sync.Once
@@ -66,7 +64,7 @@ type expansion struct {
 	// alone is the standalone copy of the skeleton that Candidate.Clone
 	// gives its copies, made at the first Clone.
 	aloneOnce sync.Once
-	alone     *events.Execution
+	alone     *events.Skeleton
 	aloneRegs map[litmus.RegKey]litmus.Value
 
 	reads   []int   // memory-read event IDs, in event order
@@ -117,11 +115,11 @@ func feasible(allTraces [][]Trace, choice []int) bool {
 
 // assemble lays out, in x, the global event structure of one trace per
 // thread: the initial writes first, one per location, then each thread's
-// events with their IDs shifted, with po, iico and rf-reg set (rf and co
-// empty, nothing derived); it returns the chosen traces' final registers.
+// events with their IDs shifted, with po, iico and rf-reg set (nothing
+// derived); it returns the chosen traces' final registers.
 // The events, the relations and the register map are carved from st's
 // skeletons. The caller has checked p.initErr.
-func (p *Program) assemble(st *store, allTraces [][]Trace, choice []int, x *events.Execution) map[litmus.RegKey]litmus.Value {
+func (p *Program) assemble(st *store, allTraces [][]Trace, choice []int, x *events.Skeleton) map[litmus.RegKey]litmus.Value {
 	n := len(p.locs)
 	for tid := range p.Threads {
 		n += len(allTraces[tid][choice[tid]].Events)
@@ -129,10 +127,10 @@ func (p *Program) assemble(st *store, allTraces [][]Trace, choice []int, x *even
 	sk := &st.skel
 	st.mu.Lock()
 	evs := take(&sk.evs, n)[:0]
-	r := sk.carveRels(n, 7)
+	r := sk.carveRels(n, 5)
 	finalRegs := sk.finalMap()
 	st.mu.Unlock()
-	x.PO, x.IICO, x.IICOAddr, x.IICOData, x.RFReg, x.RF, x.CO = r[0], r[1], r[2], r[3], r[4], r[5], r[6]
+	x.PO, x.IICO, x.IICOAddr, x.IICOData, x.RFReg = r[0], r[1], r[2], r[3], r[4]
 	for i, loc := range p.locs {
 		evs = append(evs, events.Event{
 			ID: i, Tid: events.InitTid, PC: -1,
@@ -186,8 +184,7 @@ func (p *Program) newExpansion(st *store, allTraces [][]Trace, choice []int) (*e
 	}
 	e := &expansion{p: p, st: st}
 	e.finalRegs = p.assemble(st, allTraces, choice, &e.x)
-	evs, n, nLocs := e.x.Events, e.x.N(), len(p.locs)
-	e.evs, e.n = evs, n
+	evs, nLocs := e.x.Events, len(p.locs)
 
 	// Per location: its write count (the initial write included), its read
 	// count, and cursors into the flat member array below.
@@ -428,11 +425,7 @@ var slots = sync.Pool{New: func() any { return &candSlot{n: -1} }}
 // goes back to slots.
 func (sl *candSlot) release() {
 	sl.gen++
-	if sl.n >= 0 {
-		sl.x = events.Execution{RF: sl.rels[0], CO: sl.rels[1]}
-		sl.x.AdoptDynamicBuffers(sl.rels[2:])
-	}
-	sl.state.Regs, sl.exp = nil, nil
+	sl.x.Skeleton, sl.state.Regs, sl.exp = nil, nil, nil
 	clear(sl.state.Mem) // the next search's program may have other locations
 	slots.Put(sl)
 }
@@ -445,12 +438,11 @@ func (e *expansion) deriveStatic() { e.x.DeriveStaticIn(e.st) }
 // owes nothing to any store, for Candidate.Clone: made at the
 // first call, re-derived from copies of the base relations, and shared by
 // every later one.
-func (e *expansion) standalone() (*events.Execution, map[litmus.RegKey]litmus.Value) {
+func (e *expansion) standalone() (*events.Skeleton, map[litmus.RegKey]litmus.Value) {
 	e.aloneOnce.Do(func() {
-		x := &events.Execution{
-			Events: slices.Clone(e.evs), PO: e.x.PO.Clone(), IICO: e.x.IICO.Clone(),
+		x := &events.Skeleton{
+			Events: slices.Clone(e.x.Events), PO: e.x.PO.Clone(), IICO: e.x.IICO.Clone(),
 			IICOAddr: e.x.IICOAddr.Clone(), IICOData: e.x.IICOData.Clone(), RFReg: e.x.RFReg.Clone(),
-			RF: rel.New(e.n), CO: rel.New(e.n),
 		}
 		x.DeriveStatic()
 		e.alone, e.aloneRegs = x, maps.Clone(e.finalRegs)
@@ -459,32 +451,25 @@ func (e *expansion) standalone() (*events.Execution, map[litmus.RegKey]litmus.Va
 }
 
 // emitCandidate materialises the fully-decided assignment into the search's
-// candidate slot and hands it to the search. The candidate shares the
-// skeleton's event structure and static derived state (AdoptStatic); only
-// rf, co and the dynamic derivation downstream of them are rebuilt, in
-// place, per candidate — all of it, or none for a deferred search, whose
-// consumer derives what it reads. The previous candidate's buffers are
-// overwritten: this is exactly the zero-copy yield contract documented on
-// Candidate.
+// candidate slot and hands it to the search. The candidate points at the
+// skeleton (AdoptStatic); only rf, co and the dynamic derivation
+// downstream of them are rebuilt, in place, per candidate — all of it, or
+// none for a deferred search, whose consumer derives what it reads. The
+// previous candidate's buffers are overwritten: this is exactly the
+// zero-copy yield contract documented on Candidate.
 func (w *walker) emitCandidate() {
 	e := w.e
 	e.staticOnce.Do(e.deriveStatic)
 	sl := w.s.candidateSlot()
 	sl.exp = e
 	cx := &sl.x
-	cx.Events = e.evs
-	cx.PO = e.x.PO
-	cx.IICO = e.x.IICO
-	cx.IICOAddr = e.x.IICOAddr
-	cx.IICOData = e.x.IICOData
-	cx.RFReg = e.x.RFReg
-	if sl.n != e.n {
+	if n := e.x.N(); sl.n != n {
 		// First candidate, or the universe size changed with the trace
 		// combination: re-carve the buffers from the slot's backing.
-		sl.rels = rel.Carve(&sl.bits, sl.rels, e.n, 2+events.DynBuffers)
+		sl.rels = rel.Carve(&sl.bits, sl.rels, n, 2+events.DynBuffers)
 		cx.RF, cx.CO = sl.rels[0], sl.rels[1]
 		cx.AdoptDynamicBuffers(sl.rels[2:])
-		sl.n = e.n
+		sl.n = n
 	} else {
 		cx.RF.Clear()
 		cx.CO.Clear()
@@ -504,7 +489,7 @@ func (w *walker) emitCandidate() {
 	for li := range e.locs {
 		order := w.orders[li]
 		cx.CO.AddChain(order) // each write's row: the writes after it
-		finalMem[e.locs[li].name] = e.p.Decode(e.evs[order[len(order)-1]].Val)
+		finalMem[e.locs[li].name] = e.p.Decode(e.x.Events[order[len(order)-1]].Val)
 	}
 	cx.AdoptStatic(&e.x) // forgets the previous candidate's derivation
 	cx.DeriveDemand(w.s.derive)

@@ -8,10 +8,10 @@ import (
 )
 
 // Assembled is the global event structure for one trace choice per thread,
-// before any data-flow (rf and co are empty): the control-flow skeleton
-// used by the symbolic encodings of package bmc.
+// before any data-flow: the control-flow skeleton used by the symbolic
+// encodings of package bmc.
 type Assembled struct {
-	X *events.Execution
+	X *events.Skeleton
 	// ThreadOf and LocalIdx map a global event ID back to its thread and
 	// its index within the thread's trace (-1 for initial writes).
 	ThreadOf []int
@@ -21,10 +21,9 @@ type Assembled struct {
 }
 
 // Assemble builds the global event structure for one trace per thread.
-// The returned execution is derived, with empty rf and co. Like the
-// skeletons of a search, it is carved from the program's store, and
-// valid until the program is released; a released program returns an
-// error.
+// The returned skeleton is derived. Like the skeletons of a search, it is
+// carved from the program's store, and valid until the program is
+// released; a released program returns an error.
 func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 	if len(traces) != len(p.Threads) {
 		return nil, fmt.Errorf("exec: Assemble needs %d traces, got %d", len(p.Threads), len(traces))
@@ -44,7 +43,7 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 		wrapped[i] = traces[i : i+1]
 	}
 	clear(choice)
-	x := &events.Execution{}
+	x := &events.Skeleton{}
 	finalRegs := p.assemble(st, wrapped, choice, x)
 	n := x.N()
 	st.mu.Lock()
@@ -62,7 +61,5 @@ func (p *Program) Assemble(traces []Trace) (*Assembled, error) {
 		}
 	}
 	x.DeriveStaticIn(st)
-	x.AdoptDynamicBuffers(st.Rels(n, events.DynBuffers))
-	x.DeriveDemand(events.DynAll)
 	return &Assembled{X: x, ThreadOf: threadOf, LocalIdx: localIdx, FinalRegs: finalRegs}, nil
 }

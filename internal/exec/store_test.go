@@ -61,12 +61,12 @@ func storeCorpus(t *testing.T) []*litmus.Test {
 // skeletonKey renders every part of an execution that its skeleton fixes:
 // the events, the base relations but rf and co, and the whole static
 // derivation.
-func skeletonKey(x *events.Execution) string {
+func skeletonKey(x *events.Skeleton) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%#v\n", x.Events)
 	for _, r := range [...]any{x.PO, x.IICO, x.IICOAddr, x.IICOData, x.RFReg,
 		x.All, x.R, x.W, x.M, x.B, x.RegEvents,
-		x.POLoc, x.IntraThread, x.Addr, x.Data, x.Ctrl, x.CtrlCfenceAll()} {
+		x.MemPO, x.POLoc, x.IntraThread, x.Addr, x.Data, x.Ctrl, x.CtrlCfenceAll()} {
 		fmt.Fprintf(&b, "%v\n", r)
 	}
 	for _, fm := range [...]map[events.FenceKind]rel.Rel{x.CtrlCfence, x.FenceRel} {
@@ -87,7 +87,7 @@ func skeletonKey(x *events.Execution) string {
 func candidateKey(c *exec.Candidate) string {
 	x := c.X
 	var b strings.Builder
-	b.WriteString(skeletonKey(x))
+	b.WriteString(skeletonKey(x.Skeleton))
 	for _, r := range [...]any{x.RF, x.CO, x.FR, x.Com, x.SW, x.RFE, x.RFI, x.COE, x.COI, x.FRE, x.FRI, x.MemRF()} {
 		fmt.Fprintf(&b, "%v\n", r)
 	}
@@ -117,7 +117,7 @@ func stage1(t *testing.T, p *exec.Program) []string {
 	if err != nil {
 		t.Fatalf("%s: Assemble: %v", p.Test.Name, err)
 	}
-	first = append(first, skeletonKey(asm.X), fmt.Sprint(asm.ThreadOf, asm.LocalIdx, asm.FinalRegs, asm.X.FR, asm.X.Com))
+	first = append(first, skeletonKey(asm.X), fmt.Sprint(asm.ThreadOf, asm.LocalIdx, asm.FinalRegs))
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 		out = append(out, candidateKey(c))
 		return true
@@ -181,10 +181,10 @@ func TestPlainSearchStoreBounded(t *testing.T) {
 	p := compile(t, manyCombosSrc)
 	type size struct{ used, maps, held int }
 	var firsts []size // at each combination's first candidate
-	var last *events.Execution
+	var last *events.Skeleton
 	err := p.Search(context.Background(), exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
-		if c.X.Base != last {
-			last = c.X.Base
+		if c.X.Skeleton != last {
+			last = c.X.Skeleton
 			used, maps, held := exec.StoreSize(c)
 			firsts = append(firsts, size{used, maps, held})
 		}
