@@ -34,9 +34,11 @@ race:
 # verdict (sim.Simulate under compiled cat Power, walk and check split
 # across the workers) at the same counts and verify every outcome equals
 # the one-worker outcome; check that enabling the obs counters stays
-# within noise of the nil-sink path; hold the check, enumeration and
-# one-worker Simulate allocation ceilings (the second on a shape whose
-# trace combinations are mostly infeasible) and herdd's per-row
+# within noise of the nil-sink path, and that a traced one-worker
+# Simulate of the cold-heavy shape stays within 10% of an untraced one;
+# hold the check, enumeration and one-worker Simulate allocation
+# ceilings (one on a shape whose trace combinations are mostly
+# infeasible, one on the cold-heavy shape) and herdd's per-row
 # allocation ceiling for a warm batch, the SAT encoder's allocation
 # ceiling for one Power instance, the allocation ceiling of one
 # comparison over the PPC pair table (its deciders share one compiled
@@ -59,7 +61,7 @@ race:
 # runs as many side by side as there are cores, so the record's
 # multi-worker walk rows were timed while other packages compiled.
 bench:
-	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -p 1 -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestColdRunBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/memo/ ./internal/wire/ ./internal/fleet/
+	GOMAXPROCS=$(NPROC) BENCH_ENUM_OUT=$(CURDIR)/BENCH_enumerate.json $(GO) test -p 1 -run 'TestBenchEnumerateJSON|TestObsOverheadSmoke|TestCheckAllocsCeiling|TestEnumAllocsCeiling|TestSimulateAllocsCeiling|TestInfeasibleAllocsCeiling|TestColdHeavyAllocsCeiling|TestWarmBatchAllocsCeiling|TestBMCEncodeAllocsCeiling|TestComparePairsAllocsCeiling|TestComparePairsBytesCeiling|TestColdRunBytesCeiling|TestResultFrameAllocsCeiling|TestWarmGatewayBatchAllocsCeiling' -count=1 -v . ./internal/serve/ ./internal/bmc/ ./internal/crosscheck/ ./internal/memo/ ./internal/wire/ ./internal/fleet/
 
 # The fleet acceptance test under the race detector: a 500-test batch
 # through herd-gw while one backend is killed mid-batch and another runs

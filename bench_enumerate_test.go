@@ -315,7 +315,9 @@ func TestBenchEnumerateJSON(t *testing.T) {
 // compiled cat Power: the whole verdict untraced, and its enumerate/check
 // split per candidate from traced runs (obs phases; enumerate is the walk
 // with the derivation the enumeration itself does, check the evaluator
-// with the derivation it demands). Each figure is a median over Reps.
+// with the derivation it demands). The check phase is sim's sampled
+// estimate, as CheckSpan says in the record. Each figure is a median
+// over Reps.
 type coldHeavyRow struct {
 	Test                    string `json:"test"`
 	Candidates              int    `json:"candidates"`
@@ -324,7 +326,12 @@ type coldHeavyRow struct {
 	NsPerOp                 int64  `json:"ns_per_op"`
 	EnumerateNsPerCandidate int64  `json:"enumerate_ns_per_candidate"`
 	CheckNsPerCandidate     int64  `json:"check_ns_per_candidate"`
+	CheckSpan               string `json:"check_span"`
 }
+
+// sampledCheckSpan describes how sim takes the check phase.
+const sampledCheckSpan = "sampled estimate: each shard times the checks of its candidates 0, 1, 2, 4, ..., 32 and every 64th, " +
+	"each standing for the untimed ones since the previous; enumerate is the rest of the walk (DESIGN.md 9.2)"
 
 // coldHeavyReps is how many untraced and traced Simulates the cold-heavy
 // row takes its medians over; one is a couple of milliseconds.
@@ -339,7 +346,7 @@ func coldHeavyBench(t *testing.T) coldHeavyRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := coldHeavyRow{Test: "2+2W+lwsyncs (4 threads x 2 writes, 4!^2 candidates)", Reps: coldHeavyReps}
+	row := coldHeavyRow{Test: "2+2W+lwsyncs (4 threads x 2 writes, 4!^2 candidates)", Reps: coldHeavyReps, CheckSpan: sampledCheckSpan}
 	run := func(tr *obs.Trace) time.Duration {
 		start := time.Now()
 		out, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: m, Obs: tr})
@@ -530,7 +537,13 @@ func simulateAllocs(t *testing.T, cycle string) (float64, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := compileBench(t, test.String())
+	return programAllocs(t, compileBench(t, test.String())), test.Name
+}
+
+// programAllocs is the allocations of one sim.Simulate of p, on one
+// worker under compiled cat Power.
+func programAllocs(t *testing.T, p *exec.Program) float64 {
+	t.Helper()
 	m, err := cat.Builtin("power")
 	if err != nil {
 		t.Fatal(err)
@@ -540,15 +553,16 @@ func simulateAllocs(t *testing.T, cycle string) (float64, string) {
 		if _, err := sim.Simulate(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
-	}), test.Name
+	})
 }
 
 // TestSimulateAllocsCeiling is the CI bench-smoke guard on what a light
 // verdict costs the allocator: on one worker sim.Simulate is one shard
 // walked on the calling goroutine, and a diy-shaped PPC test
 // (MP+sync+addr, four candidates) under compiled cat Power must allocate
-// no more per Simulate than measured once each search carved its traces
-// and skeletons from pooled storage (go1.24: 83; 269 once the static
+// no more per Simulate than measured once the evaluator shared its
+// FailedChecks slices (go1.24: 77; 83 once each search carved its traces
+// and skeletons from pooled storage; 269 once the static
 // program ran on the register machine, 321 while the interpreter ran it,
 // 745 before per-test setup came off the allocator). Gated on
 // BENCH_ENUM_OUT like the other bench asserts.
@@ -557,7 +571,7 @@ func TestSimulateAllocsCeiling(t *testing.T) {
 		t.Skip("set BENCH_ENUM_OUT to run the Simulate allocation ceiling check")
 	}
 	allocs, name := simulateAllocs(t, "SyncdWW Rfe DpAddrdR Fre")
-	const ceiling = 83
+	const ceiling = 77
 	t.Logf("Simulate of %s on one worker: %.0f allocs/op (ceiling %d)", name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", name, allocs, ceiling)
@@ -569,7 +583,8 @@ func TestSimulateAllocsCeiling(t *testing.T) {
 // PodWR+SyncdRR+DpAddrdR+PodRR+Fre leave some read without a
 // same-location, same-value write. The feasibility pre-check rejects
 // those before anything is allocated, so a regression that assembles
-// them again fails here (go1.24: 49 once each search carved its traces and
+// them again fails here (go1.24: 45 once the evaluator shared its
+// FailedChecks slices; 49 once each search carved its traces and
 // skeletons from pooled storage; 268 before, 270 while each skeleton also
 // built the per-location po-loc edges of SC-per-location pruning, 296
 // while the interpreter ran the static program, 515 with the pre-check
@@ -580,10 +595,28 @@ func TestInfeasibleAllocsCeiling(t *testing.T) {
 		t.Skip("set BENCH_ENUM_OUT to run the infeasible-heavy allocation ceiling check")
 	}
 	allocs, name := simulateAllocs(t, "PodWR SyncdRR DpAddrdR PodRR Fre")
-	const ceiling = 49
+	const ceiling = 45
 	t.Logf("Simulate of %s on one worker: %.0f allocs/op (ceiling %d)", name, allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("Simulate of %s on one worker: %.0f allocs/op, ceiling %d", name, allocs, ceiling)
+	}
+}
+
+// TestColdHeavyAllocsCeiling is the same guard on the cold-heavy shape,
+// where the allocations that scale with the candidate count show: one
+// Simulate of its 576 candidates on one worker under compiled cat Power
+// (go1.24: 639 once the evaluator shared one FailedChecks slice per set
+// of failed checks; 971 while it built one per invalid candidate).
+// Gated on BENCH_ENUM_OUT like the other bench asserts.
+func TestColdHeavyAllocsCeiling(t *testing.T) {
+	if os.Getenv("BENCH_ENUM_OUT") == "" {
+		t.Skip("set BENCH_ENUM_OUT to run the cold-heavy allocation ceiling check")
+	}
+	allocs := programAllocs(t, compileBench(t, coldHeavySrc))
+	const ceiling = 639
+	t.Logf("Simulate of the cold-heavy shape on one worker: %.0f allocs/op (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("Simulate of the cold-heavy shape on one worker: %.0f allocs/op, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -813,12 +846,56 @@ func obsOverhead(t *testing.T, p *exec.Program) (offMin, onMin int64) {
 	return off[0], on[0]
 }
 
+// traceOverhead times one-worker sim.Simulate of the cold-heavy shape
+// under compiled cat Power, untraced and traced (a fresh obs.Trace each
+// run), in pairs whose order alternates, and returns the median of each.
+// This is the cost a trace adds to a verdict: the phase spans and the
+// sampled check timing of every shard.
+func traceOverhead(t *testing.T, p *exec.Program) (offMed, onMed time.Duration) {
+	t.Helper()
+	const reps = 41
+	m, err := cat.Builtin("power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(traced bool) time.Duration {
+		var tr *obs.Trace
+		if traced {
+			tr = obs.NewTrace()
+		}
+		start := time.Now()
+		if _, err := sim.Simulate(context.Background(), sim.Request{Program: p, Checker: m, Obs: tr}); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	run(false) // warm-up, billed to nobody
+	var off, on []time.Duration
+	for r := 0; r < reps; r++ {
+		if r%2 == 0 {
+			off = append(off, run(false))
+			on = append(on, run(true))
+		} else {
+			on = append(on, run(true))
+			off = append(off, run(false))
+		}
+	}
+	slices.Sort(off)
+	slices.Sort(on)
+	return off[reps/2], on[reps/2]
+}
+
 // TestObsOverheadSmoke is the CI bench-smoke assertion: enabling the
 // enumeration counters must not slow the sequential co-heavy search by
 // more than 20% (the engine accumulates privately and flushes once per
 // search, so the true cost is a handful of atomics per run — the margin
-// is noise allowance, not a real budget). Gated on BENCH_ENUM_OUT like
-// the JSON record so ordinary test runs stay fast.
+// is noise allowance, not a real budget). A no-op consumer cannot see
+// what a trace costs the checking side, so the smoke also times a traced
+// one-worker Simulate of the cold-heavy shape against an untraced one:
+// the medians may differ by at most 10%. A trace reads the clock a few
+// times per shard and on a sample of the checks, so its true cost is
+// well under that; the margin is noise allowance again. Gated on
+// BENCH_ENUM_OUT like the JSON record so ordinary test runs stay fast.
 func TestObsOverheadSmoke(t *testing.T) {
 	if os.Getenv("BENCH_ENUM_OUT") == "" {
 		t.Skip("set BENCH_ENUM_OUT to run the overhead smoke")
@@ -829,5 +906,11 @@ func TestObsOverheadSmoke(t *testing.T) {
 	if ratio := float64(onMed) / float64(offMed); ratio > 1.20 {
 		t.Errorf("instrumented search %.2fx slower than nil-sink (off %v, on %v)",
 			ratio, time.Duration(offMed), time.Duration(onMed))
+	}
+	off, on := traceOverhead(t, compileBench(t, coldHeavySrc))
+	ratio := float64(on) / float64(off)
+	t.Logf("cold-heavy Simulate, one worker: untraced %v, traced %v (median of 41 each): %.3fx", off, on, ratio)
+	if ratio > 1.10 {
+		t.Errorf("traced cold-heavy Simulate %.2fx slower than untraced (medians %v, %v)", ratio, on, off)
 	}
 }

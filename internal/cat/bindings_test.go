@@ -77,7 +77,11 @@ func TestBindingsMatchZoo(t *testing.T) {
 						t.Fatalf("%s: %v", test.Name, err)
 					}
 					a := tc.zoo.Arch
-					ppo, fences := a.PPO(x, nil), a.Fences(x, nil)
+					ppo, err := a.PPO(x, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", test.Name, err)
+					}
+					fences := a.Fences(x, nil)
 					poloc := x.POLoc
 					if tc.zoo.Opts.AllowLoadLoadHazard {
 						poloc = poloc.Diff(poloc.Restrict(x.R, x.R))

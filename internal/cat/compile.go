@@ -664,8 +664,9 @@ type evaluator struct {
 	ok     []bool    // per check, its latest verdict
 	iters  []int
 	dfs    rel.DFSScratch
-	seen   int       // candidates of the bound skeleton checked so far
-	sp     *residual // allocated by the first specialisation
+	seen   int                 // candidates of the bound skeleton checked so far
+	sp     *residual           // allocated by the first specialisation
+	failed map[uint64][]string // the shared FailedChecks, by set of failed checks
 }
 
 // Name returns the model's declared name.
@@ -743,14 +744,48 @@ func (ev *evaluator) check(x *events.Execution) (res core.Result) {
 		x.DeriveDemand(ev.c.demand)
 		ev.run(x, ev.regs, ev.c.prog, ev.c.fixGroups)
 	}
+	return ev.result()
+}
 
+// result reports the latest verdicts. An invalid result's FailedChecks is
+// shared: the evaluator's storage keeps one slice per distinct set of
+// failed checks, so a walk allocates one per set rather than one per
+// invalid candidate. Callers only read it (core.Result).
+func (ev *evaluator) result() core.Result {
+	var set uint64
+	for i, ok := range ev.ok {
+		if !ok {
+			if i >= 64 {
+				return core.Result{FailedChecks: ev.failedNames()}
+			}
+			set |= 1 << uint(i)
+		}
+	}
+	if set == 0 {
+		return core.Result{Valid: true}
+	}
+	failed, ok := ev.failed[set]
+	if !ok {
+		if ev.failed == nil {
+			ev.failed = map[uint64][]string{}
+		}
+		failed = ev.failedNames()
+		ev.failed[set] = failed
+	}
+	return core.Result{FailedChecks: failed}
+}
+
+// failedNames lists the checks whose latest verdict failed, in the
+// model's order, capped so that an append copies rather than writes
+// through a shared slice.
+func (ev *evaluator) failedNames() []string {
 	var failed []string
 	for i, ck := range ev.c.checks {
 		if !ev.ok[i] {
 			failed = append(failed, ck.name)
 		}
 	}
-	return core.Result{Valid: len(failed) == 0, FailedChecks: failed}
+	return slices.Clip(failed)
 }
 
 func (ev *evaluator) evalErr(r any) error {
@@ -1034,10 +1069,9 @@ type residual struct {
 // covers is the per-candidate guard: a residual program is exact only for
 // executions inside the bounds it was built from. Enumerated candidates
 // always are; a hand-built one outside them runs the generic program.
+// Its four subset tests run as one pass over the rows.
 func (sp *residual) covers(x *events.Execution) bool {
-	rf := x.MemRF()
-	return sp.rfLo.SubsetOf(rf) && rf.SubsetOf(sp.rfHi) &&
-		sp.coLo.SubsetOf(x.CO) && x.CO.SubsetOf(sp.coHi)
+	return rel.Within2(x.MemRF(), sp.rfLo, sp.rfHi, x.CO, sp.coLo, sp.coHi)
 }
 
 // bounds derives rf and co's bounds from the skeleton's events, matching

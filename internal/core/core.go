@@ -49,7 +49,9 @@ type Result struct {
 	// FailedChecks names the violated checks, in the model's order. For
 	// the hand-written zoo (package models) these are the axiom names of
 	// Fig. 5; for cat-compiled models they are the model's own check names
-	// ("as ..." clauses or derived names).
+	// ("as ..." clauses or derived names). The slice is read-only: an
+	// evaluator may hand the same one to every result with the same set
+	// of failed checks, so a caller that edits it copies it first.
 	FailedChecks []string
 	// Err is set when the model itself failed to evaluate on this candidate
 	// (e.g. a registered cat model whose let-rec never converges). The

@@ -41,7 +41,11 @@ type Budget struct {
 	// after the (partial) candidate space has been enumerated.
 	MaxTracesPerThread int
 
-	// Timeout is a wall-clock bound on the whole search (0 = none).
+	// Timeout is a wall-clock bound on the whole search (0 = none). The
+	// search reads the clock when it starts and then on every 64th of its
+	// liveness polls, which come at least once per candidate, so it stops
+	// at most 64 candidates (each walked and checked) past the deadline.
+	// A canceled context is still honoured within one candidate.
 	Timeout time.Duration
 }
 
@@ -195,15 +199,18 @@ func (s *search) halt(err error) {
 }
 
 // alive reports whether the search may continue. Cancellation and the
-// wall clock are polled every 64th call to keep the inner loops cheap;
-// force makes the poll unconditional (used immediately before a yield, so
-// a cancellation is honoured within one candidate).
+// wall clock are polled on the first call and every 64th after it, to
+// keep the inner loops cheap. force polls cancellation whatever the tick
+// (it is used immediately before a yield, so a cancellation is honoured
+// within one candidate), but never the clock: reading it costs more than
+// a check of a small candidate, so the deadline waits for the tick.
 func (s *search) alive(force bool) bool {
 	if s.stopped {
 		return false
 	}
+	clock := s.tick&63 == 0
 	s.tick++
-	if !force && s.tick&63 != 0 {
+	if !force && !clock {
 		return true
 	}
 	select {
@@ -212,7 +219,7 @@ func (s *search) alive(force bool) bool {
 		return false
 	default:
 	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+	if clock && !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		s.halt(&LimitError{Limit: "timeout", Candidates: s.cands})
 		return false
 	}

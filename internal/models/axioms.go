@@ -13,8 +13,9 @@ import (
 type Architecture interface {
 	// Name identifies the architecture, e.g. "Power".
 	Name() string
-	// PPO returns the preserved program order.
-	PPO(x *events.Execution, ar *rel.Arena) rel.Rel
+	// PPO returns the preserved program order, or an error when it
+	// cannot be computed (a fixpoint that does not converge).
+	PPO(x *events.Execution, ar *rel.Arena) (rel.Rel, error)
 	// Fences returns the fence relation of the model (the union of the
 	// fence flavours the architecture recognises, already port-filtered,
 	// e.g. lwsync \ WR on Power).
@@ -97,7 +98,10 @@ func Check(arch Architecture, x *events.Execution, opts Options, ar *rel.Arena) 
 	}
 	ar.Put(sc)
 
-	ppo := arch.PPO(x, ar)
+	ppo, err := arch.PPO(x, ar)
+	if err != nil {
+		return core.Result{Err: err}
+	}
 	fences := arch.Fences(x, ar)
 
 	// NO THIN AIR: acyclic(hb), hb = ppo ∪ fences ∪ rfe.

@@ -3,6 +3,7 @@ package models_test
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"herdcats/internal/events"
 	"herdcats/internal/models"
@@ -14,8 +15,8 @@ import (
 type scLike struct{}
 
 func (scLike) Name() string { return "sc-like" }
-func (scLike) PPO(x *events.Execution, _ *rel.Arena) rel.Rel {
-	return x.PO.Restrict(x.M, x.M)
+func (scLike) PPO(x *events.Execution, _ *rel.Arena) (rel.Rel, error) {
+	return x.PO.Restrict(x.M, x.M), nil
 }
 func (scLike) Fences(x *events.Execution, _ *rel.Arena) rel.Rel { return rel.New(x.N()) }
 func (a scLike) Prop(x *events.Execution, ppo, _ rel.Rel, _ *rel.Arena) rel.Rel {
@@ -135,5 +136,50 @@ func TestAxiomStrings(t *testing.T) {
 		if a.String() != s {
 			t.Errorf("%v.String() = %q, want %q", a, a.String(), s)
 		}
+	}
+}
+
+// aliasedFixpoint runs models.PPOFixpoint over two-element seeds with an
+// arena whose fifth register, the loop's scratch relation, is the seed
+// ci0 itself: the aliasing a relation handed back to the arena while a
+// caller still uses it produces. Each round then rewrites a seed, and the
+// iteration cycles instead of growing to a fixpoint.
+func aliasedFixpoint() error {
+	ii0, ci0, cc0 := rel.New(2), rel.FromPairs(2, [][2]int{{1, 0}}), rel.FromPairs(2, [][2]int{{0, 0}})
+	ar := rel.NewArena()
+	ar.Get(2) // fixes the arena's universe
+	ar.Put(ci0)
+	for range 4 {
+		ar.Put(rel.New(2))
+	}
+	_, _, err := models.PPOFixpoint(ii0, ci0, cc0, ar)
+	return err
+}
+
+// aliasedPPO is scLike with its ppo taken from the aliased fixpoint.
+type aliasedPPO struct{ scLike }
+
+func (aliasedPPO) PPO(*events.Execution, *rel.Arena) (rel.Rel, error) {
+	return rel.Rel{}, aliasedFixpoint()
+}
+
+// TestPPOFixpointCapped: with a register aliasing a seed, the ppo
+// fixpoint stops at its round cap with an error instead of spinning, and
+// the zoo evaluator reports that error as Result.Err.
+func TestPPOFixpointCapped(t *testing.T) {
+	done := make(chan error, 1)
+	go func() { done <- aliasedFixpoint() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("the aliased fixpoint converged: the test no longer reaches the round cap")
+		}
+		t.Log(err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the aliased fixpoint still runs after 30s: it has no round cap")
+	}
+	res := models.Model{Arch: aliasedPPO{}}.NewEvaluator().Check(mpExecution())
+	if res.Err == nil || res.Valid || len(res.FailedChecks) != 0 {
+		t.Fatalf("zoo evaluator over the aliased fixpoint: %+v, want Result.Err alone", res)
 	}
 }

@@ -10,6 +10,8 @@
 package models
 
 import (
+	"fmt"
+
 	"herdcats/internal/core"
 	"herdcats/internal/events"
 	"herdcats/internal/rel"
@@ -102,7 +104,7 @@ type scArch struct{}
 
 func (scArch) Name() string { return "SC" }
 
-func (scArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel { return poMM(x, ar) }
+func (scArch) PPO(x *events.Execution, ar *rel.Arena) (rel.Rel, error) { return poMM(x, ar), nil }
 
 func (scArch) Fences(x *events.Execution, ar *rel.Arena) rel.Rel { return ar.Get(x.N()) }
 
@@ -122,14 +124,14 @@ type tsoArch struct{}
 
 func (tsoArch) Name() string { return "TSO" }
 
-func (tsoArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
+func (tsoArch) PPO(x *events.Execution, ar *rel.Arena) (rel.Rel, error) {
 	po := poMM(x, ar)
 	wr := ar.Get(x.N())
 	wr.CopyFrom(po)
 	wr.RestrictInPlace(x.W, x.R)
 	po.DiffInto(wr)
 	ar.Put(wr)
-	return po
+	return po, nil
 }
 
 func (tsoArch) Fences(x *events.Execution, ar *rel.Arena) rel.Rel {
@@ -205,16 +207,20 @@ func (a powerArch) Name() string { return a.name }
 // PPO computes the preserved program order of Fig. 25: the fixpoint of
 // PPOFixpoint over the architecture's seeds, then
 // ppo = (ii ∩ RR) ∪ (ic ∩ RW).
-func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) rel.Rel {
+func (a powerArch) PPO(x *events.Execution, ar *rel.Arena) (rel.Rel, error) {
 	ii0, ci0, cc0 := a.seeds(x, ar)
-	ii, ic := PPOFixpoint(ii0, ci0, cc0, ar)
+	ii, ic, err := PPOFixpoint(ii0, ci0, cc0, ar)
+	for _, r := range []rel.Rel{ii0, ci0, cc0} {
+		ar.Put(r)
+	}
+	if err != nil {
+		return rel.Rel{}, err
+	}
 	ii.RestrictInPlace(x.R, x.R)
 	ic.RestrictInPlace(x.R, x.W)
 	ii.UnionInto(ic)
-	for _, r := range []rel.Rel{ii0, ci0, cc0, ic} {
-		ar.Put(r)
-	}
-	return ii
+	ar.Put(ic)
+	return ii, nil
 }
 
 // PowerSeeds returns the seeds of Power's Fig. 25 fixpoint over x, fresh
@@ -285,8 +291,11 @@ func (a powerArch) seeds(x *events.Execution, ar *rel.Arena) (ii0, ci0, cc0 rel.
 //
 // The seeds are read-only; ii and ic are fresh relations the caller owns.
 // Two register files swap each round, so with a warm arena the loop
-// allocates nothing however many rounds it takes.
-func PPOFixpoint(ii0, ci0, cc0 rel.Rel, ar *rel.Arena) (ii, ic rel.Rel) {
+// allocates nothing however many rounds it takes. Each round but the last
+// grows the four n×n relations by at least one pair, so a run past
+// 4n²+1 rounds is not the monotone iteration: a register that aliases a
+// seed, say. It stops there with an error rather than spinning.
+func PPOFixpoint(ii0, ci0, cc0 rel.Rel, ar *rel.Arena) (ii, ic rel.Rel, err error) {
 	n := ii0.N()
 	ii = ar.Get(n)
 	ii.CopyFrom(ii0)
@@ -297,7 +306,8 @@ func PPOFixpoint(ii0, ci0, cc0 rel.Rel, ar *rel.Arena) (ii, ic rel.Rel) {
 	cc.CopyFrom(cc0)
 	tmp := ar.Get(n)
 	nii, nic, nci, ncc := ar.Get(n), ar.Get(n), ar.Get(n), ar.Get(n)
-	for {
+	rounds := 4*n*n + 1
+	for range rounds {
 		nii.CopyFrom(ii0)
 		nii.UnionInto(ci)
 		tmp.SeqInto(ic, ci)
@@ -326,17 +336,20 @@ func PPOFixpoint(ii0, ci0, cc0 rel.Rel, ar *rel.Arena) (ii, ic rel.Rel) {
 		ncc.UnionInto(tmp)
 
 		if nii.Equal(ii) && nic.Equal(ic) && nci.Equal(ci) && ncc.Equal(cc) {
-			break
+			for _, r := range []rel.Rel{ci, cc, tmp, nii, nic, nci, ncc} {
+				ar.Put(r)
+			}
+			return ii, ic, nil
 		}
 		ii, nii = nii, ii
 		ic, nic = nic, ic
 		ci, nci = nci, ci
 		cc, ncc = ncc, cc
 	}
-	for _, r := range []rel.Rel{ci, cc, tmp, nii, nic, nci, ncc} {
+	for _, r := range []rel.Rel{ii, ic, ci, cc, tmp, nii, nic, nci, ncc} {
 		ar.Put(r)
 	}
-	return ii, ic
+	return rel.Rel{}, rel.Rel{}, fmt.Errorf("models: ppo fixpoint over %d events did not converge in %d rounds", n, rounds)
 }
 
 // ffence writes the full fence into dst: sync on Power; on ARM dmb ∪ dsb

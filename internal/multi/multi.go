@@ -69,7 +69,10 @@ func (e evaluator) Release() { core.Release(e.verdict) }
 // a structural co;rfe path is not an hb (resp. prop) path under
 // projection.
 func (e evaluator) Check(x *events.Execution) core.Result {
-	ex := Expand(x)
+	ex, err := Expand(x)
+	if err != nil {
+		return core.Result{Err: err}
+	}
 	_ = ex.HB.Acyclic()
 	_ = ex.Obs.Irreflexive()
 	_ = ex.CoProp.Acyclic()
@@ -112,7 +115,7 @@ type Expanded struct {
 // Every expanded cycle projects onto an original cycle and vice versa, so
 // the axiom checks are verdict-preserving — just much more expensive,
 // which is the point of the comparison.
-func Expand(x *events.Execution) *Expanded {
+func Expand(x *events.Execution) (*Expanded, error) {
 	threads := map[int]int{} // tid -> dense index
 	for _, e := range x.Events {
 		if e.Tid != events.InitTid {
@@ -168,7 +171,10 @@ func Expand(x *events.Execution) *Expanded {
 	ii0, ci0, cc0 := models.PowerSeeds(x, nil)
 	ii0E := lift(ii0)
 	ii0E.UnionInto(structural)
-	ppoE, ic := models.PPOFixpoint(ii0E, lift(ci0), lift(cc0), nil)
+	ppoE, ic, err := models.PPOFixpoint(ii0E, lift(ci0), lift(cc0), nil)
+	if err != nil {
+		return nil, err
+	}
 	ppoE.UnionInto(ic) // direction filtering happens on projection
 
 	fencesE := lift(fences(x))
@@ -183,5 +189,5 @@ func Expand(x *events.Execution) *Expanded {
 	ex.HB = hbE
 	ex.Obs = lift(x.FRE).Seq(propE).Seq(hbE.Star())
 	ex.CoProp = lift(x.CO).Union(structural).Union(propE)
-	return ex
+	return ex, nil
 }

@@ -77,7 +77,10 @@ func TestExpandShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
-		ex := multi.Expand(c.X)
+		ex, err := multi.Expand(c.X)
+		if err != nil {
+			t.Fatal(err)
+		}
 		writes := c.X.W.Card()  // includes the two initial writes
 		wantExtra := writes * 4 // iriw has four threads
 		if ex.N != c.X.N()+wantExtra {
@@ -96,7 +99,7 @@ func TestExpandShape(t *testing.T) {
 // referenceExpand is Expand with Power's Fig. 25 seeds spelt out in pure
 // operators over the expanded universe, every relation lifted pair by
 // pair: the transcription Expand replaced by lifting models.PowerSeeds.
-func referenceExpand(x *events.Execution) *multi.Expanded {
+func referenceExpand(x *events.Execution) (*multi.Expanded, error) {
 	threads := map[int]int{}
 	for _, e := range x.Events {
 		if e.Tid != events.InitTid {
@@ -151,7 +154,10 @@ func referenceExpand(x *events.Execution) *multi.Expanded {
 	ci0 := ctrlCfence.Union(detour)
 	poME := lift(x.PO.Restrict(x.M, x.M))
 	cc0 := dp.Union(lift(x.POLoc)).Union(lift(x.Ctrl)).Union(lift(x.Addr).Seq(poME))
-	ppoE, ic := models.PPOFixpoint(ii0, ci0, cc0, nil)
+	ppoE, ic, err := models.PPOFixpoint(ii0, ci0, cc0, nil)
+	if err != nil {
+		return nil, err
+	}
 	ppoE.UnionInto(ic)
 
 	fencesE := lift(models.Power.Arch.Fences(x, nil))
@@ -166,7 +172,7 @@ func referenceExpand(x *events.Execution) *multi.Expanded {
 	ex.HB = hbE
 	ex.Obs = lift(x.FRE).Seq(propE).Seq(hbE.Star())
 	ex.CoProp = lift(x.CO).Union(structural).Union(propE)
-	return ex
+	return ex, nil
 }
 
 // TestExpandMatchesReference pins Expand, which lifts Power's seeds from
@@ -203,7 +209,14 @@ func TestExpandMatchesReference(t *testing.T) {
 		}
 		err = p.Search(context.Background(), exec.Request{}, func(c *exec.Candidate) bool {
 			candidates++
-			got, want := multi.Expand(c.X), referenceExpand(c.X)
+			got, err := multi.Expand(c.X)
+			if err != nil {
+				t.Fatalf("%s: %v", test.Name, err)
+			}
+			want, err := referenceExpand(c.X)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", test.Name, err)
+			}
 			for _, r := range []struct {
 				name      string
 				got, want rel.Rel

@@ -128,7 +128,58 @@ func checkKernelsNaive(t *testing.T, a, b Rel, src, dst Set) {
 	if a.AcyclicScratch(&sc) == cyclic {
 		t.Fatalf("n=%d: AcyclicScratch = %v, naive closure has a self-loop: %v", n, a.AcyclicScratch(&sc), cyclic)
 	}
+
+	// Within2 is the four subset tests of the residual guard, fused.
+	meet, join := a.Clone(), a.Clone()
+	meet.InterInto(b)
+	join.UnionInto(b)
+	for k, c := range [][6]Rel{
+		{a, meet, join, b, meet, join},
+		{a, meet, join, b, a, join},
+		{a, b, join, b, meet, join},
+		{join, meet, a, b, meet, b},
+	} {
+		want := c[1].SubsetOf(c[0]) && c[0].SubsetOf(c[2]) && c[4].SubsetOf(c[3]) && c[3].SubsetOf(c[5])
+		if got := Within2(c[0], c[1], c[2], c[3], c[4], c[5]); got != want {
+			t.Fatalf("n=%d: Within2 case %d = %v, the subset tests say %v", n, k, got, want)
+		}
+	}
 }
+
+// boundaryShapes are relations over n elements that pin AcyclicScratch's
+// one-word kernel, and the DFS past it, on the shapes that take either
+// the most passes or the deepest stack: the longest chains, with edges up
+// and down the universe, and the longest cycle; a dense total order, and
+// the same with one back edge; and isolated elements beside a cycle
+// through every third element.
+func boundaryShapes(n int) []Rel {
+	up, down, total := New(n), New(n), New(n)
+	for i := 0; i+1 < n; i++ {
+		up.Add(i, i+1)
+		down.Add(i+1, i)
+		for j := i + 1; j < n; j++ {
+			total.Add(i, j)
+		}
+	}
+	ring, back := up.Clone(), total.Clone()
+	mixed := New(n)
+	if n > 0 {
+		ring.Add(n-1, 0)
+		back.Add(n-1, 0)
+		var on []int
+		for i := n / 3; i < n; i += 3 {
+			on = append(on, i)
+		}
+		for k := range on {
+			mixed.Add(on[k], on[(k+1)%len(on)])
+		}
+	}
+	return []Rel{up, down, ring, total, back, mixed}
+}
+
+// boundaryKernelSizes are the universe sizes the boundary shapes run at:
+// one element, and either side of the one-word kernel's limit.
+var boundaryKernelSizes = []int{1, 63, 64, 65}
 
 // randSet returns a random subset of the universe, each element kept with
 // probability one half.
@@ -153,6 +204,12 @@ func TestKernelsMatchNaive(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range boundaryKernelSizes {
+		shapes := boundaryShapes(n)
+		for i, a := range shapes {
+			checkKernelsNaive(t, a, shapes[(i+1)%len(shapes)], randSet(rng, n), randSet(rng, n))
+		}
+	}
 }
 
 // FuzzKernelsMatchNaive feeds fuzzer-chosen relations and sets to the same
@@ -170,6 +227,21 @@ func FuzzKernelsMatchNaive(f *testing.F) {
 		sets := make([]byte, n)
 		rng.Read(sets)
 		f.Add(uint8(n), pairs(), pairs(), sets)
+	}
+	encode := func(r Rel) []byte {
+		var buf []byte
+		for _, p := range r.Pairs() {
+			buf = append(buf, byte(p[0]), byte(p[1]))
+		}
+		return buf
+	}
+	for _, n := range boundaryKernelSizes {
+		shapes := boundaryShapes(n)
+		sets := make([]byte, n)
+		rng.Read(sets)
+		for i, a := range shapes {
+			f.Add(uint8(n), encode(a), encode(shapes[(i+1)%len(shapes)]), sets)
+		}
 	}
 	f.Fuzz(func(t *testing.T, size uint8, pa, pb, sets []byte) {
 		n := int(size) % 130
@@ -285,17 +357,33 @@ func TestArenaNilSafe(t *testing.T) {
 	}
 }
 
+// TestAcyclicScratchMatchesAcyclic compares AcyclicScratch, the one-word
+// kernel up to 64 elements and the DFS past it, with Acyclic, the DFS
+// alone, over random relations of sizes either side of 64, sparse enough
+// that both verdicts occur, and over the boundary shapes.
 func TestAcyclicScratchMatchesAcyclic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var sc DFSScratch
-	for trial := 0; trial < 300; trial++ {
+	var rels []Rel
+	for trial := 0; trial < 600; trial++ {
 		n := 1 + rng.Intn(16)
-		r := randomRel(rng, n, 0.15)
-		if r.AcyclicScratch(&sc) != r.Acyclic() {
-			t.Fatalf("trial %d: AcyclicScratch diverges from Acyclic", trial)
+		if trial%2 == 1 {
+			n = 48 + rng.Intn(33) // 48..80
+		}
+		rels = append(rels, randomRel(rng, n, (0.25+1.5*rng.Float64())/float64(n)))
+	}
+	for _, n := range boundaryKernelSizes {
+		rels = append(rels, boundaryShapes(n)...)
+	}
+	verdicts := map[bool]int{}
+	for trial, r := range rels {
+		acyclic := r.Acyclic()
+		verdicts[acyclic]++
+		if r.AcyclicScratch(&sc) != acyclic {
+			t.Fatalf("trial %d (n=%d): AcyclicScratch diverges from Acyclic", trial, r.N())
 		}
 		w := r.CycleWitness()
-		if (w == nil) != r.Acyclic() {
+		if (w == nil) != acyclic {
 			t.Fatalf("trial %d: CycleWitness presence disagrees with Acyclic", trial)
 		}
 		for i := 0; i < len(w); i++ {
@@ -303,5 +391,8 @@ func TestAcyclicScratchMatchesAcyclic(t *testing.T) {
 				t.Fatalf("trial %d: witness %v is not a cycle", trial, w)
 			}
 		}
+	}
+	if verdicts[true] < 100 || verdicts[false] < 100 {
+		t.Fatalf("verdicts %v: too few of one kind to compare", verdicts)
 	}
 }

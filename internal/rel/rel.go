@@ -538,12 +538,12 @@ type DFSScratch struct {
 }
 
 // cycleDFS is the iterative three-colour DFS shared by Acyclic,
-// AcyclicScratch and CycleWitness — a DFS cycle check is cheaper than
-// computing the closure, and an explicit frame stack keeps mined-scale
-// universes from overflowing the goroutine stack. It reports whether a
-// cycle exists; with wantWitness set it also returns one cycle (the grey
-// path from the revisited node to the top of the stack, each element
-// related to the next and the last to the first).
+// CycleWitness and AcyclicScratch above one word — a DFS cycle check is
+// cheaper than computing the closure, and an explicit frame stack keeps
+// mined-scale universes from overflowing the goroutine stack. It reports
+// whether a cycle exists; with wantWitness set it also returns one cycle
+// (the grey path from the revisited node to the top of the stack, each
+// element related to the next and the last to the first).
 func (r Rel) cycleDFS(sc *DFSScratch, wantWitness bool) (found bool, witness []int) {
 	const (
 		white = 0
@@ -616,12 +616,50 @@ func (r Rel) Acyclic() bool {
 	return !found
 }
 
-// AcyclicScratch is Acyclic reusing the given traversal scratch, so
-// repeated checks over same-sized universes allocate nothing. A nil
-// scratch falls back to Acyclic's behaviour.
+// AcyclicScratch is Acyclic for hot callers: repeated checks allocate
+// nothing. A universe of at most 64 elements, one word per row, takes the
+// peeling kernel acyclicWord, which needs no scratch; a larger one runs
+// the DFS over the given traversal scratch (a nil scratch allocates one).
+// Acyclic and CycleWitness keep the DFS alone, so the cat interpreter, the
+// compiled evaluator's oracle, never runs the kernel it is checking.
 func (r Rel) AcyclicScratch(sc *DFSScratch) bool {
+	if r.words == 1 {
+		return r.acyclicWord()
+	}
 	found, _ := r.cycleDFS(sc, false)
 	return !found
+}
+
+// acyclicWord decides acyclicity over a one-word universe by peeling: an
+// element with no live successor, or no live predecessor, lies on no
+// cycle, so it is dropped, and the passes repeat until one drops nothing.
+// Whatever is left is empty iff r is acyclic: each element left has a
+// successor left, and a walk along them inside a finite set closes a
+// cycle. A pass drops elements as it finds them, from the lowest up, so
+// a chain whose edges run down the universe peels in one pass; one whose
+// edges run up loses its two ends per pass, one to each test. The
+// predecessor mask is gathered from the rows of elements kept when seen,
+// a superset of the live ones, so it drops no element that has a live
+// predecessor.
+func (r Rel) acyclicWord() bool {
+	rows := r.bits[:r.n]
+	live := uint64(1)<<uint(r.n) - 1 // all ones at n = 64
+	for live != 0 {
+		was := live
+		var reached uint64
+		for l := live; l != 0; l &= l - 1 {
+			i := bits.TrailingZeros64(l)
+			if succ := rows[i] & live; succ != 0 {
+				reached |= succ
+			} else {
+				live &^= 1 << uint(i)
+			}
+		}
+		if live &= reached; live == was {
+			return false
+		}
+	}
+	return true
 }
 
 // Reflexive reports whether r relates some element to itself
@@ -668,6 +706,24 @@ func (r Rel) SubsetOf(s Rel) bool {
 	r.sameUniverse(s)
 	for i := range r.bits {
 		if r.bits[i]&^s.bits[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Within2 reports whether aLo ⊆ a ⊆ aHi and bLo ⊆ b ⊆ bHi, the six
+// relations over one universe: the four subset tests of a bounds guard,
+// fused into one pass over the words.
+func Within2(a, aLo, aHi, b, bLo, bHi Rel) bool {
+	for _, s := range [...]Rel{aLo, aHi, b, bLo, bHi} {
+		a.sameUniverse(s)
+	}
+	k := len(a.bits)
+	av, al, ah := a.bits[:k], aLo.bits[:k], aHi.bits[:k]
+	bv, bl, bh := b.bits[:k], bLo.bits[:k], bHi.bits[:k]
+	for i := range av {
+		if al[i]&^av[i]|av[i]&^ah[i]|bl[i]&^bv[i]|bv[i]&^bh[i] != 0 {
 			return false
 		}
 	}

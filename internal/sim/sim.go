@@ -71,9 +71,11 @@ type Request struct {
 	// Obs, when non-nil, records the run's phase trace and the
 	// enumeration counters. The phases are exclusive: compile, enumerate
 	// (the walk alone), check (the checker alone) and verdict (folding
-	// the outcome). With Workers > 1, enumerate and check are busy times
-	// summed over the folded shards — CPU time, which may exceed the wall
-	// clock. A nil trace costs one branch per candidate.
+	// the outcome). Check is estimated from a sample of timed checks
+	// (worker.shard) and enumerate is the rest of the walk's time. With
+	// Workers > 1, enumerate and check are busy times summed over the
+	// folded shards — CPU time, which may exceed the wall clock. A nil
+	// trace costs one branch per candidate.
 	Obs *obs.Trace
 }
 
@@ -218,13 +220,41 @@ type partial struct {
 	err error // the model failed to evaluate; the shard stopped there
 
 	// busy is the shard's walk wall time and checking the part of it spent
-	// in the checker (traced runs only).
+	// in the checker, estimated from the timed sample (traced runs only).
 	busy, checking time.Duration
+
+	// timedAt is the index of the latest timed candidate, and timedCheck
+	// its check time.
+	timedAt    int
+	timedCheck time.Duration
 }
 
-// shard consumes one shard's candidates into a fresh partial.
+// checkStride is the spacing of the timed checks once a shard is past its
+// first checkStride candidates (see timed).
+const checkStride = 64
+
+// timed reports whether a traced shard times the check of its k-th
+// candidate (from 0). Reading the clock twice per candidate cost about as
+// much as a small check, so a shard times a sample: every checkStride-th
+// candidate, and below that the first and every power of two. The start
+// is sampled densely because that is where a skeleton's costly checks
+// are: the evaluator binds it at its first candidate and runs the generic
+// program until it specialises.
+func timed(k int) bool {
+	if k < checkStride {
+		return k&(k-1) == 0
+	}
+	return k%checkStride == 0
+}
+
+// shard consumes one shard's candidates into a fresh partial. A traced
+// shard estimates its check time from the timed sample: each timed check
+// stands for itself and the untimed candidates since the previous one,
+// and the last also for the rest of the shard. The estimate is capped at
+// the shard's wall time, so enumerate, which is the rest of it, is never
+// negative, and the two still add up to the wall time.
 func (w *worker) shard(walk exec.Walk) *partial {
-	pt := &partial{failedBy: map[string]int{}, states: map[string]*int{}}
+	pt := &partial{failedBy: map[string]int{}, states: map[string]*int{}, timedAt: -1}
 	var t0 time.Time
 	if w.traced {
 		t0 = time.Now()
@@ -232,6 +262,8 @@ func (w *worker) shard(walk exec.Walk) *partial {
 	walk(func(c *exec.Candidate) bool { return w.visit(pt, c) })
 	if w.traced {
 		pt.busy = time.Since(t0)
+		pt.checking += pt.timedCheck * time.Duration(pt.cands-1-pt.timedAt)
+		pt.checking = min(pt.checking, pt.busy)
 	}
 	return pt
 }
@@ -239,14 +271,17 @@ func (w *worker) shard(walk exec.Walk) *partial {
 // visit checks one candidate and tallies it into pt; it returns false,
 // stopping the shard, when the model fails to evaluate.
 func (w *worker) visit(pt *partial, c *exec.Candidate) bool {
+	k := pt.cands
 	pt.cands++
-	var t0 time.Time
-	if w.traced {
-		t0 = time.Now()
-	}
-	res := w.check(c.X)
-	if w.traced {
-		pt.checking += time.Since(t0)
+	var res core.Result
+	if w.traced && timed(k) {
+		t0 := time.Now()
+		res = w.check(c.X)
+		pt.timedCheck = time.Since(t0)
+		pt.checking += pt.timedCheck * time.Duration(k-pt.timedAt)
+		pt.timedAt = k
+	} else {
+		res = w.check(c.X)
 	}
 	if res.Err != nil {
 		pt.err = res.Err
