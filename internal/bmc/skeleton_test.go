@@ -111,15 +111,14 @@ func TestJudgesLeaveSkeletonIntact(t *testing.T) {
 	skeletons, candidates := 0, 0
 	for _, e := range catalog.Tests() {
 		test := e.Test()
-		ctx, releaseShare := exec.Share(context.Background(), test)
-		p, done, err := exec.ProgramFor(ctx, test)
+		p, err := exec.CompileShared(test)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
 		judges, releaseJudges := candidateJudges(t, test.Name)
 		var seen []*events.Skeleton
 		var keys []string
-		err = p.Search(ctx, exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
+		err = p.Search(context.Background(), exec.Request{Deferred: true}, func(c *exec.Candidate) bool {
 			if !slices.Contains(seen, c.X.Skeleton) {
 				seen = append(seen, c.X.Skeleton)
 				keys = append(keys, skeletonKey(c.X.Skeleton))
@@ -156,8 +155,7 @@ func TestJudgesLeaveSkeletonIntact(t *testing.T) {
 			}
 		}
 		skeletons += len(seen)
-		done()
-		releaseShare()
+		p.Release()
 	}
 	t.Logf("%d skeletons, %d candidates", skeletons, candidates)
 }

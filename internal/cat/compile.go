@@ -264,8 +264,8 @@ type lowerer struct {
 }
 
 // Compile lowers the model into its specialised evaluator form. The
-// program argument is a presizing hint and may be nil; compilation depends
-// only on the model source. Lowering a validated model cannot fail today —
+// program argument is unused and may be nil; compilation depends only on
+// the model source. Lowering a validated model cannot fail today —
 // the error return guards internal invariants and future language forms.
 func (m *Model) Compile(p *exec.Program) (*Compiled, error) {
 	_ = p

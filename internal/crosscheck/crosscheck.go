@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 
-	"herdcats/internal/exec"
 	"herdcats/internal/litmus"
 )
 
@@ -132,26 +131,19 @@ func (r *Report) Agreed() bool {
 // Errors and its pairs are skipped. The returned error is non-nil only when
 // ctx was canceled before the comparison finished.
 //
-// The deciders share one compiled test (exec.Share): its thread traces and
-// skeletons, which no model changes, are enumerated once for all of them.
-// First the deciders that judge candidates (the axiomatic checkers, the
-// machine and the hardware, but not a wrapper around one) are decided
-// together over one walk of its candidates, which keeps the trace sets.
-// Then the bmc deciders share one SAT instance, whose model-free part the
-// first of them encodes. When the comparison returns, the instance, which
-// holds the program's traces, is released, then the program, so the
-// storage of both serves the next comparison: a decider must not use ctx
-// after its Decide returns (DESIGN.md §18.1).
+// The deciders share one scope, attached to ctx: one compiled test, whose
+// thread traces and skeletons, which no model changes, are enumerated once
+// for all of them, and one SAT instance. First the deciders that judge
+// candidates (the axiomatic checkers, the machine and the hardware, but
+// not a wrapper around one) are decided together over one walk of its
+// candidates, which keeps the trace sets. Then the bmc deciders share the
+// instance, whose model-free part the first of them encodes. When the
+// comparison returns, the scope is released, so the storage of both
+// serves the next comparison: a decider that uses ctx after its Decide
+// returns gets an error (DESIGN.md §18.1).
 func ComparePairs(ctx context.Context, test *litmus.Test, pairs ...Pair) (*Report, error) {
-	ctx, releaseProgram := exec.Share(ctx, test)
-	ctx, releaseBMC := shareBMC(ctx, test)
-	defer func() {
-		releaseBMC()
-		releaseProgram()
-		if programReleased != nil {
-			programReleased()
-		}
-	}()
+	ctx, release := withScope(ctx, test)
+	defer release()
 	rep := &Report{Test: test.Name}
 	var names []string
 	var walkers []walker

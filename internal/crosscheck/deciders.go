@@ -21,8 +21,11 @@ import (
 // can be asked: is the test's final condition observable? Names must be
 // unique per behaviour — ComparePairs runs each distinct name once per
 // test, and the mining store uses names as content-address material.
-// The deciders here take their compiled test from exec.ProgramFor(ctx,
-// test): on a ctx without a shared program each compiles afresh.
+// The deciders here take their compiled test, and the bmc deciders their
+// SAT instance, from the comparison's scope on ctx (ProgramFor for
+// deciders defined elsewhere): on a ctx with no comparison of the test
+// each builds its own, released when its Decide returns. On the context
+// of a finished comparison every one of them fails with the same error.
 type Decider interface {
 	Name() string
 	Decide(ctx context.Context, test *litmus.Test) (allowed bool, err error)
@@ -53,8 +56,9 @@ func walk(ctx context.Context, test *litmus.Test, ws []walker) (allowed []bool, 
 	allowed, errs = make([]bool, len(ws)), make([]error, len(ws))
 	judges := make([]judge, len(ws)) // nil once decided
 	undecided := 0
-	p, done, err := exec.ProgramFor(ctx, test)
+	sc, done := scopeFor(ctx, test)
 	defer done() // after the judges' releases: they may hold its skeletons
+	p, err := sc.program()
 	for i, w := range ws {
 		if errs[i] = err; err == nil {
 			var release func()
@@ -181,7 +185,7 @@ type bmcDecider struct{ id bmc.ModelID }
 // BMC wraps the SAT encoding of the given model: the test is allowed iff
 // the instance conjoining the model's axioms with the condition is
 // satisfiable. Under ComparePairs the bmc deciders of one comparison share
-// one instance (shareBMC), released when the comparison returns; on any
+// the scope's instance, released when the comparison returns; on any
 // other ctx each encodes the test alone and releases its instance.
 func BMC(id bmc.ModelID) Decider { return bmcDecider{id: id} }
 
@@ -191,85 +195,138 @@ func (d bmcDecider) Decide(ctx context.Context, test *litmus.Test) (bool, error)
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	p, done, err := exec.ProgramFor(ctx, test)
+	sc, done := scopeFor(ctx, test)
+	defer done()
+	return sc.decideBMC(d.id)
+}
+
+// --- the comparison's scope ----------------------------------------------
+
+// scope is what the deciders of one comparison share (DESIGN.md §18): the
+// test's compiled program, whose trace sets and skeletons no model
+// changes, and the model-free part of its SAT encoding, onto which each
+// bmc decider lowers its model behind an activation literal (§16). Both
+// are built on first use. mu guards them and serialises the bmc deciders,
+// as one solver answers them all. Once over, both are released and every
+// decider on the scope gets errComparisonOver. A private scope (scopeFor)
+// serves one Decide, and its program memoises nothing.
+type scope struct {
+	test       *litmus.Test
+	comparison bool // attached by ComparePairs
+
+	mu         sync.Mutex
+	p          *exec.Program
+	perr, ierr error // the compile's and the encode's
+	inst       *bmc.Instance
+	over       bool
+}
+
+// scopeKey is the context key of a comparison's scope.
+type scopeKey struct{}
+
+// errComparisonOver is every decider's answer on the context of a
+// comparison that has returned.
+var errComparisonOver = errors.New("crosscheck: decider run on the context of a finished comparison")
+
+// withScope returns a context carrying a comparison's scope for test, and
+// the function that releases it once no decider runs under it any more.
+func withScope(ctx context.Context, test *litmus.Test) (context.Context, func()) {
+	sc := &scope{test: test, comparison: true}
+	return context.WithValue(ctx, scopeKey{}, sc), sc.release
+}
+
+// scopeFor returns ctx's scope for test and a no-op done, or a private
+// scope and its release, which the caller calls once its Decide is over.
+func scopeFor(ctx context.Context, test *litmus.Test) (sc *scope, done func()) {
+	if sc, ok := ctx.Value(scopeKey{}).(*scope); ok && sc.test == test {
+		return sc, func() {}
+	}
+	sc = &scope{test: test}
+	return sc, sc.release
+}
+
+// program returns the scope's program, compiling it on first use.
+func (sc *scope) program() (*exec.Program, error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.programLocked()
+}
+
+func (sc *scope) programLocked() (*exec.Program, error) {
+	if sc.over {
+		return nil, errComparisonOver
+	}
+	if sc.p == nil && sc.perr == nil {
+		compile := exec.Compile
+		if sc.comparison {
+			compile = exec.CompileShared
+		}
+		sc.p, sc.perr = compile(sc.test)
+	}
+	return sc.p, sc.perr
+}
+
+// decideBMC answers model id on the scope's SAT instance, encoding it on
+// first use.
+func (sc *scope) decideBMC(id bmc.ModelID) (bool, error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	p, err := sc.programLocked()
 	if err != nil {
 		return false, err
 	}
-	defer done() // after the instance, which holds the program's traces
-	sl, ok := ctx.Value(bmcKey{}).(*bmcSlot)
-	if !ok || sl.test != test {
-		sl = &bmcSlot{test: test} // an instance for this decider alone
-		defer sl.release()
+	if sc.inst == nil && sc.ierr == nil {
+		sc.inst, sc.ierr = bmc.EncodeShared(p)
 	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.over {
-		return false, errComparisonOver
+	if sc.ierr != nil {
+		return false, sc.ierr
 	}
-	if sl.inst == nil && sl.err == nil {
-		sl.inst, sl.err = bmc.EncodeShared(p)
-	}
-	if sl.err != nil {
-		return false, sl.err
-	}
-	return sl.inst.Decide(d.id)
+	return sc.inst.Decide(id)
 }
 
-// errComparisonOver is a bmc decider's answer on the context of a
-// comparison that has returned.
-var errComparisonOver = errors.New("crosscheck: bmc decider run on the context of a finished comparison")
+// scopeReleased, when set, is told of each step of every scope release as
+// it happens — "instance", "program", then "end" — and whether a
+// comparison attached the scope (tests count releases and check their
+// order with it).
+var scopeReleased func(comparison bool, step string)
 
-// bmcKey is the context key of a comparison's shared SAT instance.
-type bmcKey struct{}
-
-// bmcSlot is the SAT instance shareBMC attaches to a context: the
-// model-free part of test's encoding, built by the first bmc decider that
-// runs, onto which each bmc decider lowers its model behind an activation
-// literal (DESIGN.md §16). mu serialises the deciders, as one solver
-// answers them all. Once over, the instance is released and a decider
-// on the slot gets an error.
-type bmcSlot struct {
-	test   *litmus.Test
-	mu     sync.Mutex
-	inst   *bmc.Instance
-	err    error
-	over   bool
-	shared bool // attached to a comparison's context by shareBMC
+// release ends the scope: it releases the instance, which holds the
+// program's traces, then the program. A second release panics.
+func (sc *scope) release() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.over {
+		panic("crosscheck: comparison scope released twice")
+	}
+	sc.over = true
+	if sc.inst != nil {
+		sc.inst.Release()
+		sc.tell("instance")
+	}
+	if sc.p != nil {
+		sc.p.Release()
+		sc.tell("program")
+	}
+	sc.tell("end")
 }
 
-// shareBMC returns a context carrying one SAT instance for test, shared by
-// every bmc decider that judges test under it, and the function that
-// releases the instance once none of them runs any more.
-func shareBMC(ctx context.Context, test *litmus.Test) (context.Context, func()) {
-	sl := &bmcSlot{test: test, shared: true}
-	return context.WithValue(ctx, bmcKey{}, sl), sl.release
+// tell tells scopeReleased of one step of the scope's release.
+func (sc *scope) tell(step string) {
+	if scopeReleased != nil {
+		scopeReleased(sc.comparison, step)
+	}
 }
 
-// slotReleased, when set, is told of every release of a slot: whether a
-// comparison shared it, and whether it held an instance (tests count
-// releases with it).
-var slotReleased func(shared, hadInstance bool)
-
-// programReleased, when set, is told each time a comparison has released
-// its shared program, right after its SAT slot (tests count releases and
-// check their order with it).
-var programReleased func()
-
-// release ends the slot: it releases the instance, if one was encoded.
-func (sl *bmcSlot) release() {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.over {
-		panic("crosscheck: bmc slot released twice")
-	}
-	sl.over = true
-	if slotReleased != nil {
-		slotReleased(sl.shared, sl.inst != nil)
-	}
-	if sl.inst != nil {
-		sl.inst.Release()
-		sl.inst = nil
-	}
+// ProgramFor returns the compiled test that ctx's comparison shares for
+// test, compiling it on first use, and a no-op done: the program belongs
+// to the comparison. On a context with no comparison of test it compiles
+// afresh (exec.Compile, which memoises nothing), and done releases that
+// program once the caller is finished with it. done is never nil. On the
+// context of a finished comparison it returns errComparisonOver.
+func ProgramFor(ctx context.Context, test *litmus.Test) (p *exec.Program, done func(), err error) {
+	sc, done := scopeFor(ctx, test)
+	p, err = sc.program()
+	return p, done, err
 }
 
 // --- simulated hardware ----------------------------------------------------

@@ -1,16 +1,25 @@
 package crosscheck
 
-// OnSlotRelease has f told of every release of a bmc decider's SAT slot:
-// whether a comparison shared it, and whether it held an instance. It
-// returns the function that stops telling.
-func OnSlotRelease(f func(shared, hadInstance bool)) (restore func()) {
-	slotReleased = f
-	return func() { slotReleased = nil }
+import (
+	"context"
+
+	"herdcats/internal/litmus"
+)
+
+// ErrComparisonOver is every decider's answer on the context of a
+// finished comparison.
+var ErrComparisonOver = errComparisonOver
+
+// WithScope returns a context carrying a comparison's scope for test, as
+// ComparePairs attaches, and its release.
+func WithScope(ctx context.Context, test *litmus.Test) (context.Context, func()) {
+	return withScope(ctx, test)
 }
 
-// OnProgramRelease has f told each time a comparison has released its
-// shared program. It returns the function that stops telling.
-func OnProgramRelease(f func()) (restore func()) {
-	programReleased = f
-	return func() { programReleased = nil }
+// OnScopeRelease has f told of each step of every scope release:
+// "instance", "program" and "end", and whether a comparison attached the
+// scope. It returns the function that stops telling.
+func OnScopeRelease(f func(comparison bool, step string)) (restore func()) {
+	scopeReleased = f
+	return func() { scopeReleased = nil }
 }

@@ -128,7 +128,7 @@ type programSpy struct {
 }
 
 func (s programSpy) Decide(ctx context.Context, test *litmus.Test) (bool, error) {
-	p, done, err := exec.ProgramFor(ctx, test)
+	p, done, err := crosscheck.ProgramFor(ctx, test)
 	if err != nil {
 		return false, err
 	}
@@ -164,6 +164,65 @@ func TestComparePairsSharesOneProgram(t *testing.T) {
 	if seen[0] == seen[half] {
 		t.Fatal("two comparisons shared one program")
 	}
+}
+
+// TestProgramForScope: ProgramFor hands out one program per comparison
+// scope and test, which memoises its trace sets, and compiles afresh —
+// memoising nothing — for a test the context has no comparison of.
+func TestProgramForScope(t *testing.T) {
+	tests := corpus(t, 2)
+	a, b := tests[0], tests[1]
+	ctx := withScope(t, a)
+	p1 := mustProgramFor(t, ctx, a)
+	if p2 := mustProgramFor(t, ctx, a); p1 != p2 {
+		t.Fatal("two ProgramFor calls under one comparison compiled twice")
+	}
+	if p3 := mustProgramFor(t, withScope(t, a), a); p3 == p1 {
+		t.Fatal("two comparisons handed out one program")
+	}
+	if !memoises(t, p1) {
+		t.Fatal("a comparison's program keeps no trace sets")
+	}
+	for _, p := range []*exec.Program{mustProgramFor(t, ctx, b), mustProgramFor(t, context.Background(), a)} {
+		if memoises(t, p) {
+			t.Fatalf("%s: a program compiled outside its comparison kept its trace sets", p.Test.Name)
+		}
+	}
+}
+
+// memoises reports whether p keeps its trace sets: whether two
+// ThreadTraces calls return one set rather than two enumerations.
+func memoises(t *testing.T, p *exec.Program) bool {
+	t.Helper()
+	x, err := p.ThreadTraces(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := p.ThreadTraces(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &x[0] == &y[0]
+}
+
+// mustProgramFor is crosscheck.ProgramFor, its done deferred to the end of
+// the test.
+func mustProgramFor(t *testing.T, ctx context.Context, test *litmus.Test) *exec.Program {
+	t.Helper()
+	p, done, err := crosscheck.ProgramFor(ctx, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(done)
+	return p
+}
+
+// withScope is crosscheck.WithScope on a background context, its release
+// deferred to the end of the test.
+func withScope(t *testing.T, test *litmus.Test) context.Context {
+	ctx, release := crosscheck.WithScope(context.Background(), test)
+	t.Cleanup(release)
+	return ctx
 }
 
 // TestComparePairsAllocsCeiling is the bench-smoke guard on what one

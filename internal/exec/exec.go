@@ -94,8 +94,7 @@ type Program struct {
 	initErr  error
 
 	// shared is the comparison-scoped memo of trace sets and skeletons;
-	// nil (memoise nothing) unless ProgramFor compiled the program for a
-	// Share context.
+	// nil (memoise nothing) unless CompileShared compiled the program.
 	shared *shared
 
 	// st is the storage the program carves stage 1 into, taken on first
@@ -316,7 +315,7 @@ type access struct {
 }
 
 // ThreadTraces enumerates the traces of one thread over the value domain.
-// A shared program (ProgramFor) returns its kept set, enumerating every
+// A shared program (CompileShared) returns its kept set, enumerating every
 // thread to completion and keeping the sets first if no search has, so a
 // later search takes them too; callers must not modify it. Should that
 // enumeration fail, the thread is enumerated alone, as on any program,

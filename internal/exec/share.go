@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"sync"
 
 	"herdcats/internal/litmus"
@@ -10,11 +9,11 @@ import (
 // Stage 1 of Sec. 3 — each thread's traces and the skeleton of each trace
 // combination — depends on the test alone, not on the model. When several
 // deciders judge one test (a crosscheck comparison), they share one
-// program that keeps that stage: Share puts a lazily compiled program on
-// the context they receive, and ProgramFor hands it out. This is the only way
-// a compiled test is shared; nothing holds one beyond the work that
-// compiled it. Its memo lives exactly as long as that context is in use.
-// A program from plain Compile memoises nothing (DESIGN.md §18).
+// program that keeps that stage: CompileShared builds it, and the
+// comparison's scope (crosscheck) compiles it on first use, hands it to
+// every decider and releases it when the comparison returns. Nothing else
+// holds a compiled test beyond the work that compiled it. A program from
+// plain Compile memoises nothing (DESIGN.md §18).
 
 // shared is the memo of a program compiled for one comparison. traces is
 // every thread's complete trace set, kept by the first search whose trace
@@ -124,65 +123,16 @@ func capped(all [][]Trace, max int) ([][]Trace, bool) {
 	return out, true
 }
 
-// shareKey is the context key of a comparison's shared program.
-type shareKey struct{}
-
-// shareSlot is the program Share attaches to a context, compiled by the
-// first ProgramFor for its test.
-type shareSlot struct {
-	test *litmus.Test
-	once sync.Once
-	p    *Program
-	err  error
-	over bool // released
-}
-
-// Share returns a context carrying one program for test, shared by every
-// ProgramFor(ctx, test) below it: compiled once, on first use, it keeps
-// its complete trace sets and its skeletons across all searches over it.
-// Pass the returned context only to the calls that judge this one test.
-// Once none of them runs any more, call release: it releases the program
-// (Program.Release), if one was compiled, and a ProgramFor under the
-// context afterwards gets the released program, which answers nothing.
-// A second release panics.
-func Share(ctx context.Context, test *litmus.Test) (context.Context, func()) {
-	sl := &shareSlot{test: test}
-	return context.WithValue(ctx, shareKey{}, sl), sl.release
-}
-
-// release ends the slot: no program is compiled for it any more, and the
-// one compiled, if any, is released.
-func (sl *shareSlot) release() {
-	if sl.over {
-		panic("exec: shared program released twice")
+// CompileShared compiles test as Compile does, into a program that keeps
+// stage 1 across its searches: the first complete trace enumeration keeps
+// its trace sets, and every search over them keeps the skeletons it
+// expands (shared). Give it only to the calls that judge this one test,
+// and release it once none of them runs any more.
+func CompileShared(test *litmus.Test) (*Program, error) {
+	p, err := Compile(test)
+	if err != nil {
+		return nil, err
 	}
-	sl.over = true
-	sl.once.Do(func() { sl.err = errReleased })
-	if sl.p != nil {
-		sl.p.Release()
-	}
-}
-
-// ProgramFor returns the program ctx shares for test (see Share),
-// compiling it on the first call, and a no-op done: the program belongs
-// to the Share. For a test ctx shares no program for — none attached, or
-// one attached for another test — it compiles afresh with Compile, and
-// that program memoises nothing; done releases it, and the caller calls
-// it once it is finished with the program. done is never nil.
-func ProgramFor(ctx context.Context, test *litmus.Test) (p *Program, done func(), err error) {
-	sl, ok := ctx.Value(shareKey{}).(*shareSlot)
-	if !ok || sl.test != test {
-		p, err := Compile(test)
-		if err != nil {
-			return nil, func() {}, err
-		}
-		return p, p.Release, nil
-	}
-	sl.once.Do(func() {
-		sl.p, sl.err = Compile(test)
-		if sl.err == nil {
-			sl.p.shared = &shared{st: sl.p.storage()}
-		}
-	})
-	return sl.p, func() {}, sl.err
+	p.shared = &shared{st: p.storage()}
+	return p, nil
 }

@@ -88,9 +88,9 @@ func runStep(t *testing.T, p *exec.Program, st sharedStep) ([]string, error) {
 }
 
 // TestSharedProgramMatchesFresh runs one sequence of searches on a shared
-// program (exec.ProgramFor under exec.Share) — canceled inside the trace
-// enumeration, truncated by MaxTracesPerThread, unbounded, sharded over
-// two workers, then the budgets again over the kept traces — and each
+// program (exec.CompileShared) — canceled inside the trace enumeration,
+// truncated by MaxTracesPerThread, unbounded, sharded over two workers,
+// then the budgets again over the kept traces — and each
 // must yield the candidate stream and error of the same search on a
 // freshly compiled program. A canceled or truncated enumeration keeps
 // nothing; the first complete one keeps the trace sets and skeletons.
@@ -108,7 +108,7 @@ func TestSharedProgramMatchesFresh(t *testing.T) {
 		{name: "canceled-in-yield", ctx: bg, cancelInYield: true, traces: true},
 		{name: "deferred", ctx: bg, req: exec.Request{Deferred: true}, traces: true},
 	}
-	shared := mustProgramFor(t, share(t, test), test)
+	shared := compileShared(t, test)
 	for _, st := range steps {
 		fresh, err := exec.Compile(test)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestSharedProgramConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := mustProgramFor(t, share(t, test), test)
+			p := compileShared(t, test)
 			var wg sync.WaitGroup
 			got := make([][]string, 6)
 			errs := make([]error, len(got))
@@ -171,47 +171,16 @@ func TestSharedProgramConcurrent(t *testing.T) {
 	}
 }
 
-// TestProgramForScope: ProgramFor hands out one program per Share context
-// and test, and compiles afresh — memoising nothing — for a test the
-// context does not share.
-func TestProgramForScope(t *testing.T) {
-	a, b := litmus.MustParse(mpSrc), litmus.MustParse(sharedReadsSrc)
-	ctx := share(t, a)
-	p1 := mustProgramFor(t, ctx, a)
-	if p2 := mustProgramFor(t, ctx, a); p1 != p2 {
-		t.Fatal("two ProgramFor calls under one Share compiled twice")
-	}
-	if p3 := mustProgramFor(t, share(t, a), a); p3 == p1 {
-		t.Fatal("two Share contexts handed out one program")
-	}
-	for _, p := range []*exec.Program{mustProgramFor(t, ctx, b), mustProgramFor(t, context.Background(), a)} {
-		if _, err := stream(t, p, exec.Request{}); err != nil {
-			t.Fatal(err)
-		}
-		if traces, exps := exec.Memo(p); traces || exps != 0 {
-			t.Fatalf("%s: an unshared program kept traces=%v and %d skeletons", p.Test.Name, traces, exps)
-		}
-	}
-}
-
-// mustProgramFor is exec.ProgramFor, its done deferred to the end of the
-// test.
-func mustProgramFor(t *testing.T, ctx context.Context, test *litmus.Test) *exec.Program {
+// compileShared is exec.CompileShared, its release deferred to the end of
+// the test.
+func compileShared(t *testing.T, test *litmus.Test) *exec.Program {
 	t.Helper()
-	p, done, err := exec.ProgramFor(ctx, test)
+	p, err := exec.CompileShared(test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(done)
+	t.Cleanup(p.Release)
 	return p
-}
-
-// share is exec.Share on a background context, its release deferred to
-// the end of the test.
-func share(t *testing.T, test *litmus.Test) context.Context {
-	ctx, release := exec.Share(context.Background(), test)
-	t.Cleanup(release)
-	return ctx
 }
 
 // TestSharedProgramManyCombos: a shared program over many trace
@@ -225,7 +194,7 @@ func TestSharedProgramManyCombos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mustProgramFor(t, share(t, test), test)
+	p := compileShared(t, test)
 	for _, req := range []exec.Request{{}, {}, {Workers: 2}} {
 		got, err := stream(t, p, req)
 		if err != nil {
@@ -257,7 +226,7 @@ exists (0:r4=2 /\ 1:r4=1)`
 // over the kept sets themselves. A compiled program keeps nothing.
 func TestThreadTracesKeepsSets(t *testing.T) {
 	test := litmus.MustParse(sharedReadsSrc)
-	p := mustProgramFor(t, share(t, test), test)
+	p := compileShared(t, test)
 	fresh := compile(t, sharedReadsSrc)
 	var kept [][]exec.Trace
 	for tid := range p.Threads {

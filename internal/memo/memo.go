@@ -455,18 +455,12 @@ func (c *Cache) Simulate(ctx context.Context, req Request) (*sim.Outcome, bool, 
 	return out, false, err
 }
 
-// simulate runs the cold path on a fresh compile of the test, released
-// once the simulation returns. The request's trace gets the compile span
-// and the simulation phases; the enumeration counters also roll up into
-// the cache-wide aggregate when Options.Obs is set.
+// simulate runs the cold path: sim.Simulate compiles the test, and
+// releases the program once the simulation returns. The request's trace
+// gets the compile span and the simulation phases; the enumeration
+// counters also roll up into the cache-wide aggregate when Options.Obs is
+// set.
 func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error) {
-	stop := req.Obs.Phase(obs.PhaseCompile)
-	p, err := exec.Compile(req.Test)
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
 	tr := req.Obs
 	if c.opts.Obs != nil && tr == nil {
 		// The aggregate wants enumeration counters even when the caller
@@ -474,7 +468,7 @@ func (c *Cache) simulate(ctx context.Context, req Request) (*sim.Outcome, error)
 		tr = obs.NewTrace()
 	}
 	out, err := sim.Simulate(ctx, sim.Request{
-		Program: p,
+		Test:    req.Test,
 		Checker: req.Model,
 		Budget:  req.Budget,
 		Options: sim.Options{Workers: c.opts.Workers},

@@ -200,7 +200,7 @@ func TestMinerEmitsWitness(t *testing.T) {
 }
 
 // programSpy records, per test, the programs its Decide calls would be
-// handed by exec.ProgramFor.
+// handed by crosscheck.ProgramFor.
 type programSpy struct {
 	crosscheck.Decider
 	mu   *sync.Mutex
@@ -208,7 +208,7 @@ type programSpy struct {
 }
 
 func (s programSpy) Decide(ctx context.Context, t *litmus.Test) (bool, error) {
-	p, done, err := exec.ProgramFor(ctx, t)
+	p, done, err := crosscheck.ProgramFor(ctx, t)
 	if err != nil {
 		return false, err
 	}
